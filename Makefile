@@ -33,8 +33,8 @@ bench:
 # coder on the same blocks as Benchmark_T1EncodeBlock, so the MQ→HT
 # speedup ratio reads directly off the merged artifact;
 # BenchmarkMixedConcurrency sweeps concurrent mixed load at c=1/4/8
-# over shared-scheduler vs per-call pools and reports the goroutine
-# high-water mark per row; BenchmarkDecodeResilient prices the
+# on the shared scheduler and reports the goroutine high-water mark
+# per row; BenchmarkDecodeResilient prices the
 # best-effort salvage path against the strict decoder on the same
 # resilient stream, undamaged and damaged.
 BENCH_JSON ?= BENCH_pr10.json

@@ -475,20 +475,20 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	// errors (partitions after the stop never ran, so their slots are
 	// nil, not failures); partitions are contiguous in task order, so
 	// the first non-nil slot is still the earliest failing block.
-	parts, partCost := partitionDecodeTasks(p.rec, tasks, p.workers, decodeCostFor(mode))
+	parts := partitionDecodeTasks(p.rec, tasks, p.workers, decodeCostFor(mode))
 	st := obs.StageT1
 	if mode.IsHT() {
 		st = obs.StageT1HT
 	}
 	if dmg != nil {
 		dmg.totalBlocks = len(tasks)
-		if err := decodeBlocksBestEffort(p, st, h, bands, tw, th, tasks, parts, partCost, decodeOne, dmg); err != nil {
+		if err := decodeBlocksBestEffort(p, st, h, bands, tw, th, tasks, parts, decodeOne, dmg); err != nil {
 			putPlanes(planes)
 			return nil, err
 		}
 	} else {
 		errs := make([]error, len(parts))
-		p.runCost(st, 0, len(parts), partCost, func(i int) {
+		p.run(st, 0, len(parts), func(i int) {
 			for t := parts[i].lo; t < parts[i].hi; t++ {
 				if err := decodeOne(tasks[t]); err != nil {
 					errs[i] = err
@@ -533,7 +533,7 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 // tile. Partitions own disjoint task ranges writing disjoint plane
 // regions, so concealment never races with live decoding.
 func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, bands []dwt.Band, tw, th int,
-	tasks []blockTask, parts []decodePart, partCost int64, decodeOne func(blockTask) error, dmg *tileDamage) error {
+	tasks []blockTask, parts []decodePart, decodeOne func(blockTask) error, dmg *tileDamage) error {
 	conceal := func(t int, cause string) {
 		tk := tasks[t]
 		pl := tk.plane
@@ -550,7 +550,7 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 		})
 	}
 	// next[i] is partition i's progress cursor. Within one run only the
-	// worker holding partition i advances it, and runCost's completion
+	// worker holding partition i advances it, and run's completion
 	// orders every access across reruns.
 	next := make([]int, len(parts))
 	for i := range parts {
@@ -561,7 +561,7 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 	// demotes at most one block, so tasks+parts bounds any terminating
 	// sequence; the slack absorbs faults that land on done partitions.
 	for attempt := 0; attempt <= len(tasks)+len(parts)+4; attempt++ {
-		p.runCost(st, 0, len(parts), partCost, func(i int) {
+		p.run(st, 0, len(parts), func(i int) {
 			for next[i] < parts[i].hi {
 				t := next[i]
 				if err := decodeOne(tasks[t]); err != nil {

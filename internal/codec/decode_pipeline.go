@@ -246,13 +246,10 @@ func (m t1CostModel) of(t *blockTask) int { return m.floor + len(t.acc.data)/m.b
 // into fewer, larger partitions under the HT model, keeping per-job
 // queue overhead proportional to actual decode time. Partition
 // boundaries never change decoded pixels (blocks write disjoint plane
-// regions); they only shape the queue's load balance. The modeled total
-// cost is returned alongside the partitions so the shared scheduler's
-// weighted policy can rank this stage's remaining work against other
-// lanes (Pipeline.runCost).
-func partitionDecodeTasks(rec *obs.Recorder, tasks []blockTask, workers int, model t1CostModel) ([]decodePart, int64) {
+// regions); they only shape the queue's load balance.
+func partitionDecodeTasks(rec *obs.Recorder, tasks []blockTask, workers int, model t1CostModel) []decodePart {
 	if len(tasks) == 0 {
-		return nil, 0
+		return nil
 	}
 	cost := func(t *blockTask) int { return model.of(t) }
 	total := 0
@@ -287,7 +284,7 @@ func partitionDecodeTasks(rec *obs.Recorder, tasks []blockTask, workers int, mod
 		rec.Add(obs.CtrDecodeParts, int64(len(parts)))
 		rec.Add(obs.CtrDecodeSingles, singles)
 	}
-	return parts, int64(total)
+	return parts
 }
 
 // decodePart is one dynamically-sized Tier-1 decode job: the tasks in

@@ -76,23 +76,22 @@ func EncodeContext(ctx context.Context, img *imgmodel.Image, opt Options) (*Resu
 // encoder both call this, which is what makes their outputs
 // byte-identical by construction.
 func Finish(img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block) *Result {
-	return FinishRD(img, opt, jobs, blocks, nil, 1)
+	return FinishRD(img, opt, jobs, blocks, nil)
 }
 
-// FinishRD is Finish with two escape hatches for the parallel encoders:
-// a pre-built R-D ladder set (rd[i] for blocks[i]; nil means build it
-// here) whose hulls may already have been computed inside the Tier-1
-// block jobs, and a worker count for the PCRD truncation scans. The
-// result is byte-identical to Finish for every combination — hulls and
-// selections are deterministic functions of the ladders.
-func FinishRD(img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block, rd []rate.BlockRD, workers int) *Result {
-	return finishRD(obs.Active(), img, opt, jobs, blocks, rd, workers)
+// FinishRD is Finish with a pre-built R-D ladder set for the parallel
+// encoders (rd[i] for blocks[i]; nil means build it here) whose hulls
+// may already have been computed inside the Tier-1 block jobs. The
+// result is byte-identical to Finish either way — hulls and selections
+// are deterministic functions of the ladders.
+func FinishRD(img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block, rd []rate.BlockRD) *Result {
+	return finishRD(obs.Active(), img, opt, jobs, blocks, rd)
 }
 
 // finishRD is FinishRD recording against an explicit recorder: the
 // pipelined entry points pass the operation recorder they resolved
 // from the context, the public wrappers the ambient one.
-func finishRD(rec *obs.Recorder, img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block, rd []rate.BlockRD, workers int) *Result {
+func finishRD(rec *obs.Recorder, img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block, rd []rate.BlockRD) *Result {
 	opt = opt.WithDefaults(img.W, img.H)
 	w, h := img.W, img.H
 	ncomp := len(img.Comps)
@@ -136,7 +135,7 @@ func finishRD(rec *obs.Recorder, img *imgmodel.Image, opt Options, jobs []BlockJ
 		// overhead-retry loop, so hulls are computed at most once per
 		// block per encode.
 		sp := ln.Begin(obs.StageRate, 0, 0)
-		keeps = allocateLayersRD(rec, rd, img, opt, rates, 0, workers)
+		keeps = allocateLayersRD(rec, rd, img, opt, rates, 0)
 		sp.End()
 	}
 	data, body := build(keeps)
@@ -147,7 +146,7 @@ func finishRD(rec *obs.Recorder, img *imgmodel.Image, opt Options, jobs []BlockJ
 		retry := int32(1)
 		for extra := 16; len(data) > target && extra < target; extra *= 2 {
 			sp := ln.Begin(obs.StageRate, 0, retry)
-			keeps = allocateLayersRD(rec, rd, img, opt, rates, len(data)-target+extra, workers)
+			keeps = allocateLayersRD(rec, rd, img, opt, rates, len(data)-target+extra)
 			sp.End()
 			retry++
 			data, body = build(keeps)
@@ -226,15 +225,14 @@ func BuildLadders(blocks []*t1.Block) []rate.BlockRD {
 // cumulative rate targets, returning per-layer cumulative pass counts
 // (monotone per block, as layer l extends layer l-1).
 func AllocateLayers(blocks []*t1.Block, jobs []BlockJob, img *imgmodel.Image, opt Options, cumRates []float64, extraOverhead int) [][]int {
-	return allocateLayersRD(obs.Active(), BuildLadders(blocks), img, opt, cumRates, extraOverhead, 1)
+	return allocateLayersRD(obs.Active(), BuildLadders(blocks), img, opt, cumRates, extraOverhead)
 }
 
 // allocateLayersRD is the ladder-level core of AllocateLayers. The
 // ladders' hulls are computed on first use (possibly already cached by
-// the Tier-1 jobs) and reused across layers and overhead retries; the
-// per-layer truncation search fans out over `workers`. Selections are
-// identical for every worker count and hull provenance.
-func allocateLayersRD(rec *obs.Recorder, rd []rate.BlockRD, img *imgmodel.Image, opt Options, cumRates []float64, extraOverhead, workers int) [][]int {
+// the Tier-1 jobs) and reused across layers and overhead retries.
+// Selections are identical for every hull provenance.
+func allocateLayersRD(rec *obs.Recorder, rd []rate.BlockRD, img *imgmodel.Image, opt Options, cumRates []float64, extraOverhead int) [][]int {
 	raw := img.W * img.H * len(img.Comps) * img.Depth / 8
 	final := cumRates[len(cumRates)-1]
 	keeps := make([][]int, len(cumRates))
@@ -254,7 +252,7 @@ func allocateLayersRD(rec *obs.Recorder, rd []rate.BlockRD, img *imgmodel.Image,
 				overhead += extraOverhead
 			}
 			budget := int(r*float64(raw)) - overhead
-			keeps[l] = rate.AllocateParallelObs(rec, rd, budget, workers)
+			keeps[l] = rate.Allocate(rec, rd, budget)
 		}
 		// Layers are embedded: each extends the previous selection.
 		if prev != nil {

@@ -65,8 +65,8 @@ func (e *FaultError) Unwrap() error { return e.Err }
 
 // asFault converts a recovered panic value into a *FaultError. Values
 // that already carry fault context (*FaultError from a nested
-// pipeline, *faults.Contained re-raised by a fan-out coordinator) keep
-// their original stage and stack.
+// pipeline, *faults.Contained tagged by PCRD rate control) keep their
+// original stage and stack.
 func asFault(r any, stage string, lane, job, arg int) *FaultError {
 	switch v := r.(type) {
 	case *FaultError:
@@ -79,7 +79,7 @@ func asFault(r any, stage string, lane, job, arg int) *FaultError {
 
 // containAPIFault is the deferred recover wrapper of the public encode
 // and decode entry points: any panic that escapes the per-job
-// containment (the sequential finish tail, the PCRD fan-out re-raise)
+// containment (the sequential finish tail, PCRD's stage-tagged panics)
 // becomes a *FaultError instead of crossing the API. The contained
 // panic is counted on the operation's recorder (nil-safe).
 func containAPIFault(rec *obs.Recorder, stage string, err *error) {

@@ -19,9 +19,9 @@ import (
 	"j2kcell/internal/t1"
 )
 
-// Pipeline runs the native encode path as explicit stages over a shared
-// worker pool, the Go analogue of the paper's whole-pipeline
-// parallelization (Section 3):
+// Pipeline runs the native encode path as explicit stages over the
+// shared scheduler's worker pool, the Go analogue of the paper's
+// whole-pipeline parallelization (Section 3):
 //
 //	merged level shift + MCT   — row stripes
 //	multi-level DWT            — vertical: cache-line column groups
@@ -44,17 +44,18 @@ import (
 // cancellation state of one encode or decode: a context checked
 // between job claims, and a first-error latch filled by the per-job
 // recover wrapper. Create one Pipeline per encode/decode; it is safe
-// for its own worker goroutines but not for reuse across operations.
+// for the pool workers draining its stages but not for reuse across
+// operations.
 type Pipeline struct {
 	workers int
 	ctx     context.Context
 	done    <-chan struct{} // ctx.Done(), cached (nil for Background)
 	rec     *obs.Recorder   // resolved once: ctx op recorder, else ambient, else nil
 
-	// Shared-scheduler binding (DESIGN.md §12): when sched is non-nil,
-	// multi-worker stages are submitted to the process-wide pool on this
-	// operation's lane instead of spawning private goroutines. lane is
-	// opened lazily by the first such stage and closed by Close.
+	// Scheduler binding (DESIGN.md §12), nil for single-worker
+	// pipelines: multi-worker stages are submitted to the pool on this
+	// operation's lane. lane is opened lazily by the first such stage
+	// and closed by Close.
 	sched *Scheduler
 	lane  *schedLane
 
@@ -64,8 +65,9 @@ type Pipeline struct {
 }
 
 // NewPipeline returns a pipeline that runs its stages on up to
-// `workers` goroutines (minimum 1; 1 means run inline), without
-// cancellation (context.Background).
+// `workers` executors (minimum 1; 1 means run inline), without
+// cancellation (context.Background). Multi-worker stages drain on the
+// process-default scheduler.
 func NewPipeline(workers int) *Pipeline {
 	return NewPipelineContext(context.Background(), workers)
 }
@@ -73,7 +75,8 @@ func NewPipeline(workers int) *Pipeline {
 // NewPipelineContext is NewPipeline bound to a context: the work-queue
 // drain loops check ctx between jobs, so cancellation or a deadline
 // stops the encode/decode within a bounded number of outstanding jobs
-// (at most one per worker) and the operation returns ctx.Err().
+// (at most one per worker) and the operation returns ctx.Err(). The
+// scheduler comes from ctx (WithScheduler), else the process default.
 func NewPipelineContext(ctx context.Context, workers int) *Pipeline {
 	if workers < 1 {
 		workers = 1
@@ -169,7 +172,7 @@ func (p *Pipeline) stopped() bool {
 // from the stage body is recovered into a *FaultError carrying the
 // stage, worker lane, and job coordinates, counted on the obs
 // fault_contained_panics counter. The job never propagates a panic to
-// run's worker loop, so the WaitGroup always completes — no hang, no
+// a drain loop, so every stage barrier completes — no hang, no
 // goroutine leak.
 func (p *Pipeline) job(st obs.Stage, arg int32, lane, i int, fn func(int)) {
 	defer func() {
@@ -190,14 +193,17 @@ func (p *Pipeline) job(st obs.Stage, arg int32, lane, i int, fn func(int)) {
 const stripeRows = 64
 
 // run drains n jobs through the shared work queue: one atomic cursor
-// claimed by up to p.workers goroutines — the paper's load-balancing
+// claimed by up to p.workers executors — the paper's load-balancing
 // work queue, with the atomic increment standing in for the MFC atomic
-// unit. With a single worker (or a single job) it runs inline.
+// unit. With a single worker (or a single job) it runs inline;
+// otherwise the stage is published on this operation's scheduler lane
+// (DESIGN.md §12) and the calling goroutine drains it alongside the
+// pool, so the stage completes even when the pool is busy elsewhere.
 //
 // Every job is bracketed by an observability span (stage st, stage
 // argument arg — e.g. the DWT level — and the job index) on the claiming
-// worker's lane, and each claim is counted per lane; with observability
-// disabled the extra work per job is a nil check.
+// executor's lane, and each claim is counted per lane; with
+// observability disabled the extra work per job is a nil check.
 //
 // Each claim first checks the pipeline's stop state (contained fault or
 // context cancellation), so an aborting drain completes within one
@@ -206,28 +212,13 @@ const stripeRows = 64
 // so stages can short-circuit; a stopped pipeline drains subsequent
 // run calls immediately.
 func (p *Pipeline) run(st obs.Stage, arg int32, n int, fn func(i int)) error {
-	return p.runCost(st, arg, n, int64(n), fn)
-}
-
-// runCost is run with an explicit modeled stage cost (arbitrary units,
-// at least n): the shared scheduler's weighted policy uses it to prefer
-// lanes with the least remaining work, so stages with strongly uneven
-// job sizes (the partitioned Tier-1 decode) should pass their modeled
-// total instead of the default job count. Cost never affects which jobs
-// run or their order within a claim — only cross-lane preference — so
-// it cannot change output.
-func (p *Pipeline) runCost(st obs.Stage, arg int32, n int, cost int64, fn func(i int)) error {
 	if n <= 0 || p.stopped() {
 		return p.Err()
 	}
 	rec := p.rec
 	rec.Add(obs.CtrQueueRuns, 1)
 	rec.Add(obs.CtrQueueJobs, int64(n))
-	nw := p.workers
-	if nw > n {
-		nw = n
-	}
-	if nw <= 1 {
+	if p.sched == nil || n == 1 {
 		ln := rec.Acquire()
 		for i := 0; i < n && !p.stopped(); i++ {
 			ln.Claim()
@@ -238,39 +229,10 @@ func (p *Pipeline) runCost(st obs.Stage, arg int32, n int, cost int64, fn func(i
 		ln.Release()
 		return p.Err()
 	}
-	// Shared-pool path (DESIGN.md §12): publish the stage on this
-	// operation's lane so pool workers can help drain it; the calling
-	// goroutine drains too, so the stage completes even when the pool
-	// is saturated elsewhere. Per-call goroutines below remain for
-	// unscheduled pipelines (WithPerCallPool, J2K_PERCALL=1).
-	if p.sched != nil {
-		if p.lane == nil {
-			p.lane = p.sched.openLane()
-		}
-		return p.runShared(st, arg, n, cost, fn)
+	if p.lane == nil {
+		p.lane = p.sched.openLane()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func(w int) {
-			defer wg.Done()
-			ln := rec.Acquire()
-			defer ln.Release()
-			for !p.stopped() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				ln.Claim()
-				sp := ln.Begin(st, arg, int32(i))
-				p.job(st, arg, w, i, fn)
-				sp.End()
-			}
-		}(w)
-	}
-	wg.Wait()
-	return p.Err()
+	return p.runShared(st, arg, n, fn)
 }
 
 // Scratch pools for stripe-sized transients (DWT aux rows, horizontal
@@ -561,10 +523,6 @@ func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*im
 	return planes
 }
 
-// EncodeParallel compresses img with the whole pipeline — MCT, DWT,
-// quantization, Tier-1 — spread across `workers` goroutines, then the
-// shared sequential Finish (rate control, Tier-2, framing). The output
-// is byte-identical to Encode for every worker count. Tiled streams
 // warmGains precomputes the synthesis-gain table the encode will need
 // on the coordinator goroutine. Left lazy, the measurement fires under
 // gainMu inside whichever worker touches it first, stalling the whole
@@ -577,6 +535,10 @@ func warmGains(opt Options, rec *obs.Recorder) {
 	}
 }
 
+// EncodeParallel compresses img with the whole pipeline — MCT, DWT,
+// quantization, Tier-1 — spread across `workers` executors, then the
+// shared sequential Finish (rate control, Tier-2, framing). The output
+// is byte-identical to Encode for every worker count. Tiled streams
 // parallelize across tiles instead (EncodeTiled).
 func EncodeParallel(img *imgmodel.Image, opt Options, workers int) (*Result, error) {
 	return EncodeParallelContext(context.Background(), img, opt, workers)
@@ -589,6 +551,9 @@ func EncodeParallel(img *imgmodel.Image, opt Options, workers int) (*Result, err
 // unwrapped. A panic inside any stage worker is contained into a
 // *FaultError instead of crossing the API.
 func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options, workers int) (res *Result, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	rec := obs.Current(ctx)
 	// SLO envelope: registered before containAPIFault so it runs after
 	// it (defers are LIFO) and sees the error a contained panic was
@@ -615,10 +580,8 @@ func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options
 	if err := validateImage(img); err != nil {
 		return nil, err
 	}
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
 	}
 	// Record which simd kernel set serves this encode; the counter shows
 	// up in MetricsTable/expvar so a perf report can tell scalar, SSE2,
@@ -654,8 +617,7 @@ func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options
 	warmGains(opt, rec)
 	_, jobs := PlanBlocks(img.W, img.H, len(img.Comps), opt)
 	// Rate-constrained encodes build each block's R-D ladder and convex
-	// hull inside its Tier-1 job, leaving only the λ search sequential
-	// (and even its truncation scans fan out inside FinishRD).
+	// hull inside its Tier-1 job, leaving only the λ search sequential.
 	var rd []rate.BlockRD
 	if !opt.Lossless && opt.layerRates() != nil {
 		rd = make([]rate.BlockRD, len(jobs))
@@ -683,5 +645,5 @@ func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options
 	if perr := p.Err(); perr != nil {
 		return nil, perr
 	}
-	return finishRD(p.rec, img, opt, jobs, blocks, rd, p.workers), nil
+	return finishRD(p.rec, img, opt, jobs, blocks, rd), nil
 }

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,10 +36,9 @@ func waitGoroutinesBelow(t *testing.T, limit int, what string) {
 
 // TestSchedulerByteIdentityAcrossPoolWidths pins the DESIGN.md §12
 // proof obligation: per-operation codestreams are pool-width
-// independent. The same encode through shared pools of width 1, 2, and
-// 8 — and through the per-call path — must be byte-identical to the
-// sequential encoder, and decodes pixel-identical, under both
-// scheduling policies.
+// independent. The same encode through pools of width 1, 2, and 8 must
+// be byte-identical to the sequential encoder, and decodes
+// pixel-identical.
 func TestSchedulerByteIdentityAcrossPoolWidths(t *testing.T) {
 	img := workload.Dial(160, 160, 21, 4)
 	for _, opt := range []Options{
@@ -52,36 +51,27 @@ func TestSchedulerByteIdentityAcrossPoolWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pol := range []SchedPolicy{SchedRoundRobin, SchedWeighted} {
-			for _, width := range []int{1, 2, 8} {
-				s := NewScheduler(SchedConfig{Workers: width, Policy: pol})
-				ctx := WithScheduler(context.Background(), s)
-				res, err := EncodeParallelContext(ctx, img, opt, 4)
-				if err != nil {
-					t.Fatalf("pool width %d policy %d: %v", width, pol, err)
-				}
-				if !bytes.Equal(res.Data, ref.Data) {
-					t.Fatalf("opt %+v: codestream differs at pool width %d policy %d", opt, width, pol)
-				}
-				dec, err := DecodeWithContext(ctx, ref.Data, DecodeOptions{Workers: 4})
-				if err != nil {
-					t.Fatalf("decode pool width %d: %v", width, err)
-				}
-				seq, err := Decode(ref.Data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !imagesEqual(dec, seq) {
-					t.Fatalf("opt %+v: decode differs at pool width %d policy %d", opt, width, pol)
-				}
-			}
-		}
-		perCall, err := EncodeParallelContext(WithPerCallPool(context.Background()), img, opt, 4)
+		seq, err := Decode(ref.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(perCall.Data, ref.Data) {
-			t.Fatalf("opt %+v: per-call codestream differs from sequential", opt)
+		for _, width := range []int{1, 2, 8} {
+			s := NewScheduler(SchedConfig{Workers: width})
+			ctx := WithScheduler(context.Background(), s)
+			res, err := EncodeParallelContext(ctx, img, opt, 4)
+			if err != nil {
+				t.Fatalf("pool width %d: %v", width, err)
+			}
+			if !bytes.Equal(res.Data, ref.Data) {
+				t.Fatalf("opt %+v: codestream differs at pool width %d", opt, width)
+			}
+			dec, err := DecodeWithContext(ctx, ref.Data, DecodeOptions{Workers: 4})
+			if err != nil {
+				t.Fatalf("decode pool width %d: %v", width, err)
+			}
+			if !imagesEqual(dec, seq) {
+				t.Fatalf("opt %+v: decode differs at pool width %d", opt, width)
+			}
 		}
 	}
 }
@@ -229,65 +219,144 @@ func TestSchedulerTwoOpFaultIsolation(t *testing.T) {
 	}
 }
 
-// TestSchedulerFairnessUnderLoad pins the starvation bound: a long
-// archival encode must not starve thumbnail operations sharing the
-// pool. Thumbnail latencies are read back from their own operation
-// recorders (the per-op SLO observations), and the p99 must stay well
-// below the archival encode's wall time — a starved thumbnail would
-// wait for the whole archival drain.
+// TestSchedulerFairnessUnderLoad pins the starvation bound
+// structurally: an archival operation holds its stage open on a 2-wide
+// pool — its submitter and both pool workers parked inside jobs that
+// wait on a gate — and thumbnail encodes sharing that pool must still
+// complete before the gate opens. A thumbnail that waited for the
+// archival lane to close would never finish. Each thumbnail's own
+// recorder must count exactly its own operation. No assert compares
+// durations.
 func TestSchedulerFairnessUnderLoad(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based fairness bound")
-	}
 	s := NewScheduler(SchedConfig{Workers: 2})
 	base := WithScheduler(context.Background(), s)
 
-	big := workload.Dial(512, 512, 3, 4)
-	thumb := workload.Dial(64, 64, 4, 4)
-
-	var archDur atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
+	// 4 workers and 8 jobs: the submitter plus up to 3 pool executors
+	// may enter the stage, so the 2-wide pool is fully occupied.
+	const held = 3
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 8)
+	arch := NewPipelineContext(base, 4)
+	archDone := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		start := time.Now()
-		_, err := EncodeParallelContext(base, big, Options{Lossless: true, TileW: 128, TileH: 128}, 4)
-		archDur.Store(int64(time.Since(start)))
-		if err != nil {
-			t.Error(err)
-		}
+		defer arch.Close()
+		archDone <- arch.run(obs.StageT1, 0, 8, func(int) {
+			entered <- struct{}{}
+			<-gate
+		})
 	}()
+	for i := 0; i < held; i++ {
+		<-entered
+	}
 
-	// Let the archival lane open and occupy the pool first.
-	time.Sleep(5 * time.Millisecond)
-	var thumbs []time.Duration
-	for i := 0; i < 12; i++ {
-		ctx, op := obs.WithOperation(base, "thumb")
-		_, err := EncodeParallelContext(ctx, thumb, Options{Rate: 0.2}, 4)
-		d := op.Duration()
-		op.Finish()
+	thumb := workload.Dial(64, 64, 4, 4)
+	thumbsDone := make(chan error, 1)
+	go func() {
+		for i := 0; i < 4; i++ {
+			ctx, op := obs.WithOperation(base, "thumb")
+			_, err := EncodeParallelContext(ctx, thumb, Options{Rate: 0.2}, 4)
+			op.Finish()
+			if err != nil {
+				thumbsDone <- err
+				return
+			}
+			if got := op.Recorder().OpCount(obs.ClassOf(false, true, false, false)); got != 1 {
+				thumbsDone <- fmt.Errorf("thumbnail %d: op recorder counted %d ops, want 1", i, got)
+				return
+			}
+		}
+		thumbsDone <- nil
+	}()
+	select {
+	case err := <-thumbsDone:
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The op recorder must have observed exactly this operation.
-		if got := op.Recorder().OpCount(obs.ClassOf(false, true, false, false)); got != 1 {
-			t.Fatalf("thumbnail op recorder counted %d ops, want 1", got)
+	case <-time.After(60 * time.Second):
+		close(gate)
+		t.Fatal("thumbnail encodes did not complete while the archival stage was held open")
+	}
+	select {
+	case <-archDone:
+		t.Fatal("archival stage finished before its gate opened")
+	default:
+	}
+	close(gate)
+	if err := <-archDone; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSchedulerNilContextAdmits pins that a nil context resolves to the
+// process-default scheduler at every entry point — admission included.
+// With every default slot held, a nil-ctx multi-worker operation must
+// queue for admission rather than run on the pool unadmitted.
+func TestSchedulerNilContextAdmits(t *testing.T) {
+	s := DefaultScheduler()
+	if schedulerFor(nil, 4) != s || schedulerFor(WithScheduler(context.Background(), nil), 4) != s {
+		t.Fatal("nil ctx and nil binding must both resolve to the default scheduler")
+	}
+	if schedulerFor(nil, 1) != nil {
+		t.Fatal("single-worker operations must not resolve a scheduler")
+	}
+
+	var held []func()
+	defer func() {
+		for _, r := range held {
+			r()
 		}
-		thumbs = append(thumbs, d)
-		if archDur.Load() != 0 && i >= 3 {
-			break // archival finished; enough contended samples
+	}()
+	for s.Stats().ActiveOps < s.maxActive {
+		r, err := s.Admit(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, r)
+	}
+
+	img := workload.Dial(64, 64, 9, 4)
+	ref, err := Encode(img, Options{Lossless: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nilCtx context.Context
+	waits := s.Stats().AdmitWaits
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"encode", func() error { _, err := EncodeParallelContext(nilCtx, img, Options{Lossless: true}, 4); return err }},
+		{"encode-tiled", func() error {
+			_, err := EncodeTiledContext(nilCtx, img, Options{Lossless: true, TileW: 32, TileH: 32}, 4)
+			return err
+		}},
+		{"decode", func() error { _, err := DecodeWithContext(nilCtx, ref.Data, DecodeOptions{Workers: 4}); return err }},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- tc.run() }()
+		for i := 0; i < 10000 && s.Stats().QueueDepth == 0; i++ {
+			select {
+			case err := <-done:
+				t.Fatalf("%s with nil ctx ran without an admission slot (err=%v)", tc.name, err)
+			default:
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if s.Stats().QueueDepth != 1 {
+			t.Fatalf("%s with nil ctx never queued for admission", tc.name)
+		}
+		// Hand one held slot to the queued operation, then take back the
+		// slot it returns when it finishes.
+		held[0]()
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if held[0], err = s.Admit(context.Background(), nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	wg.Wait()
-
-	sort.Slice(thumbs, func(i, j int) bool { return thumbs[i] < thumbs[j] })
-	p99 := thumbs[len(thumbs)*99/100]
-	arch := time.Duration(archDur.Load())
-	// A starved thumbnail would block for the archival's remaining
-	// drain (hundreds of ms); a fairly-scheduled one finishes orders of
-	// magnitude sooner. The /2 bound is deliberately loose for CI noise.
-	if p99 >= arch/2 {
-		t.Errorf("thumbnail p99 %v not bounded under archival load (archival took %v)", p99, arch)
+	if got := s.Stats().AdmitWaits - waits; got != 3 {
+		t.Fatalf("admit waits = %d, want 3", got)
 	}
 }
 
@@ -393,9 +462,11 @@ func TestSchedulerAdmissionBackpressure(t *testing.T) {
 	}
 }
 
-// TestSchedulerGoroutineBound pins the whole point of the refactor:
+// TestSchedulerGoroutineBound pins the whole point of the shared pool:
 // c concurrent operations at `workers` width hold the process at
-// O(GOMAXPROCS + c) goroutines on the shared pool, not O(c×workers).
+// O(GOMAXPROCS + c) goroutines, not O(c×workers). The op mix covers
+// every multi-worker path: lossless encode, rate-constrained lossy
+// encode (rate control included), and decode.
 func TestSchedulerGoroutineBound(t *testing.T) {
 	const (
 		concOps   = 8
@@ -406,6 +477,10 @@ func TestSchedulerGoroutineBound(t *testing.T) {
 	s := NewScheduler(SchedConfig{Workers: poolWidth})
 	ctx := WithScheduler(context.Background(), s)
 	img := workload.Dial(160, 160, 31, 4)
+	ref, err := Encode(img, Options{Lossless: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	stop := make(chan struct{})
 	var hwm atomic.Int64
@@ -426,12 +501,21 @@ func TestSchedulerGoroutineBound(t *testing.T) {
 	var wg sync.WaitGroup
 	for k := 0; k < concOps; k++ {
 		wg.Add(1)
-		go func() {
+		go func(k int) {
 			defer wg.Done()
-			if _, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, opWorkers); err != nil {
+			var err error
+			switch k % 3 {
+			case 0:
+				_, err = EncodeParallelContext(ctx, img, Options{Lossless: true}, opWorkers)
+			case 1:
+				_, err = EncodeParallelContext(ctx, img, Options{Rate: 0.1}, opWorkers)
+			default:
+				_, err = DecodeWithContext(ctx, ref.Data, DecodeOptions{Workers: opWorkers})
+			}
+			if err != nil {
 				t.Error(err)
 			}
-		}()
+		}(k)
 	}
 	wg.Wait()
 	close(stop)
@@ -439,7 +523,7 @@ func TestSchedulerGoroutineBound(t *testing.T) {
 	// Budget: baseline + one driver per op + the pool + sampler slack.
 	limit := int64(before + concOps + poolWidth + 6)
 	if got := hwm.Load(); got > limit {
-		t.Errorf("goroutine high-water %d exceeds shared-pool bound %d (per-call would be ~%d)",
+		t.Errorf("goroutine high-water %d exceeds shared-pool bound %d (per-op pools would be ~%d)",
 			got, limit, before+concOps*opWorkers)
 	}
 	waitGoroutinesBelow(t, before+2, "after bounded run")

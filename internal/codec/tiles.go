@@ -60,6 +60,9 @@ func EncodeTiled(img *imgmodel.Image, opt Options, workers int) (*Result, error)
 // into *FaultError, and every tile's pooled planes are released on
 // both paths.
 func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, workers int) (res *Result, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	rec := obs.Current(ctx)
 	// SLO envelope; registered before containAPIFault (LIFO) so a
 	// contained panic is already an error when it observes the outcome.
@@ -81,10 +84,8 @@ func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, w
 	if err := validateImage(img); err != nil {
 		return nil, err
 	}
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
 	}
 	opt = opt.WithDefaults(img.W, img.H)
 	if opt.TileW <= 0 || opt.TileH <= 0 {
@@ -213,7 +214,7 @@ func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, w
 	keeps := [][]int{FullKeep(allBlocks)}
 	if constrained {
 		sp := ln.Begin(obs.StageRate, 0, 0)
-		keeps = allocateLayersRD(rec, allRD, img, opt, rates, 0, workers)
+		keeps = allocateLayersRD(rec, allRD, img, opt, rates, 0)
 		sp.End()
 	}
 	data, bodyTotal := build(keeps)
@@ -222,7 +223,7 @@ func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, w
 		retry := int32(1)
 		for extra := 16; len(data) > target && extra < target; extra *= 2 {
 			sp := ln.Begin(obs.StageRate, 0, retry)
-			keeps = allocateLayersRD(rec, allRD, img, opt, rates, len(data)-target+extra, workers)
+			keeps = allocateLayersRD(rec, allRD, img, opt, rates, len(data)-target+extra)
 			sp.End()
 			retry++
 			data, bodyTotal = build(keeps)

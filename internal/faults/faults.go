@@ -39,13 +39,12 @@ func (e *InjectedError) Error() string {
 	return fmt.Sprintf("faults: injected error at %s entry %d", e.Stage, e.N)
 }
 
-// Contained carries a panic recovered by a worker goroutine across a
-// re-raise on its coordinator: the stage it escaped from, the original
-// panic value, and the worker's stack at recovery. Containment layers
-// that must not swallow panics (e.g. the PCRD fan-out, which has no
-// error return) wrap the recovered value in a Contained and re-panic
-// it on the coordinator goroutine; the API-level recover unwraps it
-// into the typed fault error without losing the original stack.
+// Contained carries a recovered panic across a re-raise: the stage it
+// escaped from, the original panic value, and the stack at recovery.
+// Containment layers that must not swallow panics (e.g. PCRD rate
+// control, which has no error return) wrap the recovered value in a
+// Contained and re-panic it; the API-level recover unwraps it into the
+// typed fault error without losing the stage or the original stack.
 type Contained struct {
 	Stage string
 	Value any

@@ -4,11 +4,11 @@ package rate
 // Hulls are cleared first so the benchmark prices the full stage —
 // hull sweep plus λ search — as the pre-refactor Allocate did.
 
-func benchAllocate(blocks []BlockRD, budget, workers int) []int {
+func benchAllocate(blocks []BlockRD, budget int) []int {
 	for i := range blocks {
 		blocks[i].Hull = nil
 	}
-	return AllocateParallel(blocks, budget, workers)
+	return Allocate(nil, blocks, budget)
 }
 
 func benchHull(b *BlockRD) {

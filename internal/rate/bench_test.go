@@ -1,9 +1,6 @@
 package rate
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // benchBlocks builds a PCRD workload shaped like a real lossy encode:
 // one R-D ladder per code block, ~3k blocks at the paper's 3072×3072
@@ -18,7 +15,7 @@ func benchBlocks(n int) []BlockRD {
 
 // Benchmark_RateControl prices the PCRD truncation search — the
 // sequential tail of the lossy pipeline (the paper's ~60% Amdahl term
-// at 16 SPE) — at 1 worker and at pool widths matching the encoder.
+// at 16 SPE).
 func Benchmark_RateControl(b *testing.B) {
 	blocks := benchBlocks(3000)
 	budget := 0
@@ -26,13 +23,9 @@ func Benchmark_RateControl(b *testing.B) {
 		budget += blk.Rates[len(blk.Rates)-1]
 	}
 	budget /= 10 // a constraining budget so the λ bisection runs fully
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				benchAllocate(blocks, budget, w)
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchAllocate(blocks, budget)
 	}
 }
 

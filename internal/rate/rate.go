@@ -5,16 +5,15 @@
 // budget with minimal total distortion. The paper runs this stage
 // sequentially on the PPE; at 16 SPE + 2 PPE it is ~60% of lossy
 // encoding time, the Amdahl term that flattens Figure 5. This port
-// breaks that term two ways: hull construction is embarrassingly
-// parallel per block (and can ride inside the Tier-1 block jobs, see
-// BlockRD.ComputeHull), and the λ bisection's per-block truncation
-// scan fans out across workers with deterministic integer reduction.
+// shrinks that term by moving hull construction, which is
+// embarrassingly parallel per block, into the Tier-1 block jobs (see
+// BlockRD.ComputeHull); the λ bisection stays sequential on the
+// coordinator, as in the paper.
 package rate
 
 import (
 	"runtime/debug"
 	"sort"
-	"sync"
 
 	"j2kcell/internal/faults"
 	"j2kcell/internal/obs"
@@ -110,99 +109,35 @@ func hull(b BlockRD) []HullPoint {
 	return pts
 }
 
-// parallelBlocks splits [0,n) into one contiguous chunk per worker and
-// runs fn(w, lo, hi) on each concurrently; a single worker (or a tiny
-// n) runs inline with no goroutines.
-//
-// A panic inside a worker chunk (or an injected "rate" fault) never
-// escapes a bare goroutine: the first one is captured as a
-// *faults.Contained — keeping the original stack — and re-raised on
-// the coordinator after every worker has finished, so the WaitGroup
-// always completes and the caller's recover (the codec API envelope)
-// sees a fully-located fault.
-func parallelBlocks(n, workers int, fn func(w, lo, hi int)) {
-	chunk := func(w, lo, hi int) {
-		defer func() {
-			// Tag the panic with its stage before it leaves the chunk,
-			// so the inline path (no worker goroutine, no recover below)
-			// still reaches the API envelope fully located.
-			if r := recover(); r != nil {
-				if c, ok := r.(*faults.Contained); ok {
-					panic(c)
-				}
-				panic(&faults.Contained{Stage: "rate", Value: r, Stack: debug.Stack()})
+// contained runs one rate-control pass on the coordinator. PCRD has no
+// error return, so an injected "rate" fault or a panic inside fn leaves
+// as a *faults.Contained tagged with its stage and the original stack;
+// the codec API envelope unwraps it into a fully-located fault.
+func contained(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			if c, ok := r.(*faults.Contained); ok {
+				panic(c)
 			}
-		}()
-		if err := faults.Hit("rate"); err != nil {
-			panic(&faults.Contained{Stage: "rate", Value: err, Stack: debug.Stack()})
+			panic(&faults.Contained{Stage: "rate", Value: r, Stack: debug.Stack()})
 		}
-		fn(w, lo, hi)
+	}()
+	if err := faults.Hit("rate"); err != nil {
+		panic(&faults.Contained{Stage: "rate", Value: err, Stack: debug.Stack()})
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		chunk(0, 0, n)
-		return
-	}
-	var mu sync.Mutex
-	var fault *faults.Contained
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					c, ok := r.(*faults.Contained)
-					if !ok {
-						c = &faults.Contained{Stage: "rate", Value: r, Stack: debug.Stack()}
-					}
-					mu.Lock()
-					if fault == nil {
-						fault = c
-					}
-					mu.Unlock()
-				}
-			}()
-			chunk(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if fault != nil {
-		panic(fault)
-	}
+	fn()
 }
 
 // Allocate returns, for each block, the number of passes to keep so
 // that the summed truncated rates fit the byte budget with minimal
 // distortion. A non-positive budget keeps nothing; a budget beyond the
-// total keeps everything.
-func Allocate(blocks []BlockRD, budget int) []int {
-	return AllocateParallel(blocks, budget, 1)
-}
-
-// AllocateParallel is Allocate with the per-block work — hull
-// construction for blocks whose Hull is nil, and the truncation scan
-// inside each λ probe — fanned out over the given number of workers.
-// The result is identical for every worker count: block selections are
-// written to disjoint indices and byte totals are integer sums reduced
-// in chunk order.
-func AllocateParallel(blocks []BlockRD, budget, workers int) []int {
-	return AllocateParallelObs(obs.Active(), blocks, budget, workers)
-}
-
-// AllocateParallelObs is AllocateParallel counting its hull builds and
-// λ probes against an explicit recorder (nil-safe), so a per-operation
-// recorder sees its own rate-control work rather than the process
-// ambient one.
-func AllocateParallelObs(rec *obs.Recorder, blocks []BlockRD, budget, workers int) []int {
-	if workers < 1 {
-		workers = 1
-	}
-	parallelBlocks(len(blocks), workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
+// total keeps everything. Blocks whose Hull is nil get it computed
+// here; the result is the same whether hulls were cached beforehand
+// (as the parallel Tier-1 jobs do) or not. Hull builds and λ probes
+// count against rec (nil-safe).
+func Allocate(rec *obs.Recorder, blocks []BlockRD, budget int) []int {
+	contained(func() {
+		for i := range blocks {
 			if blocks[i].Hull == nil {
 				blocks[i].ComputeHullObs(rec)
 			}
@@ -232,13 +167,11 @@ func AllocateParallelObs(rec *obs.Recorder, blocks []BlockRD, budget, workers in
 
 	// pick selects per-block passes for a slope threshold λ: keep every
 	// hull point with slope >= λ.
-	pick := func(lambda float64) ([]int, int) {
+	pick := func(lambda float64) (sel []int, bytes int) {
 		rec.Add(obs.CtrRateProbes, 1)
-		sel := make([]int, len(blocks))
-		partial := make([]int, workers)
-		parallelBlocks(len(blocks), workers, func(w, lo, hi int) {
-			bytes := 0
-			for i := lo; i < hi; i++ {
+		sel = make([]int, len(blocks))
+		contained(func() {
+			for i := range blocks {
 				keep := 0
 				for _, p := range blocks[i].Hull {
 					if p.Slope >= lambda {
@@ -252,12 +185,7 @@ func AllocateParallelObs(rec *obs.Recorder, blocks []BlockRD, budget, workers in
 					bytes += blocks[i].Rates[keep-1]
 				}
 			}
-			partial[w] = bytes
 		})
-		bytes := 0
-		for _, b := range partial {
-			bytes += b
-		}
 		return sel, bytes
 	}
 

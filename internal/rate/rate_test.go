@@ -75,7 +75,7 @@ func TestAllocateFitsBudget(t *testing.T) {
 		blocks = append(blocks, diminishing(15, uint32(i+1)))
 	}
 	for _, budget := range []int{0, 100, 1000, 5000, 1 << 20} {
-		sel := Allocate(blocks, budget)
+		sel := Allocate(nil, blocks, budget)
 		got := TotalBytes(blocks, sel)
 		if got > budget {
 			t.Fatalf("budget %d exceeded: %d", budget, got)
@@ -102,7 +102,7 @@ func TestAllocateMonotoneInBudget(t *testing.T) {
 	lastD := math.Inf(1)
 	lastB := -1
 	for _, budget := range []int{200, 500, 1000, 2000, 4000, 8000} {
-		sel := Allocate(blocks, budget)
+		sel := Allocate(nil, blocks, budget)
 		bytes := TotalBytes(blocks, sel)
 		d := TotalDistortion(blocks, dist0, sel)
 		if bytes < lastB {
@@ -120,7 +120,7 @@ func TestAllocateNearOptimalVsExhaustive(t *testing.T) {
 	blocks := []BlockRD{diminishing(4, 1), diminishing(4, 2), diminishing(4, 3)}
 	dist0 := []float64{5000, 5000, 5000}
 	budget := 150
-	sel := Allocate(blocks, budget)
+	sel := Allocate(nil, blocks, budget)
 	got := TotalDistortion(blocks, dist0, sel)
 
 	// Brute force over all pass combinations that fit.
@@ -153,7 +153,7 @@ func TestPropAllocateNeverExceedsBudget(t *testing.T) {
 			blocks[i] = diminishing(rng.Intn(10)+1, rng.Uint32())
 		}
 		budget := int(budget16)
-		sel := Allocate(blocks, budget)
+		sel := Allocate(nil, blocks, budget)
 		if TotalBytes(blocks, sel) > budget {
 			return false
 		}
@@ -174,7 +174,7 @@ func TestEmptyAndDegenerateBlocks(t *testing.T) {
 		{}, // all-zero block: no passes
 		{Rates: []int{5}, Dists: []float64{10}},
 	}
-	sel := Allocate(blocks, 100)
+	sel := Allocate(nil, blocks, 100)
 	if sel[0] != 0 || sel[1] != 1 {
 		t.Fatalf("degenerate allocation: %v", sel)
 	}
@@ -186,16 +186,15 @@ func TestEmptyAndDegenerateBlocks(t *testing.T) {
 func TestLagrangianDecreasingInLambdaSelection(t *testing.T) {
 	blocks := []BlockRD{diminishing(8, 4)}
 	dist0 := []float64{blocks[0].Dists[7] * 1.2}
-	full := Allocate(blocks, 1<<20)
+	full := Allocate(nil, blocks, 1<<20)
 	if got := Lagrangian(blocks, dist0, full, 0); got <= 0 {
 		t.Fatalf("Lagrangian %v", got)
 	}
 }
 
-func TestAllocateParallelMatchesSequential(t *testing.T) {
-	// The selection must be byte-for-byte identical at every worker
-	// count, whether hulls are computed inside the call or were cached
-	// beforehand (as the Tier-1 block jobs do).
+func TestAllocateIgnoresHullProvenance(t *testing.T) {
+	// The selection must be identical whether hulls are computed inside
+	// the call or were cached beforehand (as the Tier-1 block jobs do).
 	mk := func() []BlockRD {
 		blocks := make([]BlockRD, 257)
 		for i := range blocks {
@@ -209,23 +208,15 @@ func TestAllocateParallelMatchesSequential(t *testing.T) {
 		budget += b.Rates[len(b.Rates)-1]
 	}
 	budget /= 7
-	want := Allocate(mk(), budget)
-	for _, w := range []int{0, 2, 3, 8, 33, 1000} {
-		got := AllocateParallel(mk(), budget, w)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: block %d selects %d passes, sequential %d", w, i, got[i], want[i])
-			}
-		}
-		pre := mk()
-		for i := range pre {
-			pre[i].ComputeHull()
-		}
-		got = AllocateParallel(pre, budget, w)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d precomputed hulls: block %d selects %d, want %d", w, i, got[i], want[i])
-			}
+	want := Allocate(nil, mk(), budget)
+	pre := mk()
+	for i := range pre {
+		pre[i].ComputeHull()
+	}
+	got := Allocate(nil, pre, budget)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("precomputed hulls: block %d selects %d, want %d", i, got[i], want[i])
 		}
 	}
 }

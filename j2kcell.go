@@ -223,17 +223,17 @@ func EncodeParallelContext(ctx context.Context, img *Image, opt Options, workers
 	return res.Data, &res.Stats, nil
 }
 
-// Scheduler is the process-wide worker pool that multiplexes the job
-// streams of concurrent encodes and decodes onto ~GOMAXPROCS
-// goroutines (DESIGN.md §12). Multi-worker operations use the default
-// scheduler automatically; bind an explicit one with WithScheduler to
-// isolate a tenant or shrink the pool, or opt out entirely with
-// WithPerCallPool.
+// Scheduler is the worker pool that multiplexes the job streams of
+// concurrent encodes and decodes onto a fixed set of goroutines,
+// rotating round-robin over the operations (DESIGN.md §12). It is the
+// only way an operation runs on more than one goroutine: multi-worker
+// operations use the process-default scheduler automatically; bind an
+// explicit one with WithScheduler to isolate a tenant or shrink the
+// pool. Single-worker operations run inline and never touch it.
 type Scheduler = codec.Scheduler
 
-// SchedConfig configures a Scheduler: pool width, admission bounds
-// (MaxActive running + MaxQueue waiting before ErrOverloaded), and the
-// lane-selection policy (round-robin or least-remaining-work).
+// SchedConfig configures a Scheduler: pool width and admission bounds
+// (MaxActive running + MaxQueue waiting before ErrOverloaded).
 type SchedConfig = codec.SchedConfig
 
 // SchedStats is a snapshot of a scheduler's lanes, queue, and
@@ -249,17 +249,10 @@ var ErrOverloaded = codec.ErrOverloaded
 // defaults: GOMAXPROCS workers, 8×workers active, 4× that queued).
 func NewScheduler(cfg SchedConfig) *Scheduler { return codec.NewScheduler(cfg) }
 
-// WithScheduler binds operations started under ctx to s (nil selects
-// per-call worker pools).
+// WithScheduler binds operations started under ctx to s. A nil s means
+// the process-default scheduler.
 func WithScheduler(ctx context.Context, s *Scheduler) context.Context {
 	return codec.WithScheduler(ctx, s)
-}
-
-// WithPerCallPool opts operations under ctx out of the shared
-// scheduler: each operation spawns its own worker goroutines, the
-// pre-scheduler behavior. Benchmarks use it to A/B the two modes.
-func WithPerCallPool(ctx context.Context) context.Context {
-	return codec.WithPerCallPool(ctx)
 }
 
 // SchedulerStats snapshots the process-default shared scheduler.
