@@ -19,6 +19,8 @@ var goldenStreams = map[string]string{
 	"tiled-64-128":  "dc994f16538ca8b1067d8646bf7e0abaf2b58a3700a0908c50341eb03c14a4c9",
 	"rlcp-128":      "066ff6014518541cdf0debeec9c8d83c445317f3999ba1b64ee6bc4e87175346",
 	"grayscale-16b": "0d290ea86d3cbfb8402f1d2ddd8c1c5c492146c0c2d7b96c3838e77b2cb8bda4",
+	"lossy-l1-128":  "6e88d48ff1a009e63118aa33a25be88bdb5f1cc6baf3ed4def95c3fa1c8e5379",
+	"lossy-l6-128":  "b798bb987b9a35bf9002ff706b0d85b1ebf106e1f1076702df67676dec04c235",
 }
 
 func goldenImage() map[string]func() (*Result, error) {
@@ -46,6 +48,10 @@ func goldenImage() map[string]func() (*Result, error) {
 			return Encode(rgb, Options{Rate: 0.2, Progression: RLCP})
 		},
 		"grayscale-16b": func() (*Result, error) { return Encode(g16, Options{Lossless: true}) },
+		// The shallowest and deepest lossy depths whose step sizes and
+		// PCRD weights the default-depth entries above do not cover.
+		"lossy-l1-128": func() (*Result, error) { return Encode(rgb, Options{Rate: 0.1, Levels: 1}) },
+		"lossy-l6-128": func() (*Result, error) { return Encode(rgb, Options{Rate: 0.1, Levels: 6}) },
 	}
 }
 
