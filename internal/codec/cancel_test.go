@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"j2kcell/internal/obs"
 	"j2kcell/internal/workload"
 )
 
@@ -44,21 +45,24 @@ func TestExpiredDeadlineReturnsDeadlineExceeded(t *testing.T) {
 }
 
 // TestCancelMidEncodeStopsPromptly cancels while the stage pipeline is
-// draining a large image and requires the encode to stop within a
-// bounded wall-clock window (one outstanding job per worker), returning
-// context.Canceled unwrapped and leaking no goroutines.
+// draining a large image and requires the encode to stop early: a
+// cancelled encode returns context.Canceled unwrapped, having coded
+// fewer blocks than planned, and leaks no goroutines.
 func TestCancelMidEncodeStopsPromptly(t *testing.T) {
 	img := workload.Dial(1024, 1024, 7, 5)
+	opt := Options{Lossless: true}
+	_, planned := PlanBlocks(img.W, img.H, len(img.Comps), opt.WithDefaults(img.W, img.H))
 	before := goroutineCount()
 	ctx, cancel := context.WithCancel(context.Background())
+	ctx, op := obs.WithOperation(ctx, "cancelled-encode")
+	defer op.Finish()
 	done := make(chan error, 1)
 	go func() {
-		_, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, 4)
+		_, err := EncodeParallelContext(ctx, img, opt, 4)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let the pipeline start
 	cancel()
-	start := time.Now()
 	select {
 	case err := <-done:
 		// A fast machine may finish the whole encode before cancel
@@ -68,12 +72,11 @@ func TestCancelMidEncodeStopsPromptly(t *testing.T) {
 		}
 		if err == nil {
 			t.Log("encode completed before cancellation landed")
+		} else if coded := op.Recorder().Counter(obs.CtrT1Blocks); coded >= int64(len(planned)) {
+			t.Errorf("cancelled encode coded %d of %d planned blocks", coded, len(planned))
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled encode did not return")
-	}
-	if waited := time.Since(start); waited > 10*time.Second {
-		t.Errorf("cancelled encode took %v to unwind", waited)
 	}
 	if after := goroutineCount(); after > before+2 {
 		t.Errorf("goroutines leaked after cancellation: %d -> %d", before, after)

@@ -523,18 +523,6 @@ func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*im
 	return planes
 }
 
-// warmGains precomputes the synthesis-gain table the encode will need
-// on the coordinator goroutine. Left lazy, the measurement fires under
-// gainMu inside whichever worker touches it first, stalling the whole
-// pool for its duration — a serialization the stage report surfaced.
-func warmGains(opt Options, rec *obs.Recorder) {
-	if opt.Lossless {
-		dwt.WarmGainsObs(dwt.W53, opt.Levels, rec)
-	} else {
-		dwt.WarmGainsObs(dwt.W97, opt.Levels, rec)
-	}
-}
-
 // EncodeParallel compresses img with the whole pipeline — MCT, DWT,
 // quantization, Tier-1 — spread across `workers` executors, then the
 // shared sequential Finish (rate control, Tier-2, framing). The output
@@ -614,7 +602,6 @@ func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options
 	total := ln.Begin(obs.StageEncode, 0, 0)
 	defer ln.Release()
 	defer total.End()
-	warmGains(opt, rec)
 	_, jobs := PlanBlocks(img.W, img.H, len(img.Comps), opt)
 	// Rate-constrained encodes build each block's R-D ladder and convex
 	// hull inside its Tier-1 job, leaving only the λ search sequential.

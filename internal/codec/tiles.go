@@ -112,7 +112,6 @@ func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, w
 	total := ln.Begin(obs.StageEncode, 0, 0)
 	defer ln.Release()
 	defer total.End()
-	warmGains(opt, rec)
 
 	// Transform and Tier-1 code every tile through the shared work
 	// queue (tiles are fully independent), recycling each tile's

@@ -3,18 +3,27 @@ package dwt
 import (
 	"math"
 	"sync"
-
-	"j2kcell/internal/obs"
 )
 
 // Subband synthesis L2 gains. Rate control weighs the distortion
 // contribution of a coefficient error by the L2 norm of that
 // coefficient's synthesis basis vector; quantization step sizes divide
-// by the same norms. Rather than hard-coding the usual tables, the
-// norms are measured numerically: place a unit coefficient in the
-// middle of a subband of a sufficiently large plane, run a linearized
-// float64 inverse transform (the 5/3 without its floor rounding, and
-// the 9/7 as-is), and take the L2 norm of the reconstruction.
+// by the same norms. The norms follow in closed form from the filter
+// taps:
+//
+//   - the level-1 synthesis bases of a low and a high coefficient are
+//     read off invLine64 on a short impulse line, so the lifting
+//     constants stay the only source of truth; P0 and P1 are their
+//     autocorrelations;
+//   - a level-l basis is a level-(l-1) basis upsampled and filtered by
+//     the low synthesis filter once more, so its autocorrelation is
+//     A_l(z) = P0(z)·A_{l-1}(z²), starting from A_1 = P0 (low) or P1
+//     (high);
+//   - the squared 1-D norm is the lag-0 term of A_l, and lags within
+//     ±tapSpan of A_l depend only on lags within ±tapSpan of A_{l-1},
+//     so every level costs O(tapSpan²) however wide its basis is;
+//   - the 2-D basis is the outer product of two 1-D bases, so band norms
+//     are products: HL = LH = gH·gL, HH = gH², LL = gL².
 
 // Filter selects the wavelet for gain computation.
 type Filter int
@@ -25,189 +34,92 @@ const (
 	W97
 )
 
-type gainKey struct {
-	f      Filter
-	levels int
-}
-
-var (
-	gainMu    sync.Mutex
-	gainCache = map[gainKey]map[Orient][]float64{}
+const (
+	tapSpan       = 8  // lags kept: the 9/7 high basis has 9 taps, so P1 spans ±8
+	maxGainLevels = 32 // the deepest decomposition a COD segment admits
 )
 
-// WarmGains precomputes the gain table for one filter/level pair. The
-// parallel encoders call it from the coordinator before launching
-// workers: the lazy first touch otherwise lands inside one worker's
-// Tier-1 span and serializes every other worker on gainMu for the
-// hundreds of ms the numeric measurement takes.
-func WarmGains(f Filter, levels int) { BandGain(f, levels, LL, levels) }
+// acorr is a window of an autocorrelation: acorr[tapSpan+k] is lag k.
+type acorr [2*tapSpan + 1]float64
 
-// WarmGainsObs is WarmGains recording a possible calibration span on an
-// explicit recorder (nil-safe), so a per-operation recorder attributes
-// the one-time measurement to the operation that triggered it.
-func WarmGainsObs(f Filter, levels int, rec *obs.Recorder) {
-	bandGainObs(f, levels, LL, levels, rec)
+// gains1D holds one filter's 1-D synthesis norms by level.
+type gains1D struct{ low, high [maxGainLevels + 1]float64 }
+
+var gainTables = [...]func() *gains1D{
+	W53: sync.OnceValue(func() *gains1D { return newGains1D(W53) }),
+	W97: sync.OnceValue(func() *gains1D { return newGains1D(W97) }),
 }
+
+// WarmGains builds the gain table for a filter ahead of its first use.
+// The table covers every depth, so levels only selects the entry read.
+func WarmGains(f Filter, levels int) { BandGain(f, levels, LL, levels) }
 
 // BandGain returns the synthesis L2 norm for a subband of the given
 // orientation at the given level under `levels` total decompositions.
 // For orientation LL only level == levels is meaningful.
 func BandGain(f Filter, levels int, o Orient, level int) float64 {
-	return bandGainObs(f, levels, o, level, obs.Active())
+	g := gainTables[f]()
+	switch o {
+	case LL:
+		return g.low[levels] * g.low[levels]
+	case HH:
+		return g.high[level] * g.high[level]
+	}
+	return g.high[level] * g.low[level]
 }
 
-func bandGainObs(f Filter, levels int, o Orient, level int, rec *obs.Recorder) float64 {
-	gainMu.Lock()
-	defer gainMu.Unlock()
-	key := gainKey{f, levels}
-	g, ok := gainCache[key]
-	if !ok {
-		// Cache miss: the numeric norm measurement runs 16 inverse
-		// transforms over a (32<<levels)² plane — hundreds of ms of
-		// one-time serial work, worth its own span so first-encode
-		// reports attribute it instead of showing anonymous serial time.
-		ln := rec.Acquire()
-		sp := ln.Begin(obs.StageCalib, int32(levels), int32(f))
-		g = computeGains(f, levels)
-		sp.End()
-		ln.Release()
-		gainCache[key] = g
+func newGains1D(f Filter) *gains1D {
+	p0 := synthesisAcorr(f, false)
+	lo, hi := p0, synthesisAcorr(f, true)
+	t := &gains1D{}
+	t.low[0] = 1
+	for l := 1; l <= maxGainLevels; l++ {
+		t.low[l], t.high[l] = math.Sqrt(lo[tapSpan]), math.Sqrt(hi[tapSpan])
+		lo, hi = nextLevel(&p0, &lo), nextLevel(&p0, &hi)
 	}
-	return g[o][level]
+	return t
 }
 
-// Measurement strategy bounds. The plane measurement costs O(4^levels)
-// time and memory — gigabytes past level 9, while the COD field admits
-// up to 32 — so deep tables switch to the separable construction: the
-// 2-D synthesis basis of one coefficient is the outer product of two
-// 1-D bases, its L2 norm the product of two 1-D norms, each measurable
-// on a single line in O(2^level). Past gain1DLevels even the line is
-// too long; the per-level growth ratio has converged by then, so the
-// tail extrapolates geometrically. Only hostile or foreign streams
-// carry that many levels.
-const (
-	gain2DLevels = 6  // plane measurement: bit-identical to the original tables
-	gain1DLevels = 16 // direct line measurement; geometric extrapolation beyond
-)
-
-func computeGains(f Filter, levels int) map[Orient][]float64 {
-	if levels <= gain2DLevels {
-		return computeGains2D(f, levels)
+// synthesisAcorr returns the autocorrelation of the level-1 synthesis
+// basis of a low or high coefficient, reconstructed from an impulse in
+// the middle of its half of a line too long for any tap to reach the
+// boundary.
+func synthesisAcorr(f Filter, high bool) acorr {
+	const n = 4 * tapSpan
+	var x, tmp [n]float64
+	pos := n / 4
+	if high {
+		pos += n / 2
 	}
-	return computeGainsSep(f, levels)
+	x[pos] = 1
+	invLine64(f, x[:], tmp[:])
+	var a acorr
+	for k := -tapSpan; k <= tapSpan; k++ {
+		var s float64
+		for i := max(0, -k); i < min(n, n-k); i++ {
+			s += x[i] * x[i+k]
+		}
+		a[tapSpan+k] = s
+	}
+	return a
 }
 
-// computeGainsSep builds the table from separable 1-D synthesis norms:
-// gain(HL,l) = gH(l)·gL(l), gain(HH,l) = gH(l)², gain(LL) = gL(levels)².
-func computeGainsSep(f Filter, levels int) map[Orient][]float64 {
-	out := map[Orient][]float64{
-		LL: make([]float64, levels+1),
-		HL: make([]float64, levels+1),
-		LH: make([]float64, levels+1),
-		HH: make([]float64, levels+1),
-	}
-	ml := levels
-	if ml > gain1DLevels {
-		ml = gain1DLevels
-	}
-	data := make([]float64, 32<<uint(ml))
-	lineNorm := func(buf []float64, pos, lv int) float64 {
-		for i := range buf {
-			buf[i] = 0
-		}
-		buf[pos] = 1
-		inverseLinear(f, buf, len(buf), 1, len(buf), lv)
-		var ss float64
-		for _, v := range buf {
-			ss += v * v
-		}
-		return math.Sqrt(ss)
-	}
-	gL := make([]float64, levels+1)
-	gH := make([]float64, levels+1)
-	gL[0] = 1
-	for l := 1; l <= ml; l++ {
-		// A level-l basis needs only a 32<<l line: after l inverse
-		// steps its low band is [0,32) and high band [32,64), and the
-		// ~8·2^l-sample support sits interior with the same margin the
-		// plane measurement gives its deepest band.
-		buf := data[:32<<uint(l)]
-		gL[l] = lineNorm(buf, 16, l)
-		gH[l] = lineNorm(buf, 48, l)
-	}
-	for l := ml + 1; l <= levels; l++ {
-		gL[l] = gL[l-1] * (gL[ml] / gL[ml-1])
-		gH[l] = gH[l-1] * (gH[ml] / gH[ml-1])
-	}
-	for l := 1; l <= levels; l++ {
-		out[HL][l] = gH[l] * gL[l]
-		out[LH][l] = gL[l] * gH[l]
-		out[HH][l] = gH[l] * gH[l]
-	}
-	out[LL][levels] = gL[levels] * gL[levels]
-	return out
-}
-
-// computeGains2D measures norms on a plane just large enough that the
-// deepest band still has an interior coefficient.
-func computeGains2D(f Filter, levels int) map[Orient][]float64 {
-	n := 32 << levels
-	out := map[Orient][]float64{
-		LL: make([]float64, levels+1),
-		HL: make([]float64, levels+1),
-		LH: make([]float64, levels+1),
-		HH: make([]float64, levels+1),
-	}
-	data := make([]float64, n*n)
-	measure := func(x0, y0, w, h int) float64 {
-		for i := range data {
-			data[i] = 0
-		}
-		data[(y0+h/2)*n+(x0+w/2)] = 1
-		inverseLinear(f, data, n, n, n, levels)
-		var ss float64
-		for _, v := range data {
-			ss += v * v
-		}
-		return math.Sqrt(ss)
-	}
-	for _, b := range Layout(n, n, levels) {
-		out[b.Orient][b.Level] = measure(b.X0, b.Y0, b.W, b.H)
-	}
-	return out
-}
-
-// inverseLinear runs a float64 inverse transform without integer
-// rounding — the linear system whose basis norms we want.
-func inverseLinear(f Filter, data []float64, w, h, stride, levels int) {
-	maxd := w
-	if h > maxd {
-		maxd = h
-	}
-	tmp := make([]float64, maxd)
-	col := make([]float64, maxd)
-	for l := levels - 1; l >= 0; l-- {
-		lw, lh := levelDim(w, l), levelDim(h, l)
-		if lw <= 1 && lh <= 1 {
-			continue
-		}
-		if lw > 1 {
-			for r := 0; r < lh; r++ {
-				invLine64(f, data[r*stride:r*stride+lw], tmp)
+// nextLevel returns the ±tapSpan window of P0(z)·A(z²). Lag k sums
+// p0[j]·a[(k-j)/2] over even k-j. P0 is nonzero only within ±6 (9/7)
+// or ±2 (5/3), so every term it needs lies inside a's window and the
+// result is exact, not truncated.
+func nextLevel(p0, a *acorr) acorr {
+	var out acorr
+	for k := -tapSpan; k <= tapSpan; k++ {
+		var s float64
+		for j := -tapSpan; j <= tapSpan; j++ {
+			if (k-j)%2 == 0 {
+				s += p0[tapSpan+j] * a[tapSpan+(k-j)/2]
 			}
 		}
-		if lh > 1 {
-			for c := 0; c < lw; c++ {
-				for r := 0; r < lh; r++ {
-					col[r] = data[r*stride+c]
-				}
-				invLine64(f, col[:lh], tmp)
-				for r := 0; r < lh; r++ {
-					data[r*stride+c] = col[r]
-				}
-			}
-		}
+		out[tapSpan+k] = s
 	}
+	return out
 }
 
 // invLine64 is the 1-D inverse in float64: exact lifting inverses with

@@ -46,7 +46,6 @@ const (
 	StageRate                 // PCRD λ search (truncation-scan probes)
 	StageT2                   // Tier-2 packet assembly
 	StageFrame                // codestream framing
-	StageCalib                // one-time synthesis-gain measurement (dwt.BandGain)
 	StageTile                 // whole-tile job envelope (tiled encodes/decodes)
 	StageEncode               // whole-encode envelope (coordinator lane)
 	StageZero                 // decode: pooled-plane clearing (row stripes)
@@ -62,7 +61,7 @@ const (
 
 var stageNames = [numStages]string{
 	"mct", "dwt-v", "dwt-h", "quant", "t1", "hull",
-	"rate", "t2", "frame", "calib", "tile", "encode",
+	"rate", "t2", "frame", "tile", "encode",
 	"zero", "deq", "idwt-v", "idwt-h", "imct", "decode",
 	"t1ht", "admit",
 }

@@ -86,8 +86,9 @@ func Window(spans []TSpan) (int64, int64) {
 // selfDurations returns each span's self time: its duration minus the
 // time covered by spans nested inside it on the same track (spans on
 // one goroutine nest properly, so children are fully contained). This
-// is the profiler "self time" convention — a calibration span inside a
-// Tier-1 job is charged to calibration, not double-counted.
+// is the profiler "self time" convention — a span opened inside another
+// stage's job on the same lane is charged to the inner stage, not
+// double-counted.
 func selfDurations(spans []TSpan) []int64 {
 	self := make([]int64, len(spans))
 	byTrack := map[string][]int{}
@@ -140,8 +141,8 @@ func unionLen(iv [][2]int64) int64 {
 }
 
 // trackUnion merges each track's spans into disjoint busy intervals —
-// nested or overlapping spans on one lane (e.g. the gain calibration
-// inside a Tier-1 job) collapse to the time the lane was busy at all.
+// nested or overlapping spans on one lane (a span opened inside another
+// stage's job) collapse to the time the lane was busy at all.
 func trackUnion(spans []TSpan) map[string][][2]int64 {
 	byTrack := map[string][][2]int64{}
 	for _, s := range spans {
