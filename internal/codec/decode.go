@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"j2kcell/internal/codestream"
 	"j2kcell/internal/dwt"
@@ -151,59 +150,22 @@ func DecodeWithContext(ctx context.Context, data []byte, dopt DecodeOptions) (im
 		img, _, err := DecodeResilientContext(ctx, data, dopt)
 		return img, err
 	}
-	rec := obs.Current(ctx)
-	// SLO envelope. The operation class (lossless/tiled/HT bits) is only
-	// known once the main header parses, so it is latched below;
-	// registered before containAPIFault (LIFO) so a contained panic is
-	// already an error when the outcome is observed.
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
-	}
-	var cls obs.OpClass
-	clsKnown := false
-	defer func() {
-		if rec == nil {
-			return
-		}
-		if err != nil {
-			rec.OpFailed()
-			return
-		}
-		if clsKnown {
-			rec.OpDone(cls, time.Since(start))
-		}
-	}()
-	defer containAPIFault(rec, "decode", &err)
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	// The operation class (lossless/tiled/HT bits) is only known once
+	// the main header parses, so it is latched below.
+	ctx, op := beginOp(ctx, "decode")
+	defer op.end(&err)
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
-	// Admission control (DESIGN.md §12): multi-worker decodes hold one
-	// shared-scheduler slot from header parse to the last inverse stage;
-	// a full admission queue fails fast with ErrOverloaded.
-	release, aerr := admitOp(ctx, dopt.Workers, rec)
+	// Multi-worker decodes hold one shared-scheduler slot from header
+	// parse to the last inverse stage.
+	ln, aerr := op.admit(ctx, dopt.Workers, obs.StageDecode)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer release()
-	// Whole-decode envelope span (coordinator lane), the decode-side
-	// mirror of EncodeParallel's StageEncode envelope: per-stage busy
-	// time nests under it in the Amdahl report and trace.
-	ln := rec.Acquire()
-	total := ln.Begin(obs.StageDecode, 0, 0)
-	defer ln.Release()
-	defer total.End()
-	if jp2.IsJP2(data) {
-		_, cs, err := jp2.Unwrap(data)
-		if err != nil {
-			return nil, formatErr(err)
-		}
-		data = cs
-	}
-	h, bodies, err := codestream.DecodeTilesLimits(data, dopt.limits())
+	sp := ln.Begin(obs.StageParse, 0, 0)
+	h, bodies, err := parseStream(data, dopt.limits())
+	sp.End()
 	if err != nil {
 		return nil, formatErr(err)
 	}
@@ -217,8 +179,7 @@ func DecodeWithContext(ctx context.Context, data []byte, dopt DecodeOptions) (im
 		}
 	}
 	tiled := len(bodies) > 1 || h.TileW < h.W || h.TileH < h.H
-	cls = obs.ClassOf(true, !h.Lossless, tiled, h.HT)
-	clsKnown = true
+	op.classify(obs.ClassOf(true, !h.Lossless, tiled, h.HT))
 	if tiled {
 		return decodeTiled(ctx, h, bodies, dopt)
 	}
@@ -228,6 +189,19 @@ func DecodeWithContext(ctx context.Context, data []byte, dopt DecodeOptions) (im
 	}
 	r := dopt.Region
 	return tile.SubImage(r.X0, r.Y0, r.W, r.H), nil
+}
+
+// parseStream unwraps a JP2 container if present and parses the main
+// header and tile-parts, enforcing the header limits.
+func parseStream(data []byte, lim Limits) (*codestream.Header, [][]byte, error) {
+	if jp2.IsJP2(data) {
+		_, cs, err := jp2.Unwrap(data)
+		if err != nil {
+			return nil, nil, err
+		}
+		data = cs
+	}
+	return codestream.DecodeTilesLimits(data, lim)
 }
 
 // decodeTile reconstructs one tile of tw×th samples from its packet
@@ -286,10 +260,17 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	if dmg != nil {
 		dmg.totalPackets = len(order)
 	}
+	// The packet-parse loop is the decode side of Tier-2; it runs on a
+	// lane of its own because a tiled decode calls decodeTile from
+	// inside a tile job.
+	t2ln := p.rec.Acquire()
+	t2sp := t2ln.Begin(obs.StageT2, 0, 0)
 	off := 0
 	skipTo := 0 // packets below this index were lost to a resync jump
 	for pi := 0; pi < len(order); pi++ {
 		if p.stopped() {
+			t2sp.End()
+			t2ln.Release()
 			return nil, p.Err()
 		}
 		if pi < skipTo {
@@ -367,6 +348,8 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 				dmg.truncated = true
 				break
 			}
+			t2sp.End()
+			t2ln.Release()
 			return nil, formatErrf(err, "packet l=%d r=%d c=%d", l, r, c)
 		}
 		off += n
@@ -399,6 +382,8 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 			}
 		}
 	}
+	t2sp.End()
+	t2ln.Release()
 
 	// Tier-1 decode every accumulated block into pooled coefficient
 	// planes, skipping blocks whose synthesis support cannot touch a
@@ -408,7 +393,7 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	// decode independently — serially or across the worker pool.
 	planes := make([]*imgmodel.Plane, h.NComp)
 	for c := range planes {
-		planes[c] = imgmodel.GetPlaneObs(tw, th, p.rec)
+		planes[c] = imgmodel.GetPlane(tw, th)
 	}
 	p.ZeroPlanes(planes)
 	var tasks []blockTask
@@ -458,7 +443,7 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	}
 	decodeOne := func(tk blockTask) error {
 		pl := tk.plane
-		err := t1.DecodeObs(p.rec, pl.Data[tk.y0*pl.Stride+tk.x0:], tk.bw, tk.bh, pl.Stride,
+		err := t1.Decode(pl.Data[tk.y0*pl.Stride+tk.x0:], tk.bw, tk.bh, pl.Stride,
 			tk.orient, mode, tk.numBPS, tk.acc.passes, tk.acc.data, tk.acc.segLens)
 		if err != nil {
 			return formatErrf(err, "block c=%d band=%d (%d,%d)", tk.c, tk.bi, tk.gx, tk.gy)

@@ -56,7 +56,7 @@ func (p *Pipeline) Dequantize(h *codestream.Header, bands []dwt.Band, planes []*
 	w, hh := planes[0].W, planes[0].H
 	fplanes := make([]*imgmodel.FPlane, len(planes))
 	for c := range fplanes {
-		fplanes[c] = imgmodel.GetFPlaneObs(w, hh, p.rec)
+		fplanes[c] = imgmodel.GetFPlane(w, hh)
 	}
 	p.run(obs.StageDeq, 0, len(planes)*len(bands), func(i int) {
 		c, b := i/len(bands), bands[i%len(bands)]
@@ -90,7 +90,7 @@ func (p *Pipeline) IDWT53(planes []*imgmodel.Plane, levels, stop int) {
 			p.run(obs.StageIDWTHorz, int32(l), ns*len(planes), func(i int) {
 				pl := planes[i/ns]
 				y0, y1 := stripeBounds(i%ns, lh)
-				tmp := getI32(lw, rec)
+				tmp := getI32(lw)
 				dwt.InvHorizontal53Rows(pl.Data, lw, pl.Stride, y0, y1, *tmp)
 				putI32(tmp)
 				rec.Add(obs.CtrDWTBytesMoved, int64(y1-y0)*int64(lw)*8)
@@ -101,7 +101,7 @@ func (p *Pipeline) IDWT53(planes []*imgmodel.Plane, levels, stop int) {
 			nc := len(chunks)
 			p.run(obs.StageIDWTVert, int32(l), nc*len(planes), func(i int) {
 				pl, ch := planes[i/nc], chunks[i%nc]
-				aux := getI32(dwt.AuxLen(ch.W, lh), rec)
+				aux := getI32(dwt.AuxLen(ch.W, lh))
 				dwt.InvVertical53Stripe(pl.Data, ch.X0, ch.W, lh, pl.Stride, *aux)
 				putI32(aux)
 				rec.Add(obs.CtrDWTBytesMoved, int64(ch.W)*int64(lh)*8)
@@ -125,7 +125,7 @@ func (p *Pipeline) IDWT97(fplanes []*imgmodel.FPlane, levels, stop int) {
 			p.run(obs.StageIDWTHorz, int32(l), ns*len(fplanes), func(i int) {
 				pl := fplanes[i/ns]
 				y0, y1 := stripeBounds(i%ns, lh)
-				tmp := getF32(lw, rec)
+				tmp := getF32(lw)
 				dwt.InvHorizontal97Rows(pl.Data, lw, pl.Stride, y0, y1, *tmp)
 				putF32(tmp)
 				rec.Add(obs.CtrDWTBytesMoved, int64(y1-y0)*int64(lw)*8)
@@ -136,7 +136,7 @@ func (p *Pipeline) IDWT97(fplanes []*imgmodel.FPlane, levels, stop int) {
 			nc := len(chunks)
 			p.run(obs.StageIDWTVert, int32(l), nc*len(fplanes), func(i int) {
 				pl, ch := fplanes[i/nc], chunks[i%nc]
-				aux := getF32(dwt.AuxLen(ch.W, lh), rec)
+				aux := getF32(dwt.AuxLen(ch.W, lh))
 				dwt.InvVertical97Stripe(pl.Data, ch.X0, ch.W, lh, pl.Stride, *aux)
 				putF32(aux)
 				rec.Add(obs.CtrDWTBytesMoved, int64(ch.W)*int64(lh)*8)

@@ -12,23 +12,13 @@ import (
 	"j2kcell/internal/t2"
 )
 
-// ForwardTransform runs level shift + component transform + DWT
-// (+ quantization on the lossy path) and returns the integer
-// coefficient planes ready for Tier-1. It is the single-worker
-// composition of the pipeline stages (pipeline.go), so it computes
-// exactly what the stripe-parallel path computes; the test oracles for
-// the parallel encoders compare against it. The returned planes come
-// from the imgmodel plane pool; callers that are done with them may
-// release them with imgmodel.PutPlane.
-func ForwardTransform(img *imgmodel.Image, opt Options) []*imgmodel.Plane {
-	planes, _ := ForwardTransformPipeline(NewPipeline(1), img, opt)
-	return planes
-}
-
-// ForwardTransformPipeline is ForwardTransform on a caller-supplied
-// pipeline, so a tiled encode can run each tile's transform under the
-// outer pipeline's context and fault latch. On fault or cancellation
-// it returns the pipeline's error with every pooled plane already
+// ForwardTransformPipeline runs level shift + component transform +
+// DWT (+ quantization on the lossy path) on p and returns the integer
+// coefficient planes ready for Tier-1, so a tiled encode can run each
+// tile's transform under the outer pipeline's context and fault latch.
+// The returned planes come from the imgmodel plane pool; callers
+// release them with imgmodel.PutPlane. On fault or cancellation it
+// returns the pipeline's error with every pooled plane already
 // released.
 func ForwardTransformPipeline(p *Pipeline, img *imgmodel.Image, opt Options) ([]*imgmodel.Plane, error) {
 	if opt.Lossless {
@@ -76,22 +66,15 @@ func EncodeContext(ctx context.Context, img *imgmodel.Image, opt Options) (*Resu
 // encoder both call this, which is what makes their outputs
 // byte-identical by construction.
 func Finish(img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block) *Result {
-	return FinishRD(img, opt, jobs, blocks, nil)
+	return finish(nil, img, opt, jobs, blocks, nil)
 }
 
-// FinishRD is Finish with a pre-built R-D ladder set for the parallel
-// encoders (rd[i] for blocks[i]; nil means build it here) whose hulls
-// may already have been computed inside the Tier-1 block jobs. The
-// result is byte-identical to Finish either way — hulls and selections
-// are deterministic functions of the ladders.
-func FinishRD(img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block, rd []rate.BlockRD) *Result {
-	return finishRD(obs.Active(), img, opt, jobs, blocks, rd)
-}
-
-// finishRD is FinishRD recording against an explicit recorder: the
-// pipelined entry points pass the operation recorder they resolved
-// from the context, the public wrappers the ambient one.
-func finishRD(rec *obs.Recorder, img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block, rd []rate.BlockRD) *Result {
+// finish is Finish recording against the operation's recorder (nil:
+// none), with the R-D ladder set the parallel encoder built (rd[i] for
+// blocks[i]; nil means build it here) whose hulls were already computed
+// inside the Tier-1 block jobs. The result is byte-identical either way
+// — hulls and selections are deterministic functions of the ladders.
+func finish(rec *obs.Recorder, img *imgmodel.Image, opt Options, jobs []BlockJob, blocks []*t1.Block, rd []rate.BlockRD) *Result {
 	opt = opt.WithDefaults(img.W, img.H)
 	w, h := img.W, img.H
 	ncomp := len(img.Comps)
@@ -183,14 +166,6 @@ func FullKeep(blocks []*t1.Block) []int {
 	return keep
 }
 
-// AllocatePasses runs PCRD-opt against the byte budget implied by
-// opt.Rate, reserving an estimate for headers plus any extra deficit a
-// previous assembly round measured.
-func AllocatePasses(blocks []*t1.Block, jobs []BlockJob, img *imgmodel.Image, opt Options, extraOverhead int) []int {
-	keeps := AllocateLayers(blocks, jobs, img, opt, []float64{opt.Rate}, extraOverhead)
-	return keeps[0]
-}
-
 // LadderOf builds the rate-distortion ladder of one coded block:
 // cumulative segment bytes and cumulative distortion reduction after
 // each pass. The hull is left uncomputed; call ComputeHull (cheap,
@@ -223,9 +198,11 @@ func BuildLadders(blocks []*t1.Block) []rate.BlockRD {
 
 // AllocateLayers runs PCRD-opt once per quality layer against the
 // cumulative rate targets, returning per-layer cumulative pass counts
-// (monotone per block, as layer l extends layer l-1).
+// (monotone per block, as layer l extends layer l-1). It records
+// nothing; the encoders run allocateLayersRD under their operation's
+// recorder.
 func AllocateLayers(blocks []*t1.Block, jobs []BlockJob, img *imgmodel.Image, opt Options, cumRates []float64, extraOverhead int) [][]int {
-	return allocateLayersRD(obs.Active(), BuildLadders(blocks), img, opt, cumRates, extraOverhead)
+	return allocateLayersRD(nil, BuildLadders(blocks), img, opt, cumRates, extraOverhead)
 }
 
 // allocateLayersRD is the ladder-level core of AllocateLayers. The

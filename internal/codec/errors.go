@@ -21,7 +21,6 @@ import (
 
 	"j2kcell/internal/codestream"
 	"j2kcell/internal/faults"
-	"j2kcell/internal/obs"
 )
 
 // Limits bounds what the decoder accepts from an untrusted stream's
@@ -75,18 +74,6 @@ func asFault(r any, stage string, lane, job, arg int) *FaultError {
 		return &FaultError{Stage: v.Stage, Lane: lane, Job: job, Arg: arg, Panic: v.Value, Stack: v.Stack}
 	}
 	return &FaultError{Stage: stage, Lane: lane, Job: job, Arg: arg, Panic: r, Stack: debug.Stack()}
-}
-
-// containAPIFault is the deferred recover wrapper of the public encode
-// and decode entry points: any panic that escapes the per-job
-// containment (the sequential finish tail, PCRD's stage-tagged panics)
-// becomes a *FaultError instead of crossing the API. The contained
-// panic is counted on the operation's recorder (nil-safe).
-func containAPIFault(rec *obs.Recorder, stage string, err *error) {
-	if r := recover(); r != nil {
-		rec.Add(obs.CtrFaultPanics, 1)
-		*err = asFault(r, stage, -1, -1, 0)
-	}
 }
 
 // FormatError reports a malformed, truncated, or limit-exceeding

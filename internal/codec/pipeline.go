@@ -2,10 +2,8 @@ package codec
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"j2kcell/internal/decomp"
 	"j2kcell/internal/dwt"
@@ -50,7 +48,7 @@ type Pipeline struct {
 	workers int
 	ctx     context.Context
 	done    <-chan struct{} // ctx.Done(), cached (nil for Background)
-	rec     *obs.Recorder   // resolved once: ctx op recorder, else ambient, else nil
+	rec     *obs.Recorder   // the context's operation recorder, resolved once (nil: none)
 
 	// Scheduler binding (DESIGN.md §12), nil for single-worker
 	// pipelines: multi-worker stages are submitted to the pool on this
@@ -84,11 +82,10 @@ func NewPipelineContext(ctx context.Context, workers int) *Pipeline {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Resolve the recorder once per operation: the context's per-op
-	// recorder (obs.WithOperation) wins, else the ambient one; every
+	// Resolve the operation recorder (obs.WithOperation) once; every
 	// stage hook below then pays a plain nil check, not a context walk.
 	return &Pipeline{
-		workers: workers, ctx: ctx, done: ctx.Done(), rec: obs.Current(ctx),
+		workers: workers, ctx: ctx, done: ctx.Done(), rec: obs.FromContext(ctx),
 		sched: schedulerFor(ctx, workers),
 	}
 }
@@ -243,14 +240,12 @@ var (
 	f32Pool sync.Pool // *[]float32
 )
 
-func getI32(n int, rec *obs.Recorder) *[]int32 {
+func getI32(n int) *[]int32 {
 	p, _ := i32Pool.Get().(*[]int32)
 	if p == nil {
-		rec.Add(obs.CtrPoolScratchMiss, 1)
 		s := make([]int32, n)
 		return &s
 	}
-	rec.Add(obs.CtrPoolScratchHit, 1)
 	if cap(*p) < n {
 		*p = make([]int32, n)
 	} else {
@@ -261,14 +256,12 @@ func getI32(n int, rec *obs.Recorder) *[]int32 {
 
 func putI32(p *[]int32) { i32Pool.Put(p) }
 
-func getF32(n int, rec *obs.Recorder) *[]float32 {
+func getF32(n int) *[]float32 {
 	p, _ := f32Pool.Get().(*[]float32)
 	if p == nil {
-		rec.Add(obs.CtrPoolScratchMiss, 1)
 		s := make([]float32, n)
 		return &s
 	}
-	rec.Add(obs.CtrPoolScratchHit, 1)
 	if cap(*p) < n {
 		*p = make([]float32, n)
 	} else {
@@ -301,7 +294,7 @@ func (p *Pipeline) MCTInt(img *imgmodel.Image, opt Options) []*imgmodel.Plane {
 	w, h := img.W, img.H
 	planes := make([]*imgmodel.Plane, len(img.Comps))
 	for c := range planes {
-		planes[c] = imgmodel.GetPlaneObs(w, h, p.rec)
+		planes[c] = imgmodel.GetPlane(w, h)
 	}
 	useMCT := len(planes) == 3
 	p.run(obs.StageMCT, 0, stripes(h), func(s int) {
@@ -329,7 +322,7 @@ func (p *Pipeline) MCTFloat(img *imgmodel.Image, opt Options) []*imgmodel.FPlane
 	w, h := img.W, img.H
 	fplanes := make([]*imgmodel.FPlane, len(img.Comps))
 	for c := range fplanes {
-		fplanes[c] = imgmodel.GetFPlaneObs(w, h, p.rec)
+		fplanes[c] = imgmodel.GetFPlane(w, h)
 	}
 	useMCT := len(fplanes) == 3
 	p.run(obs.StageMCT, 0, stripes(h), func(s int) {
@@ -389,7 +382,7 @@ func (p *Pipeline) DWT53(planes []*imgmodel.Plane, opt Options) {
 			nc := len(lv.chunks)
 			p.run(obs.StageDWTVert, int32(li), nc*len(planes), func(i int) {
 				pl, ch := planes[i/nc], lv.chunks[i%nc]
-				aux := getI32(dwt.AuxLen(ch.W, lv.lh), rec)
+				aux := getI32(dwt.AuxLen(ch.W, lv.lh))
 				dwt.Vertical53Stripe(pl.Data, ch.X0, ch.W, lv.lh, pl.Stride, *aux)
 				putI32(aux)
 				rec.Add(obs.CtrDWTBytesMoved, int64(ch.W)*int64(lv.lh)*8)
@@ -400,7 +393,7 @@ func (p *Pipeline) DWT53(planes []*imgmodel.Plane, opt Options) {
 			p.run(obs.StageDWTHorz, int32(li), ns*len(planes), func(i int) {
 				pl := planes[i/ns]
 				y0, y1 := stripeBounds(i%ns, lv.lh)
-				tmp := getI32(lv.lw, rec)
+				tmp := getI32(lv.lw)
 				dwt.Horizontal53Rows(pl.Data, lv.lw, pl.Stride, y0, y1, *tmp)
 				putI32(tmp)
 				rec.Add(obs.CtrDWTBytesMoved, int64(y1-y0)*int64(lv.lw)*8)
@@ -419,7 +412,7 @@ func (p *Pipeline) DWT97(fplanes []*imgmodel.FPlane, opt Options) {
 			nc := len(lv.chunks)
 			p.run(obs.StageDWTVert, int32(li), nc*len(fplanes), func(i int) {
 				pl, ch := fplanes[i/nc], lv.chunks[i%nc]
-				aux := getF32(dwt.AuxLen(ch.W, lv.lh), rec)
+				aux := getF32(dwt.AuxLen(ch.W, lv.lh))
 				dwt.Vertical97Stripe(pl.Data, ch.X0, ch.W, lv.lh, pl.Stride, *aux)
 				putF32(aux)
 				rec.Add(obs.CtrDWTBytesMoved, int64(ch.W)*int64(lv.lh)*8)
@@ -430,7 +423,7 @@ func (p *Pipeline) DWT97(fplanes []*imgmodel.FPlane, opt Options) {
 			p.run(obs.StageDWTHorz, int32(li), ns*len(fplanes), func(i int) {
 				pl := fplanes[i/ns]
 				y0, y1 := stripeBounds(i%ns, lv.lh)
-				tmp := getF32(lv.lw, rec)
+				tmp := getF32(lv.lw)
 				dwt.Horizontal97Rows(pl.Data, lv.lw, pl.Stride, y0, y1, *tmp)
 				putF32(tmp)
 				rec.Add(obs.CtrDWTBytesMoved, int64(y1-y0)*int64(lv.lw)*8)
@@ -450,22 +443,49 @@ func tier1Stage(mode t1.Mode) obs.Stage {
 	return obs.StageT1
 }
 
+// codeBlock is the one Tier-1 encode site: it codes job j's
+// coefficients (row stride given) and, when rd is non-nil
+// (rate-constrained encodes), builds the block's R-D ladder and convex
+// hull in rd[i], so the hull sweep rides the parallel stage instead of
+// the sequential rate-control tail. The block's workload counters are
+// recorded on the operation's recorder from the returned block; only
+// non-empty blocks count as coded.
+func (p *Pipeline) codeBlock(coef []int32, stride int, j BlockJob, mode t1.Mode, rd []rate.BlockRD, i int) *t1.Block {
+	b := t1.Encode(coef, j.W, j.H, stride, j.Band.Orient, mode, j.Gain)
+	if rd != nil {
+		rd[i] = LadderOf(b)
+		rd[i].ComputeHull()
+	}
+	rec := p.rec
+	if rec == nil {
+		return b
+	}
+	if rd != nil {
+		rec.Add(obs.CtrHulls, 1)
+	}
+	if b.NumBPS > 0 {
+		rec.Add(obs.CtrT1Blocks, 1)
+		rec.Add(obs.CtrT1Scanned, int64(b.TotalScanned()))
+		rec.Add(obs.CtrT1Coded, int64(b.TotalCoded()))
+		if mode.IsHT() {
+			rec.Add(obs.CtrHTBlocks, 1)
+			rec.Add(obs.CtrHTBytes, int64(len(b.Data)))
+		} else {
+			rec.Add(obs.CtrMQRenorms, b.Renorms)
+		}
+	}
+	return b
+}
+
 // Tier1Int codes every block job from the reversible coefficient planes
-// through the shared work queue. When rd is non-nil (rate-constrained
-// encodes), each job also builds its block's R-D ladder and convex hull
-// in rd[i], so the hull sweep rides the parallel stage instead of the
-// sequential rate-control tail.
+// through the shared work queue; a non-nil rd gets each block's R-D
+// ladder and hull (codeBlock).
 func (p *Pipeline) Tier1Int(planes []*imgmodel.Plane, jobs []BlockJob, mode t1.Mode, rd []rate.BlockRD) []*t1.Block {
 	blocks := make([]*t1.Block, len(jobs))
 	p.run(tier1Stage(mode), 0, len(jobs), func(i int) {
 		j := jobs[i]
 		pl := planes[j.Comp]
-		blocks[i] = t1.EncodeObs(p.rec, pl.Data[j.Y0*pl.Stride+j.X0:], j.W, j.H, pl.Stride,
-			j.Band.Orient, mode, j.Gain)
-		if rd != nil {
-			rd[i] = LadderOf(blocks[i])
-			rd[i].ComputeHullObs(p.rec)
-		}
+		blocks[i] = p.codeBlock(pl.Data[j.Y0*pl.Stride+j.X0:], pl.Stride, j, mode, rd, i)
 	})
 	return blocks
 }
@@ -475,8 +495,7 @@ func (p *Pipeline) Tier1Int(planes []*imgmodel.Plane, jobs []BlockJob, mode t1.M
 // codes it, so quantization and Tier-1 flow through the same queue
 // (the paper's load-balancing scheme) with no intermediate full-size
 // integer planes. Elementwise identical to quantize-then-code. As in
-// Tier1Int, a non-nil rd gets each block's R-D ladder and hull filled
-// inside its job.
+// Tier1Int, a non-nil rd gets each block's R-D ladder and hull.
 func (p *Pipeline) Tier1Float(fplanes []*imgmodel.FPlane, jobs []BlockJob, opt Options, rd []rate.BlockRD) []*t1.Block {
 	mode := opt.Mode()
 	blocks := make([]*t1.Block, len(jobs))
@@ -484,28 +503,24 @@ func (p *Pipeline) Tier1Float(fplanes []*imgmodel.FPlane, jobs []BlockJob, opt O
 		j := jobs[i]
 		fp := fplanes[j.Comp]
 		delta := float32(quant.StepFor(opt.BaseDelta, opt.Levels, j.Band.Orient, j.Band.Level))
-		buf := getI32(j.W*j.H, p.rec)
+		buf := getI32(j.W * j.H)
 		quant.QuantizeBlock(*buf, j.W, fp.Data[j.Y0*fp.Stride+j.X0:], fp.Stride, j.W, j.H, delta)
-		blocks[i] = t1.EncodeObs(p.rec, *buf, j.W, j.H, j.W, j.Band.Orient, mode, j.Gain)
+		blocks[i] = p.codeBlock(*buf, j.W, j, mode, rd, i)
 		putI32(buf)
-		if rd != nil {
-			rd[i] = LadderOf(blocks[i])
-			rd[i].ComputeHullObs(p.rec)
-		}
 	})
 	return blocks
 }
 
 // QuantizePlanes materializes the quantized integer planes from the
-// transformed float planes, band-row-parallel — used by the sequential
-// ForwardTransform oracle (the parallel path fuses quantization into
-// Tier1Float instead). Returned planes come from the plane pool.
+// transformed float planes, band-row-parallel — used by the per-tile
+// transform (ForwardTransformPipeline); the untiled path fuses
+// quantization into Tier1Float instead. Returned planes come from the plane pool.
 func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*imgmodel.Plane {
 	w, h := fplanes[0].W, fplanes[0].H
 	bands := dwt.Layout(w, h, opt.Levels)
 	planes := make([]*imgmodel.Plane, len(fplanes))
 	for c := range planes {
-		planes[c] = imgmodel.GetPlaneObs(w, h, p.rec)
+		planes[c] = imgmodel.GetPlane(w, h)
 	}
 	// One job per (component, band); the subbands tile the plane, so
 	// every live sample is written.
@@ -539,69 +554,27 @@ func EncodeParallel(img *imgmodel.Image, opt Options, workers int) (*Result, err
 // unwrapped. A panic inside any stage worker is contained into a
 // *FaultError instead of crossing the API.
 func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options, workers int) (res *Result, err error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if opt.TileW > 0 || opt.TileH > 0 {
+		return EncodeTiledContext(ctx, img, opt, workers)
 	}
-	rec := obs.Current(ctx)
-	// SLO envelope: registered before containAPIFault so it runs after
-	// it (defers are LIFO) and sees the error a contained panic was
-	// converted into. The tiled path delegates to EncodeTiledContext,
-	// which records its own (tiled-class) observation — skipSLO keeps
-	// the operation from being counted twice. time.Now is only read
-	// when a recorder is attached, preserving the disabled fast path.
-	var start time.Time
-	skipSLO := rec == nil
-	if rec != nil {
-		start = time.Now()
-	}
-	defer func() {
-		if skipSLO {
-			return
-		}
-		if err != nil {
-			rec.OpFailed()
-			return
-		}
-		rec.OpDone(obs.ClassOf(false, !opt.Lossless, false, opt.HT), time.Since(start))
-	}()
-	defer containAPIFault(rec, "encode", &err)
+	ctx, op := beginOp(ctx, "encode")
+	defer op.end(&err)
+	op.classify(obs.ClassOf(false, !opt.Lossless, false, opt.HT))
 	if err := validateImage(img); err != nil {
 		return nil, err
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
-	// Record which simd kernel set serves this encode; the counter shows
-	// up in MetricsTable/expvar so a perf report can tell scalar, SSE2,
-	// and AVX2 runs apart.
-	if ctr, ok := obs.KernelCounter(simd.Kernel()); ok {
-		rec.Add(ctr, 1)
-	}
-	if opt.TileW > 0 || opt.TileH > 0 {
-		if opt.TileW <= 0 || opt.TileH <= 0 {
-			return nil, fmt.Errorf("codec: both tile dimensions must be set")
-		}
-		skipSLO = true
-		return EncodeTiledContext(ctx, img, opt, workers)
-	}
+	countKernel(op.rec)
 	opt = opt.WithDefaults(img.W, img.H)
-	// Admission control (DESIGN.md §12): under the shared scheduler the
-	// operation holds a slot for its whole life; a full admission queue
-	// fails fast with ErrOverloaded before any pipeline work starts.
-	release, aerr := admitOp(ctx, workers, rec)
-	if aerr != nil {
+	// The coordinator lane is acquired before any stage runs, so it pins
+	// lane 0 and worker lanes stay stable across stages.
+	if _, aerr := op.admit(ctx, workers, obs.StageEncode); aerr != nil {
 		return nil, aerr
 	}
-	defer release()
 	p := NewPipelineContext(ctx, workers)
 	defer p.Close()
-	// Whole-encode envelope span on a coordinator lane: it defines the
-	// Amdahl report's total window (and pins lane 0, so worker lanes
-	// stay stable across stages).
-	ln := rec.Acquire()
-	total := ln.Begin(obs.StageEncode, 0, 0)
-	defer ln.Release()
-	defer total.End()
 	_, jobs := PlanBlocks(img.W, img.H, len(img.Comps), opt)
 	// Rate-constrained encodes build each block's R-D ladder and convex
 	// hull inside its Tier-1 job, leaving only the λ search sequential.
@@ -632,5 +605,14 @@ func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options
 	if perr := p.Err(); perr != nil {
 		return nil, perr
 	}
-	return finishRD(p.rec, img, opt, jobs, blocks, rd), nil
+	return finish(p.rec, img, opt, jobs, blocks, rd), nil
+}
+
+// countKernel records which simd kernel set serves an encode; the
+// counter shows up in MetricsTable/expvar so a perf report can tell
+// scalar, SSE2, and AVX2 runs apart.
+func countKernel(rec *obs.Recorder) {
+	if ctr, ok := obs.KernelCounter(simd.Kernel()); ok {
+		rec.Add(ctr, 1)
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"j2kcell/internal/codestream"
 	"j2kcell/internal/imgmodel"
@@ -44,40 +43,18 @@ func DecodeResilient(data []byte, dopt DecodeOptions) (*imgmodel.Image, *DamageR
 // context cancellation and admission-control rejection (ErrOverloaded),
 // in which case the image and report are nil.
 func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions) (img *imgmodel.Image, rep *DamageReport, err error) {
-	rec := obs.Current(ctx)
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
-	}
+	ctx, op := beginOp(ctx, "decode-resilient")
+	defer op.end(&err)
 	// Header-level salvage failures still count as (resilient) decode
 	// operations; the class gains the lossy/tiled/HT bits once known.
-	cls := obs.ClassOf(true, false, false, false).Resilient()
-	defer func() {
-		if rec == nil {
-			return
-		}
-		if err != nil {
-			rec.OpFailed()
-			return
-		}
-		rec.OpDone(cls, time.Since(start))
-	}()
-	defer containAPIFault(rec, "decode-resilient", &err)
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	op.classify(obs.ClassOf(true, false, false, false).Resilient())
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, nil, cerr
 	}
-	release, aerr := admitOp(ctx, dopt.Workers, rec)
+	ln, aerr := op.admit(ctx, dopt.Workers, obs.StageDecode)
 	if aerr != nil {
 		return nil, nil, aerr
 	}
-	defer release()
-	ln := rec.Acquire()
-	total := ln.Begin(obs.StageDecode, 0, 0)
-	defer ln.Release()
-	defer total.End()
 
 	rep = &DamageReport{HeaderOK: true}
 	fail := func(note string) (*imgmodel.Image, *DamageReport, error) {
@@ -85,20 +62,27 @@ func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions
 		rep.Notes = append(rep.Notes, note)
 		return imgmodel.NewImage(1, 1, 1, 8), rep, nil
 	}
+	sp := ln.Begin(obs.StageParse, 0, 0)
+	var uerr, herr error
+	var h *codestream.Header
+	var bodies [][]byte
+	var sinfo *codestream.SalvageInfo
 	if jp2.IsJP2(data) {
-		_, cs, uerr := jp2.Unwrap(data)
-		if uerr != nil {
-			return fail(fmt.Sprintf("jp2 container unusable: %v", uerr))
-		}
-		data = cs
+		_, data, uerr = jp2.Unwrap(data)
 	}
-	h, bodies, sinfo, herr := codestream.DecodeTilesSalvage(data, dopt.limits())
+	if uerr == nil {
+		h, bodies, sinfo, herr = codestream.DecodeTilesSalvage(data, dopt.limits())
+	}
+	sp.End()
+	if uerr != nil {
+		return fail(fmt.Sprintf("jp2 container unusable: %v", uerr))
+	}
 	if herr != nil {
 		return fail(fmt.Sprintf("main header unusable: %v", herr))
 	}
 	grid := TileGrid(h.W, h.H, h.TileW, h.TileH)
 	tiled := len(grid) > 1 || h.TileW < h.W || h.TileH < h.H
-	cls = obs.ClassOf(true, !h.Lossless, tiled, h.HT).Resilient()
+	op.classify(obs.ClassOf(true, !h.Lossless, tiled, h.HT).Resilient())
 	rep.TotalTiles = len(grid)
 	rep.Resyncs += sinfo.Resyncs
 	rep.Truncated = sinfo.Truncated
@@ -260,7 +244,7 @@ func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions
 	rep.Complete = rep.HeaderOK && !rep.Truncated && rep.Resyncs == 0 &&
 		rep.MissingTiles == 0 && rep.LostPackets == 0 && rep.LostBlocks == 0 &&
 		len(rep.Tiles) == 0 && len(rep.Notes) == 0
-	rec.Add(obs.CtrResyncs, int64(rep.Resyncs))
-	rec.Add(obs.CtrConcealedBlocks, int64(rep.LostBlocks))
+	op.rec.Add(obs.CtrResyncs, int64(rep.Resyncs))
+	op.rec.Add(obs.CtrConcealedBlocks, int64(rep.LostBlocks))
 	return out, rep, nil
 }

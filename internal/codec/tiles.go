@@ -3,7 +3,6 @@ package codec
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"j2kcell/internal/codestream"
 	"j2kcell/internal/imgmodel"
@@ -60,33 +59,16 @@ func EncodeTiled(img *imgmodel.Image, opt Options, workers int) (*Result, error)
 // into *FaultError, and every tile's pooled planes are released on
 // both paths.
 func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, workers int) (res *Result, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rec := obs.Current(ctx)
-	// SLO envelope; registered before containAPIFault (LIFO) so a
-	// contained panic is already an error when it observes the outcome.
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
-	}
-	defer func() {
-		if rec == nil {
-			return
-		}
-		if err != nil {
-			rec.OpFailed()
-			return
-		}
-		rec.OpDone(obs.ClassOf(false, !opt.Lossless, true, opt.HT), time.Since(start))
-	}()
-	defer containAPIFault(rec, "tile", &err)
+	ctx, op := beginOp(ctx, "tile")
+	defer op.end(&err)
+	op.classify(obs.ClassOf(false, !opt.Lossless, true, opt.HT))
 	if err := validateImage(img); err != nil {
 		return nil, err
 	}
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
+	countKernel(op.rec)
 	opt = opt.WithDefaults(img.W, img.H)
 	if opt.TileW <= 0 || opt.TileH <= 0 {
 		return nil, fmt.Errorf("codec: EncodeTiled needs positive tile dimensions")
@@ -98,20 +80,13 @@ func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, w
 	grid := TileGrid(img.W, img.H, opt.TileW, opt.TileH)
 	tiles := make([]*tileCoded, len(grid))
 
-	// Admission control (DESIGN.md §12): one slot per operation,
-	// held across the tile queue and the sequential finish.
-	release, aerr := admitOp(ctx, workers, rec)
+	// One admission slot, held across the tile queue and the sequential
+	// finish; the coordinator lane carries the finish spans.
+	ln, aerr := op.admit(ctx, workers, obs.StageEncode)
 	if aerr != nil {
 		return nil, aerr
 	}
-	defer release()
-
-	// Whole-encode envelope span (coordinator lane), as in
-	// EncodeParallel; the same lane carries the sequential finish spans.
-	ln := rec.Acquire()
-	total := ln.Begin(obs.StageEncode, 0, 0)
-	defer ln.Release()
-	defer total.End()
+	rec := op.rec
 
 	// Transform and Tier-1 code every tile through the shared work
 	// queue (tiles are fully independent), recycling each tile's
@@ -140,22 +115,17 @@ func EncodeTiledContext(ctx context.Context, img *imgmodel.Image, opt Options, w
 		// The tile job is an envelope span; the Tier-1 block loop gets
 		// its own lane and span so the per-stage breakdown still sees
 		// tiled Tier-1 time (the transform stages are covered by the
-		// inner pipeline's own spans inside ForwardTransform).
+		// inner pipeline's own spans inside ForwardTransformPipeline).
 		tln := rec.Acquire()
 		sp := tln.Begin(tier1Stage(mode), 0, int32(i))
 		for bi, j := range jobs {
-			p := planes[j.Comp]
-			blocks[bi] = t1.EncodeObs(rec, p.Data[j.Y0*p.Stride+j.X0:], j.W, j.H, p.Stride,
-				j.Band.Orient, mode, j.Gain)
-			if constrained {
-				rd[bi] = LadderOf(blocks[bi])
-				rd[bi].ComputeHullObs(rec)
-			}
+			pl := planes[j.Comp]
+			blocks[bi] = p.codeBlock(pl.Data[j.Y0*pl.Stride+j.X0:], pl.Stride, j, mode, rd, bi)
 		}
 		sp.End()
 		tln.Release()
-		for _, p := range planes {
-			imgmodel.PutPlane(p)
+		for _, pl := range planes {
+			imgmodel.PutPlane(pl)
 		}
 		tiles[i] = &tileCoded{rect: r, img: sub, jobs: jobs, blocks: blocks, rd: rd}
 	})

@@ -1,10 +1,6 @@
 package imgmodel
 
-import (
-	"sync"
-
-	"j2kcell/internal/obs"
-)
+import "sync"
 
 // Plane arenas for the encode pipeline: transform planes are large
 // (W×H words) and live only from the component transform until Tier-1
@@ -21,20 +17,12 @@ var (
 )
 
 // GetPlane returns a w×h integer plane from the pool (or a fresh one),
-// with unspecified contents inside and outside the live region. Pool
-// hit/miss counts go to the ambient recorder; pipelines that carry an
-// operation recorder use GetPlaneObs.
-func GetPlane(w, h int) *Plane { return GetPlaneObs(w, h, obs.Active()) }
-
-// GetPlaneObs is GetPlane counting against an explicit recorder
-// (nil-safe).
-func GetPlaneObs(w, h int, rec *obs.Recorder) *Plane {
+// with unspecified contents inside and outside the live region.
+func GetPlane(w, h int) *Plane {
 	p, _ := planePool.Get().(*Plane)
 	if p == nil {
-		rec.Add(obs.CtrPoolPlaneMiss, 1)
 		return NewPlane(w, h)
 	}
-	rec.Add(obs.CtrPoolPlaneHit, 1)
 	s := padStride(w)
 	if n := s * h; cap(p.Data) < n {
 		p.Data = make([]int32, n)
@@ -55,16 +43,11 @@ func PutPlane(p *Plane) {
 }
 
 // GetFPlane is the float analogue of GetPlane.
-func GetFPlane(w, h int) *FPlane { return GetFPlaneObs(w, h, obs.Active()) }
-
-// GetFPlaneObs is the float analogue of GetPlaneObs.
-func GetFPlaneObs(w, h int, rec *obs.Recorder) *FPlane {
+func GetFPlane(w, h int) *FPlane {
 	p, _ := fplanePool.Get().(*FPlane)
 	if p == nil {
-		rec.Add(obs.CtrPoolPlaneMiss, 1)
 		return NewFPlane(w, h)
 	}
-	rec.Add(obs.CtrPoolPlaneHit, 1)
 	s := padStride(w)
 	if n := s * h; cap(p.Data) < n {
 		p.Data = make([]float32, n)

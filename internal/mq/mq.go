@@ -189,7 +189,6 @@ func (e *Encoder) Encode(d int, cx *Context) {
 	e.a, e.c, e.ct = a, c, ct
 }
 
-
 // EncodeBatch codes a run of packed decisions — each op is ctx<<1 | d,
 // an index into cxs plus the decision bit — in order. It is exactly
 // equivalent to calling Encode for each op; batching exists so the

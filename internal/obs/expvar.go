@@ -8,11 +8,9 @@ import (
 // PublishExpvar registers the observability snapshot under the expvar
 // key "j2kcell" (visible at /debug/vars when an HTTP server with the
 // expvar handler is running — the -pprof/-metrics flags start one).
-// The snapshot reads the process-wide aggregate registry, not whichever
-// recorder happens to be Active(): once multiple per-operation
-// recorders exist, the registry is the only coherent whole-process
-// view — the ambient recorder is just one operation among many (and
-// usually nil in server-style processes). Safe to call more than once.
+// The snapshot reads the process-wide aggregate registry: with many
+// per-operation recorders, it is the only coherent whole-process view.
+// Safe to call more than once.
 func PublishExpvar() {
 	expvarOnce.Do(func() {
 		expvar.Publish("j2kcell", expvar.Func(func() any {
@@ -23,7 +21,7 @@ func PublishExpvar() {
 					ops[c.String()] = n
 				}
 			}
-			snap := map[string]any{
+			return map[string]any{
 				"counters":      g.Counters(),
 				"operations":    ops,
 				"ops_total":     g.OpsTotal(),
@@ -31,16 +29,6 @@ func PublishExpvar() {
 				"op_errors":     g.OpErrors(),
 				"spans_dropped": g.Dropped(),
 			}
-			// The ambient recorder's live (not yet rolled-up) view, when
-			// one is installed — useful for the single-operation CLI path
-			// where the registry stays empty until the run completes.
-			if r := Active(); r != nil {
-				snap["ambient"] = map[string]any{
-					"counters":    r.Counters(),
-					"lane_claims": r.LaneClaims(),
-				}
-			}
-			return snap
 		}))
 	})
 }

@@ -1,7 +1,7 @@
-// Package obs is the encoder's observability layer: per-stage,
+// Package obs is the codec's observability layer: per-stage,
 // per-worker spans, work-queue and coder counters, and duration
-// histograms, recorded behind a single global sink that costs nearly
-// nothing when disabled.
+// histograms, recorded into one Recorder per operation
+// (WithOperation) that costs nearly nothing when absent.
 //
 // The paper's core evidence is an execution-time breakdown per pipeline
 // stage (Section 5, Table 2 / Figure 6) — it is how Kang & Bader found
@@ -16,12 +16,13 @@
 // counters track the quantities the paper tables: work-queue jobs and
 // per-worker claim counts, Tier-1 scan/decision ops and MQ
 // renormalization chunks, bytes moved per DWT pass (the DMA-traffic
-// analogue), and buffer-pool hit/miss rates.
+// analogue), and PCRD hull and probe volume.
 //
-// Design rule (pinned by TestObsDisabledSpanAllocs and
-// BenchmarkEncodeObsOverhead): when no Recorder is active, every entry
-// point reduces to an atomic pointer load and a branch — no time reads,
-// no allocation, no atomic read-modify-write.
+// Design rule (pinned by TestDisabledPathIsAllocationFree and
+// BenchmarkEncodeObsOverhead): every method is safe on a nil *Recorder
+// or *Lane, and with no operation recorder in scope every hook reduces
+// to a nil check and a branch — no time reads, no allocation, no
+// atomic read-modify-write.
 package obs
 
 import (
@@ -37,25 +38,26 @@ type Stage uint8
 
 // Pipeline stages, in rough execution order.
 const (
-	StageMCT     Stage = iota // level shift + component transform (row stripes)
-	StageDWTVert              // vertical lifting of one level (column groups)
-	StageDWTHorz              // horizontal filtering of one level (row stripes)
-	StageQuant                // standalone quantization (oracle path)
-	StageT1                   // fused quantize + Tier-1 block job
-	StageHull                 // R-D ladder + convex hull (when not fused into T1)
-	StageRate                 // PCRD λ search (truncation-scan probes)
-	StageT2                   // Tier-2 packet assembly
-	StageFrame                // codestream framing
-	StageTile                 // whole-tile job envelope (tiled encodes/decodes)
-	StageEncode               // whole-encode envelope (coordinator lane)
-	StageZero                 // decode: pooled-plane clearing (row stripes)
-	StageDeq                  // decode: dequantization (per component × band)
-	StageIDWTVert             // decode: vertical inverse lifting (column groups)
-	StageIDWTHorz             // decode: horizontal inverse filtering (row stripes)
-	StageIMCT                 // decode: inverse component transform + clamp (row stripes)
-	StageDecode               // whole-decode envelope (coordinator lane)
-	StageT1HT                 // Tier-1 block jobs through the HT (Part 15) coder
-	StageAdmit                // scheduler admission-queue wait (coordinator lane)
+	StageMCT      Stage = iota // level shift + component transform (row stripes)
+	StageDWTVert               // vertical lifting of one level (column groups)
+	StageDWTHorz               // horizontal filtering of one level (row stripes)
+	StageQuant                 // standalone quantization (per-tile transform of tiled encodes)
+	StageT1                    // fused quantize + Tier-1 block job
+	StageHull                  // R-D ladder + convex hull (when not fused into T1)
+	StageRate                  // PCRD λ search (truncation-scan probes)
+	StageT2                    // Tier-2: packet assembly (encode), packet parse (decode)
+	StageFrame                 // codestream framing
+	StageTile                  // whole-tile job envelope (tiled encodes/decodes)
+	StageEncode                // whole-encode envelope (coordinator lane)
+	StageZero                  // decode: pooled-plane clearing (row stripes)
+	StageDeq                   // decode: dequantization (per component × band)
+	StageIDWTVert              // decode: vertical inverse lifting (column groups)
+	StageIDWTHorz              // decode: horizontal inverse filtering (row stripes)
+	StageIMCT                  // decode: inverse component transform + clamp (row stripes)
+	StageDecode                // whole-decode envelope (coordinator lane)
+	StageT1HT                  // Tier-1 block jobs through the HT (Part 15) coder
+	StageAdmit                 // scheduler admission-queue wait (coordinator lane)
+	StageParse                 // decode: JP2 unwrap + main-header/tile-part parse (coordinator lane)
 	numStages
 )
 
@@ -63,7 +65,7 @@ var stageNames = [numStages]string{
 	"mct", "dwt-v", "dwt-h", "quant", "t1", "hull",
 	"rate", "t2", "frame", "tile", "encode",
 	"zero", "deq", "idwt-v", "idwt-h", "imct", "decode",
-	"t1ht", "admit",
+	"t1ht", "admit", "parse",
 }
 
 func (s Stage) String() string {
@@ -84,34 +86,28 @@ type Counter uint8
 // accounting: bytes read + written by the lifting kernels per pass
 // (Section 3.2 prices the fused DWT by exactly this quantity).
 const (
-	CtrQueueRuns      Counter = iota // parallel work-queue drains
-	CtrQueueJobs                     // jobs pushed through the queue
-	CtrT1Blocks                      // code blocks entropy coded
-	CtrT1Scanned                     // Tier-1 coefficients examined
-	CtrT1Coded                       // Tier-1 MQ decisions coded
-	CtrMQRenorms                     // MQ renormalization chunks (batched shifts)
-	CtrDWTBytesMoved                 // bytes read+written by DWT lifting passes
-	CtrPoolPlaneHit                  // plane arena reuse
-	CtrPoolPlaneMiss                 // plane arena allocation
-	CtrPoolScratchHit                // stripe/block scratch reuse
-	CtrPoolScratchMiss               // stripe/block scratch allocation
-	CtrPoolCoderHit                  // Tier-1 coder state reuse
-	CtrPoolCoderMiss                 // Tier-1 coder state allocation
-	CtrRateProbes                    // PCRD λ-bisection probes
-	CtrHulls                         // convex hulls computed
-	CtrKernelScalar                  // encodes run with the scalar kernel set
-	CtrKernelSSE2                    // encodes run with the SSE2 kernel set
-	CtrKernelAVX2                    // encodes run with the AVX2 kernel set
-	CtrFaultPanics                   // worker panics contained into typed FaultErrors
-	CtrDecodeParts                   // dynamic T1-decode partitions formed
-	CtrDecodeSingles                 // expensive blocks isolated as singleton partitions
-	CtrHTBlocks                      // code blocks coded by the HT (Part 15) coder
-	CtrHTBytes                       // bytes emitted by the HT coder (all streams + trailers)
-	CtrSchedSelfClaims               // shared-scheduler jobs claimed by the operation's own goroutine
-	CtrSchedPoolClaims               // shared-scheduler jobs claimed by pool workers (cross-lane capacity)
-	CtrSchedAdmitWaits               // operations that waited in the scheduler admission queue
-	CtrResyncs                       // SOP/SOT resyncs performed by best-effort decodes
-	CtrConcealedBlocks               // code blocks concealed as zeros by best-effort decodes
+	CtrQueueRuns       Counter = iota // parallel work-queue drains
+	CtrQueueJobs                      // jobs pushed through the queue
+	CtrT1Blocks                       // code blocks entropy coded
+	CtrT1Scanned                      // Tier-1 coefficients examined
+	CtrT1Coded                        // Tier-1 MQ decisions coded
+	CtrMQRenorms                      // MQ renormalization chunks (batched shifts)
+	CtrDWTBytesMoved                  // bytes read+written by DWT lifting passes
+	CtrRateProbes                     // PCRD λ-bisection probes
+	CtrHulls                          // convex hulls computed
+	CtrKernelScalar                   // encodes run with the scalar kernel set
+	CtrKernelSSE2                     // encodes run with the SSE2 kernel set
+	CtrKernelAVX2                     // encodes run with the AVX2 kernel set
+	CtrFaultPanics                    // worker panics contained into typed FaultErrors
+	CtrDecodeParts                    // dynamic T1-decode partitions formed
+	CtrDecodeSingles                  // expensive blocks isolated as singleton partitions
+	CtrHTBlocks                       // code blocks coded by the HT (Part 15) coder
+	CtrHTBytes                        // bytes emitted by the HT coder (all streams + trailers)
+	CtrSchedSelfClaims                // shared-scheduler jobs claimed by the operation's own goroutine
+	CtrSchedPoolClaims                // shared-scheduler jobs claimed by pool workers (cross-lane capacity)
+	CtrSchedAdmitWaits                // operations that waited in the scheduler admission queue
+	CtrResyncs                        // SOP/SOT resyncs performed by best-effort decodes
+	CtrConcealedBlocks                // code blocks concealed as zeros by best-effort decodes
 	numCounters
 )
 
@@ -119,9 +115,6 @@ var counterNames = [numCounters]string{
 	"queue_runs", "queue_jobs",
 	"t1_blocks", "t1_scanned", "t1_coded", "mq_renorm_chunks",
 	"dwt_bytes_moved",
-	"pool_plane_hit", "pool_plane_miss",
-	"pool_scratch_hit", "pool_scratch_miss",
-	"pool_coder_hit", "pool_coder_miss",
 	"rate_probes", "hulls",
 	"kernel_scalar_encodes", "kernel_sse2_encodes", "kernel_avx2_encodes",
 	"fault_contained_panics",
@@ -153,62 +146,20 @@ func (c Counter) String() string {
 	return "counter?"
 }
 
-// active is the ambient process-wide sink — the recorder the
-// single-operation CLI path and legacy callers install with Enable.
-// nil means no ambient recorder; recording calls that fall back to it
-// are a load + branch. Concurrent operations should prefer
-// WithOperation (op.go), which scopes a recorder to one context and
-// wins over the ambient recorder in Current.
-var active atomic.Pointer[Recorder]
-
-// Active returns the ambient recorder, or nil when none is installed.
-func Active() *Recorder { return active.Load() }
-
-// Enabled reports whether an ambient recorder is installed.
-func Enabled() bool { return active.Load() != nil }
-
-// Enable installs a fresh recorder as the ambient sink and returns it.
-// Its totals roll into the aggregate registry when Close is called.
-func Enable() *Recorder {
-	r := NewRecorder()
-	active.Store(r)
-	return r
-}
-
-// Disable removes the ambient sink and returns the recorder that was
-// installed (nil if none). In-flight spans ending after Disable still
-// land in that recorder's lanes — lanes hold their recorder.
-func Disable() *Recorder {
-	r := active.Load()
-	active.Store(nil)
-	return r
-}
-
-// Count adds 1 to a counter on the active recorder (no-op when
-// disabled).
-func Count(c Counter) { active.Load().Add(c, 1) }
-
-// Add adds v to a counter on the active recorder (no-op when disabled).
-func Add(c Counter, v int64) { active.Load().Add(c, v) }
-
-// Acquire leases a lane from the active recorder; returns nil (a valid,
-// zero-cost lane) when disabled.
-func Acquire() *Lane { return active.Load().Acquire() }
-
 // maxSpansPerLane bounds one lane's span buffer; past it, new spans are
 // dropped and counted (a 3072²×3 encode records ~10k spans total, far
 // below the cap).
 const maxSpansPerLane = 1 << 15
 
 // Recorder owns the lanes, counters, and histograms of one
-// observability scope — one operation (WithOperation) or one ambient
-// session (Enable). All methods are nil-receiver safe so callers can
-// hold a possibly-nil *Recorder without branching.
+// observability scope, normally one operation (WithOperation). All
+// methods are nil-receiver safe so callers can hold a possibly-nil
+// *Recorder without branching.
 type Recorder struct {
 	epoch time.Time
 	ctx   context.Context // carries the runtime/trace task for regions
 
-	// Operation identity (empty for ambient recorders) and the
+	// Operation identity (empty outside WithOperation) and the
 	// aggregate registry Close rolls this recorder's totals into.
 	trace string
 	kind  string
@@ -228,8 +179,8 @@ type Recorder struct {
 	endTask  func()
 }
 
-// NewRecorder returns a recorder that is not yet installed as the
-// ambient sink. Its totals roll into the aggregate registry on Close.
+// NewRecorder returns a recorder bound to no operation. Its totals
+// roll into the aggregate registry on Close.
 // When the Go execution tracer is running, the recorder opens a
 // runtime/trace task so stage regions group under one encode in
 // `go tool trace`.
@@ -242,7 +193,7 @@ func NewRecorder() *Recorder {
 	return r
 }
 
-// TraceID returns the operation trace ID ("" for ambient recorders).
+// TraceID returns the operation trace ID ("" outside WithOperation).
 func (r *Recorder) TraceID() string {
 	if r == nil {
 		return ""
@@ -250,7 +201,7 @@ func (r *Recorder) TraceID() string {
 	return r.trace
 }
 
-// Kind returns the operation kind label ("" for ambient recorders).
+// Kind returns the operation kind label ("" outside WithOperation).
 func (r *Recorder) Kind() string {
 	if r == nil {
 		return ""

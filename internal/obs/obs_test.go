@@ -47,15 +47,15 @@ func TestLaneReuseKeepsStableIDs(t *testing.T) {
 }
 
 func TestDisabledPathIsAllocationFree(t *testing.T) {
-	Disable()
+	var r *Recorder
 	if got := testing.AllocsPerRun(200, func() {
-		ln := Acquire()
+		ln := r.Acquire()
 		ln.Claim()
 		sp := ln.Begin(StageT1, 0, 0)
 		sp.End()
 		ln.Release()
-		Count(CtrT1Blocks)
-		Add(CtrDWTBytesMoved, 4096)
+		r.Add(CtrT1Blocks, 1)
+		r.Add(CtrDWTBytesMoved, 4096)
 	}); got != 0 {
 		t.Fatalf("disabled obs path allocates %.1f times per op, want 0", got)
 	}
@@ -74,11 +74,10 @@ func TestNilRecorderIsSafe(t *testing.T) {
 }
 
 func TestCountersAndClaims(t *testing.T) {
-	r := Enable()
-	defer Disable()
-	Count(CtrQueueRuns)
-	Add(CtrQueueJobs, 42)
-	ln := Acquire()
+	r := NewRecorder()
+	r.Add(CtrQueueRuns, 1)
+	r.Add(CtrQueueJobs, 42)
+	ln := r.Acquire()
 	ln.Claim()
 	ln.Claim()
 	ln.Release()

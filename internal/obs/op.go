@@ -8,19 +8,18 @@ import (
 
 // Context-scoped operation recorders.
 //
-// PR 3's single global recorder smears every concurrent pipeline's
-// spans and counters together; an operation recorder scopes one
-// encode or decode: WithOperation mints a trace ID and a fresh
-// Recorder, hangs it on the context the codec already threads through
-// every stage (PR 5), and Finish rolls the operation's totals into
-// the process-wide aggregate Registry. Concurrent operations thus get
-// disjoint span sets, per-op counters, and distinct trace IDs, while
-// /metrics keeps serving coherent process totals.
+// An operation recorder scopes one encode or decode: WithOperation
+// mints a trace ID and a fresh Recorder, hangs it on the context the
+// codec threads through every stage, and Finish rolls the operation's
+// totals into the process-wide aggregate Registry. Concurrent
+// operations thus get disjoint span sets, per-op counters, and
+// distinct trace IDs, while /metrics keeps serving coherent process
+// totals.
 //
-// Resolution order inside the codec is Current(ctx): the context's
-// operation recorder if one is attached, else the ambient recorder
-// installed by Enable (the single-operation CLI path), else nil —
-// and nil keeps the disabled fast path at one branch per hook.
+// FromContext is the only resolution point: the codec reads the
+// context's recorder once per operation and hands it down. There is
+// no process-global fallback; a context without an operation yields
+// nil, which keeps the disabled fast path at one branch per hook.
 
 // opCtxKey carries the operation recorder in a context.
 type opCtxKey struct{}
@@ -111,17 +110,4 @@ func FromContext(ctx context.Context) *Recorder {
 	}
 	r, _ := ctx.Value(opCtxKey{}).(*Recorder)
 	return r
-}
-
-// Current resolves the recorder an operation bound to ctx should
-// record into: the context's operation recorder when one is attached,
-// else the ambient process recorder (Enable), else nil. This is the
-// single resolution point the codec entry paths use; everything
-// downstream receives the resolved *Recorder and pays only a nil
-// check per hook.
-func Current(ctx context.Context) *Recorder {
-	if r := FromContext(ctx); r != nil {
-		return r
-	}
-	return active.Load()
 }

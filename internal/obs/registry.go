@@ -76,9 +76,9 @@ func (c OpClass) String() string {
 }
 
 // Registry is the process-wide aggregate sink. Per-operation recorders
-// (WithOperation) and the ambient recorder (Enable) roll their
-// counters, stage histograms, and SLO observations into it when they
-// close, so the registry's totals are monotone for the life of the
+// (WithOperation) roll their counters, stage histograms, and SLO
+// observations into it when they close, so the registry's totals are
+// monotone for the life of the
 // process — exactly the semantics Prometheus counters and cumulative
 // histograms require. The registry never sees individual spans (those
 // stay in each recorder's lanes); it is the scrape-able summary that

@@ -174,8 +174,7 @@ func (g *Registry) SLOTable() string {
 }
 
 // SLOTable renders this recorder's per-class operation latency
-// quantiles (a single operation contributes one class; the ambient
-// CLI recorder may accumulate several across a run).
+// quantiles (an operation recorder normally holds one class).
 func (r *Recorder) SLOTable() string {
 	if r == nil {
 		return "(observability disabled)\n"

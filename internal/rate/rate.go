@@ -38,18 +38,9 @@ type HullPoint struct {
 
 // ComputeHull computes and caches the block's convex hull. The result
 // is always non-nil, so allocation can tell "computed, empty" from
-// "not yet computed". Counts against the ambient recorder; the
-// parallel pipelines use ComputeHullObs with their operation recorder.
+// "not yet computed".
 func (b *BlockRD) ComputeHull() {
-	b.ComputeHullObs(obs.Active())
-}
-
-// ComputeHullObs is ComputeHull counting against an explicit recorder
-// (nil-safe), so per-operation recorders attribute hull work to the
-// operation that ran it.
-func (b *BlockRD) ComputeHullObs(rec *obs.Recorder) {
 	b.Hull = hull(*b)
-	rec.Add(obs.CtrHulls, 1)
 }
 
 // hull computes the strictly-decreasing-slope convex hull of a block's
@@ -139,7 +130,8 @@ func Allocate(rec *obs.Recorder, blocks []BlockRD, budget int) []int {
 	contained(func() {
 		for i := range blocks {
 			if blocks[i].Hull == nil {
-				blocks[i].ComputeHullObs(rec)
+				blocks[i].ComputeHull()
+				rec.Add(obs.CtrHulls, 1)
 			}
 		}
 	})

@@ -5,7 +5,6 @@ import (
 
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/mq"
-	"j2kcell/internal/obs"
 )
 
 // decoder mirrors the encoder pass for pass. It shares the flag-word
@@ -26,14 +25,8 @@ type decoder struct {
 // pass set yields the standard midpoint reconstruction of whatever
 // precision each coefficient reached.
 func Decode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS, numPasses int, data []byte, segLens []int) error {
-	return DecodeObs(obs.Active(), coef, w, h, stride, orient, mode, numBPS, numPasses, data, segLens)
-}
-
-// DecodeObs is Decode attributing coder-pool traffic to an explicit
-// recorder (nil-safe) instead of the process ambient one.
-func DecodeObs(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS, numPasses int, data []byte, segLens []int) error {
 	if mode.IsHT() {
-		return decodeHT(rec, coef, w, h, stride, orient, numBPS, numPasses, data, segLens)
+		return decodeHT(coef, w, h, stride, orient, numBPS, numPasses, data, segLens)
 	}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -43,7 +36,7 @@ func DecodeObs(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Ori
 	if numBPS == 0 || numPasses == 0 {
 		return nil
 	}
-	c := newCoderObs(w, h, orient, rec)
+	c := newCoder(w, h, orient)
 	defer c.release()
 	lp := getInt8(w * h)
 	defer putInt8(lp)

@@ -3,7 +3,6 @@ package t1
 import (
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/mq"
-	"j2kcell/internal/obs"
 	"j2kcell/internal/simd"
 )
 
@@ -41,25 +40,18 @@ type encoder struct {
 // from coef with the given row stride. orient selects the context
 // tables, mode the termination style, and gain the subband synthesis
 // L2 norm used to weight distortion. The input is not modified.
-// Workload counters go to the ambient recorder; pipelines carrying an
-// operation recorder use EncodeObs.
+// The returned block carries its own workload figures (per-pass scan
+// and decision counts, MQ renormalizations); the caller records them.
 func Encode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain float64) *Block {
-	return EncodeObs(obs.Active(), coef, w, h, stride, orient, mode, gain)
-}
-
-// EncodeObs is Encode recording against an explicit recorder
-// (nil-safe): block/scan/decision counters and coder-pool traffic are
-// attributed to rec instead of the process ambient recorder.
-func EncodeObs(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain float64) *Block {
 	if mode.IsHT() {
-		return encodeHT(rec, coef, w, h, stride, orient, mode, gain)
+		return encodeHT(coef, w, h, stride, orient, mode, gain)
 	}
 	// invariant: block geometry comes from PlanBlocks, which never emits
 	// empty blocks; encode-side only (decode sizes are clamped to the band).
 	if w <= 0 || h <= 0 {
 		panic("t1: empty code block")
 	}
-	c := newCoderObs(w, h, orient, rec)
+	c := newCoder(w, h, orient)
 	defer c.release()
 
 	e := getEncoder()
@@ -120,23 +112,10 @@ func EncodeObs(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Ori
 		blk.Passes[len(blk.Passes)-1].SegLen = len(e.out)
 	}
 	blk.Data = e.out
-	reportBlock(rec, e, blk)
+	// Drained for every coded block, so the pooled MQ encoder never
+	// carries a count into the next one.
+	blk.Renorms = e.mq.TakeRenorms()
 	return blk
-}
-
-// reportBlock publishes one coded block's workload counters — blocks,
-// coefficients scanned, MQ decisions, renormalization chunks — to the
-// given recorder. The renorm count is drained from the pooled MQ
-// encoder unconditionally so it never leaks across blocks; everything
-// else is skipped when observability is disabled.
-func reportBlock(rec *obs.Recorder, e *encoder, blk *Block) {
-	renorms := e.mq.TakeRenorms()
-	if rec != nil {
-		rec.Add(obs.CtrT1Blocks, 1)
-		rec.Add(obs.CtrT1Scanned, int64(blk.TotalScanned()))
-		rec.Add(obs.CtrT1Coded, int64(blk.TotalCoded()))
-		rec.Add(obs.CtrMQRenorms, renorms)
-	}
 }
 
 // runPass executes one coding pass — collecting its decisions, then

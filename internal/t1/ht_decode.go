@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"j2kcell/internal/dwt"
-	"j2kcell/internal/obs"
 )
 
 // decodeHT reconstructs a block coded by encodeHT. Segment boundaries
@@ -17,7 +16,7 @@ import (
 // outside the block, implausible magnitude exponents, MEL/VLC
 // disagreement — returns an error; bit-level damage degrades into
 // wrong coefficients, never a panic.
-func decodeHT(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Orient, numBPS, numPasses int, data []byte, segLens []int) error {
+func decodeHT(coef []int32, w, h, stride int, orient dwt.Orient, numBPS, numPasses int, data []byte, segLens []int) error {
 	for y := 0; y < h; y++ {
 		clear(coef[y*stride : y*stride+w])
 	}
@@ -65,7 +64,7 @@ func decodeHT(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Orie
 	mel.init(cup[body-lenMEL-lenVLC : body-lenVLC])
 	vlc.init(cup[body-lenVLC : body])
 
-	c := newCoderObs(w, h, orient, rec)
+	c := newCoder(w, h, orient)
 	defer c.release()
 	lpp := getInt8(w * h)
 	defer putInt8(lpp)

@@ -2,7 +2,6 @@ package t1
 
 import (
 	"j2kcell/internal/dwt"
-	"j2kcell/internal/obs"
 	"j2kcell/internal/simd"
 )
 
@@ -35,13 +34,13 @@ type htEncoder struct {
 // raw-bit passes finish plane 0, giving PCRD three truncation points
 // per block. Shares the pooled coder scratch, the simd load kernels,
 // and the Block/Pass contract with the MQ encoder.
-func encodeHT(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain float64) *Block {
+func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain float64) *Block {
 	// invariant: block geometry comes from PlanBlocks, which never emits
 	// empty blocks; encode-side only (decode sizes are clamped to the band).
 	if w <= 0 || h <= 0 {
 		panic("t1: empty code block")
 	}
-	c := newCoderObs(w, h, orient, rec)
+	c := newCoder(w, h, orient)
 	defer c.release()
 	e := getHTEncoder()
 	defer putHTEncoder(e)
@@ -128,20 +127,7 @@ func encodeHT(rec *obs.Recorder, coef []int32, w, h, stride int, orient dwt.Orie
 		})
 	}
 	blk.Data = out
-	reportHTBlock(rec, blk)
 	return blk
-}
-
-// reportHTBlock publishes one HT-coded block's workload counters to the
-// given recorder (nil-safe).
-func reportHTBlock(rec *obs.Recorder, blk *Block) {
-	if rec != nil {
-		rec.Add(obs.CtrT1Blocks, 1)
-		rec.Add(obs.CtrHTBlocks, 1)
-		rec.Add(obs.CtrHTBytes, int64(len(blk.Data)))
-		rec.Add(obs.CtrT1Scanned, int64(blk.TotalScanned()))
-		rec.Add(obs.CtrT1Coded, int64(blk.TotalCoded()))
-	}
 }
 
 // cleanup codes the FBCOT cleanup pass at plane pCup: a 2×2 quad scan

@@ -26,7 +26,6 @@ import (
 
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/mq"
-	"j2kcell/internal/obs"
 )
 
 // Mode selects the codeword segmentation style.
@@ -119,6 +118,10 @@ type Block struct {
 	Passes []Pass
 	Data   []byte  // concatenated codeword segments
 	Dist0  float64 // weighted distortion with nothing decoded
+
+	// Renorms is the MQ renormalization-chunk count of the block's
+	// encode (0 for HT blocks, which use no MQ coder).
+	Renorms int64
 }
 
 // TotalScanned sums the scan counter over all passes.
@@ -177,21 +180,11 @@ type coder struct {
 
 // newCoder draws scratch from the coder pool (pool.go); callers release
 // it when the block is done. Flags and magnitudes are zeroed, contexts
-// reset to their standard initial states. Pool counters go to the
-// ambient recorder; the Obs entry points use newCoderObs.
+// reset to their standard initial states.
 func newCoder(w, h int, orient dwt.Orient) *coder {
-	return newCoderObs(w, h, orient, obs.Active())
-}
-
-// newCoderObs is newCoder counting pool hits/misses against an explicit
-// recorder (nil-safe).
-func newCoderObs(w, h int, orient dwt.Orient, rec *obs.Recorder) *coder {
 	c, _ := coderPool.Get().(*coder)
 	if c == nil {
-		rec.Add(obs.CtrPoolCoderMiss, 1)
 		c = &coder{}
-	} else {
-		rec.Add(obs.CtrPoolCoderHit, 1)
 	}
 	c.w, c.h, c.orient = w, h, orient
 	c.zcTab = zcTabFor(orient)

@@ -16,8 +16,8 @@ import (
 	"j2kcell/internal/obs"
 )
 
-// TestEncodeObsByteIdentical runs the determinism matrix with the
-// recorder enabled and compares against the obs-off stream: same
+// TestEncodeObsByteIdentical runs the determinism matrix under an
+// operation recorder and compares against the unobserved stream: same
 // bytes for {lossless, lossy} × {untiled, tiled} at every worker
 // count.
 func TestEncodeObsByteIdentical(t *testing.T) {
@@ -30,15 +30,13 @@ func TestEncodeObsByteIdentical(t *testing.T) {
 			}
 			for _, w := range workerCounts() {
 				t.Run(fmt.Sprintf("workers-%d", w), func(t *testing.T) {
-					rec := obs.Enable()
-					defer func() {
-						obs.Disable()
-						rec.Close()
-					}()
-					got, _, err := EncodeParallel(img, tc.opt, w)
+					ctx, op := obs.WithOperation(context.Background(), "encode")
+					got, _, err := EncodeParallelContext(ctx, img, tc.opt, w)
+					op.Finish()
 					if err != nil {
 						t.Fatal(err)
 					}
+					rec := op.Recorder()
 					if !bytes.Equal(got, ref) {
 						t.Fatalf("observed stream differs from unobserved (%d vs %d bytes)",
 							len(got), len(ref))
@@ -57,14 +55,13 @@ func TestEncodeObsByteIdentical(t *testing.T) {
 // to appear with plausible accounting.
 func TestEncodeObsReportHasStages(t *testing.T) {
 	img := TestImage(192, 160, 9)
-	rec := obs.Enable()
-	defer func() {
-		obs.Disable()
-		rec.Close()
-	}()
-	if _, _, err := EncodeParallel(img, Options{Lossless: true}, 2); err != nil {
+	ctx, op := obs.WithOperation(context.Background(), "encode")
+	_, _, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, 2)
+	op.Finish()
+	if err != nil {
 		t.Fatal(err)
 	}
+	rec := op.Recorder()
 	spans := rec.TSpans()
 	rep := obs.BuildReport(spans, 2)
 	if rep.Total <= 0 || rep.Busy <= 0 {
@@ -85,31 +82,6 @@ func TestEncodeObsReportHasStages(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Fatal("empty Chrome trace")
-	}
-}
-
-// TestEncodeObsDisabledHotPathAllocs: the instrumented work-queue loop
-// (Acquire/Claim/Begin/End/Release per job) must not allocate when no
-// recorder is installed. internal/obs pins the primitives; this pins
-// the encoder's actual call pattern end to end by diffing a warmed
-// encode's allocation count against the PR 2 steady-state bound, which
-// TestEncodeSteadyStateAllocs already enforces — here we just require
-// the obs-off and obs-off counts to be stable across runs.
-func TestEncodeObsDisabledHotPathAllocs(t *testing.T) {
-	if obs.Enabled() {
-		t.Fatal("recorder unexpectedly installed")
-	}
-	ln := obs.Acquire()
-	got := testing.AllocsPerRun(1000, func() {
-		ln.Claim()
-		sp := ln.Begin(obs.StageT1, 0, 0)
-		sp.End()
-		obs.Count(obs.CtrT1Blocks)
-		obs.Add(obs.CtrDWTBytesMoved, 4096)
-	})
-	ln.Release()
-	if got != 0 {
-		t.Fatalf("disabled span path allocates %.1f per op, want 0", got)
 	}
 }
 
@@ -241,21 +213,17 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 	}
 }
 
-// TestEncodeObsDisabledContextPathAllocs pins the context-threaded
-// disabled path after the per-operation refactor: resolving the
-// recorder from a context with no operation attached, plus every
-// nil-recorder hook the codec calls (lane spans, counters, SLO
-// recording), must stay allocation-free.
+// TestEncodeObsDisabledContextPathAllocs pins the disabled path:
+// resolving the recorder from a context with no operation attached,
+// plus every nil-recorder hook the codec calls (lane spans, counters,
+// SLO recording), must stay allocation-free.
 func TestEncodeObsDisabledContextPathAllocs(t *testing.T) {
-	if obs.Enabled() {
-		t.Fatal("ambient recorder unexpectedly installed")
-	}
 	ctx := context.Background()
-	if obs.Current(ctx) != nil {
-		t.Fatal("Current on a plain context should be nil")
+	if obs.FromContext(ctx) != nil {
+		t.Fatal("FromContext on a plain context should be nil")
 	}
 	got := testing.AllocsPerRun(1000, func() {
-		rec := obs.Current(ctx)
+		rec := obs.FromContext(ctx)
 		ln := rec.Acquire()
 		ln.Claim()
 		sp := ln.Begin(obs.StageT1, 0, 0)
@@ -271,9 +239,10 @@ func TestEncodeObsDisabledContextPathAllocs(t *testing.T) {
 }
 
 // BenchmarkEncodeObsOverhead measures the whole-pipeline cost of the
-// instrumentation: `off` is the shipping default (atomic load + branch
-// per hook), `on` records every span and counter. The acceptance bar
-// for the disabled path is ≤2% against an uninstrumented build.
+// instrumentation: `off` is the unobserved default (a nil check per
+// hook), `per-op` records every span and counter into a fresh
+// operation recorder. The acceptance bar for the disabled path is ≤2%
+// against an uninstrumented build.
 func BenchmarkEncodeObsOverhead(b *testing.B) {
 	img := TestImage(512, 512, 11)
 	opt := Options{Lossless: true}
@@ -287,17 +256,8 @@ func BenchmarkEncodeObsOverhead(b *testing.B) {
 		}
 	}
 	b.Run("off", run)
-	b.Run("on", func(b *testing.B) {
-		rec := obs.Enable()
-		defer func() {
-			obs.Disable()
-			rec.Close()
-		}()
-		run(b)
-	})
-	// per-op: a fresh context-scoped recorder per encode — the
-	// server-style cost (WithOperation + roll-up into the aggregate on
-	// Finish) rather than one long-lived ambient recorder.
+	// per-op: a fresh context-scoped recorder per encode, including the
+	// roll-up into the aggregate on Finish.
 	b.Run("per-op", func(b *testing.B) {
 		b.SetBytes(int64(img.W * img.H * len(img.Comps)))
 		for i := 0; i < b.N; i++ {
