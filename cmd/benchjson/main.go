@@ -24,13 +24,13 @@ import (
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
-	Pkg        string  `json:"pkg,omitempty"`
-	Name       string  `json:"name"`
-	Iterations int     `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	MBPerSec   float64 `json:"mb_per_sec,omitempty"`
-	BytesPerOp int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64  `json:"allocs_per_op,omitempty"`
+	Pkg         string  `json:"pkg,omitempty"`
+	Name        string  `json:"name"`
+	Iterations  int     `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
+	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
+	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 }
 
 // Run is one benchmark invocation: its environment plus results.

@@ -66,7 +66,7 @@ func main() {
 
 	observe := *traceOut != "" || *report || *metrics || *pprofAddr != ""
 	if *pprofAddr != "" {
-		addr, err := cli.ServeObs(*pprofAddr)
+		addr, err := cli.ServeObservability(*pprofAddr)
 		check(err)
 		fmt.Fprintf(os.Stderr, "j2kdec: serving /metrics, /debug/vars, /debug/pprof on %s\n", addr)
 	}

@@ -75,7 +75,7 @@ func main() {
 
 	observe := *traceOut != "" || *report || *metrics || *pprofAddr != ""
 	if *pprofAddr != "" {
-		addr, err := cli.ServeObs(*pprofAddr)
+		addr, err := cli.ServeObservability(*pprofAddr)
 		check(err)
 		fmt.Fprintf(os.Stderr, "j2kenc: serving /metrics, /debug/vars, /debug/pprof on %s\n", addr)
 	}

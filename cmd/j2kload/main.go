@@ -75,7 +75,7 @@ func main() {
 	}
 	var boundAddr string
 	if *metricsAddr != "" {
-		addr, err := cli.ServeObs(*metricsAddr)
+		addr, err := cli.ServeObservability(*metricsAddr)
 		fail(err)
 		boundAddr = addr
 		fmt.Printf("metrics: http://%s/metrics\n", boundAddr)

@@ -50,11 +50,11 @@ func ObsMux() *http.ServeMux {
 	return mux
 }
 
-// ServeObs binds the shared observability mux on addr (":0" picks a
-// free port) and serves it on a background goroutine for the life of
-// the process. It returns the bound address, so callers can print a
+// ServeObservability binds the shared observability mux on addr (":0"
+// picks a free port) and serves it on a background goroutine for the
+// life of the process. It returns the bound address, so callers can print a
 // scrape URL — or scrape themselves (j2kload -selfcheck).
-func ServeObs(addr string) (string, error) {
+func ServeObservability(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("metrics listener: %w", err)

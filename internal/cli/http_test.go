@@ -82,12 +82,12 @@ func TestObsMuxExpvar(t *testing.T) {
 // TestServeObsBindsEphemeralPort: ":0" must bind a real port and
 // return the resolved address — j2kload -selfcheck depends on it.
 func TestServeObsBindsEphemeralPort(t *testing.T) {
-	addr, err := ServeObs("127.0.0.1:0")
+	addr, err := ServeObservability("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.HasSuffix(addr, ":0") {
-		t.Fatalf("ServeObs returned unresolved address %q", addr)
+		t.Fatalf("ServeObservability returned unresolved address %q", addr)
 	}
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {

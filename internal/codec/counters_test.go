@@ -90,3 +90,55 @@ func TestCounterParity(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeStageCoverage requires every decode class to attribute its
+// work to named stages: the header parse, the Tier-2 packet parse, the
+// plane clearing, Tier-1, both inverse DWT directions and the inverse
+// component transform, plus dequantization when lossy. It covers both
+// coders, tiled and untiled streams, and the strict and best-effort
+// decoders.
+func TestDecodeStageCoverage(t *testing.T) {
+	img := workload.Dial(80, 64, 903, 4)
+	for _, lossless := range []bool{true, false} {
+		for _, ht := range []bool{false, true} {
+			for _, tiled := range []bool{false, true} {
+				opt := Options{Lossless: lossless, HT: ht}
+				if tiled {
+					opt.TileW, opt.TileH = 32, 32
+				}
+				res, err := EncodeParallel(img, opt, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, bestEffort := range []bool{false, true} {
+					name := fmt.Sprintf("lossless=%v/ht=%v/tiled=%v/besteffort=%v", lossless, ht, tiled, bestEffort)
+					t.Run(name, func(t *testing.T) {
+						ctx, op := obs.WithOperation(context.Background(), "coverage")
+						_, err := DecodeWithContext(ctx, res.Data, DecodeOptions{Workers: 2, BestEffort: bestEffort})
+						op.Finish()
+						if err != nil {
+							t.Fatal(err)
+						}
+						seen := map[obs.Stage]bool{}
+						for _, sp := range op.Recorder().TSpans() {
+							seen[sp.Stage] = true
+						}
+						want := []obs.Stage{obs.StageParse, obs.StageT2, obs.StageZero,
+							obs.StageIDWTHorz, obs.StageIDWTVert, obs.StageIMCT}
+						if !lossless {
+							want = append(want, obs.StageDeq)
+						}
+						for _, st := range want {
+							if !seen[st] {
+								t.Errorf("no %q span recorded", st)
+							}
+						}
+						if !seen[obs.StageT1] && !seen[obs.StageT1HT] {
+							t.Error("no Tier-1 span recorded")
+						}
+					})
+				}
+			}
+		}
+	}
+}

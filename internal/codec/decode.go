@@ -159,13 +159,16 @@ func DecodeWithContext(ctx context.Context, data []byte, dopt DecodeOptions) (im
 	}
 	// Multi-worker decodes hold one shared-scheduler slot from header
 	// parse to the last inverse stage.
-	ln, aerr := op.admit(ctx, dopt.Workers, obs.StageDecode)
-	if aerr != nil {
+	if _, aerr := op.admit(ctx, dopt.Workers, obs.StageDecode); aerr != nil {
 		return nil, aerr
 	}
+	// Work spans go on a leased lane, as the stage pipelines' do, so a
+	// one-worker decode reports one track.
+	ln := op.rec.Acquire()
 	sp := ln.Begin(obs.StageParse, 0, 0)
 	h, bodies, err := parseStream(data, dopt.limits())
 	sp.End()
+	ln.Release()
 	if err != nil {
 		return nil, formatErr(err)
 	}

@@ -46,8 +46,8 @@ func (op *apiOp) classify(c obs.OpClass) { op.cls, op.classed = c, true }
 // full admission queue fails fast with ErrOverloaded before any
 // pipeline work starts — and then opens the coordinator lane with the
 // whole-operation span of stage env. That span defines the Amdahl
-// report's total window; the lane also carries the sequential stages
-// (parse, rate, t2, frame) the entry point runs itself.
+// report's total window; acquired before any stage runs, the lane pins
+// lane 0, so worker lanes stay stable across stages.
 func (op *apiOp) admit(ctx context.Context, workers int, env obs.Stage) (*obs.Lane, error) {
 	release, err := admitOp(ctx, workers, op.rec)
 	if err != nil {

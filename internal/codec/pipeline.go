@@ -568,8 +568,6 @@ func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options
 	}
 	countKernel(op.rec)
 	opt = opt.WithDefaults(img.W, img.H)
-	// The coordinator lane is acquired before any stage runs, so it pins
-	// lane 0 and worker lanes stay stable across stages.
 	if _, aerr := op.admit(ctx, workers, obs.StageEncode); aerr != nil {
 		return nil, aerr
 	}

@@ -51,8 +51,7 @@ func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, nil, cerr
 	}
-	ln, aerr := op.admit(ctx, dopt.Workers, obs.StageDecode)
-	if aerr != nil {
+	if _, aerr := op.admit(ctx, dopt.Workers, obs.StageDecode); aerr != nil {
 		return nil, nil, aerr
 	}
 
@@ -62,6 +61,7 @@ func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions
 		rep.Notes = append(rep.Notes, note)
 		return imgmodel.NewImage(1, 1, 1, 8), rep, nil
 	}
+	ln := op.rec.Acquire() // a leased work lane, as in DecodeWithContext
 	sp := ln.Begin(obs.StageParse, 0, 0)
 	var uerr, herr error
 	var h *codestream.Header
@@ -74,6 +74,7 @@ func DecodeResilientContext(ctx context.Context, data []byte, dopt DecodeOptions
 		h, bodies, sinfo, herr = codestream.DecodeTilesSalvage(data, dopt.limits())
 	}
 	sp.End()
+	ln.Release()
 	if uerr != nil {
 		return fail(fmt.Sprintf("jp2 container unusable: %v", uerr))
 	}
