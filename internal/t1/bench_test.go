@@ -86,13 +86,22 @@ func Benchmark_HTEncodeBlock(b *testing.B) {
 
 // Benchmark_HTEncodeBlockRefine prices the three-pass HT variant
 // (cleanup at plane 1 plus raw SigProp/MagRef), the mode the rate
-// controller truncates; mirrors Benchmark_T1EncodeBlockTermAll.
+// controller truncates, over the Benchmark_HTEncodeBlock grid (same
+// blocks), so each row divides against its cleanup-only twin.
 func Benchmark_HTEncodeBlockRefine(b *testing.B) {
-	coef := benchContent("dense", 64, 64, 9)
-	b.SetBytes(int64(4 * 64 * 64))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Encode(coef, 64, 64, 64, dwt.HL, ModeHTRefine, 1.0)
+	for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {
+		for _, kind := range []string{"sparse", "dense"} {
+			for _, n := range []int{32, 64} {
+				coef := benchContent(kind, n, n, uint32(n)+uint32(o)*17+3)
+				b.Run(fmt.Sprintf("%v/%s/%dx%d", o, kind, n, n), func(b *testing.B) {
+					b.SetBytes(int64(4 * n * n))
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						Encode(coef, n, n, n, o, ModeHTRefine, 1.0)
+					}
+				})
+			}
+		}
 	}
 }
 
