@@ -1,6 +1,8 @@
 package t1
 
 import (
+	"math/bits"
+
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/mq"
 	"j2kcell/internal/simd"
@@ -71,7 +73,7 @@ func Encode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain f
 	}
 
 	// The load traversal runs row-kernels from the simd layer: magnitudes
-	// plus a running OR (bitLen(OR) == bitLen(max), which is all numBPS
+	// plus a running OR (bits.Len32(OR) == bits.Len32(max), which is all numBPS
 	// needs), the stripe OR masks, and the sign flags. The distortion sum
 	// stays a scalar pass in magnitude index order — float accumulation
 	// order is part of the codestream contract via PCRD.
@@ -88,7 +90,7 @@ func Encode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain f
 			dist0 += float64(m) * float64(m) * gain2
 		}
 	}
-	numBPS := bitLen(orAll)
+	numBPS := bits.Len32(orAll)
 	blk := &Block{W: w, H: h, Orient: orient, NumBPS: numBPS, Mode: mode, Dist0: dist0}
 	if numBPS == 0 {
 		return blk

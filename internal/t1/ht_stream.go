@@ -14,10 +14,16 @@ package t1
 // forced clear), so no stream interior ever contains 0xFF followed by
 // a byte >= 0x80 — the property the standard relies on to keep
 // codeword segments free of inadvertent marker codes.
+//
+// Emission is lazy: put only accumulates, and bytes move to buf once
+// 32 bits are pending. Any single put carries at most 32 bits and fewer
+// than 32 are pending between calls, so the 64-bit accumulator never
+// overflows. Each byte's stuffing depends only on the byte before it,
+// so emitting late produces exactly the bytes emitting early would.
 type htWriter struct {
 	buf  []byte
 	acc  uint64 // pending bits, LSB first
-	n    uint   // number of pending bits (< 8 between calls)
+	n    uint   // number of pending bits (< 32 between calls)
 	last byte   // last emitted byte, for the stuffing rule
 }
 
@@ -26,36 +32,52 @@ func (w *htWriter) reset() {
 	w.acc, w.n, w.last = 0, 0, 0
 }
 
-// put appends the low nb bits of v (nb <= 32).
+// put appends the low nb bits of v (nb <= 32, v < 1<<nb).
 func (w *htWriter) put(v uint32, nb uint) {
 	w.acc |= uint64(v) << w.n
 	w.n += nb
-	for {
-		if w.last == 0xFF {
-			if w.n < 7 {
-				return
-			}
-			b := byte(w.acc) & 0x7F
-			w.acc >>= 7
-			w.n -= 7
-			w.buf = append(w.buf, b)
-			w.last = b
-		} else {
-			if w.n < 8 {
-				return
-			}
-			b := byte(w.acc)
-			w.acc >>= 8
-			w.n -= 8
-			w.buf = append(w.buf, b)
-			w.last = b
-		}
+	if w.n >= 32 {
+		w.drain()
 	}
 }
 
-// flush pads the final partial byte with zero bits. The decoder reads
-// exactly the bits the coding process asks for, so the padding is
-// never consumed.
+// drain emits bytes until fewer than 32 bits are pending. Four bytes go
+// out in one store when the stuffing rule cannot fire among them: the
+// last emitted byte and the first three are not 0xFF (the fourth only
+// decides the byte after it, which the next round checks through last).
+// Otherwise one byte goes out, carrying 7 bits after a 0xFF and 8
+// bits elsewhere.
+func (w *htWriter) drain() {
+	for w.n >= 32 {
+		lo := uint32(w.acc)
+		if w.last != 0xFF {
+			// A zero byte in y marks a 0xFF among lo's low three bytes
+			// (the top byte of y is forced non-zero).
+			y := ^lo | 0xFF000000
+			if (y-0x01010101)&^y&0x80808080 == 0 {
+				w.buf = append(w.buf, byte(lo), byte(lo>>8), byte(lo>>16), byte(lo>>24))
+				w.last = byte(lo >> 24)
+				w.acc >>= 32
+				w.n -= 32
+				continue
+			}
+			w.buf = append(w.buf, byte(lo))
+			w.last = byte(lo)
+			w.acc >>= 8
+			w.n -= 8
+			continue
+		}
+		b := byte(lo) & 0x7F
+		w.buf = append(w.buf, b)
+		w.last = b
+		w.acc >>= 7
+		w.n -= 7
+	}
+}
+
+// flush emits every pending bit, padding the final partial byte with
+// zero bits. The decoder reads exactly the bits the coding process asks
+// for, so the padding is never consumed.
 func (w *htWriter) flush() {
 	for w.n > 0 {
 		var b byte
@@ -247,21 +269,30 @@ func (m *melDecoder) decode() int {
 
 // putUExp codes u = U_q − 1, a quad's magnitude-exponent bound, with a
 // short prefix code (read LSB-first): 0 → u=0; 10 → u=1;
-// 110 + 2 bits → u=2..5; 111 + 5 bits → u=6..37.
+// 110 + 2 bits → u=2..5; 111 + 5 bits → u=6..37. Each code word goes
+// out in one put (uexpCode).
 func putUExp(w *htWriter, u int) {
-	switch {
-	case u == 0:
-		w.put(0, 1)
-	case u == 1:
-		w.put(1, 2)
-	case u <= 5:
-		w.put(3, 3)
-		w.put(uint32(u-2), 2)
-	default:
-		w.put(7, 3)
-		w.put(uint32(u-6), 5)
-	}
+	c := uexpCode[u]
+	w.put(uint32(c&0xFF), uint(c>>8))
 }
+
+// uexpCode holds the putUExp code word of every u in its low byte and
+// the word's length above it.
+var uexpCode = func() (t [38]uint16) {
+	for u := range t {
+		switch {
+		case u == 0:
+			t[u] = 1 << 8
+		case u == 1:
+			t[u] = 1 | 2<<8
+		case u <= 5:
+			t[u] = uint16(3|(u-2)<<3) | 5<<8
+		default:
+			t[u] = uint16(7|(u-6)<<3) | 8<<8
+		}
+	}
+	return t
+}()
 
 func getUExp(r *htReader) int {
 	if r.get(1) == 0 {

@@ -223,13 +223,3 @@ func (c *coder) scContext(fi int) (ctx int, xor uint8) {
 
 // mrContext computes the magnitude-refinement context (Table D.4).
 func (c *coder) mrContext(fi int) int { return mrCtx(c.flags[fi]) }
-
-// bitLen returns the position of the highest set bit + 1.
-func bitLen(v uint32) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
