@@ -7,7 +7,10 @@
 // persists across layers.
 package t2
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Segment is one terminated codeword segment of a block's contribution:
 // Passes coding passes whose bytes span Len.
@@ -107,24 +110,11 @@ func (p *Precinct) prepareDecode() {
 	p.zbp.Reset(tagUnknown)
 }
 
-// floorLog2 returns floor(log2(n)) for n >= 1.
-func floorLog2(n int) int {
-	l := 0
-	for n > 1 {
-		n >>= 1
-		l++
-	}
-	return l
-}
+// floorLog2 returns floor(log2(n)) for n >= 1, and 0 for n <= 1.
+func floorLog2(n int) int { return bits.Len(uint(max(n, 1))) - 1 }
 
-func bitLen(v int) int {
-	n := 0
-	for v > 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
+// bitLen returns the bit length of v, and 0 for v <= 0.
+func bitLen(v int) int { return bits.Len(uint(max(v, 0))) }
 
 // writeNumPasses emits the Table B.4 variable-length code (1..164).
 func writeNumPasses(w *BitWriter, n int) {

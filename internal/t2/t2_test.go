@@ -167,6 +167,28 @@ func TestNumPassesCode(t *testing.T) {
 	}
 }
 
+// TestBitLenFloorLog2 pins the segment-length helpers at the edges,
+// including the 0 both return for v <= 0.
+func TestBitLenFloorLog2(t *testing.T) {
+	for _, c := range []struct{ v, bitLen, floorLog2 int }{
+		{-5, 0, 0},
+		{0, 0, 0},
+		{1, 1, 0},
+		{2, 2, 1},
+		{3, 2, 1},
+		{164, 8, 7},
+		{1 << 20, 21, 20},
+		{1<<31 - 1, 31, 30},
+	} {
+		if got := bitLen(c.v); got != c.bitLen {
+			t.Errorf("bitLen(%d) = %d, want %d", c.v, got, c.bitLen)
+		}
+		if got := floorLog2(c.v); got != c.floorLog2 {
+			t.Errorf("floorLog2(%d) = %d, want %d", c.v, got, c.floorLog2)
+		}
+	}
+}
+
 func TestNumPassesPanicsOver164(t *testing.T) {
 	defer func() {
 		if recover() == nil {
