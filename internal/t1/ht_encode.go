@@ -340,9 +340,10 @@ func (e *htEncoder) sigProp(c *coder, w, h int, gain2 float64) (dd float64, code
 		for i := 0; i < nw; i++ {
 			var sw, ow uint64
 			for b, m := range row[i<<6 : min(i<<6+64, w)] {
-				s := nonZero(m >> 1)
-				sw |= uint64(s) << b
-				ow |= uint64(m&^s&1) << b
+				// m <= 1<<31, so bit 31 of m+0x7FFFFFFE is m >= 2, and
+				// m^1 - 1 wraps to bit 63 only for m == 1.
+				sw |= uint64((m+0x7FFFFFFE)>>31) << b
+				ow |= (uint64(m^1) - 1) >> 63 << b
 			}
 			sig[y*nw+i], one[y*nw+i] = sw, ow
 		}

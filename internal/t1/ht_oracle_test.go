@@ -448,6 +448,19 @@ func TestHTEncodeMatchesOracle(t *testing.T) {
 		// (NumBPS 1 codes cleanup at plane 0, NumBPS 2 at plane 1).
 		"bps1": func(w, h int, seed uint32) []int32 { return randBlock(w, h, seed, 1) },
 		"bps2": func(w, h int, seed uint32) []int32 { return randBlock(w, h, seed, 3) },
+		// Magnitudes up to 2^31: 32 planes, a 33-bit MagSgn field.
+		"extreme": func(w, h int, seed uint32) []int32 {
+			out := randBlock(w, h, seed, 5)
+			for i := range out {
+				switch i % 4 {
+				case 0:
+					out[i] = math.MinInt32
+				case 1:
+					out[i] = math.MaxInt32
+				}
+			}
+			return out
+		},
 	}
 	seed := uint32(1)
 	for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {

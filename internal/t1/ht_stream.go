@@ -267,17 +267,11 @@ func (m *melDecoder) decode() int {
 	return 1
 }
 
-// putUExp codes u = U_q − 1, a quad's magnitude-exponent bound, with a
-// short prefix code (read LSB-first): 0 → u=0; 10 → u=1;
-// 110 + 2 bits → u=2..5; 111 + 5 bits → u=6..37. Each code word goes
-// out in one put (uexpCode).
-func putUExp(w *htWriter, u int) {
-	c := uexpCode[u]
-	w.put(uint32(c&0xFF), uint(c>>8))
-}
-
-// uexpCode holds the putUExp code word of every u in its low byte and
-// the word's length above it.
+// uexpCode is the prefix code of u = U_q − 1, a quad's magnitude-
+// exponent bound (read LSB-first): 0 → u=0; 10 → u=1; 110 + 2 bits →
+// u=2..5; 111 + 5 bits → u=6..37. Entry u holds the code word in its
+// low byte and the word's length above it, so a word goes out in one
+// put.
 var uexpCode = func() (t [38]uint16) {
 	for u := range t {
 		switch {

@@ -126,7 +126,8 @@ func TestUExpRoundTrip(t *testing.T) {
 	for u := 0; u <= 37; u++ {
 		var w htWriter
 		w.reset()
-		putUExp(&w, u)
+		c := uexpCode[u]
+		w.put(uint32(c&0xFF), uint(c>>8))
 		w.flush()
 		var r htReader
 		r.init(w.buf)
