@@ -18,10 +18,10 @@ func benchContent(kind string, w, h int, seed uint32) []int32 {
 	return sparseBlock(w, h, seed)
 }
 
-// Benchmark_T1EncodeBlock prices the Tier-1 block coder itself across
-// orientation (context table), content statistics, and block geometry.
-// PR 2's acceptance floor: dense 64×64 must be ≥ 1.5× the pre-PR coder.
-func Benchmark_T1EncodeBlock(b *testing.B) {
+// benchEncodeGrid encodes the canonical block grid in one mode:
+// orientation (context table) × content statistics × block size, with
+// the same seeds in every mode so the tables divide row by row.
+func benchEncodeGrid(b *testing.B, mode Mode) {
 	for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {
 		for _, kind := range []string{"sparse", "dense"} {
 			for _, n := range []int{32, 64} {
@@ -30,13 +30,18 @@ func Benchmark_T1EncodeBlock(b *testing.B) {
 					b.SetBytes(int64(4 * n * n))
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						Encode(coef, n, n, n, o, ModeSingle, 1.0)
+						Encode(coef, n, n, n, o, mode, 1.0)
 					}
 				})
 			}
 		}
 	}
 }
+
+// Benchmark_T1EncodeBlock prices the Tier-1 block coder itself across
+// orientation (context table), content statistics, and block geometry.
+// PR 2's acceptance floor: dense 64×64 must be ≥ 1.5× the pre-PR coder.
+func Benchmark_T1EncodeBlock(b *testing.B) { benchEncodeGrid(b, ModeSingle) }
 
 // Benchmark_T1EncodeBlockTermAll prices the rate-control coding mode
 // (one MQ termination per pass), the mode PCRD truncates.
@@ -67,43 +72,13 @@ func Benchmark_T1DecodeBlock(b *testing.B) {
 // blocks Benchmark_T1EncodeBlock uses (same seeds, same grid), so the
 // two tables divide directly. PR 7's acceptance floor: HT must be ≥ 3×
 // the MQ coder on the dense blocks.
-func Benchmark_HTEncodeBlock(b *testing.B) {
-	for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {
-		for _, kind := range []string{"sparse", "dense"} {
-			for _, n := range []int{32, 64} {
-				coef := benchContent(kind, n, n, uint32(n)+uint32(o)*17+3)
-				b.Run(fmt.Sprintf("%v/%s/%dx%d", o, kind, n, n), func(b *testing.B) {
-					b.SetBytes(int64(4 * n * n))
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						Encode(coef, n, n, n, o, ModeHT, 1.0)
-					}
-				})
-			}
-		}
-	}
-}
+func Benchmark_HTEncodeBlock(b *testing.B) { benchEncodeGrid(b, ModeHT) }
 
 // Benchmark_HTEncodeBlockRefine prices the three-pass HT variant
 // (cleanup at plane 1 plus raw SigProp/MagRef), the mode the rate
 // controller truncates, over the Benchmark_HTEncodeBlock grid (same
 // blocks), so each row divides against its cleanup-only twin.
-func Benchmark_HTEncodeBlockRefine(b *testing.B) {
-	for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {
-		for _, kind := range []string{"sparse", "dense"} {
-			for _, n := range []int{32, 64} {
-				coef := benchContent(kind, n, n, uint32(n)+uint32(o)*17+3)
-				b.Run(fmt.Sprintf("%v/%s/%dx%d", o, kind, n, n), func(b *testing.B) {
-					b.SetBytes(int64(4 * n * n))
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						Encode(coef, n, n, n, o, ModeHTRefine, 1.0)
-					}
-				})
-			}
-		}
-	}
-}
+func Benchmark_HTEncodeBlockRefine(b *testing.B) { benchEncodeGrid(b, ModeHTRefine) }
 
 // Benchmark_HTDecodeBlock prices the HT decoder on the same dense block
 // Benchmark_T1DecodeBlock decodes.

@@ -54,13 +54,7 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 	e := getHTEncoder()
 	defer putHTEncoder(e)
 
-	nqy := (h + 1) / 2
-	if cap(e.rowOR) < nqy {
-		e.rowOR = make([]uint32, nqy)
-	} else {
-		e.rowOR = e.rowOR[:nqy]
-		clear(e.rowOR)
-	}
+	e.rowOR = zeroed(e.rowOR, (h+1)/2)
 
 	// Same load traversal as the MQ encoder: magnitudes plus a running
 	// OR from the simd row kernels (bits.Len32(OR) == bits.Len32(max)), sign
@@ -160,12 +154,7 @@ func (e *htEncoder) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool)
 	e.mel.reset()
 	nqx := (w + 1) / 2
 	nqy := (h + 1) / 2
-	if cap(e.prevRho) < nqx {
-		e.prevRho = make([]uint8, nqx)
-	} else {
-		e.prevRho = e.prevRho[:nqx]
-		clear(e.prevRho)
-	}
+	e.prevRho = zeroed(e.prevRho, nqx)
 	up := uint(pCup)
 	// errA, the plane-pCup midpoint's residual error, is 1 exactly when
 	// pCup = 1 and the dropped LSB is 0: errA = ^m & errLSB.
@@ -425,10 +414,10 @@ func (e *htEncoder) sigProp(c *coder, w, h int, gain2 float64) (dd float64, code
 	return dd, coded
 }
 
-// zeroed returns s resized to n cleared words, reusing its capacity.
-func zeroed(s []uint64, n int) []uint64 {
+// zeroed returns s resized to n cleared elements, reusing its capacity.
+func zeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
