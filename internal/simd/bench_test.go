@@ -120,6 +120,16 @@ func Benchmark_Kernel_AddShr2Row(b *testing.B) {
 	})
 }
 
+func Benchmark_Kernel_Deinterleave2FRow(b *testing.B) {
+	src, even, odd := benchF32(benchRow), benchF32(benchRow/2), benchF32(benchRow/2)
+	perSet(b, func(b *testing.B) {
+		b.SetBytes(benchRow * 4)
+		for i := 0; i < b.N; i++ {
+			Deinterleave2FRow(even, odd, src)
+		}
+	})
+}
+
 func Benchmark_Kernel_ForwardRCTRow(b *testing.B) {
 	r, g, bl := benchI32(benchRow), benchI32(benchRow), benchI32(benchRow)
 	perSet(b, func(b *testing.B) {

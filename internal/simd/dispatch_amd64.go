@@ -51,6 +51,8 @@ var sse2Set = kernels{
 	fixScale:       fixScaleSSE2,
 	il2I32:         il2I32SSE2,
 	il2F32:         il2F32SSE2,
+	dl2I32:         dl2I32SSE2,
+	dl2F32:         dl2F32SSE2,
 	absOr:          absOrSSE2,
 	orU32:          orU32SSE2,
 	signOr:         signOrSSE2,
@@ -78,6 +80,8 @@ var avx2Set = kernels{
 	fixScale:       fixScaleAVX2,
 	il2I32:         il2I32AVX2,
 	il2F32:         il2F32AVX2,
+	dl2I32:         dl2I32AVX2,
+	dl2F32:         dl2F32AVX2,
 	absOr:          absOrAVX2,
 	orU32:          orU32AVX2,
 	signOr:         signOrAVX2,

@@ -134,3 +134,30 @@ func FuzzT1Masks(f *testing.F) {
 		}
 	})
 }
+
+// FuzzInterleave2 drives both shuffles with raw lanes: the float forms
+// must move NaN payloads and signed zeros untouched, like the scalar
+// copies.
+func FuzzInterleave2(f *testing.F) {
+	f.Add([]byte("interleave-deinterleave-fuzz-seed-rows!"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytesToF32(data)
+		n := len(src) / 2
+		wantE, wantO := make([]float32, n), make([]float32, n)
+		scalarDeinterleave2F32(wantE, wantO, src)
+		want := make([]float32, 2*n)
+		scalarInterleave2F32(want, wantE, wantO)
+		for _, ks := range vectorSets() {
+			name := fmt.Sprintf("%s/n=%d", ks.name, n)
+			gotE, gotO := offF32(make([]float32, n)), offF32(make([]float32, n))
+			m := ks.dl2F32(gotE, gotO, src)
+			scalarDeinterleave2F32(gotE[m:], gotO[m:], src[2*m:])
+			eqF32(t, "dl2/even/"+name, gotE, wantE)
+			eqF32(t, "dl2/odd/"+name, gotO, wantO)
+			got := offF32(make([]float32, 2*n))
+			m = ks.il2F32(got, gotE, gotO)
+			scalarInterleave2F32(got[2*m:], gotE[m:], gotO[m:])
+			eqF32(t, "il2/"+name, got, want)
+		}
+	})
+}

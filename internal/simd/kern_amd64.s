@@ -1648,3 +1648,74 @@ TEXT ·il2F32AVX2(SB), NOSPLIT, $0-80
 // func il2F32SSE2(dst, even, odd []float32) (n int)
 TEXT ·il2F32SSE2(SB), NOSPLIT, $0-80
 	JMP ·il2I32SSE2(SB)
+
+// ---------------------------------------------------------------------
+// dl2: even[i] = src[2i], odd[i] = src[2i+1] for i < len(odd) — the
+// split step of the forward lifting lines. SHUFPS picks lanes 0,2
+// (0x88) or 1,3 (0xDD) of two source vectors without touching the bits,
+// so the float variants jump to the int bodies like il2.
+// ---------------------------------------------------------------------
+
+// func dl2I32AVX2(even, odd, src []int32) (n int)
+TEXT ·dl2I32AVX2(SB), NOSPLIT, $0-80
+	MOVQ even_base+0(FP), DI
+	MOVQ odd_base+24(FP), R8
+	MOVQ src_base+48(FP), SI
+	MOVQ odd_len+32(FP), DX
+	MOVQ DX, AX
+	ANDQ $-8, AX
+	XORQ CX, CX
+loop:
+	CMPQ CX, AX
+	JGE  done
+	MOVQ CX, BX
+	SHLQ $1, BX
+	VMOVDQU (SI)(BX*4), Y0    // s0..s7
+	VMOVDQU 32(SI)(BX*4), Y1  // s8..s15
+	VSHUFPS $0x88, Y1, Y0, Y2 // s0,s2,s8,s10 | s4,s6,s12,s14
+	VSHUFPS $0xDD, Y1, Y0, Y3 // s1,s3,s9,s11 | s5,s7,s13,s15
+	VPERMQ  $0xD8, Y2, Y2     // s0,s2,s4,s6,s8,s10,s12,s14
+	VPERMQ  $0xD8, Y3, Y3     // s1,s3,s5,s7,s9,s11,s13,s15
+	VMOVDQU Y2, (DI)(CX*4)
+	VMOVDQU Y3, (R8)(CX*4)
+	ADDQ $8, CX
+	JMP  loop
+done:
+	VZEROUPPER
+	MOVQ AX, n+72(FP)
+	RET
+
+// func dl2I32SSE2(even, odd, src []int32) (n int)
+TEXT ·dl2I32SSE2(SB), NOSPLIT, $0-80
+	MOVQ even_base+0(FP), DI
+	MOVQ odd_base+24(FP), R8
+	MOVQ src_base+48(FP), SI
+	MOVQ odd_len+32(FP), DX
+	MOVQ DX, AX
+	ANDQ $-4, AX
+	XORQ CX, CX
+loop:
+	CMPQ CX, AX
+	JGE  done
+	MOVQ CX, BX
+	SHLQ $1, BX
+	MOVUPS (SI)(BX*4), X0     // s0..s3
+	MOVUPS 16(SI)(BX*4), X1   // s4..s7
+	MOVAPS X0, X2
+	SHUFPS $0x88, X1, X2      // s0,s2,s4,s6
+	SHUFPS $0xDD, X1, X0      // s1,s3,s5,s7
+	MOVUPS X2, (DI)(CX*4)
+	MOVUPS X0, (R8)(CX*4)
+	ADDQ $4, CX
+	JMP  loop
+done:
+	MOVQ AX, n+72(FP)
+	RET
+
+// func dl2F32AVX2(even, odd, src []float32) (n int)
+TEXT ·dl2F32AVX2(SB), NOSPLIT, $0-80
+	JMP ·dl2I32AVX2(SB)
+
+// func dl2F32SSE2(even, odd, src []float32) (n int)
+TEXT ·dl2F32SSE2(SB), NOSPLIT, $0-80
+	JMP ·dl2I32SSE2(SB)

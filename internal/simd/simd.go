@@ -70,6 +70,8 @@ type kernels struct {
 	fixScale    func(dst []int32, k int32) int
 	il2I32      func(dst, even, odd []int32) int
 	il2F32      func(dst, even, odd []float32) int
+	dl2I32      func(even, odd, src []int32) int
+	dl2F32      func(even, odd, src []float32) int
 
 	absOr  func(mag []uint32, coef []int32) (int, uint32)
 	orU32  func(dst, src []uint32) int
@@ -338,6 +340,30 @@ func Interleave2FRow(dst, even, odd []float32) {
 		i = f(dst, even, odd)
 	}
 	scalarInterleave2F32(dst[2*i:], even[i:], odd[i:])
+}
+
+// Deinterleave2Row splits an interleaved row into its halves:
+// even[i] = src[2i], odd[i] = src[2i+1] for i < len(odd) — the split
+// step of the forward lifting lines. len(even) must be at least
+// len(odd) and len(src) at least 2*len(odd); an odd-length row's final
+// lone even sample is the caller's to place.
+func Deinterleave2Row(even, odd, src []int32) {
+	i := 0
+	n := len(odd)
+	if f := active.Load().dl2I32; f != nil && len(even) >= n && len(src) >= 2*n {
+		i = f(even, odd, src)
+	}
+	scalarDeinterleave2I32(even[i:], odd[i:], src[2*i:])
+}
+
+// Deinterleave2FRow is Deinterleave2Row for float32 rows.
+func Deinterleave2FRow(even, odd, src []float32) {
+	i := 0
+	n := len(odd)
+	if f := active.Load().dl2F32; f != nil && len(even) >= n && len(src) >= 2*n {
+		i = f(even, odd, src)
+	}
+	scalarDeinterleave2F32(even[i:], odd[i:], src[2*i:])
 }
 
 // FixAddMulRow computes d[i] += fixmul(k, b[i]+c[i]) in Q13 — the

@@ -540,3 +540,30 @@ func TestInterleave2(t *testing.T) {
 		}
 	}
 }
+
+func TestDeinterleave2(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, ks := range vectorSets() {
+		for _, n := range testLengths {
+			// n is the pair count; src carries one extra sample so the
+			// odd-total-length layout of the lifting lines is covered.
+			src := randI32(rng, 2*n+1, 1<<30)
+			wantE, wantO := make([]int32, n+1), make([]int32, n)
+			scalarDeinterleave2I32(wantE, wantO, src)
+			gotE, gotO := offI32(make([]int32, n+1)), offI32(make([]int32, n))
+			m := ks.dl2I32(gotE, gotO, src)
+			scalarDeinterleave2I32(gotE[m:], gotO[m:], src[2*m:])
+			eqI32(t, fmt.Sprintf("%s/i32/even/n=%d", ks.name, n), gotE, wantE)
+			eqI32(t, fmt.Sprintf("%s/i32/odd/n=%d", ks.name, n), gotO, wantO)
+
+			srcF := randF32(rng, 2*n+1)
+			wantEF, wantOF := make([]float32, n+1), make([]float32, n)
+			scalarDeinterleave2F32(wantEF, wantOF, srcF)
+			gotEF, gotOF := offF32(make([]float32, n+1)), offF32(make([]float32, n))
+			mf := ks.dl2F32(gotEF, gotOF, srcF)
+			scalarDeinterleave2F32(gotEF[mf:], gotOF[mf:], srcF[2*mf:])
+			eqF32(t, fmt.Sprintf("%s/f32/even/n=%d", ks.name, n), gotEF, wantEF)
+			eqF32(t, fmt.Sprintf("%s/f32/odd/n=%d", ks.name, n), gotOF, wantOF)
+		}
+	}
+}

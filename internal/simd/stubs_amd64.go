@@ -117,6 +117,18 @@ func il2F32AVX2(dst, even, odd []float32) (n int)
 func il2F32SSE2(dst, even, odd []float32) (n int)
 
 //go:noescape
+func dl2I32AVX2(even, odd, src []int32) (n int)
+
+//go:noescape
+func dl2I32SSE2(even, odd, src []int32) (n int)
+
+//go:noescape
+func dl2F32AVX2(even, odd, src []float32) (n int)
+
+//go:noescape
+func dl2F32SSE2(even, odd, src []float32) (n int)
+
+//go:noescape
 func fixAddMulAVX2(d, b, c []int32, k int32) (n int)
 
 //go:noescape
