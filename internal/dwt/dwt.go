@@ -58,6 +58,49 @@ type Band struct {
 	W, H   int
 }
 
+// liftStep is one lifting step of a 1-D line, dst = a ⊕ f(b, c) with b
+// and c the two neighbours from the other band. row is its row kernel,
+// called as row(dst, a, b, c); one is the same expression on a single
+// sample, for the boundary-clamped head and tail, where a kernel call
+// would cost more than the sample.
+type liftStep[T int32 | float32 | float64] struct {
+	row func(dst, a, b, c []T)
+	one func(a, b, c T) T
+}
+
+// lowStep and highStep are the clamp-aware lifting sweeps every 1-D
+// line shares, forward and inverse, 5/3 and 9/7. A line of n samples
+// splits into nl = len(low) = ceil(n/2) lows and nh = len(high) =
+// floor(n/2) highs. The interior runs as one kernel sweep; only the
+// clamped head and tail samples are scalar. dst may equal a (in place)
+// but must not overlap the neighbour band.
+
+// lowStep computes low[k] = s(a[k], high[k-1], high[k]) for k in
+// [0, nl), the high index clamped to [0, nh-1]: the k = 0 head always
+// clamps, and for odd lengths the k = nl-1 tail does too.
+func lowStep[T int32 | float32 | float64](low, a, high []T, s liftStep[T]) {
+	nl, nh := len(low), len(high)
+	m := min(nl, nh)
+	low[0] = s.one(a[0], high[0], high[0])
+	s.row(low[1:m], a[1:m], high[:m-1], high[1:m])
+	if nh < nl {
+		low[nl-1] = s.one(a[nl-1], high[nh-1], high[nh-1])
+	}
+}
+
+// highStep computes high[k] = s(a[k], low[k], low[k+1]) for k in
+// [0, nh), the k+1 clamped to nl-1 (reached only by the last sample of
+// even lengths).
+func highStep[T int32 | float32 | float64](high, a, low []T, s liftStep[T]) {
+	nl, nh := len(low), len(high)
+	if nl > nh {
+		s.row(high, a, low[:nh], low[1:])
+		return
+	}
+	s.row(high[:nh-1], a[:nh-1], low[:nh-1], low[1:])
+	high[nh-1] = s.one(a[nh-1], low[nh-1], low[nh-1])
+}
+
 // levelDim halves a dimension l times, rounding up (tile origin 0).
 func levelDim(n, l int) int {
 	for ; l > 0; l-- {

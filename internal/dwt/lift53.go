@@ -173,41 +173,27 @@ func inverseVertical53(data []int32, w, h, stride int, aux []int32) {
 	}
 }
 
-// Fwd53Line performs 1-D 5/3 analysis on x (any length), writing the
-// deinterleaved result (lows then highs) back through scratch tmp,
-// which must be at least len(x) long. This is the horizontal filter
-// applied to one image row.
+// Fwd53Line performs 1-D 5/3 analysis on x (any length), deinterleaving
+// through scratch tmp (at least len(x) long) and lifting back into x:
+// lows then highs. This is the horizontal filter applied to one image
+// row; both lifting steps are row-kernel sweeps.
 func Fwd53Line(x []int32, tmp []int32) {
 	n := len(x)
 	if n <= 1 {
 		return
 	}
 	nl, nh := (n+1)/2, n/2
-	low, high := tmp[:nl], tmp[nl:n]
-	for k := 0; k < nh; k++ {
-		e2 := 2*k + 2
-		if e2 > n-1 {
-			e2 = n - 2 // mirror
-		}
-		high[k] = x[2*k+1] - ((x[2*k] + x[e2]) >> 1)
+	even, odd := tmp[:nl], tmp[nl:n]
+	simd.Deinterleave2Row(even, odd, x)
+	if nl > nh {
+		even[nl-1] = x[n-1]
 	}
-	for k := 0; k < nl; k++ {
-		d0, d1 := k-1, k
-		if d0 < 0 {
-			d0 = 0
-		}
-		if d1 > nh-1 {
-			d1 = nh - 1
-		}
-		low[k] = x[2*k] + ((high[d0] + high[d1] + 2) >> 2)
-	}
-	copy(x, tmp[:n])
+	highStep(x[nl:n], odd, even, fwdHigh53)
+	lowStep(x[:nl], even, x[nl:n], fwdLow53)
 }
 
-// Inv53Line reverses Fwd53Line. The two un-lifting recurrences run as
-// row-kernel sweeps along the line — the boundary-clamped first and
-// last samples are the only scalar steps — and the final interleave is
-// a vector shuffle. Bit-identical to the plain loop form: the kernels
+// Inv53Line reverses Fwd53Line through the same lifting sweeps and a
+// vector interleave. Bit-identical to the plain loop form: the kernels
 // perform the same wrapping adds and arithmetic shifts elementwise.
 func Inv53Line(x []int32, tmp []int32) {
 	n := len(x)
@@ -215,33 +201,22 @@ func Inv53Line(x []int32, tmp []int32) {
 		return
 	}
 	nl, nh := (n+1)/2, n/2
-	low, high := x[:nl], x[nl:n]
 	even, odd := tmp[:nl], tmp[nl:n]
-
-	// even[k] = low[k] - ((high[k-1] + high[k] + 2) >> 2), indices
-	// clamped to [0, nh-1].
-	even[0] = low[0] - ((high[0] + high[0] + 2) >> 2)
-	m := nl
-	if nh < nl { // odd length: last low row clamps d1 to nh-1
-		m = nh
-	}
-	simd.SubShr2Row(even[1:m], low[1:m], high[:m-1], high[1:m])
-	if nh < nl {
-		even[nl-1] = low[nl-1] - ((high[nh-1] + high[nh-1] + 2) >> 2)
-	}
-	// odd[k] = high[k] + ((even[k] + even[k+1]) >> 1), the k+1 clamped
-	// to nl-1 (which only happens for the last sample of even lengths).
-	if nl > nh { // odd length: even has one extra entry, no clamp
-		simd.AddShr1Row(odd, high, even[:nh], even[1:nh+1])
-	} else {
-		simd.AddShr1Row(odd[:nh-1], high[:nh-1], even[:nh-1], even[1:nh])
-		odd[nh-1] = high[nh-1] + ((even[nh-1] + even[nh-1]) >> 1)
-	}
+	lowStep(even, x[:nl], x[nl:n], invLow53)
+	highStep(odd, x[nl:n], even, invHigh53)
 	simd.Interleave2Row(x, even, odd)
 	if nl > nh {
 		x[n-1] = even[nl-1]
 	}
 }
+
+// The 5/3 line lifting steps: forward high and low, and their inverses.
+var (
+	fwdHigh53 = liftStep[int32]{simd.SubShr1Row, func(a, b, c int32) int32 { return a - ((b + c) >> 1) }}
+	fwdLow53  = liftStep[int32]{simd.AddShr2Row, func(a, b, c int32) int32 { return a + ((b + c + 2) >> 2) }}
+	invLow53  = liftStep[int32]{simd.SubShr2Row, func(a, b, c int32) int32 { return a - ((b + c + 2) >> 2) }}
+	invHigh53 = liftStep[int32]{simd.AddShr1Row, func(a, b, c int32) int32 { return a + ((b + c) >> 1) }}
+)
 
 // horizontal53 runs the 1-D 5/3 filter (or its inverse) over every row
 // of the region.
