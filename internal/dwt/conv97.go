@@ -78,14 +78,14 @@ func Fwd97ConvLine(x []float32, tmp []float32) {
 	for k := 0; k < nl; k++ {
 		var s float32
 		for m := -4; m <= 4; m++ {
-			s += convLow[m+4] * x[mirror(2*k+m, n)]
+			s += float32(convLow[m+4] * x[mirror(2*k+m, n)])
 		}
 		low[k] = s
 	}
 	for k := 0; k < nh; k++ {
 		var s float32
 		for m := -3; m <= 3; m++ {
-			s += convHigh[m+3] * x[mirror(2*k+1+m, n)]
+			s += float32(convHigh[m+3] * x[mirror(2*k+1+m, n)])
 		}
 		high[k] = s
 	}
