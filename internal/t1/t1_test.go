@@ -104,6 +104,14 @@ func TestPropRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRoundTripFlushSetbits pins a block that TestPropRoundTrip once
+// drew at random: with the SETBITS step of the MQ flush computing
+// C + A - 1 instead of T.800 C.2.9's C + A, one of its per-pass
+// codeword segments terminated on bits that decode differently.
+func TestRoundTripFlushSetbits(t *testing.T) {
+	roundTripBlock(t, sparseBlock(5, 17, 0xff617232), 5, 17, dwt.HH, ModeTermAll)
+}
+
 func TestAllZeroBlock(t *testing.T) {
 	coef := make([]int32, 16*16)
 	blk := Encode(coef, 16, 16, 16, dwt.LL, ModeSingle, 1.0)
