@@ -14,13 +14,13 @@ import (
 // it logs the new digests to paste in here.
 var goldenStreams = map[string]string{
 	"lossless-128":     "39bf683f8509187f6b24a14e81997912047990d47e2eb0bd6a68ab9d3593b42e",
-	"lossy-0.1-128":    "2fb1f2e55161201fccef7da4c7de9630db012cf42a1ce09a6b5ffa29177f9b69",
-	"layers-128":       "40784986a01d266b6e66225ac4b872fc433556589a8d9640773e73251d7d0845",
+	"lossy-0.1-128":    "b6f47a0180656c43b95bad3bb80ea4f525aeb41b29f9610c8b4681bf5c6ff671",
+	"layers-128":       "1e49c0ed82b919b3715f377476bb91a4d65c5b26bd3bad567d5ee680a305b9e6",
 	"tiled-64-128":     "dc994f16538ca8b1067d8646bf7e0abaf2b58a3700a0908c50341eb03c14a4c9",
-	"rlcp-128":         "066ff6014518541cdf0debeec9c8d83c445317f3999ba1b64ee6bc4e87175346",
-	"grayscale-16b":    "0d290ea86d3cbfb8402f1d2ddd8c1c5c492146c0c2d7b96c3838e77b2cb8bda4",
-	"lossy-l1-128":     "6e88d48ff1a009e63118aa33a25be88bdb5f1cc6baf3ed4def95c3fa1c8e5379",
-	"lossy-l6-128":     "b798bb987b9a35bf9002ff706b0d85b1ebf106e1f1076702df67676dec04c235",
+	"rlcp-128":         "c648ac9d29682c72708ac2eac5f5119c869809e83a71fd68b127ca01d408c281",
+	"grayscale-16b":    "59d99318ef348cac1b5ac87a0cfb363c0dabc4e374e888e0c542b9c9f0479717",
+	"lossy-l1-128":     "eea723e1797ba162bcdf9bf57a0bd8a8782a2b94300182b86e52e1d28cf9af95",
+	"lossy-l6-128":     "90a08123b94dd1d5dbcbfbe52ad5bd0bfe491e2ba86cc888cc8d9ef5d2ea1a6f",
 	"ht-lossless-128":  "60bd13d2c9d639b8af18cfeb68647179ff92690a13a38da6fc969c73ef0eef9d",
 	"ht-lossy-0.1-128": "be108ec4c4bfa6faffa2b1c2c2ee9cccc137eaae817a5c9d3ed92b347451d5e7",
 	"ht-layers-128":    "2d8bcb025ff1402130a5592b3bafee5910735f34e4a3100f3d440d036a2a2767",

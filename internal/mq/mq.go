@@ -292,7 +292,7 @@ func (e *Encoder) emit(v byte, mask uint32, ct int) {
 // segment bytes (valid until the next Reset).
 func (e *Encoder) Flush() []byte {
 	// SETBITS
-	tempC := e.c + e.a - 1
+	tempC := e.c + e.a
 	e.c |= 0xFFFF
 	if e.c >= tempC {
 		e.c -= 0x8000
