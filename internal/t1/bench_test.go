@@ -80,21 +80,34 @@ func Benchmark_HTEncodeBlock(b *testing.B) { benchEncodeGrid(b, ModeHT) }
 // blocks), so each row divides against its cleanup-only twin.
 func Benchmark_HTEncodeBlockRefine(b *testing.B) { benchEncodeGrid(b, ModeHTRefine) }
 
-// Benchmark_HTDecodeBlock prices the HT decoder on the same dense block
-// Benchmark_T1DecodeBlock decodes.
+// Benchmark_HTDecodeBlock prices the HT decoder over content statistics
+// × coding mode × block size, decoding every pass of blocks built from
+// the benchContent generators.
 func Benchmark_HTDecodeBlock(b *testing.B) {
-	coef := benchContent("dense", 64, 64, 11)
-	blk := Encode(coef, 64, 64, 64, dwt.HL, ModeHT, 1.0)
-	segLens := make([]int, len(blk.Passes))
-	for i, p := range blk.Passes {
-		segLens[i] = p.SegLen
-	}
-	out := make([]int32, 64*64)
-	b.SetBytes(int64(4 * 64 * 64))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := Decode(out, 64, 64, 64, dwt.HL, ModeHT, blk.NumBPS, len(blk.Passes), blk.Data, segLens); err != nil {
-			b.Fatal(err)
+	for _, kind := range []string{"dense", "sparse"} {
+		for _, mode := range []Mode{ModeHT, ModeHTRefine} {
+			for _, n := range []int{32, 64} {
+				coef := benchContent(kind, n, n, 11)
+				blk := Encode(coef, n, n, n, dwt.HL, mode, 1.0)
+				segLens := make([]int, len(blk.Passes))
+				for i, p := range blk.Passes {
+					segLens[i] = p.SegLen
+				}
+				out := make([]int32, n*n)
+				name := "ht"
+				if mode == ModeHTRefine {
+					name = "refine"
+				}
+				b.Run(fmt.Sprintf("%s/%s/%dx%d", kind, name, n, n), func(b *testing.B) {
+					b.SetBytes(int64(4 * n * n))
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := Decode(out, n, n, n, dwt.HL, mode, blk.NumBPS, len(blk.Passes), blk.Data, segLens); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }
