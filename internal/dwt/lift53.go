@@ -19,16 +19,6 @@ func Lift53Low(s, d0, d1 []int32) {
 	simd.AddShr2Row(s, s, d0, d1)
 }
 
-// Unlift53Low reverses Lift53Low.
-func Unlift53Low(s, d0, d1 []int32) {
-	simd.SubShr2Row(s, s, d0, d1)
-}
-
-// Unlift53High reverses Lift53High.
-func Unlift53High(d, e0, e1 []int32) {
-	simd.AddShr1Row(d, d, e0, e1)
-}
-
 // Fused53Step computes one step of the merged split+interleaved-lifting
 // sweep (the body of the paper's Algorithm 2 with the splitting step
 // folded in): given interleaved rows e0 = x[2k], o = x[2k+1], e1 =
@@ -133,43 +123,33 @@ func Fused53Tail(s, e0, d []int32) {
 	simd.AddShr2Row(s, e0, d, d)
 }
 
-// inverseVertical53 exactly reverses the vertical analysis: un-lift the
-// low rows, un-lift the high rows, then re-interleave via aux.
+// inverseVertical53 exactly reverses the vertical analysis in one
+// top-down sweep, the 5/3 form of inverseVertical97: the lows are
+// copied to aux, then step i undoes the low step at L[i] and the high
+// step at H[i−1], writing straight into output row 2(i−1)+1, and copies
+// the finished L[i−1] to row 2(i−1). Every write lands on a row whose
+// input has been consumed.
 func inverseVertical53(data []int32, w, h, stride int, aux []int32) {
 	if h <= 1 {
 		return
 	}
 	nl, nh := (h+1)/2, h/2
 	row := func(i int) []int32 { return data[i*stride : i*stride+w] }
-	auxRow := func(k int) []int32 { return aux[k*w : (k+1)*w] }
-
+	low := func(k int) []int32 { k = min(k, nl-1); return aux[k*w : (k+1)*w] }
+	high := func(k int) []int32 { return row(nl + min(max(k, 0), nh-1)) }
 	for k := 0; k < nl; k++ {
-		d0, d1 := k-1, k
-		if d0 < 0 {
-			d0 = 0
+		copy(low(k), row(k))
+	}
+	for i := 0; i <= nl; i++ {
+		if i < nl {
+			simd.SubShr2Row(low(i), low(i), high(i-1), high(i))
 		}
-		if d1 > nh-1 {
-			d1 = nh - 1
+		if j := i - 1; j >= 0 {
+			if j < nh {
+				simd.AddShr1Row(row(2*j+1), high(j), low(j), low(j+1))
+			}
+			copy(row(2*j), low(j))
 		}
-		Unlift53Low(row(k), row(nl+d0), row(nl+d1))
-	}
-	for k := 0; k < nh; k++ {
-		e1 := k + 1
-		if e1 > nl-1 {
-			e1 = nl - 1
-		}
-		Unlift53High(row(nl+k), row(k), row(e1))
-	}
-	// Interleave back: evens spread out from the top (descending so no
-	// overwrite), odds restored from aux.
-	for k := 0; k < nh; k++ {
-		copy(auxRow(k), row(nl+k))
-	}
-	for k := nl - 1; k >= 1; k-- {
-		copy(row(2*k), row(k))
-	}
-	for k := 0; k < nh; k++ {
-		copy(row(2*k+1), auxRow(k))
 	}
 }
 

@@ -199,57 +199,48 @@ func Fused97ScaleHigh(out, d []float32) {
 	simd.MulConstRow(out, d, float32(K97))
 }
 
-// inverseVertical97 reverses the vertical 9/7 analysis.
+// inverseVertical97 reverses the vertical 9/7 analysis in one
+// top-down sweep. The lows move to aux with their K scaling first,
+// which frees the top half of the plane. Step i then scales H[i] by
+// 1/K and undoes δ at L[i], γ at H[i−1], β at L[i−1] and α at H[i−2];
+// the α kernel writes straight into output row 2(i−2)+1, and the
+// finished L[i−2] is copied to row 2(i−2). Output row 2j+1 is at most
+// nl+j, the row H[j] was read from, so every write lands on a row whose
+// input has been consumed. Each element goes through the same kernel
+// expressions in the same order as the per-step passes, so the result
+// is bit-identical to them.
 func inverseVertical97(data []float32, w, h, stride int, aux []float32) {
 	if h <= 1 {
 		return
 	}
 	nl, nh := (h+1)/2, h/2
 	row := func(i int) []float32 { return data[i*stride : i*stride+w] }
-	auxRow := func(k int) []float32 { return aux[k*w : (k+1)*w] }
-
-	clampE := func(k int) []float32 {
-		if k > nl-1 {
-			k = nl - 1
-		}
-		return row(k)
-	}
-	clampD := func(k int) []float32 {
-		if k < 0 {
-			k = 0
-		}
-		if k > nh-1 {
-			k = nh - 1
-		}
-		return row(nl + k)
-	}
+	low := func(k int) []float32 { k = min(k, nl-1); return aux[k*w : (k+1)*w] }
+	high := func(k int) []float32 { return row(nl + min(max(k, 0), nh-1)) }
 	for k := 0; k < nl; k++ {
-		Scale97(row(k), float32(K97))
+		simd.MulConstRow(low(k), row(k), float32(K97))
 	}
-	for k := 0; k < nh; k++ {
-		Scale97(row(nl+k), float32(InvK97))
-	}
-	for k := 0; k < nl; k++ {
-		Lift97(row(k), clampD(k-1), clampD(k), -float32(Delta97))
-	}
-	for k := 0; k < nh; k++ {
-		Lift97(row(nl+k), row(k), clampE(k+1), -float32(Gamma97))
-	}
-	for k := 0; k < nl; k++ {
-		Lift97(row(k), clampD(k-1), clampD(k), -float32(Beta97))
-	}
-	for k := 0; k < nh; k++ {
-		Lift97(row(nl+k), row(k), clampE(k+1), -float32(Alpha97))
-	}
-	// Interleave back.
-	for k := 0; k < nh; k++ {
-		copy(auxRow(k), row(nl+k))
-	}
-	for k := nl - 1; k >= 1; k-- {
-		copy(row(2*k), row(k))
-	}
-	for k := 0; k < nh; k++ {
-		copy(row(2*k+1), auxRow(k))
+	for i := 0; i <= nl+1; i++ {
+		if i < nh {
+			simd.MulConstRow(high(i), high(i), float32(InvK97))
+		}
+		if i < nl {
+			simd.AddMulRow(low(i), low(i), high(i-1), high(i), -float32(Delta97))
+		}
+		if j := i - 1; j >= 0 && j < nh {
+			simd.AddMulRow(high(j), high(j), low(j), low(j+1), -float32(Gamma97))
+		}
+		if j := i - 1; j >= 0 && j < nl {
+			simd.AddMulRow(low(j), low(j), high(j-1), high(j), -float32(Beta97))
+		}
+		if j := i - 2; j >= 0 {
+			if j < nh {
+				simd.AddMulRow(row(2*j+1), high(j), low(j), low(j+1), -float32(Alpha97))
+			}
+			if j < nl {
+				copy(row(2*j), low(j))
+			}
+		}
 	}
 }
 
