@@ -14,6 +14,7 @@ var (
 	coderPool     sync.Pool // *coder
 	encoderPool   sync.Pool // *encoder
 	htEncoderPool sync.Pool // *htEncoder
+	htDecoderPool sync.Pool // *htDecoder
 	int8Pool      sync.Pool // *[]int8 (decoder lastPlane scratch)
 )
 
@@ -49,6 +50,18 @@ func getHTEncoder() *htEncoder {
 }
 
 func putHTEncoder(e *htEncoder) { htEncoderPool.Put(e) }
+
+// getHTDecoder returns a pooled HT decoder, retaining its magnitude and
+// bit-set capacity across blocks.
+func getHTDecoder() *htDecoder {
+	d, _ := htDecoderPool.Get().(*htDecoder)
+	if d == nil {
+		d = &htDecoder{}
+	}
+	return d
+}
+
+func putHTDecoder(d *htDecoder) { htDecoderPool.Put(d) }
 
 // getInt8 returns a zeroed length-n int8 scratch slice.
 func getInt8(n int) *[]int8 {
