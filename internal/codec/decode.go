@@ -10,9 +10,7 @@ import (
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/jp2"
-	"j2kcell/internal/mct"
 	"j2kcell/internal/obs"
-	"j2kcell/internal/quant"
 	"j2kcell/internal/t1"
 	"j2kcell/internal/t2"
 )
@@ -496,12 +494,7 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 		}
 	}
 
-	if discard == 0 {
-		return reconstruct(p, h, bands, planes, tw, th)
-	}
-	img, err := reconstructReduced(h, bands, planes, tw, th, discard)
-	putPlanes(planes)
-	return img, err
+	return reconstruct(p, h, bands, planes, tw, th, discard)
 }
 
 // decodeBlocksBestEffort drains the Tier-1 partitions with per-block
@@ -609,16 +602,20 @@ func putPlanes(planes []*imgmodel.Plane) {
 	}
 }
 
-// reconstruct runs the full-size inverse transforms for one tile
-// through the stage pipeline: dequantization, the multi-level inverse
-// DWT and the fused inverse MCT + clamp drain the same work queue
-// Tier-1 did, and the pooled planes are recycled as each stage finishes
-// with them. Bit-identical to running dwt.Inverse53/97 and the serial
-// MCT helpers per plane.
-func reconstruct(p *Pipeline, h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane, tw, th int) (*imgmodel.Image, error) {
-	img := imgmodel.NewImage(tw, th, h.NComp, h.Depth)
+// reconstruct runs the inverse transforms for one tile through the
+// stage pipeline: dequantization, the multi-level inverse DWT down to
+// level discard, and the fused inverse MCT + clamp drain the same work
+// queue Tier-1 did, and the pooled planes are recycled as each stage
+// finishes with them. With discard > 0 the finest discard levels stay
+// transformed, and the top-left LevelDims(tw, th, discard) corner —
+// the image at reduced resolution — becomes the output. Bit-identical
+// to running dwt.InverseLevels53/97 and the serial MCT helpers per
+// plane.
+func reconstruct(p *Pipeline, h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane, tw, th, discard int) (*imgmodel.Image, error) {
+	rw, rh := dwt.LevelDims(tw, th, discard)
+	img := imgmodel.NewImage(rw, rh, h.NComp, h.Depth)
 	if h.Lossless {
-		p.IDWT53(planes, h.Levels, 0)
+		p.IDWT53(planes, h.Levels, discard)
 		p.InverseMCTInt(img, planes, h)
 		putPlanes(planes)
 		if err := p.Err(); err != nil {
@@ -628,7 +625,7 @@ func reconstruct(p *Pipeline, h *codestream.Header, bands []dwt.Band, planes []*
 	}
 	fplanes := p.Dequantize(h, bands, planes)
 	putPlanes(planes)
-	p.IDWT97(fplanes, h.Levels, 0)
+	p.IDWT97(fplanes, h.Levels, discard)
 	p.InverseMCTFloat(img, fplanes, h)
 	for _, fp := range fplanes {
 		imgmodel.PutFPlane(fp)
@@ -637,124 +634,4 @@ func reconstruct(p *Pipeline, h *codestream.Header, bands []dwt.Band, planes []*
 		return nil, err
 	}
 	return img, nil
-}
-
-// reconstructReduced inverse-transforms only the kept resolutions: the
-// LL plane of the discarded levels becomes the output image.
-func reconstructReduced(h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane, tw, th, discard int) (*imgmodel.Image, error) {
-	rw, rh := tw, th
-	for i := 0; i < discard; i++ {
-		rw, rh = (rw+1)/2, (rh+1)/2
-	}
-	img := imgmodel.NewImage(rw, rh, h.NComp, h.Depth)
-	if h.Lossless {
-		for c, p := range planes {
-			// Invert levels discard..Levels-1 only, then crop the LL.
-			invertUpper53(p, tw, th, h.Levels, discard)
-			for y := 0; y < rh; y++ {
-				copy(img.Comps[c].Row(y), p.Row(y)[:rw])
-			}
-		}
-		inverseMCTInt(img, h)
-		return img, nil
-	}
-	fplanes := dequantize(h, bands, planes, tw, th, discard)
-	red := make([]*imgmodel.FPlane, len(fplanes))
-	for c, fp := range fplanes {
-		invertUpper97(fp, tw, th, h.Levels, discard)
-		r := imgmodel.NewFPlane(rw, rh)
-		for y := 0; y < rh; y++ {
-			copy(r.Row(y), fp.Row(y)[:rw])
-		}
-		red[c] = r
-	}
-	inverseMCTFloat(img, red, h)
-	return img, nil
-}
-
-// invertUpper53 undoes the coarsest levels only (levels-1 .. discard),
-// leaving the top-left region holding the reduced-resolution image.
-func invertUpper53(p *imgmodel.Plane, w, h, levels, discard int) {
-	dwt.InverseLevels53(p.Data, w, h, p.Stride, levels, discard)
-}
-
-// invertUpper97 is the float analogue.
-func invertUpper97(p *imgmodel.FPlane, w, h, levels, discard int) {
-	dwt.InverseLevels97(p.Data, w, h, p.Stride, levels, discard)
-}
-
-// dequantize converts quantizer indices back to coefficients for all
-// bands at resolutions surviving `discard` (others stay zero and are
-// never read).
-func dequantize(h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane, w, hh int, _ ...int) []*imgmodel.FPlane {
-	fplanes := make([]*imgmodel.FPlane, len(planes))
-	for c, p := range planes {
-		fp := imgmodel.NewFPlane(w, hh)
-		for _, b := range bands {
-			if b.W == 0 || b.H == 0 {
-				continue
-			}
-			delta := float32(quant.StepFor(h.BaseDelta, h.Levels, b.Orient, b.Level))
-			for y := b.Y0; y < b.Y0+b.H; y++ {
-				quant.DequantizeRow(fp.Data[y*fp.Stride+b.X0:][:b.W], p.Data[y*p.Stride+b.X0:][:b.W], delta)
-			}
-		}
-		fplanes[c] = fp
-	}
-	return fplanes
-}
-
-// inverseMCTInt finishes the reversible path: inverse RCT or unshift.
-func inverseMCTInt(img *imgmodel.Image, h *codestream.Header) {
-	for y := 0; y < img.H; y++ {
-		if h.UseMCT && h.NComp == 3 {
-			mct.InverseRCTRow(img.Comps[0].Row(y), img.Comps[1].Row(y), img.Comps[2].Row(y), h.Depth)
-		} else {
-			for c := range img.Comps {
-				mct.UnshiftRow(img.Comps[c].Row(y), h.Depth)
-			}
-		}
-	}
-	clampImage(img, h.Depth)
-}
-
-// inverseMCTFloat finishes the irreversible path: inverse ICT (or
-// unshift), rounding and clamping.
-func inverseMCTFloat(img *imgmodel.Image, fplanes []*imgmodel.FPlane, h *codestream.Header) {
-	off := float32(int32(1) << (h.Depth - 1))
-	for y := 0; y < img.H; y++ {
-		if h.UseMCT && h.NComp == 3 {
-			mct.InverseICTRow(fplanes[0].Row(y), fplanes[1].Row(y), fplanes[2].Row(y),
-				img.Comps[0].Row(y), img.Comps[1].Row(y), img.Comps[2].Row(y), h.Depth)
-		} else {
-			for c := range img.Comps {
-				src, dst := fplanes[c].Row(y), img.Comps[c].Row(y)
-				for i := range src {
-					v := src[i] + off
-					if v >= 0 {
-						dst[i] = int32(v + 0.5)
-					} else {
-						dst[i] = -int32(-v + 0.5)
-					}
-				}
-			}
-		}
-	}
-	clampImage(img, h.Depth)
-}
-
-func clampImage(img *imgmodel.Image, depth int) {
-	maxv := int32(1)<<depth - 1
-	for _, p := range img.Comps {
-		for y := 0; y < p.H; y++ {
-			row := p.Row(y)
-			for i, v := range row {
-				if v < 0 {
-					row[i] = 0
-				} else if v > maxv {
-					row[i] = maxv
-				}
-			}
-		}
-	}
 }

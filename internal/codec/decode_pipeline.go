@@ -146,17 +146,18 @@ func (p *Pipeline) IDWT97(fplanes []*imgmodel.FPlane, levels, stop int) {
 }
 
 // InverseMCTInt finishes the reversible path stripe-parallel: copy the
-// synthesized planes into the image, apply the inverse RCT (or the
-// plain unshift), and clamp — one fused pass per row stripe, the
-// inverse of MCTInt.
+// synthesized planes' top-left img.W × img.H corner into the image,
+// apply the inverse RCT (or the plain unshift), and clamp — one fused
+// pass per row stripe, the inverse of MCTInt.
 func (p *Pipeline) InverseMCTInt(img *imgmodel.Image, planes []*imgmodel.Plane, h *codestream.Header) {
 	w, hh := img.W, img.H
 	useMCT := h.UseMCT && h.NComp == 3
 	p.run(obs.StageIMCT, 0, stripes(hh), func(s int) {
 		y0, y1 := stripeBounds(s, hh)
 		for c, pl := range planes {
-			dst := img.Comps[c]
-			copy(dst.Data[y0*dst.Stride:y1*dst.Stride], pl.Data[y0*pl.Stride:y1*pl.Stride])
+			for y := y0; y < y1; y++ {
+				copy(img.Comps[c].Row(y), pl.Data[y*pl.Stride:][:w])
+			}
 		}
 		if useMCT {
 			mct.InverseRCTRows(img.Comps[0].Data, img.Comps[1].Data, img.Comps[2].Data,
@@ -173,8 +174,9 @@ func (p *Pipeline) InverseMCTInt(img *imgmodel.Image, planes []*imgmodel.Plane, 
 }
 
 // InverseMCTFloat finishes the irreversible path stripe-parallel:
-// inverse ICT (or round-unshift) straight from the synthesized float
-// planes into the image, then clamp — the inverse of MCTFloat.
+// inverse ICT (or round-unshift) straight from the top-left img.W ×
+// img.H corner of the synthesized float planes into the image, then
+// clamp — the inverse of MCTFloat.
 func (p *Pipeline) InverseMCTFloat(img *imgmodel.Image, fplanes []*imgmodel.FPlane, h *codestream.Header) {
 	w, hh := img.W, img.H
 	useMCT := h.UseMCT && h.NComp == 3
