@@ -66,7 +66,7 @@ func MutaModel(res *codec.Result, opt codec.Options, nSPE int, clockHz float64) 
 	misalign := 1.25
 	dwtWork := float64(DWTSamplePasses(st.W, st.H, st.NComp, opt.Levels))
 	dwtCompute := cell.SPECosts.DWTConv * dwtWork * overlap
-	dwtBytes := dwtWork * 4 * 2 * overlap * misalign // read+write per pass
+	dwtBytes := float64(dwtWork*4) * 2 * overlap * misalign // read+write per pass
 	dwtBandwidthCycles := dwtBytes / cell.BytesPerCyc
 	// Single effective SPE for the DWT; bandwidth is not the limiter at
 	// one SPE, so compute dominates.
@@ -75,8 +75,8 @@ func MutaModel(res *codec.Result, opt codec.Options, nSPE int, clockHz float64) 
 		dwt = dwtBandwidthCycles
 	}
 
-	t1Cycles := mutaT1Factor * (cell.SPECosts.T1Scan*float64(st.T1Scanned) + cell.SPECosts.T1Visit*float64(st.T1Coded))
-	t1Cycles += mutaBlockOverheadCycles * float64(st.Blocks)
+	t1Cycles := mutaT1Factor * (float64(cell.SPECosts.T1Scan*float64(st.T1Scanned)) + float64(cell.SPECosts.T1Visit*float64(st.T1Coded)))
+	t1Cycles += float64(mutaBlockOverheadCycles * float64(st.Blocks))
 	if nSPE < 1 {
 		nSPE = 1
 	}
@@ -87,9 +87,9 @@ func MutaModel(res *codec.Result, opt codec.Options, nSPE int, clockHz float64) 
 		ebcot = t2
 	}
 
-	other := cell.PPECosts.ShiftMCT*float64(st.Samples) +
-		cell.PPECosts.ReadConv*float64(st.Samples) +
-		cell.PPECosts.IOByte*float64(st.Samples+st.BodyBytes+st.HeaderBytes)
+	other := float64(cell.PPECosts.ShiftMCT*float64(st.Samples)) +
+		float64(cell.PPECosts.ReadConv*float64(st.Samples)) +
+		float64(cell.PPECosts.IOByte*float64(st.Samples+st.BodyBytes+st.HeaderBytes))
 
 	return MutaResult{
 		DWT:    sec(dwt),

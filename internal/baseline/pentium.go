@@ -85,7 +85,7 @@ func PricePipeline(res *codec.Result, opt codec.Options, costs cell.KernelCosts,
 
 	var out StageSeconds
 	sec := func(cycles float64) float64 { return cycles / clockHz }
-	out.Read = sec(costs.IOByte*float64(samples) + costs.ReadConv*float64(samples))
+	out.Read = sec(float64(costs.IOByte*float64(samples)) + float64(costs.ReadConv*float64(samples)))
 	out.Shift = sec(costs.ShiftMCT * float64(samples))
 	if opt.Lossless {
 		out.DWT = sec(costs.DWT53 * float64(dwtWork))
@@ -96,8 +96,8 @@ func PricePipeline(res *codec.Result, opt codec.Options, costs cell.KernelCosts,
 			out.RateCtl = sec(costs.RCPass * float64(st.TotalPasses))
 		}
 	}
-	out.Tier1 = sec(costs.T1Scan*float64(st.T1Scanned) + costs.T1Visit*float64(st.T1Coded))
-	out.Tier2IO = sec(costs.T2Byte*float64(st.BodyBytes) + costs.IOByte*float64(st.HeaderBytes+st.BodyBytes))
+	out.Tier1 = sec(float64(costs.T1Scan*float64(st.T1Scanned)) + float64(costs.T1Visit*float64(st.T1Coded)))
+	out.Tier2IO = sec(float64(costs.T2Byte*float64(st.BodyBytes)) + float64(costs.IOByte*float64(st.HeaderBytes+st.BodyBytes)))
 	return out
 }
 

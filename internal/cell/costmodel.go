@@ -111,5 +111,5 @@ func Cycles(perElem float64, elems int) sim.Time {
 // T1Cycles prices a Tier-1 block encode from its scan and decision
 // counters under a processing element's costs.
 func T1Cycles(c KernelCosts, scanned, coded int) sim.Time {
-	return sim.Time(c.T1Scan*float64(scanned) + c.T1Visit*float64(coded))
+	return sim.Time(float64(c.T1Scan*float64(scanned)) + float64(c.T1Visit*float64(coded)))
 }

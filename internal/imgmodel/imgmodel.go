@@ -151,7 +151,7 @@ func (img *Image) PSNR(rec *Image) float64 {
 			ra, rb := a.Row(r), b.Row(r)
 			for c := range ra {
 				d := float64(ra[c] - rb[c])
-				se += d * d
+				se += float64(d * d)
 				n++
 			}
 		}

@@ -246,5 +246,5 @@ func PassesConsidered(blocks []BlockRD) int {
 
 // Lagrangian returns D + λR for diagnostics and tests.
 func Lagrangian(blocks []BlockRD, dist0 []float64, sel []int, lambda float64) float64 {
-	return TotalDistortion(blocks, dist0, sel) + lambda*float64(TotalBytes(blocks, sel))
+	return TotalDistortion(blocks, dist0, sel) + float64(lambda*float64(TotalBytes(blocks, sel)))
 }

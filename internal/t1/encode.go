@@ -87,7 +87,7 @@ func Encode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain f
 		simd.OrRow(e.stripeOR[(y/4)*w:(y/4)*w+w], magRow)
 		simd.SignOrRow(c.flags[c.fidx(0, y):c.fidx(0, y)+w], coefRow, fwNeg)
 		for _, m := range magRow {
-			dist0 += float64(m) * float64(m) * gain2
+			dist0 += float64(float64(m) * float64(m) * gain2)
 		}
 	}
 	numBPS := bits.Len32(orAll)
@@ -169,7 +169,7 @@ func (e *encoder) sigDistDelta(m uint32, p int) float64 {
 		after = float64(int32(m&mask) - int32(1)<<uint(p-1))
 	}
 	before := float64(m)
-	return (before*before - after*after) * e.gain2
+	return float64((float64(before*before) - float64(after*after)) * e.gain2)
 }
 
 // codeSignificance codes the sign of a coefficient that just became
@@ -293,7 +293,7 @@ func (e *encoder) refPass(p int) {
 					} else {
 						da = float64(int32(m&mask0) - hb0)
 					}
-					dd += (db*db - da*da) * gain2
+					dd += float64((float64(db*db) - float64(da*da)) * gain2)
 					if fv&fwRefined == 0 {
 						f[fi] = fv | fwRefined
 					}

@@ -70,7 +70,7 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 		e.rowOR[y>>1] |= ror
 		simd.SignOrRow(c.flags[c.fidx(0, y):c.fidx(0, y)+w], coefRow, fwNeg)
 		for _, m := range magRow {
-			dist0 += float64(m) * float64(m) * gain2
+			dist0 += float64(float64(m) * float64(m) * gain2)
 		}
 	}
 	numBPS := bits.Len32(orAll)
@@ -278,7 +278,7 @@ func (e *htEncoder) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool)
 					// dropped LSB is 0.
 					m := mag[mi+mOff[i]]
 					errA := float64(^m & errLSB)
-					dd += (float64(m)*float64(m) - errA) * gain2
+					dd += float64((float64(float64(m)*float64(m)) - errA) * gain2)
 				}
 			}
 		}

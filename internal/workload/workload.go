@@ -39,14 +39,14 @@ func (r *RNG) Uint32() uint32 {
 func (r *RNG) Intn(n int) int { return int(r.Uint32() % uint32(n)) }
 
 // Float returns a value in [0, 1).
-func (r *RNG) Float() float64 { return float64(r.Uint32()) / (1 << 32) }
+func (r *RNG) Float() float64 { return float64(float64(r.Uint32()) / (1 << 32)) }
 
 // Dial renders a w×h RGB watch-dial image with grain amplitude
 // grain (0 disables noise; 6 approximates consumer-camera ISO noise).
 func Dial(w, h int, seed uint32, grain float64) *imgmodel.Image {
 	img := imgmodel.NewImage(w, h, 3, 8)
 	rng := NewRNG(seed)
-	cx, cy := float64(w)/2, float64(h)/2
+	cx, cy := float64(float64(w)/2), float64(float64(h)/2)
 	rad := math.Min(cx, cy) * 0.95
 	for y := 0; y < h; y++ {
 		rr := img.Comps[0].Row(y)
@@ -58,20 +58,20 @@ func Dial(w, h int, seed uint32, grain float64) *imgmodel.Image {
 			ang := math.Atan2(dy, dx)
 
 			// Brushed-metal background: radial gradient + subtle rings.
-			base := 205 - 60*d/rad + 8*math.Sin(d*0.18)
+			base := 205 - 60*d/rad + float64(8*math.Sin(d*0.18))
 			r8, g8, b8 := base, base*0.98, base*0.92
 
 			if d < rad {
 				// Dial face: cream with a vignette.
-				face := 235 - 35*(d/rad)*(d/rad)
+				face := 235 - float64(35*(d/rad)*(d/rad))
 				r8, g8, b8 = face, face*0.97, face*0.88
 				// Minute ticks: 60 thin dark wedges near the rim.
-				tick := math.Mod(ang/(2*math.Pi)*60+60, 1)
+				tick := math.Mod(float64(ang/(2*math.Pi)*60)+60, 1)
 				if d > rad*0.86 && d < rad*0.94 && (tick < 0.04 || tick > 0.96) {
 					r8, g8, b8 = 30, 26, 24
 				}
 				// Hour markers: 12 thick wedges.
-				hr := math.Mod(ang/(2*math.Pi)*12+12, 1)
+				hr := math.Mod(float64(ang/(2*math.Pi)*12)+12, 1)
 				if d > rad*0.78 && d < rad*0.95 && (hr < 0.015 || hr > 0.985) {
 					r8, g8, b8 = 15, 13, 12
 				}
@@ -83,18 +83,18 @@ func Dial(w, h int, seed uint32, grain float64) *imgmodel.Image {
 					r8, g8, b8 = 20, 18, 40
 				}
 				// Specular highlight.
-				hx, hy := dx+rad*0.4, dy+rad*0.4
+				hx, hy := dx+float64(rad*0.4), dy+float64(rad*0.4)
 				hd := math.Hypot(hx, hy)
 				if hd < rad*0.5 {
-					k := 40 * (1 - hd/(rad*0.5))
+					k := float64(40 * (1 - hd/(rad*0.5)))
 					r8, g8, b8 = r8+k, g8+k, b8+k
 				}
 			}
 			if grain > 0 {
-				n := (rng.Float() - 0.5) * 2 * grain
+				n := float64((rng.Float() - 0.5) * 2 * grain)
 				r8 += n
-				g8 += n * 0.9
-				b8 += n * 1.1
+				g8 += float64(n * 0.9)
+				b8 += float64(n * 1.1)
 			}
 			rr[x] = clamp8(r8)
 			gg[x] = clamp8(g8)
@@ -172,7 +172,7 @@ func Entropy(img *imgmodel.Image) float64 {
 			continue
 		}
 		q := float64(c) / float64(n)
-		e -= q * math.Log2(q)
+		e -= float64(q * math.Log2(q))
 	}
 	return e
 }
