@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-json trace fuzz check
+.PHONY: build test race vet bench trace fuzz check
 
 build:
 	$(GO) build ./...
@@ -20,30 +20,6 @@ vet:
 # for full-size runs.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
-
-# bench-json reruns the hot-path benchmarks (simd kernels, Tier-1,
-# rate control, fixed-vs-float lifting, end-to-end encode AND decode)
-# and merges them with the committed pre-PR baseline into one JSON
-# artifact with per-benchmark speedup ratios. The Benchmark_Kernel_*
-# runs carry scalar/sse2/avx2 sub-benchmarks, so the SIMD speedup is
-# visible inside the current run even where the baseline has no
-# counterpart; BenchmarkDecodeParallelWorkers sweeps the decode
-# pipeline's worker counts over {lossless, lossy} × {untiled, tiled};
-# the Benchmark_HT* sweep prices the Part 15 high-throughput block
-# coder on the same blocks as Benchmark_T1EncodeBlock, so the MQ→HT
-# speedup ratio reads directly off the merged artifact;
-# BenchmarkMixedConcurrency sweeps concurrent mixed load at c=1/4/8
-# on the shared scheduler and reports the goroutine high-water mark
-# per row; BenchmarkDecodeResilient prices the
-# best-effort salvage path against the strict decoder on the same
-# resilient stream, undamaged and damaged.
-BENCH_JSON ?= BENCH_pr10.json
-BENCH_BASELINE ?= bench/baseline_pr9.txt
-bench-json:
-	$(GO) test -run '^$$' -bench 'Benchmark_Kernel' -benchmem ./internal/simd/ > bench/current.txt
-	$(GO) test -run '^$$' -bench 'Benchmark_T1|Benchmark_HT|Benchmark_RateControl' -benchmem ./internal/t1/ ./internal/rate/ >> bench/current.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkEncode|BenchmarkDecode|BenchmarkTable1|BenchmarkMixed' -benchmem . >> bench/current.txt
-	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) baseline=$(BENCH_BASELINE) current=bench/current.txt
 
 # fuzz runs each decoder fuzz target for FUZZTIME (the CI robustness
 # job uses 30s each; raise it for longer local campaigns). The -fuzz

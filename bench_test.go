@@ -345,7 +345,7 @@ func BenchmarkEncodeParallelLossless(b *testing.B) {
 	b.SetBytes(int64(img.W * img.H * 3))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := EncodeParallel(img, Options{Lossless: true}, 0); err != nil {
+		if _, _, err := EncodeParallelContext(context.Background(), img, Options{Lossless: true}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -368,7 +368,7 @@ func BenchmarkEncodeParallelWorkers(b *testing.B) {
 				b.SetBytes(int64(img.W * img.H * 3))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := EncodeParallel(img, mode.opt, w); err != nil {
+					if _, _, err := EncodeParallelContext(context.Background(), img, mode.opt, w); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -401,7 +401,7 @@ func BenchmarkDecodeParallelWorkers(b *testing.B) {
 				b.SetBytes(int64(img.W * img.H * 3))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := DecodeParallel(data, w); err != nil {
+					if _, err := DecodeWith(data, DecodeOptions{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -518,8 +518,8 @@ func BenchmarkDecodeResilient(b *testing.B) {
 	b.Run("resilient", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			_, rep := DecodeResilient(data, DecodeOptions{})
-			if rep.Damaged() {
+			_, rep, err := DecodeResilientContext(context.Background(), data, DecodeOptions{})
+			if err != nil || rep.Damaged() {
 				b.Fatal("undamaged stream reported damage")
 			}
 		}
@@ -529,8 +529,8 @@ func BenchmarkDecodeResilient(b *testing.B) {
 	b.Run("resilient-damaged", func(b *testing.B) {
 		b.SetBytes(int64(len(damaged)))
 		for i := 0; i < b.N; i++ {
-			img, rep := DecodeResilient(damaged, DecodeOptions{})
-			if img == nil || rep == nil {
+			img, rep, err := DecodeResilientContext(context.Background(), damaged, DecodeOptions{})
+			if err != nil || img == nil || rep == nil {
 				b.Fatal("best-effort decode not total")
 			}
 		}
@@ -638,7 +638,7 @@ func BenchmarkEncodeTiled(b *testing.B) {
 	b.SetBytes(int64(img.W * img.H * 3))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := EncodeParallel(img, Options{Lossless: true, TileW: 128, TileH: 128}, 0); err != nil {
+		if _, _, err := EncodeParallelContext(context.Background(), img, Options{Lossless: true, TileW: 128, TileH: 128}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

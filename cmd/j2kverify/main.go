@@ -91,7 +91,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			b, _, err := j2kcell.EncodeParallel(img, opt, 0)
+			b, _, err := j2kcell.EncodeParallelContext(context.Background(), img, opt, 0)
 			if err != nil {
 				return err
 			}
@@ -199,7 +199,7 @@ func main() {
 		{"injected stage panic contained as FaultError", func() error {
 			faults.Arm("t1", 1, faults.Panic)
 			defer faults.Disarm()
-			_, _, err := j2kcell.EncodeParallel(img, j2kcell.Options{Lossless: true}, 4)
+			_, _, err := j2kcell.EncodeParallelContext(context.Background(), img, j2kcell.Options{Lossless: true}, 4)
 			var fe *j2kcell.FaultError
 			if !errors.As(err, &fe) {
 				return fmt.Errorf("got %v, want *FaultError", err)

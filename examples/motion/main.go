@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -27,7 +28,7 @@ func main() {
 	raw := w * h * 3
 
 	// Warm up (gain tables, allocator) so the comparison is fair.
-	if _, _, err := j2kcell.EncodeParallel(seq[0], opt, 0); err != nil {
+	if _, _, err := j2kcell.EncodeParallelContext(context.Background(), seq[0], opt, 0); err != nil {
 		log.Fatal(err)
 	}
 
@@ -35,7 +36,7 @@ func main() {
 		start := time.Now()
 		var bytes int
 		for _, img := range seq {
-			data, _, err := j2kcell.EncodeParallel(img, opt, workers)
+			data, _, err := j2kcell.EncodeParallelContext(context.Background(), img, opt, workers)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -50,7 +51,7 @@ func main() {
 	run(fmt.Sprintf("parallel (%d workers)", runtime.GOMAXPROCS(0)), 0)
 
 	// Every frame must decode to its source at the target quality.
-	data, _, err := j2kcell.EncodeParallel(seq[0], opt, 0)
+	data, _, err := j2kcell.EncodeParallelContext(context.Background(), seq[0], opt, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

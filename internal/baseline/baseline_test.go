@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"j2kcell/internal/codec"
@@ -101,7 +102,7 @@ func TestMutaModelStructure(t *testing.T) {
 	}
 	// 32×32 blocks: block count must be roughly 4x the 64×64 count.
 	opt := codec.Options{Lossless: true}
-	res64, err := codec.Encode(img, opt)
+	res64, err := codec.Encode(context.Background(), img, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

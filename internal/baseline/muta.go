@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"j2kcell/internal/cell"
 	"j2kcell/internal/codec"
 	"j2kcell/internal/imgmodel"
@@ -104,7 +105,7 @@ func MutaModel(res *codec.Result, opt codec.Options, nSPE int, clockHz float64) 
 // blocks, lossless) and prices it for the given SPE count and clock.
 func EncodeMuta(img *imgmodel.Image, nSPE int, clockHz float64) (*codec.Result, MutaResult, error) {
 	opt := codec.Options{Lossless: true, CBW: 32, CBH: 32}
-	res, err := codec.Encode(img, opt)
+	res, err := codec.Encode(context.Background(), img, opt, 1)
 	if err != nil {
 		return nil, MutaResult{}, err
 	}

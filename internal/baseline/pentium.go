@@ -13,6 +13,7 @@
 package baseline
 
 import (
+	"context"
 	"j2kcell/internal/cell"
 	"j2kcell/internal/codec"
 	"j2kcell/internal/imgmodel"
@@ -104,7 +105,7 @@ func PricePipeline(res *codec.Result, opt codec.Options, costs cell.KernelCosts,
 // EncodePentium runs the real codec for the data and prices it on the
 // Pentium IV model.
 func EncodePentium(img *imgmodel.Image, opt codec.Options) (*codec.Result, StageSeconds, error) {
-	res, err := codec.Encode(img, opt)
+	res, err := codec.Encode(context.Background(), img, opt, 1)
 	if err != nil {
 		return nil, StageSeconds{}, err
 	}

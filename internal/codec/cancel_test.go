@@ -14,20 +14,20 @@ import (
 // already-cancelled context never starts stage work.
 func TestPreCancelledContextReturnsImmediately(t *testing.T) {
 	img := workload.Dial(64, 64, 3, 4)
-	res, err := Encode(img, Options{Lossless: true})
+	res, err := Encode(context.Background(), img, Options{Lossless: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, 4); !errors.Is(err, context.Canceled) {
+	if _, err := Encode(ctx, img, Options{Lossless: true}, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("encode: got %v, want context.Canceled", err)
 	}
-	if _, err := EncodeTiledContext(ctx, img, Options{Lossless: true, TileW: 32, TileH: 32}, 4); !errors.Is(err, context.Canceled) {
+	if _, err := Encode(ctx, img, Options{Lossless: true, TileW: 32, TileH: 32}, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("tiled encode: got %v, want context.Canceled", err)
 	}
-	if _, err := DecodeContext(ctx, res.Data); !errors.Is(err, context.Canceled) {
+	if _, err := Decode(ctx, res.Data, DecodeOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("decode: got %v, want context.Canceled", err)
 	}
 }
@@ -38,7 +38,7 @@ func TestExpiredDeadlineReturnsDeadlineExceeded(t *testing.T) {
 	img := workload.Dial(64, 64, 3, 4)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, 2)
+	_, err := Encode(ctx, img, Options{Lossless: true}, 2)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("got %v, want context.DeadlineExceeded", err)
 	}
@@ -58,7 +58,7 @@ func TestCancelMidEncodeStopsPromptly(t *testing.T) {
 	defer op.Finish()
 	done := make(chan error, 1)
 	go func() {
-		_, err := EncodeParallelContext(ctx, img, opt, 4)
+		_, err := Encode(ctx, img, opt, 4)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let the pipeline start
@@ -99,25 +99,16 @@ func TestCancelMidDecodeStopsPromptly(t *testing.T) {
 		{"tiled", Options{Lossless: true, TileW: 128, TileH: 128}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var data []byte
-			if tc.opt.TileW > 0 {
-				res, err := EncodeTiled(img, tc.opt, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data = res.Data
-			} else {
-				res, err := Encode(img, tc.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data = res.Data
+			res, err := Encode(context.Background(), img, tc.opt, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
+			data := res.Data
 			before := goroutineCount()
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() {
-				_, err := DecodeWithContext(ctx, data, DecodeOptions{Workers: 4})
+				_, err := Decode(ctx, data, DecodeOptions{Workers: 4})
 				done <- err
 			}()
 			time.Sleep(2 * time.Millisecond)
@@ -143,11 +134,11 @@ func TestCancelMidDecodeStopsPromptly(t *testing.T) {
 func TestContextlessPathUnchanged(t *testing.T) {
 	img := workload.Dial(160, 120, 4, 4)
 	opt := Options{Rate: 0.25}
-	seq, err := Encode(img, opt)
+	seq, err := Encode(context.Background(), img, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxRes, err := EncodeParallelContext(context.Background(), img, opt, 4)
+	ctxRes, err := Encode(context.Background(), img, opt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

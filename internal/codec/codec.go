@@ -42,7 +42,8 @@ type Options struct {
 	// Progression selects the packet ordering.
 	Progression Progression
 	// TileW, TileH split the image into independently coded tiles
-	// (0 = one tile covering the image, the paper's configuration).
+	// (0 = the full extent on that axis; both 0 is one tile covering
+	// the image, the paper's configuration).
 	// Tiling bounds encoder memory and adds a coarse parallel axis at
 	// the cost of boundary artifacts at low rates.
 	TileW, TileH int
@@ -295,8 +296,9 @@ type Result struct {
 	LayerKeep [][]int // per-layer cumulative pass selections
 }
 
+// validateImage is the input check every encode runs before any work.
 func validateImage(img *imgmodel.Image) error {
-	if img.W <= 0 || img.H <= 0 || len(img.Comps) == 0 {
+	if img == nil || img.W <= 0 || img.H <= 0 || len(img.Comps) == 0 {
 		return fmt.Errorf("codec: empty image")
 	}
 	if img.Depth < 1 || img.Depth > 16 {

@@ -40,7 +40,7 @@ func TestCounterParity(t *testing.T) {
 					var ref []int64
 					for _, w := range []int{1, 2, 8} {
 						ctx, op := obs.WithOperation(context.Background(), "parity")
-						res, err := EncodeParallelContext(ctx, img, opt, w)
+						res, err := Encode(ctx, img, opt, w)
 						op.Finish()
 						if err != nil {
 							t.Fatal(err)
@@ -106,7 +106,7 @@ func TestDecodeStageCoverage(t *testing.T) {
 				if tiled {
 					opt.TileW, opt.TileH = 32, 32
 				}
-				res, err := EncodeParallel(img, opt, 1)
+				res, err := Encode(context.Background(), img, opt, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +114,7 @@ func TestDecodeStageCoverage(t *testing.T) {
 					name := fmt.Sprintf("lossless=%v/ht=%v/tiled=%v/besteffort=%v", lossless, ht, tiled, bestEffort)
 					t.Run(name, func(t *testing.T) {
 						ctx, op := obs.WithOperation(context.Background(), "coverage")
-						_, err := DecodeWithContext(ctx, res.Data, DecodeOptions{Workers: 2, BestEffort: bestEffort})
+						_, err := Decode(ctx, res.Data, DecodeOptions{Workers: 2, BestEffort: bestEffort})
 						op.Finish()
 						if err != nil {
 							t.Fatal(err)

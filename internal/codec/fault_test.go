@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -49,23 +50,23 @@ func TestFaultInjectionMatrix(t *testing.T) {
 	htOpt := Options{Lossless: true, HT: true}
 	htRateOpt := Options{Rate: 0.2, HT: true}
 
-	base, err := Encode(img, losslessOpt)
+	base, err := Encode(context.Background(), img, losslessOpt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	htSrc, err := Encode(img, htOpt)
+	htSrc, err := Encode(context.Background(), img, htOpt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	htRateSrc, err := Encode(img, htRateOpt)
+	htRateSrc, err := Encode(context.Background(), img, htRateOpt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decSrc, err := Encode(img, rateOpt)
+	decSrc, err := Encode(context.Background(), img, rateOpt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiledSrc, err := EncodeTiled(img, tiledOpt, 1)
+	tiledSrc, err := Encode(context.Background(), img, tiledOpt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			name:   "encode-lossless",
 			stages: []string{"mct", "dwt-v", "dwt-h", "t1"},
 			run: func(w int) error {
-				_, err := EncodeParallel(img, losslessOpt, w)
+				_, err := Encode(context.Background(), img, losslessOpt, w)
 				return err
 			},
 		},
@@ -83,15 +84,15 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			name:   "encode-lossy-rate",
 			stages: []string{"mct", "dwt-v", "dwt-h", "t1", "rate"},
 			run: func(w int) error {
-				_, err := EncodeParallel(img, rateOpt, w)
+				_, err := Encode(context.Background(), img, rateOpt, w)
 				return err
 			},
 		},
 		{
 			name:   "encode-tiled",
-			stages: []string{"tile", "mct", "dwt-v", "dwt-h", "quant"},
+			stages: []string{"tile", "mct", "dwt-v", "dwt-h", "t1"},
 			run: func(w int) error {
-				_, err := EncodeParallel(img, tiledOpt, w)
+				_, err := Encode(context.Background(), img, tiledOpt, w)
 				return err
 			},
 		},
@@ -99,7 +100,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			name:   "decode-lossy",
 			stages: []string{"zero", "t1", "deq", "idwt-h", "idwt-v", "imct"},
 			run: func(w int) error {
-				_, err := DecodeWith(decSrc.Data, DecodeOptions{Workers: w})
+				_, err := Decode(context.Background(), decSrc.Data, DecodeOptions{Workers: w})
 				return err
 			},
 		},
@@ -107,7 +108,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			name:   "decode-lossless",
 			stages: []string{"zero", "t1", "idwt-h", "idwt-v", "imct"},
 			run: func(w int) error {
-				_, err := DecodeWith(base.Data, DecodeOptions{Workers: w})
+				_, err := Decode(context.Background(), base.Data, DecodeOptions{Workers: w})
 				return err
 			},
 		},
@@ -117,7 +118,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			name:   "encode-ht",
 			stages: []string{"mct", "dwt-v", "dwt-h", "t1ht"},
 			run: func(w int) error {
-				_, err := EncodeParallel(img, htOpt, w)
+				_, err := Encode(context.Background(), img, htOpt, w)
 				return err
 			},
 		},
@@ -125,7 +126,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			name:   "encode-ht-rate",
 			stages: []string{"t1ht", "rate"},
 			run: func(w int) error {
-				_, err := EncodeParallel(img, htRateOpt, w)
+				_, err := Encode(context.Background(), img, htRateOpt, w)
 				return err
 			},
 		},
@@ -133,7 +134,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			name:   "decode-ht",
 			stages: []string{"zero", "t1ht", "idwt-h", "idwt-v", "imct"},
 			run: func(w int) error {
-				_, err := DecodeWith(htSrc.Data, DecodeOptions{Workers: w})
+				_, err := Decode(context.Background(), htSrc.Data, DecodeOptions{Workers: w})
 				return err
 			},
 		},
@@ -141,7 +142,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			name:   "decode-ht-lossy",
 			stages: []string{"t1ht", "deq"},
 			run: func(w int) error {
-				_, err := DecodeWith(htRateSrc.Data, DecodeOptions{Workers: w})
+				_, err := Decode(context.Background(), htRateSrc.Data, DecodeOptions{Workers: w})
 				return err
 			},
 		},
@@ -152,7 +153,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 			name:   "decode-tiled",
 			stages: []string{"tile", "zero", "deq", "imct"},
 			run: func(w int) error {
-				_, err := DecodeWith(tiledSrc.Data, DecodeOptions{Workers: w})
+				_, err := Decode(context.Background(), tiledSrc.Data, DecodeOptions{Workers: w})
 				return err
 			},
 		},
@@ -192,7 +193,7 @@ func TestFaultInjectionMatrix(t *testing.T) {
 
 	// Pool-consistency pin: the pools that recycled through dozens of
 	// aborted encodes must still serve byte-identical output.
-	again, err := Encode(img, losslessOpt)
+	again, err := Encode(context.Background(), img, losslessOpt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +210,11 @@ func TestFaultInjectionMatrix(t *testing.T) {
 // being dropped at the first-error latch.
 func TestBestEffortDemotesTier1Faults(t *testing.T) {
 	img := workload.Dial(128, 128, 9, 4)
-	res, err := Encode(img, Options{Lossless: true, Resilience: true, CBW: 16, CBH: 16})
+	res, err := Encode(context.Background(), img, Options{Lossless: true, Resilience: true, CBW: 16, CBH: 16}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Decode(res.Data)
+	ref, err := Decode(context.Background(), res.Data, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestBestEffortDemotesTier1Faults(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			name := fmt.Sprintf("t1/w%d/mode%d/best-effort", workers, mode)
 			faults.Arm("t1", 2, mode)
-			dec, rep := DecodeResilient(res.Data, DecodeOptions{Workers: workers})
+			dec, rep := decodeResilient(t, res.Data, DecodeOptions{Workers: workers})
 			fired := faults.Fired()
 			faults.Disarm()
 			if fired != 1 {
@@ -268,7 +269,7 @@ func TestFaultErrorCarriesCoordinates(t *testing.T) {
 	img := workload.Dial(96, 96, 3, 4)
 
 	faults.Arm("t1", 3, faults.Error)
-	_, err := EncodeParallel(img, Options{Lossless: true}, 2)
+	_, err := Encode(context.Background(), img, Options{Lossless: true}, 2)
 	faults.Disarm()
 	var fe *FaultError
 	if !errors.As(err, &fe) {
@@ -283,7 +284,7 @@ func TestFaultErrorCarriesCoordinates(t *testing.T) {
 	}
 
 	faults.Arm("dwt-h", 1, faults.Panic)
-	_, err = EncodeParallel(img, Options{Lossless: true}, 2)
+	_, err = Encode(context.Background(), img, Options{Lossless: true}, 2)
 	faults.Disarm()
 	if !errors.As(err, &fe) {
 		t.Fatalf("got %v, want *FaultError", err)
@@ -298,7 +299,7 @@ func TestFaultErrorCarriesCoordinates(t *testing.T) {
 func TestSequentialEncodeContainsFaults(t *testing.T) {
 	img := workload.Dial(64, 64, 2, 4)
 	faults.Arm("mct", 1, faults.Panic)
-	_, err := Encode(img, Options{Lossless: true})
+	_, err := Encode(context.Background(), img, Options{Lossless: true}, 1)
 	faults.Disarm()
 	var fe *FaultError
 	if !errors.As(err, &fe) {
@@ -316,7 +317,7 @@ func TestPoolsSurviveFaultedEncodes(t *testing.T) {
 	img := workload.Dial(128, 128, 5, 4)
 	opt := Options{Lossless: true}
 	encode := func() {
-		if _, err := EncodeParallel(img, opt, 2); err != nil {
+		if _, err := Encode(context.Background(), img, opt, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +328,7 @@ func TestPoolsSurviveFaultedEncodes(t *testing.T) {
 
 	for i := 0; i < 5; i++ {
 		faults.Arm("t1", 1, faults.Panic)
-		if _, err := EncodeParallel(img, opt, 2); err == nil {
+		if _, err := Encode(context.Background(), img, opt, 2); err == nil {
 			t.Fatal("faulted encode returned nil error")
 		}
 		faults.Disarm()

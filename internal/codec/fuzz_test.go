@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -32,7 +33,7 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		{Lossless: true, HT: true},
 		{Rate: 0.2, HT: true},
 	} {
-		res, err := Encode(src, opt)
+		res, err := Encode(context.Background(), src, opt, 1)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		img, err := DecodeWith(data, DecodeOptions{Limits: &fuzzLimits})
+		img, err := Decode(context.Background(), data, DecodeOptions{Limits: &fuzzLimits})
 		if err != nil {
 			var fe *FaultError
 			if errors.As(err, &fe) {
@@ -78,7 +79,7 @@ func FuzzDecodeResilient(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		img, rep := DecodeResilient(data, DecodeOptions{Limits: &fuzzLimits})
+		img, rep := decodeResilient(t, data, DecodeOptions{Limits: &fuzzLimits})
 		if img == nil || rep == nil {
 			t.Fatal("DecodeResilient must be total")
 		}
@@ -93,7 +94,7 @@ func FuzzDecodeResilient(f *testing.F) {
 		}
 		if rep.Complete && rep.HeaderOK {
 			// A complete report promises identity with the strict path.
-			strict, err := DecodeWith(data, DecodeOptions{Limits: &fuzzLimits})
+			strict, err := Decode(context.Background(), data, DecodeOptions{Limits: &fuzzLimits})
 			if err != nil {
 				t.Fatalf("Complete report but strict decode fails: %v", err)
 			}

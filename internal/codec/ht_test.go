@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -61,11 +62,11 @@ func TestHTLosslessMatrix(t *testing.T) {
 					if tiled {
 						opt.TileW, opt.TileH = (n+1)/2, (n*2+2)/3
 					}
-					res, err := Encode(img, opt)
+					res, err := Encode(context.Background(), img, opt, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := Decode(res.Data)
+					got, err := Decode(context.Background(), res.Data, DecodeOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -86,11 +87,11 @@ func TestHTLosslessDialImage(t *testing.T) {
 		{Lossless: true, HT: true},
 		{Lossless: true, HT: true, TileW: 48, TileH: 32},
 	} {
-		res, err := Encode(img, opt)
+		res, err := Encode(context.Background(), img, opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(res.Data)
+		got, err := Decode(context.Background(), res.Data, DecodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,11 +106,11 @@ func TestHTLosslessDialImage(t *testing.T) {
 // block coder differs, and ModeHT codes quantizer indices exactly).
 func TestHTLossyQuality(t *testing.T) {
 	img := workload.Dial(128, 128, 11, 3)
-	res, err := Encode(img, Options{Lossless: false, HT: true})
+	res, err := Encode(context.Background(), img, Options{Lossless: false, HT: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(res.Data)
+	got, err := Decode(context.Background(), res.Data, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestHTLossyQuality(t *testing.T) {
 func TestHTRateControl(t *testing.T) {
 	img := workload.Dial(256, 256, 5, 5)
 	for _, r := range []float64{0.1, 0.3} {
-		res, err := Encode(img, Options{Lossless: false, Rate: r, HT: true})
+		res, err := Encode(context.Background(), img, Options{Lossless: false, Rate: r, HT: true}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestHTRateControl(t *testing.T) {
 		if len(res.Data) > budget+2048 {
 			t.Fatalf("rate %.2f: %d bytes over budget %d", r, len(res.Data), budget)
 		}
-		got, err := Decode(res.Data)
+		got, err := Decode(context.Background(), res.Data, DecodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,11 +149,11 @@ func TestHTRateControl(t *testing.T) {
 // actually differ.
 func TestHTSignaledInCodestream(t *testing.T) {
 	img := workload.Dial(64, 64, 3, 4)
-	ht, err := Encode(img, Options{Lossless: true, HT: true})
+	ht, err := Encode(context.Background(), img, Options{Lossless: true, HT: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mq, err := Encode(img, Options{Lossless: true})
+	mq, err := Encode(context.Background(), img, Options{Lossless: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +226,13 @@ func TestHTPartitionCostModel(t *testing.T) {
 // prefixes, improving monotonically.
 func TestHTLayeredDecode(t *testing.T) {
 	img := workload.Dial(128, 128, 13, 4)
-	res, err := Encode(img, Options{Lossless: false, LayerRates: []float64{0.05, 0.2, 0}, HT: true})
+	res, err := Encode(context.Background(), img, Options{Lossless: false, LayerRates: []float64{0.05, 0.2, 0}, HT: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := 0.0
 	for l := 1; l <= 3; l++ {
-		got, err := DecodeWith(res.Data, DecodeOptions{MaxLayers: l})
+		got, err := Decode(context.Background(), res.Data, DecodeOptions{MaxLayers: l})
 		if err != nil {
 			t.Fatalf("layer %d: %v", l, err)
 		}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -30,13 +31,13 @@ func bombStream() []byte {
 // allocation count of the failing decode staying trivial.
 func TestDecompressionBombRejectedBeforeAllocation(t *testing.T) {
 	data := bombStream()
-	_, err := Decode(data)
+	_, err := Decode(context.Background(), data, DecodeOptions{})
 	var fe *FormatError
 	if !errors.As(err, &fe) {
 		t.Fatalf("got %v (%T), want *FormatError", err, err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		_, _ = Decode(data)
+		_, _ = Decode(context.Background(), data, DecodeOptions{})
 	})
 	if allocs > 100 {
 		t.Errorf("rejecting a bomb header cost %.0f allocations — limit check runs too late", allocs)
@@ -47,11 +48,11 @@ func TestDecompressionBombRejectedBeforeAllocation(t *testing.T) {
 // violate only that axis.
 func TestLimitsAxes(t *testing.T) {
 	img := workload.Dial(64, 64, 3, 4)
-	res, err := Encode(img, Options{Lossless: true, Levels: 5})
+	res, err := Encode(context.Background(), img, Options{Lossless: true, Levels: 5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiledRes, err := Encode(img, Options{Lossless: true, TileW: 16, TileH: 16})
+	tiledRes, err := Encode(context.Background(), img, Options{Lossless: true, TileW: 16, TileH: 16}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +70,17 @@ func TestLimitsAxes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		lim := tc.lim
-		_, err := DecodeWith(tc.data, DecodeOptions{Limits: &lim})
+		_, err := Decode(context.Background(), tc.data, DecodeOptions{Limits: &lim})
 		var fe *FormatError
 		if !errors.As(err, &fe) {
 			t.Errorf("%s: got %v (%T), want *FormatError", tc.name, err, err)
 		}
 	}
 	// The same streams decode fine under the defaults.
-	if _, err := Decode(res.Data); err != nil {
+	if _, err := Decode(context.Background(), res.Data, DecodeOptions{}); err != nil {
 		t.Errorf("default limits rejected a legitimate stream: %v", err)
 	}
-	if _, err := Decode(tiledRes.Data); err != nil {
+	if _, err := Decode(context.Background(), tiledRes.Data, DecodeOptions{}); err != nil {
 		t.Errorf("default limits rejected a legitimate tiled stream: %v", err)
 	}
 }
@@ -89,16 +90,16 @@ func TestLimitsAxes(t *testing.T) {
 // or falls on its actual contents).
 func TestZeroLimitsDisableChecking(t *testing.T) {
 	img := workload.Dial(48, 48, 1, 4)
-	res, err := Encode(img, Options{Lossless: true})
+	res, err := Encode(context.Background(), img, Options{Lossless: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var off Limits
 	tight := Limits{MaxPixels: 10}
-	if _, err := DecodeWith(res.Data, DecodeOptions{Limits: &tight}); err == nil {
+	if _, err := Decode(context.Background(), res.Data, DecodeOptions{Limits: &tight}); err == nil {
 		t.Fatal("tight limit accepted the stream")
 	}
-	if _, err := DecodeWith(res.Data, DecodeOptions{Limits: &off}); err != nil {
+	if _, err := Decode(context.Background(), res.Data, DecodeOptions{Limits: &off}); err != nil {
 		t.Fatalf("zero Limits still rejected the stream: %v", err)
 	}
 }

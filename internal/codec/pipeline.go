@@ -512,9 +512,9 @@ func (p *Pipeline) Tier1Float(fplanes []*imgmodel.FPlane, jobs []BlockJob, opt O
 }
 
 // QuantizePlanes materializes the quantized integer planes from the
-// transformed float planes, band-row-parallel — used by the per-tile
-// transform (ForwardTransformPipeline); the untiled path fuses
-// quantization into Tier1Float instead. Returned planes come from the plane pool.
+// transformed float planes, band-row-parallel, for callers that time
+// quantization apart from Tier-1; Encode fuses quantization into
+// Tier1Float instead. Returned planes come from the plane pool.
 func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*imgmodel.Plane {
 	w, h := fplanes[0].W, fplanes[0].H
 	bands := dwt.Layout(w, h, opt.Levels)
@@ -536,74 +536,6 @@ func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*im
 		}
 	})
 	return planes
-}
-
-// EncodeParallel compresses img with the whole pipeline — MCT, DWT,
-// quantization, Tier-1 — spread across `workers` executors, then the
-// shared sequential Finish (rate control, Tier-2, framing). The output
-// is byte-identical to Encode for every worker count. Tiled streams
-// parallelize across tiles instead (EncodeTiled).
-func EncodeParallel(img *imgmodel.Image, opt Options, workers int) (*Result, error) {
-	return EncodeParallelContext(context.Background(), img, opt, workers)
-}
-
-// EncodeParallelContext is EncodeParallel bound to a context: the stage
-// work queues check ctx between job claims, so cancellation stops the
-// encode within a bounded number of outstanding jobs (at most one per
-// worker), releases all pooled buffers, and returns ctx.Err()
-// unwrapped. A panic inside any stage worker is contained into a
-// *FaultError instead of crossing the API.
-func EncodeParallelContext(ctx context.Context, img *imgmodel.Image, opt Options, workers int) (res *Result, err error) {
-	if opt.TileW > 0 || opt.TileH > 0 {
-		return EncodeTiledContext(ctx, img, opt, workers)
-	}
-	ctx, op := beginOp(ctx, "encode")
-	defer op.end(&err)
-	op.classify(obs.ClassOf(false, !opt.Lossless, false, opt.HT))
-	if err := validateImage(img); err != nil {
-		return nil, err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-	countKernel(op.rec)
-	opt = opt.WithDefaults(img.W, img.H)
-	if _, aerr := op.admit(ctx, workers, obs.StageEncode); aerr != nil {
-		return nil, aerr
-	}
-	p := NewPipelineContext(ctx, workers)
-	defer p.Close()
-	_, jobs := PlanBlocks(img.W, img.H, len(img.Comps), opt)
-	// Rate-constrained encodes build each block's R-D ladder and convex
-	// hull inside its Tier-1 job, leaving only the λ search sequential.
-	var rd []rate.BlockRD
-	if !opt.Lossless && opt.layerRates() != nil {
-		rd = make([]rate.BlockRD, len(jobs))
-	}
-	var blocks []*t1.Block
-	if opt.Lossless {
-		planes := p.MCTInt(img, opt)
-		p.DWT53(planes, opt)
-		blocks = p.Tier1Int(planes, jobs, opt.Mode(), rd)
-		for _, pl := range planes {
-			imgmodel.PutPlane(pl)
-		}
-	} else {
-		fplanes := p.MCTFloat(img, opt)
-		p.DWT97(fplanes, opt)
-		blocks = p.Tier1Float(fplanes, jobs, opt, rd)
-		for _, fp := range fplanes {
-			imgmodel.PutFPlane(fp)
-		}
-	}
-	// Stage workers never leave a fault or cancellation behind silently:
-	// the drain loops stop claiming, the pooled planes above are already
-	// returned, and the first recorded error surfaces here before the
-	// sequential finish would touch possibly-missing blocks.
-	if perr := p.Err(); perr != nil {
-		return nil, perr
-	}
-	return finish(p.rec, img, opt, jobs, blocks, rd), nil
 }
 
 // countKernel records which simd kernel set serves an encode; the

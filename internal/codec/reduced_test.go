@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -112,13 +113,13 @@ func TestReducedDecodeMatchesSerial(t *testing.T) {
 			{Levels: 4, HT: true},
 		} {
 			opt = opt.WithDefaults(img.W, img.H)
-			res, err := Encode(img, opt)
+			res, err := Encode(context.Background(), img, opt, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for discard := 1; discard <= opt.Levels; discard++ {
 				t.Run(fmt.Sprintf("%s/lossless=%v/ht=%v/discard=%d", name, opt.Lossless, opt.HT, discard), func(t *testing.T) {
-					got, err := DecodeWith(res.Data, DecodeOptions{DiscardLevels: discard})
+					got, err := Decode(context.Background(), res.Data, DecodeOptions{DiscardLevels: discard})
 					if err != nil {
 						t.Fatal(err)
 					}

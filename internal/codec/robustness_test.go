@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"testing"
 
 	"j2kcell/internal/workload"
@@ -42,7 +43,7 @@ func TestDecoderNeverPanicsOnCorruptStreams(t *testing.T) {
 	}
 	src := workload.Dial(96, 96, 9, 5)
 	for _, tc := range imgs {
-		res, err := Encode(src, tc.opt)
+		res, err := Encode(context.Background(), src, tc.opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestDecoderNeverPanicsOnCorruptStreams(t *testing.T) {
 						t.Fatalf("%s trial %d: decoder panicked: %v", tc.name, trial, r)
 					}
 				}()
-				img, err := Decode(data)
+				img, err := Decode(context.Background(), data, DecodeOptions{})
 				_ = img
 				_ = err // errors are fine; panics are not
 			}()
@@ -66,7 +67,7 @@ func TestDecoderNeverPanicsOnCorruptStreams(t *testing.T) {
 // TestDecoderNeverPanicsOnTruncation truncates at every length class.
 func TestDecoderNeverPanicsOnTruncation(t *testing.T) {
 	src := workload.Dial(64, 64, 3, 5)
-	res, err := Encode(src, Options{LayerRates: []float64{0.1, 0.5}})
+	res, err := Encode(context.Background(), src, Options{LayerRates: []float64{0.1, 0.5}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestDecoderNeverPanicsOnTruncation(t *testing.T) {
 					t.Fatalf("truncation at %d: panic: %v", n, r)
 				}
 			}()
-			_, _ = Decode(res.Data[:n])
+			_, _ = Decode(context.Background(), res.Data[:n], DecodeOptions{})
 		}()
 	}
 }
@@ -99,7 +100,7 @@ func TestDecoderNeverPanicsOnRandomBytes(t *testing.T) {
 					t.Fatalf("trial %d: panic: %v", trial, r)
 				}
 			}()
-			_, _ = Decode(data)
+			_, _ = Decode(context.Background(), data, DecodeOptions{})
 		}()
 	}
 }

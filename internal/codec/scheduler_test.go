@@ -47,25 +47,25 @@ func TestSchedulerByteIdentityAcrossPoolWidths(t *testing.T) {
 		{Lossless: true, HT: true},
 		{Lossless: true, TileW: 96, TileH: 96},
 	} {
-		ref, err := Encode(img, opt)
+		ref, err := Encode(context.Background(), img, opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Decode(ref.Data)
+		seq, err := Decode(context.Background(), ref.Data, DecodeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, width := range []int{1, 2, 8} {
 			s := NewScheduler(SchedConfig{Workers: width})
 			ctx := WithScheduler(context.Background(), s)
-			res, err := EncodeParallelContext(ctx, img, opt, 4)
+			res, err := Encode(ctx, img, opt, 4)
 			if err != nil {
 				t.Fatalf("pool width %d: %v", width, err)
 			}
 			if !bytes.Equal(res.Data, ref.Data) {
 				t.Fatalf("opt %+v: codestream differs at pool width %d", opt, width)
 			}
-			dec, err := DecodeWithContext(ctx, ref.Data, DecodeOptions{Workers: 4})
+			dec, err := Decode(ctx, ref.Data, DecodeOptions{Workers: 4})
 			if err != nil {
 				t.Fatalf("decode pool width %d: %v", width, err)
 			}
@@ -88,7 +88,7 @@ func TestSchedulerConcurrentOpsByteIdentity(t *testing.T) {
 	var refs [4][]byte
 	for i, opt := range opts {
 		img := workload.Dial(128, 128, uint32(i+5), 4)
-		ref, err := Encode(img, opt)
+		ref, err := Encode(context.Background(), img, opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestSchedulerConcurrentOpsByteIdentity(t *testing.T) {
 			defer wg.Done()
 			i := k % 4
 			img := workload.Dial(128, 128, uint32(i+5), 4)
-			res, err := EncodeParallelContext(ctx, img, opts[i], 4)
+			res, err := Encode(ctx, img, opts[i], 4)
 			if err != nil {
 				errs[k] = err
 				return
@@ -130,7 +130,7 @@ func TestSchedulerTwoOpFaultIsolation(t *testing.T) {
 	imgA := workload.Dial(192, 192, 77, 4)
 	imgB := workload.Dial(128, 128, 13, 4)
 	optB := Options{Lossless: true}
-	refB, err := Encode(imgB, optB)
+	refB, err := Encode(context.Background(), imgB, optB, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +183,14 @@ func TestSchedulerTwoOpFaultIsolation(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, errA = EncodeParallelContext(ctxA, imgA, v.optA, 4)
+				_, errA = Encode(ctxA, imgA, v.optA, 4)
 			}()
 			if v.kill != nil {
 				v.kill(cancelA)
 			}
 
 			// Op B runs while A is dying; it must be untouched.
-			resB, errB := EncodeParallelContext(base, imgB, optB, 4)
+			resB, errB := Encode(base, imgB, optB, 4)
 			wg.Wait()
 			if errB != nil {
 				t.Fatalf("sibling op failed: %v", errB)
@@ -211,7 +211,7 @@ func TestSchedulerTwoOpFaultIsolation(t *testing.T) {
 			waitGoroutinesBelow(t, before+2, "after two-op "+v.name)
 
 			// The pool must still serve new operations cleanly.
-			resB2, err := EncodeParallelContext(base, imgB, optB, 4)
+			resB2, err := Encode(base, imgB, optB, 4)
 			if err != nil || !bytes.Equal(resB2.Data, refB.Data) {
 				t.Fatalf("pool wedged after %s: err=%v", v.name, err)
 			}
@@ -254,7 +254,7 @@ func TestSchedulerFairnessUnderLoad(t *testing.T) {
 	go func() {
 		for i := 0; i < 4; i++ {
 			ctx, op := obs.WithOperation(base, "thumb")
-			_, err := EncodeParallelContext(ctx, thumb, Options{Rate: 0.2}, 4)
+			_, err := Encode(ctx, thumb, Options{Rate: 0.2}, 4)
 			op.Finish()
 			if err != nil {
 				thumbsDone <- err
@@ -315,7 +315,7 @@ func TestSchedulerNilContextAdmits(t *testing.T) {
 	}
 
 	img := workload.Dial(64, 64, 9, 4)
-	ref, err := Encode(img, Options{Lossless: true})
+	ref, err := Encode(context.Background(), img, Options{Lossless: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,12 +325,12 @@ func TestSchedulerNilContextAdmits(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"encode", func() error { _, err := EncodeParallelContext(nilCtx, img, Options{Lossless: true}, 4); return err }},
+		{"encode", func() error { _, err := Encode(nilCtx, img, Options{Lossless: true}, 4); return err }},
 		{"encode-tiled", func() error {
-			_, err := EncodeTiledContext(nilCtx, img, Options{Lossless: true, TileW: 32, TileH: 32}, 4)
+			_, err := Encode(nilCtx, img, Options{Lossless: true, TileW: 32, TileH: 32}, 4)
 			return err
 		}},
-		{"decode", func() error { _, err := DecodeWithContext(nilCtx, ref.Data, DecodeOptions{Workers: 4}); return err }},
+		{"decode", func() error { _, err := Decode(nilCtx, ref.Data, DecodeOptions{Workers: 4}); return err }},
 	} {
 		done := make(chan error, 1)
 		go func() { done <- tc.run() }()
@@ -392,15 +392,15 @@ func TestSchedulerAdmissionBackpressure(t *testing.T) {
 	}
 
 	// Queue full: a real encode must shed with ErrOverloaded.
-	if _, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, 4); !errors.Is(err, ErrOverloaded) {
+	if _, err := Encode(ctx, img, Options{Lossless: true}, 4); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("got %v, want ErrOverloaded", err)
 	}
 	// And a decode entry point sheds the same way.
-	ref, err := Encode(img, Options{Lossless: true})
+	ref, err := Encode(context.Background(), img, Options{Lossless: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeWithContext(ctx, ref.Data, DecodeOptions{Workers: 4}); !errors.Is(err, ErrOverloaded) {
+	if _, err := Decode(ctx, ref.Data, DecodeOptions{Workers: 4}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("decode got %v, want ErrOverloaded", err)
 	}
 	if got := s.Stats().AdmitRejects; got < 2 {
@@ -442,7 +442,7 @@ func TestSchedulerAdmissionBackpressure(t *testing.T) {
 	opCtx, op := obs.WithOperation(ctx, "queued-encode")
 	done := make(chan error, 1)
 	go func() {
-		_, err := EncodeParallelContext(opCtx, img, Options{Lossless: true}, 4)
+		_, err := Encode(opCtx, img, Options{Lossless: true}, 4)
 		done <- err
 	}()
 	for i := 0; i < 1000 && s.Stats().QueueDepth == 0; i++ {
@@ -477,7 +477,7 @@ func TestSchedulerGoroutineBound(t *testing.T) {
 	s := NewScheduler(SchedConfig{Workers: poolWidth})
 	ctx := WithScheduler(context.Background(), s)
 	img := workload.Dial(160, 160, 31, 4)
-	ref, err := Encode(img, Options{Lossless: true})
+	ref, err := Encode(context.Background(), img, Options{Lossless: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,11 +506,11 @@ func TestSchedulerGoroutineBound(t *testing.T) {
 			var err error
 			switch k % 3 {
 			case 0:
-				_, err = EncodeParallelContext(ctx, img, Options{Lossless: true}, opWorkers)
+				_, err = Encode(ctx, img, Options{Lossless: true}, opWorkers)
 			case 1:
-				_, err = EncodeParallelContext(ctx, img, Options{Rate: 0.1}, opWorkers)
+				_, err = Encode(ctx, img, Options{Rate: 0.1}, opWorkers)
 			default:
-				_, err = DecodeWithContext(ctx, ref.Data, DecodeOptions{Workers: opWorkers})
+				_, err = Decode(ctx, ref.Data, DecodeOptions{Workers: opWorkers})
 			}
 			if err != nil {
 				t.Error(err)

@@ -163,7 +163,7 @@ func Encode(img *imgmodel.Image, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("core: at least one PPE thread is required")
 	}
 	if opt.TileW > 0 || opt.TileH > 0 {
-		return nil, fmt.Errorf("core: the Cell model encodes single-tile streams (the paper's configuration); use codec.EncodeTiled for tiled output")
+		return nil, fmt.Errorf("core: the Cell model encodes single-tile streams (the paper's configuration); use codec.Encode for tiled output")
 	}
 	m, err := cell.NewMachine(cfg.Cell)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"j2kcell/internal/cell"
@@ -17,7 +18,7 @@ func encodeBoth(t *testing.T, w, h int, opt codec.Options, cfg Config) (*Result,
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := codec.Encode(img, opt)
+	seq, err := codec.Encode(context.Background(), img, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestParallelMatchesSequentialLossy(t *testing.T) {
 
 func TestParallelMatchesAcrossKnobs(t *testing.T) {
 	base := codec.Options{Lossless: true}
-	ref, err := codec.Encode(workload.Dial(130, 90, 7, 4), base)
+	ref, err := codec.Encode(context.Background(), workload.Dial(130, 90, 7, 4), base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDecodableOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := codec.Decode(par.Data)
+	got, err := codec.Decode(context.Background(), par.Data, codec.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestPPEOnlyConfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _ := codec.Encode(img, codec.Options{Lossless: true})
+	seq, _ := codec.Encode(context.Background(), img, codec.Options{Lossless: true}, 1)
 	if string(res.Data) != string(seq.Data) {
 		t.Fatal("PPE-only output differs")
 	}
@@ -238,7 +239,7 @@ func TestPPEOnlyConfiguration(t *testing.T) {
 func TestLoopParallelMatchesAndCapsSpeedup(t *testing.T) {
 	img := workload.Dial(256, 256, 9, 5)
 	opt := codec.Options{Lossless: false, Rate: 0.1}
-	seq, err := codec.Encode(img, opt)
+	seq, err := codec.Encode(context.Background(), img, opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ const (
 	StageMCT      Stage = iota // level shift + component transform (row stripes)
 	StageDWTVert               // vertical lifting of one level (column groups)
 	StageDWTHorz               // horizontal filtering of one level (row stripes)
-	StageQuant                 // standalone quantization (per-tile transform of tiled encodes)
+	StageQuant                 // standalone quantization (Pipeline.QuantizePlanes)
 	StageT1                    // fused quantize + Tier-1 block job
 	StageHull                  // R-D ladder + convex hull (when not fused into T1)
 	StageRate                  // PCRD λ search (truncation-scan probes)

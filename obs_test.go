@@ -24,7 +24,7 @@ func TestEncodeObsByteIdentical(t *testing.T) {
 	img := TestImage(97, 61, 7)
 	for _, tc := range parallelCases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, _, err := EncodeParallel(img, tc.opt, 1) // obs off
+			ref, _, err := EncodeParallelContext(context.Background(), img, tc.opt, 1) // obs off
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +250,7 @@ func BenchmarkEncodeObsOverhead(b *testing.B) {
 	run := func(b *testing.B) {
 		b.SetBytes(int64(img.W * img.H * len(img.Comps)))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := EncodeParallel(img, opt, workers); err != nil {
+			if _, _, err := EncodeParallelContext(context.Background(), img, opt, workers); err != nil {
 				b.Fatal(err)
 			}
 		}

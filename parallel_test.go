@@ -6,6 +6,7 @@ package j2kcell
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -43,7 +44,7 @@ func TestEncodeParallelDeterminism(t *testing.T) {
 			}
 			for _, w := range workerCounts() {
 				t.Run(fmt.Sprintf("workers-%d", w), func(t *testing.T) {
-					par, _, err := EncodeParallel(img, tc.opt, w)
+					par, _, err := EncodeParallelContext(context.Background(), img, tc.opt, w)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -82,7 +83,7 @@ func TestEncodeKernelSetsDeterminism(t *testing.T) {
 				}
 				for _, w := range workerCounts() {
 					t.Run(fmt.Sprintf("%s-workers-%d", kern, w), func(t *testing.T) {
-						got, _, err := EncodeParallel(img, tc.opt, w)
+						got, _, err := EncodeParallelContext(context.Background(), img, tc.opt, w)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -111,7 +112,7 @@ func TestDecodeParallelDeterminism(t *testing.T) {
 			}
 			for _, w := range workerCounts() {
 				t.Run(fmt.Sprintf("workers-%d", w), func(t *testing.T) {
-					got, err := DecodeParallel(data, w)
+					got, err := DecodeWith(data, DecodeOptions{Workers: w})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -154,7 +155,7 @@ func TestDecodeKernelSetsDeterminism(t *testing.T) {
 				}
 				for _, w := range []int{1, 2, 8} {
 					t.Run(fmt.Sprintf("%s-workers-%d", kern, w), func(t *testing.T) {
-						got, err := DecodeParallel(data, w)
+						got, err := DecodeWith(data, DecodeOptions{Workers: w})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -187,7 +188,7 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			encode := func() {
-				if _, _, err := EncodeParallel(img, tc.opt, 1); err != nil {
+				if _, _, err := EncodeParallelContext(context.Background(), img, tc.opt, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -224,7 +225,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			decode := func() {
-				if _, err := DecodeParallel(data, 1); err != nil {
+				if _, err := DecodeWith(data, DecodeOptions{Workers: 1}); err != nil {
 					t.Fatal(err)
 				}
 			}
