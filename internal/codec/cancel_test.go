@@ -86,7 +86,7 @@ func TestCancelMidEncodeStopsPromptly(t *testing.T) {
 // TestCancelMidDecodeStopsPromptly is the decode-side analogue,
 // exercising the cancellation points of every queue the inverse chain
 // drains — the packet-parse loop, the dynamically-partitioned Tier-1
-// stage, and the dequant/IDWT/inverse-MCT stages (and, in the tiled
+// stage, and the IDWT/inverse-MCT stages (and, in the tiled
 // case, the tile queue wrapping them) — and pinning that the aborted
 // pipeline joined all its workers: no goroutine outlives the decode.
 func TestCancelMidDecodeStopsPromptly(t *testing.T) {

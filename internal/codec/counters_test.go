@@ -92,11 +92,11 @@ func TestCounterParity(t *testing.T) {
 }
 
 // TestDecodeStageCoverage requires every decode class to attribute its
-// work to named stages: the header parse, the Tier-2 packet parse, the
-// plane clearing, Tier-1, both inverse DWT directions and the inverse
-// component transform, plus dequantization when lossy. It covers both
-// coders, tiled and untiled streams, and the strict and best-effort
-// decoders.
+// work to named stages: the header parse, the Tier-2 packet parse,
+// Tier-1, both inverse DWT directions and the inverse component
+// transform. Tier-1 jobs write final coefficients, so no decode may
+// record a plane-zeroing or dequantization span. It covers both coders,
+// tiled and untiled streams, and the strict and best-effort decoders.
 func TestDecodeStageCoverage(t *testing.T) {
 	img := workload.Dial(80, 64, 903, 4)
 	for _, lossless := range []bool{true, false} {
@@ -123,14 +123,16 @@ func TestDecodeStageCoverage(t *testing.T) {
 						for _, sp := range op.Recorder().TSpans() {
 							seen[sp.Stage] = true
 						}
-						want := []obs.Stage{obs.StageParse, obs.StageT2, obs.StageZero,
+						want := []obs.Stage{obs.StageParse, obs.StageT2,
 							obs.StageIDWTHorz, obs.StageIDWTVert, obs.StageIMCT}
-						if !lossless {
-							want = append(want, obs.StageDeq)
-						}
 						for _, st := range want {
 							if !seen[st] {
 								t.Errorf("no %q span recorded", st)
+							}
+						}
+						for _, st := range []obs.Stage{obs.StageZero, obs.StageDeq} {
+							if seen[st] {
+								t.Errorf("%q span recorded", st)
 							}
 						}
 						if !seen[obs.StageT1] && !seen[obs.StageT1HT] {

@@ -11,6 +11,7 @@ import (
 	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/jp2"
 	"j2kcell/internal/obs"
+	"j2kcell/internal/quant"
 	"j2kcell/internal/t1"
 	"j2kcell/internal/t2"
 )
@@ -30,10 +31,11 @@ type DecodeOptions struct {
 	// decode cost, is skipped for every other block. Not combinable
 	// with DiscardLevels.
 	Region Rect
-	// Workers > 1 runs the full inverse chain — Tier-1 block decoding,
-	// dequantization, the multi-level inverse DWT and the inverse
-	// MCT/level shift — across a goroutine pool, draining the same
-	// atomic work queue the encoder's stages use. Output is
+	// Workers > 1 runs the full inverse chain — Tier-1 block decoding
+	// (which writes final coefficients: dequantized on the lossy path,
+	// zero where a block has no data), the multi-level inverse DWT and
+	// the inverse MCT/level shift — across a goroutine pool, draining
+	// the same atomic work queue the encoder's stages use. Output is
 	// bit-identical to the serial decode for every worker count.
 	Workers int
 	// Limits bounds what the main header may declare (dimensions,
@@ -108,6 +110,9 @@ func bandWindow(r Rect, level int) Rect {
 func rectsIntersect(a, b Rect) bool {
 	return a.X0 < b.X0+b.W && b.X0 < a.X0+a.W && a.Y0 < b.Y0+b.H && b.Y0 < a.Y0+a.H
 }
+
+// bandKey names one (component, band) of a tile.
+type bandKey struct{ c, b int }
 
 // blockAcc accumulates one code block's contributions across layers.
 type blockAcc struct {
@@ -299,15 +304,14 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 
 	// Parse all packets in progression order, accumulating per-block state.
 	// Precinct coding state persists across layers per (comp, band).
-	type key struct{ c, b int }
-	precincts := map[key]*t2.Precinct{}
-	accs := map[key][]*blockAcc{}
+	precincts := map[bandKey]*t2.Precinct{}
+	accs := map[bandKey][]*blockAcc{}
 	for c := 0; c < h.NComp; c++ {
 		for bi, band := range bands {
 			gw := (band.W + h.CBW - 1) / h.CBW
 			gh := (band.H + h.CBH - 1) / h.CBH
-			precincts[key{c, bi}] = t2.NewPrecinct(gw, gh)
-			accs[key{c, bi}] = make([]*blockAcc, gw*gh)
+			precincts[bandKey{c, bi}] = t2.NewPrecinct(gw, gh)
+			accs[bandKey{c, bi}] = make([]*blockAcc, gw*gh)
 		}
 	}
 
@@ -341,7 +345,7 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 		resBands := ResBands(h.Levels, r)
 		var pkt []*t2.Precinct
 		for _, bi := range resBands {
-			pkt = append(pkt, precincts[key{c, bi}])
+			pkt = append(pkt, precincts[bandKey{c, bi}])
 		}
 		if h.SOPMarkers {
 			// Each packet is prefixed FF 91 00 04 seq16. The sequence
@@ -418,8 +422,8 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 			continue // parsed for position, contents discarded
 		}
 		for _, bi := range resBands {
-			p := precincts[key{c, bi}]
-			acc := accs[key{c, bi}]
+			p := precincts[bandKey{c, bi}]
+			acc := accs[bandKey{c, bi}]
 			for i, blk := range p.Blocks {
 				if blk == nil || blk.NumPasses == 0 {
 					continue
@@ -440,71 +444,17 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	t2sp.End()
 	t2ln.Release()
 
-	// Tier-1 decode every accumulated block into pooled coefficient
-	// planes, skipping blocks whose synthesis support cannot touch a
-	// requested region. Pooled planes arrive dirty, so a stripe-parallel
-	// zero stage runs first: regions no included block covers must read
-	// as zero coefficients. Blocks write disjoint plane regions, so they
-	// decode independently — serially or across the worker pool.
-	planes := make([]*imgmodel.Plane, h.NComp)
-	for c := range planes {
-		planes[c] = imgmodel.GetPlane(tw, th)
-	}
-	p.ZeroPlanes(planes)
-	var tasks []blockTask
-	for c := 0; c < h.NComp; c++ {
-		for bi, band := range bands {
-			if band.W == 0 || band.H == 0 {
-				continue
-			}
-			var want Rect
-			if dopt.regionSet() {
-				want = bandWindow(dopt.Region, band.Level)
-			}
-			gw := (band.W + h.CBW - 1) / h.CBW
-			for i, a := range accs[key{c, bi}] {
-				if a == nil {
-					continue
-				}
-				gx, gy := i%gw, i/gw
-				if dopt.regionSet() {
-					blk := Rect{X0: gx * h.CBW, Y0: gy * h.CBH, W: h.CBW, H: h.CBH}
-					if !rectsIntersect(blk, want) {
-						continue
-					}
-				}
-				bw := h.CBW
-				if (gx+1)*h.CBW > band.W {
-					bw = band.W - gx*h.CBW
-				}
-				bh := h.CBH
-				if (gy+1)*h.CBH > band.H {
-					bh = band.H - gy*h.CBH
-				}
-				// A corrupt zero-bitplane count can exceed the band's M_b;
-				// clamp so Tier-1 sees a sane (empty) block instead of a
-				// negative bit-plane count.
-				numBPS := h.Mb[c][bi] - a.zbp
-				if numBPS < 0 {
-					numBPS = 0
-				}
-				tasks = append(tasks, blockTask{
-					acc: a, orient: band.Orient, numBPS: numBPS,
-					x0: band.X0 + gx*h.CBW, y0: band.Y0 + gy*h.CBH,
-					bw: bw, bh: bh, plane: planes[c], c: c, bi: bi, gx: gx, gy: gy,
-				})
-			}
-		}
-	}
-	decodeOne := func(tk blockTask) error {
-		pl := tk.plane
-		err := t1.Decode(pl.Data[tk.y0*pl.Stride+tk.x0:], tk.bw, tk.bh, pl.Stride,
-			tk.orient, mode, tk.numBPS, tk.acc.passes, tk.acc.data, tk.acc.segLens)
-		if err != nil {
-			return formatErrf(err, "block c=%d band=%d (%d,%d)", tk.c, tk.bi, tk.gx, tk.gy)
-		}
-		return nil
-	}
+	// Tier-1 writes every coefficient the inverse transforms will read
+	// exactly once, in final form, straight into pooled planes that
+	// arrive dirty: a block with data decodes into them (through
+	// per-job scratch and dequantization on the irreversible path), and
+	// a hole — no data in the decoded layers, or outside a requested
+	// region — is zero-filled by the same stage. Bands of discarded
+	// levels are never read by the inverse DWT, so they get neither.
+	// Tasks write disjoint plane regions, so they run independently —
+	// serially or across the worker pool.
+	co := getTileCoefs(h, mode, tw, th)
+	tasks, ndata := tileTasks(h, bands[:1+3*keepRes], accs, dopt)
 	// Tier-1 decoding drains the same atomic work queue as the encode
 	// pipeline, but in dynamically-sized jobs: partitions built from the
 	// per-block coded byte counts T2 parsing just measured, so cheap
@@ -521,62 +471,63 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 		st = obs.StageT1HT
 	}
 	if dmg != nil {
-		dmg.totalBlocks = len(tasks)
-		if err := decodeBlocksBestEffort(p, st, h, bands, tw, th, tasks, parts, decodeOne, dmg); err != nil {
-			putPlanes(planes)
+		dmg.totalBlocks = ndata
+		if err := decodeBlocksBestEffort(p, st, h, bands, tw, th, co, tasks, parts, dmg); err != nil {
+			co.release()
 			return nil, err
 		}
 	} else {
 		errs := make([]error, len(parts))
 		p.run(st, 0, len(parts), func(i int) {
+			scratch := getI32(co.scratch)
+			defer putI32(scratch)
 			for t := parts[i].lo; t < parts[i].hi; t++ {
-				if err := decodeOne(tasks[t]); err != nil {
+				if err := co.write(&tasks[t], scratch); err != nil {
 					errs[i] = err
 					return
 				}
 			}
 		})
 		if perr := p.Err(); perr != nil {
-			putPlanes(planes)
+			co.release()
 			return nil, perr
 		}
 		for _, err := range errs {
 			if err != nil {
-				putPlanes(planes)
+				co.release()
 				return nil, err
 			}
 		}
 	}
 
-	return reconstruct(p, h, bands, planes, tw, th, discard)
+	return reconstruct(p, h, co, tw, th, discard)
 }
 
 // decodeBlocksBestEffort drains the Tier-1 partitions with per-block
 // damage demotion. Two failure classes are contained here:
 //
 //   - Detection failures (MQ segmentation-symbol mismatch, HT trailer
-//     inconsistency, malformed segments): decodeOne returns an error,
-//     the worker conceals that block as zero coefficients, records the
-//     loss, and the partition continues with its next block.
+//     inconsistency, malformed segments): the block's write returns an
+//     error, the worker conceals that block as zero coefficients,
+//     records the loss, and the partition continues with its next task.
 //   - Worker faults (a panic inside Tier-1, or an injected fault): the
 //     pipeline's first-error latch holds a *FaultError naming the
-//     partition; the coordinator conceals the single block that
+//     partition; the coordinator conceals the single task that
 //     partition was positioned on, clears the latch, and reruns — done
 //     partitions exit immediately, so only remaining work repeats.
 //
-// Context cancellation and non-fault pipeline errors still fail the
-// tile. Partitions own disjoint task ranges writing disjoint plane
-// regions, so concealment never races with live decoding.
+// Concealing a hole re-runs its zero fill and records no loss: it had
+// no data to lose. Context cancellation and non-fault pipeline errors
+// still fail the tile. Partitions own disjoint task ranges writing
+// disjoint plane regions, so concealment never races with live
+// decoding.
 func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, bands []dwt.Band, tw, th int,
-	tasks []blockTask, parts []decodePart, decodeOne func(blockTask) error, dmg *tileDamage) error {
+	co *tileCoefs, tasks []blockTask, parts []decodePart, dmg *tileDamage) error {
 	conceal := func(t int, cause string) {
-		tk := tasks[t]
-		pl := tk.plane
-		for y := tk.y0; y < tk.y0+tk.bh; y++ {
-			row := pl.Data[y*pl.Stride+tk.x0 : y*pl.Stride+tk.x0+tk.bw]
-			for i := range row {
-				row[i] = 0
-			}
+		tk := &tasks[t]
+		co.zero(tk)
+		if tk.acc == nil {
+			return
 		}
 		dmg.lost = append(dmg.lost, BlockLoss{
 			Comp: tk.c, Band: tk.bi, GX: tk.gx, GY: tk.gy,
@@ -593,13 +544,15 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 	}
 	var mu sync.Mutex // serializes loss recording across workers
 	// Each rerun either finishes or handles one fault, and a fault
-	// demotes at most one block, so tasks+parts bounds any terminating
+	// demotes at most one task, so tasks+parts bounds any terminating
 	// sequence; the slack absorbs faults that land on done partitions.
 	for attempt := 0; attempt <= len(tasks)+len(parts)+4; attempt++ {
 		p.run(st, 0, len(parts), func(i int) {
+			scratch := getI32(co.scratch)
+			defer putI32(scratch)
 			for next[i] < parts[i].hi {
 				t := next[i]
-				if err := decodeOne(tasks[t]); err != nil {
+				if err := co.write(&tasks[t], scratch); err != nil {
 					mu.Lock()
 					conceal(t, err.Error())
 					mu.Unlock()
@@ -616,7 +569,7 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 			return perr // cancellation or a non-fault pipeline error
 		}
 		// An injected fault fires before the job body and a panic fires
-		// inside it; either way the victim is the block the faulted
+		// inside it; either way the victim is the task the faulted
 		// partition is positioned on.
 		if j := fe.Job; j >= 0 && j < len(parts) && next[j] < parts[j].hi {
 			conceal(next[j], fmt.Sprintf("contained fault in stage %s", fe.Stage))
@@ -635,55 +588,199 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 	return nil
 }
 
-// blockTask is one accumulated code block awaiting Tier-1 decode.
+// blockTask is one Tier-1 decode task: an accumulated code block
+// awaiting decode, or — with a nil acc — a hole, a rectangle of one
+// band whose blocks carry no data the decode uses, to be zero-filled.
+// A hole's c, bi, x0, y0, bw and bh locate it; gx, gy and numBPS are
+// unused.
 type blockTask struct {
 	acc    *blockAcc
 	orient dwt.Orient
 	numBPS int
+	delta  float32 // dequantization step (irreversible path)
 	x0, y0 int
 	bw, bh int
-	plane  *imgmodel.Plane
 	c, bi  int
 	gx, gy int
 }
 
-// putPlanes recycles a tile's pooled coefficient planes. Callers only
-// release after the pipeline's run calls have returned, so no worker
-// still references the backing arrays.
+// tileTasks lists the Tier-1 tasks of one tile over the bands the
+// decode keeps: the blocks with data first, in (component, band,
+// raster) order, then the holes, each a run of adjacent holes along
+// one row of a band's block grid. Holes stay one grid row high so the
+// partitioner can spread a band with no data at all across workers.
+// It also returns the number of data tasks.
+func tileTasks(h *codestream.Header, bands []dwt.Band, accs map[bandKey][]*blockAcc, dopt DecodeOptions) ([]blockTask, int) {
+	var tasks, holes []blockTask
+	for c := 0; c < h.NComp; c++ {
+		for bi, band := range bands {
+			if band.W == 0 || band.H == 0 {
+				continue
+			}
+			var want Rect
+			if dopt.regionSet() {
+				want = bandWindow(dopt.Region, band.Level)
+			}
+			var delta float32
+			if !h.Lossless {
+				delta = float32(quant.StepFor(h.BaseDelta, h.Levels, band.Orient, band.Level))
+			}
+			gw := (band.W + h.CBW - 1) / h.CBW
+			gh := (band.H + h.CBH - 1) / h.CBH
+			acc := accs[bandKey{c, bi}]
+			for gy := 0; gy < gh; gy++ {
+				y0 := gy * h.CBH
+				bh := min(h.CBH, band.H-y0)
+				run := -1 // first grid column of the open hole run
+				closeRun := func(end int) {
+					if run >= 0 {
+						x0 := run * h.CBW
+						holes = append(holes, blockTask{
+							x0: band.X0 + x0, y0: band.Y0 + y0,
+							bw: min(end*h.CBW, band.W) - x0, bh: bh, c: c, bi: bi,
+						})
+						run = -1
+					}
+				}
+				for gx := 0; gx < gw; gx++ {
+					a := acc[gy*gw+gx]
+					if a != nil && dopt.regionSet() && !rectsIntersect(Rect{X0: gx * h.CBW, Y0: y0, W: h.CBW, H: h.CBH}, want) {
+						a = nil
+					}
+					if a == nil {
+						if run < 0 {
+							run = gx
+						}
+						continue
+					}
+					closeRun(gx)
+					// A corrupt zero-bitplane count can exceed the band's
+					// M_b; clamp so Tier-1 sees a sane (empty) block
+					// instead of a negative bit-plane count.
+					tasks = append(tasks, blockTask{
+						acc: a, orient: band.Orient, numBPS: max(h.Mb[c][bi]-a.zbp, 0), delta: delta,
+						x0: band.X0 + gx*h.CBW, y0: band.Y0 + y0,
+						bw: min(h.CBW, band.W-gx*h.CBW), bh: bh, c: c, bi: bi, gx: gx, gy: gy,
+					})
+				}
+				closeRun(gw)
+			}
+		}
+	}
+	return append(tasks, holes...), len(tasks)
+}
+
+// putPlanes recycles pooled integer planes.
 func putPlanes(planes []*imgmodel.Plane) {
 	for _, pl := range planes {
 		imgmodel.PutPlane(pl)
 	}
 }
 
-// reconstruct runs the inverse transforms for one tile through the
-// stage pipeline: dequantization, the multi-level inverse DWT down to
-// level discard, and the fused inverse MCT + clamp drain the same work
-// queue Tier-1 did, and the pooled planes are recycled as each stage
-// finishes with them. With discard > 0 the finest discard levels stay
-// transformed, and the top-left LevelDims(tw, th, discard) corner —
-// the image at reduced resolution — becomes the output. Bit-identical
-// to running dwt.InverseLevels53/97 and the serial MCT helpers per
-// plane.
-func reconstruct(p *Pipeline, h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane, tw, th, discard int) (*imgmodel.Image, error) {
-	rw, rh := dwt.LevelDims(tw, th, discard)
-	img := imgmodel.NewImage(rw, rh, h.NComp, h.Depth)
+// tileCoefs holds one tile's pooled coefficient planes, in the form
+// the inverse DWT reads: integer planes on the reversible path, float
+// planes on the irreversible one (exactly one of the two is set), and
+// writes Tier-1 tasks into them.
+type tileCoefs struct {
+	ints    []*imgmodel.Plane
+	floats  []*imgmodel.FPlane
+	mode    t1.Mode
+	scratch int // samples of a job's index scratch (irreversible path)
+}
+
+func getTileCoefs(h *codestream.Header, mode t1.Mode, tw, th int) *tileCoefs {
+	co := &tileCoefs{mode: mode, scratch: h.CBW * h.CBH}
 	if h.Lossless {
-		p.IDWT53(planes, h.Levels, discard)
-		p.InverseMCTInt(img, planes, h)
-		putPlanes(planes)
-		if err := p.Err(); err != nil {
-			return nil, err
+		co.ints = make([]*imgmodel.Plane, h.NComp)
+		for c := range co.ints {
+			co.ints[c] = imgmodel.GetPlane(tw, th)
 		}
-		return img, nil
+	} else {
+		co.floats = make([]*imgmodel.FPlane, h.NComp)
+		for c := range co.floats {
+			co.floats[c] = imgmodel.GetFPlane(tw, th)
+		}
 	}
-	fplanes := p.Dequantize(h, bands, planes)
-	putPlanes(planes)
-	p.IDWT97(fplanes, h.Levels, discard)
-	p.InverseMCTFloat(img, fplanes, h)
-	for _, fp := range fplanes {
+	return co
+}
+
+// write produces task tk's final coefficients: a hole is zero-filled;
+// a block is decoded in place on the reversible path, or into scratch
+// and dequantized into its float plane on the irreversible one. A
+// block that fails to decode leaves its region unwritten and returns
+// the error.
+func (co *tileCoefs) write(tk *blockTask, scratch *[]int32) error {
+	if tk.acc == nil {
+		co.zero(tk)
+		return nil
+	}
+	var err error
+	if co.ints != nil {
+		pl := co.ints[tk.c]
+		err = t1.Decode(pl.Data[tk.y0*pl.Stride+tk.x0:], tk.bw, tk.bh, pl.Stride,
+			tk.orient, co.mode, tk.numBPS, tk.acc.passes, tk.acc.data, tk.acc.segLens)
+	} else {
+		buf := (*scratch)[:tk.bw*tk.bh]
+		err = t1.Decode(buf, tk.bw, tk.bh, tk.bw,
+			tk.orient, co.mode, tk.numBPS, tk.acc.passes, tk.acc.data, tk.acc.segLens)
+		if err == nil {
+			fp := co.floats[tk.c]
+			quant.DequantizeBlock(fp.Data[tk.y0*fp.Stride+tk.x0:], fp.Stride, buf, tk.bw, tk.bh, tk.delta)
+		}
+	}
+	if err != nil {
+		return formatErrf(err, "block c=%d band=%d (%d,%d)", tk.c, tk.bi, tk.gx, tk.gy)
+	}
+	return nil
+}
+
+// zero clears task tk's region of its plane.
+func (co *tileCoefs) zero(tk *blockTask) {
+	if co.ints != nil {
+		pl := co.ints[tk.c]
+		clearRect(pl.Data, pl.Stride, tk.x0, tk.y0, tk.bw, tk.bh)
+	} else {
+		fp := co.floats[tk.c]
+		clearRect(fp.Data, fp.Stride, tk.x0, tk.y0, tk.bw, tk.bh)
+	}
+}
+
+// clearRect zeroes the w×h rectangle at (x0, y0) of a plane's samples.
+func clearRect[T int32 | float32](data []T, stride, x0, y0, w, h int) {
+	for y := y0; y < y0+h; y++ {
+		clear(data[y*stride+x0:][:w])
+	}
+}
+
+// release recycles the planes. Callers only release after the
+// pipeline's run calls have returned, so no worker still references
+// the backing arrays.
+func (co *tileCoefs) release() {
+	putPlanes(co.ints)
+	for _, fp := range co.floats {
 		imgmodel.PutFPlane(fp)
 	}
+}
+
+// reconstruct runs the inverse transforms for one tile through the
+// stage pipeline: the multi-level inverse DWT down to level discard and
+// the fused inverse MCT + clamp drain the same work queue Tier-1 did,
+// and the pooled planes are recycled once the last stage is done with
+// them. With discard > 0 the finest discard levels stay transformed,
+// and the top-left LevelDims(tw, th, discard) corner — the image at
+// reduced resolution — becomes the output. Bit-identical to running
+// dwt.InverseLevels53/97 and the serial MCT helpers per plane.
+func reconstruct(p *Pipeline, h *codestream.Header, co *tileCoefs, tw, th, discard int) (*imgmodel.Image, error) {
+	rw, rh := dwt.LevelDims(tw, th, discard)
+	img := imgmodel.NewImage(rw, rh, h.NComp, h.Depth)
+	if co.ints != nil {
+		p.IDWT53(co.ints, h.Levels, discard)
+		p.InverseMCTInt(img, co.ints, h)
+	} else {
+		p.IDWT97(co.floats, h.Levels, discard)
+		p.InverseMCTFloat(img, co.floats, h)
+	}
+	co.release()
 	if err := p.Err(); err != nil {
 		return nil, err
 	}

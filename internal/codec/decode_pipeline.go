@@ -14,10 +14,14 @@ import (
 // Decode-side pipeline stages. The inverse chain mirrors the encoder's
 // stage decomposition through the same atomic work queue:
 //
-//	plane zeroing              — row stripes (pooled planes arrive dirty)
 //	Tier-1 block decode        — dynamically-sized partitions of the
-//	                             block list (see partitionDecodeTasks)
-//	dequantization             — one job per (component × band)
+//	                             task list (see partitionDecodeTasks);
+//	                             each task writes its rectangle's final
+//	                             coefficients once: a decoded block
+//	                             (dequantized from per-job scratch on
+//	                             the irreversible path) or a zero-filled
+//	                             hole, so no zeroing or dequantization
+//	                             pass runs over the planes
 //	multi-level inverse DWT    — horizontal: row stripes; vertical:
 //	                             cache-line column groups; barrier per
 //	                             phase and per level, levels walked
@@ -30,11 +34,11 @@ import (
 // kernel set, and tiling — the decode half of the DESIGN.md §5
 // invariant.
 
-// ZeroPlanes clears pooled coefficient planes stripe-parallel. Planes
-// from imgmodel.GetPlane carry arbitrary prior contents, and code-block
-// regions a truncated or region-limited stream never includes must read
-// as zero coefficients; the full padded stride is cleared so stride
-// padding never leaks stale data downstream either.
+// ZeroPlanes clears pooled coefficient planes stripe-parallel, the
+// full padded stride included. Decode never calls it — its Tier-1
+// tasks zero-fill the holes themselves — but callers that compose the
+// decode layer by layer (Tier-1 writing only the blocks with data) use
+// it to time plane clearing on its own.
 func (p *Pipeline) ZeroPlanes(planes []*imgmodel.Plane) {
 	if len(planes) == 0 {
 		return
@@ -48,10 +52,14 @@ func (p *Pipeline) ZeroPlanes(planes []*imgmodel.Plane) {
 	})
 }
 
-// Dequantize converts quantizer indices back to coefficients, one job
-// per (component, band), into pooled float planes. The subbands tile
-// the plane, so every live sample of the pooled planes is written; the
-// stride padding is never read by the inverse transforms.
+// Dequantize converts whole planes of quantizer indices back to
+// coefficients, one job per (component, band), into pooled float
+// planes. The subbands tile the plane, so every live sample of the
+// pooled planes is written; the stride padding is never read by the
+// inverse transforms. Decode fuses dequantization into its Tier-1 jobs
+// instead (quant.DequantizeBlock, bit-identical); this per-layer call
+// serves callers that time dequantization apart from Tier-1, as
+// QuantizePlanes does on the encode side.
 func (p *Pipeline) Dequantize(h *codestream.Header, bands []dwt.Band, planes []*imgmodel.Plane) []*imgmodel.FPlane {
 	w, hh := planes[0].W, planes[0].H
 	fplanes := make([]*imgmodel.FPlane, len(planes))
@@ -204,24 +212,31 @@ func (p *Pipeline) InverseMCTFloat(img *imgmodel.Image, fplanes []*imgmodel.FPla
 // (one unit ≈ decoding one MQ-coded byte).
 const blockCostFloor = 48
 
-// t1CostModel prices one block decode for partition sizing. Different
-// block coders have different fixed setup costs and per-byte decode
-// rates, so the partitioner is parameterized rather than hardwired to
-// MQ: cost = floor + codedBytes/byteDiv, both in the common units of
+// t1CostModel prices one Tier-1 decode task for partition sizing.
+// Different block coders have different fixed setup costs and
+// per-byte decode rates, so the partitioner is parameterized rather
+// than hardwired to MQ. Every task also writes each sample of its
+// rectangle once, in final form. A block costs floor +
+// codedBytes/byteDiv + samples/writeDiv and a hole, which only
+// zero-fills, 1 + samples/writeDiv, all in the common units of
 // blockCostFloor.
 type t1CostModel struct {
-	floor   int // fixed per-block cost (state init, scan setup)
-	byteDiv int // coded bytes decoded per cost unit
+	floor    int // fixed per-block cost (state init, scan setup)
+	byteDiv  int // coded bytes decoded per cost unit
+	writeDiv int // samples written per cost unit
 }
 
 var (
-	// mqDecodeCost: serial arithmetic decoding, ~1 unit per byte.
-	mqDecodeCost = t1CostModel{floor: blockCostFloor, byteDiv: 1}
+	// mqDecodeCost: serial arithmetic decoding, ~1 unit per byte; a
+	// unit writes about a 32×32 block.
+	mqDecodeCost = t1CostModel{floor: blockCostFloor, byteDiv: 1, writeDiv: 1024}
 	// htDecodeCost: the HT decoder moves bytes several times faster
 	// than MQ (measured ~10× on dense blocks; 4 is the conservative
 	// sparse-block figure) and its per-block setup is lighter — no MQ
-	// context state to initialize.
-	htDecodeCost = t1CostModel{floor: 16, byteDiv: 4}
+	// context state to initialize. Measured on a lossy HT decode, its
+	// unit takes about a third of an MQ unit's time, so it writes a
+	// quarter as many samples.
+	htDecodeCost = t1CostModel{floor: 16, byteDiv: 4, writeDiv: 256}
 )
 
 // decodeCostFor selects the partition cost model for a Tier-1 mode.
@@ -232,7 +247,13 @@ func decodeCostFor(mode t1.Mode) t1CostModel {
 	return mqDecodeCost
 }
 
-func (m t1CostModel) of(t *blockTask) int { return m.floor + len(t.acc.data)/m.byteDiv }
+func (m t1CostModel) of(t *blockTask) int {
+	write := t.bw * t.bh / m.writeDiv
+	if t.acc == nil {
+		return 1 + write
+	}
+	return m.floor + len(t.acc.data)/m.byteDiv + write
+}
 
 // partitionDecodeTasks groups the block-decode tasks into contiguous
 // work-queue jobs sized by modeled cost — the per-block coded byte

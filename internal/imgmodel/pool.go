@@ -1,6 +1,9 @@
 package imgmodel
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Plane arenas for the encode pipeline: transform planes are large
 // (W×H words) and live only from the component transform until Tier-1
@@ -14,14 +17,31 @@ import "sync"
 var (
 	planePool  sync.Pool // *Plane
 	fplanePool sync.Pool // *FPlane
+	fill       atomic.Pointer[poolFill]
 )
+
+type poolFill struct {
+	i int32
+	f float32
+}
+
+// SetPoolFill makes every later GetPlane fill its whole plane, stride
+// padding included, with i and every later GetFPlane with f, until
+// ClearPoolFill. Tests use it to make the pools' contents
+// deterministic: zero for a clean reference, sentinels (a NaN, say) to
+// prove a stage writes every sample it later reads. Do not call it
+// while a codec operation is in flight.
+func SetPoolFill(i int32, f float32) { fill.Store(&poolFill{i, f}) }
+
+// ClearPoolFill restores unspecified pooled-plane contents.
+func ClearPoolFill() { fill.Store(nil) }
 
 // GetPlane returns a w×h integer plane from the pool (or a fresh one),
 // with unspecified contents inside and outside the live region.
 func GetPlane(w, h int) *Plane {
 	p, _ := planePool.Get().(*Plane)
 	if p == nil {
-		return NewPlane(w, h)
+		p = NewPlane(w, h)
 	}
 	s := padStride(w)
 	if n := s * h; cap(p.Data) < n {
@@ -30,6 +50,11 @@ func GetPlane(w, h int) *Plane {
 		p.Data = p.Data[:n]
 	}
 	p.W, p.H, p.Stride = w, h, s
+	if f := fill.Load(); f != nil {
+		for i := range p.Data {
+			p.Data[i] = f.i
+		}
+	}
 	return p
 }
 
@@ -46,7 +71,7 @@ func PutPlane(p *Plane) {
 func GetFPlane(w, h int) *FPlane {
 	p, _ := fplanePool.Get().(*FPlane)
 	if p == nil {
-		return NewFPlane(w, h)
+		p = NewFPlane(w, h)
 	}
 	s := padStride(w)
 	if n := s * h; cap(p.Data) < n {
@@ -55,6 +80,11 @@ func GetFPlane(w, h int) *FPlane {
 		p.Data = p.Data[:n]
 	}
 	p.W, p.H, p.Stride = w, h, s
+	if f := fill.Load(); f != nil {
+		for i := range p.Data {
+			p.Data[i] = f.f
+		}
+	}
 	return p
 }
 

@@ -7,13 +7,19 @@ import (
 	"time"
 )
 
-// histBuckets covers 1ns .. ~1099s in power-of-two buckets.
-const histBuckets = 41
+// subBits sets the histogram resolution: each octave (2^e, 2^(e+1)]
+// splits into 2^subBits = 8 equal-width buckets.
+const subBits = 3
 
-// Histogram is a lock-free power-of-two duration histogram: bucket i
-// counts observations v with 2^(i-1) < v <= 2^i (bucket 0 counts v <=
-// 1ns). Good to a factor of two, which is all a stage-imbalance view
-// needs, at the cost of one atomic add per observation.
+// histBuckets covers 1ns .. 2^40ns (~1099s): eight exact buckets for
+// 1..8ns, then eight per octave up to 2^40.
+const histBuckets = 1<<subBits + (40-subBits)<<subBits
+
+// Histogram is a lock-free log-linear duration histogram: 1..8ns each
+// get a bucket of their own, and every octave above splits into eight
+// equal-width buckets, so a bucket is at most 1/8 as wide as the values
+// it holds. Quantile reports bucket midpoints, within 1/16 (6.25%) of
+// the true value, at the cost of one atomic add per observation.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	sum     atomic.Int64
@@ -27,14 +33,22 @@ func (h *Histogram) Observe(ns int64) {
 	if ns < 1 {
 		ns = 1
 	}
-	// Bucket i holds 2^(i-1) < v <= 2^i, so exact powers of two land in
-	// their own bucket.
-	b := bits.Len64(uint64(ns - 1))
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	h.buckets[b].Add(1)
+	h.buckets[bucketOf(ns)].Add(1)
 	h.sum.Add(ns)
+}
+
+// bucketOf returns the bucket of an observation v >= 1. With u = v-1,
+// u < 8 is its own bucket; above, the octave of u (its top bit e) and
+// the three bits below the top pick the bucket, so bucket bounds are
+// inclusive upper bounds and exact powers of two end a bucket.
+func bucketOf(v int64) int {
+	u := uint64(v - 1)
+	if u < 1<<subBits {
+		return int(u)
+	}
+	e := bits.Len64(u) - 1
+	b := (e-subBits+1)<<subBits + int(u>>uint(e-subBits)&(1<<subBits-1))
+	return min(b, histBuckets-1)
 }
 
 // AddFrom merges another histogram's observations into h (bucket-wise
@@ -65,10 +79,17 @@ func (h *Histogram) Bucket(i int) int64 {
 
 // BucketBound returns the inclusive upper bound, in nanoseconds, of
 // bucket i (observations v with BucketBound(i-1) < v <= BucketBound(i)).
-func BucketBound(i int) int64 { return 1 << uint(i) }
+func BucketBound(i int) int64 {
+	if i < 1<<subBits {
+		return int64(i) + 1
+	}
+	e := i>>subBits + subBits - 1 // octave of the bucket's u values
+	sub := int64(i & (1<<subBits - 1))
+	return (1<<subBits + sub + 1) << uint(e-subBits) // last u of the bucket, plus one
+}
 
-// NumHistBuckets is the number of histogram buckets (1ns .. ~1099s in
-// powers of two).
+// NumHistBuckets is the number of histogram buckets (1ns .. ~1099s,
+// eight per octave).
 const NumHistBuckets = histBuckets
 
 // Count returns the number of observations.
@@ -91,8 +112,9 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1) in
-// nanoseconds: the top of the bucket where the q-th observation lands.
+// Quantile estimates the q-quantile (0 < q <= 1) in nanoseconds: the
+// midpoint of the bucket where the q-th observation lands, within
+// 6.25% of it (exact below 9ns).
 func (h *Histogram) Quantile(q float64) int64 {
 	total := h.Count()
 	if total == 0 {
@@ -106,13 +128,19 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i := range h.buckets {
 		seen += h.buckets[i].Load()
 		if seen >= want {
-			if i == 0 {
-				return 1
-			}
-			return 1 << uint(i)
+			return bucketMid(i)
 		}
 	}
-	return 1 << uint(histBuckets-1)
+	return bucketMid(histBuckets - 1)
+}
+
+// bucketMid returns the midpoint of the integers bucket i holds.
+func bucketMid(i int) int64 {
+	lo := int64(1)
+	if i > 0 {
+		lo = BucketBound(i-1) + 1
+	}
+	return (lo + BucketBound(i)) / 2
 }
 
 // String summarizes the histogram as count/mean/p50/p99.
@@ -122,6 +150,6 @@ func (h *Histogram) String() string {
 		return "empty"
 	}
 	mean := time.Duration(h.Sum() / n)
-	return fmt.Sprintf("n=%d mean=%v p50≤%v p99≤%v",
+	return fmt.Sprintf("n=%d mean=%v p50≈%v p99≈%v",
 		n, mean, time.Duration(h.Quantile(0.5)), time.Duration(h.Quantile(0.99)))
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -181,20 +182,61 @@ func TestChromeTraceExport(t *testing.T) {
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 99; i++ {
-		h.Observe(100) // bucket 2^7
+		h.Observe(100) // bucket (96, 104]
 	}
-	h.Observe(1 << 20)
+	h.Observe(1 << 20) // bucket (983040, 1048576]
 	if h.Count() != 100 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if q := h.Quantile(0.5); q != 128 {
-		t.Fatalf("p50 = %d, want 128", q)
+	if q := h.Quantile(0.5); q != 100 {
+		t.Fatalf("p50 = %d, want 100", q)
 	}
-	if q := h.Quantile(1.0); q != 1<<20 {
-		t.Fatalf("p100 = %d, want %d", q, 1<<20)
+	if q := h.Quantile(1.0); q != 1015808 {
+		t.Fatalf("p100 = %d, want 1015808", q)
 	}
 	if h.String() == "empty" {
 		t.Fatal("string of non-empty histogram")
+	}
+}
+
+// TestHistogramLogLinearBuckets pins the bucket layout: bounds rise
+// strictly from 1ns to 2^40ns, every observation lands in the bucket
+// whose bounds hold it, no bucket holding more than one value is wider
+// than 1/8 of the values it holds, and a quantile read off a single observation is within 1/16
+// of it — a 40ms decode reads back as 40ms, not the 67.1ms top of its
+// power-of-two bucket.
+func TestHistogramLogLinearBuckets(t *testing.T) {
+	if BucketBound(0) != 1 || BucketBound(NumHistBuckets-1) != 1<<40 {
+		t.Fatalf("bounds span %d..%d, want 1..2^40", BucketBound(0), BucketBound(NumHistBuckets-1))
+	}
+	for i := 1; i < NumHistBuckets; i++ {
+		lo, hi := BucketBound(i-1), BucketBound(i)
+		if hi <= lo {
+			t.Fatalf("bucket %d bound %d not above %d", i, hi, lo)
+		}
+		if hi-lo > 1 && 8*(hi-lo) > lo+1 {
+			t.Fatalf("bucket %d (%d, %d] wider than 1/8 of its values", i, lo, hi)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	vals := []int64{1, 2, 7, 8, 9, 15, 16, 17, 100, 1 << 20, 40_000_000, 1 << 40, 1<<40 + 1}
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, 1+rng.Int63n(1<<uint(1+rng.Intn(40))))
+	}
+	for _, v := range vals {
+		b := bucketOf(v)
+		if b < NumHistBuckets-1 && v > BucketBound(b) || b > 0 && v <= BucketBound(b-1) {
+			t.Fatalf("%dns landed in bucket %d, bounds (%d, %d]", v, b, BucketBound(b-1), BucketBound(b))
+		}
+		if v > 1<<40 {
+			continue
+		}
+		var h Histogram
+		h.Observe(v)
+		q := h.Quantile(0.5)
+		if d := q - v; 16*max(d, -d) > v {
+			t.Fatalf("p50 of one %dns observation = %d, off by more than 1/16", v, q)
+		}
 	}
 }
 

@@ -135,7 +135,7 @@ func RegisterMetrics(ms ...ExternalMetric) {
 }
 
 // writeHistogram emits one labeled histogram series: cumulative
-// `le`-bucket lines (power-of-two bounds converted to seconds, empty
+// `le`-bucket lines (log-linear upper bounds converted to seconds, empty
 // buckets elided — a legal sparse exposition since each emitted bucket
 // still carries the full cumulative count), the mandatory `+Inf`
 // bucket, and the `_sum` / `_count` pair.

@@ -161,7 +161,7 @@ func sloTable(get func(OpClass) (*Histogram, int64)) string {
 	if rows == 0 {
 		return "(no operations recorded)\n"
 	}
-	b.WriteString("quantiles are power-of-two bucket upper bounds\n")
+	b.WriteString("quantiles are log-linear bucket midpoints (8 per octave), within 6.25%\n")
 	return b.String()
 }
 

@@ -50,6 +50,18 @@ func DequantizeRow(dst []float32, src []int32, delta float32) {
 	simd.DequantRow(dst, src, delta)
 }
 
+// DequantizeBlock reconstructs a w×h block of quantizer indices, packed
+// at stride w in src, into dst at stride dstStride — the mirror of
+// QuantizeBlock, and the fused dequantization step of a Tier-1 decode
+// job, which decodes a block into scratch and writes its final
+// coefficients straight into the float plane. Elementwise identical to
+// DequantizeRow over the whole plane.
+func DequantizeBlock(dst []float32, dstStride int, src []int32, w, h int, delta float32) {
+	for y := 0; y < h; y++ {
+		DequantizeRow(dst[y*dstStride:y*dstStride+w], src[y*w:y*w+w], delta)
+	}
+}
+
 // MaxBitplanes bounds the number of magnitude bit planes a band's
 // quantizer indices can occupy for samples of the given bit depth
 // (post level shift), used as M_b when signaling zero bit planes.

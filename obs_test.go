@@ -144,8 +144,11 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 		ids[op.TraceID()] = true
 	}
 
+	// Tier-2 spans both directions; the rest is decode-only. A decode
+	// records no plane-zeroing or dequantization span at all: its Tier-1
+	// jobs write final coefficients.
 	decStages := map[obs.Stage]bool{
-		obs.StageZero: true, obs.StageDeq: true, obs.StageIDWTVert: true,
+		obs.StageParse: true, obs.StageIDWTVert: true,
 		obs.StageIDWTHorz: true, obs.StageIMCT: true, obs.StageDecode: true,
 	}
 	encStages := map[obs.Stage]bool{
@@ -186,6 +189,9 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 		for _, sp := range spans {
 			if encStages[sp.Stage] {
 				t.Fatalf("decode op %d leaked encode-stage span %q", i, sp.Name)
+			}
+			if sp.Stage == obs.StageZero || sp.Stage == obs.StageDeq {
+				t.Fatalf("decode op %d recorded a %q span", i, sp.Name)
 			}
 		}
 		if rec.Counter(obs.CtrDecodeParts)+rec.Counter(obs.CtrDecodeSingles) == 0 {
