@@ -181,3 +181,16 @@ func Benchmark_Kernel_SignOrRow(b *testing.B) {
 		}
 	})
 }
+
+func Benchmark_Kernel_PlaneMaskRow(b *testing.B) {
+	c := benchI32(benchRow)
+	m := make([]uint32, benchRow)
+	AbsOrRow(m, c)
+	nz, bit := make([]uint64, benchRow/64), make([]uint64, benchRow/64)
+	perSet(b, func(b *testing.B) {
+		b.SetBytes(benchRow * 4)
+		for i := 0; i < b.N; i++ {
+			PlaneMaskRow(nz, bit, m, 1)
+		}
+	})
+}

@@ -56,6 +56,7 @@ var sse2Set = kernels{
 	absOr:          absOrSSE2,
 	orU32:          orU32SSE2,
 	signOr:         signOrSSE2,
+	planeMask:      planeMaskSSE2,
 }
 
 var avx2Set = kernels{
@@ -85,6 +86,7 @@ var avx2Set = kernels{
 	absOr:          absOrAVX2,
 	orU32:          orU32AVX2,
 	signOr:         signOrAVX2,
+	planeMask:      planeMaskAVX2,
 }
 
 // detect probes the CPU once, builds the available-set list (narrowest

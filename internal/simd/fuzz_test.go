@@ -20,6 +20,14 @@ func bytesToF32(data []byte) []float32 {
 	return out
 }
 
+func bytesToU32(data []byte) []uint32 {
+	out := make([]uint32, len(data)/4)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(data[i*4:])
+	}
+	return out
+}
+
 func bytesToI32(data []byte) []int32 {
 	out := make([]int32, len(data)/4)
 	for i := range out {
@@ -131,6 +139,24 @@ func FuzzT1Masks(f *testing.F) {
 			m = ks.signOr(gotFlags, coef, bit)
 			scalarSignOr(gotFlags[m:], coef[m:], bit)
 			eqU32(t, fmt.Sprintf("signOr/%s/n=%d", ks.name, n), gotFlags, wantFlags)
+		}
+	})
+}
+
+// FuzzPlaneMaskRow drives PlaneMaskRow with raw magnitude lanes and a
+// fuzzer-chosen plane under every kernel set.
+func FuzzPlaneMaskRow(f *testing.F) {
+	f.Add([]byte("ht-plane-mask-fuzz-seed-row-0123456789abcdef-ht-plane-mask"), uint8(1))
+	f.Add([]byte{0, 0, 0, 0x80, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, p8 uint8) {
+		prev := Kernel()
+		defer Use(prev)
+		mag := bytesToU32(data)
+		for _, name := range Available() {
+			if err := Use(name); err != nil {
+				t.Fatal(err)
+			}
+			checkPlaneMask(t, name, mag, uint(p8%32))
 		}
 	})
 }

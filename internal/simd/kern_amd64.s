@@ -1111,6 +1111,120 @@ done:
 	RET
 
 // ---------------------------------------------------------------------
+// planeMask: the HT encoder's per-row bit sets at plane p. Bit i of nz
+// is mag[i]>>p != 0, bit i of bit is (mag[i]>>(p-1))&1. Each vector's
+// lane masks (MOVMSKPS) shift into the word being built at i mod 64; a
+// word is stored when complete, and a final partial one with its high
+// bits zero, which the scalar tail completes. The shift counts come
+// from an XMM register, so the count p-1 = 2^64-1 at p = 0 clears
+// every lane, as the scalar shift does.
+// ---------------------------------------------------------------------
+
+// func planeMaskAVX2(nz, bit []uint64, mag []uint32, p uint) (n int)
+TEXT ·planeMaskAVX2(SB), NOSPLIT, $0-88
+	MOVQ nz_base+0(FP), DI
+	MOVQ bit_base+24(FP), SI
+	MOVQ mag_base+48(FP), BX
+	MOVQ mag_len+56(FP), AX
+	MOVQ p+72(FP), DX
+	MOVQ DX, X2              // count p
+	DECQ DX
+	MOVQ DX, X3              // count p-1
+	VPXOR Y4, Y4, Y4
+	ANDQ $-8, AX
+	XORQ CX, CX
+	XORQ R10, R10            // nz word being built
+	XORQ R11, R11            // bit word being built
+loop:
+	CMPQ CX, AX
+	JGE  tail
+	VMOVDQU   (BX)(CX*4), Y0
+	VPSRLD    X2, Y0, Y1
+	VPCMPEQD  Y4, Y1, Y1     // all ones where mag>>p == 0
+	VMOVMSKPS Y1, R8
+	XORQ      $0xFF, R8
+	VPSRLD    X3, Y0, Y0
+	VPSLLD    $31, Y0, Y0    // plane p-1's bit to the sign
+	VMOVMSKPS Y0, R9
+	SHLQ CX, R8              // shift counts are taken mod 64
+	SHLQ CX, R9
+	ORQ  R8, R10
+	ORQ  R9, R11
+	ADDQ $8, CX
+	TESTQ $63, CX
+	JNZ  loop
+	MOVQ CX, R8
+	SHRQ $6, R8
+	MOVQ R10, -8(DI)(R8*8)
+	MOVQ R11, -8(SI)(R8*8)
+	XORQ R10, R10
+	XORQ R11, R11
+	JMP  loop
+tail:
+	TESTQ $63, AX
+	JZ   done
+	MOVQ AX, R8
+	SHRQ $6, R8
+	MOVQ R10, (DI)(R8*8)
+	MOVQ R11, (SI)(R8*8)
+done:
+	MOVQ AX, n+80(FP)
+	VZEROUPPER
+	RET
+
+// func planeMaskSSE2(nz, bit []uint64, mag []uint32, p uint) (n int)
+TEXT ·planeMaskSSE2(SB), NOSPLIT, $0-88
+	MOVQ nz_base+0(FP), DI
+	MOVQ bit_base+24(FP), SI
+	MOVQ mag_base+48(FP), BX
+	MOVQ mag_len+56(FP), AX
+	MOVQ p+72(FP), DX
+	MOVQ DX, X2              // count p
+	DECQ DX
+	MOVQ DX, X3              // count p-1
+	PXOR X4, X4
+	ANDQ $-4, AX
+	XORQ CX, CX
+	XORQ R10, R10            // nz word being built
+	XORQ R11, R11            // bit word being built
+loop:
+	CMPQ CX, AX
+	JGE  tail
+	MOVOU    (BX)(CX*4), X0
+	MOVOU    X0, X1
+	PSRLL    X2, X1
+	PCMPEQL  X4, X1          // all ones where mag>>p == 0
+	MOVMSKPS X1, R8
+	XORQ     $0xF, R8
+	PSRLL    X3, X0
+	PSLLL    $31, X0         // plane p-1's bit to the sign
+	MOVMSKPS X0, R9
+	SHLQ CX, R8              // shift counts are taken mod 64
+	SHLQ CX, R9
+	ORQ  R8, R10
+	ORQ  R9, R11
+	ADDQ $4, CX
+	TESTQ $63, CX
+	JNZ  loop
+	MOVQ CX, R8
+	SHRQ $6, R8
+	MOVQ R10, -8(DI)(R8*8)
+	MOVQ R11, -8(SI)(R8*8)
+	XORQ R10, R10
+	XORQ R11, R11
+	JMP  loop
+tail:
+	TESTQ $63, AX
+	JZ   done
+	MOVQ AX, R8
+	SHRQ $6, R8
+	MOVQ R10, (DI)(R8*8)
+	MOVQ R11, (SI)(R8*8)
+done:
+	MOVQ AX, n+80(FP)
+	RET
+
+// ---------------------------------------------------------------------
 // dequantF32: dst[i] = (float32(q) ± 0.5) * delta with q's sign, and 0
 // where q == 0. The bias is built as 0.5 OR'd with q's sign bit, so the
 // negative branch computes f + (-0.5) — bitwise identical to the scalar

@@ -221,3 +221,25 @@ func scalarSignOr(flags []uint32, coef []int32, bit uint32) {
 		}
 	}
 }
+
+// scalarPlaneMask sets the PlaneMaskRow bits of samples i and up. A
+// vector prefix of i samples has written the words below bit i and the
+// low bits of word i/64, with the bits above them zero, so a partial
+// first word is completed with ORs.
+func scalarPlaneMask(nz, bit []uint64, mag []uint32, p uint, i int) {
+	for ; i < len(mag); i = (i | 63) + 1 {
+		k := i >> 6
+		var n, b uint64
+		if i&63 != 0 {
+			n, b = nz[k], bit[k]
+		}
+		for j, m := range mag[i:min(len(mag), (i|63)+1)] {
+			s := uint(i+j) & 63
+			if m>>p != 0 {
+				n |= 1 << s
+			}
+			b |= uint64(m>>(p-1)&1) << s
+		}
+		nz[k], bit[k] = n, b
+	}
+}

@@ -1,8 +1,9 @@
 // Package simd is the ISA-aware kernel layer of the encoder: the hot
 // elementwise row kernels of the pipeline (9/7 and 5/3 lifting steps,
 // Q13 fixed-point lifting, the merged level-shift + color transforms,
-// dead-zone quantization, and the Tier-1 stripe-mask build) behind a
-// dispatch table selected once at init from the CPU's vector features.
+// dead-zone quantization, the Tier-1 stripe-mask build and the HT
+// encoder's plane bit sets) behind a dispatch table selected once at
+// init from the CPU's vector features.
 //
 // This is the Go analogue of the paper's Section 4 argument: kernel
 // cost is ISA-specific (the SPE's vector float multiply is one fast
@@ -73,9 +74,10 @@ type kernels struct {
 	dl2I32      func(even, odd, src []int32) int
 	dl2F32      func(even, odd, src []float32) int
 
-	absOr  func(mag []uint32, coef []int32) (int, uint32)
-	orU32  func(dst, src []uint32) int
-	signOr func(flags []uint32, coef []int32, bit uint32) int
+	absOr     func(mag []uint32, coef []int32) (int, uint32)
+	orU32     func(dst, src []uint32) int
+	signOr    func(flags []uint32, coef []int32, bit uint32) int
+	planeMask func(nz, bit []uint64, mag []uint32, p uint) int
 }
 
 // scalarSet has every vector entry nil: the pure-Go oracle.
@@ -424,4 +426,23 @@ func SignOrRow(flags []uint32, coef []int32, bit uint32) {
 		i = f(flags, coef, bit)
 	}
 	scalarSignOr(flags[i:], coef[i:], bit)
+}
+
+// PlaneMaskRow builds the two per-row bit sets of an HT block at plane
+// p (p < 32), 64 samples to a word, LSB first: bit i of nz is set when
+// mag[i]>>p != 0 (significant at plane p), and bit i of bit is plane
+// p−1's bit of mag[i], (mag[i]>>(p−1))&1, which is 0 for every i when
+// p = 0. Every word covering mag is written, and bits at or past
+// len(mag) in the last word are zero. nz and bit must each hold at
+// least (len(mag)+63)/64 words.
+func PlaneMaskRow(nz, bit []uint64, mag []uint32, p uint) {
+	i := 0
+	if nw := (len(mag) + 63) >> 6; len(nz) >= nw && len(bit) >= nw {
+		if f := active.Load().planeMask; f != nil {
+			i = f(nz, bit, mag, p)
+		}
+	}
+	if i < len(mag) {
+		scalarPlaneMask(nz, bit, mag, p, i)
+	}
 }

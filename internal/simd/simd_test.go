@@ -356,6 +356,76 @@ func TestSignOr(t *testing.T) {
 	}
 }
 
+// refPlaneMask is PlaneMaskRow's definition, one bit at a time; the
+// words it returns hold zeros past len(mag).
+func refPlaneMask(mag []uint32, p uint) (nz, bit []uint64) {
+	nw := (len(mag) + 63) / 64
+	nz, bit = make([]uint64, nw), make([]uint64, nw)
+	for i, m := range mag {
+		if m>>p != 0 {
+			nz[i/64] |= 1 << (i % 64)
+		}
+		if p >= 1 && m>>(p-1)&1 == 1 {
+			bit[i/64] |= 1 << (i % 64)
+		}
+	}
+	return nz, bit
+}
+
+// checkPlaneMask runs PlaneMaskRow under the active kernel set on words
+// pre-filled with ones, one word longer than needed, and requires the
+// reference bits in every covering word (so bits at or past len(mag)
+// are zero) and the extra word untouched.
+func checkPlaneMask(t *testing.T, name string, mag []uint32, p uint) {
+	t.Helper()
+	wantNZ, wantBit := refPlaneMask(mag, p)
+	nw := len(wantNZ)
+	nz, bit := make([]uint64, nw+1), make([]uint64, nw+1)
+	for i := range nz {
+		nz[i], bit[i] = ^uint64(0), ^uint64(0)
+	}
+	PlaneMaskRow(nz, bit, mag, p)
+	for i := 0; i < nw; i++ {
+		if nz[i] != wantNZ[i] || bit[i] != wantBit[i] {
+			t.Fatalf("%s/n=%d/p=%d: word %d = nz %#x bit %#x, want %#x %#x", name, len(mag), p, i, nz[i], bit[i], wantNZ[i], wantBit[i])
+		}
+	}
+	if nz[nw] != ^uint64(0) || bit[nw] != ^uint64(0) {
+		t.Fatalf("%s/n=%d/p=%d: wrote word %d past the row", name, len(mag), p, nw)
+	}
+}
+
+// TestPlaneMaskRow pins PlaneMaskRow under every kernel set to its
+// bit-by-bit definition at every length 0–130 (partial words, vector
+// tails and word boundaries), every plane 0–31 and an unaligned row,
+// over magnitudes that include 0, 1, 2, 3 and 2^31.
+func TestPlaneMaskRow(t *testing.T) {
+	prev := Kernel()
+	defer Use(prev)
+	rng := rand.New(rand.NewSource(16))
+	for _, name := range Available() {
+		if err := Use(name); err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= 130; n++ {
+			mag := offU32(make([]uint32, n))
+			for i := range mag {
+				switch k := rng.Intn(8); k {
+				case 0, 1, 2, 3:
+					mag[i] = uint32(k)
+				case 4:
+					mag[i] = 1 << 31
+				default:
+					mag[i] = rng.Uint32() >> rng.Intn(32)
+				}
+			}
+			for p := uint(0); p < 32; p++ {
+				checkPlaneMask(t, name, mag, p)
+			}
+		}
+	}
+}
+
 // TestExportedWrappersUseActive pins that the exported row functions
 // agree with the scalar oracle under every selectable kernel set,
 // driving the same dispatch path production code uses.

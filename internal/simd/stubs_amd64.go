@@ -157,3 +157,9 @@ func signOrAVX2(flags []uint32, coef []int32, bit uint32) (n int)
 
 //go:noescape
 func signOrSSE2(flags []uint32, coef []int32, bit uint32) (n int)
+
+//go:noescape
+func planeMaskAVX2(nz, bit []uint64, mag []uint32, p uint) (n int)
+
+//go:noescape
+func planeMaskSSE2(nz, bit []uint64, mag []uint32, p uint) (n int)

@@ -74,29 +74,22 @@ func Encode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain f
 
 	// The load traversal runs row-kernels from the simd layer: magnitudes
 	// plus a running OR (bits.Len32(OR) == bits.Len32(max), which is all numBPS
-	// needs), the stripe OR masks, and the sign flags. The distortion sum
-	// stays a scalar pass in magnitude index order — float accumulation
-	// order is part of the codestream contract via PCRD.
-	gain2 := gain * gain
+	// needs), the stripe OR masks, and the sign flags.
 	orAll := uint32(0)
-	dist0 := 0.0
 	for y := 0; y < h; y++ {
 		coefRow := coef[y*stride : y*stride+w]
 		magRow := c.mag[y*w : y*w+w]
 		orAll |= simd.AbsOrRow(magRow, coefRow)
 		simd.OrRow(e.stripeOR[(y/4)*w:(y/4)*w+w], magRow)
 		simd.SignOrRow(c.flags[c.fidx(0, y):c.fidx(0, y)+w], coefRow, fwNeg)
-		for _, m := range magRow {
-			dist0 += float64(float64(m) * float64(m) * gain2)
-		}
 	}
 	numBPS := bits.Len32(orAll)
-	blk := &Block{W: w, H: h, Orient: orient, NumBPS: numBPS, Mode: mode, Dist0: dist0}
+	blk := &Block{W: w, H: h, Orient: orient, NumBPS: numBPS, Mode: mode}
 	if numBPS == 0 {
 		return blk
 	}
 
-	e.coder, e.mode, e.gain2, e.out = c, mode, gain2, nil
+	e.coder, e.mode, e.gain2, e.out = c, mode, gain*gain, nil
 	e.mq.Reset()
 
 	for p := numBPS - 1; p >= 0; p-- {

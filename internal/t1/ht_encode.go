@@ -18,21 +18,19 @@ const htTrailerLen = 7
 
 // htEncoder holds the pooled scratch of one HT block encode: the three
 // cleanup byte streams, the MEL state, the packer reused by the two
-// raw-bit refinement passes, the quad significance history, and the
-// SigProp bit sets.
+// raw-bit refinement passes, the block's bit sets at the cleanup plane
+// and the passes' per-row working sets.
 //
 // The per-bit encoder these emitters replace is kept in
 // ht_oracle_test.go; the tests there require identical blocks.
 type htEncoder struct {
-	magsgn  htWriter
-	vlc     htWriter
-	mel     melEncoder
-	refine  htWriter // SigProp / MagRef segments, one at a time
-	prevRho []uint8  // significance pattern of the quad row above
-	rowOR   []uint32 // OR of the magnitudes of each 2-row quad stripe
-	sig     []uint64 // significant after the plane-1 cleanup, per row
-	one     []uint64 // magnitude exactly 1, per row
-	rows    []uint64 // SigProp's four per-row working sets
+	magsgn htWriter
+	vlc    htWriter
+	mel    melEncoder
+	refine htWriter // SigProp / MagRef segments, one at a time
+	nz     []uint64 // significant at the cleanup plane, per row
+	bit    []uint64 // the bit of the plane below the cleanup plane, per row
+	rows   []uint64 // the cleanup's quad masks, SigProp's working sets
 }
 
 // encodeHT runs the HTJ2K (Part 15) FBCOT coder on one block. In
@@ -43,6 +41,11 @@ type htEncoder struct {
 // raw-bit passes finish plane 0, giving PCRD three truncation points
 // per block. Shares the pooled coder scratch, the simd load kernels,
 // and the Block/Pass contract with the MQ encoder.
+//
+// All three passes read one pair of bit sets, 64 samples to a word,
+// built once per block by simd.PlaneMaskRow at the cleanup plane: nz
+// (significant after the cleanup) and bit (the plane below it, which
+// the refinement passes code).
 func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain float64) *Block {
 	// invariant: block geometry comes from PlanBlocks, which never emits
 	// empty blocks; encode-side only (decode sizes are clamped to the band).
@@ -54,39 +57,49 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 	e := getHTEncoder()
 	defer putHTEncoder(e)
 
-	e.rowOR = zeroed(e.rowOR, (h+1)/2)
-
 	// Same load traversal as the MQ encoder: magnitudes plus a running
-	// OR from the simd row kernels (bits.Len32(OR) == bits.Len32(max)), sign
-	// flags, and the per-quad-row OR masks that drive the MEL fast path.
+	// OR from the simd row kernels (bits.Len32(OR) == bits.Len32(max)),
+	// and sign flags. A ModeHT cleanup reconstructs every sample exactly,
+	// so its distortion reduction is the block's weighted energy, summed
+	// here in raster order.
 	gain2 := gain * gain
 	orAll := uint32(0)
-	dist0 := 0.0
+	energy := 0.0
 	for y := 0; y < h; y++ {
 		coefRow := coef[y*stride : y*stride+w]
 		magRow := c.mag[y*w : y*w+w]
-		ror := simd.AbsOrRow(magRow, coefRow)
-		orAll |= ror
-		e.rowOR[y>>1] |= ror
+		orAll |= simd.AbsOrRow(magRow, coefRow)
 		simd.SignOrRow(c.flags[c.fidx(0, y):c.fidx(0, y)+w], coefRow, fwNeg)
-		for _, m := range magRow {
-			dist0 += float64(float64(m) * float64(m) * gain2)
+		if mode == ModeHT {
+			for _, m := range magRow {
+				energy += float64(float64(m) * float64(m) * gain2)
+			}
 		}
 	}
 	numBPS := bits.Len32(orAll)
-	blk := &Block{W: w, H: h, Orient: orient, NumBPS: numBPS, Mode: mode, Dist0: dist0}
+	blk := &Block{W: w, H: h, Orient: orient, NumBPS: numBPS, Mode: mode}
 	if numBPS == 0 {
 		return blk
 	}
 
-	refine := mode == ModeHTRefine
 	pCup := 0
-	if refine && numBPS >= 2 {
+	if mode == ModeHTRefine && numBPS >= 2 {
 		pCup = 1
 	}
-	nSig, dd := e.cleanup(c, w, h, pCup, gain2, refine)
-	if !refine {
-		dd = dist0 // cleanup at plane 0 reconstructs everything exactly
+	nw := (w + 63) >> 6
+	e.nz = zeroed(e.nz, h*nw)
+	e.bit = zeroed(e.bit, h*nw)
+	if w&63 == 0 {
+		// Rows fill whole words: the block is one row to the kernel.
+		simd.PlaneMaskRow(e.nz, e.bit, c.mag[:w*h], uint(pCup))
+	} else {
+		for y := 0; y < h; y++ {
+			simd.PlaneMaskRow(e.nz[y*nw:y*nw+nw], e.bit[y*nw:y*nw+nw], c.mag[y*w:y*w+w], uint(pCup))
+		}
+	}
+	nSig, dd := e.cleanup(c, w, h, pCup, gain2, mode == ModeHTRefine)
+	if mode == ModeHT {
+		dd = energy
 	}
 
 	e.magsgn.flush()
@@ -120,7 +133,7 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 			DistDelta: dd, Scanned: w * h, Coded: coded,
 		})
 		e.refine.reset()
-		dd, coded = e.magRef(c, w, h, gain2)
+		dd, coded = e.magRef(h*nw, gain2)
 		e.refine.flush()
 		seg = len(e.refine.buf)
 		out = append(out, e.refine.buf...)
@@ -133,6 +146,15 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 	return blk
 }
 
+// evenBits marks the even bit positions: the first sample column of
+// each quad in a row word.
+const evenBits = 0x5555555555555555
+
+// quadRho maps a quad's two 2-bit row patterns (top row in bits 0–1,
+// bottom row in bits 2–3, left column first) to its column-major
+// significance pattern ρ.
+var quadRho = [16]uint8{0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15}
+
 // cleanup codes the FBCOT cleanup pass at plane pCup: a 2×2 quad scan
 // over 2-row stripes. A quad with an all-quiet causal neighborhood
 // (left and above quads both empty — AZC) has its emptiness coded by
@@ -143,6 +165,16 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 // bits to the MagSgn stream. When track is set (ModeHTRefine) the
 // pass also accumulates its distortion reduction.
 //
+// The scan runs on quad masks, one bit per quad at the even positions
+// of a row word, built from the nz words of the stripe's two rows: a
+// quad is non-empty when either row has a bit in its two columns, and
+// it is AZC when neither the quad above nor the one to its left is
+// non-empty. Only the non-empty quads are visited. An empty quad loads
+// no magnitude: it is a MEL zero when AZC and four zero VLC bits
+// otherwise, and both are counted by popcount and emitted in batches
+// just before the next event of their own stream, so each stream keeps
+// its order.
+//
 // Emission is packed: ρ and the U_q code word leave in one VLC put, and
 // each sample's sign and magnitude form one MagSgn field of U_q+1 bits
 // (exact because packing is LSB-first). The four fields of a quad are
@@ -152,16 +184,17 @@ func (e *htEncoder) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool)
 	e.magsgn.reset()
 	e.vlc.reset()
 	e.mel.reset()
-	nqx := (w + 1) / 2
-	nqy := (h + 1) / 2
-	e.prevRho = zeroed(e.prevRho, nqx)
+	nw := (w + 63) >> 6
+	e.rows = zeroed(e.rows, nw)
+	above := e.rows // quad masks of the stripe above
 	up := uint(pCup)
 	// errA, the plane-pCup midpoint's residual error, is 1 exactly when
 	// pCup = 1 and the dropped LSB is 0: errA = ^m & errLSB.
 	errLSB := uint32(pCup)
-	mag, flags, fw := c.mag, c.flags, c.fw
-	prevRho := e.prevRho
-	ms, vlc := &e.magsgn, &e.vlc
+	mag, flags, fw, nz := c.mag, c.flags, c.fw, e.nz
+	ms, vlc, mel := &e.magsgn, &e.vlc, &e.mel
+	// Quads of the last word of a row that lie inside the block.
+	lastValid := evenBits & (^uint64(0) >> ((64 - w&63) & 63))
 	// Flag and magnitude offsets of quad sample i from its top-left:
 	// column-major, bit0 (x0,y0), bit1 (x0,y0+1), bit2 (x0+1,y0),
 	// bit3 (x0+1,y0+1).
@@ -169,121 +202,132 @@ func (e *htEncoder) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool)
 	mOff := [4]int{0, w, 1, w + 1}
 	var acc uint64 // pending MagSgn bits, LSB first
 	var n uint
-	prevZero := true // quad row above entirely empty
-	for qy := 0; qy < nqy; qy++ {
-		y0 := qy * 2
-		if prevZero && e.rowOR[qy]>>up == 0 {
-			// Whole quad row empty above an empty row: every quad is AZC
-			// with event 0 — byte-identical to the per-quad path below,
-			// but one batched MEL call instead of nqx quad visits.
-			e.mel.encodeZeros(nqx)
-			continue
-		}
+	melZeros, vlcZeros := 0, 0 // empty-quad events not yet emitted
+	for y0 := 0; y0 < h; y0 += 2 {
 		tall := y0+1 < h
-		left := uint8(0)
-		rowZero := true
-		for qx := 0; qx < nqx; qx++ {
-			x0 := qx * 2
-			mi := y0*w + x0
-			v0 := mag[mi] >> up
-			var v1, v2, v3 uint32
+		var left uint64 // the previous word's last quad, at bit 0
+		for wi := 0; wi < nw; wi++ {
+			r0, r1 := nz[y0*nw+wi], uint64(0)
 			if tall {
-				v1 = mag[mi+w] >> up
+				r1 = nz[(y0+1)*nw+wi]
 			}
-			if x0+1 < w {
-				v2 = mag[mi+1] >> up
+			valid := uint64(evenBits)
+			if wi == nw-1 {
+				valid = lastValid
+			}
+			quads := (r0 | r1 | (r0|r1)>>1) & evenBits // the non-empty ones
+			azc := ^(above[wi] | quads<<2 | left) & valid
+			above[wi], left = quads, quads>>62
+			empty := valid &^ quads
+			for t := quads; t != 0; t &= t - 1 {
+				b := uint(bits.TrailingZeros64(t))
+				if empty != 0 {
+					before := empty & (1<<b - 1)
+					melZeros += bits.OnesCount64(before & azc)
+					vlcZeros += bits.OnesCount64(before &^ azc)
+					empty &^= before
+				}
+				if azc>>b&1 != 0 {
+					if melZeros != 0 {
+						mel.encodeZeros(melZeros)
+						melZeros = 0
+					}
+					mel.encode(1)
+				}
+				if vlcZeros != 0 {
+					vlc.putZeros(4 * vlcZeros)
+					vlcZeros = 0
+				}
+
+				x0 := wi<<6 + int(b)
+				mi := y0*w + x0
+				v0 := mag[mi] >> up
+				var v1, v2, v3 uint32
 				if tall {
-					v3 = mag[mi+w+1] >> up
+					v1 = mag[mi+w] >> up
 				}
-			}
-			rho := nonZero(v0) | nonZero(v1)<<1 | nonZero(v2)<<2 | nonZero(v3)<<3
-			if left|prevRho[qx] == 0 { // AZC quad
-				if rho == 0 {
-					e.mel.encode(0)
-					prevRho[qx] = 0
-					left = 0
-					continue
+				if x0+1 < w {
+					v2 = mag[mi+1] >> up
+					if tall {
+						v3 = mag[mi+w+1] >> up
+					}
 				}
-				e.mel.encode(1)
-			}
-			prevRho[qx] = uint8(rho)
-			left = uint8(rho)
-			if rho == 0 {
-				vlc.put(0, 4)
-				continue
-			}
-			rowZero = false
-			umax := bits.Len32(v0 | v1 | v2 | v3) // the largest sample bit length
-			uc := uexpCode[umax-1]
-			vlc.put(rho|uint32(uc&0xFF)<<4, 4+uint(uc>>8))
-			nSig += bits.OnesCount32(rho)
-			fi := (y0+1)*fw + x0 + 1
-			// MagSgn fields collect in the local word (acc, n) and go to
-			// the writer 32 bits at a time; every field is at most 32
-			// bits and fewer than 32 are pending before it, so the word
-			// never overflows. The border words absorb the flag loads of
-			// samples outside the block; those samples are empty and
-			// contribute 0 bits.
-			nb := uint32(umax) + 1
-			switch {
-			case nb <= 8:
-				// The quad's four fields fit one 32-bit field.
-				q, qn := magSgn(v0, flags[fi], nb)
-				f, fn := magSgn(v1, flags[fi+fw], nb)
-				q |= f << qn
-				qn += fn
-				f, fn = magSgn(v2, flags[fi+1], nb)
-				q |= f << qn
-				qn += fn
-				f, fn = magSgn(v3, flags[fi+fw+1], nb)
-				q |= f << qn
-				qn += fn
-				acc |= uint64(q) << n
-				n += uint(qn)
-				if n >= 32 {
-					ms.put(uint32(acc), 32)
-					acc >>= 32
-					n -= 32
-				}
-			case nb <= 32:
-				for i, v := range [4]uint32{v0, v1, v2, v3} {
-					f, fn := magSgn(v, flags[fi+fOff[i]], nb)
-					acc |= uint64(f) << n
-					n += uint(fn)
+				rho := uint32(quadRho[(r0>>b&3|r1>>b&3<<2)&15])
+				umax := bits.Len32(v0 | v1 | v2 | v3) // the largest sample bit length
+				uc := uexpCode[umax-1]
+				vlc.put(rho|uint32(uc&0xFF)<<4, 4+uint(uc>>8))
+				nSig += bits.OnesCount32(rho)
+				fi := (y0+1)*fw + x0 + 1
+				// MagSgn fields collect in the local word (acc, n) and go to
+				// the writer 32 bits at a time; every field is at most 32
+				// bits and fewer than 32 are pending before it, so the word
+				// never overflows. The border words absorb the flag loads of
+				// samples outside the block; those samples are empty and
+				// contribute 0 bits.
+				nb := uint32(umax) + 1
+				switch {
+				case nb <= 8:
+					// The quad's four fields fit one 32-bit field.
+					q, qn := magSgn(v0, flags[fi], nb)
+					f, fn := magSgn(v1, flags[fi+fw], nb)
+					q |= f << qn
+					qn += fn
+					f, fn = magSgn(v2, flags[fi+1], nb)
+					q |= f << qn
+					qn += fn
+					f, fn = magSgn(v3, flags[fi+fw+1], nb)
+					q |= f << qn
+					qn += fn
+					acc |= uint64(q) << n
+					n += uint(qn)
 					if n >= 32 {
 						ms.put(uint32(acc), 32)
 						acc >>= 32
 						n -= 32
 					}
+				case nb <= 32:
+					for i, v := range [4]uint32{v0, v1, v2, v3} {
+						f, fn := magSgn(v, flags[fi+fOff[i]], nb)
+						acc |= uint64(f) << n
+						n += uint(fn)
+						if n >= 32 {
+							ms.put(uint32(acc), 32)
+							acc >>= 32
+							n -= 32
+						}
+					}
+				default:
+					// A 33-bit field exceeds one put: sign, then magnitude.
+					ms.put(uint32(acc), n)
+					acc, n = 0, 0
+					for i, v := range [4]uint32{v0, v1, v2, v3} {
+						if v != 0 {
+							ms.put(negBit(flags[fi+fOff[i]]), 1)
+							ms.put(v-1, 32)
+						}
+					}
 				}
-			default:
-				// A 33-bit field exceeds one put: sign, then magnitude.
-				ms.put(uint32(acc), n)
-				acc, n = 0, 0
-				for i, v := range [4]uint32{v0, v1, v2, v3} {
-					if v != 0 {
-						ms.put(negBit(flags[fi+fOff[i]]), 1)
-						ms.put(v-1, 32)
+				if track {
+					// dd must accumulate in sample order, quad by quad, as
+					// the per-bit encoder did: PCRD consumes it, so the float
+					// sum's order is part of the codestream contract.
+					for r := rho; r != 0; r &= r - 1 {
+						i := bits.TrailingZeros32(r)
+						// Midpoint reconstruction at pCup: exact for pCup = 0;
+						// at pCup = 1 the residual error is 1 exactly when the
+						// dropped LSB is 0.
+						m := mag[mi+mOff[i]]
+						errA := float64(^m & errLSB)
+						dd += float64((float64(float64(m)*float64(m)) - errA) * gain2)
 					}
 				}
 			}
-			if track {
-				// dd must accumulate in sample order, quad by quad, as the
-				// per-bit encoder did: PCRD consumes it, so the float
-				// sum's order is part of the codestream contract.
-				for r := rho; r != 0; r &= r - 1 {
-					i := bits.TrailingZeros32(r)
-					// Midpoint reconstruction at pCup: exact for pCup = 0;
-					// at pCup = 1 the residual error is 1 exactly when the
-					// dropped LSB is 0.
-					m := mag[mi+mOff[i]]
-					errA := float64(^m & errLSB)
-					dd += float64((float64(float64(m)*float64(m)) - errA) * gain2)
-				}
-			}
+			melZeros += bits.OnesCount64(empty & azc)
+			vlcZeros += bits.OnesCount64(empty &^ azc)
 		}
-		prevZero = rowZero
 	}
+	mel.encodeZeros(melZeros)
+	vlc.putZeros(4 * vlcZeros)
 	ms.put(uint32(acc), n)
 	return nSig, dd
 }
@@ -308,36 +352,20 @@ func magSgn(v, fv, nb uint32) (field, n uint32) {
 // neighbor, plus a sign bit when it fires. Membership evolves during
 // the scan exactly as on the decode side, in raster order.
 //
-// The encoder finds the members a row at a time on bit sets, 64
-// samples to a word, instead of sample by sample on flag words. After
-// the plane-1 cleanup a sample is significant exactly when mag>>1 != 0
-// (sig), and an insignificant sample's plane-0 bit is its magnitude
-// (one: mag == 1). In raster order an insignificant sample is a member
-// when a neighbor was significant after cleanup, arrived in the row
-// above, or is its left neighbor and arrived in this row. So arrivals
-// run rightward through consecutive one-samples from a member, which
-// one carry-propagating add finds for a whole row.
+// The encoder finds the members a row at a time on the block's bit
+// sets, 64 samples to a word, instead of sample by sample on flag
+// words. After the plane-1 cleanup a sample is significant exactly
+// when its nz bit is set, and an insignificant sample's plane-0 bit is
+// its magnitude (one = bit &^ nz: magnitude exactly 1). In raster order
+// an insignificant sample is a member when a neighbor was significant
+// after cleanup, arrived in the row above, or is its left neighbor and
+// arrived in this row. So arrivals run rightward through consecutive
+// one-samples from a member, which one carry-propagating add finds for
+// a whole row.
 func (e *htEncoder) sigProp(c *coder, w, h int, gain2 float64) (dd float64, coded int) {
 	nw := (w + 63) >> 6
-	e.sig = zeroed(e.sig, h*nw)
-	e.one = zeroed(e.one, h*nw)
 	e.rows = zeroed(e.rows, 4*nw)
-	sig, one := e.sig, e.one
-	mag := c.mag
-	for y := 0; y < h; y++ {
-		row := mag[y*w : y*w+w]
-		for i := 0; i < nw; i++ {
-			var sw, ow uint64
-			for b, m := range row[i<<6 : min(i<<6+64, w)] {
-				// m <= 1<<31, so bit 31 of m+0x7FFFFFFE is m >= 2, and
-				// m^1 - 1 wraps to bit 63 only for m == 1.
-				sw |= uint64((m+0x7FFFFFFE)>>31) << b
-				ow |= (uint64(m^1) - 1) >> 63 << b
-			}
-			sig[y*nw+i], one[y*nw+i] = sw, ow
-		}
-	}
-
+	sig := e.nz
 	valid := ^uint64(0) >> ((64 - w&63) & 63) // in-block bits of a row's last word
 	near, memb := e.rows[:nw], e.rows[nw:2*nw]
 	prevA, curA := e.rows[2*nw:3*nw], e.rows[3*nw:]
@@ -347,7 +375,7 @@ func (e *htEncoder) sigProp(c *coder, w, h int, gain2 float64) (dd float64, code
 	var n uint
 	arrivals := 0
 	for y := 0; y < h; y++ {
-		s, o := sig[y*nw:(y+1)*nw], one[y*nw:(y+1)*nw]
+		s, pb := sig[y*nw:(y+1)*nw], e.bit[y*nw:(y+1)*nw]
 		// near: the samples whose horizontal dilation makes members —
 		// significant in this row or the rows around it, or arrived in
 		// the row above.
@@ -373,9 +401,10 @@ func (e *htEncoder) sigProp(c *coder, w, h int, gain2 float64) (dd float64, code
 			}
 			// Arrivals: the one-runs reached from a one-candidate, the
 			// carry crossing into the next word with the run.
-			seeds := cand & o[i]
-			sum, cout := bits.Add64(o[i], seeds, carry)
-			a := (sum ^ o[i] | seeds) & o[i]
+			o := pb[i] &^ s[i]
+			seeds := cand & o
+			sum, cout := bits.Add64(o, seeds, carry)
+			a := (sum ^ o | seeds) & o
 			m := (cand | a<<1 | aLo) &^ s[i]
 			if i == nw-1 {
 				m &= valid
@@ -425,53 +454,39 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 // magRef is the HT magnitude refinement pass at plane 0: a raw LSB for
-// every sample significant after cleanup (mag>>1 != 0 — SigProp
-// arrivals have magnitude 1 and are excluded on both sides). After it,
-// those samples are exact; before it, the plane-1 midpoint missed by 1
-// exactly when the LSB is 0. Membership is an add, not a branch: a
-// non-member contributes a masked-off bit and advances nothing. The
-// bits collect in a local word that goes to the writer 32 at a time.
-func (e *htEncoder) magRef(c *coder, w, h int, gain2 float64) (dd float64, coded int) {
+// every sample significant after cleanup (its nz bit — SigProp
+// arrivals have magnitude 1 and are excluded on both sides), in raster
+// order over the first nWords words of the bit sets. After it, those
+// samples are exact; before it, the plane-1 midpoint missed by 1
+// exactly when the LSB is 0. The members' LSBs are their bits of the
+// bit set, gathered word by word: a half word of members goes out
+// whole, a partial one bit by bit over its set members. The coded and
+// zero counts are popcounts.
+func (e *htEncoder) magRef(nWords int, gain2 float64) (dd float64, coded int) {
 	wr := &e.refine
-	var acc uint64 // pending bits, fewer than 32 between rounds
+	var acc uint64 // pending bits, fewer than 32 between half words
 	var n uint
-	zeros := uint32(0) // members whose LSB is 0
-	mag := c.mag[:w*h]
-	i := 0
-	for ; i+4 <= len(mag); i += 4 {
-		// Four samples per round: their bits pack into one word, then
-		// one overflow check.
-		m0, m1, m2, m3 := mag[i], mag[i+1], mag[i+2], mag[i+3]
-		in0, in1, in2, in3 := nonZero(m0>>1), nonZero(m1>>1), nonZero(m2>>1), nonZero(m3>>1)
-		q := m0 & in0
-		k := in0
-		q |= (m1 & in1) << k
-		k += in1
-		q |= (m2 & in2) << k
-		k += in2
-		q |= (m3 & in3) << k
-		k += in3
-		acc |= uint64(q) << n
-		n += uint(k)
-		coded += int(k)
-		zeros += in0&^m0 + in1&^m1 + in2&^m2 + in3&^m3
-		if n >= 32 {
-			wr.put(uint32(acc), 32)
-			acc >>= 32
-			n -= 32
+	zeros := 0 // members whose LSB is 0
+	for i, m := range e.nz[:nWords] {
+		b := e.bit[i]
+		coded += bits.OnesCount64(m)
+		zeros += bits.OnesCount64(m &^ b)
+		for ; m != 0; m, b = m>>32, b>>32 {
+			if mh, bh := uint32(m), uint32(b); mh == ^uint32(0) {
+				acc |= uint64(bh) << n
+				n += 32
+			} else {
+				for t := mh; t != 0; t &= t - 1 {
+					acc |= uint64(bh>>bits.TrailingZeros32(t)&1) << n
+					n++
+				}
+			}
+			if n >= 32 {
+				wr.put(uint32(acc), 32)
+				acc >>= 32
+				n -= 32
+			}
 		}
-	}
-	for _, m := range mag[i:] {
-		in := nonZero(m >> 1)
-		acc |= uint64(m&in) << n
-		n += uint(in)
-		coded += int(in)
-		zeros += in &^ m
-	}
-	if n >= 32 {
-		wr.put(uint32(acc), 32)
-		acc >>= 32
-		n -= 32
 	}
 	wr.put(uint32(acc), n)
 	// As in sigProp: every term is gain2, so the same count of adds

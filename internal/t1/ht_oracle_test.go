@@ -183,7 +183,7 @@ func oracleEncodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode
 		}
 	}
 	numBPS := oracleBitLen(orAll)
-	blk := &Block{W: w, H: h, Orient: orient, NumBPS: numBPS, Mode: mode, Dist0: dist0}
+	blk := &Block{W: w, H: h, Orient: orient, NumBPS: numBPS, Mode: mode}
 	if numBPS == 0 {
 		return blk
 	}
@@ -398,8 +398,6 @@ func sameBlock(got, want *Block) string {
 		return fmt.Sprintf("geometry %dx%d/%v/%d, want %dx%d/%v/%d", got.W, got.H, got.Orient, got.Mode, want.W, want.H, want.Orient, want.Mode)
 	case got.NumBPS != want.NumBPS:
 		return fmt.Sprintf("NumBPS %d, want %d", got.NumBPS, want.NumBPS)
-	case math.Float64bits(got.Dist0) != math.Float64bits(want.Dist0):
-		return fmt.Sprintf("Dist0 %v, want %v", got.Dist0, want.Dist0)
 	case got.Renorms != want.Renorms:
 		return fmt.Sprintf("Renorms %d, want %d", got.Renorms, want.Renorms)
 	case !bytes.Equal(got.Data, want.Data):
@@ -435,15 +433,45 @@ func stuffingBlock(w, h int, seed uint32) []int32 {
 	return out
 }
 
+// clusteredBlock is zero outside a few small rectangles of non-zero
+// samples (a magnitude 1 among them, for SigProp), so the cleanup
+// meets long runs of empty quads inside quad rows that are not empty,
+// on either side of word boundaries.
+func clusteredBlock(w, h int, seed uint32) []int32 {
+	rng := workload.NewRNG(seed)
+	out := make([]int32, w*h)
+	for range 1 + rng.Intn(4) {
+		x0, y0 := rng.Intn(w), rng.Intn(h)
+		x1, y1 := min(w, x0+1+rng.Intn(5)), min(h, y0+1+rng.Intn(3))
+		for y := y0; y < y1; y++ {
+			for x := x0; x < x1; x++ {
+				v := int32(1 + rng.Intn(300))
+				if rng.Intn(4) == 0 {
+					v = 1
+				}
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				out[y*w+x] = v
+			}
+		}
+	}
+	return out
+}
+
 // TestHTEncodeMatchesOracle pins the packed HT encoder to the per-bit
-// oracle across orientation, geometry (including blocks wider or taller
-// than 64), content statistics and both HT modes.
+// oracle under every kernel set, across orientation, geometry
+// (including blocks wider or taller than 64 and odd sizes), content
+// statistics and both HT modes.
 func TestHTEncodeMatchesOracle(t *testing.T) {
-	sizes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {33, 17}, {64, 37}, {64, 64}, {128, 32}, {256, 16}}
+	prev := simd.Kernel()
+	defer simd.Use(prev)
+	sizes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {33, 17}, {64, 37}, {64, 64}, {65, 9}, {97, 71}, {128, 32}, {255, 6}, {256, 16}}
 	contents := map[string]func(w, h int, seed uint32) []int32{
-		"dense":    func(w, h int, seed uint32) []int32 { return randBlock(w, h, seed, 400) },
-		"sparse":   sparseBlock,
-		"stuffing": stuffingBlock,
+		"dense":     func(w, h int, seed uint32) []int32 { return randBlock(w, h, seed, 400) },
+		"sparse":    sparseBlock,
+		"stuffing":  stuffingBlock,
+		"clustered": clusteredBlock,
 		// One and two magnitude planes: the refine mode's pCup edge
 		// (NumBPS 1 codes cleanup at plane 0, NumBPS 2 at plane 1).
 		"bps1": func(w, h int, seed uint32) []int32 { return randBlock(w, h, seed, 1) },
@@ -462,18 +490,23 @@ func TestHTEncodeMatchesOracle(t *testing.T) {
 			return out
 		},
 	}
-	seed := uint32(1)
-	for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {
-		for _, sz := range sizes {
-			w, h := sz[0], sz[1]
-			for name, gen := range contents {
-				seed++
-				coef := gen(w, h, seed)
-				for _, mode := range []Mode{ModeHT, ModeHTRefine} {
-					got := Encode(coef, w, h, w, o, mode, 1.37)
-					want := oracleEncodeHT(coef, w, h, w, o, mode, 1.37)
-					if d := sameBlock(got, want); d != "" {
-						t.Fatalf("%v %dx%d %s mode %d: %s", o, w, h, name, mode, d)
+	for _, ks := range simd.Available() {
+		if err := simd.Use(ks); err != nil {
+			t.Fatal(err)
+		}
+		seed := uint32(1)
+		for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {
+			for _, sz := range sizes {
+				w, h := sz[0], sz[1]
+				for name, gen := range contents {
+					seed++
+					coef := gen(w, h, seed)
+					for _, mode := range []Mode{ModeHT, ModeHTRefine} {
+						got := Encode(coef, w, h, w, o, mode, 1.37)
+						want := oracleEncodeHT(coef, w, h, w, o, mode, 1.37)
+						if d := sameBlock(got, want); d != "" {
+							t.Fatalf("%s: %v %dx%d %s mode %d: %s", ks, o, w, h, name, mode, d)
+						}
 					}
 				}
 			}
@@ -500,6 +533,19 @@ func FuzzHTEncodeMatchesOracle(f *testing.F) {
 	f.Add(uint8(16), uint8(16), uint8(0), uint8(0), uint8(3), []byte{1, 2, 3, 4})
 	f.Add(uint8(7), uint8(33), uint8(2), uint8(1), uint8(0), []byte{0xFF, 0xFF, 0x80, 0})
 	f.Add(uint8(64), uint8(64), uint8(3), uint8(1), uint8(9), []byte{0xFF, 0xFE, 0xFF, 0x7F})
+	// Clustered: raw covers the whole block (pad%5 == 0, so the stride
+	// is w), zero outside a few small rectangles.
+	for i, sz := range [][2]int{{100, 40}, {129, 9}, {64, 64}, {37, 69}} {
+		w, h := sz[0], sz[1]
+		coef := clusteredBlock(w, h, uint32(i+7))
+		raw := make([]byte, w*h)
+		for j, v := range coef {
+			if v != 0 {
+				raw[j] = byte(v) | 2
+			}
+		}
+		f.Add(uint8(w-1), uint8(h-1), uint8(i), uint8(i), uint8(0), raw)
+	}
 	f.Fuzz(func(t *testing.T, w8, h8, o8, m8, pad uint8, raw []byte) {
 		w, h := int(w8)%130+1, int(h8)%70+1
 		stride := w + int(pad)%5

@@ -43,6 +43,14 @@ func (w *htWriter) put(v uint32, nb uint) {
 	}
 }
 
+// putZeros appends nb zero bits.
+func (w *htWriter) putZeros(nb int) {
+	for ; nb > 32; nb -= 32 {
+		w.put(0, 32)
+	}
+	w.put(0, uint(nb))
+}
+
 // drain emits bytes until fewer than 32 bits are pending. Four bytes go
 // out in one store when the stuffing rule cannot fire among them: the
 // last emitted byte and the first three are not 0xFF (the fourth only

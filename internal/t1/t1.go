@@ -116,8 +116,7 @@ type Block struct {
 	NumBPS int // bit planes actually coded (0 if all-zero block)
 	Mode   Mode
 	Passes []Pass
-	Data   []byte  // concatenated codeword segments
-	Dist0  float64 // weighted distortion with nothing decoded
+	Data   []byte // concatenated codeword segments
 
 	// Renorms is the MQ renormalization-chunk count of the block's
 	// encode (0 for HT blocks, which use no MQ coder).

@@ -112,10 +112,30 @@ func TestRoundTripFlushSetbits(t *testing.T) {
 	roundTripBlock(t, sparseBlock(5, 17, 0xff617232), 5, 17, dwt.HH, ModeTermAll)
 }
 
+// weightedEnergy is Σ m²·gain² over a block: its weighted distortion
+// with nothing decoded, which the passes' DistDeltas sum towards.
+func weightedEnergy(coef []int32, gain float64) float64 {
+	var s float64
+	for _, v := range coef {
+		m := float64(v)
+		s += m * m * gain * gain
+	}
+	return s
+}
+
+// passDistortion sums the DistDeltas of a block's passes.
+func passDistortion(b *Block) float64 {
+	var s float64
+	for _, p := range b.Passes {
+		s += p.DistDelta
+	}
+	return s
+}
+
 func TestAllZeroBlock(t *testing.T) {
 	coef := make([]int32, 16*16)
 	blk := Encode(coef, 16, 16, 16, dwt.LL, ModeSingle, 1.0)
-	if blk.NumBPS != 0 || len(blk.Passes) != 0 || len(blk.Data) != 0 || blk.Dist0 != 0 {
+	if blk.NumBPS != 0 || len(blk.Passes) != 0 || len(blk.Data) != 0 || passDistortion(blk) != weightedEnergy(coef, 1.0) {
 		t.Fatalf("all-zero block: %+v", blk)
 	}
 	got := make([]int32, 16*16)
@@ -177,9 +197,9 @@ func TestDistortionAccounting(t *testing.T) {
 		sum += p.DistDelta
 	}
 	// Decoding everything reaches (near) zero residual distortion:
-	// total deltas ≈ Dist0.
-	if math.Abs(sum-blk.Dist0) > 0.35*blk.Dist0 {
-		t.Fatalf("distortion deltas sum %v vs initial %v", sum, blk.Dist0)
+	// total deltas ≈ the block's weighted energy.
+	if e0 := weightedEnergy(coef, 1.0); math.Abs(sum-e0) > 0.35*e0 {
+		t.Fatalf("distortion deltas sum %v vs initial %v", sum, e0)
 	}
 }
 
@@ -270,8 +290,9 @@ func TestGainScalesDistortion(t *testing.T) {
 	coef := sparseBlock(16, 16, 4)
 	a := Encode(coef, 16, 16, 16, dwt.LL, ModeSingle, 1.0)
 	b := Encode(coef, 16, 16, 16, dwt.LL, ModeSingle, 2.0)
-	if math.Abs(b.Dist0-4*a.Dist0) > 1e-6*a.Dist0 {
-		t.Fatalf("Dist0 not scaled by gain²: %v vs %v", b.Dist0, a.Dist0)
+	sumA, sumB := passDistortion(a), passDistortion(b)
+	if sumA <= 0 || math.Abs(sumB-4*sumA) > 1e-6*sumA {
+		t.Fatalf("pass distortions not scaled by gain²: %v vs %v", sumB, sumA)
 	}
 	if string(a.Data) != string(b.Data) {
 		t.Fatal("gain must not change the bitstream")
