@@ -187,14 +187,13 @@ func main() {
 	bench := flag.String("bench", ".", "benchmarks to run (-test.bench regexp)")
 	benchtime := flag.String("benchtime", "1s", "-test.benchtime of each run")
 	rounds := flag.Int("rounds", 10, "number of A/B rounds")
-	timeout := flag.String("timeout", "30m", "-test.timeout of each run")
 	flag.Parse()
 	if *binA == "" || *binB == "" || *rounds < 1 {
 		fmt.Fprintln(os.Stderr, "usage: benchab -a base.test -b change.test [-dir pkgdir] [-bench re] [-benchtime t] [-rounds n]")
 		os.Exit(2)
 	}
 	args := []string{"-test.run", "^$", "-test.bench", *bench, "-test.benchmem",
-		"-test.cpu", "1", "-test.count", "1", "-test.benchtime", *benchtime, "-test.timeout", *timeout}
+		"-test.cpu", "1", "-test.count", "1", "-test.benchtime", *benchtime, "-test.timeout", "30m"}
 	var names []string
 	var resA, resB []map[string]result
 	for r := 0; r < *rounds; r++ {

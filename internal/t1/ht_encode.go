@@ -2,6 +2,7 @@ package t1
 
 import (
 	"math/bits"
+	"slices"
 
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/simd"
@@ -87,15 +88,11 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 		pCup = 1
 	}
 	nw := (w + 63) >> 6
-	e.nz = zeroed(e.nz, h*nw)
-	e.bit = zeroed(e.bit, h*nw)
-	if w&63 == 0 {
-		// Rows fill whole words: the block is one row to the kernel.
-		simd.PlaneMaskRow(e.nz, e.bit, c.mag[:w*h], uint(pCup))
-	} else {
-		for y := 0; y < h; y++ {
-			simd.PlaneMaskRow(e.nz[y*nw:y*nw+nw], e.bit[y*nw:y*nw+nw], c.mag[y*w:y*w+w], uint(pCup))
-		}
+	// No clear: the kernel writes every word of each row's sets.
+	e.nz = slices.Grow(e.nz[:0], h*nw)[:h*nw]
+	e.bit = slices.Grow(e.bit[:0], h*nw)[:h*nw]
+	for y := 0; y < h; y++ {
+		simd.PlaneMaskRow(e.nz[y*nw:y*nw+nw], e.bit[y*nw:y*nw+nw], c.mag[y*w:y*w+w], uint(pCup))
 	}
 	nSig, dd := e.cleanup(c, w, h, pCup, gain2, mode == ModeHTRefine)
 	if mode == ModeHT {
