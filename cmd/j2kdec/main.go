@@ -18,11 +18,11 @@
 // resyncs, salvaged byte ratio).
 //
 // Observability matches j2kenc (see DESIGN.md §6), now covering the
-// decode pipeline's stages (zero, t1, deq, idwt-h, idwt-v, imct):
+// decode pipeline's stages (parse, t2, t1/t1ht, idwt-h, idwt-v, imct):
 // -report prints the per-stage wall/busy breakdown with the measured
 // Amdahl serial fraction, -trace writes a chrome://tracing timeline
 // with one track per worker, -metrics dumps the counter set (queue
-// claims, Tier-1 decode partitions/singletons, DWT bytes moved, pool
+// claims, resyncs and concealed blocks, DWT bytes moved, pool
 // hit rates), and -pprof serves net/http/pprof plus /debug/vars and
 // /metrics while decoding.
 package main

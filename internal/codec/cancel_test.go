@@ -85,7 +85,7 @@ func TestCancelMidEncodeStopsPromptly(t *testing.T) {
 
 // TestCancelMidDecodeStopsPromptly is the decode-side analogue,
 // exercising the cancellation points of every queue the inverse chain
-// drains — the packet-parse loop, the dynamically-partitioned Tier-1
+// drains — the packet-parse loop, the one-job-per-task Tier-1
 // stage, and the IDWT/inverse-MCT stages (and, in the tiled
 // case, the tile queue wrapping them) — and pinning that the aborted
 // pipeline joined all its workers: no goroutine outlives the decode.

@@ -8,20 +8,18 @@ import (
 	"j2kcell/internal/mct"
 	"j2kcell/internal/obs"
 	"j2kcell/internal/quant"
-	"j2kcell/internal/t1"
 )
 
 // Decode-side pipeline stages. The inverse chain mirrors the encoder's
 // stage decomposition through the same atomic work queue:
 //
-//	Tier-1 block decode        — dynamically-sized partitions of the
-//	                             task list (see partitionDecodeTasks);
-//	                             each task writes its rectangle's final
-//	                             coefficients once: a decoded block
-//	                             (dequantized from per-job scratch on
-//	                             the irreversible path) or a zero-filled
-//	                             hole, so no zeroing or dequantization
-//	                             pass runs over the planes
+//	Tier-1 block decode        — one job per task, as the encoder runs
+//	                             one per block; each task writes its
+//	                             rectangle's final coefficients once: a
+//	                             decoded block (dequantized from per-job
+//	                             scratch on the irreversible path) or a
+//	                             zero-filled hole, so no zeroing or
+//	                             dequantization pass runs over the planes
 //	multi-level inverse DWT    — horizontal: row stripes; vertical:
 //	                             cache-line column groups; barrier per
 //	                             phase and per level, levels walked
@@ -205,111 +203,3 @@ func (p *Pipeline) InverseMCTFloat(img *imgmodel.Image, fplanes []*imgmodel.FPla
 		}
 	})
 }
-
-// blockCostFloor is the per-block fixed cost (coder-state init, scan
-// setup) added to the scaled byte count when sizing Tier-1 decode
-// partitions, in common time units calibrated against the MQ coder
-// (one unit ≈ decoding one MQ-coded byte).
-const blockCostFloor = 48
-
-// t1CostModel prices one Tier-1 decode task for partition sizing.
-// Different block coders have different fixed setup costs and
-// per-byte decode rates, so the partitioner is parameterized rather
-// than hardwired to MQ. Every task also writes each sample of its
-// rectangle once, in final form. A block costs floor +
-// codedBytes/byteDiv + samples/writeDiv and a hole, which only
-// zero-fills, 1 + samples/writeDiv, all in the common units of
-// blockCostFloor.
-type t1CostModel struct {
-	floor    int // fixed per-block cost (state init, scan setup)
-	byteDiv  int // coded bytes decoded per cost unit
-	writeDiv int // samples written per cost unit
-}
-
-var (
-	// mqDecodeCost: serial arithmetic decoding, ~1 unit per byte; a
-	// unit writes about a 32×32 block.
-	mqDecodeCost = t1CostModel{floor: blockCostFloor, byteDiv: 1, writeDiv: 1024}
-	// htDecodeCost: the HT decoder moves bytes several times faster
-	// than MQ (measured ~10× on dense blocks; 4 is the conservative
-	// sparse-block figure) and its per-block setup is lighter — no MQ
-	// context state to initialize. Measured on a lossy HT decode, its
-	// unit takes about a third of an MQ unit's time, so it writes a
-	// quarter as many samples.
-	htDecodeCost = t1CostModel{floor: 16, byteDiv: 4, writeDiv: 256}
-)
-
-// decodeCostFor selects the partition cost model for a Tier-1 mode.
-func decodeCostFor(mode t1.Mode) t1CostModel {
-	if mode.IsHT() {
-		return htDecodeCost
-	}
-	return mqDecodeCost
-}
-
-func (m t1CostModel) of(t *blockTask) int {
-	write := t.bw * t.bh / m.writeDiv
-	if t.acc == nil {
-		return 1 + write
-	}
-	return m.floor + len(t.acc.data)/m.byteDiv + write
-}
-
-// partitionDecodeTasks groups the block-decode tasks into contiguous
-// work-queue jobs sized by modeled cost — the per-block coded byte
-// counts T2 parsing just produced, priced by the active coder's cost
-// model — instead of one fixed-size job per block. Cheap blocks
-// (sparse high-frequency bands, heavily truncated layers) coalesce
-// until a partition reaches the cost target (total/(workers*4), so
-// claims stay frequent enough to balance); a block whose own cost
-// exceeds the target becomes a singleton. The pass chain inside one
-// block is strictly serial for both coders, so a single block is the
-// finest split available — pass granularity is the floor. Because HT
-// blocks are priced cheaper per byte, the same byte counts coalesce
-// into fewer, larger partitions under the HT model, keeping per-job
-// queue overhead proportional to actual decode time. Partition
-// boundaries never change decoded pixels (blocks write disjoint plane
-// regions); they only shape the queue's load balance.
-func partitionDecodeTasks(rec *obs.Recorder, tasks []blockTask, workers int, model t1CostModel) []decodePart {
-	if len(tasks) == 0 {
-		return nil
-	}
-	cost := func(t *blockTask) int { return model.of(t) }
-	total := 0
-	for i := range tasks {
-		total += cost(&tasks[i])
-	}
-	target := total / (workers * 4)
-	// One shared absolute minimum in common units — NOT scaled by the
-	// model floor — so a cheap coder coalesces more blocks per job
-	// rather than just lowering the bar.
-	if target < 4*blockCostFloor {
-		target = 4 * blockCostFloor
-	}
-	var parts []decodePart
-	lo, acc := 0, 0
-	for i := range tasks {
-		c := cost(&tasks[i])
-		if acc > 0 && acc+c > target {
-			parts = append(parts, decodePart{lo: lo, hi: i})
-			lo, acc = i, 0
-		}
-		acc += c
-	}
-	parts = append(parts, decodePart{lo: lo, hi: len(tasks)})
-	if rec != nil {
-		singles := int64(0)
-		for _, pt := range parts {
-			if pt.hi-pt.lo == 1 && cost(&tasks[pt.lo]) >= target {
-				singles++
-			}
-		}
-		rec.Add(obs.CtrDecodeParts, int64(len(parts)))
-		rec.Add(obs.CtrDecodeSingles, singles)
-	}
-	return parts
-}
-
-// decodePart is one dynamically-sized Tier-1 decode job: the tasks in
-// [lo, hi).
-type decodePart struct{ lo, hi int }

@@ -8,7 +8,9 @@ import (
 	"slices"
 	"testing"
 
+	"j2kcell/internal/dwt"
 	"j2kcell/internal/imgmodel"
+	"j2kcell/internal/obs"
 	"j2kcell/internal/workload"
 )
 
@@ -138,6 +140,78 @@ func sortLosses(rep *DamageReport) {
 				return a.GY - b.GY
 			}
 			return a.GX - b.GX
+		})
+	}
+}
+
+// untiledTasks lists the Tier-1 tasks decodeTile runs for an untiled
+// stream under dopt (no MaxLayers or DiscardLevels), with the number
+// of data tasks.
+func untiledTasks(t *testing.T, data []byte, dopt DecodeOptions) ([]blockTask, int) {
+	t.Helper()
+	h, bodies, err := parseStream(data, dopt.limits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bodies) != 1 {
+		t.Fatalf("%d tile parts, want an untiled stream", len(bodies))
+	}
+	p := NewPipelineContext(context.Background(), 1)
+	defer p.Close()
+	bands := dwt.Layout(h.W, h.H, h.Levels)
+	accs, err := parseTile(p, h, bands, bodies[0], h.Layers, h.Levels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tileTasks(h, bands, accs, dopt)
+}
+
+// TestDecodeOneJobPerTask pins Tier-1 decode's job shape to the
+// encoder's: every task tileTasks lists — a block with data or a hole
+// run — is one work-queue job, so a 2-worker decode records exactly
+// one t1 (MQ) or t1ht (HT) span per task. The streams are lossy at
+// Rate 0.1, so they have holes, and the Region decode turns blocks
+// outside the region into holes too.
+func TestDecodeOneJobPerTask(t *testing.T) {
+	img := workload.Dial(256, 256, 17, 4)
+	for _, c := range []struct {
+		name string
+		opt  Options
+		dopt DecodeOptions
+	}{
+		{"mq", Options{Rate: 0.1}, DecodeOptions{}},
+		{"ht", Options{Rate: 0.1, HT: true}, DecodeOptions{}},
+		{"mq-region", Options{Rate: 0.1, CBW: 16, CBH: 16}, DecodeOptions{Region: Rect{X0: 40, Y0: 72, W: 48, H: 32}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := Encode(context.Background(), img, c.opt, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks, ndata := untiledTasks(t, res.Data, c.dopt)
+			if ndata == 0 || ndata == len(tasks) {
+				t.Fatalf("%d tasks, %d with data: want both blocks and holes", len(tasks), ndata)
+			}
+			if _, full := untiledTasks(t, res.Data, DecodeOptions{}); c.dopt.regionSet() && ndata >= full {
+				t.Fatalf("region keeps %d of %d data blocks: want fewer", ndata, full)
+			}
+			dopt := c.dopt
+			dopt.Workers = 2
+			ctx, op := obs.WithOperation(context.Background(), "decode")
+			_, err = Decode(ctx, res.Data, dopt)
+			op.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans := 0
+			for _, sp := range op.Recorder().TSpans() {
+				if sp.Stage == obs.StageT1 || sp.Stage == obs.StageT1HT {
+					spans++
+				}
+			}
+			if spans != len(tasks) {
+				t.Fatalf("%d Tier-1 spans for %d tasks", spans, len(tasks))
+			}
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +234,7 @@ func TestBestEffortDemotesTier1Faults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tasks, _ := untiledTasks(t, res.Data, DecodeOptions{})
 	for _, mode := range []faults.Mode{faults.Panic, faults.Error} {
 		for _, workers := range []int{1, 2, 8} {
 			name := fmt.Sprintf("t1/w%d/mode%d/best-effort", workers, mode)
@@ -256,6 +258,13 @@ func TestBestEffortDemotesTier1Faults(t *testing.T) {
 			if rep.LostPackets != 0 || rep.Truncated {
 				t.Fatalf("%s: unrelated damage reported: %v", name, rep)
 			}
+			// Each task is its own job, so one worker's second t1 entry
+			// is task 1: the second data block in (component, band,
+			// raster) order.
+			if lb, tk := td.LostBlocks[0], tasks[1]; workers == 1 &&
+				(td.Faults[0].Job != 1 || lb.Comp != tk.c || lb.Band != tk.bi || lb.GX != tk.gx || lb.GY != tk.gy) {
+				t.Fatalf("%s: lost %+v at job %d, want task 1 %+v", name, lb, td.Faults[0].Job, tk)
+			}
 			// Sibling blocks: every pixel outside the lost block's
 			// region matches the undamaged decode exactly.
 			reg := td.Region
@@ -272,6 +281,56 @@ func TestBestEffortDemotesTier1Faults(t *testing.T) {
 								name, x, y, c, reg)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestBestEffortDemotesHoleFaults lands a contained Tier-1 fault on a
+// hole task — a zero-filled run of blocks with no data — of a
+// 1-worker best-effort decode, for both coders. Concealing a hole
+// zero-fills it again, so the decode loses no block, reports the one
+// fault, and its pixels equal the undamaged decode's.
+func TestBestEffortDemotesHoleFaults(t *testing.T) {
+	img := workload.Dial(128, 128, 9, 4)
+	for _, ht := range []bool{false, true} {
+		res, err := Encode(context.Background(), img, Options{Rate: 0.1, HT: ht, Resilience: true, CBW: 16, CBH: 16}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Decode(context.Background(), res.Data, DecodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks, ndata := untiledTasks(t, res.Data, DecodeOptions{})
+		if ndata == len(tasks) {
+			t.Fatalf("ht=%v: stream has no holes", ht)
+		}
+		stage := "t1"
+		if ht {
+			stage = "t1ht"
+		}
+		for _, mode := range []faults.Mode{faults.Panic, faults.Error} {
+			name := fmt.Sprintf("%s/mode%d/hole", stage, mode)
+			// One worker enters the stage in task order, so entry
+			// ndata+1 is the first hole.
+			faults.Arm(stage, ndata+1, mode)
+			dec, rep := decodeResilient(t, res.Data, DecodeOptions{Workers: 1})
+			fired := faults.Fired()
+			faults.Disarm()
+			if fired != 1 {
+				t.Fatalf("%s: fault fired %d times, want 1", name, fired)
+			}
+			if rep.LostBlocks != 0 || rep.LostPackets != 0 || rep.Truncated || len(rep.Tiles) != 1 {
+				t.Fatalf("%s: want no lost data and one damaged tile: %v", name, rep)
+			}
+			if f := rep.Tiles[0].Faults; len(f) != 1 || f[0].Stage != stage || f[0].Job != ndata {
+				t.Fatalf("%s: faults %+v, want one at job %d", name, f, ndata)
+			}
+			for c := range ref.Comps {
+				if !slices.Equal(ref.Comps[c].Data, dec.Comps[c].Data) {
+					t.Fatalf("%s: component %d differs from the undamaged decode", name, c)
 				}
 			}
 		}

@@ -8,7 +8,6 @@ import (
 
 	"j2kcell/internal/codestream"
 	"j2kcell/internal/imgmodel"
-	"j2kcell/internal/t1"
 	"j2kcell/internal/workload"
 )
 
@@ -179,79 +178,6 @@ func TestHTSignaledInCodestream(t *testing.T) {
 	// field at offset 6).
 	if ht.Data[6]&0x40 == 0 {
 		t.Fatal("HT stream Rsiz missing capability bit 14")
-	}
-}
-
-// TestHTPartitionCostModel pins the per-coder decode partitioner
-// asymmetry: the same byte counts coalesce into fewer, larger
-// partitions under the HT cost model, because HT decodes bytes faster
-// and so more blocks fit one queue claim. It also pins how both models
-// price holes, the zero-fill tasks.
-func TestHTPartitionCostModel(t *testing.T) {
-	mk := func(nbytes, n int) []blockTask {
-		tasks := make([]blockTask, n)
-		for i := range tasks {
-			tasks[i] = blockTask{acc: &blockAcc{data: make([]byte, nbytes)}}
-		}
-		return tasks
-	}
-	// 64 tiny blocks of 16 coded bytes, 4 workers.
-	//   MQ: 64 units/block, total 4096 → target 256 (above the 192
-	//       clamp) → 4 blocks per claim → 16 partitions.
-	//   HT: 20 units/block, total 1280 → raw target 80, clamped to the
-	//       shared 192 minimum → 9 blocks per claim → 8 partitions.
-	tiny := mk(16, 64)
-	if parts := partitionDecodeTasks(nil, tiny, 4, mqDecodeCost); len(parts) != 16 {
-		t.Fatalf("MQ tiny-block partitions = %d, want 16", len(parts))
-	}
-	if parts := partitionDecodeTasks(nil, tiny, 4, htDecodeCost); len(parts) != 8 {
-		t.Fatalf("HT tiny-block partitions = %d, want 8", len(parts))
-	}
-	// A huge block must stay a singleton under both models.
-	big := mk(1<<20, 1)
-	for _, m := range []t1CostModel{mqDecodeCost, htDecodeCost} {
-		if parts := partitionDecodeTasks(nil, big, 4, m); len(parts) != 1 {
-			t.Fatalf("single huge block split into %d parts", len(parts))
-		}
-	}
-	// Holes: a hole only zero-fills, so it costs less than a block of
-	// the same area under both models, and a run of them coalesces by
-	// area. 64 holes of 64×64:
-	//   MQ: 1 + 4096/1024 = 5 units each, total 320 → target clamped to
-	//       192 → 38 holes per claim → 2 partitions.
-	//   HT: 1 + 4096/256 = 17 units each, total 1088 → target clamped
-	//       to 192 → 11 holes per claim → 6 partitions.
-	holes := make([]blockTask, 64)
-	for i := range holes {
-		holes[i] = blockTask{bw: 64, bh: 64}
-	}
-	block := blockTask{acc: &blockAcc{}, bw: 64, bh: 64}
-	for _, m := range []t1CostModel{mqDecodeCost, htDecodeCost} {
-		if m.of(&holes[0]) >= m.of(&block) {
-			t.Fatalf("hole priced %d, not below an empty block's %d", m.of(&holes[0]), m.of(&block))
-		}
-	}
-	if parts := partitionDecodeTasks(nil, holes, 4, mqDecodeCost); len(parts) != 2 {
-		t.Fatalf("MQ hole partitions = %d, want 2", len(parts))
-	}
-	if parts := partitionDecodeTasks(nil, holes, 4, htDecodeCost); len(parts) != 6 {
-		t.Fatalf("HT hole partitions = %d, want 6", len(parts))
-	}
-	// A hole too small to write a unit still costs one, so no run of
-	// holes is free: 200 single-sample holes fill a 192-unit claim.
-	dots := make([]blockTask, 200)
-	for i := range dots {
-		dots[i] = blockTask{bw: 1, bh: 1}
-	}
-	if parts := partitionDecodeTasks(nil, dots, 4, htDecodeCost); len(parts) != 2 {
-		t.Fatalf("single-sample hole partitions = %d, want 2", len(parts))
-	}
-	// decodeCostFor routes by mode.
-	if decodeCostFor(t1.ModeHT) != htDecodeCost || decodeCostFor(t1.ModeHTRefine) != htDecodeCost {
-		t.Fatal("HT modes not priced with the HT cost model")
-	}
-	if decodeCostFor(t1.ModeSingle) != mqDecodeCost || decodeCostFor(t1.ModeTermAll) != mqDecodeCost {
-		t.Fatal("MQ modes not priced with the MQ cost model")
 	}
 }
 

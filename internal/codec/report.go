@@ -132,7 +132,7 @@ func (r *DamageReport) String() string {
 }
 
 // tileDamage collects one tile's damage while decodeTile runs in
-// best-effort mode. Tier-1 workers write disjoint partitions, and the
+// best-effort mode. Tier-1 workers write disjoint tasks, and the
 // coordinator serializes concealment recording, so no lock is needed
 // beyond the one decodeTile's conceal path holds.
 type tileDamage struct {
