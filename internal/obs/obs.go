@@ -99,8 +99,6 @@ const (
 	CtrKernelSSE2                     // encodes run with the SSE2 kernel set
 	CtrKernelAVX2                     // encodes run with the AVX2 kernel set
 	CtrFaultPanics                    // worker panics contained into typed FaultErrors
-	CtrDecodeParts                    // dynamic T1-decode partitions formed
-	CtrDecodeSingles                  // expensive blocks isolated as singleton partitions
 	CtrHTBlocks                       // code blocks coded by the HT (Part 15) coder
 	CtrHTBytes                        // bytes emitted by the HT coder (all streams + trailers)
 	CtrSchedSelfClaims                // shared-scheduler jobs claimed by the operation's own goroutine
@@ -118,7 +116,6 @@ var counterNames = [numCounters]string{
 	"rate_probes", "hulls",
 	"kernel_scalar_encodes", "kernel_sse2_encodes", "kernel_avx2_encodes",
 	"fault_contained_panics",
-	"decode_t1_partitions", "decode_t1_singletons",
 	"ht_blocks", "ht_bytes",
 	"sched_self_claims", "sched_pool_claims", "sched_admit_waits",
 	"resync", "concealed_blocks",
