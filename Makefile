@@ -21,14 +21,18 @@ vet:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# fuzz runs each decoder fuzz target for FUZZTIME (the CI robustness
-# job uses 30s each; raise it for longer local campaigns). The -fuzz
-# patterns are anchored because the package has multiple targets.
+# fuzz runs the six fuzz targets of the CI robustness job — the three
+# decoder targets and the three HT block coder targets — for FUZZTIME
+# each (CI uses 30s; raise it for longer local campaigns). The -fuzz
+# patterns are anchored because each package has multiple targets.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz '^FuzzDecodeHeaders$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz '^FuzzDecodeResilient$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/t1/ -run '^$$' -fuzz '^FuzzHTRoundTrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/t1/ -run '^$$' -fuzz '^FuzzHTEncodeMatchesOracle$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/t1/ -run '^$$' -fuzz '^FuzzHTDecodeMatchesOracle$$' -fuzztime=$(FUZZTIME)
 
 # trace produces sample Chrome traces (open in chrome://tracing or
 # ui.perfetto.dev): the native encoder with one track per worker, and

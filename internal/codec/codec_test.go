@@ -2,6 +2,7 @@ package codec
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -494,7 +495,7 @@ func TestInspectStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := Inspect(res.Data)
+	info, err := InspectLimits(res.Data, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -990,7 +991,7 @@ func TestResilienceRoundTripClean(t *testing.T) {
 	if !img.Equal(got) {
 		t.Fatal("resilient stream not bit exact when undamaged")
 	}
-	if _, err := Inspect(res.Data); err != nil {
+	if _, err := InspectLimits(res.Data, DefaultLimits()); err != nil {
 		t.Fatalf("inspect on resilient stream: %v", err)
 	}
 }
@@ -1019,7 +1020,13 @@ func TestResilienceSurvivesPacketCorruption(t *testing.T) {
 	if seen < 3 {
 		t.Fatal("stream has no SOP markers")
 	}
-	got, err := Decode(context.Background(), data, DecodeOptions{})
+	// A strict decode demands a complete stream, so the lost packet
+	// fails it; the best-effort decode resyncs on the next SOP.
+	var fe *FormatError
+	if _, err := Decode(context.Background(), data, DecodeOptions{}); !errors.As(err, &fe) {
+		t.Fatalf("strict decode of a damaged stream: got %v, want *FormatError", err)
+	}
+	got, err := Decode(context.Background(), data, DecodeOptions{BestEffort: true})
 	if err != nil {
 		t.Fatalf("resilient decode failed outright: %v", err)
 	}
@@ -1059,7 +1066,7 @@ func TestResilienceDetectsHeaderCorruptionViaEPH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := Inspect(res.Data)
+	info, err := InspectLimits(res.Data, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,11 @@ type DecodeOptions struct {
 	// Region, when non-zero, decodes only the code blocks whose wavelet
 	// support influences the given image window and returns just that
 	// window — JPEG2000's random spatial access. Tier-1, the dominant
-	// decode cost, is skipped for every other block. Not combinable
-	// with DiscardLevels.
+	// decode cost, is skipped for every other block, so damage in those
+	// blocks goes unseen. Strict and best-effort decodes honour it
+	// alike. It must lie inside the image and is not combinable with
+	// DiscardLevels: a strict decode fails on either, a best-effort one
+	// notes it and decodes the full image.
 	Region Rect
 	// Workers > 1 runs the full inverse chain — Tier-1 block decoding
 	// (which writes final coefficients: dequantized on the lossy path,
@@ -43,13 +46,14 @@ type DecodeOptions struct {
 	// any plane or tile table is allocated. Nil applies DefaultLimits;
 	// point at a zero Limits{} to disable limiting.
 	Limits *Limits
-	// BestEffort decodes damaged streams as far as possible instead of
-	// failing on the first error: detection failures discard only the
-	// affected code block, packet, or tile-part (concealed as zero
-	// coefficients), and the decode resynchronizes on SOP/SOT markers.
-	// Decode then never reports stream damage as an error; use
-	// DecodeResilient to also receive the DamageReport saying what was
-	// lost.
+	// BestEffort makes Decode return whatever DecodeResilient recovers
+	// instead of failing on damage: every decode already discards only
+	// the affected code block, packet, or tile-part (concealed as zero
+	// coefficients) and resynchronizes on SOP/SOT markers, and a strict
+	// one then fails unless nothing was lost. With BestEffort, Decode
+	// never reports stream damage or an option the stream cannot honour
+	// as an error; use DecodeResilient to also receive the DamageReport
+	// saying what was lost.
 	BestEffort bool
 }
 
@@ -125,10 +129,14 @@ type blockAcc struct {
 
 // Decode reconstructs an image from a codestream produced by Encode,
 // or the subset of it dopt selects: fewer quality layers, fewer
-// resolution levels, or a spatial Region. Malformed or limit-exceeding
-// input surfaces as *FormatError, a contained worker panic as
-// *FaultError, and cancellation — checked between packets and stage
-// jobs — as ctx.Err() unwrapped.
+// resolution levels, or a spatial Region. It is the best-effort decode
+// that demands a Complete damage report: the stream decodes through
+// the one driver DecodeResilient uses, and unless that records no
+// damage at all Decode returns the first recorded cause instead of the
+// image — stream damage or an over-limit header as a *FormatError, an
+// invalid option as the error its check produced, a contained worker
+// fault as its *FaultError. Cancellation, checked between packets and
+// stage jobs, returns ctx.Err() unwrapped.
 //
 // Every stream is a tile grid, an untiled one a grid of one tile. A
 // one-tile grid decodes on the operation's pipeline at dopt.Workers
@@ -137,143 +145,46 @@ type blockAcc struct {
 // output image.
 func Decode(ctx context.Context, data []byte, dopt DecodeOptions) (img *imgmodel.Image, err error) {
 	if dopt.BestEffort {
-		// The resilient path carries its own SLO envelope, admission and
-		// fault containment; stream damage lands in the (discarded here)
-		// report, never in err.
+		// The resilient entry point carries its own envelope (SLO class,
+		// admission, fault containment); its report is dropped here.
 		img, _, err := DecodeResilient(ctx, data, dopt)
 		return img, err
 	}
-	// The operation class (lossless/tiled/HT bits) is only known once
-	// the main header parses, so it is latched below.
 	ctx, op := beginOp(ctx, "decode")
 	defer op.end(&err)
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
+	img, rep, cause, err := decodeStream(ctx, &op, data, dopt)
+	if err == nil && !rep.Complete {
+		return nil, cause
 	}
-	// Multi-worker decodes hold one shared-scheduler slot from header
-	// parse to the last inverse stage.
-	if _, aerr := op.admit(ctx, dopt.Workers, obs.StageDecode); aerr != nil {
-		return nil, aerr
-	}
-	// Work spans go on a leased lane, as the stage pipelines' do, so a
-	// one-worker decode reports one track.
-	ln := op.rec.Acquire()
-	sp := ln.Begin(obs.StageParse, 0, 0)
-	h, bodies, err := parseStream(data, dopt.limits())
-	sp.End()
-	ln.Release()
-	if err != nil {
-		return nil, formatErr(err)
-	}
-	reg := dopt.Region
-	if dopt.regionSet() {
-		if dopt.DiscardLevels != 0 {
-			return nil, fmt.Errorf("codec: Region cannot be combined with DiscardLevels")
-		}
-		if reg.X0 < 0 || reg.Y0 < 0 || reg.X0+reg.W > h.W || reg.Y0+reg.H > h.H {
-			return nil, fmt.Errorf("codec: region %+v outside %dx%d image", reg, h.W, h.H)
-		}
-	}
-	grid := TileGrid(h.W, h.H, h.TileW, h.TileH)
-	if len(bodies) != len(grid) {
-		return nil, fmt.Errorf("codec: %d tile parts for a %d-tile grid", len(bodies), len(grid))
-	}
-	discard, ok := discardLevels(h, len(grid), dopt.DiscardLevels)
-	if !ok {
-		return nil, fmt.Errorf("codec: reduced decode of tiled stream needs tile size divisible by 2^%d", discard)
-	}
-	scale := 1 << uint(discard)
-	op.classify(obs.ClassOf(true, !h.Lossless, len(grid) > 1, h.HT))
-
-	// decodeAt decodes tile i and returns the pixels it contributes to
-	// the output and where they go: the whole tile at reduced scale, or
-	// the tile's overlap with the Region (nil when there is none, and
-	// the tile is not decoded at all).
-	decodeAt := func(ctx context.Context, i int, td DecodeOptions) (*imgmodel.Image, int, int, error) {
-		r := grid[i]
-		if !dopt.regionSet() {
-			tile, err := decodeTile(ctx, h, r.W, r.H, bodies[i], td, nil)
-			return tile, r.X0 / scale, r.Y0 / scale, err
-		}
-		lo := Rect{X0: max(reg.X0-r.X0, 0), Y0: max(reg.Y0-r.Y0, 0)} // tile-local overlap
-		lo.W = min(reg.X0+reg.W, r.X0+r.W) - (r.X0 + lo.X0)
-		lo.H = min(reg.Y0+reg.H, r.Y0+r.H) - (r.Y0 + lo.Y0)
-		if lo.W <= 0 || lo.H <= 0 {
-			return nil, 0, 0, nil
-		}
-		td.Region = lo
-		tile, err := decodeTile(ctx, h, r.W, r.H, bodies[i], td, nil)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return tile.SubImage(lo.X0, lo.Y0, lo.W, lo.H), r.X0 + lo.X0 - reg.X0, r.Y0 + lo.Y0 - reg.Y0, nil
-	}
-	if len(grid) == 1 {
-		pix, _, _, err := decodeAt(ctx, 0, dopt)
-		return pix, err
-	}
-
-	// Tiles write disjoint regions of the output image. Context errors
-	// and contained faults pass through the queue's latch unwrapped;
-	// per-tile parse failures gain the tile index, earliest tile first.
-	out := imgmodel.NewImage((h.W+scale-1)/scale, (h.H+scale-1)/scale, h.NComp, h.Depth)
-	if dopt.regionSet() {
-		out = imgmodel.NewImage(reg.W, reg.H, h.NComp, h.Depth)
-	}
-	p := NewPipelineContext(ctx, dopt.Workers)
-	defer p.Close()
-	td := dopt
-	td.Workers = 1 // tiles are the parallel unit; inner stages run inline
-	terrs := make([]error, len(grid))
-	p.run(obs.StageTile, 0, len(grid), func(i int) {
-		pix, x, y, err := decodeAt(p.Context(), i, td)
-		switch {
-		case err == nil && pix != nil:
-			out.Insert(pix, x, y)
-		case passthrough(err):
-			p.Fail(err)
-		case err != nil:
-			terrs[i] = err
-		}
-	})
-	if perr := p.Err(); perr != nil {
-		return nil, perr
-	}
-	for i, err := range terrs {
-		if err != nil {
-			return nil, formatErrf(err, "tile %d", i)
-		}
-	}
-	return out, nil
-}
-
-// discardLevels clamps a requested DiscardLevels to [0, h.Levels] and
-// reports whether a grid of n tiles can honour it: the reduced tiles
-// of a multi-tile stream only abut when the tile size is divisible by
-// 2^discard.
-func discardLevels(h *codestream.Header, n, want int) (int, bool) {
-	discard := min(max(want, 0), h.Levels)
-	scale := 1 << uint(discard)
-	return discard, n == 1 || (h.TileW%scale == 0 && h.TileH%scale == 0)
+	return img, err
 }
 
 // parseStream unwraps a JP2 container if present and parses the main
-// header and tile-parts, enforcing the header limits.
-func parseStream(data []byte, lim Limits) (*codestream.Header, [][]byte, error) {
+// header and tile-parts with the salvaging parser, enforcing the header
+// limits. The error, a *FormatError, means the main header is unusable.
+func parseStream(data []byte, lim Limits) (*codestream.Header, [][]byte, *codestream.SalvageInfo, error) {
 	if jp2.IsJP2(data) {
 		_, cs, err := jp2.Unwrap(data)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, formatErrf(err, "jp2 container")
 		}
 		data = cs
 	}
-	return codestream.DecodeTilesLimits(data, lim)
+	h, bodies, info, err := codestream.DecodeTilesSalvage(data, lim)
+	if err != nil {
+		return nil, nil, nil, formatErrf(err, "main header")
+	}
+	return h, bodies, info, nil
 }
 
 // parseTile is the decode side of Tier-2 for one tile: it parses every
 // packet of body in progression order and accumulates, per code block
 // of bands, the data of layers below maxLayers and resolutions up to
-// keepRes. A non-nil dmg demotes damaged packets to recorded loss.
+// keepRes. A damaged packet loses its contributions and is recorded in
+// dmg: with SOP markers the walk resyncs on a later packet's marker,
+// without them the packet boundary is lost and the walk ends, keeping
+// every packet before it. The error is non-nil only when the pipeline
+// stopped.
 func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte, maxLayers, keepRes int, dmg *tileDamage) (map[bandKey][]*blockAcc, error) {
 	style := t2.SegSingle
 	if h.HT || h.TermAll {
@@ -294,9 +205,7 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 	}
 
 	order := PacketOrder(Progression(h.Progression), h.Layers, h.Levels, h.NComp)
-	if dmg != nil {
-		dmg.totalPackets = len(order)
-	}
+	dmg.totalPackets = len(order)
 	// The packet-parse loop runs on a lane of its own because a tiled
 	// decode calls decodeTile from inside a tile job.
 	t2ln := p.rec.Acquire()
@@ -313,9 +222,7 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 			// A resync landed on a later packet's SOP: this packet's
 			// data never arrived (or was unparsable); its blocks simply
 			// get no contribution from this layer.
-			if dmg != nil {
-				dmg.lostPackets++
-			}
+			dmg.lostPackets++
 			continue
 		}
 		l, r, c := order[pi][0], order[pi][1], order[pi][2]
@@ -332,10 +239,9 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 			at, idx := findSOP(body, off, pi)
 			if at < 0 {
 				// No acceptable marker remains: the tail is gone.
-				if dmg != nil {
-					dmg.lostPackets += len(order) - pi
-					dmg.truncated = true
-				}
+				dmg.lostPackets += len(order) - pi
+				dmg.truncated = true
+				dmg.fail(&FormatError{Msg: fmt.Sprintf("packet %d: no SOP marker", pi)})
 				break
 			}
 			if idx > pi {
@@ -343,9 +249,8 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 				// Leave the marker in place and let the loop skip to it
 				// so precinct state stays aligned with packet indices.
 				skipTo = idx
-				if dmg != nil {
-					dmg.resyncs++
-				}
+				dmg.resyncs++
+				dmg.fail(&FormatError{Msg: fmt.Sprintf("packets %d to %d missing", pi, idx-1)})
 				pi--
 				continue
 			}
@@ -362,13 +267,12 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 					}
 				}
 			}
+			dmg.fail(formatErrf(err, "packet l=%d r=%d c=%d", l, r, c))
 			if h.SOPMarkers {
 				// Resync: scan for the next packet's marker (this one's
 				// SOP is already consumed, so expect pi+1 onward).
-				if dmg != nil {
-					dmg.lostPackets++
-					dmg.resyncs++
-				}
+				dmg.lostPackets++
+				dmg.resyncs++
 				if at, _ := findSOP(body, off, pi+1); at >= 0 {
 					off = at
 				} else {
@@ -376,22 +280,17 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 				}
 				continue
 			}
-			if dmg != nil {
-				// Without resync markers the packet boundary is lost, so
-				// everything from here on is undecodable — but every
-				// fully received packet before it is already banked.
-				dmg.lostPackets += len(order) - pi
-				dmg.truncated = true
-				break
-			}
-			return nil, formatErrf(err, "packet l=%d r=%d c=%d", l, r, c)
+			// Without resync markers the packet boundary is lost, so
+			// everything from here on is undecodable — but every fully
+			// received packet before it is already banked.
+			dmg.lostPackets += len(order) - pi
+			dmg.truncated = true
+			break
 		}
 		off += n
-		if dmg != nil {
-			dmg.salvaged += int64(n)
-			if h.SOPMarkers {
-				dmg.salvaged += 6
-			}
+		dmg.salvaged += int64(n)
+		if h.SOPMarkers {
+			dmg.salvaged += 6
 		}
 		if l >= maxLayers || r > keepRes {
 			continue // parsed for position, contents discarded
@@ -420,11 +319,13 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 }
 
 // decodeTile reconstructs one tile of tw×th samples from its packet
-// body. The pipeline bound to ctx carries both the Tier-1 worker pool
-// and the cancellation checks of the packet-parse loop. A non-nil dmg
-// switches the tile to best-effort mode: packet parse failures, Tier-1
-// detection failures and contained worker faults are demoted to
-// localized concealment recorded in dmg instead of failing the tile.
+// body, best effort: packet parse failures, Tier-1 detection failures
+// and contained Tier-1 faults are demoted to localized concealment
+// recorded in dmg. The pipeline bound to ctx carries both the Tier-1
+// worker pool and the cancellation checks of the packet-parse loop.
+// dopt's DiscardLevels must already be resolved against the header.
+// The error — cancellation, or a fault in an inverse stage — loses the
+// tile whole.
 func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []byte, dopt DecodeOptions, dmg *tileDamage) (*imgmodel.Image, error) {
 	p := NewPipelineContext(ctx, dopt.Workers)
 	defer p.Close()
@@ -447,8 +348,7 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	if dopt.MaxLayers > 0 && dopt.MaxLayers < maxLayers {
 		maxLayers = dopt.MaxLayers
 	}
-	discard, _ := discardLevels(h, 1, dopt.DiscardLevels)
-	keepRes := h.Levels - discard // decode resolutions 0..keepRes
+	keepRes := h.Levels - dopt.DiscardLevels // decode resolutions 0..keepRes
 
 	accs, err := parseTile(p, h, bands, body, maxLayers, keepRes, dmg)
 	if err != nil {
@@ -462,47 +362,21 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	// a hole — no data in the decoded layers, or outside a requested
 	// region — is zero-filled by the same stage. Bands of discarded
 	// levels are never read by the inverse DWT, so they get neither.
-	// Tasks write disjoint plane regions, so they run independently —
-	// serially or across the worker pool.
 	co := getTileCoefs(h, mode, tw, th)
 	tasks, ndata := tileTasks(h, bands[:1+3*keepRes], accs, dopt)
-	// Tier-1 decoding drains the same atomic work queue as the encode
-	// pipeline, one job per task. Tasks write disjoint plane regions, so
-	// the claim order never changes output. A fault or cancellation
-	// outranks the per-block parse errors (tasks after the stop never
-	// ran, so their slots are nil, not failures); otherwise the first
-	// non-nil slot is the earliest failing block.
-	st := tier1Stage(mode)
-	if dmg != nil {
-		dmg.totalBlocks = ndata
-		if err := decodeBlocksBestEffort(p, st, h, bands, tw, th, co, tasks, dmg); err != nil {
-			co.release()
-			return nil, err
-		}
-	} else {
-		errs := make([]error, len(tasks))
-		p.run(st, 0, len(tasks), func(i int) {
-			scratch := getI32(co.scratch)
-			errs[i] = co.write(&tasks[i], scratch)
-			putI32(scratch)
-		})
-		if perr := p.Err(); perr != nil {
-			co.release()
-			return nil, perr
-		}
-		for _, err := range errs {
-			if err != nil {
-				co.release()
-				return nil, err
-			}
-		}
+	dmg.totalBlocks = ndata
+	if err := decodeBlocksBestEffort(p, tier1Stage(mode), h, bands, tw, th, co, tasks, dmg); err != nil {
+		co.release()
+		return nil, err
 	}
-
-	return reconstruct(p, h, co, tw, th, discard)
+	return reconstruct(p, h, co, tw, th, dopt.DiscardLevels)
 }
 
-// decodeBlocksBestEffort drains the Tier-1 tasks with per-block
-// damage demotion. Two failure classes are contained here:
+// decodeBlocksBestEffort drains the Tier-1 tasks through the same
+// atomic work queue as the encode pipeline, one job per task, demoting
+// damage to the loss of single blocks. Tasks write disjoint plane
+// regions, so the claim order never changes output and concealment
+// never races with live decoding. Two failure classes are contained here:
 //
 //   - Detection failures (MQ segmentation-symbol mismatch, HT trailer
 //     inconsistency, malformed segments): the block's write returns an
@@ -515,29 +389,38 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 //     remaining work repeats.
 //
 // Concealing a hole re-runs its zero fill and records no loss: it had
-// no data to lose. Context cancellation and non-fault pipeline errors
-// still fail the tile. Tasks write disjoint plane regions, so
-// concealment never races with live decoding.
+// no data to lose. The cause recorded in dmg is the lowest-indexed
+// task's, whichever worker met it. Context cancellation and non-fault
+// pipeline errors still fail the tile.
 func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, bands []dwt.Band, tw, th int,
 	co *tileCoefs, tasks []blockTask, dmg *tileDamage) error {
 	// done[t] marks task t written or concealed. Within one run only the
 	// worker holding job t sets it, and run's completion orders every
 	// access across reruns.
 	done := make([]bool, len(tasks))
-	conceal := func(t int, cause string) {
+	first, firstErr := 0, error(nil) // the lowest task with a cause
+	defer func() { dmg.fail(firstErr) }()
+	record := func(t int, err error) {
+		if firstErr == nil || t < first {
+			first, firstErr = t, err
+		}
+	}
+	conceal := func(t int, err error, why string) {
 		tk := &tasks[t]
 		co.zero(tk)
 		done[t] = true
+		record(t, err)
 		if tk.acc == nil {
 			return
 		}
 		dmg.lost = append(dmg.lost, BlockLoss{
 			Comp: tk.c, Band: tk.bi, GX: tk.gx, GY: tk.gy,
 			Region: lostRegion(bands[tk.bi].Level, tk.gx, tk.gy, h.CBW, h.CBH, tw, th),
-			Cause:  cause,
+			Cause:  why,
 		})
 	}
 	var mu sync.Mutex // serializes loss recording across workers
+	var fe *FaultError
 	// Each rerun either finishes or handles one fault, and a fault
 	// demotes at most one task, so the task count bounds any
 	// terminating sequence; the slack absorbs faults that land on done
@@ -552,7 +435,7 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 			putI32(scratch)
 			if err != nil {
 				mu.Lock()
-				conceal(t, err.Error())
+				conceal(t, err, err.Error())
 				mu.Unlock()
 			}
 			done[t] = true
@@ -561,14 +444,15 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 		if perr == nil {
 			return nil
 		}
-		var fe *FaultError
 		if !errors.As(perr, &fe) || p.Context().Err() != nil {
 			return perr // cancellation or a non-fault pipeline error
 		}
 		// An injected fault fires before the job body and a panic fires
 		// inside it; either way the victim is the faulted job's task.
 		if j := fe.Job; j >= 0 && j < len(tasks) && !done[j] {
-			conceal(j, fmt.Sprintf("contained fault in stage %s", fe.Stage))
+			conceal(j, fe, fmt.Sprintf("contained fault in stage %s", fe.Stage))
+		} else {
+			record(j, fe)
 		}
 		dmg.faults = append(dmg.faults, FaultRef{Stage: fe.Stage, Lane: fe.Lane, Job: fe.Job})
 		p.clearFault()
@@ -576,7 +460,7 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 	// A fault storm outlasted the demotion budget: abandon the rest.
 	for t := range tasks {
 		if !done[t] {
-			conceal(t, "abandoned after repeated faults")
+			conceal(t, fe, "abandoned after repeated faults")
 		}
 	}
 	p.clearFault()

@@ -122,10 +122,19 @@ func formatErr(err error) error {
 	return &FormatError{Err: err}
 }
 
-// formatErrf is formatErr with positional context.
+// formatErrf is formatErr with positional context. Context added to a
+// *FormatError goes in front of its own, so the parse error stays one
+// Unwrap away.
 func formatErrf(err error, format string, args ...any) error {
 	if err == nil {
 		return nil
 	}
-	return &FormatError{Msg: fmt.Sprintf(format, args...), Err: err}
+	msg := fmt.Sprintf(format, args...)
+	if fe, ok := err.(*FormatError); ok {
+		if fe.Msg != "" {
+			msg += ": " + fe.Msg
+		}
+		return &FormatError{Msg: msg, Err: fe.Err}
+	}
+	return &FormatError{Msg: msg, Err: err}
 }

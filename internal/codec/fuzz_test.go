@@ -73,7 +73,8 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzDecodeResilient pins best-effort totality: arbitrary input must
 // yield an image and a self-consistent damage report — never an error,
-// a panic, or a hang.
+// a panic, or a hang — and the report must be Complete exactly when
+// the strict decode succeeds.
 func FuzzDecodeResilient(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -92,15 +93,16 @@ func FuzzDecodeResilient(f *testing.F) {
 		if rep.LostPackets > rep.TotalPackets || rep.LostBlocks > rep.TotalBlocks {
 			t.Fatalf("inconsistent report: %+v", rep)
 		}
-		if rep.Complete && rep.HeaderOK {
-			// A complete report promises identity with the strict path.
-			strict, err := Decode(context.Background(), data, DecodeOptions{Limits: &fuzzLimits})
-			if err != nil {
-				t.Fatalf("Complete report but strict decode fails: %v", err)
-			}
-			if !imagesEqual(img, strict) {
-				t.Fatal("Complete report but images differ from strict decode")
-			}
+		// Strict decode succeeds exactly when the report is complete,
+		// and then with the same pixels.
+		strict, err := Decode(context.Background(), data, DecodeOptions{Limits: &fuzzLimits})
+		switch {
+		case rep.Complete && err != nil:
+			t.Fatalf("Complete report but strict decode fails: %v", err)
+		case !rep.Complete && err == nil:
+			t.Fatalf("strict decode succeeds but the report is not complete: %v", rep)
+		case rep.Complete && !imagesEqual(img, strict):
+			t.Fatal("Complete report but images differ from strict decode")
 		}
 	})
 }

@@ -131,14 +131,10 @@ func scanMarkers(data []byte) ([]MarkerInfo, error) {
 	return nil, fmt.Errorf("codec: codestream ended without EOC")
 }
 
-// Inspect parses a codestream's headers and packet structure without
-// decoding any coefficient data.
-func Inspect(data []byte) (*StreamInfo, error) {
-	return InspectLimits(data, DefaultLimits())
-}
-
-// InspectLimits is Inspect with caller-supplied header limits; a
-// malformed or limit-exceeding stream surfaces as *FormatError.
+// InspectLimits parses a codestream's headers and packet structure
+// under the given header limits, without decoding any coefficient
+// data. A malformed or limit-exceeding stream surfaces as
+// *FormatError.
 func InspectLimits(data []byte, lim Limits) (*StreamInfo, error) {
 	if jp2.IsJP2(data) {
 		_, cs, err := jp2.Unwrap(data)

@@ -14,8 +14,10 @@ type DamageReport struct {
 	// HeaderOK reports that the main header (SOC/SIZ/COD/QCD) parsed;
 	// without it there is no geometry and the image is a placeholder.
 	HeaderOK bool
-	// Complete reports that no damage of any kind was observed — the
-	// output is pixel-identical to a plain Decode of the same stream.
+	// Complete reports that no damage of any kind was recorded — not
+	// in the framing, the options, a packet or a block. It holds
+	// exactly when a strict Decode of the same stream and options
+	// succeeds, and the output is then pixel-identical to it.
 	Complete bool
 	// Truncated reports that the stream ended before its framing did
 	// (mid tile-part, mid packet walk, or missing EOC).
@@ -131,10 +133,10 @@ func (r *DamageReport) String() string {
 	return b.String()
 }
 
-// tileDamage collects one tile's damage while decodeTile runs in
-// best-effort mode. Tier-1 workers write disjoint tasks, and the
-// coordinator serializes concealment recording, so no lock is needed
-// beyond the one decodeTile's conceal path holds.
+// tileDamage collects one tile's damage while decodeTile runs. Tier-1
+// workers write disjoint tasks, and the coordinator serializes
+// concealment recording, so no lock is needed beyond the one
+// decodeTile's conceal path holds.
 type tileDamage struct {
 	totalPackets int
 	lostPackets  int
@@ -144,10 +146,18 @@ type tileDamage struct {
 	truncated    bool  // packet walk ended early
 	lost         []BlockLoss
 	faults       []FaultRef
+	// cause is the tile's first damage: its first bad packet in
+	// progression order, else its first bad Tier-1 task in task order.
+	// It is nil exactly when nothing above records damage.
+	cause error
 }
 
-func (d *tileDamage) damaged() bool {
-	return d.lostPackets > 0 || d.resyncs > 0 || d.truncated || len(d.lost) > 0 || len(d.faults) > 0
+// fail records err as the tile's cause unless an earlier one is
+// recorded (nil is ignored).
+func (d *tileDamage) fail(err error) {
+	if d.cause == nil {
+		d.cause = err
+	}
 }
 
 // lostRegion maps a lost code block in a band at the given DWT level to

@@ -7,7 +7,6 @@ import (
 
 	"j2kcell/internal/codestream"
 	"j2kcell/internal/imgmodel"
-	"j2kcell/internal/jp2"
 	"j2kcell/internal/obs"
 )
 
@@ -17,191 +16,234 @@ import (
 // bytes — yields an image and a DamageReport. An undamaged stream
 // decodes pixel-identical to Decode with rep.Complete set; a damaged
 // one keeps every recoverable tile, packet and code block, conceals the
-// rest as zero coefficients, and maps the loss in the report. When even
-// the main header is unusable the image is a 1×1 placeholder and
-// rep.HeaderOK is false. err is non-nil only for context
-// cancellation, admission-control rejection (ErrOverloaded) or a panic
-// contained at the API (*FaultError, a codec bug), in which case the
-// image and report are nil.
+// rest as zero coefficients, and maps the loss in the report. dopt
+// selects layers, resolution and Region as for Decode; an option the
+// stream cannot honour is noted in the report and falls back (the
+// Region is dropped, the resolution is full). When even the main header
+// is unusable the image is a 1×1 placeholder and rep.HeaderOK is
+// false. err is non-nil only for context cancellation,
+// admission-control rejection (ErrOverloaded) or a panic contained at
+// the API (*FaultError, a codec bug), in which case the image and
+// report are nil.
 func DecodeResilient(ctx context.Context, data []byte, dopt DecodeOptions) (img *imgmodel.Image, rep *DamageReport, err error) {
 	ctx, op := beginOp(ctx, "decode-resilient")
 	defer op.end(&err)
+	img, rep, _, err = decodeStream(ctx, &op, data, dopt)
 	// Header-level salvage failures still count as (resilient) decode
-	// operations; the class gains the lossy/tiled/HT bits once known.
-	op.classify(obs.ClassOf(true, false, false, false).Resilient())
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, nil, cerr
+	// operations; the class has the lossy/tiled/HT bits once known.
+	op.classify(op.cls.Resilient())
+	if err != nil {
+		return nil, nil, err
 	}
+	return img, rep, nil
+}
+
+// decodeStream is the one decode driver; Decode and DecodeResilient
+// are policies over it. Inside op's envelope it admits the operation,
+// parses the stream with the salvaging parser, checks dopt against the
+// header and decodes the tile grid, concealing whatever is damaged as
+// zero coefficients and mapping it in rep.
+//
+// cause is the first damage recorded: a header or framing problem,
+// then an option problem, then the damage of the lowest-indexed tile —
+// its first bad packet in progression order, else its first bad Tier-1
+// task in task order, else the fault that lost it whole — so the
+// choice does not depend on the worker count. Tile causes that are not
+// faults are *FormatErrors naming the tile. cause is nil exactly when
+// rep.Complete. err is non-nil only for cancellation (ctx.Err(),
+// unwrapped) and admission rejection.
+func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOptions) (img *imgmodel.Image, rep *DamageReport, cause, err error) {
+	op.classify(obs.ClassOf(true, false, false, false))
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, nil, nil, cerr
+	}
+	// Multi-worker decodes hold one shared-scheduler slot from header
+	// parse to the last inverse stage.
 	if _, aerr := op.admit(ctx, dopt.Workers, obs.StageDecode); aerr != nil {
-		return nil, nil, aerr
+		return nil, nil, nil, aerr
 	}
 
 	rep = &DamageReport{HeaderOK: true}
-	fail := func(note string) (*imgmodel.Image, *DamageReport, error) {
-		rep.HeaderOK = false
-		rep.Notes = append(rep.Notes, note)
-		return imgmodel.NewImage(1, 1, 1, 8), rep, nil
+	// note records damage that belongs to no tile.
+	note := func(err error) {
+		rep.Notes = append(rep.Notes, err.Error())
+		if cause == nil {
+			cause = err
+		}
 	}
-	ln := op.rec.Acquire() // a leased work lane, as in Decode
+	// Work spans go on a leased lane, as the stage pipelines' do, so a
+	// one-worker decode reports one track.
+	ln := op.rec.Acquire()
 	sp := ln.Begin(obs.StageParse, 0, 0)
-	var uerr, herr error
-	var h *codestream.Header
-	var bodies [][]byte
-	var sinfo *codestream.SalvageInfo
-	if jp2.IsJP2(data) {
-		_, data, uerr = jp2.Unwrap(data)
-	}
-	if uerr == nil {
-		h, bodies, sinfo, herr = codestream.DecodeTilesSalvage(data, dopt.limits())
-	}
+	h, bodies, sinfo, herr := parseStream(data, dopt.limits())
 	sp.End()
 	ln.Release()
-	if uerr != nil {
-		return fail(fmt.Sprintf("jp2 container unusable: %v", uerr))
-	}
 	if herr != nil {
-		return fail(fmt.Sprintf("main header unusable: %v", herr))
+		rep.HeaderOK = false
+		note(herr)
+		return imgmodel.NewImage(1, 1, 1, 8), rep, cause, nil
 	}
 	grid := TileGrid(h.W, h.H, h.TileW, h.TileH)
-	op.classify(obs.ClassOf(true, !h.Lossless, len(grid) > 1, h.HT).Resilient())
+	op.classify(obs.ClassOf(true, !h.Lossless, len(grid) > 1, h.HT))
 	rep.TotalTiles = len(grid)
-	rep.Resyncs += sinfo.Resyncs
+	rep.Resyncs = sinfo.Resyncs
 	rep.Truncated = sinfo.Truncated
 	rep.TotalBytes = sinfo.BodyBytes
-
-	// Progressive options the best-effort path cannot honor are ignored
-	// and noted, never fatal: the caller asked for whatever is
-	// recoverable, not for an error.
+	if sinfo.Err != nil {
+		note(formatErr(sinfo.Err))
+	}
+	dopt = checkOptions(h, len(grid), dopt, note)
+	reg, scale := dopt.Region, 1<<uint(dopt.DiscardLevels)
+	outW, outH := (h.W+scale-1)/scale, (h.H+scale-1)/scale
 	if dopt.regionSet() {
-		rep.Notes = append(rep.Notes, "Region not supported in best-effort decode; full image returned")
-		dopt.Region = Rect{}
+		outW, outH = reg.W, reg.H
 	}
-	discard, ok := discardLevels(h, len(grid), dopt.DiscardLevels)
-	scale := 1 << uint(discard)
-	if !ok {
-		rep.Notes = append(rep.Notes, fmt.Sprintf("DiscardLevels=%d ignored: tile size not divisible by %d", discard, scale))
-		discard, scale = 0, 1
-	}
-	dopt.DiscardLevels = discard
 
-	// Decode the declared grid tile by tile into a zeroed image: a tile
-	// that is missing, undecodable, or faulted simply stays zero. The
-	// retry loop demotes tile-stage faults the same way the Tier-1 loop
-	// inside decodeTile demotes block-stage faults.
-	rw := (h.W + scale - 1) / scale
-	rh := (h.H + scale - 1) / scale
-	out := imgmodel.NewImage(rw, rh, h.NComp, h.Depth)
-	p := NewPipelineContext(ctx, dopt.Workers)
-	defer p.Close()
-	td := dopt
-	if len(grid) > 1 {
-		td.Workers = 1 // tiles are the parallel unit, as in Decode
-	}
+	// decodeAt decodes tile i and returns the pixels it contributes to
+	// the output and where they go: the whole tile at reduced scale, or
+	// the tile's overlap with the Region. It returns no pixels for a
+	// tile outside the Region, which is not decoded at all, and for a
+	// tile that never arrived.
 	dmgs := make([]*tileDamage, len(grid))
+	decodeAt := func(ctx context.Context, i int, td DecodeOptions) (*imgmodel.Image, int, int, error) {
+		r := grid[i]
+		x, y := r.X0/scale, r.Y0/scale
+		if dopt.regionSet() {
+			lo := Rect{X0: max(reg.X0-r.X0, 0), Y0: max(reg.Y0-r.Y0, 0)} // tile-local overlap
+			lo.W = min(reg.X0+reg.W, r.X0+r.W) - (r.X0 + lo.X0)
+			lo.H = min(reg.Y0+reg.H, r.Y0+r.H) - (r.Y0 + lo.Y0)
+			if lo.W <= 0 || lo.H <= 0 {
+				return nil, 0, 0, nil
+			}
+			td.Region = lo
+			x, y = r.X0+lo.X0-reg.X0, r.Y0+lo.Y0-reg.Y0
+		}
+		if bodies[i] == nil {
+			return nil, 0, 0, nil
+		}
+		dmgs[i] = &tileDamage{}
+		tile, err := decodeTile(ctx, h, r.W, r.H, bodies[i], td, dmgs[i])
+		if err != nil || !dopt.regionSet() {
+			return tile, x, y, err
+		}
+		return tile.SubImage(td.Region.X0, td.Region.Y0, td.Region.W, td.Region.H), x, y, nil
+	}
+
+	// A tile whose decode fails — cancellation aside — stays zero in
+	// the output and is reported lost whole.
 	terrs := make([]error, len(grid))
-	done := make([]bool, len(grid))
-	for attempt := 0; attempt <= len(grid)+4; attempt++ {
-		p.run(obs.StageTile, 0, len(grid), func(i int) {
-			if done[i] {
-				return
-			}
-			done[i] = true
-			if bodies[i] == nil {
-				return // missing tile-part: accounted below
-			}
-			dmg := &tileDamage{}
-			dmgs[i] = dmg
-			r := grid[i]
-			tile, terr := decodeTile(p.Context(), h, r.W, r.H, bodies[i], td, dmg)
-			if terr != nil {
-				if p.Context().Err() != nil {
-					p.Fail(terr)
-				} else {
-					terrs[i] = terr
+	if len(grid) == 1 {
+		img, _, _, terrs[0] = decodeAt(ctx, 0, dopt)
+		if cerr := ctx.Err(); terrs[0] != nil && cerr != nil {
+			return nil, nil, nil, cerr
+		}
+	} else {
+		img = imgmodel.NewImage(outW, outH, h.NComp, h.Depth)
+		p := NewPipelineContext(ctx, dopt.Workers)
+		defer p.Close()
+		td := dopt
+		td.Workers = 1 // tiles are the parallel unit; inner stages run inline
+		// Tiles write disjoint regions of the output image. The retry
+		// loop demotes tile-stage faults the same way the Tier-1 loop
+		// inside decodeTile demotes block-stage faults.
+		done := make([]bool, len(grid))
+		for attempt := 0; attempt <= len(grid)+4; attempt++ {
+			p.run(obs.StageTile, 0, len(grid), func(i int) {
+				if done[i] {
+					return
 				}
-				return
+				done[i] = true
+				pix, x, y, terr := decodeAt(p.Context(), i, td)
+				switch {
+				case terr != nil && p.Context().Err() != nil:
+					p.Fail(terr)
+				case terr != nil:
+					terrs[i] = terr
+				case pix != nil:
+					img.Insert(pix, x, y)
+				}
+			})
+			perr := p.Err()
+			if perr == nil {
+				break
 			}
-			out.Insert(tile, r.X0/scale, r.Y0/scale)
-		})
-		perr := p.Err()
-		if perr == nil {
-			break
+			var fe *FaultError
+			if !errors.As(perr, &fe) || p.Context().Err() != nil {
+				return nil, nil, nil, perr
+			}
+			// A fault escaped a tile's own containment (or was injected
+			// at the tile stage): demote it to whole-tile loss and resume.
+			if fe.Job >= 0 && fe.Job < len(grid) && terrs[fe.Job] == nil {
+				terrs[fe.Job] = perr
+				done[fe.Job] = true
+			} else {
+				note(perr)
+			}
+			p.clearFault()
 		}
-		var fe *FaultError
-		if !errors.As(perr, &fe) || p.Context().Err() != nil {
-			return nil, nil, perr
-		}
-		// A fault escaped a tile's own containment (or was injected at
-		// the tile stage): demote it to whole-tile loss and resume.
-		if fe.Job >= 0 && fe.Job < len(grid) && terrs[fe.Job] == nil {
-			terrs[fe.Job] = perr
-			done[fe.Job] = true
-		} else {
-			rep.Notes = append(rep.Notes, fmt.Sprintf("contained fault in stage %s", fe.Stage))
-		}
-		p.clearFault()
+	}
+	if img == nil {
+		img = imgmodel.NewImage(outW, outH, h.NComp, h.Depth) // the one tile is lost
 	}
 
 	// Aggregate per-tile damage into the report. Regions are absolute
 	// full-resolution image coordinates.
+	tileCause := func(i int, err error) {
+		if !passthrough(err) {
+			err = formatErrf(err, "tile %d", i)
+		}
+		if cause == nil {
+			cause = err
+		}
+	}
 	ppt := len(PacketOrder(Progression(h.Progression), h.Layers, h.Levels, h.NComp))
 	for i, r := range grid {
 		dmg := dmgs[i]
 		if dmg == nil {
 			dmg = &tileDamage{}
 		}
+		whole := Rect{X0: r.X0, Y0: r.Y0, W: r.W, H: r.H}
 		if bodies[i] == nil {
 			rep.MissingTiles++
 			rep.TotalPackets += ppt
 			rep.LostPackets += ppt
 			rep.Tiles = append(rep.Tiles, TileDamage{
-				Index: i, Missing: true, TotalPackets: ppt, LostPackets: ppt,
-				Region: Rect{X0: r.X0, Y0: r.Y0, W: r.W, H: r.H},
+				Index: i, Missing: true, TotalPackets: ppt, LostPackets: ppt, Region: whole,
 			})
-			continue
-		}
-		if terr := terrs[i]; terr != nil {
-			// The whole tile is concealed: whatever its packet walk
-			// salvaged never reached the image.
-			rep.TotalPackets += dmg.totalPackets
-			rep.LostPackets += dmg.totalPackets
-			rep.TotalBlocks += dmg.totalBlocks
-			rep.LostBlocks += dmg.totalBlocks
-			rep.Resyncs += dmg.resyncs
-			if dmg.truncated {
-				rep.Truncated = true
-			}
-			t := TileDamage{
-				Index: i, Truncated: dmg.truncated,
-				TotalPackets: dmg.totalPackets, LostPackets: dmg.totalPackets,
-				TotalBlocks: dmg.totalBlocks, Resyncs: dmg.resyncs,
-				Region: Rect{X0: r.X0, Y0: r.Y0, W: r.W, H: r.H},
-			}
-			var fe *FaultError
-			if errors.As(terr, &fe) {
-				t.Faults = append(t.Faults, FaultRef{Stage: fe.Stage, Lane: fe.Lane, Job: fe.Job})
-			}
-			rep.Notes = append(rep.Notes, fmt.Sprintf("tile %d concealed: %v", i, terr))
-			rep.Tiles = append(rep.Tiles, t)
+			tileCause(i, errors.New("tile-part missing"))
 			continue
 		}
 		rep.TotalPackets += dmg.totalPackets
-		rep.LostPackets += dmg.lostPackets
 		rep.TotalBlocks += dmg.totalBlocks
-		rep.LostBlocks += len(dmg.lost)
 		rep.Resyncs += dmg.resyncs
-		rep.SalvagedBytes += dmg.salvaged
-		if dmg.truncated {
-			rep.Truncated = true
-		}
-		if !dmg.damaged() {
-			continue
-		}
+		rep.Truncated = rep.Truncated || dmg.truncated
 		t := TileDamage{
 			Index: i, Truncated: dmg.truncated,
 			TotalPackets: dmg.totalPackets, LostPackets: dmg.lostPackets,
 			TotalBlocks: dmg.totalBlocks, Resyncs: dmg.resyncs,
 			LostBlocks: dmg.lost, Faults: dmg.faults,
+		}
+		if terr := terrs[i]; terr != nil {
+			// The whole tile is concealed: whatever its packet walk
+			// salvaged never reached the image.
+			rep.LostPackets += dmg.totalPackets
+			rep.LostBlocks += dmg.totalBlocks
+			t.LostPackets, t.LostBlocks, t.Faults, t.Region = dmg.totalPackets, nil, nil, whole
+			var fe *FaultError
+			if errors.As(terr, &fe) {
+				t.Faults = []FaultRef{{Stage: fe.Stage, Lane: fe.Lane, Job: fe.Job}}
+			}
+			rep.Notes = append(rep.Notes, fmt.Sprintf("tile %d concealed: %v", i, terr))
+			rep.Tiles = append(rep.Tiles, t)
+			dmg.fail(terr)
+			tileCause(i, dmg.cause)
+			continue
+		}
+		rep.LostPackets += dmg.lostPackets
+		rep.LostBlocks += len(dmg.lost)
+		rep.SalvagedBytes += dmg.salvaged
+		if dmg.cause == nil {
+			continue
 		}
 		for j := range t.LostBlocks {
 			t.LostBlocks[j].Tile = i
@@ -212,14 +254,39 @@ func DecodeResilient(ctx context.Context, data []byte, dopt DecodeOptions) (img 
 		if t.Region.W == 0 && (t.LostPackets > 0 || t.Truncated) {
 			// Packet loss without a block map (e.g. whole layers gone):
 			// the worst case is the whole tile.
-			t.Region = Rect{X0: r.X0, Y0: r.Y0, W: r.W, H: r.H}
+			t.Region = whole
 		}
 		rep.Tiles = append(rep.Tiles, t)
+		tileCause(i, dmg.cause)
 	}
-	rep.Complete = rep.HeaderOK && !rep.Truncated && rep.Resyncs == 0 &&
-		rep.MissingTiles == 0 && rep.LostPackets == 0 && rep.LostBlocks == 0 &&
-		len(rep.Tiles) == 0 && len(rep.Notes) == 0
+	rep.Complete = cause == nil
 	op.rec.Add(obs.CtrResyncs, int64(rep.Resyncs))
 	op.rec.Add(obs.CtrConcealedBlocks, int64(rep.LostBlocks))
-	return out, rep, nil
+	return img, rep, cause, nil
+}
+
+// checkOptions resolves dopt against the header, clamping
+// DiscardLevels to [0, h.Levels]. Each problem goes to note, and the
+// decode falls back: a Region combined with DiscardLevels or reaching
+// outside the image is dropped, so the full image decodes, and a
+// DiscardLevels the tile size of a multi-tile grid cannot honour (the
+// reduced tiles would not abut) decodes at full resolution.
+func checkOptions(h *codestream.Header, ntiles int, dopt DecodeOptions, note func(error)) DecodeOptions {
+	if reg := dopt.Region; dopt.regionSet() {
+		switch {
+		case dopt.DiscardLevels != 0:
+			note(fmt.Errorf("codec: Region cannot be combined with DiscardLevels"))
+			dopt.Region = Rect{}
+		case reg.X0 < 0 || reg.Y0 < 0 || reg.X0+reg.W > h.W || reg.Y0+reg.H > h.H:
+			note(fmt.Errorf("codec: region %+v outside %dx%d image", reg, h.W, h.H))
+			dopt.Region = Rect{}
+		}
+	}
+	discard := min(max(dopt.DiscardLevels, 0), h.Levels)
+	if scale := 1 << uint(discard); ntiles > 1 && (h.TileW%scale != 0 || h.TileH%scale != 0) {
+		note(fmt.Errorf("codec: reduced decode of tiled stream needs tile size divisible by 2^%d", discard))
+		discard = 0
+	}
+	dopt.DiscardLevels = discard
+	return dopt
 }

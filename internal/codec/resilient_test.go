@@ -3,6 +3,8 @@ package codec
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"j2kcell/internal/imgmodel"
@@ -218,6 +220,20 @@ func TestResilientTruncationAtPacketBoundaries(t *testing.T) {
 	}
 }
 
+// corruptTrial returns the damaged copy of data for one campaign trial:
+// a single-bit flip in the tile-part payload, which starts at start,
+// for two trials out of three (flip is true), else a truncation inside
+// the payload.
+func corruptTrial(rng *workload.RNG, data []byte, start, trial int) (damaged []byte, flip bool) {
+	damaged = append([]byte(nil), data...)
+	if trial%3 == 2 {
+		return damaged[:start+rng.Intn(len(damaged)-start)], false
+	}
+	pos := start + rng.Intn(len(damaged)-start)
+	damaged[pos] ^= byte(1) << uint(rng.Intn(8))
+	return damaged, true
+}
+
 // TestResilientCorruptionCampaign is the seeded campaign: bit flips and
 // truncations across both coders, both paths, and tiling. Requirements:
 // zero panics (any escape fails the test), internally consistent damage
@@ -240,14 +256,7 @@ func TestResilientCorruptionCampaign(t *testing.T) {
 		rng := workload.NewRNG(1000 + uint32(len(tc.name)))
 		var flipTrials, recovered, lostTotal int
 		for trial := 0; trial < trials; trial++ {
-			data := append([]byte(nil), res.Data...)
-			flip := trial%3 != 2 // two flips for every truncation
-			if flip {
-				pos := start + rng.Intn(len(data)-start)
-				data[pos] ^= byte(1) << uint(rng.Intn(8))
-			} else {
-				data = data[:start+rng.Intn(len(data)-start)]
-			}
+			data, flip := corruptTrial(rng, res.Data, start, trial)
 			var img *imgmodel.Image
 			var rep *DamageReport
 			func() {
@@ -361,6 +370,144 @@ func TestResilientMissingTilePart(t *testing.T) {
 				if !in && rrow[x] != drow[x] {
 					t.Fatalf("pixel (%d,%d,c%d) damaged outside the missing tile", x, y, c)
 				}
+			}
+		}
+	}
+}
+
+// TestStrictDecodeIffComplete pins strict decode as the best-effort
+// decode that demands a complete report: over the corruption
+// campaign's trials — MQ and HT, with and without the resilience
+// tools, untiled and tiled, one and two workers — Decode succeeds
+// exactly when DecodeResilient reports Complete, and then returns the
+// same pixels. A failure is a *FormatError, the same one for every
+// worker count.
+func TestStrictDecodeIffComplete(t *testing.T) {
+	src := workload.Dial(128, 128, 13, 5)
+	const trials = 24
+	for _, ht := range []bool{false, true} {
+		for _, resilience := range []bool{false, true} {
+			for _, tiled := range []bool{false, true} {
+				opt := Options{Rate: 0.2, HT: ht, Resilience: resilience}
+				if tiled {
+					opt.TileW, opt.TileH = 64, 64
+				}
+				name := fmt.Sprintf("ht=%v/resilience=%v/tiled=%v", ht, resilience, tiled)
+				res, err := Encode(context.Background(), src, opt, 1)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				start := bodyStart(t, res.Data)
+				rng := workload.NewRNG(2000 + uint32(len(name)))
+				complete, failed := 0, 0
+				for trial := -1; trial < trials; trial++ {
+					data := res.Data // trial -1 is the intact stream
+					if trial >= 0 {
+						data, _ = corruptTrial(rng, res.Data, start, trial)
+					}
+					var firstErr error
+					for _, workers := range []int{1, 2} {
+						at := fmt.Sprintf("%s trial %d workers %d", name, trial, workers)
+						dopt := DecodeOptions{Workers: workers}
+						strict, err := Decode(context.Background(), data, dopt)
+						img, rep := decodeResilient(t, data, dopt)
+						if (err == nil) != rep.Complete {
+							t.Fatalf("%s: strict err %v, but report Complete=%v: %v", at, err, rep.Complete, rep)
+						}
+						if err == nil {
+							complete++
+							if !imagesEqual(strict, img) {
+								t.Fatalf("%s: strict and best-effort pixels differ on a complete stream", at)
+							}
+							continue
+						}
+						failed++
+						var fe *FormatError
+						if !errors.As(err, &fe) {
+							t.Fatalf("%s: got %v (%T), want *FormatError", at, err, err)
+						}
+						if workers == 1 {
+							firstErr = err
+						} else if err.Error() != firstErr.Error() {
+							t.Fatalf("%s: cause %q, but %q with one worker", at, err, firstErr)
+						}
+					}
+				}
+				if complete == 0 || failed == 0 {
+					t.Fatalf("%s: %d complete and %d failed decodes: want both", name, complete, failed)
+				}
+			}
+		}
+	}
+}
+
+// TestResilientRegion pins that the best-effort decode honours Region.
+// On an intact stream a windowed DecodeResilient is Complete and
+// pixel-identical to the strict windowed decode. With one code block
+// inside the window corrupted, the report names that block with a
+// region meeting the window, and every window pixel outside the
+// reported region matches the intact decode — the shape of
+// TestResilientBlockLocality, for MQ and HT, untiled and tiled.
+func TestResilientRegion(t *testing.T) {
+	src := workload.Dial(128, 128, 11, 5)
+	win := Rect{X0: 40, Y0: 24, W: 56, H: 64}
+	for _, ht := range []bool{false, true} {
+		for _, tiled := range []bool{false, true} {
+			opt := Options{Lossless: true, HT: ht, Resilience: true, CBW: 16, CBH: 16}
+			if tiled {
+				opt.TileW, opt.TileH = 64, 64
+			}
+			name := fmt.Sprintf("ht=%v/tiled=%v", ht, tiled)
+			res, err := Encode(context.Background(), src, opt, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			dopt := DecodeOptions{Region: win}
+			ref, err := Decode(context.Background(), res.Data, dopt)
+			if err != nil {
+				t.Fatalf("%s: strict region decode: %v", name, err)
+			}
+			img, rep := decodeResilient(t, res.Data, dopt)
+			if !rep.Complete {
+				t.Fatalf("%s: intact stream reported damage: %v", name, rep)
+			}
+			if !imagesEqual(img, ref) {
+				t.Fatalf("%s: best-effort region decode differs from strict", name)
+			}
+
+			start := bodyStart(t, res.Data)
+			rng := workload.NewRNG(77 + uint32(len(name)))
+			checked := 0
+			for trial := 0; trial < 600 && checked < 3; trial++ {
+				data := append([]byte(nil), res.Data...)
+				data[start+rng.Intn(len(data)-start)] ^= byte(1) << uint(rng.Intn(8))
+				img, rep := decodeResilient(t, data, dopt)
+				if rep.LostBlocks != 1 || rep.LostPackets != 0 || rep.Resyncs != 0 ||
+					rep.Truncated || len(rep.Notes) != 0 || len(rep.Tiles) != 1 {
+					continue
+				}
+				lost := rep.Tiles[0].LostBlocks[0].Region
+				if !rectsIntersect(lost, win) {
+					t.Fatalf("%s trial %d: lost block region %+v misses the window %+v", name, trial, lost, win)
+				}
+				reg := rep.Tiles[0].Region
+				for c := range ref.Comps {
+					for y := 0; y < ref.H; y++ {
+						rrow, drow := ref.Comps[c].Row(y), img.Comps[c].Row(y)
+						for x := 0; x < ref.W; x++ {
+							ix, iy := win.X0+x, win.Y0+y // image coordinates
+							if rrow[x] != drow[x] &&
+								(ix < reg.X0 || ix >= reg.X0+reg.W || iy < reg.Y0 || iy >= reg.Y0+reg.H) {
+								t.Fatalf("%s trial %d: pixel (%d,%d,c%d) damaged outside reported region %+v",
+									name, trial, ix, iy, c, reg)
+							}
+						}
+					}
+				}
+				checked++
+			}
+			if checked == 0 {
+				t.Fatalf("%s: no trial produced a single contained block loss", name)
 			}
 		}
 	}

@@ -179,16 +179,6 @@ func EncodeTiles(h *Header, bodies [][]byte) []byte {
 	return out
 }
 
-// Decode parses a codestream, returning the header and the first
-// tile's packet body (convenience for single-tile streams).
-func Decode(data []byte) (*Header, []byte, error) {
-	h, bodies, err := DecodeTiles(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, bodies[0], nil
-}
-
 // DecodeTiles parses a codestream, returning the header and every
 // tile's packet body in tile-index order, under DefaultLimits.
 func DecodeTiles(data []byte) (*Header, [][]byte, error) {
@@ -197,81 +187,93 @@ func DecodeTiles(data []byte) (*Header, [][]byte, error) {
 
 // DecodeTilesLimits is DecodeTiles with caller-supplied header limits,
 // enforced as each marker segment is parsed — a hostile SIZ or COD is
-// rejected before the header tables it implies are allocated.
+// rejected before the header tables it implies are allocated. Any
+// marker segment it does not know, and any tile-part out of index
+// order, rejects the stream.
 func DecodeTilesLimits(data []byte, lim Limits) (*Header, [][]byte, error) {
 	rd := &reader{data: data}
-	if m, err := rd.marker(); err != nil || m != SOC {
-		return nil, nil, fmt.Errorf("codestream: missing SOC (got %#x, err %v)", m, err)
+	h, err := mainHeader(rd, lim, func(m int) error {
+		return fmt.Errorf("codestream: unexpected marker %#x", m)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	h := &Header{}
 	var bodies [][]byte
-	seenSIZ, seenCOD, seenQCD := false, false, false
 	for {
 		m, err := rd.marker()
 		if err != nil {
 			return nil, nil, err
 		}
 		switch m {
-		case SIZ:
-			p, err := rd.segment()
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := parseSIZ(p, h, lim); err != nil {
-				return nil, nil, err
-			}
-			seenSIZ = true
-		case COD:
-			p, err := rd.segment()
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := parseCOD(p, h, lim); err != nil {
-				return nil, nil, err
-			}
-			seenCOD = true
-		case QCD:
-			p, err := rd.segment()
-			if err != nil {
-				return nil, nil, err
-			}
-			if !seenSIZ || !seenCOD {
-				return nil, nil, fmt.Errorf("codestream: QCD before SIZ/COD")
-			}
-			if err := parseQCD(p, h); err != nil {
-				return nil, nil, err
-			}
-			seenQCD = true
 		case SOT:
-			p, err := rd.segment()
+			isot, bodyLen, err := rd.tilePart()
 			if err != nil {
 				return nil, nil, err
 			}
-			if len(p) < 8 {
-				return nil, nil, fmt.Errorf("codestream: SOT too short")
-			}
-			psot := int(binary.BigEndian.Uint32(p[2:]))
-			if int(binary.BigEndian.Uint16(p[0:])) != len(bodies) {
+			if isot != len(bodies) {
 				return nil, nil, fmt.Errorf("codestream: tile parts out of order")
 			}
-			if m, err := rd.marker(); err != nil || m != SOD {
-				return nil, nil, fmt.Errorf("codestream: missing SOD")
-			}
-			bodyLen := psot - 12 - 2
-			if bodyLen < 0 || rd.pos+bodyLen > len(data) {
-				return nil, nil, fmt.Errorf("codestream: tile length %d out of range", psot)
+			if rd.pos+bodyLen > len(data) {
+				return nil, nil, fmt.Errorf("codestream: tile length %d out of range", bodyLen+14)
 			}
 			bodies = append(bodies, data[rd.pos:rd.pos+bodyLen])
 			rd.pos += bodyLen
 		case EOC:
-			if !seenSIZ || !seenCOD || !seenQCD || len(bodies) == 0 {
-				return nil, nil, fmt.Errorf("codestream: EOC before required segments")
+			if len(bodies) == 0 {
+				return nil, nil, fmt.Errorf("codestream: EOC before any tile-part")
 			}
 			return h, bodies, nil
 		default:
 			return nil, nil, fmt.Errorf("codestream: unexpected marker %#x", m)
 		}
 	}
+}
+
+// mainHeader reads SOC and the main header's marker segments up to the
+// last of SIZ, COD and QCD, enforcing lim as each is parsed. Any other
+// marker segment before then goes to other, which skips it (returning
+// nil) or rejects the stream. A tile-part or EOC before the header is
+// complete rejects it too.
+func mainHeader(rd *reader, lim Limits, other func(m int) error) (*Header, error) {
+	if m, err := rd.marker(); err != nil || m != SOC {
+		return nil, fmt.Errorf("codestream: missing SOC (got %#x, err %v)", m, err)
+	}
+	h := &Header{}
+	seenSIZ, seenCOD, seenQCD := false, false, false
+	for !seenSIZ || !seenCOD || !seenQCD {
+		m, err := rd.marker()
+		if err != nil {
+			return nil, err
+		}
+		if m == SOT || m == EOC {
+			return nil, fmt.Errorf("codestream: main header ends before SIZ, COD and QCD")
+		}
+		if m != SIZ && m != COD && m != QCD {
+			if err := other(m); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		p, err := rd.segment()
+		if err != nil {
+			return nil, err
+		}
+		switch m {
+		case SIZ:
+			err, seenSIZ = parseSIZ(p, h, lim), true
+		case COD:
+			err, seenCOD = parseCOD(p, h, lim), true
+		case QCD:
+			if !seenSIZ || !seenCOD {
+				return nil, fmt.Errorf("codestream: QCD before SIZ/COD")
+			}
+			err, seenQCD = parseQCD(p, h), true
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return h, nil
 }
 
 // parseSIZ validates and loads the geometry fields of a SIZ payload.
@@ -377,4 +379,26 @@ func (r *reader) segment() ([]byte, error) {
 	p := r.data[r.pos+2 : r.pos+l]
 	r.pos += l
 	return p, nil
+}
+
+// tilePart reads the rest of a tile-part header — the SOT marker
+// segment whose marker was just read, then the SOD marker — and
+// returns the tile index Isot and the body length Psot declares.
+func (r *reader) tilePart() (isot, bodyLen int, err error) {
+	p, err := r.segment()
+	if err != nil {
+		return 0, 0, err
+	}
+	if len(p) < 8 {
+		return 0, 0, fmt.Errorf("codestream: SOT too short")
+	}
+	isot = int(binary.BigEndian.Uint16(p[0:]))
+	psot := int(binary.BigEndian.Uint32(p[2:]))
+	if m, err := r.marker(); err != nil || m != SOD {
+		return 0, 0, fmt.Errorf("codestream: missing SOD")
+	}
+	if psot < 12+2 {
+		return 0, 0, fmt.Errorf("codestream: tile length %d out of range", psot)
+	}
+	return isot, psot - 12 - 2, nil
 }

@@ -27,7 +27,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	h := sampleHeader()
 	body := []byte{1, 2, 3, 4, 5, 6, 7}
 	data := Encode(h, body)
-	got, gotBody, err := Decode(data)
+	got, gotBodies, err := DecodeTiles(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if string(gotBody) != string(body) {
+	if string(gotBodies[0]) != string(body) {
 		t.Fatal("body mismatch")
 	}
 }
@@ -58,7 +58,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 func TestLosslessFlagRoundTrip(t *testing.T) {
 	h := sampleHeader()
 	h.Lossless, h.TermAll = true, false
-	got, _, err := Decode(Encode(h, nil))
+	got, _, err := DecodeTiles(Encode(h, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"missing EOC", good[:len(good)-2]},
 	}
 	for _, c := range cases {
-		if _, _, err := Decode(c.data); err == nil {
+		if _, _, err := DecodeTiles(c.data); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -101,7 +101,7 @@ func TestDecodeRejectsUnknownMarker(t *testing.T) {
 	good := Encode(sampleHeader(), []byte{1})
 	bad := append([]byte(nil), good...)
 	bad[2], bad[3] = 0xFF, 0x99 // overwrite SIZ marker
-	_, _, err := Decode(bad)
+	_, _, err := DecodeTiles(bad)
 	if err == nil || !strings.Contains(err.Error(), "unexpected marker") {
 		t.Fatalf("err=%v", err)
 	}
@@ -109,8 +109,8 @@ func TestDecodeRejectsUnknownMarker(t *testing.T) {
 
 func TestEmptyBody(t *testing.T) {
 	h := sampleHeader()
-	got, body, err := Decode(Encode(h, nil))
-	if err != nil || len(body) != 0 || got == nil {
+	got, bodies, err := DecodeTiles(Encode(h, nil))
+	if err != nil || len(bodies[0]) != 0 || got == nil {
 		t.Fatalf("empty body: %v", err)
 	}
 }
@@ -156,15 +156,15 @@ func TestRejectsBadCodingParams(t *testing.T) {
 		return -1
 	}
 	// Progression byte out of range.
-	if _, _, err := Decode(mutate(func(d []byte) int { return codOff(d) + 1 }, 9)); err == nil {
+	if _, _, err := DecodeTiles(mutate(func(d []byte) int { return codOff(d) + 1 }, 9)); err == nil {
 		t.Error("bad progression accepted")
 	}
 	// Levels out of range.
-	if _, _, err := Decode(mutate(func(d []byte) int { return codOff(d) + 5 }, 77)); err == nil {
+	if _, _, err := DecodeTiles(mutate(func(d []byte) int { return codOff(d) + 5 }, 77)); err == nil {
 		t.Error("bad level count accepted")
 	}
 	// Code block exponent out of range.
-	if _, _, err := Decode(mutate(func(d []byte) int { return codOff(d) + 6 }, 30)); err == nil {
+	if _, _, err := DecodeTiles(mutate(func(d []byte) int { return codOff(d) + 6 }, 30)); err == nil {
 		t.Error("bad cb exponent accepted")
 	}
 }
@@ -192,7 +192,61 @@ func TestRejectsTilePartsOutOfOrder(t *testing.T) {
 func TestRejectsQCDBeforeSIZ(t *testing.T) {
 	// Hand-build SOC then QCD.
 	data := []byte{0xFF, 0x4F, 0xFF, 0x5C, 0x00, 0x03, 0x20}
-	if _, _, err := Decode(data); err == nil {
+	if _, _, err := DecodeTiles(data); err == nil {
 		t.Fatal("QCD before SIZ accepted")
+	}
+}
+
+// TestSalvageFramingAudit pins which framing the salvaging parser
+// takes as intact and which it records as damage in SalvageInfo.Err.
+// Tile-parts in any tile order are intact, since bodies are indexed by
+// Isot. A skipped unknown marker segment (in the main header or
+// between tile-parts), a repeated or truncated tile-part and a missing
+// EOC are damage. The strict parser rejects all but the intact stream.
+func TestSalvageFramingAudit(t *testing.T) {
+	h := sampleHeader()
+	h.TileW, h.TileH = 320, 480
+	good := EncodeTiles(h, [][]byte{{1, 2}, {3}})
+	var sots []int
+	for i := 0; i+1 < len(good); i++ {
+		if good[i] == 0xFF && good[i+1] == 0x90 {
+			sots = append(sots, i)
+		}
+	}
+	eoc := len(good) - 2
+	com := []byte{0xFF, 0x64, 0x00, 0x04, 'h', 'i'} // a well-formed COM segment
+	cat := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		damaged bool
+	}{
+		{"intact", good, false},
+		{"tile-parts swapped", cat(good[:sots[0]], good[sots[1]:eoc], good[sots[0]:sots[1]], good[eoc:]), false},
+		{"unknown segment in main header", cat(good[:2], com, good[2:]), true},
+		{"unknown segment between tile-parts", cat(good[:sots[1]], com, good[sots[1]:]), true},
+		{"repeated tile-part", cat(good[:eoc], good[sots[1]:eoc], good[eoc:]), true},
+		{"truncated tile-part", good[:eoc-1], true},
+		{"missing EOC", good[:eoc], true},
+	} {
+		_, bodies, info, err := DecodeTilesSalvage(c.data, DefaultLimits())
+		if err != nil {
+			t.Fatalf("%s: main header rejected: %v", c.name, err)
+		}
+		if (info.Err != nil) != c.damaged {
+			t.Errorf("%s: framing damage %v, want damaged=%v", c.name, info.Err, c.damaged)
+		}
+		if !c.damaged && (string(bodies[0]) != "\x01\x02" || string(bodies[1]) != "\x03") {
+			t.Errorf("%s: bodies %q", c.name, bodies)
+		}
+		if _, _, err := DecodeTiles(c.data); (err == nil) != (c.name == "intact") {
+			t.Errorf("%s: strict parse err %v", c.name, err)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package codestream
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // SalvageInfo records what the tolerant tile-part parser had to do to
 // recover bodies from a damaged codestream.
@@ -12,6 +9,18 @@ type SalvageInfo struct {
 	Resyncs   int   // SOT resyncs performed after framing damage
 	Truncated bool  // the stream ended inside a tile-part or before EOC
 	BodyBytes int64 // total salvaged packet-body bytes
+	// Err is the first framing problem in stream order — a resync
+	// point, a truncation, a skipped marker segment, a repeated
+	// tile-part — or nil when the framing is intact.
+	Err error
+}
+
+// damage records err as the framing's first problem unless one is
+// already recorded.
+func (s *SalvageInfo) damage(err error) {
+	if s.Err == nil {
+		s.Err = err
+	}
 }
 
 // GridTiles returns the tile count implied by the header's SIZ grid.
@@ -23,127 +32,79 @@ func GridTiles(h *Header) int {
 }
 
 // DecodeTilesSalvage is the best-effort counterpart of
-// DecodeTilesLimits. The main header (SOC/SIZ/COD/QCD) is still parsed
-// strictly — without it there is no geometry to decode into — but the
-// tile-part framing is forgiving: unknown-but-well-formed marker
-// segments are skipped, a damaged SOT/SOD wrapper triggers a forward
-// scan for the next plausible SOT, truncated tile-parts are clamped to
-// the bytes present, and a missing EOC ends the stream instead of
-// failing it. Bodies are returned indexed by Isot over the full SIZ
-// tile grid; a nil body means that tile never arrived. The error is
-// non-nil only when the main header itself is unusable.
+// DecodeTilesLimits. The main header (SOC/SIZ/COD/QCD) is parsed by
+// the same loop — without it there is no geometry to decode into —
+// except that well-formed marker segments it does not know are
+// skipped. The tile-part framing is forgiving: unknown-but-well-formed
+// marker segments are skipped, a damaged SOT/SOD wrapper triggers a
+// forward scan for the next plausible SOT, truncated tile-parts are
+// clamped to the bytes present, tile-parts may arrive in any tile
+// order, a repeated tile-part is dropped, and a missing EOC ends the
+// stream instead of failing it. Each of these except the tile order is
+// damage, and info.Err holds the first. Bodies are returned indexed by
+// Isot over the full SIZ tile grid; a nil body means that tile never
+// arrived. The error is non-nil only when the main header itself is
+// unusable.
 func DecodeTilesSalvage(data []byte, lim Limits) (*Header, [][]byte, *SalvageInfo, error) {
 	rd := &reader{data: data}
-	if m, err := rd.marker(); err != nil || m != SOC {
-		return nil, nil, nil, fmt.Errorf("codestream: missing SOC (got %#x, err %v)", m, err)
+	info := &SalvageInfo{}
+	// skip steps over a well-formed marker segment the decoder does
+	// not use; the decode cannot vouch for it, so it is damage.
+	skip := func(m int) error {
+		if _, err := rd.segment(); err != nil {
+			return err
+		}
+		info.damage(fmt.Errorf("codestream: unexpected marker %#x", m))
+		return nil
 	}
-	h := &Header{}
-	seenSIZ, seenCOD, seenQCD := false, false, false
-
-	// Main header: strict until the first SOT (or EOC), except that
-	// well-formed marker segments we do not understand are skipped —
-	// resilience must not fail on a stream that merely carries an
-	// optional segment the strict parser would reject.
-	for !seenSIZ || !seenCOD || !seenQCD {
-		m, err := rd.marker()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		switch m {
-		case SIZ:
-			p, err := rd.segment()
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if err := parseSIZ(p, h, lim); err != nil {
-				return nil, nil, nil, err
-			}
-			seenSIZ = true
-		case COD:
-			p, err := rd.segment()
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if err := parseCOD(p, h, lim); err != nil {
-				return nil, nil, nil, err
-			}
-			seenCOD = true
-		case QCD:
-			p, err := rd.segment()
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			if !seenSIZ || !seenCOD {
-				return nil, nil, nil, fmt.Errorf("codestream: QCD before SIZ/COD")
-			}
-			if err := parseQCD(p, h); err != nil {
-				return nil, nil, nil, err
-			}
-			seenQCD = true
-		case SOT, EOC:
-			return nil, nil, nil, fmt.Errorf("codestream: tile data before complete main header")
-		default:
-			if _, err := rd.segment(); err != nil {
-				return nil, nil, nil, err
-			}
-		}
+	h, err := mainHeader(rd, lim, skip)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
 	ntiles := GridTiles(h)
-	info := &SalvageInfo{Tiles: ntiles}
+	info.Tiles = ntiles
 	bodies := make([][]byte, ntiles)
 
 	sawEOC := false
 	for !sawEOC && rd.pos < len(data) {
 		at := rd.pos
 		m, err := rd.marker()
-		ok := err == nil
 		switch {
-		case ok && m == EOC:
+		case err != nil:
+		case m == EOC:
 			sawEOC = true
-		case ok && m == SOT:
-			p, serr := rd.segment()
-			if serr != nil || len(p) < 8 {
-				ok = false
+		case m == SOT:
+			var isot, bodyLen int
+			if isot, bodyLen, err = rd.tilePart(); err != nil {
 				break
 			}
-			isot := int(binary.BigEndian.Uint16(p[0:]))
-			psot := int(binary.BigEndian.Uint32(p[2:]))
 			if isot >= ntiles {
-				ok = false
-				break
-			}
-			if m, merr := rd.marker(); merr != nil || m != SOD {
-				ok = false
-				break
-			}
-			bodyLen := psot - 12 - 2
-			if bodyLen < 0 {
-				ok = false
+				err = fmt.Errorf("codestream: tile-part %d outside the %d-tile grid", isot, ntiles)
 				break
 			}
 			if rd.pos+bodyLen > len(data) {
 				bodyLen = len(data) - rd.pos
 				info.Truncated = true
+				info.damage(fmt.Errorf("codestream: tile-part %d truncated", isot))
 			}
 			if bodies[isot] == nil {
 				bodies[isot] = data[rd.pos : rd.pos+bodyLen]
 				info.BodyBytes += int64(bodyLen)
+			} else {
+				info.damage(fmt.Errorf("codestream: repeated tile-part for tile %d", isot))
 			}
 			rd.pos += bodyLen
 		default:
 			// A marker segment we don't know: skip it if well formed,
 			// otherwise fall through to resync.
-			if ok {
-				if _, serr := rd.segment(); serr != nil {
-					ok = false
-				}
-			}
+			err = skip(m)
 		}
-		if !ok {
+		if err != nil {
 			// Resync: scan forward from just past the failure point for
 			// the next plausible SOT (Lsot == 10 and an in-range Isot) or
 			// the EOC trailer, whichever comes first.
+			info.damage(err)
 			next := findSOT(data, at+1, ntiles)
 			if next < 0 {
 				info.Truncated = true
@@ -153,8 +114,9 @@ func DecodeTilesSalvage(data []byte, lim Limits) (*Header, [][]byte, *SalvageInf
 			info.Resyncs++
 		}
 	}
-	if !sawEOC && !info.Truncated {
+	if !sawEOC {
 		info.Truncated = true
+		info.damage(fmt.Errorf("codestream: no EOC"))
 	}
 	return h, bodies, info, nil
 }

@@ -198,18 +198,13 @@ func writeLengths(w *BitWriter, lb *int32, segs []Segment) {
 	}
 }
 
-// EncodePacket writes the packet for one resolution at the given layer:
-// the header coding every band's block grid, then the concatenated
-// block bodies. Precinct state (tag trees, Lblock, inclusion) persists
-// across calls with increasing layer.
-func EncodePacket(precincts []*Precinct, layer int) []byte {
-	return EncodePacketEPH(precincts, layer, false)
-}
-
-// EncodePacketEPH is EncodePacket with an optional EPH (end of packet
-// header, FF92) marker between the header and the body — the
-// error-resilience aid that lets a decoder confirm the header/body
-// boundary.
+// EncodePacketEPH writes the packet for one resolution at the given
+// layer: the header coding every band's block grid, then the
+// concatenated block bodies. Precinct state (tag trees, Lblock,
+// inclusion) persists across calls with increasing layer. With eph an
+// EPH (end of packet header, FF92) marker goes between the header and
+// the body — the error-resilience aid that lets a decoder confirm the
+// header/body boundary.
 func EncodePacketEPH(precincts []*Precinct, layer int, eph bool) []byte {
 	var w BitWriter
 	nonEmpty := false
@@ -285,15 +280,10 @@ const (
 	SegTermAll                 // one segment per pass
 )
 
-// DecodePacket parses one packet at the given layer from data, filling
-// each precinct's block contributions for this layer (NumPasses,
-// ZeroBP, Segments, Data sub-slices). It returns the bytes consumed.
-// Precinct state must persist across layers.
-func DecodePacket(data []byte, precincts []*Precinct, layer int, style SegStyle) (int, error) {
-	return DecodePacketEPH(data, precincts, layer, style, false)
-}
-
-// DecodePacketEPH is DecodePacket for streams carrying EPH markers: the
+// DecodePacketEPH parses one packet at the given layer from data,
+// filling each precinct's block contributions for this layer
+// (NumPasses, ZeroBP, Segments, Data sub-slices). It returns the bytes
+// consumed. Precinct state must persist across layers. With eph the
 // FF92 after the header is verified and consumed, catching header
 // corruption before any body bytes are attributed.
 func DecodePacketEPH(data []byte, precincts []*Precinct, layer int, style SegStyle, eph bool) (int, error) {

@@ -239,10 +239,10 @@ func TestPacketRoundTrip(t *testing.T) {
 			buildPrecinct(rng, 1, 4, style),
 			buildPrecinct(rng, 2, 2, style),
 		}
-		pkt := EncodePacket(encP, 0)
+		pkt := EncodePacketEPH(encP, 0, false)
 
 		decP := []*Precinct{NewPrecinct(3, 2), NewPrecinct(1, 4), NewPrecinct(2, 2)}
-		n, err := DecodePacket(pkt, decP, 0, style)
+		n, err := DecodePacketEPH(pkt, decP, 0, style, false)
 		if err != nil {
 			t.Fatalf("style %d: %v", style, err)
 		}
@@ -280,12 +280,12 @@ func TestPacketRoundTrip(t *testing.T) {
 
 func TestEmptyPacket(t *testing.T) {
 	p := NewPrecinct(2, 2)
-	pkt := EncodePacket([]*Precinct{p}, 0)
+	pkt := EncodePacketEPH([]*Precinct{p}, 0, false)
 	if len(pkt) != 1 || pkt[0] != 0 {
 		t.Fatalf("empty packet: % X", pkt)
 	}
 	dp := NewPrecinct(2, 2)
-	n, err := DecodePacket(pkt, []*Precinct{dp}, 0, SegSingle)
+	n, err := DecodePacketEPH(pkt, []*Precinct{dp}, 0, SegSingle, false)
 	if err != nil || n != 1 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
@@ -301,9 +301,9 @@ func TestEmptyBandPrecinct(t *testing.T) {
 	p := NewPrecinct(0, 0)
 	rng := workload.NewRNG(1)
 	q := buildPrecinct(rng, 2, 1, SegSingle)
-	pkt := EncodePacket([]*Precinct{p, q}, 0)
+	pkt := EncodePacketEPH([]*Precinct{p, q}, 0, false)
 	dp, dq := NewPrecinct(0, 0), NewPrecinct(2, 1)
-	if _, err := DecodePacket(pkt, []*Precinct{dp, dq}, 0, SegSingle); err != nil {
+	if _, err := DecodePacketEPH(pkt, []*Precinct{dp, dq}, 0, SegSingle, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -311,9 +311,9 @@ func TestEmptyBandPrecinct(t *testing.T) {
 func TestDecodeTruncatedPacketErrors(t *testing.T) {
 	rng := workload.NewRNG(9)
 	p := buildPrecinct(rng, 2, 2, SegSingle)
-	pkt := EncodePacket([]*Precinct{p}, 0)
+	pkt := EncodePacketEPH([]*Precinct{p}, 0, false)
 	dp := NewPrecinct(2, 2)
-	if _, err := DecodePacket(pkt[:len(pkt)/2], []*Precinct{dp}, 0, SegSingle); err == nil {
+	if _, err := DecodePacketEPH(pkt[:len(pkt)/2], []*Precinct{dp}, 0, SegSingle, false); err == nil {
 		t.Fatal("truncated packet accepted")
 	}
 }
@@ -324,9 +324,9 @@ func TestPropPacketRoundTrip(t *testing.T) {
 		rng := workload.NewRNG(seed)
 		w, h := rng.Intn(4)+1, rng.Intn(4)+1
 		enc := buildPrecinct(rng, w, h, style)
-		pkt := EncodePacket([]*Precinct{enc}, 0)
+		pkt := EncodePacketEPH([]*Precinct{enc}, 0, false)
 		dec := NewPrecinct(w, h)
-		n, err := DecodePacket(pkt, []*Precinct{dec}, 0, style)
+		n, err := DecodePacketEPH(pkt, []*Precinct{dec}, 0, style, false)
 		if err != nil || n != len(pkt) {
 			return false
 		}
@@ -378,7 +378,7 @@ func TestMultiLayerPacketRoundTrip(t *testing.T) {
 	var pkts [][]byte
 	for l := 0; l < layers; l++ {
 		copy(enc.Blocks, layerContribs[l])
-		pkts = append(pkts, EncodePacket([]*Precinct{enc}, l))
+		pkts = append(pkts, EncodePacketEPH([]*Precinct{enc}, l, false))
 	}
 
 	dec := NewPrecinct(3, 1)
@@ -386,7 +386,7 @@ func TestMultiLayerPacketRoundTrip(t *testing.T) {
 	var gotZBP [3]int
 	var gotData [3][]byte
 	for l := 0; l < layers; l++ {
-		n, err := DecodePacket(pkts[l], []*Precinct{dec}, l, SegTermAll)
+		n, err := DecodePacketEPH(pkts[l], []*Precinct{dec}, l, SegTermAll, false)
 		if err != nil {
 			t.Fatalf("layer %d: %v", l, err)
 		}
@@ -433,7 +433,7 @@ func TestEPHPacketRoundTrip(t *testing.T) {
 		t.Fatalf("consumed %d of %d", n, len(pkt))
 	}
 	// A stream without EPH must be rejected by an EPH-expecting decoder.
-	plain := EncodePacket([]*Precinct{buildPrecinct(workload.NewRNG(55), 2, 2, SegTermAll)}, 0)
+	plain := EncodePacketEPH([]*Precinct{buildPrecinct(workload.NewRNG(55), 2, 2, SegTermAll)}, 0, false)
 	if _, err := DecodePacketEPH(plain, []*Precinct{NewPrecinct(2, 2)}, 0, SegTermAll, true); err == nil {
 		t.Fatal("missing EPH accepted")
 	}
@@ -456,17 +456,17 @@ func TestEPHPacketRoundTrip(t *testing.T) {
 func TestEmptyPacketClearsStaleContribs(t *testing.T) {
 	rng := workload.NewRNG(99)
 	encP := []*Precinct{buildPrecinct(rng, 2, 2, SegTermAll)}
-	pkt0 := EncodePacket(encP, 0)
+	pkt0 := EncodePacketEPH(encP, 0, false)
 	// Layer 1: no block contributes anything further.
 	for _, b := range encP[0].Blocks {
 		if b != nil {
 			b.NumPasses = 0
 		}
 	}
-	pkt1 := EncodePacket(encP, 1)
+	pkt1 := EncodePacketEPH(encP, 1, false)
 
 	dp := []*Precinct{NewPrecinct(2, 2)}
-	if _, err := DecodePacket(pkt0, dp, 0, SegTermAll); err != nil {
+	if _, err := DecodePacketEPH(pkt0, dp, 0, SegTermAll, false); err != nil {
 		t.Fatal(err)
 	}
 	saw := 0
@@ -478,7 +478,7 @@ func TestEmptyPacketClearsStaleContribs(t *testing.T) {
 	if saw == 0 {
 		t.Fatal("layer 0 packet carried no contributions; test needs a busier precinct")
 	}
-	if _, err := DecodePacket(pkt1, dp, 1, SegTermAll); err != nil {
+	if _, err := DecodePacketEPH(pkt1, dp, 1, SegTermAll, false); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range dp[0].Blocks {

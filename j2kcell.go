@@ -169,9 +169,13 @@ type BlockLoss = codec.BlockLoss
 // tile-part (concealed as zero coefficients), resynchronizing on SOP
 // and SOT markers. Any input yields an image and a report; err is
 // non-nil only for cancellation, admission rejection or a contained
-// codec fault, never for stream damage. Streams encoded with Options.Resilience carry the
-// markers and per-pass protection that make damage detectable and
-// containment fine-grained.
+// codec fault, never for stream damage. opt's Region, DiscardLevels
+// and MaxLayers apply as in DecodeWith; one the stream cannot honour
+// is noted in the report instead of failing. The strict decodes run
+// the same decode and succeed exactly when the report is Complete.
+// Streams encoded with Options.Resilience carry the markers and
+// per-pass protection that make damage detectable and containment
+// fine-grained.
 func DecodeResilientContext(ctx context.Context, data []byte, opt DecodeOptions) (*Image, *DamageReport, error) {
 	return codec.DecodeResilient(ctx, data, opt)
 }
