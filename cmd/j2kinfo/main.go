@@ -1,6 +1,7 @@
 // Command j2kinfo dumps the structure of a JPEG2000 codestream
-// produced by this library: header parameters and the per-packet
-// layout, with the byte budgets of each progression prefix.
+// produced by this library: header parameters and the packet layout
+// of every tile, with the byte budgets of each progression prefix. It
+// parses the stream as the decoder does, but decodes no code block.
 package main
 
 import (
@@ -45,8 +46,8 @@ func main() {
 	fmt.Printf("  %d DWT levels, %dx%d code blocks, %d layer(s), %s progression, termall=%v\n",
 		h.Levels, h.CBW, h.CBH, h.Layers, prog, h.TermAll)
 	fmt.Printf("  block coder: %s\n", coder)
-	fmt.Printf("  %d packets, %d body bytes, %d total\n\n",
-		len(info.Packets), info.BytesAtResolution(h.Levels), len(data))
+	fmt.Printf("  %d tile(s), %d packets, %d packet bytes, %d total\n\n",
+		len(codec.TileGrid(h.W, h.H, h.TileW, h.TileH)), len(info.Packets), info.BytesAtResolution(h.Levels), len(data))
 
 	fmt.Println("bytes by resolution prefix (thumbnail cost under RLCP):")
 	for r := 0; r <= h.Levels; r++ {
@@ -62,17 +63,17 @@ func main() {
 		printStats(info, len(data))
 	}
 	if *packets {
-		fmt.Println("\npackets (layer, resolution, component):")
+		fmt.Println("\npackets (tile, layer, resolution, component; offset within the tile body):")
 		for _, p := range info.Packets {
-			fmt.Printf("  L%d R%d C%d  @%-8d %6d bytes, %3d blocks\n",
-				p.Layer, p.Res, p.Comp, p.Offset, p.Bytes, p.Blocks)
+			fmt.Printf("  T%d L%d R%d C%d  @%-8d %6d bytes, %3d blocks\n",
+				p.Tile, p.Layer, p.Res, p.Comp, p.Offset, p.Bytes, p.Blocks)
 		}
 	}
 }
 
 // printStats renders the -stats breakdown: where the bytes of the
-// stream live — framing markers, Tier-2 packet headers, and MQ-coded
-// block data split by subband and by quality layer.
+// stream live — framing markers, Tier-2 packet headers, and block data
+// split by subband (summed over tiles) and by quality layer.
 func printStats(info *codec.StreamInfo, total int) {
 	h := info.Header
 	fmt.Println("marker segments:")
@@ -84,13 +85,13 @@ func printStats(info *codec.StreamInfo, total int) {
 	fmt.Printf("  framing total %d bytes, packet headers %d bytes\n",
 		markerTotal, info.HeaderOverhead())
 
-	fmt.Println("block data by subband (component / band):")
+	fmt.Println("block data by subband (component / band at image size, all tiles):")
 	dataTotal := 0
 	for _, b := range info.Bands {
 		if b.Bytes == 0 && b.Blocks == 0 {
 			continue
 		}
-		fmt.Printf("  C%d %2s L%d (%4dx%-4d) %8d bytes  %4d block contribution(s)\n",
+		fmt.Printf("  C%d %2s L%d (%4dx%-4d) %8d bytes  %4d block(s)\n",
 			b.Comp, b.Band.Orient, b.Band.Level, b.Band.W, b.Band.H, b.Bytes, b.Blocks)
 		dataTotal += b.Bytes
 	}

@@ -3,9 +3,11 @@ package codec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"j2kcell/internal/codestream"
 	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/workload"
 )
@@ -489,75 +491,105 @@ func TestRLCPEnablesPrefixThumbnails(t *testing.T) {
 	}
 }
 
+// TestInspectStructure pins Inspect's packet and framing accounting on
+// untiled and tiled, MQ and HT, plain and resilient (SOP/EPH) streams.
 func TestInspectStructure(t *testing.T) {
 	img := workload.Dial(160, 120, 3, 4)
-	res, err := Encode(context.Background(), img, Options{LayerRates: []float64{0.05, 0.2}, Progression: RLCP}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := InspectLimits(res.Data, DefaultLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := info.Header
-	wantPkts := h.Layers * (h.Levels + 1) * h.NComp
-	if len(info.Packets) != wantPkts {
-		t.Fatalf("packets %d, want %d", len(info.Packets), wantPkts)
-	}
-	// Packet bytes must tile the body exactly.
-	total := 0
-	for i, p := range info.Packets {
-		if p.Bytes <= 0 {
-			t.Fatalf("packet %d empty", i)
+	for _, tiled := range []bool{false, true} {
+		for _, ht := range []bool{false, true} {
+			for _, resilience := range []bool{false, true} {
+				opt := Options{LayerRates: []float64{0.05, 0.2}, Progression: RLCP, HT: ht, Resilience: resilience}
+				if tiled {
+					opt.TileW, opt.TileH = 64, 64
+				}
+				name := fmt.Sprintf("tiled=%v/ht=%v/resilience=%v", tiled, ht, resilience)
+				t.Run(name, func(t *testing.T) {
+					res, err := Encode(context.Background(), img, opt, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					info, err := InspectLimits(res.Data, DefaultLimits())
+					if err != nil {
+						t.Fatal(err)
+					}
+					h := info.Header
+					_, bodies, err := codestream.DecodeTiles(res.Data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantPkts := len(bodies) * h.Layers * (h.Levels + 1) * h.NComp
+					if len(info.Packets) != wantPkts {
+						t.Fatalf("packets %d, want %d", len(info.Packets), wantPkts)
+					}
+					sop := 0
+					if h.SOPMarkers {
+						sop = 6
+					}
+					// Within each tile the packets, each behind its SOP
+					// when present, must tile the body exactly, in
+					// resolution order (RLCP).
+					covered := make([]int, len(bodies))
+					bodyTotal, pktTotal := 0, 0
+					for i, p := range info.Packets {
+						if p.Tile < 0 || p.Tile >= len(bodies) {
+							t.Fatalf("packet %d in tile %d of %d", i, p.Tile, len(bodies))
+						}
+						if p.Bytes <= 0 {
+							t.Fatalf("packet %d empty", i)
+						}
+						if p.Offset != covered[p.Tile] {
+							t.Fatalf("packet %d (tile %d) offset %d, want %d", i, p.Tile, p.Offset, covered[p.Tile])
+						}
+						if i > 0 && info.Packets[i-1].Tile == p.Tile && p.Res < info.Packets[i-1].Res {
+							t.Fatal("RLCP stream not resolution-ordered")
+						}
+						covered[p.Tile] += sop + p.Bytes
+						pktTotal += p.Bytes
+					}
+					for i, body := range bodies {
+						if covered[i] != len(body) {
+							t.Fatalf("tile %d: packets cover %d of %d body bytes", i, covered[i], len(body))
+						}
+						bodyTotal += len(body)
+					}
+					// Prefix accessors are monotone.
+					if info.BytesAtResolution(0) >= info.BytesAtResolution(h.Levels) {
+						t.Fatal("resolution prefixes not increasing")
+					}
+					if info.BytesAtLayer(1) >= info.BytesAtLayer(2) {
+						t.Fatal("layer prefixes not increasing")
+					}
+					// Band stats: the per-subband data bytes plus the
+					// per-packet header overhead must tile the packets.
+					bandTotal := 0
+					for _, b := range info.Bands {
+						if b.Bytes < 0 {
+							t.Fatalf("negative band bytes: %+v", b)
+						}
+						bandTotal += b.Bytes
+					}
+					if len(info.Bands) != h.NComp*(3*h.Levels+1) {
+						t.Fatalf("bands %d, want %d", len(info.Bands), h.NComp*(3*h.Levels+1))
+					}
+					if bandTotal+info.HeaderOverhead() != pktTotal {
+						t.Fatalf("bands %d + headers %d != packets %d",
+							bandTotal, info.HeaderOverhead(), pktTotal)
+					}
+					// Marker walk: starts SOC, ends EOC, and the framing
+					// total matches the non-body bytes of the stream.
+					if info.Markers[0].Name != "SOC" || info.Markers[len(info.Markers)-1].Name != "EOC" {
+						t.Fatalf("marker walk: %+v", info.Markers)
+					}
+					framing := 0
+					for _, m := range info.Markers {
+						framing += m.Len
+					}
+					if framing != len(res.Data)-bodyTotal {
+						t.Fatalf("framing %d, want %d", framing, len(res.Data)-bodyTotal)
+					}
+				})
+			}
 		}
-		if p.Offset != total {
-			t.Fatalf("packet %d offset %d, want %d", i, p.Offset, total)
-		}
-		total += p.Bytes
-	}
-	if total != res.Stats.BodyBytes {
-		t.Fatalf("packets cover %d of %d body bytes", total, res.Stats.BodyBytes)
-	}
-	// RLCP: resolution must be nondecreasing along the stream.
-	for i := 1; i < len(info.Packets); i++ {
-		if info.Packets[i].Res < info.Packets[i-1].Res {
-			t.Fatal("RLCP stream not resolution-ordered")
-		}
-	}
-	// Prefix accessors are monotone.
-	if info.BytesAtResolution(0) >= info.BytesAtResolution(h.Levels) {
-		t.Fatal("resolution prefixes not increasing")
-	}
-	if info.BytesAtLayer(1) >= info.BytesAtLayer(2) {
-		t.Fatal("layer prefixes not increasing")
-	}
-	// Band stats: the per-subband data bytes plus the per-packet header
-	// overhead must tile the body exactly.
-	bandTotal := 0
-	for _, b := range info.Bands {
-		if b.Bytes < 0 {
-			t.Fatalf("negative band bytes: %+v", b)
-		}
-		bandTotal += b.Bytes
-	}
-	if len(info.Bands) != h.NComp*(3*h.Levels+1) {
-		t.Fatalf("bands %d, want %d", len(info.Bands), h.NComp*(3*h.Levels+1))
-	}
-	if bandTotal+info.HeaderOverhead() != total {
-		t.Fatalf("bands %d + headers %d != body %d",
-			bandTotal, info.HeaderOverhead(), total)
-	}
-	// Marker walk: starts SOC, ends EOC, and the framing total matches
-	// the non-body bytes of the stream.
-	if info.Markers[0].Name != "SOC" || info.Markers[len(info.Markers)-1].Name != "EOC" {
-		t.Fatalf("marker walk: %+v", info.Markers)
-	}
-	framing := 0
-	for _, m := range info.Markers {
-		framing += m.Len
-	}
-	if framing != len(res.Data)-res.Stats.BodyBytes {
-		t.Fatalf("framing %d, want %d", framing, len(res.Data)-res.Stats.BodyBytes)
 	}
 }
 

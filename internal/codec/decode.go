@@ -180,12 +180,13 @@ func parseStream(data []byte, lim Limits) (*codestream.Header, [][]byte, *codest
 // parseTile is the decode side of Tier-2 for one tile: it parses every
 // packet of body in progression order and accumulates, per code block
 // of bands, the data of layers below maxLayers and resolutions up to
-// keepRes. A damaged packet loses its contributions and is recorded in
-// dmg: with SOP markers the walk resyncs on a later packet's marker,
-// without them the packet boundary is lost and the walk ends, keeping
-// every packet before it. The error is non-nil only when the pipeline
-// stopped.
-func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte, maxLayers, keepRes int, dmg *tileDamage) (map[bandKey][]*blockAcc, error) {
+// keepRes. It also returns the layout of every packet it parsed, in
+// stream order. A damaged packet loses its contributions and is
+// recorded in dmg: with SOP markers the walk resyncs on a later
+// packet's marker, without them the packet boundary is lost and the
+// walk ends, keeping every packet before it. The error is non-nil only
+// when the pipeline stopped.
+func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte, maxLayers, keepRes int, dmg *tileDamage) (map[bandKey][]*blockAcc, []PacketInfo, error) {
 	style := t2.SegSingle
 	if h.HT || h.TermAll {
 		// Both HT variants parse like TermAll: per-pass segment lengths
@@ -212,11 +213,12 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 	defer t2ln.Release()
 	t2sp := t2ln.Begin(obs.StageT2, 0, 0)
 	defer t2sp.End()
+	packets := make([]PacketInfo, 0, len(order))
 	off := 0
 	skipTo := 0 // packets below this index were lost to a resync jump
 	for pi := 0; pi < len(order); pi++ {
 		if p.stopped() {
-			return nil, p.Err()
+			return nil, nil, p.Err()
 		}
 		if pi < skipTo {
 			// A resync landed on a later packet's SOP: this packet's
@@ -231,6 +233,7 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 		for _, bi := range resBands {
 			pkt = append(pkt, precincts[bandKey{c, bi}])
 		}
+		start := off
 		if h.SOPMarkers {
 			// Each packet is prefixed FF 91 00 04 seq16. The sequence
 			// number is validated against the expected packet index, so
@@ -254,7 +257,7 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 				pi--
 				continue
 			}
-			off = at + 6
+			start, off = at, at+6
 		}
 		n, err := t2.DecodePacketEPH(body[off:], pkt, l, style, h.SOPMarkers)
 		if err != nil {
@@ -288,18 +291,20 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 			break
 		}
 		off += n
-		dmg.salvaged += int64(n)
-		if h.SOPMarkers {
-			dmg.salvaged += 6
-		}
-		if l >= maxLayers || r > keepRes {
-			continue // parsed for position, contents discarded
-		}
-		for _, bi := range resBands {
-			p := precincts[bandKey{c, bi}]
-			acc := accs[bandKey{c, bi}]
-			for i, blk := range p.Blocks {
+		dmg.salvaged += int64(off - start)
+		// A packet outside the decoded layers and resolutions is parsed
+		// for position only; its contents are discarded.
+		keep := l < maxLayers && r <= keepRes
+		pk := PacketInfo{Layer: l, Res: r, Comp: c, Offset: start, Bytes: n}
+		for k, pr := range pkt {
+			acc := accs[bandKey{c, resBands[k]}]
+			for i, blk := range pr.Blocks {
 				if blk == nil || blk.NumPasses == 0 {
+					continue
+				}
+				pk.Blocks++
+				pk.DataBytes += len(blk.Data)
+				if !keep {
 					continue
 				}
 				a := acc[i]
@@ -314,8 +319,9 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 				a.data = append(a.data, blk.Data...)
 			}
 		}
+		packets = append(packets, pk)
 	}
-	return accs, nil
+	return accs, packets, nil
 }
 
 // decodeTile reconstructs one tile of tw×th samples from its packet
@@ -350,7 +356,7 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	}
 	keepRes := h.Levels - dopt.DiscardLevels // decode resolutions 0..keepRes
 
-	accs, err := parseTile(p, h, bands, body, maxLayers, keepRes, dmg)
+	accs, _, err := parseTile(p, h, bands, body, maxLayers, keepRes, dmg)
 	if err != nil {
 		return nil, err
 	}

@@ -159,7 +159,7 @@ func untiledTasks(t *testing.T, data []byte, dopt DecodeOptions) ([]blockTask, i
 	p := NewPipelineContext(context.Background(), 1)
 	defer p.Close()
 	bands := dwt.Layout(h.W, h.H, h.Levels)
-	accs, err := parseTile(p, h, bands, bodies[0], h.Layers, h.Levels, &tileDamage{})
+	accs, _, err := parseTile(p, h, bands, bodies[0], h.Layers, h.Levels, &tileDamage{})
 	if err != nil {
 		t.Fatal(err)
 	}

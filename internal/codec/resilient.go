@@ -189,11 +189,8 @@ func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOption
 	// Aggregate per-tile damage into the report. Regions are absolute
 	// full-resolution image coordinates.
 	tileCause := func(i int, err error) {
-		if !passthrough(err) {
-			err = formatErrf(err, "tile %d", i)
-		}
 		if cause == nil {
-			cause = err
+			cause = tileErr(i, err)
 		}
 	}
 	ppt := len(PacketOrder(Progression(h.Progression), h.Layers, h.Levels, h.NComp))
@@ -210,7 +207,7 @@ func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOption
 			rep.Tiles = append(rep.Tiles, TileDamage{
 				Index: i, Missing: true, TotalPackets: ppt, LostPackets: ppt, Region: whole,
 			})
-			tileCause(i, errors.New("tile-part missing"))
+			tileCause(i, errTileMissing)
 			continue
 		}
 		rep.TotalPackets += dmg.totalPackets
@@ -263,6 +260,18 @@ func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOption
 	op.rec.Add(obs.CtrResyncs, int64(rep.Resyncs))
 	op.rec.Add(obs.CtrConcealedBlocks, int64(rep.LostBlocks))
 	return img, rep, cause, nil
+}
+
+// errTileMissing is the damage of a tile whose tile-part never arrived.
+var errTileMissing = errors.New("tile-part missing")
+
+// tileErr locates the damage err of tile i: a *FormatError naming the
+// tile, unless err must cross the API as it is.
+func tileErr(i int, err error) error {
+	if passthrough(err) {
+		return err
+	}
+	return formatErrf(err, "tile %d", i)
 }
 
 // checkOptions resolves dopt against the header, clamping

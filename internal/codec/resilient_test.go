@@ -381,7 +381,10 @@ func TestResilientMissingTilePart(t *testing.T) {
 // tools, untiled and tiled, one and two workers — Decode succeeds
 // exactly when DecodeResilient reports Complete, and then returns the
 // same pixels. A failure is a *FormatError, the same one for every
-// worker count.
+// worker count. InspectLimits, which runs the same parse without
+// Tier-1, fails with the identical error when the cause is header,
+// framing, missing-tile or packet damage, and succeeds when the stream
+// is intact or lost only code blocks.
 func TestStrictDecodeIffComplete(t *testing.T) {
 	src := workload.Dial(128, 128, 13, 5)
 	const trials = 24
@@ -406,11 +409,15 @@ func TestStrictDecodeIffComplete(t *testing.T) {
 						data, _ = corruptTrial(rng, res.Data, start, trial)
 					}
 					var firstErr error
+					var firstRep *DamageReport
 					for _, workers := range []int{1, 2} {
 						at := fmt.Sprintf("%s trial %d workers %d", name, trial, workers)
 						dopt := DecodeOptions{Workers: workers}
 						strict, err := Decode(context.Background(), data, dopt)
 						img, rep := decodeResilient(t, data, dopt)
+						if workers == 1 {
+							firstRep = rep
+						}
 						if (err == nil) != rep.Complete {
 							t.Fatalf("%s: strict err %v, but report Complete=%v: %v", at, err, rep.Complete, rep)
 						}
@@ -431,6 +438,27 @@ func TestStrictDecodeIffComplete(t *testing.T) {
 						} else if err.Error() != firstErr.Error() {
 							t.Fatalf("%s: cause %q, but %q with one worker", at, err, firstErr)
 						}
+					}
+					// The cause is a lost code block when nothing outside
+					// the tiles was damaged and the first damaged tile
+					// lost no packets.
+					at := fmt.Sprintf("%s trial %d inspect", name, trial)
+					rep := firstRep
+					tier1 := firstErr != nil && len(rep.Notes) == 0 && !rep.Tiles[0].Missing && rep.Tiles[0].LostPackets == 0
+					_, ierr := InspectLimits(data, DefaultLimits())
+					var fe *FormatError
+					switch {
+					case !tier1:
+						if (ierr == nil) != (firstErr == nil) || ierr != nil && ierr.Error() != firstErr.Error() {
+							t.Fatalf("%s: got %v, want strict decode's %v", at, ierr, firstErr)
+						}
+					case rep.LostPackets == 0 && rep.MissingTiles == 0:
+						if ierr != nil {
+							t.Fatalf("%s: %v, but only code blocks were lost (%v)", at, ierr, firstErr)
+						}
+					case !errors.As(ierr, &fe):
+						// A later tile lost packets as well.
+						t.Fatalf("%s: got %v, want a *FormatError for %v", at, ierr, rep)
 					}
 				}
 				if complete == 0 || failed == 0 {

@@ -238,9 +238,11 @@ func mainHeader(rd *reader, lim Limits, other func(m int) error) (*Header, error
 	if m, err := rd.marker(); err != nil || m != SOC {
 		return nil, fmt.Errorf("codestream: missing SOC (got %#x, err %v)", m, err)
 	}
+	rd.mark("SOC", 0)
 	h := &Header{}
 	seenSIZ, seenCOD, seenQCD := false, false, false
 	for !seenSIZ || !seenCOD || !seenQCD {
+		at := rd.pos
 		m, err := rd.marker()
 		if err != nil {
 			return nil, err
@@ -261,13 +263,16 @@ func mainHeader(rd *reader, lim Limits, other func(m int) error) (*Header, error
 		switch m {
 		case SIZ:
 			err, seenSIZ = parseSIZ(p, h, lim), true
+			rd.mark("SIZ", at)
 		case COD:
 			err, seenCOD = parseCOD(p, h, lim), true
+			rd.mark("COD", at)
 		case QCD:
 			if !seenSIZ || !seenCOD {
 				return nil, fmt.Errorf("codestream: QCD before SIZ/COD")
 			}
 			err, seenQCD = parseQCD(p, h), true
+			rd.mark("QCD", at)
 		}
 		if err != nil {
 			return nil, err
@@ -351,9 +356,23 @@ func parseQCD(p []byte, h *Header) error {
 	return nil
 }
 
+// Marker is one marker segment of the codestream framing.
+type Marker struct {
+	Name   string
+	Offset int
+	Len    int // marker + segment bytes (tile-part body excluded for SOT)
+}
+
 type reader struct {
-	data []byte
-	pos  int
+	data  []byte
+	pos   int
+	marks []Marker // the framing read so far, in stream order
+}
+
+// mark records the marker segment that starts at at and ends at the
+// read position.
+func (r *reader) mark(name string, at int) {
+	r.marks = append(r.marks, Marker{Name: name, Offset: at, Len: r.pos - at})
 }
 
 func (r *reader) marker() (int, error) {
@@ -385,6 +404,7 @@ func (r *reader) segment() ([]byte, error) {
 // segment whose marker was just read, then the SOD marker — and
 // returns the tile index Isot and the body length Psot declares.
 func (r *reader) tilePart() (isot, bodyLen int, err error) {
+	sot := r.pos - 2
 	p, err := r.segment()
 	if err != nil {
 		return 0, 0, err
@@ -392,11 +412,14 @@ func (r *reader) tilePart() (isot, bodyLen int, err error) {
 	if len(p) < 8 {
 		return 0, 0, fmt.Errorf("codestream: SOT too short")
 	}
+	r.mark("SOT", sot)
 	isot = int(binary.BigEndian.Uint16(p[0:]))
 	psot := int(binary.BigEndian.Uint32(p[2:]))
+	sod := r.pos
 	if m, err := r.marker(); err != nil || m != SOD {
 		return 0, 0, fmt.Errorf("codestream: missing SOD")
 	}
+	r.mark("SOD", sod)
 	if psot < 12+2 {
 		return 0, 0, fmt.Errorf("codestream: tile length %d out of range", psot)
 	}

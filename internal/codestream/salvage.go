@@ -9,6 +9,10 @@ type SalvageInfo struct {
 	Resyncs   int   // SOT resyncs performed after framing damage
 	Truncated bool  // the stream ended inside a tile-part or before EOC
 	BodyBytes int64 // total salvaged packet-body bytes
+	// Markers lists the framing the parser read, in stream order: the
+	// main header's marker segments, the SOT and SOD of each tile-part
+	// header read, and EOC.
+	Markers []Marker
 	// Err is the first framing problem in stream order — a resync
 	// point, a truncation, a skipped marker segment, a repeated
 	// tile-part — or nil when the framing is intact.
@@ -74,6 +78,7 @@ func DecodeTilesSalvage(data []byte, lim Limits) (*Header, [][]byte, *SalvageInf
 		case err != nil:
 		case m == EOC:
 			sawEOC = true
+			rd.mark("EOC", at)
 		case m == SOT:
 			var isot, bodyLen int
 			if isot, bodyLen, err = rd.tilePart(); err != nil {
@@ -118,6 +123,7 @@ func DecodeTilesSalvage(data []byte, lim Limits) (*Header, [][]byte, *SalvageInf
 		info.Truncated = true
 		info.damage(fmt.Errorf("codestream: no EOC"))
 	}
+	info.Markers = rd.marks
 	return h, bodies, info, nil
 }
 

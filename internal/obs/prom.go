@@ -338,30 +338,3 @@ func validMetricName(s string) bool {
 	}
 	return true
 }
-
-// SortSamples orders samples by name then label signature (test helper
-// for stable comparisons).
-func SortSamples(samples []PromSample) {
-	sort.Slice(samples, func(i, j int) bool {
-		if samples[i].Name != samples[j].Name {
-			return samples[i].Name < samples[j].Name
-		}
-		return labelSig(samples[i].Labels) < labelSig(samples[j].Labels)
-	})
-}
-
-func labelSig(m map[string]string) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(m[k])
-		b.WriteByte(';')
-	}
-	return b.String()
-}
