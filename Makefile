@@ -35,11 +35,13 @@ fuzz:
 	$(GO) test ./internal/t1/ -run '^$$' -fuzz '^FuzzHTDecodeMatchesOracle$$' -fuzztime=$(FUZZTIME)
 
 # trace produces sample Chrome traces (open in chrome://tracing or
-# ui.perfetto.dev): the native encoder with one track per worker, and
-# the simulated Cell with one track per modeled PE.
+# ui.perfetto.dev): the native encoder and decoder with one track per
+# worker, and the simulated Cell with one track per modeled PE. The
+# decode also prints its per-op -report and -metrics tables.
 trace:
 	mkdir -p examples
 	$(GO) run ./cmd/j2kenc -dial 512 -workers 4 -out examples/dial.j2c -trace examples/trace-native.json -report
+	$(GO) run ./cmd/j2kdec -in examples/dial.j2c -out examples/dial-decoded.ppm -workers 4 -report -metrics -trace examples/trace-decode.json
 	$(GO) run ./cmd/cellbench -scale 8 -trace examples/trace-sim.json
 
 check: build vet test race

@@ -52,7 +52,7 @@ func main() {
 	maxDim := flag.Int("max-dim", 0, "reject headers wider or taller than this (0 = library default)")
 	traceOut := flag.String("trace", "", "write a Chrome trace JSON timeline to this file")
 	report := flag.Bool("report", false, "print the per-stage wall-time / serial-fraction table")
-	metrics := flag.Bool("metrics", false, "print the counter and histogram table after decoding")
+	metrics := flag.Bool("metrics", false, "print the counter and stage-latency table after decoding")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, /debug/vars and /metrics on this address (e.g. :6060)")
 	bestEffort := flag.Bool("best-effort", false, "decode a damaged stream as far as possible; exit 6 if anything was lost")
 	damageReport := flag.Bool("damage-report", false, "print the per-tile damage report (implies -best-effort)")
@@ -75,11 +75,9 @@ func main() {
 	defer cancel()
 	// As in j2kenc: the decode is one observed operation with its own
 	// trace ID, rolled into the aggregate registry on finish.
-	var op *obs.Op
 	var rec *obs.Recorder
 	if observe {
-		ctx, op = obs.WithOperation(ctx, "decode")
-		rec = op.Recorder()
+		ctx, rec = obs.WithOperation(ctx, "decode")
 	}
 	dopt := j2kcell.DecodeOptions{
 		Workers: *workers,
@@ -130,19 +128,25 @@ func main() {
 	}
 
 	if rec != nil {
-		op.Finish()
+		rec.Finish()
 		spans := rec.TSpans()
 		if *report {
 			fmt.Printf("trace %s: simd kernels: %s (available: %s)\n",
-				op.TraceID(), simd.Kernel(), strings.Join(simd.Available(), ", "))
+				rec.TraceID(), simd.Kernel(), strings.Join(simd.Available(), ", "))
 			fmt.Print(obs.BuildReport(spans, *workers).Table())
-			fmt.Print(rec.SLOTable())
+			fmt.Printf("operation: %v\n", rec.Outcome())
 		}
 		if *metrics {
 			fmt.Print(rec.MetricsTable())
 		}
 		if *traceOut != "" {
-			check(obs.WriteChromeTraceFile(*traceOut, spans, rec.Counters()))
+			f, err := os.Create(*traceOut)
+			check(err)
+			err = obs.WriteChromeTrace(f, obs.OpTrace{
+				TraceID: rec.TraceID(), Kind: rec.Kind(), Spans: spans, Counters: rec.Counters(),
+			})
+			check(f.Close())
+			check(err)
 			fmt.Printf("trace: %s (%d spans; open in chrome://tracing or ui.perfetto.dev)\n",
 				*traceOut, len(spans))
 		}

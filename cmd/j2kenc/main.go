@@ -42,7 +42,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "Tier-1 worker goroutines (1 = sequential)")
 	traceOut := flag.String("trace", "", "write a Chrome trace JSON timeline to this file")
 	report := flag.Bool("report", false, "print the per-stage wall-time / serial-fraction table")
-	metrics := flag.Bool("metrics", false, "print the counter and histogram table after encoding")
+	metrics := flag.Bool("metrics", false, "print the counter and stage-latency table after encoding")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, /debug/vars and /metrics on this address (e.g. :6060)")
 	timeout := flag.Duration("timeout", 0, "abort the encode after this long (0 = no limit; exit code 5 on expiry)")
 	flag.Parse()
@@ -85,11 +85,9 @@ func main() {
 	// The encode runs as one observed operation: the context carries a
 	// per-operation recorder whose totals roll into the aggregate
 	// registry (the /metrics source) when the operation finishes.
-	var op *obs.Op
 	var rec *obs.Recorder
 	if observe {
-		ctx, op = obs.WithOperation(ctx, "encode")
-		rec = op.Recorder()
+		ctx, rec = obs.WithOperation(ctx, "encode")
 	}
 	start := time.Now()
 	data, stats, err := j2kcell.EncodeParallelContext(ctx, img, opt, *workers)
@@ -107,19 +105,25 @@ func main() {
 		stats.Blocks, stats.TotalPasses)
 
 	if rec != nil {
-		op.Finish()
+		rec.Finish()
 		spans := rec.TSpans()
 		if *report {
 			fmt.Printf("trace %s: simd kernels: %s (available: %s)\n",
-				op.TraceID(), simd.Kernel(), strings.Join(simd.Available(), ", "))
+				rec.TraceID(), simd.Kernel(), strings.Join(simd.Available(), ", "))
 			fmt.Print(obs.BuildReport(spans, *workers).Table())
-			fmt.Print(rec.SLOTable())
+			fmt.Printf("operation: %v\n", rec.Outcome())
 		}
 		if *metrics {
 			fmt.Print(rec.MetricsTable())
 		}
 		if *traceOut != "" {
-			check(obs.WriteChromeTraceFile(*traceOut, spans, rec.Counters()))
+			f, err := os.Create(*traceOut)
+			check(err)
+			err = obs.WriteChromeTrace(f, obs.OpTrace{
+				TraceID: rec.TraceID(), Kind: rec.Kind(), Spans: spans, Counters: rec.Counters(),
+			})
+			check(f.Close())
+			check(err)
 			fmt.Printf("trace: %s (%d spans; open in chrome://tracing or ui.perfetto.dev)\n",
 				*traceOut, len(spans))
 		}

@@ -154,22 +154,21 @@ func main() {
 				si := i % len(mix)
 				s := mix[si]
 				ctx, cancel := context.WithTimeout(context.Background(), *opTimeout)
-				opCtx, op := obs.WithOperation(ctx, "load:"+s.name)
+				opCtx, rec := obs.WithOperation(ctx, "load:"+s.name)
 				err := s.run(opCtx, i/len(mix))
-				op.Finish()
+				rec.Finish()
 				cancel()
 				tallies[si].ops.Add(1)
 				if err != nil {
 					tallies[si].errs.Add(1)
-					fmt.Fprintf(os.Stderr, "j2kload: %s op %d (%s): %v\n", s.name, i, op.TraceID(), err)
+					fmt.Fprintf(os.Stderr, "j2kload: %s op %d (%s): %v\n", s.name, i, rec.TraceID(), err)
 				}
 				if *traceOut != "" {
 					traceMu.Lock()
 					if len(traces) < *traceMax {
-						rec := op.Recorder()
 						traces = append(traces, obs.OpTrace{
-							TraceID:  op.TraceID(),
-							Kind:     op.Kind(),
+							TraceID:  rec.TraceID(),
+							Kind:     rec.Kind(),
 							Spans:    rec.TSpans(),
 							Counters: rec.Counters(),
 						})
@@ -202,7 +201,7 @@ func main() {
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		fail(err)
-		err = obs.WriteChromeTraceOps(f, traces)
+		err = obs.WriteChromeTrace(f, traces...)
 		fail(f.Close())
 		fail(err)
 		fmt.Printf("trace: %s (%d operations as separate processes)\n", *traceOut, len(traces))

@@ -54,8 +54,8 @@ func TestCancelMidEncodeStopsPromptly(t *testing.T) {
 	_, planned := PlanBlocks(img.W, img.H, len(img.Comps), opt.WithDefaults(img.W, img.H))
 	before := goroutineCount()
 	ctx, cancel := context.WithCancel(context.Background())
-	ctx, op := obs.WithOperation(ctx, "cancelled-encode")
-	defer op.Finish()
+	ctx, rec := obs.WithOperation(ctx, "cancelled-encode")
+	defer rec.Finish()
 	done := make(chan error, 1)
 	go func() {
 		_, err := Encode(ctx, img, opt, 4)
@@ -72,7 +72,7 @@ func TestCancelMidEncodeStopsPromptly(t *testing.T) {
 		}
 		if err == nil {
 			t.Log("encode completed before cancellation landed")
-		} else if coded := op.Recorder().Counter(obs.CtrT1Blocks); coded >= int64(len(planned)) {
+		} else if coded := rec.Counter(obs.CtrT1Blocks); coded >= int64(len(planned)) {
 			t.Errorf("cancelled encode coded %d of %d planned blocks", coded, len(planned))
 		}
 	case <-time.After(30 * time.Second):

@@ -39,13 +39,12 @@ func TestCounterParity(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/ht=%v/tiled=%v", k.name, ht, tiled), func(t *testing.T) {
 					var ref []int64
 					for _, w := range []int{1, 2, 8} {
-						ctx, op := obs.WithOperation(context.Background(), "parity")
+						ctx, rec := obs.WithOperation(context.Background(), "parity")
 						res, err := Encode(ctx, img, opt, w)
-						op.Finish()
+						rec.Finish()
 						if err != nil {
 							t.Fatal(err)
 						}
-						rec := op.Recorder()
 						want := map[obs.Counter]int64{}
 						for _, b := range res.Blocks {
 							want[obs.CtrT1Scanned] += int64(b.TotalScanned())
@@ -113,14 +112,14 @@ func TestDecodeStageCoverage(t *testing.T) {
 				for _, bestEffort := range []bool{false, true} {
 					name := fmt.Sprintf("lossless=%v/ht=%v/tiled=%v/besteffort=%v", lossless, ht, tiled, bestEffort)
 					t.Run(name, func(t *testing.T) {
-						ctx, op := obs.WithOperation(context.Background(), "coverage")
+						ctx, rec := obs.WithOperation(context.Background(), "coverage")
 						_, err := Decode(ctx, res.Data, DecodeOptions{Workers: 2, BestEffort: bestEffort})
-						op.Finish()
+						rec.Finish()
 						if err != nil {
 							t.Fatal(err)
 						}
 						seen := map[obs.Stage]bool{}
-						for _, sp := range op.Recorder().TSpans() {
+						for _, sp := range rec.TSpans() {
 							seen[sp.Stage] = true
 						}
 						want := []obs.Stage{obs.StageParse, obs.StageT2,

@@ -197,14 +197,14 @@ func TestDecodeOneJobPerTask(t *testing.T) {
 			}
 			dopt := c.dopt
 			dopt.Workers = 2
-			ctx, op := obs.WithOperation(context.Background(), "decode")
+			ctx, rec := obs.WithOperation(context.Background(), "decode")
 			_, err = Decode(ctx, res.Data, dopt)
-			op.Finish()
+			rec.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
 			spans := 0
-			for _, sp := range op.Recorder().TSpans() {
+			for _, sp := range rec.TSpans() {
 				if sp.Stage == obs.StageT1 || sp.Stage == obs.StageT1HT {
 					spans++
 				}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"j2kcell/internal/faults"
+	"j2kcell/internal/obs"
 	"j2kcell/internal/workload"
 )
 
@@ -279,6 +280,92 @@ func TestBestEffortDemotesTier1Faults(t *testing.T) {
 						if !in && rrow[x] != drow[x] {
 							t.Fatalf("%s: sibling pixel (%d,%d,c%d) damaged outside region %+v",
 								name, x, y, c, reg)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBestEffortDemotesTileFaults covers whole-tile demotion in a tiled
+// best-effort decode. A panic or injected error at the tile stage
+// itself (caught by the tile retry loop) or inside one tile's inverse
+// transforms (returned by that tile's decode) conceals exactly that
+// tile: one damaged tile whose region is the whole tile, all its
+// packets lost, one fault naming the armed stage, and every pixel of
+// the other tiles equal to the undamaged decode.
+func TestBestEffortDemotesTileFaults(t *testing.T) {
+	const size, tileSize = 128, 64
+	img := workload.Dial(size, size, 9, 4)
+	res, err := Encode(context.Background(), img, Options{Lossless: true, TileW: tileSize, TileH: tileSize}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Decode(context.Background(), res.Data, DecodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 1-worker decode runs tiles in order, each tile's stages inline
+	// on the one lane, so a stage's spans inside the "tile 0" span are
+	// its jobs in tile 0.
+	ctx, rec := obs.WithOperation(context.Background(), "decode")
+	_, _, err = DecodeResilient(ctx, res.Data, DecodeOptions{Workers: 1})
+	rec.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := rec.TSpans()
+	var tile0 obs.TSpan
+	for _, sp := range spans {
+		if sp.Stage == obs.StageTile && sp.Name == "tile 0" {
+			tile0 = sp
+		}
+	}
+	for _, stage := range []obs.Stage{obs.StageTile, obs.StageIDWTHorz, obs.StageIMCT} {
+		inTile0 := 0
+		for _, sp := range spans {
+			if sp.Stage == stage && sp.Start >= tile0.Start && sp.End <= tile0.End {
+				inTile0++
+			}
+		}
+		if inTile0 == 0 {
+			t.Fatalf("%v: no jobs in tile 0", stage)
+		}
+		for _, mode := range []faults.Mode{faults.Panic, faults.Error} {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("%v/mode%d/w%d", stage, mode, workers)
+				faults.Arm(stage.String(), inTile0+1, mode)
+				dec, rep := decodeResilient(t, res.Data, DecodeOptions{Workers: workers})
+				fired := faults.Fired()
+				faults.Disarm()
+				if fired != 1 {
+					t.Fatalf("%s: fault fired %d times, want 1", name, fired)
+				}
+				if len(rep.Tiles) != 1 {
+					t.Fatalf("%s: %d damaged tiles, want 1: %v", name, len(rep.Tiles), rep)
+				}
+				td := rep.Tiles[0]
+				whole := Rect{X0: td.Index % 2 * tileSize, Y0: td.Index / 2 * tileSize, W: tileSize, H: tileSize}
+				if td.Region != whole || td.LostPackets != td.TotalPackets {
+					t.Fatalf("%s: tile %d region %+v, %d/%d packets lost; want the whole tile %+v lost",
+						name, td.Index, td.Region, td.LostPackets, td.TotalPackets, whole)
+				}
+				if len(td.Faults) != 1 || td.Faults[0].Stage != stage.String() {
+					t.Fatalf("%s: faults %+v, want one at stage %v", name, td.Faults, stage)
+				}
+				if workers == 1 && td.Index != 1 {
+					t.Fatalf("%s: fault concealed tile %d, want tile 1", name, td.Index)
+				}
+				for c := range ref.Comps {
+					for y := 0; y < ref.H; y++ {
+						rrow, drow := ref.Comps[c].Row(y), dec.Comps[c].Row(y)
+						for x := 0; x < ref.W; x++ {
+							in := x >= whole.X0 && x < whole.X0+whole.W && y >= whole.Y0 && y < whole.Y0+whole.H
+							if !in && rrow[x] != drow[x] {
+								t.Fatalf("%s: pixel (%d,%d,c%d) outside tile %d differs from the undamaged decode",
+									name, x, y, c, td.Index)
+							}
 						}
 					}
 				}

@@ -102,9 +102,6 @@ func (p *Pipeline) Close() {
 	}
 }
 
-// Workers reports the pool width.
-func (p *Pipeline) Workers() int { return p.workers }
-
 // Context returns the context the pipeline was bound to.
 func (p *Pipeline) Context() context.Context { return p.ctx }
 

@@ -253,15 +253,15 @@ func TestSchedulerFairnessUnderLoad(t *testing.T) {
 	thumbsDone := make(chan error, 1)
 	go func() {
 		for i := 0; i < 4; i++ {
-			ctx, op := obs.WithOperation(base, "thumb")
+			ctx, rec := obs.WithOperation(base, "thumb")
 			_, err := Encode(ctx, thumb, Options{Rate: 0.2}, 4)
-			op.Finish()
+			rec.Finish()
 			if err != nil {
 				thumbsDone <- err
 				return
 			}
-			if got := op.Recorder().OpCount(obs.ClassOf(false, true, false, false)); got != 1 {
-				thumbsDone <- fmt.Errorf("thumbnail %d: op recorder counted %d ops, want 1", i, got)
+			if o := rec.Outcome(); !o.Done || o.Class != obs.ClassOf(false, true, false, false) {
+				thumbsDone <- fmt.Errorf("thumbnail %d: op outcome %v, want a lossy untiled MQ encode", i, o)
 				return
 			}
 		}
@@ -437,9 +437,9 @@ func TestSchedulerAdmissionBackpressure(t *testing.T) {
 		t.Fatalf("canceled waiter left queue depth %d, want 0", got)
 	}
 	// Queue-wait lands in the per-op SLO surface: run an op that has to
-	// queue behind the held slot and check its recorder's admit-stage
-	// histogram observed the wait.
-	opCtx, op := obs.WithOperation(ctx, "queued-encode")
+	// queue behind the held slot and check its recorder holds the wait
+	// as an admit-stage span.
+	opCtx, rec := obs.WithOperation(ctx, "queued-encode")
 	done := make(chan error, 1)
 	go func() {
 		_, err := Encode(opCtx, img, Options{Lossless: true}, 4)
@@ -452,13 +452,18 @@ func TestSchedulerAdmissionBackpressure(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	op.Finish()
-	rec := op.Recorder()
+	rec.Finish()
 	if got := rec.Counter(obs.CtrSchedAdmitWaits); got != 1 {
 		t.Errorf("sched_admit_waits = %d, want 1", got)
 	}
-	if got := rec.Hist(obs.StageAdmit).Count(); got != 1 {
-		t.Errorf("admit-stage histogram observed %d waits, want 1", got)
+	admits := 0
+	for _, sp := range rec.TSpans() {
+		if sp.Stage == obs.StageAdmit {
+			admits++
+		}
+	}
+	if admits != 1 {
+		t.Errorf("op recorded %d admit-stage spans, want 1", admits)
 	}
 }
 

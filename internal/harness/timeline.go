@@ -120,7 +120,7 @@ func WriteSimTrace(w io.Writer, res *core.Result) error {
 		"cycles":          int64(res.Cycles),
 		"mem_total_bytes": res.MemBytes,
 	}
-	return obs.WriteChromeTrace(w, res.Trace.TSpansNS(), counters)
+	return obs.WriteChromeTrace(w, obs.OpTrace{Kind: "cell model encode", Spans: res.Trace.TSpansNS(), Counters: counters})
 }
 
 // coreDefaultTraced and coreEncode are small test seams.

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"sort"
 )
 
@@ -28,39 +27,30 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace serializes the spans (nanosecond timestamps) as a
-// Chrome trace JSON document. counters, when non-nil, is attached as
-// process metadata so the exported file carries the run's aggregate
-// numbers too.
-func WriteChromeTrace(w io.Writer, spans []TSpan, counters map[string]int64) error {
-	events := appendProcessEvents(nil, 1, "j2kcell encode", spans, counters)
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
 // OpTrace is one operation's exported timeline: its trace ID and kind
-// label the process row, its spans become the row's threads.
+// label the process row, its spans become the row's threads, and its
+// counters ride along as process metadata.
 type OpTrace struct {
 	TraceID  string
 	Kind     string
-	Spans    []TSpan
+	Spans    []TSpan // nanosecond timestamps
 	Counters map[string]int64
 }
 
-// WriteChromeTraceOps serializes several concurrent operations into
-// one Chrome trace, one pid per operation, so the trace viewer shows
-// them as separate interleaved process rows labeled by trace ID. All
-// operations' span timestamps share the monotonic clock, so rows line
-// up on a common timeline.
-func WriteChromeTraceOps(w io.Writer, ops []OpTrace) error {
+// WriteChromeTrace serializes operations as one Chrome trace JSON
+// document, one pid per operation, so the trace viewer shows
+// concurrent operations as separate interleaved process rows labeled
+// by trace ID and kind. All span timestamps share one clock, so rows
+// line up on a common timeline.
+func WriteChromeTrace(w io.Writer, ops ...OpTrace) error {
 	var events []chromeEvent
 	for i, op := range ops {
-		name := op.TraceID
-		if name == "" {
-			name = "op"
-		}
-		if op.Kind != "" {
-			name += " (" + op.Kind + ")"
+		name := op.Kind
+		if op.TraceID != "" {
+			name = op.TraceID
+			if op.Kind != "" {
+				name += " (" + op.Kind + ")"
+			}
 		}
 		events = appendProcessEvents(events, i+1, name, op.Spans, op.Counters)
 	}
@@ -102,17 +92,4 @@ func appendProcessEvents(events []chromeEvent, pid int, name string, spans []TSp
 		})
 	}
 	return events
-}
-
-// WriteChromeTraceFile writes the Chrome trace to a file path.
-func WriteChromeTraceFile(path string, spans []TSpan, counters map[string]int64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChromeTrace(f, spans, counters); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // subBits sets the histogram resolution: each octave (2^e, 2^(e+1)]
@@ -49,24 +47,6 @@ func bucketOf(v int64) int {
 	e := bits.Len64(u) - 1
 	b := (e-subBits+1)<<subBits + int(u>>uint(e-subBits)&(1<<subBits-1))
 	return min(b, histBuckets-1)
-}
-
-// AddFrom merges another histogram's observations into h (bucket-wise
-// atomic adds — the roll-up primitive recorders use when closing into
-// the aggregate registry). Safe when o is concurrently observed; the
-// merge is then a consistent-enough snapshot, exact once o quiesces.
-func (h *Histogram) AddFrom(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if v := o.buckets[i].Load(); v != 0 {
-			h.buckets[i].Add(v)
-		}
-	}
-	if v := o.sum.Load(); v != 0 {
-		h.sum.Add(v)
-	}
 }
 
 // Bucket returns the count in bucket i (0 <= i < NumHistBuckets).
@@ -141,15 +121,4 @@ func bucketMid(i int) int64 {
 		lo = BucketBound(i-1) + 1
 	}
 	return (lo + BucketBound(i)) / 2
-}
-
-// String summarizes the histogram as count/mean/p50/p99.
-func (h *Histogram) String() string {
-	n := h.Count()
-	if n == 0 {
-		return "empty"
-	}
-	mean := time.Duration(h.Sum() / n)
-	return fmt.Sprintf("n=%d mean=%v p50≈%v p99≈%v",
-		n, mean, time.Duration(h.Quantile(0.5)), time.Duration(h.Quantile(0.99)))
 }

@@ -1,7 +1,8 @@
-// Package obs is the codec's observability layer: per-stage,
-// per-worker spans, work-queue and coder counters, and duration
-// histograms, recorded into one Recorder per operation
-// (WithOperation) that costs nearly nothing when absent.
+// Package obs is the codec's observability layer. Each observed
+// operation gets one Recorder (WithOperation) holding its per-stage,
+// per-worker spans, its work-queue and coder counters, and its single
+// outcome; the process-wide Registry holds every duration histogram.
+// It costs nearly nothing when no operation is in scope.
 //
 // The paper's core evidence is an execution-time breakdown per pipeline
 // stage (Section 5, Table 2 / Figure 6) — it is how Kang & Bader found
@@ -11,12 +12,14 @@
 // pipeline stage (MCT, DWT per level and direction, quantization,
 // Tier-1 block jobs, PCRD hull/search, Tier-2 assembly, framing)
 // records spans into per-lane buffers that merge into a Chrome
-// `chrome://tracing` timeline, an Amdahl report (serial fraction,
-// speedup bound, achieved parallelism), and per-stage histograms;
-// counters track the quantities the paper tables: work-queue jobs and
-// per-worker claim counts, Tier-1 scan/decision ops and MQ
-// renormalization chunks, bytes moved per DWT pass (the DMA-traffic
-// analogue), and PCRD hull and probe volume.
+// `chrome://tracing` timeline and an Amdahl report (serial fraction,
+// speedup bound, achieved parallelism); each span's duration also
+// lands in the registry's stage histogram. Counters track the
+// quantities the paper tables: work-queue jobs and per-worker claim
+// counts, Tier-1 scan/decision ops and MQ renormalization chunks,
+// bytes moved per DWT pass (the DMA-traffic analogue), and PCRD hull
+// and probe volume. Finish rolls an operation's counters and outcome
+// into the registry exactly once.
 //
 // Design rule (pinned by TestDisabledPathIsAllocationFree and
 // BenchmarkEncodeObsOverhead): every method is safe on a nil *Recorder
@@ -148,49 +151,47 @@ func (c Counter) String() string {
 // below the cap).
 const maxSpansPerLane = 1 << 15
 
-// Recorder owns the lanes, counters, and histograms of one
-// observability scope, normally one operation (WithOperation). All
-// methods are nil-receiver safe so callers can hold a possibly-nil
-// *Recorder without branching.
+// Recorder is one observed operation (WithOperation): its trace ID
+// and kind, the lanes its spans land in, its counters, and its single
+// outcome. Stage-duration histograms live only in the aggregate
+// Registry, which Span.End observes directly; Finish rolls the
+// counters and the outcome in. All methods are nil-receiver safe so
+// callers can hold a possibly-nil *Recorder without branching.
 type Recorder struct {
 	epoch time.Time
 	ctx   context.Context // carries the runtime/trace task for regions
 
-	// Operation identity (empty outside WithOperation) and the
-	// aggregate registry Close rolls this recorder's totals into.
 	trace string
 	kind  string
-	reg   *Registry
+	reg   *Registry // the registry spans observe into and Finish rolls into
 
-	mu    sync.Mutex
-	lanes []*Lane // every lane ever created, in id order
-	free  []*Lane // released lanes (LIFO, so worker w usually keeps lane w)
+	mu      sync.Mutex
+	lanes   []*Lane // every lane ever created, in id order
+	free    []*Lane // released lanes (LIFO, so worker w usually keeps lane w)
+	outcome Outcome
 
 	counters [numCounters]atomic.Int64
-	hist     [numStages]Histogram
-	slo      [NumOpClasses]Histogram // whole-operation latency by class
-	ops      [NumOpClasses]atomic.Int64
-	opErrors atomic.Int64
 	dropped  atomic.Int64
-	rolled   atomic.Bool // totals already merged into reg
+	finished atomic.Bool
 	endTask  func()
 }
 
-// NewRecorder returns a recorder bound to no operation. Its totals
-// roll into the aggregate registry on Close.
-// When the Go execution tracer is running, the recorder opens a
-// runtime/trace task so stage regions group under one encode in
-// `go tool trace`.
-func NewRecorder() *Recorder {
-	r := &Recorder{epoch: time.Now(), ctx: context.Background(), reg: Aggregate()}
+// newRecorder returns an in-flight operation recorder bound to reg.
+// When the Go execution tracer is running, it opens a runtime/trace
+// task named after the operation's kind, so stage regions group under
+// one operation in `go tool trace`.
+func newRecorder(reg *Registry, kind string) *Recorder {
+	r := &Recorder{epoch: time.Now(), ctx: context.Background(), kind: kind, reg: reg}
+	r.trace = reg.nextTraceID()
+	reg.active.Add(1)
 	if trace.IsEnabled() {
-		ctx, task := trace.NewTask(r.ctx, "j2k-encode")
+		ctx, task := trace.NewTask(r.ctx, kind)
 		r.ctx, r.endTask = ctx, task.End
 	}
 	return r
 }
 
-// TraceID returns the operation trace ID ("" outside WithOperation).
+// TraceID returns the operation's minted trace ID.
 func (r *Recorder) TraceID() string {
 	if r == nil {
 		return ""
@@ -198,67 +199,12 @@ func (r *Recorder) TraceID() string {
 	return r.trace
 }
 
-// Kind returns the operation kind label ("" outside WithOperation).
+// Kind returns the operation's label.
 func (r *Recorder) Kind() string {
 	if r == nil {
 		return ""
 	}
 	return r.kind
-}
-
-// Close ends the recorder's runtime/trace task, if any, and rolls the
-// recorder's counters, stage histograms, and SLO observations into the
-// aggregate registry (exactly once — Close is idempotent). The
-// recorder's own data remains readable: lanes, counters, and
-// histograms are merged, not moved.
-func (r *Recorder) Close() {
-	if r == nil {
-		return
-	}
-	if r.endTask != nil {
-		r.endTask()
-		r.endTask = nil
-	}
-	if r.reg != nil && r.rolled.CompareAndSwap(false, true) {
-		r.reg.merge(r)
-	}
-}
-
-// OpDone records one completed operation of the given class and its
-// whole-operation latency — the SLO observation. Safe on nil.
-func (r *Recorder) OpDone(c OpClass, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.ops[c].Add(1)
-	r.slo[c].Observe(int64(d))
-}
-
-// OpFailed records one operation that finished with an error (its
-// latency is not observed — a failed operation has no SLO latency).
-// Safe on nil.
-func (r *Recorder) OpFailed() {
-	if r != nil {
-		r.opErrors.Add(1)
-	}
-}
-
-// SLOHist returns the recorder's whole-operation latency histogram for
-// one class (nil when disabled).
-func (r *Recorder) SLOHist(c OpClass) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return &r.slo[c]
-}
-
-// OpCount returns the recorder's completed-operation count for one
-// class.
-func (r *Recorder) OpCount(c OpClass) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.ops[c].Load()
 }
 
 // Add adds v to counter c. Safe on a nil recorder.
@@ -274,14 +220,6 @@ func (r *Recorder) Counter(c Counter) int64 {
 		return 0
 	}
 	return r.counters[c].Load()
-}
-
-// Hist returns the duration histogram of one stage (nil when disabled).
-func (r *Recorder) Hist(s Stage) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return &r.hist[s]
 }
 
 // Acquire leases a lane for the calling goroutine. Lanes are recycled
@@ -371,8 +309,9 @@ func (l *Lane) Begin(stage Stage, arg, idx int32) Span {
 	return s
 }
 
-// End closes the span, appending it to the lane buffer and recording
-// its duration in the stage histogram.
+// End closes the span, appending it to the lane buffer and observing
+// its duration in the registry's stage histogram — once per span, a
+// span dropped from a full lane included.
 func (s Span) End() {
 	l := s.ln
 	if l == nil {
@@ -387,7 +326,7 @@ func (s Span) End() {
 	} else {
 		l.spans = append(l.spans, spanRec{start: s.start, end: end, arg: s.arg, idx: s.idx, stage: s.stage})
 	}
-	l.rec.hist[s.stage].Observe(end - s.start)
+	l.rec.reg.hist[s.stage].Observe(end - s.start)
 }
 
 // Dropped reports how many spans overflowed lane buffers.

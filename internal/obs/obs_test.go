@@ -2,15 +2,18 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
+	rtrace "runtime/trace"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestSpanRecording(t *testing.T) {
-	r := NewRecorder()
+	reg := NewRegistry()
+	r := newRecorder(reg, "test")
 	ln := r.Acquire()
 	sp := ln.Begin(StageDWTVert, 2, 7)
 	time.Sleep(time.Millisecond)
@@ -28,13 +31,18 @@ func TestSpanRecording(t *testing.T) {
 	if s.End-s.Start < int64(500*time.Microsecond) {
 		t.Fatalf("span too short: %+v", s)
 	}
-	if h := r.Hist(StageDWTVert); h.Count() != 1 {
-		t.Fatalf("histogram count = %d", h.Count())
+	if h := reg.Hist(StageDWTVert); h.Count() != 1 {
+		t.Fatalf("registry histogram count = %d before Finish, want 1", h.Count())
+	}
+	r.Finish()
+	r.Finish()
+	if h := reg.Hist(StageDWTVert); h.Count() != 1 {
+		t.Fatalf("registry histogram count = %d after Finish, want 1", h.Count())
 	}
 }
 
 func TestLaneReuseKeepsStableIDs(t *testing.T) {
-	r := NewRecorder()
+	r := newRecorder(NewRegistry(), "test")
 	a, b := r.Acquire(), r.Acquire()
 	if a.ID() != 0 || b.ID() != 1 {
 		t.Fatalf("ids %d,%d", a.ID(), b.ID())
@@ -68,14 +76,18 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Counter(CtrT1Blocks) != 0 || r.Acquire() != nil || r.TSpans() != nil {
 		t.Fatal("nil recorder leaked state")
 	}
-	r.Close()
+	r.OpDone(ClassOf(false, false, false, false), time.Second)
+	r.Finish()
+	if r.Outcome() != (Outcome{}) || r.TraceID() != "" {
+		t.Fatal("nil recorder reported an operation")
+	}
 	if r.MetricsTable() == "" {
 		t.Fatal("nil metrics table empty")
 	}
 }
 
 func TestCountersAndClaims(t *testing.T) {
-	r := NewRecorder()
+	r := newRecorder(NewRegistry(), "test")
 	r.Add(CtrQueueRuns, 1)
 	r.Add(CtrQueueJobs, 42)
 	ln := r.Acquire()
@@ -147,35 +159,78 @@ func TestReportAmdahlMath(t *testing.T) {
 }
 
 func TestChromeTraceExport(t *testing.T) {
-	spans := []TSpan{
-		{Track: "worker0", Name: "mct", Start: 0, End: 1500},
-		{Track: "worker1", Name: "t1", Start: 500, End: 2500},
+	one := OpTrace{
+		TraceID: "j2k-1", Kind: "encode",
+		Spans: []TSpan{
+			{Track: "worker0", Name: "mct", Start: 0, End: 1500},
+			{Track: "worker1", Name: "t1", Start: 500, End: 2500},
+		},
+		Counters: map[string]int64{"t1_blocks": 9},
 	}
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, spans, map[string]int64{"t1_blocks": 9}); err != nil {
-		t.Fatal(err)
+	two := OpTrace{
+		TraceID: "j2k-2", Kind: "decode",
+		Spans: []TSpan{{Track: "worker0", Name: "t2", Start: 100, End: 900}},
 	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+	type proc struct {
+		name                 string
+		x, threads, counters int
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	var xEvents, threadNames int
-	tids := map[float64]bool{}
-	for _, e := range doc.TraceEvents {
-		switch e["ph"] {
-		case "X":
-			xEvents++
-			tids[e["tid"].(float64)] = true
-		case "M":
-			if e["name"] == "thread_name" {
-				threadNames++
+	for _, tc := range []struct {
+		name string
+		ops  []OpTrace
+		want map[float64]proc
+	}{
+		{"one-op", []OpTrace{one}, map[float64]proc{
+			1: {"j2k-1 (encode)", 2, 2, 1},
+		}},
+		{"multi-op", []OpTrace{one, two}, map[float64]proc{
+			1: {"j2k-1 (encode)", 2, 2, 1},
+			2: {"j2k-2 (decode)", 1, 1, 0},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteChromeTrace(&buf, tc.ops...); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if xEvents != 2 || threadNames != 2 || len(tids) != 2 {
-		t.Fatalf("events: %d X, %d thread names, %d tids", xEvents, threadNames, len(tids))
+			var doc struct {
+				TraceEvents []map[string]any `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+				t.Fatalf("invalid JSON: %v", err)
+			}
+			got := map[float64]proc{}
+			tids := map[[2]float64]bool{}
+			for _, e := range doc.TraceEvents {
+				pid := e["pid"].(float64)
+				p := got[pid]
+				switch {
+				case e["ph"] == "X":
+					p.x++
+					tids[[2]float64{pid, e["tid"].(float64)}] = true
+				case e["name"] == "thread_name":
+					p.threads++
+				case e["name"] == "counters":
+					p.counters++
+				case e["name"] == "process_name":
+					p.name = e["args"].(map[string]any)["name"].(string)
+				}
+				got[pid] = p
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("processes %+v, want %+v", got, tc.want)
+			}
+			threads := 0
+			for pid, w := range tc.want {
+				if got[pid] != w {
+					t.Fatalf("pid %v: %+v, want %+v", pid, got[pid], w)
+				}
+				threads += w.threads
+			}
+			if len(tids) != threads {
+				t.Fatalf("spans on %d threads, want %d", len(tids), threads)
+			}
+		})
 	}
 }
 
@@ -193,9 +248,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if q := h.Quantile(1.0); q != 1015808 {
 		t.Fatalf("p100 = %d, want 1015808", q)
-	}
-	if h.String() == "empty" {
-		t.Fatal("string of non-empty histogram")
 	}
 }
 
@@ -251,5 +303,76 @@ func TestSerialTimeSweep(t *testing.T) {
 	// [90,100) one active = 25+25+15+10 = 75.
 	if got := serialTime(spans, 0, 100); got != 75 {
 		t.Fatalf("serial = %d, want 75", got)
+	}
+}
+
+// TestOperationIsSmall pins the cost of scoping an operation: one
+// WithOperation + Finish that records nothing allocates at most 8 KB.
+// A recorder holds its spans, counters and one outcome; the duration
+// histograms live only in the registry.
+func TestOperationIsSmall(t *testing.T) {
+	prev := SwapAggregate(nil)
+	defer SwapAggregate(prev)
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, r := WithOperation(context.Background(), "encode")
+			r.Finish()
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > 8<<10 {
+		t.Fatalf("WithOperation + Finish allocates %d B, want <= %d", got, 8<<10)
+	}
+}
+
+// TestOperationRollsUpOnce pins the roll-up: Finish adds the counters
+// and the single outcome to the registry once however often it runs,
+// and a failure outranks a completion recorded before or after it.
+func TestOperationRollsUpOnce(t *testing.T) {
+	reg := NewRegistry()
+	cls := ClassOf(true, true, false, true)
+	r := newRecorder(reg, "decode")
+	r.Add(CtrT1Coded, 7)
+	r.OpDone(cls, 3*time.Millisecond)
+	if reg.OpsActive() != 1 || reg.Ops(cls) != 0 || reg.Counter(CtrT1Coded) != 0 {
+		t.Fatal("registry changed before Finish")
+	}
+	r.Finish()
+	r.Finish()
+	if reg.OpsActive() != 0 || reg.Ops(cls) != 1 || reg.Counter(CtrT1Coded) != 7 {
+		t.Fatalf("after Finish: active %d, ops %d, t1_coded %d", reg.OpsActive(), reg.Ops(cls), reg.Counter(CtrT1Coded))
+	}
+	if h := reg.SLO(cls); h.Count() != 1 || h.Sum() != int64(3*time.Millisecond) {
+		t.Fatalf("SLO histogram: %d observations, %dns", h.Count(), h.Sum())
+	}
+	if got := r.Outcome().String(); got != "decode_lossy_untiled_ht 3ms" {
+		t.Fatalf("outcome line %q", got)
+	}
+
+	f := newRecorder(reg, "decode")
+	f.OpFailed()
+	f.OpDone(cls, time.Millisecond)
+	f.Finish()
+	if o := f.Outcome(); !o.Failed || o.Done || reg.OpErrors() != 1 || reg.Ops(cls) != 1 {
+		t.Fatalf("failed op: outcome %+v, errors %d, ops %d", o, reg.OpErrors(), reg.Ops(cls))
+	}
+}
+
+// TestTraceTaskNamedAfterKind runs the Go execution tracer over one
+// operation and checks its runtime/trace task carries the operation's
+// kind as its name.
+func TestTraceTaskNamedAfterKind(t *testing.T) {
+	var buf bytes.Buffer
+	if err := rtrace.Start(&buf); err != nil {
+		t.Skipf("execution tracer busy: %v", err)
+	}
+	const kind = "decode-task-name-probe"
+	_, r := WithOperation(context.Background(), kind)
+	ln := r.Acquire()
+	ln.Begin(StageT2, 0, 0).End()
+	ln.Release()
+	r.Finish()
+	rtrace.Stop()
+	if !bytes.Contains(buf.Bytes(), []byte(kind)) {
+		t.Fatalf("execution trace names no task %q", kind)
 	}
 }

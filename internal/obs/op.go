@@ -2,16 +2,15 @@ package obs
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 )
 
 // Context-scoped operation recorders.
 //
-// An operation recorder scopes one encode or decode: WithOperation
-// mints a trace ID and a fresh Recorder, hangs it on the context the
-// codec threads through every stage, and Finish rolls the operation's
-// totals into the process-wide aggregate Registry. Concurrent
+// WithOperation scopes one encode or decode: it mints a trace ID and a
+// fresh Recorder and hangs the recorder on the context the codec
+// threads through every stage. Finish rolls the operation's counters
+// and outcome into the process-wide aggregate Registry. Concurrent
 // operations thus get disjoint span sets, per-op counters, and
 // distinct trace IDs, while /metrics keeps serving coherent process
 // totals.
@@ -24,82 +23,16 @@ import (
 // opCtxKey carries the operation recorder in a context.
 type opCtxKey struct{}
 
-// Op is one in-flight observed operation: a per-operation recorder
-// plus the bookkeeping to roll it into the aggregate registry exactly
-// once.
-type Op struct {
-	rec      *Recorder
-	reg      *Registry
-	start    time.Time
-	finished atomic.Bool
-}
-
-// WithOperation returns ctx with a fresh per-operation recorder
-// attached, and the Op handle that owns it. The recorder observes
-// only this operation (spans, counters, histograms, SLO latency);
-// call Finish when the operation completes to roll its totals into
-// the aggregate registry. kind is a free-form label ("encode",
-// "load:thumbnail") carried by the trace ID display and the Chrome
-// trace export.
-func WithOperation(ctx context.Context, kind string) (context.Context, *Op) {
+// WithOperation returns ctx with a fresh operation recorder attached,
+// and the recorder. Call Finish when the operation completes. kind is
+// a free-form label ("encode", "load:thumbnail") carried by the
+// Chrome trace export and the runtime/trace task name.
+func WithOperation(ctx context.Context, kind string) (context.Context, *Recorder) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	reg := Aggregate()
-	r := NewRecorder()
-	r.reg = reg
-	r.kind = kind
-	r.trace = reg.nextTraceID()
-	reg.active.Add(1)
-	op := &Op{rec: r, reg: reg, start: r.epoch}
-	return context.WithValue(ctx, opCtxKey{}, r), op
-}
-
-// Finish closes the operation: ends its runtime/trace task and rolls
-// its counters, stage histograms, and SLO observations into the
-// aggregate registry. Idempotent; safe on nil.
-func (o *Op) Finish() {
-	if o == nil || !o.finished.CompareAndSwap(false, true) {
-		return
-	}
-	o.reg.active.Add(-1)
-	o.rec.Close()
-}
-
-// Recorder returns the operation's recorder (valid until well after
-// Finish — closing rolls totals up without clearing the recorder, so
-// reports and trace exports still read it).
-func (o *Op) Recorder() *Recorder {
-	if o == nil {
-		return nil
-	}
-	return o.rec
-}
-
-// TraceID returns the operation's minted trace ID.
-func (o *Op) TraceID() string {
-	if o == nil {
-		return ""
-	}
-	return o.rec.trace
-}
-
-// Kind returns the operation's label.
-func (o *Op) Kind() string {
-	if o == nil {
-		return ""
-	}
-	return o.rec.kind
-}
-
-// Duration returns how long the operation has been running (or ran,
-// after Finish — it keeps counting until Finish is called, so read it
-// after Finish for the final figure).
-func (o *Op) Duration() time.Duration {
-	if o == nil {
-		return 0
-	}
-	return time.Since(o.start)
+	r := newRecorder(Aggregate(), kind)
+	return context.WithValue(ctx, opCtxKey{}, r), r
 }
 
 // FromContext returns the operation recorder attached to ctx, or nil
@@ -110,4 +43,75 @@ func FromContext(ctx context.Context) *Recorder {
 	}
 	r, _ := ctx.Value(opCtxKey{}).(*Recorder)
 	return r
+}
+
+// Outcome is how an operation ended: the class and exact latency OpDone
+// recorded, or a failure. The zero Outcome means neither was recorded.
+type Outcome struct {
+	Done     bool // OpDone ran and no failure was recorded
+	Failed   bool // OpFailed ran
+	Class    OpClass
+	Duration time.Duration
+}
+
+// String renders the outcome as the `-report` line: the class and the
+// exact duration, "failed", or "no outcome".
+func (o Outcome) String() string {
+	switch {
+	case o.Failed:
+		return "failed"
+	case o.Done:
+		return o.Class.String() + " " + o.Duration.Round(time.Microsecond).String()
+	}
+	return "no outcome"
+}
+
+// OpDone records the operation's completion under class c with latency
+// d, unless a failure was already recorded. Safe on nil.
+func (r *Recorder) OpDone(c OpClass, d time.Duration) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	if !r.outcome.Failed {
+		r.outcome = Outcome{Done: true, Class: c, Duration: d}
+	}
+	r.mu.Unlock()
+}
+
+// OpFailed records that the operation finished with an error (a failed
+// operation has no SLO latency). A failure overrides any completion.
+// Safe on nil.
+func (r *Recorder) OpFailed() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.outcome = Outcome{Failed: true}
+	r.mu.Unlock()
+}
+
+// Outcome returns what OpDone or OpFailed recorded.
+func (r *Recorder) Outcome() Outcome {
+	if r == nil {
+		return Outcome{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.outcome
+}
+
+// Finish closes the operation: it ends the runtime/trace task and
+// rolls the counters, dropped-span count and outcome into the registry.
+// Idempotent and safe on nil; the recorder stays readable afterwards,
+// so reports and trace exports read it after Finish.
+func (r *Recorder) Finish() {
+	if r == nil || !r.finished.CompareAndSwap(false, true) {
+		return
+	}
+	if r.endTask != nil {
+		r.endTask()
+	}
+	r.reg.active.Add(-1)
+	r.reg.merge(r)
 }

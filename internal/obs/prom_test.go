@@ -13,34 +13,37 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixtureRegistry drives a fixed set of observations through the
-// public recorder path (Add / Hist.Observe / OpDone / OpFailed /
-// Close→merge) into a fresh registry. Everything is deterministic —
-// no wall-clock durations — so the exposition it produces is stable
-// byte for byte. Two recorders merge in sequence to prove roll-up
-// accumulation shows through the exposition.
+// public recorder path (Add / OpDone / OpFailed / Finish→merge) into a
+// fresh registry, with stage durations observed straight into the
+// registry's histograms as Span.End does. Everything is deterministic
+// — no wall-clock durations — so the exposition it produces is stable
+// byte for byte. Five operations, one outcome each, finish in sequence
+// to prove roll-up accumulation shows through the exposition.
 func fixtureRegistry() *Registry {
 	reg := NewRegistry()
+	reg.Hist(StageT1).Observe(int64(900 * time.Microsecond))
+	reg.Hist(StageT1).Observe(int64(3 * time.Millisecond))
+	reg.Hist(StageRate).Observe(int64(250 * time.Microsecond))
 
-	r := NewRecorder()
-	r.reg = reg
-	r.Add(CtrQueueJobs, 12)
-	r.Add(CtrT1Blocks, 5)
-	r.Add(CtrDWTBytesMoved, 1<<20)
-	r.Hist(StageT1).Observe(int64(900 * time.Microsecond))
-	r.Hist(StageT1).Observe(int64(3 * time.Millisecond))
-	r.Hist(StageRate).Observe(int64(250 * time.Microsecond))
-	r.OpDone(ClassOf(false, false, false, false), 8*time.Millisecond)
-	r.OpDone(ClassOf(false, false, false, false), 11*time.Millisecond)
-	r.OpDone(ClassOf(true, true, false, true), 400*time.Microsecond)
-	r.OpFailed()
-	r.Close()
-
-	r2 := NewRecorder()
-	r2.reg = reg
-	r2.Add(CtrT1Blocks, 3)
-	r2.OpDone(ClassOf(false, false, false, false), 9*time.Millisecond)
-	r2.Close()
-
+	encCls := ClassOf(false, false, false, false)
+	op := func(record func(r *Recorder)) {
+		r := newRecorder(reg, "fixture")
+		record(r)
+		r.Finish()
+	}
+	op(func(r *Recorder) {
+		r.Add(CtrQueueJobs, 12)
+		r.Add(CtrT1Blocks, 5)
+		r.Add(CtrDWTBytesMoved, 1<<20)
+		r.OpDone(encCls, 8*time.Millisecond)
+	})
+	op(func(r *Recorder) { r.OpDone(encCls, 11*time.Millisecond) })
+	op(func(r *Recorder) { r.OpDone(ClassOf(true, true, false, true), 400*time.Microsecond) })
+	op(func(r *Recorder) { r.OpFailed() })
+	op(func(r *Recorder) {
+		r.Add(CtrT1Blocks, 3)
+		r.OpDone(encCls, 9*time.Millisecond)
+	})
 	return reg
 }
 
@@ -90,7 +93,7 @@ func TestPrometheusGolden(t *testing.T) {
 // TestPrometheusParseBack closes the loop with the minimal scraper:
 // write the fixture registry's exposition, parse it back, and verify
 // the samples reproduce the registry's own accessors — including the
-// merged totals from both recorders and cumulative-bucket invariants.
+// merged totals from every recorder and cumulative-bucket invariants.
 func TestPrometheusParseBack(t *testing.T) {
 	reg := fixtureRegistry()
 	var buf bytes.Buffer

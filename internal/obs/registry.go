@@ -75,18 +75,19 @@ func (c OpClass) String() string {
 	return s
 }
 
-// Registry is the process-wide aggregate sink. Per-operation recorders
-// (WithOperation) roll their counters, stage histograms, and SLO
-// observations into it when they close, so the registry's totals are
-// monotone for the life of the
-// process — exactly the semantics Prometheus counters and cumulative
-// histograms require. The registry never sees individual spans (those
-// stay in each recorder's lanes); it is the scrape-able summary that
+// Registry is the process-wide aggregate sink and the only home of
+// the duration histograms. Every span's End observes its duration into
+// the stage histogram as it closes; an operation's Finish rolls its
+// counters and its one outcome (a class and latency, or a failure)
+// into the rest, exactly once. The registry's totals are thus monotone
+// for the life of the process — exactly the semantics Prometheus
+// counters and cumulative histograms require. Spans themselves stay in
+// each recorder's lanes; the registry is the scrape-able summary that
 // /metrics, /debug/vars, and the j2kload SLO table read.
 type Registry struct {
 	start    time.Time
 	counters [numCounters]atomic.Int64
-	hist     [numStages]Histogram // per-stage span durations, rolled up
+	hist     [numStages]Histogram // per-stage span durations
 	slo      [NumOpClasses]Histogram
 	ops      [NumOpClasses]atomic.Int64
 	opErrors atomic.Int64 // operations that finished with an error
@@ -100,8 +101,8 @@ type Registry struct {
 func NewRegistry() *Registry { return &Registry{start: time.Now()} }
 
 // aggregate is the singleton process registry. It always exists —
-// existence is free, because nothing writes to it until a recorder
-// closes — so callers never branch on "is the registry enabled".
+// existence is free, because nothing writes to it until an operation
+// records — so callers never branch on "is the registry enabled".
 var aggregate atomic.Pointer[Registry]
 
 func init() { aggregate.Store(NewRegistry()) }
@@ -225,25 +226,20 @@ func (g *Registry) Dropped() int64 {
 	return g.dropped.Load()
 }
 
-// merge rolls one closing recorder's totals into the registry.
+// merge rolls one finishing recorder's counters and outcome into the
+// registry.
 func (g *Registry) merge(r *Recorder) {
-	if g == nil || r == nil {
-		return
-	}
 	for c := range r.counters {
 		if v := r.counters[c].Load(); v != 0 {
 			g.counters[c].Add(v)
 		}
 	}
-	for s := range r.hist {
-		g.hist[s].AddFrom(&r.hist[s])
+	switch o := r.Outcome(); {
+	case o.Failed:
+		g.opErrors.Add(1)
+	case o.Done:
+		g.ops[o.Class].Add(1)
+		g.slo[o.Class].Observe(int64(o.Duration))
 	}
-	for c := range r.slo {
-		g.slo[c].AddFrom(&r.slo[c])
-		if v := r.ops[c].Load(); v != 0 {
-			g.ops[c].Add(v)
-		}
-	}
-	g.opErrors.Add(r.opErrors.Load())
 	g.dropped.Add(r.dropped.Load())
 }

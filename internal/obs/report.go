@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -130,14 +131,13 @@ func (r *Report) Table() string {
 	return b.String()
 }
 
-// sloTable renders the per-class operation latency quantile table
-// shared by Registry.SLOTable and Recorder.SLOTable. get returns the
-// class's histogram and completed-op count.
-func sloTable(get func(OpClass) (*Histogram, int64)) string {
+// SLOTable renders the registry's per-class operation latency
+// quantiles — the process-lifetime SLO view.
+func (g *Registry) SLOTable() string {
 	var b strings.Builder
 	rows := 0
 	for c := OpClass(0); c < NumOpClasses; c++ {
-		h, n := get(c)
+		h, n := g.SLO(c), g.Ops(c)
 		if n == 0 && h.Count() == 0 {
 			continue
 		}
@@ -165,28 +165,9 @@ func sloTable(get func(OpClass) (*Histogram, int64)) string {
 	return b.String()
 }
 
-// SLOTable renders the registry's per-class operation latency
-// quantiles — the process-lifetime SLO view.
-func (g *Registry) SLOTable() string {
-	return sloTable(func(c OpClass) (*Histogram, int64) {
-		return g.SLO(c), g.Ops(c)
-	})
-}
-
-// SLOTable renders this recorder's per-class operation latency
-// quantiles (an operation recorder normally holds one class).
-func (r *Recorder) SLOTable() string {
-	if r == nil {
-		return "(observability disabled)\n"
-	}
-	return sloTable(func(c OpClass) (*Histogram, int64) {
-		return r.SLOHist(c), r.OpCount(c)
-	})
-}
-
 // MetricsTable renders the recorder's counters, per-lane claim counts,
 // and per-stage latency summaries as aligned key/value text — the
-// `-metrics` output and the human-readable face of the expvar snapshot.
+// `-metrics` output. Call it after the operation's work has finished.
 func (r *Recorder) MetricsTable() string {
 	if r == nil {
 		return "(observability disabled)\n"
@@ -210,13 +191,31 @@ func (r *Recorder) MetricsTable() string {
 			}
 		}
 	}
+	// Exact per-stage figures from the operation's own spans (the
+	// registry's histograms are process-wide).
+	var durs [numStages][]int64
+	r.mu.Lock()
+	for _, l := range r.lanes {
+		for _, s := range l.spans {
+			durs[s.stage] = append(durs[s.stage], s.end-s.start)
+		}
+	}
+	r.mu.Unlock()
 	b.WriteString("stage latency:\n")
-	for s := Stage(0); s < numStages; s++ {
-		h := r.Hist(s)
-		if h.Count() == 0 {
+	for s, d := range durs {
+		if len(d) == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  %-8s %s\n", s, h)
+		slices.Sort(d)
+		var sum int64
+		for _, v := range d {
+			sum += v
+		}
+		rank := func(q float64) time.Duration {
+			return time.Duration(d[max(int(q*float64(len(d))), 1)-1])
+		}
+		fmt.Fprintf(&b, "  %-8s n=%d mean=%v p50=%v p99=%v\n", Stage(s), len(d),
+			time.Duration(sum/int64(len(d))), rank(0.50), rank(0.99))
 	}
 	if d := r.Dropped(); d > 0 {
 		fmt.Fprintf(&b, "spans dropped: %d\n", d)

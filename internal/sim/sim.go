@@ -42,14 +42,7 @@ func (h eventHeap) Less(i, j int) bool {
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() *event  { return h[0] }
 func (h eventHeap) Empty() bool   { return len(h) == 0 }
-func (h eventHeap) MinTime() (Time, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].at, true
-}
 
 // Engine owns the virtual clock and the event queue.
 type Engine struct {

@@ -30,13 +30,12 @@ func TestEncodeObsByteIdentical(t *testing.T) {
 			}
 			for _, w := range workerCounts() {
 				t.Run(fmt.Sprintf("workers-%d", w), func(t *testing.T) {
-					ctx, op := obs.WithOperation(context.Background(), "encode")
+					ctx, rec := obs.WithOperation(context.Background(), "encode")
 					got, _, err := EncodeParallelContext(ctx, img, tc.opt, w)
-					op.Finish()
+					rec.Finish()
 					if err != nil {
 						t.Fatal(err)
 					}
-					rec := op.Recorder()
 					if !bytes.Equal(got, ref) {
 						t.Fatalf("observed stream differs from unobserved (%d vs %d bytes)",
 							len(got), len(ref))
@@ -55,13 +54,12 @@ func TestEncodeObsByteIdentical(t *testing.T) {
 // to appear with plausible accounting.
 func TestEncodeObsReportHasStages(t *testing.T) {
 	img := TestImage(192, 160, 9)
-	ctx, op := obs.WithOperation(context.Background(), "encode")
+	ctx, rec := obs.WithOperation(context.Background(), "encode")
 	_, _, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, 2)
-	op.Finish()
+	rec.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := op.Recorder()
 	spans := rec.TSpans()
 	rep := obs.BuildReport(spans, 2)
 	if rep.Total <= 0 || rep.Busy <= 0 {
@@ -77,7 +75,7 @@ func TestEncodeObsReportHasStages(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, spans, rec.Counters()); err != nil {
+	if err := obs.WriteChromeTrace(&buf, obs.OpTrace{Spans: spans, Counters: rec.Counters()}); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
@@ -103,28 +101,28 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 	}
 
 	const per = 3
-	encOps := make([]*obs.Op, per)
-	decOps := make([]*obs.Op, per)
+	encOps := make([]*obs.Recorder, per)
+	decOps := make([]*obs.Recorder, per)
 	errc := make(chan error, 2*per)
 	var wg sync.WaitGroup
 	for i := 0; i < per; i++ {
 		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			ctx, op := obs.WithOperation(context.Background(), "encode")
-			encOps[i] = op
+			ctx, rec := obs.WithOperation(context.Background(), "encode")
+			encOps[i] = rec
 			_, _, err := EncodeParallelContext(ctx, img, Options{Lossless: true}, 2)
-			op.Finish()
+			rec.Finish()
 			if err != nil {
 				errc <- err
 			}
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			ctx, op := obs.WithOperation(context.Background(), "decode")
-			decOps[i] = op
+			ctx, rec := obs.WithOperation(context.Background(), "decode")
+			decOps[i] = rec
 			_, err := DecodeWithContext(ctx, stream, DecodeOptions{Workers: 2})
-			op.Finish()
+			rec.Finish()
 			if err != nil {
 				errc <- err
 			}
@@ -137,11 +135,12 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 	}
 
 	ids := map[string]bool{}
-	for _, op := range append(append([]*obs.Op{}, encOps...), decOps...) {
-		if op.TraceID() == "" || ids[op.TraceID()] {
-			t.Fatalf("trace ID %q empty or duplicated", op.TraceID())
+	allOps := append(append([]*obs.Recorder{}, encOps...), decOps...)
+	for _, rec := range allOps {
+		if rec.TraceID() == "" || ids[rec.TraceID()] {
+			t.Fatalf("trace ID %q empty or duplicated", rec.TraceID())
 		}
-		ids[op.TraceID()] = true
+		ids[rec.TraceID()] = true
 	}
 
 	// Tier-2 spans both directions; the rest is decode-only. A decode
@@ -158,8 +157,7 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 	encClass := obs.ClassOf(false, false, false, false)
 	decClass := obs.ClassOf(true, false, false, false)
 
-	for i, op := range encOps {
-		rec := op.Recorder()
+	for i, rec := range encOps {
 		spans := rec.TSpans()
 		if len(spans) == 0 {
 			t.Fatalf("encode op %d recorded no spans", i)
@@ -175,13 +173,11 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 		if rec.Counter(obs.CtrConcealedBlocks) != 0 || rec.Counter(obs.CtrResyncs) != 0 {
 			t.Fatalf("encode op %d leaked best-effort decode counters", i)
 		}
-		if rec.OpCount(encClass) != 1 || rec.OpCount(decClass) != 0 {
-			t.Fatalf("encode op %d class counts: enc=%d dec=%d",
-				i, rec.OpCount(encClass), rec.OpCount(decClass))
+		if o := rec.Outcome(); !o.Done || o.Class != encClass {
+			t.Fatalf("encode op %d outcome %v, want %v", i, o, encClass)
 		}
 	}
-	for i, op := range decOps {
-		rec := op.Recorder()
+	for i, rec := range decOps {
 		spans := rec.TSpans()
 		if len(spans) == 0 {
 			t.Fatalf("decode op %d recorded no spans", i)
@@ -204,9 +200,8 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 		if rec.Counter(obs.CtrT1Blocks) != 0 {
 			t.Fatalf("decode op %d leaked encode-side block counter", i)
 		}
-		if rec.OpCount(decClass) != 1 || rec.OpCount(encClass) != 0 {
-			t.Fatalf("decode op %d class counts: dec=%d enc=%d",
-				i, rec.OpCount(decClass), rec.OpCount(encClass))
+		if o := rec.Outcome(); !o.Done || o.Class != decClass {
+			t.Fatalf("decode op %d outcome %v, want %v", i, o, decClass)
 		}
 	}
 
@@ -220,6 +215,22 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 	}
 	if reg.OpErrors() != 0 {
 		t.Fatalf("aggregate op errors: %d", reg.OpErrors())
+	}
+	// Every span's duration lands in the aggregate stage histogram
+	// exactly once (StageParse is the last stage).
+	var spans [obs.StageParse + 1]int64
+	for _, rec := range allOps {
+		if rec.Dropped() != 0 {
+			t.Fatalf("op %s dropped %d spans", rec.TraceID(), rec.Dropped())
+		}
+		for _, sp := range rec.TSpans() {
+			spans[sp.Stage]++
+		}
+	}
+	for st, n := range spans {
+		if got := reg.Hist(obs.Stage(st)).Count(); got != n {
+			t.Errorf("stage %v: aggregate histogram counts %d, the six ops hold %d spans", obs.Stage(st), got, n)
+		}
 	}
 }
 
@@ -271,11 +282,11 @@ func BenchmarkEncodeObsOverhead(b *testing.B) {
 	b.Run("per-op", func(b *testing.B) {
 		b.SetBytes(int64(img.W * img.H * len(img.Comps)))
 		for i := 0; i < b.N; i++ {
-			ctx, op := obs.WithOperation(context.Background(), "bench")
+			ctx, rec := obs.WithOperation(context.Background(), "bench")
 			if _, _, err := EncodeParallelContext(ctx, img, opt, workers); err != nil {
 				b.Fatal(err)
 			}
-			op.Finish()
+			rec.Finish()
 		}
 	})
 }
