@@ -199,7 +199,11 @@ type BlockJob struct {
 // they all code exactly the same block set.
 func PlanBlocks(w, h, ncomp int, opt Options) ([]dwt.Band, []BlockJob) {
 	bands := dwt.Layout(w, h, opt.Levels)
-	var jobs []BlockJob
+	n := 0
+	for _, b := range bands {
+		n += ceilDiv(b.W, opt.CBW) * ceilDiv(b.H, opt.CBH)
+	}
+	jobs := make([]BlockJob, 0, n*ncomp)
 	for c := 0; c < ncomp; c++ {
 		for bi, b := range bands {
 			if b.W == 0 || b.H == 0 {
@@ -232,6 +236,9 @@ func PlanBlocks(w, h, ncomp int, opt Options) ([]dwt.Band, []BlockJob) {
 	}
 	return bands, jobs
 }
+
+// ceilDiv returns ⌈a/b⌉ for a >= 0, b > 0.
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // ResBands returns the band indices belonging to resolution r
 // (0 = LL only; r >= 1 = the three detail bands of level levels-r+1),

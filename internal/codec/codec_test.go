@@ -729,9 +729,13 @@ func TestTiledVsUntiledQuality(t *testing.T) {
 	}
 }
 
+// TestRegionDecodeExact pins the Region decode to the full decode's
+// crop for MQ and HT streams, lossless and at Rate 0.15, at one and two
+// workers: the window is written straight from plane views into a
+// window-sized image.
 func TestRegionDecodeExact(t *testing.T) {
 	img := workload.Dial(256, 192, 15, 5)
-	for _, opt := range []Options{{Lossless: true}, {Rate: 0.15}} {
+	for _, opt := range []Options{{Lossless: true}, {Rate: 0.15}, {Lossless: true, HT: true}, {Rate: 0.15, HT: true}} {
 		res, err := Encode(context.Background(), img, opt, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -740,45 +744,55 @@ func TestRegionDecodeExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range []Rect{
-			{X0: 0, Y0: 0, W: 32, H: 32},
-			{X0: 100, Y0: 70, W: 80, H: 50},
-			{X0: 200, Y0: 150, W: 56, H: 42}, // bottom-right corner
-			{X0: 0, Y0: 0, W: 256, H: 192},   // whole image
-		} {
-			got, err := Decode(context.Background(), res.Data, DecodeOptions{Region: r})
-			if err != nil {
-				t.Fatalf("region %+v: %v", r, err)
-			}
-			if got.W != r.W || got.H != r.H {
-				t.Fatalf("region %+v: got %dx%d", r, got.W, got.H)
-			}
-			want := full.SubImage(r.X0, r.Y0, r.W, r.H)
-			if !got.Equal(want) {
-				t.Fatalf("lossless=%v region %+v: window decode differs from full-decode crop", opt.Lossless, r)
+		for _, workers := range []int{1, 2} {
+			for _, r := range []Rect{
+				{X0: 0, Y0: 0, W: 32, H: 32},
+				{X0: 100, Y0: 70, W: 80, H: 50},
+				{X0: 200, Y0: 150, W: 56, H: 42}, // bottom-right corner
+				{X0: 0, Y0: 0, W: 256, H: 192},   // whole image
+			} {
+				got, err := Decode(context.Background(), res.Data, DecodeOptions{Region: r, Workers: workers})
+				if err != nil {
+					t.Fatalf("region %+v: %v", r, err)
+				}
+				if got.W != r.W || got.H != r.H {
+					t.Fatalf("region %+v: got %dx%d", r, got.W, got.H)
+				}
+				want := full.SubImage(r.X0, r.Y0, r.W, r.H)
+				if !got.Equal(want) {
+					t.Fatalf("lossless=%v ht=%v workers=%d region %+v: window decode differs from full-decode crop",
+						opt.Lossless, opt.HT, workers, r)
+				}
 			}
 		}
 	}
 }
 
+// TestRegionDecodeTiled pins a window straddling four tiles to the
+// full decode's crop, on a lossless and a lossy tiled stream, so the
+// integer and the float plane views both write their tiles' parts of
+// the window in place.
 func TestRegionDecodeTiled(t *testing.T) {
 	img := workload.Dial(200, 200, 3, 5)
-	res, err := Encode(context.Background(), img, Options{Lossless: true, TileW: 64, TileH: 64}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Decode(context.Background(), res.Data, DecodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A window straddling four tiles.
-	r := Rect{X0: 50, Y0: 50, W: 30, H: 90}
-	got, err := Decode(context.Background(), res.Data, DecodeOptions{Region: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(full.SubImage(r.X0, r.Y0, r.W, r.H)) {
-		t.Fatal("tiled window decode differs from crop")
+	for _, opt := range []Options{{Lossless: true, TileW: 64, TileH: 64}, {Rate: 0.2, TileW: 64, TileH: 64}} {
+		res, err := Encode(context.Background(), img, opt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := Decode(context.Background(), res.Data, DecodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			r := Rect{X0: 50, Y0: 50, W: 30, H: 90}
+			got, err := Decode(context.Background(), res.Data, DecodeOptions{Region: r, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(full.SubImage(r.X0, r.Y0, r.W, r.H)) {
+				t.Fatalf("lossless=%v workers=%d: tiled window decode differs from crop", opt.Lossless, workers)
+			}
+		}
 	}
 }
 

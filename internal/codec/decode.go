@@ -115,16 +115,12 @@ func rectsIntersect(a, b Rect) bool {
 	return a.X0 < b.X0+b.W && b.X0 < a.X0+a.W && a.Y0 < b.Y0+b.H && b.Y0 < a.Y0+a.H
 }
 
-// bandKey names one (component, band) of a tile.
-type bandKey struct{ c, b int }
-
 // blockAcc accumulates one code block's contributions across layers.
 type blockAcc struct {
-	zbp      int
-	passes   int
-	segLens  []int
-	data     []byte
-	included bool
+	zbp     int
+	passes  int
+	segLens []int
+	data    []byte // the contributed bytes; aliases the tile body until a second layer adds to them
 }
 
 // Decode reconstructs an image from a codestream produced by Encode,
@@ -180,13 +176,16 @@ func parseStream(data []byte, lim Limits) (*codestream.Header, [][]byte, *codest
 // parseTile is the decode side of Tier-2 for one tile: it parses every
 // packet of body in progression order and accumulates, per code block
 // of bands, the data of layers below maxLayers and resolutions up to
-// keepRes. It also returns the layout of every packet it parsed, in
-// stream order. A damaged packet loses its contributions and is
-// recorded in dmg: with SOP markers the walk resyncs on a later
-// packet's marker, without them the packet boundary is lost and the
-// walk ends, keeping every packet before it. The error is non-nil only
-// when the pipeline stopped.
-func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte, maxLayers, keepRes int, dmg *tileDamage) (map[bandKey][]*blockAcc, []PacketInfo, error) {
+// keepRes — with a non-empty tile-local region, only for the blocks
+// whose wavelet support reaches it. It also returns the layout of
+// every packet it parsed, in stream order. A damaged packet loses its
+// contributions and is recorded in dmg: with SOP markers the walk
+// resyncs on a later packet's marker, without them the packet boundary
+// is lost and the walk ends, keeping every packet before it. The error
+// is non-nil only when the pipeline stopped. The accumulators are
+// indexed c·(3·Levels+1) + band, each a raster-order grid of the
+// band's blocks, nil where a block received nothing.
+func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte, maxLayers, keepRes int, region Rect, dmg *tileDamage) ([][]*blockAcc, []PacketInfo, error) {
 	style := t2.SegSingle
 	if h.HT || h.TermAll {
 		// Both HT variants parse like TermAll: per-pass segment lengths
@@ -194,15 +193,23 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 		style = t2.SegTermAll
 	}
 	// Precinct coding state persists across layers per (comp, band).
-	precincts := map[bandKey]*t2.Precinct{}
-	accs := map[bandKey][]*blockAcc{}
-	for c := 0; c < h.NComp; c++ {
-		for bi, band := range bands {
-			gw := (band.W + h.CBW - 1) / h.CBW
-			gh := (band.H + h.CBH - 1) / h.CBH
-			precincts[bandKey{c, bi}] = t2.NewPrecinct(gw, gh)
-			accs[bandKey{c, bi}] = make([]*blockAcc, gw*gh)
-		}
+	// The accumulator grids share one pointer array, the accumulators
+	// one slab, and their segment lengths one growing array.
+	nb := len(bands)
+	precincts := make([]*t2.Precinct, h.NComp*nb)
+	accs := make([][]*blockAcc, h.NComp*nb)
+	nblocks := 0
+	for _, band := range bands {
+		nblocks += ceilDiv(band.W, h.CBW) * ceilDiv(band.H, h.CBH)
+	}
+	grid := make([]*blockAcc, h.NComp*nblocks)
+	slab := make([]blockAcc, 0, h.NComp*nblocks)
+	var lens []int
+	for k := range precincts {
+		band := bands[k%nb]
+		gw, gh := ceilDiv(band.W, h.CBW), ceilDiv(band.H, h.CBH)
+		precincts[k] = t2.NewPrecinct(gw, gh)
+		accs[k], grid = grid[:gw*gh:gw*gh], grid[gw*gh:]
 	}
 
 	order := PacketOrder(Progression(h.Progression), h.Layers, h.Levels, h.NComp)
@@ -231,7 +238,7 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 		resBands := ResBands(h.Levels, r)
 		var pkt []*t2.Precinct
 		for _, bi := range resBands {
-			pkt = append(pkt, precincts[bandKey{c, bi}])
+			pkt = append(pkt, precincts[c*nb+bi])
 		}
 		start := off
 		if h.SOPMarkers {
@@ -297,26 +304,48 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 		keep := l < maxLayers && r <= keepRes
 		pk := PacketInfo{Layer: l, Res: r, Comp: c, Offset: start, Bytes: n}
 		for k, pr := range pkt {
-			acc := accs[bandKey{c, resBands[k]}]
+			acc := accs[c*nb+resBands[k]]
+			var want Rect // the band's blocks reaching the region
+			if region.W > 0 && region.H > 0 {
+				want = bandWindow(region, bands[resBands[k]].Level)
+			}
 			for i, blk := range pr.Blocks {
 				if blk == nil || blk.NumPasses == 0 {
 					continue
 				}
 				pk.Blocks++
 				pk.DataBytes += len(blk.Data)
-				if !keep {
+				if !keep || want.W > 0 && !rectsIntersect(Rect{X0: i % pr.W * h.CBW, Y0: i / pr.W * h.CBH, W: h.CBW, H: h.CBH}, want) {
 					continue
 				}
 				a := acc[i]
 				if a == nil {
-					a = &blockAcc{zbp: blk.ZeroBP, included: true}
+					slab = append(slab, blockAcc{zbp: blk.ZeroBP})
+					a = &slab[len(slab)-1]
 					acc[i] = a
 				}
 				a.passes += blk.NumPasses
-				for _, s := range blk.Segments {
-					a.segLens = append(a.segLens, s.Len)
+				if a.segLens == nil {
+					// As with the data: a later layer's append copies.
+					n := len(lens)
+					for _, s := range blk.Segments {
+						lens = append(lens, s.Len)
+					}
+					a.segLens = lens[n:len(lens):len(lens)]
+				} else {
+					for _, s := range blk.Segments {
+						a.segLens = append(a.segLens, s.Len)
+					}
 				}
-				a.data = append(a.data, blk.Data...)
+				if a.data == nil {
+					// A block's first contribution is read in place from
+					// the body; the capacity limit makes a later layer's
+					// append copy both into an array of their own instead
+					// of writing over the body.
+					a.data = blk.Data[:len(blk.Data):len(blk.Data)]
+				} else {
+					a.data = append(a.data, blk.Data...)
+				}
 			}
 		}
 		packets = append(packets, pk)
@@ -325,14 +354,17 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 }
 
 // decodeTile reconstructs one tile of tw×th samples from its packet
-// body, best effort: packet parse failures, Tier-1 detection failures
-// and contained Tier-1 faults are demoted to localized concealment
-// recorded in dmg. The pipeline bound to ctx carries both the Tier-1
-// worker pool and the cancellation checks of the packet-parse loop.
-// dopt's DiscardLevels must already be resolved against the header.
-// The error — cancellation, or a fault in an inverse stage — loses the
-// tile whole.
-func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []byte, dopt DecodeOptions, dmg *tileDamage) (*imgmodel.Image, error) {
+// body into dst, best effort: packet parse failures, Tier-1 detection
+// failures and contained Tier-1 faults are demoted to localized
+// concealment recorded in dmg. The pipeline bound to ctx carries both
+// the Tier-1 worker pool and the cancellation checks of the
+// packet-parse loop. dopt's DiscardLevels must already be resolved
+// against the header, and its Region, if set, is tile-local. dst is
+// the tile's window of the output image: the tile-local Region, or the
+// whole tile at reduced scale. The error — cancellation, or a fault in
+// an inverse stage — loses the tile whole, with dst possibly part
+// written.
+func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []byte, dopt DecodeOptions, dmg *tileDamage, dst *imgmodel.Image) error {
 	p := NewPipelineContext(ctx, dopt.Workers)
 	defer p.Close()
 	bands := dwt.Layout(tw, th, h.Levels)
@@ -356,9 +388,9 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	}
 	keepRes := h.Levels - dopt.DiscardLevels // decode resolutions 0..keepRes
 
-	accs, _, err := parseTile(p, h, bands, body, maxLayers, keepRes, dmg)
+	accs, _, err := parseTile(p, h, bands, body, maxLayers, keepRes, dopt.Region, dmg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Tier-1 writes every coefficient the inverse transforms will read
@@ -369,13 +401,19 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 	// region — is zero-filled by the same stage. Bands of discarded
 	// levels are never read by the inverse DWT, so they get neither.
 	co := getTileCoefs(h, mode, tw, th)
-	tasks, ndata := tileTasks(h, bands[:1+3*keepRes], accs, dopt)
+	tasks, ndata := tileTasks(h, bands[:1+3*keepRes], accs)
 	dmg.totalBlocks = ndata
 	if err := decodeBlocksBestEffort(p, tier1Stage(mode), h, bands, tw, th, co, tasks, dmg); err != nil {
 		co.release()
-		return nil, err
+		return err
 	}
-	return reconstruct(p, h, co, tw, th, dopt.DiscardLevels)
+	var win Rect // the part of the reconstruction dst takes
+	if dopt.regionSet() {
+		win = dopt.Region
+	} else {
+		win.W, win.H = dwt.LevelDims(tw, th, dopt.DiscardLevels)
+	}
+	return reconstruct(p, h, co, dopt.DiscardLevels, win, dst)
 }
 
 // decodeBlocksBestEffort drains the Tier-1 tasks through the same
@@ -495,16 +533,20 @@ type blockTask struct {
 // one row of a band's block grid. Holes stay one grid row high so a
 // band with no data at all still spreads across workers.
 // It also returns the number of data tasks.
-func tileTasks(h *codestream.Header, bands []dwt.Band, accs map[bandKey][]*blockAcc, dopt DecodeOptions) ([]blockTask, int) {
-	var tasks, holes []blockTask
+func tileTasks(h *codestream.Header, bands []dwt.Band, accs [][]*blockAcc) ([]blockTask, int) {
+	nb := 3*h.Levels + 1 // bands may be a prefix of the tile's layout
+	// A band's blocks yield at most one task each, holes included, so
+	// the holes join the tasks with no regrowth.
+	n := 0
+	for _, band := range bands {
+		n += ceilDiv(band.W, h.CBW) * ceilDiv(band.H, h.CBH)
+	}
+	tasks := make([]blockTask, 0, n*h.NComp)
+	var holes []blockTask
 	for c := 0; c < h.NComp; c++ {
 		for bi, band := range bands {
 			if band.W == 0 || band.H == 0 {
 				continue
-			}
-			var want Rect
-			if dopt.regionSet() {
-				want = bandWindow(dopt.Region, band.Level)
 			}
 			var delta float32
 			if !h.Lossless {
@@ -512,7 +554,7 @@ func tileTasks(h *codestream.Header, bands []dwt.Band, accs map[bandKey][]*block
 			}
 			gw := (band.W + h.CBW - 1) / h.CBW
 			gh := (band.H + h.CBH - 1) / h.CBH
-			acc := accs[bandKey{c, bi}]
+			acc := accs[c*nb+bi]
 			for gy := 0; gy < gh; gy++ {
 				y0 := gy * h.CBH
 				bh := min(h.CBH, band.H-y0)
@@ -529,9 +571,6 @@ func tileTasks(h *codestream.Header, bands []dwt.Band, accs map[bandKey][]*block
 				}
 				for gx := 0; gx < gw; gx++ {
 					a := acc[gy*gw+gx]
-					if a != nil && dopt.regionSet() && !rectsIntersect(Rect{X0: gx * h.CBW, Y0: y0, W: h.CBW, H: h.CBH}, want) {
-						a = nil
-					}
 					if a == nil {
 						if run < 0 {
 							run = gx
@@ -652,22 +691,39 @@ func (co *tileCoefs) release() {
 // the fused inverse MCT + clamp drain the same work queue Tier-1 did,
 // and the pooled planes are recycled once the last stage is done with
 // them. With discard > 0 the finest discard levels stay transformed,
-// and the top-left LevelDims(tw, th, discard) corner — the image at
-// reduced resolution — becomes the output. Bit-identical to running
-// dwt.InverseLevels53/97 and the serial MCT helpers per plane.
-func reconstruct(p *Pipeline, h *codestream.Header, co *tileCoefs, tw, th, discard int) (*imgmodel.Image, error) {
-	rw, rh := dwt.LevelDims(tw, th, discard)
-	img := imgmodel.NewImage(rw, rh, h.NComp, h.Depth)
+// and the top-left LevelDims(tw, th, discard) corner of the planes is
+// the tile at reduced resolution. The inverse MCT reads plane views at
+// win's origin — win lies in that corner — and writes dst, win.W ×
+// win.H, so each output pixel is written once and only the window is
+// colour-converted. Bit-identical to running dwt.InverseLevels53/97
+// and the serial MCT helpers per plane, then cropping.
+func reconstruct(p *Pipeline, h *codestream.Header, co *tileCoefs, discard int, win Rect, dst *imgmodel.Image) error {
 	if co.ints != nil {
 		p.IDWT53(co.ints, h.Levels, discard)
-		p.InverseMCTInt(img, co.ints, h)
+		views := make([]*imgmodel.Plane, len(co.ints))
+		for c, pl := range co.ints {
+			views[c] = pl.View(win.X0, win.Y0, win.W, win.H)
+		}
+		p.InverseMCTInt(dst, views, h)
 	} else {
 		p.IDWT97(co.floats, h.Levels, discard)
-		p.InverseMCTFloat(img, co.floats, h)
+		views := make([]*imgmodel.FPlane, len(co.floats))
+		for c, fp := range co.floats {
+			views[c] = fp.View(win.X0, win.Y0, win.W, win.H)
+		}
+		p.InverseMCTFloat(dst, views, h)
 	}
+	// The views die here; only the planes that own their samples go
+	// back to the pool.
 	co.release()
-	if err := p.Err(); err != nil {
-		return nil, err
+	return p.Err()
+}
+
+// clearImage zeroes every sample of img, a view included.
+func clearImage(img *imgmodel.Image) {
+	for _, pl := range img.Comps {
+		for y := 0; y < pl.H; y++ {
+			clear(pl.Row(y))
+		}
 	}
-	return img, nil
 }

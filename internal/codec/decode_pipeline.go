@@ -154,7 +154,10 @@ func (p *Pipeline) IDWT97(fplanes []*imgmodel.FPlane, levels, stop int) {
 // InverseMCTInt finishes the reversible path stripe-parallel: copy the
 // synthesized planes' top-left img.W × img.H corner into the image,
 // apply the inverse RCT (or the plain unshift), and clamp — one fused
-// pass per row stripe, the inverse of MCTInt.
+// pass per row stripe, the inverse of MCTInt. The planes may be views
+// at a window's origin and img a view of the window's place in a
+// larger output; the planes' components share one stride, as do
+// img's.
 func (p *Pipeline) InverseMCTInt(img *imgmodel.Image, planes []*imgmodel.Plane, h *codestream.Header) {
 	w, hh := img.W, img.H
 	useMCT := h.UseMCT && h.NComp == 3
@@ -182,7 +185,8 @@ func (p *Pipeline) InverseMCTInt(img *imgmodel.Image, planes []*imgmodel.Plane, 
 // InverseMCTFloat finishes the irreversible path stripe-parallel:
 // inverse ICT (or round-unshift) straight from the top-left img.W ×
 // img.H corner of the synthesized float planes into the image, then
-// clamp — the inverse of MCTFloat.
+// clamp — the inverse of MCTFloat. Views are accepted on both sides,
+// as in InverseMCTInt.
 func (p *Pipeline) InverseMCTFloat(img *imgmodel.Image, fplanes []*imgmodel.FPlane, h *codestream.Header) {
 	w, hh := img.W, img.H
 	useMCT := h.UseMCT && h.NComp == 3

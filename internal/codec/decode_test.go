@@ -159,11 +159,15 @@ func untiledTasks(t *testing.T, data []byte, dopt DecodeOptions) ([]blockTask, i
 	p := NewPipelineContext(context.Background(), 1)
 	defer p.Close()
 	bands := dwt.Layout(h.W, h.H, h.Levels)
-	accs, _, err := parseTile(p, h, bands, bodies[0], h.Layers, h.Levels, &tileDamage{})
+	var region Rect
+	if dopt.regionSet() {
+		region = dopt.Region
+	}
+	accs, _, err := parseTile(p, h, bands, bodies[0], h.Layers, h.Levels, region, &tileDamage{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tileTasks(h, bands, accs, dopt)
+	return tileTasks(h, bands, accs)
 }
 
 // TestDecodeOneJobPerTask pins Tier-1 decode's job shape to the

@@ -3,6 +3,8 @@ package codec
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"j2kcell/internal/codestream"
 	"j2kcell/internal/dwt"
@@ -55,8 +57,9 @@ func Encode(ctx context.Context, img *imgmodel.Image, opt Options, workers int) 
 	p := NewPipelineContext(ctx, workers)
 	defer p.Close()
 	tiles := make([]tileCoded, len(grid))
+	plans := planTiles(grid, len(img.Comps), opt)
 	if len(grid) == 1 {
-		tiles[0] = p.encodeTile(img, grid[0], opt, constrained)
+		tiles[0] = p.encodeTile(img, grid[0], plans[0], opt, constrained)
 	} else {
 		// Tiles are fully independent: each is one job, its stages run
 		// inline on a one-worker pipeline bound to the same context, so
@@ -64,7 +67,7 @@ func Encode(ctx context.Context, img *imgmodel.Image, opt Options, workers int) 
 		p.run(obs.StageTile, 0, len(grid), func(i int) {
 			r := grid[i]
 			tp := NewPipelineContext(p.Context(), 1)
-			tiles[i] = tp.encodeTile(img.SubImage(r.X0, r.Y0, r.W, r.H), r, opt, constrained)
+			tiles[i] = tp.encodeTile(img.View(r.X0, r.Y0, r.W, r.H), r, plans[i], opt, constrained)
 			p.Fail(tp.Err())
 		})
 	}
@@ -78,14 +81,36 @@ func Encode(ctx context.Context, img *imgmodel.Image, opt Options, workers int) 
 	return finish(p.rec, img, opt, tiles), nil
 }
 
-// encodeTile runs one tile's transform and Tier-1 on p: MCT, DWT and
-// Tier1Int on the reversible path; MCT, DWT and Tier1Float, which
-// quantizes inside each block job, on the irreversible path. With
+// planTiles returns the block jobs of every tile of grid. Tiles of one
+// size share one plan — a grid has at most four sizes — which every
+// stage only reads.
+func planTiles(grid []Rect, ncomp int, opt Options) [][]BlockJob {
+	plans := make([][]BlockJob, len(grid))
+	var seen []int // the first tile of each size
+	for i, r := range grid {
+		for _, j := range seen {
+			if grid[j].W == r.W && grid[j].H == r.H {
+				plans[i] = plans[j]
+				break
+			}
+		}
+		if plans[i] == nil {
+			_, plans[i] = PlanBlocks(r.W, r.H, ncomp, opt)
+			seen = append(seen, i)
+		}
+	}
+	return plans
+}
+
+// encodeTile runs one tile's transform and Tier-1 on p: img is the
+// tile, a view of the source image on a multi-tile grid, and jobs its
+// block plan. MCT, DWT and Tier1Int run on the reversible path; MCT,
+// DWT and Tier1Float, which quantizes inside each block job, on the
+// irreversible path. With
 // constrained set, each block's R-D ladder and hull are built in its
 // Tier-1 job. The pooled planes are released before it returns, on
 // the fault path too; the caller checks p.Err before using the blocks.
-func (p *Pipeline) encodeTile(img *imgmodel.Image, r Rect, opt Options, constrained bool) tileCoded {
-	_, jobs := PlanBlocks(img.W, img.H, len(img.Comps), opt)
+func (p *Pipeline) encodeTile(img *imgmodel.Image, r Rect, jobs []BlockJob, opt Options, constrained bool) tileCoded {
 	var rd []rate.BlockRD
 	if constrained {
 		rd = make([]rate.BlockRD, len(jobs))
@@ -149,6 +174,17 @@ func finish(rec *obs.Recorder, img *imgmodel.Image, opt Options, tiles []tileCod
 	jobs, blocks, rd := tiles[0].jobs, tiles[0].blocks, tiles[0].rd
 	mb := ComputeMb(ncomp, nbands, jobs, blocks)
 	bounds := []int{0, len(blocks)}
+	if len(tiles) > 1 {
+		n := 0
+		for _, t := range tiles {
+			n += len(t.blocks)
+		}
+		jobs = append(make([]BlockJob, 0, n), jobs...)
+		blocks = append(make([]*t1.Block, 0, n), blocks...)
+		if rd != nil {
+			rd = append(make([]rate.BlockRD, 0, n), rd...)
+		}
+	}
 	for _, t := range tiles[1:] {
 		mergeMb(mb, ComputeMb(ncomp, nbands, t.jobs, t.blocks))
 		jobs = append(jobs, t.jobs...)
@@ -157,19 +193,17 @@ func finish(rec *obs.Recorder, img *imgmodel.Image, opt Options, tiles []tileCod
 		bounds = append(bounds, len(blocks))
 	}
 
+	// Tiles of one size code with the same precinct grids, which are
+	// reset and reused rather than rebuilt tile after tile.
+	precincts := map[[2]int][]*t2.Precinct{}
+	// build writes the codestream for one pass selection into buf, the
+	// one output buffer: the main header, then per tile its SOT/SOD,
+	// its packets — every kept Tier-1 byte copied once, straight from
+	// its block — and its patched Psot, then EOC. buf is sized up front
+	// from the kept bytes and reused by the overhead retries; build
+	// returns the stream and its packet bytes.
+	var buf []byte
 	build := func(keeps [][]int) ([]byte, int) {
-		sp := ln.Begin(obs.StageT2, 0, 0)
-		bodies := make([][]byte, len(tiles))
-		bodyBytes := 0
-		for i, t := range tiles {
-			tileKeeps := make([][]int, len(keeps))
-			for l := range keeps {
-				tileKeeps[l] = keeps[l][bounds[i]:bounds[i+1]]
-			}
-			bodies[i], _ = AssemblePackets(t.rect.W, t.rect.H, ncomp, opt, t.jobs, t.blocks, tileKeeps, mb)
-			bodyBytes += len(bodies[i])
-		}
-		sp.End()
 		head := &codestream.Header{
 			W: img.W, H: img.H, NComp: ncomp, Depth: img.Depth,
 			Levels: opt.Levels, CBW: opt.CBW, CBH: opt.CBH,
@@ -180,10 +214,28 @@ func finish(rec *obs.Recorder, img *imgmodel.Image, opt Options, tiles []tileCod
 			TermAll: mode.Base() == t1.ModeTermAll, SegSym: mode.SegSym(),
 			HT: opt.HT, BaseDelta: opt.BaseDelta, Mb: mb,
 		}
-		sp = ln.Begin(obs.StageFrame, 0, 0)
-		data := codestream.EncodeTiles(head, bodies)
+		buf = slices.Grow(buf[:0], streamBound(head, len(tiles), opt, blocks, keeps))
+		sp := ln.Begin(obs.StageFrame, 0, 0)
+		buf = codestream.AppendHeader(buf, head)
 		sp.End()
-		return data, bodyBytes
+		sp = ln.Begin(obs.StageT2, 0, 0)
+		bodyBytes := 0
+		tileKeeps := make([][]int, len(keeps))
+		for i, t := range tiles {
+			for l := range keeps {
+				tileKeeps[l] = keeps[l][bounds[i]:bounds[i+1]]
+			}
+			var sot int
+			buf, sot = codestream.AppendTilePart(buf, i)
+			n := len(buf)
+			size := [2]int{t.rect.W, t.rect.H}
+			buf, precincts[size] = appendPackets(buf, precincts[size], t.rect.W, t.rect.H, ncomp, opt, t.jobs, t.blocks, tileKeeps, mb)
+			bodyBytes += len(buf) - n
+			codestream.EndTilePart(buf, sot)
+		}
+		buf = codestream.AppendEOC(buf)
+		sp.End()
+		return buf, bodyBytes
 	}
 
 	rates := opt.layerRates()
@@ -356,23 +408,47 @@ func mergeMb(a, b [][]int) {
 // order and returns the M_b table used. keeps holds one cumulative
 // pass selection per quality layer; mbIn, when non-nil, supplies a
 // precomputed (global) M_b table — required for multi-tile streams,
-// whose header carries a single table.
+// whose header carries a single table. The encoder itself writes the
+// packets straight into its codestream buffer (appendPackets); this
+// form serves callers that time Tier-2 apart from framing.
 func AssemblePackets(w, h, ncomp int, opt Options, jobs []BlockJob, blocks []*t1.Block, keeps [][]int, mbIn [][]int) ([]byte, [][]int) {
+	mb := mbIn
+	if mb == nil {
+		mb = ComputeMb(ncomp, 3*opt.Levels+1, jobs, blocks)
+	}
+	body, _ := appendPackets(nil, nil, w, h, ncomp, opt, jobs, blocks, keeps, mb)
+	return body, mb
+}
+
+// appendPackets appends one tile's packets, in progression order, to
+// dst under the M_b table mb and returns the extended slice and the
+// tile's precincts, one per (component, band). precincts, when it
+// holds those of an earlier tile of the same size, is reset and coded
+// with again; nil builds new ones.
+func appendPackets(dst []byte, precincts []*t2.Precinct, w, h, ncomp int, opt Options, jobs []BlockJob, blocks []*t1.Block, keeps [][]int, mb [][]int) ([]byte, []*t2.Precinct) {
 	bands := dwt.Layout(w, h, opt.Levels)
 	nlayers := len(keeps)
 	finalKeep := keeps[nlayers-1]
-	mb := mbIn
-	if mb == nil {
-		mb = ComputeMb(ncomp, len(bands), jobs, blocks)
-	}
 
-	// Group jobs by (comp, band) for precinct filling.
-	type key struct{ c, b int }
-	byBand := map[key][]int{}
-	for i, j := range jobs {
-		k := key{j.Comp, j.BandIdx}
-		byBand[k] = append(byBand[k], i)
+	// Group the jobs by (comp, band) — band key c·nb+bi — for precinct
+	// filling: key k's jobs are byBand[first[k]:first[k+1]], in job
+	// order.
+	nb := len(bands)
+	first := make([]int, ncomp*nb+1)
+	for _, j := range jobs {
+		first[j.Comp*nb+j.BandIdx+1]++
 	}
+	for k := 1; k < len(first); k++ {
+		first[k] += first[k-1]
+	}
+	byBand := make([]int32, len(jobs))
+	next := slices.Clone(first[:len(first)-1])
+	for i, j := range jobs {
+		k := j.Comp*nb + j.BandIdx
+		byBand[next[k]] = int32(i)
+		next[k]++
+	}
+	bandJobs := func(c, bi int) []int32 { k := c*nb + bi; return byBand[first[k]:first[k+1]] }
 
 	// HT blocks also carry per-pass segment lengths in the packet
 	// headers: the cleanup/SigProp/MagRef byte streams are separately
@@ -383,13 +459,22 @@ func AssemblePackets(w, h, ncomp int, opt Options, jobs []BlockJob, blocks []*t1
 	}
 
 	// Persistent precinct state per (comp, band) across layers.
-	precincts := map[key]*t2.Precinct{}
+	if precincts == nil {
+		precincts = make([]*t2.Precinct, ncomp*nb)
+		for k := range precincts {
+			band := bands[k%nb]
+			precincts[k] = t2.NewPrecinct(ceilDiv(band.W, opt.CBW), ceilDiv(band.H, opt.CBH))
+		}
+	} else {
+		for _, p := range precincts {
+			p.Reset()
+		}
+	}
 	for c := 0; c < ncomp; c++ {
-		for bi, band := range bands {
-			gw := (band.W + opt.CBW - 1) / opt.CBW
-			gh := (band.H + opt.CBH - 1) / opt.CBH
-			p := t2.NewPrecinct(gw, gh)
-			for _, ji := range byBand[key{c, bi}] {
+		for bi := range bands {
+			p := precincts[c*nb+bi]
+			gw := p.W
+			for _, ji := range bandJobs(c, bi) {
 				j, blk := jobs[ji], blocks[ji]
 				if blk.NumBPS == 0 || finalKeep[ji] == 0 {
 					continue
@@ -402,23 +487,24 @@ func AssemblePackets(w, h, ncomp int, opt Options, jobs []BlockJob, blocks []*t1
 				}
 				p.ZeroBPs[j.GY*gw+j.GX] = int32(mb[c][bi] - blk.NumBPS)
 			}
-			precincts[key{c, bi}] = p
 		}
 	}
 
-	var body []byte
+	// A block contributes to at most one packet per layer, and each
+	// packet is written before the next is filled, so one contribution
+	// per block serves every layer, and one segment list every packet.
+	contribs := make([]t2.BlockContrib, len(jobs))
+	var segs []t2.Segment
 	pktSeq := 0
 	for _, lrc := range PacketOrder(opt.Progression, nlayers, opt.Levels, ncomp) {
 		l, r, c := lrc[0], lrc[1], lrc[2]
 		var pkt []*t2.Precinct
+		segs = segs[:0]
 		for _, bi := range ResBands(opt.Levels, r) {
-			band := bands[bi]
-			p := precincts[key{c, bi}]
-			for i := range p.Blocks {
-				p.Blocks[i] = nil
-			}
-			gw := (band.W + opt.CBW - 1) / opt.CBW
-			for _, ji := range byBand[key{c, bi}] {
+			p := precincts[c*nb+bi]
+			clear(p.Blocks)
+			gw := p.W
+			for _, ji := range bandJobs(c, bi) {
 				j, blk := jobs[ji], blocks[ji]
 				kPrev := 0
 				if l > 0 {
@@ -428,34 +514,106 @@ func AssemblePackets(w, h, ncomp int, opt Options, jobs []BlockJob, blocks []*t1
 				if k == kPrev || blk.NumBPS == 0 {
 					continue
 				}
-				contrib := &t2.BlockContrib{
-					NumPasses: k - kPrev,
-					ZeroBP:    mb[c][bi] - blk.NumBPS,
-				}
 				off := 0
 				if kPrev > 0 {
 					off = blk.Passes[kPrev-1].CumLen
 				}
-				contrib.Data = blk.Data[off:blk.Passes[k-1].CumLen]
+				contrib := &contribs[ji]
+				*contrib = t2.BlockContrib{
+					NumPasses: k - kPrev,
+					ZeroBP:    mb[c][bi] - blk.NumBPS,
+					Data:      blk.Data[off:blk.Passes[k-1].CumLen],
+				}
+				// Earlier contributions keep the segments they were
+				// given even when segs grows into a new array.
+				n := len(segs)
 				if style == t2.SegTermAll {
 					for _, ps := range blk.Passes[kPrev:k] {
-						contrib.Segments = append(contrib.Segments, t2.Segment{Passes: 1, Len: ps.SegLen})
+						segs = append(segs, t2.Segment{Passes: 1, Len: int(ps.SegLen)})
 					}
 				} else {
-					contrib.Segments = []t2.Segment{{Passes: k - kPrev, Len: len(contrib.Data)}}
+					segs = append(segs, t2.Segment{Passes: k - kPrev, Len: len(contrib.Data)})
 				}
+				contrib.Segments = segs[n:len(segs):len(segs)]
 				p.Blocks[j.GY*gw+j.GX] = contrib
 			}
 			pkt = append(pkt, p)
 		}
 		if opt.Resilience {
-			body = appendSOP(body, pktSeq)
+			dst = appendSOP(dst, pktSeq)
 			pktSeq++
 		}
-		body = append(body, t2.EncodePacketEPH(pkt, l, opt.Resilience)...)
+		dst = t2.EncodePacketEPH(dst, pkt, l, opt.Resilience)
 	}
-	return body, mb
+	return dst, precincts
 }
+
+// streamBound is the capacity finish gives its codestream buffer: the
+// framing, every kept Tier-1 byte and a bound on the packet headers.
+// Per packet that is one alignment byte, plus the SOP and EPH markers
+// of a resilient stream. Per block it is 4 bits of inclusion code a
+// layer, 8 of zero-plane code, the pass-count code and the Lblock
+// comma terminator of each contributing layer, the Lblock commas, and
+// for every coded segment length the most bits any of the block's
+// lengths needs (an Lblock only grows, so a later short segment may
+// cost as much as the longest). Bit stuffing adds at most one bit in
+// eight. A stream that outgrows the bound still encodes, one regrowth
+// later.
+func streamBound(head *codestream.Header, ntiles int, opt Options, blocks []*t1.Block, keeps [][]int) int {
+	nlayers := len(keeps)
+	npkt := ntiles * nlayers * (opt.Levels + 1) * head.NComp
+	perPkt := 1
+	if opt.Resilience {
+		perPkt += 6 + 2
+	}
+	n := codestream.HeaderLen(head) + ntiles*codestream.TilePartHeaderLen + codestream.EOCLen + npkt*perPkt
+	perPass := opt.Mode().Base() == t1.ModeTermAll || opt.Mode().IsHT()
+	final := keeps[nlayers-1]
+	hdr := 0 // packet-header bits
+	for i, b := range blocks {
+		hdr += 4 * nlayers
+		k := final[i]
+		if k == 0 {
+			continue
+		}
+		n += b.Passes[k-1].CumLen
+		nseg, prev := 0, 0
+		for l := range keeps {
+			if kl := keeps[l][i]; kl > prev {
+				hdr += passCountBits(kl-prev) + 1
+				nseg, prev = nseg+1, kl
+			}
+		}
+		lenBits := bitLen(b.Passes[k-1].CumLen) + bitLen(k) - 1
+		if perPass {
+			nseg, lenBits = k, 0
+			for _, ps := range b.Passes[:k] {
+				lenBits = max(lenBits, bitLen(int(ps.SegLen)))
+			}
+		}
+		hdr += 8 + max(lenBits-3, 0) + nseg*lenBits
+	}
+	return n + (hdr+hdr/8)/8 + 1
+}
+
+// passCountBits is the length of the packet-header code for n passes
+// (T.800 Table B.4).
+func passCountBits(n int) int {
+	switch {
+	case n == 1:
+		return 1
+	case n == 2:
+		return 2
+	case n <= 5:
+		return 4
+	case n <= 36:
+		return 9
+	}
+	return 16
+}
+
+// bitLen returns the bit length of v >= 0.
+func bitLen(v int) int { return bits.Len(uint(v)) }
 
 // appendSOP emits the 6-byte start-of-packet marker segment.
 func appendSOP(body []byte, seq int) []byte {

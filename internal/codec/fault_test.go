@@ -347,8 +347,8 @@ func TestBestEffortDemotesTileFaults(t *testing.T) {
 				}
 				td := rep.Tiles[0]
 				whole := Rect{X0: td.Index % 2 * tileSize, Y0: td.Index / 2 * tileSize, W: tileSize, H: tileSize}
-				if td.Region != whole || td.LostPackets != td.TotalPackets {
-					t.Fatalf("%s: tile %d region %+v, %d/%d packets lost; want the whole tile %+v lost",
+				if td.Region != whole || td.TotalPackets == 0 || td.LostPackets != td.TotalPackets {
+					t.Fatalf("%s: tile %d region %+v, %d/%d packets lost; want the whole tile %+v and all its packets lost",
 						name, td.Index, td.Region, td.LostPackets, td.TotalPackets, whole)
 				}
 				if len(td.Faults) != 1 || td.Faults[0].Stage != stage.String() {

@@ -94,7 +94,7 @@ func InspectLimits(data []byte, lim Limits) (*StreamInfo, error) {
 			return nil, tileErr(i, errTileMissing)
 		}
 		var dmg tileDamage
-		accs, packets, err := parseTile(p, h, dwt.Layout(r.W, r.H, h.Levels), bodies[i], h.Layers, h.Levels, &dmg)
+		accs, packets, err := parseTile(p, h, dwt.Layout(r.W, r.H, h.Levels), bodies[i], h.Layers, h.Levels, Rect{}, &dmg)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +106,7 @@ func InspectLimits(data []byte, lim Limits) (*StreamInfo, error) {
 			info.Packets = append(info.Packets, pk)
 		}
 		for k, acc := range accs {
-			st := &info.Bands[k.c*len(bands)+k.b]
+			st := &info.Bands[k]
 			for _, a := range acc {
 				if a != nil {
 					st.Blocks++

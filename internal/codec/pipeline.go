@@ -284,9 +284,11 @@ func stripeBounds(s, h int) (int, int) {
 
 // MCTInt is the reversible first stage: copy the components into pooled
 // working planes and apply the merged level shift + RCT (or the plain
-// shift) stripe-parallel. The returned planes come from the imgmodel
-// plane pool; the caller releases them with imgmodel.PutPlane once
-// Tier-1 has consumed them.
+// shift) stripe-parallel. The components may be views (a tile of a
+// larger image) whose stride differs from the working planes', so the
+// copy goes row by row, img.W samples each. The returned planes come
+// from the imgmodel plane pool; the caller releases them with
+// imgmodel.PutPlane once Tier-1 has consumed them.
 func (p *Pipeline) MCTInt(img *imgmodel.Image, opt Options) []*imgmodel.Plane {
 	w, h := img.W, img.H
 	planes := make([]*imgmodel.Plane, len(img.Comps))
@@ -298,7 +300,9 @@ func (p *Pipeline) MCTInt(img *imgmodel.Image, opt Options) []*imgmodel.Plane {
 		y0, y1 := stripeBounds(s, h)
 		for c, pl := range planes {
 			src := img.Comps[c]
-			copy(pl.Data[y0*pl.Stride:y1*pl.Stride], src.Data[y0*src.Stride:y1*src.Stride])
+			for y := y0; y < y1; y++ {
+				copy(pl.Row(y), src.Row(y))
+			}
 		}
 		if useMCT {
 			mct.ForwardRCTRows(planes[0].Data, planes[1].Data, planes[2].Data,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"j2kcell/internal/codestream"
+	"j2kcell/internal/dwt"
 	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/obs"
 )
@@ -99,51 +100,53 @@ func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOption
 		outW, outH = reg.W, reg.H
 	}
 
-	// decodeAt decodes tile i and returns the pixels it contributes to
-	// the output and where they go: the whole tile at reduced scale, or
-	// the tile's overlap with the Region. It returns no pixels for a
-	// tile outside the Region, which is not decoded at all, and for a
-	// tile that never arrived.
-	dmgs := make([]*tileDamage, len(grid))
-	decodeAt := func(ctx context.Context, i int, td DecodeOptions) (*imgmodel.Image, int, int, error) {
-		r := grid[i]
-		x, y := r.X0/scale, r.Y0/scale
-		if dopt.regionSet() {
-			lo := Rect{X0: max(reg.X0-r.X0, 0), Y0: max(reg.Y0-r.Y0, 0)} // tile-local overlap
-			lo.W = min(reg.X0+reg.W, r.X0+r.W) - (r.X0 + lo.X0)
-			lo.H = min(reg.Y0+reg.H, r.Y0+r.H) - (r.Y0 + lo.Y0)
-			if lo.W <= 0 || lo.H <= 0 {
-				return nil, 0, 0, nil
-			}
-			td.Region = lo
-			x, y = r.X0+lo.X0-reg.X0, r.Y0+lo.Y0-reg.Y0
+	// The output is allocated once, and every tile writes its pixels
+	// straight into their place in it. place returns the part of tile r
+	// the output takes — tile-local coordinates of its reconstruction:
+	// the whole tile at reduced scale, or its overlap with the Region —
+	// and where that part goes in the output; ok is false for a tile
+	// outside the Region, which is not decoded at all.
+	img = imgmodel.NewImage(outW, outH, h.NComp, h.Depth)
+	place := func(r Rect) (win Rect, x, y int, ok bool) {
+		if !dopt.regionSet() {
+			win.W, win.H = dwt.LevelDims(r.W, r.H, dopt.DiscardLevels)
+			return win, r.X0 / scale, r.Y0 / scale, true
 		}
-		if bodies[i] == nil {
-			return nil, 0, 0, nil
+		win = Rect{X0: max(reg.X0-r.X0, 0), Y0: max(reg.Y0-r.Y0, 0)}
+		win.W = min(reg.X0+reg.W, r.X0+r.W) - (r.X0 + win.X0)
+		win.H = min(reg.Y0+reg.H, r.Y0+r.H) - (r.Y0 + win.Y0)
+		return win, r.X0 + win.X0 - reg.X0, r.Y0 + win.Y0 - reg.Y0, win.W > 0 && win.H > 0
+	}
+	// decodeAt decodes tile i into its window of the output. A tile
+	// outside the Region and a tile that never arrived write nothing.
+	dmgs := make([]*tileDamage, len(grid))
+	decodeAt := func(ctx context.Context, i int, td DecodeOptions) error {
+		win, x, y, ok := place(grid[i])
+		if !ok || bodies[i] == nil {
+			return nil
+		}
+		if td.regionSet() {
+			td.Region = win
 		}
 		dmgs[i] = &tileDamage{}
-		tile, err := decodeTile(ctx, h, r.W, r.H, bodies[i], td, dmgs[i])
-		if err != nil || !dopt.regionSet() {
-			return tile, x, y, err
-		}
-		return tile.SubImage(td.Region.X0, td.Region.Y0, td.Region.W, td.Region.H), x, y, nil
+		return decodeTile(ctx, h, grid[i].W, grid[i].H, bodies[i], td, dmgs[i], img.View(x, y, win.W, win.H))
 	}
 
-	// A tile whose decode fails — cancellation aside — stays zero in
-	// the output and is reported lost whole.
+	// A tile whose decode fails — cancellation aside — is concealed
+	// whole: its window of the output is cleared below, and it is
+	// reported lost.
 	terrs := make([]error, len(grid))
 	if len(grid) == 1 {
-		img, _, _, terrs[0] = decodeAt(ctx, 0, dopt)
+		terrs[0] = decodeAt(ctx, 0, dopt)
 		if cerr := ctx.Err(); terrs[0] != nil && cerr != nil {
 			return nil, nil, nil, cerr
 		}
 	} else {
-		img = imgmodel.NewImage(outW, outH, h.NComp, h.Depth)
 		p := NewPipelineContext(ctx, dopt.Workers)
 		defer p.Close()
 		td := dopt
 		td.Workers = 1 // tiles are the parallel unit; inner stages run inline
-		// Tiles write disjoint regions of the output image. The retry
+		// Tiles write disjoint windows of the output image. The retry
 		// loop demotes tile-stage faults the same way the Tier-1 loop
 		// inside decodeTile demotes block-stage faults.
 		done := make([]bool, len(grid))
@@ -153,14 +156,12 @@ func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOption
 					return
 				}
 				done[i] = true
-				pix, x, y, terr := decodeAt(p.Context(), i, td)
-				switch {
-				case terr != nil && p.Context().Err() != nil:
-					p.Fail(terr)
-				case terr != nil:
-					terrs[i] = terr
-				case pix != nil:
-					img.Insert(pix, x, y)
+				if terr := decodeAt(p.Context(), i, td); terr != nil {
+					if p.Context().Err() != nil {
+						p.Fail(terr)
+					} else {
+						terrs[i] = terr
+					}
 				}
 			})
 			perr := p.Err()
@@ -182,9 +183,6 @@ func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOption
 			p.clearFault()
 		}
 	}
-	if img == nil {
-		img = imgmodel.NewImage(outW, outH, h.NComp, h.Depth) // the one tile is lost
-	}
 
 	// Aggregate per-tile damage into the report. Regions are absolute
 	// full-resolution image coordinates.
@@ -196,7 +194,12 @@ func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOption
 	ppt := len(PacketOrder(Progression(h.Progression), h.Layers, h.Levels, h.NComp))
 	for i, r := range grid {
 		dmg := dmgs[i]
-		if dmg == nil {
+		switch {
+		case dmg == nil && terrs[i] != nil:
+			// A fault hit the tile's job before its decode began: none
+			// of its packets was read.
+			dmg = &tileDamage{totalPackets: ppt}
+		case dmg == nil:
 			dmg = &tileDamage{}
 		}
 		whole := Rect{X0: r.X0, Y0: r.Y0, W: r.W, H: r.H}
@@ -222,7 +225,11 @@ func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOption
 		}
 		if terr := terrs[i]; terr != nil {
 			// The whole tile is concealed: whatever its packet walk
-			// salvaged never reached the image.
+			// salvaged, and whatever pixels it wrote before failing, are
+			// cleared from the image.
+			if win, x, y, ok := place(r); ok {
+				clearImage(img.View(x, y, win.W, win.H))
+			}
 			rep.LostPackets += dmg.totalPackets
 			rep.LostBlocks += dmg.totalBlocks
 			t.LostPackets, t.LostBlocks, t.Faults, t.Region = dmg.totalPackets, nil, nil, whole

@@ -48,20 +48,15 @@ type Header struct {
 	Mb           [][]int // [component][band] coded bit planes
 }
 
-func put16(b []byte, v int) { binary.BigEndian.PutUint16(b, uint16(v)) }
-func put32(b []byte, v int) { binary.BigEndian.PutUint32(b, uint32(v)) }
-
 func appendMarker(out []byte, code int) []byte {
-	return append(out, byte(code>>8), byte(code))
+	return binary.BigEndian.AppendUint16(out, uint16(code))
 }
 
-// appendSegment appends marker + 2-byte length (covering the length
-// field itself plus payload) + payload.
-func appendSegment(out []byte, code int, payload []byte) []byte {
-	out = appendMarker(out, code)
-	var l [2]byte
-	put16(l[:], len(payload)+2)
-	return append(append(out, l[:]...), payload...)
+// appendSegmentHead appends a marker and the 2-byte length of a
+// segment whose payload of n bytes the caller appends next (the length
+// covers the length field itself plus the payload).
+func appendSegmentHead(out []byte, code, n int) []byte {
+	return binary.BigEndian.AppendUint16(appendMarker(out, code), uint16(n+2))
 }
 
 // log2int returns log2 for exact powers of two.
@@ -74,27 +69,56 @@ func log2int(v int) int {
 	return n
 }
 
+// Framing sizes: a tile-part header is the 12-byte SOT marker segment
+// plus the SOD marker; EOC is one marker.
+const (
+	TilePartHeaderLen = 12 + 2
+	EOCLen            = 2
+)
+
+// HeaderLen returns the byte length AppendHeader writes for h: SOC and
+// the SIZ, COD and QCD marker segments.
+func HeaderLen(h *Header) int {
+	return 2 + (4 + 36 + 3*h.NComp) + (4 + 12) + (4 + 9 + h.NComp*(3*h.Levels+1))
+}
+
 // Encode wraps a single tile's packet body in a complete codestream.
 func Encode(h *Header, body []byte) []byte {
 	return EncodeTiles(h, [][]byte{body})
 }
 
 // EncodeTiles wraps one packet body per tile, emitting one SOT/SOD
-// tile-part per tile in index order.
+// tile-part per tile in index order, into one buffer sized up front.
+// It is the framing an encoder that writes its packets in place runs
+// piecewise: AppendHeader, then per tile AppendTilePart, the body and
+// EndTilePart, then AppendEOC.
 func EncodeTiles(h *Header, bodies [][]byte) []byte {
-	out := appendMarker(nil, SOC)
+	n := HeaderLen(h) + EOCLen
+	for _, body := range bodies {
+		n += TilePartHeaderLen + len(body)
+	}
+	out := AppendHeader(make([]byte, 0, n), h)
+	for i, body := range bodies {
+		var sot int
+		out, sot = AppendTilePart(out, i)
+		out = append(out, body...)
+		EndTilePart(out, sot)
+	}
+	return AppendEOC(out)
+}
+
+// AppendHeader appends the main header for h to dst: SOC, then the
+// SIZ, COD and QCD marker segments (HeaderLen bytes).
+func AppendHeader(dst []byte, h *Header) []byte {
+	be := binary.BigEndian
+	out := appendMarker(dst, SOC)
 
 	// SIZ.
-	siz := make([]byte, 36+3*h.NComp)
+	out = appendSegmentHead(out, SIZ, 36+3*h.NComp)
 	rsiz := 0
 	if h.HT {
 		rsiz = 0x4000 // Part 15 capability: HT code blocks present
 	}
-	put16(siz[0:], rsiz)
-	put32(siz[2:], h.W)
-	put32(siz[6:], h.H)
-	put32(siz[10:], 0) // XOsiz
-	put32(siz[14:], 0)
 	tw, th := h.TileW, h.TileH
 	if tw <= 0 || tw > h.W {
 		tw = h.W
@@ -102,82 +126,95 @@ func EncodeTiles(h *Header, bodies [][]byte) []byte {
 	if th <= 0 || th > h.H {
 		th = h.H
 	}
-	put32(siz[18:], tw)
-	put32(siz[22:], th)
-	put32(siz[26:], 0)
-	put32(siz[30:], 0)
-	put16(siz[34:], h.NComp)
+	out = be.AppendUint16(out, uint16(rsiz))
+	out = be.AppendUint32(out, uint32(h.W))
+	out = be.AppendUint32(out, uint32(h.H))
+	out = be.AppendUint32(out, 0) // XOsiz
+	out = be.AppendUint32(out, 0) // YOsiz
+	out = be.AppendUint32(out, uint32(tw))
+	out = be.AppendUint32(out, uint32(th))
+	out = be.AppendUint32(out, 0) // XTOsiz
+	out = be.AppendUint32(out, 0) // YTOsiz
+	out = be.AppendUint16(out, uint16(h.NComp))
 	for c := 0; c < h.NComp; c++ {
-		siz[36+3*c] = byte(h.Depth - 1) // Ssiz: unsigned, depth
-		siz[37+3*c] = 1                 // XRsiz
-		siz[38+3*c] = 1                 // YRsiz
+		// Ssiz (unsigned, depth), XRsiz, YRsiz.
+		out = append(out, byte(h.Depth-1), 1, 1)
 	}
-	out = appendSegment(out, SIZ, siz)
 
 	// COD.
-	cod := make([]byte, 12)
-	cod[0] = 0 // Scod: default precincts
+	scod := byte(0) // default precincts
 	if h.SOPMarkers {
-		cod[0] |= 0x02 // SOP marker segments used
-		cod[0] |= 0x04 // EPH markers used (emitted together)
+		scod |= 0x02 // SOP marker segments used
+		scod |= 0x04 // EPH markers used (emitted together)
 	}
-	cod[1] = byte(h.Progression)
 	layers := h.Layers
 	if layers < 1 {
 		layers = 1
 	}
-	put16(cod[2:], layers)
+	mctFlag := byte(0)
 	if h.UseMCT {
-		cod[4] = 1
+		mctFlag = 1
 	}
-	cod[5] = byte(h.Levels)
-	cod[6] = byte(log2int(h.CBW) - 2)
-	cod[7] = byte(log2int(h.CBH) - 2)
+	style := byte(0)
 	if h.TermAll {
-		cod[8] = 0x04 // code block style: terminate each pass
+		style = 0x04 // code block style: terminate each pass
 	}
 	if h.SegSym {
-		cod[8] |= 0x20 // code block style: segmentation symbols
+		style |= 0x20 // code block style: segmentation symbols
 	}
 	if h.HT {
-		cod[8] |= 0x40 // code block style: HT code blocks (HTDECLARED)
+		style |= 0x40 // code block style: HT code blocks (HTDECLARED)
 	}
+	transform := byte(0)
 	if h.Lossless {
-		cod[9] = 1 // 5/3 reversible
+		transform = 1 // 5/3 reversible
 	}
-	// cod[10:12] spare (precinct defaults).
-	out = appendSegment(out, COD, cod)
+	out = appendSegmentHead(out, COD, 12)
+	out = append(out, scod, byte(h.Progression))
+	out = be.AppendUint16(out, uint16(layers))
+	out = append(out, mctFlag, byte(h.Levels),
+		byte(log2int(h.CBW)-2), byte(log2int(h.CBH)-2), style, transform,
+		0, 0) // spare (precinct defaults)
 
 	// QCD (extended payload; see package comment).
 	nb := 3*h.Levels + 1
-	qcd := make([]byte, 1+8+h.NComp*nb)
+	out = appendSegmentHead(out, QCD, 9+h.NComp*nb)
+	sqcd := byte(0x22) // scalar expounded
 	if h.Lossless {
-		qcd[0] = 0x20 // no quantization
-	} else {
-		qcd[0] = 0x22 // scalar expounded
+		sqcd = 0x20 // no quantization
 	}
-	binary.BigEndian.PutUint64(qcd[1:], math.Float64bits(h.BaseDelta))
+	out = append(out, sqcd)
+	out = be.AppendUint64(out, math.Float64bits(h.BaseDelta))
 	for c := 0; c < h.NComp; c++ {
 		for b := 0; b < nb; b++ {
-			qcd[9+c*nb+b] = byte(h.Mb[c][b])
+			out = append(out, byte(h.Mb[c][b]))
 		}
 	}
-	out = appendSegment(out, QCD, qcd)
-
-	// One SOT/SOD tile-part per tile.
-	for i, body := range bodies {
-		sot := make([]byte, 8)
-		put16(sot[0:], i)              // Isot
-		put32(sot[2:], 12+2+len(body)) // Psot: SOT segment + SOD + body
-		sot[6] = 0                     // TPsot
-		sot[7] = 1                     // TNsot
-		out = appendSegment(out, SOT, sot)
-		out = appendMarker(out, SOD)
-		out = append(out, body...)
-	}
-	out = appendMarker(out, EOC)
 	return out
 }
+
+// AppendTilePart appends the header of tile isot's one tile-part to
+// dst — its SOT marker segment, with Psot left for EndTilePart to
+// fill, and the SOD marker — and returns the extended slice and the
+// offset of the SOT marker. The tile's packets go after it.
+func AppendTilePart(dst []byte, isot int) ([]byte, int) {
+	sot := len(dst)
+	out := appendSegmentHead(dst, SOT, 8)
+	out = binary.BigEndian.AppendUint16(out, uint16(isot))
+	out = binary.BigEndian.AppendUint32(out, 0) // Psot, patched by EndTilePart
+	out = append(out, 0, 1)                     // TPsot, TNsot
+	return appendMarker(out, SOD), sot
+}
+
+// EndTilePart closes the tile-part whose SOT marker starts at offset
+// sot of buf and runs to the end of buf: it writes Psot, the length of
+// the SOT segment, SOD and the packets.
+func EndTilePart(buf []byte, sot int) {
+	binary.BigEndian.PutUint32(buf[sot+6:], uint32(len(buf)-sot))
+}
+
+// AppendEOC appends the end-of-codestream marker.
+func AppendEOC(dst []byte) []byte { return appendMarker(dst, EOC) }
 
 // DecodeTiles parses a codestream, returning the header and every
 // tile's packet body in tile-index order, under DefaultLimits.

@@ -164,8 +164,8 @@ func (img *Image) PSNR(rec *Image) float64 {
 	return 10 * math.Log10(peak*peak/mse)
 }
 
-// SubImage copies the rectangle (x0, y0, w, h) into a new image —
-// used to carve tiles for independent coding.
+// SubImage copies the rectangle (x0, y0, w, h) into a new image. The
+// codec reads and writes rectangles through View instead.
 func (img *Image) SubImage(x0, y0, w, h int) *Image {
 	out := NewImage(w, h, len(img.Comps), img.Depth)
 	for c, p := range img.Comps {
@@ -176,11 +176,34 @@ func (img *Image) SubImage(x0, y0, w, h int) *Image {
 	return out
 }
 
-// Insert copies src into img at (x0, y0).
-func (img *Image) Insert(src *Image, x0, y0 int) {
-	for c, p := range src.Comps {
-		for y := 0; y < p.H; y++ {
-			copy(img.Comps[c].Row(y0 + y)[x0:], p.Row(y))
-		}
+// View returns the w×h rectangle at (x0, y0) of img without copying:
+// every component of the view is a Plane view (Plane.View) sharing
+// img's samples, so writes through the view land in img. The codec
+// reads tiles through views and writes decoded tiles and windows into
+// their place in the output through them.
+func (img *Image) View(x0, y0, w, h int) *Image {
+	out := &Image{W: w, H: h, Depth: img.Depth, Comps: make([]*Plane, len(img.Comps))}
+	for c, p := range img.Comps {
+		out.Comps[c] = p.View(x0, y0, w, h)
 	}
+	return out
+}
+
+// View returns the w×h rectangle at (x0, y0) of p without copying:
+// its Data starts at sample (x0, y0) and keeps p's Stride, so row r of
+// the view is row y0+r of p from column x0. A view's rows are not
+// contiguous in general — copy it row by row, never as one block —
+// and a view must never go to PutPlane: the pool would hand p's
+// samples to another user.
+func (p *Plane) View(x0, y0, w, h int) *Plane {
+	off := y0*p.Stride + x0
+	end := off + (h-1)*p.Stride + w
+	return &Plane{Data: p.Data[off:end:end], W: w, H: h, Stride: p.Stride}
+}
+
+// View is the float analogue of Plane.View, under the same rules.
+func (p *FPlane) View(x0, y0, w, h int) *FPlane {
+	off := y0*p.Stride + x0
+	end := off + (h-1)*p.Stride + w
+	return &FPlane{Data: p.Data[off:end:end], W: w, H: h, Stride: p.Stride}
 }

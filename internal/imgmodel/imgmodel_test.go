@@ -93,31 +93,53 @@ func TestPSNR(t *testing.T) {
 	}
 }
 
-func TestSubImageInsertRoundTrip(t *testing.T) {
-	img := NewImage(20, 15, 3, 8)
+// TestSubImageAndView pins the two ways to address a rectangle:
+// SubImage copies it into an image of its own, View aliases it, so
+// reads see the parent's samples and writes land in the parent.
+func TestSubImageAndView(t *testing.T) {
+	img := NewImage(40, 15, 3, 8)
 	for c, p := range img.Comps {
 		for y := 0; y < 15; y++ {
-			for x := 0; x < 20; x++ {
-				p.Set(y, x, int32(c*100+y*20+x))
+			for x := 0; x < 40; x++ {
+				p.Set(y, x, int32(c*1000+y*40+x))
 			}
 		}
 	}
 	sub := img.SubImage(5, 3, 8, 6)
-	if sub.W != 8 || sub.H != 6 || sub.Comps[1].At(0, 0) != 100+3*20+5 {
+	if sub.W != 8 || sub.H != 6 || sub.Comps[1].At(0, 0) != 1000+3*40+5 {
 		t.Fatalf("SubImage wrong: %d", sub.Comps[1].At(0, 0))
 	}
-	blank := NewImage(20, 15, 3, 8)
-	blank.Insert(sub, 5, 3)
-	for c := range img.Comps {
-		for y := 3; y < 9; y++ {
-			for x := 5; x < 13; x++ {
-				if blank.Comps[c].At(y, x) != img.Comps[c].At(y, x) {
-					t.Fatal("Insert misplaced data")
+	v := img.View(5, 3, 8, 6)
+	if !v.Equal(sub) {
+		t.Fatal("View reads differ from the SubImage copy")
+	}
+	if v.Comps[0].Stride != img.Comps[0].Stride || len(v.Comps[0].Data) != 5*img.Comps[0].Stride+8 {
+		t.Fatalf("view stride %d, %d samples: want the parent's stride and no samples past the last row",
+			v.Comps[0].Stride, len(v.Comps[0].Data))
+	}
+	for c, p := range v.Comps {
+		for y := 0; y < 6; y++ {
+			for x := range p.Row(y) {
+				p.Set(y, x, -int32(c+1))
+			}
+		}
+	}
+	for c, p := range img.Comps {
+		for y := 0; y < 15; y++ {
+			for x := 0; x < 40; x++ {
+				in := x >= 5 && x < 13 && y >= 3 && y < 9
+				if got := p.At(y, x); (got == -int32(c+1)) != in {
+					t.Fatalf("comp %d (%d,%d) = %d after writing the view", c, x, y, got)
 				}
 			}
 		}
 	}
-	if blank.Comps[0].At(0, 0) != 0 {
-		t.Fatal("Insert touched outside the rectangle")
+	if sub.Comps[0].At(0, 0) != 3*40+5 {
+		t.Fatal("writing the view changed the SubImage copy")
+	}
+	fp := NewFPlane(40, 15)
+	fp.Set(4, 7, 2.5)
+	if fv := fp.View(6, 4, 3, 2); fv.At(0, 1) != 2.5 || fv.Stride != fp.Stride {
+		t.Fatal("FPlane view misplaced")
 	}
 }

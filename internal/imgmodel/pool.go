@@ -58,9 +58,10 @@ func GetPlane(w, h int) *Plane {
 	return p
 }
 
-// PutPlane recycles a plane obtained from GetPlane (or anywhere else —
-// the pool adopts its backing array). The caller must not retain any
-// reference into p.Data.
+// PutPlane recycles a plane obtained from GetPlane (or any plane that
+// owns its samples — the pool adopts its backing array). The caller
+// must not retain any reference into p.Data. A view (Plane.View) owns
+// nothing and never goes here.
 func PutPlane(p *Plane) {
 	if p != nil {
 		planePool.Put(p)
@@ -88,8 +89,8 @@ func GetFPlane(w, h int) *FPlane {
 	return p
 }
 
-// PutFPlane recycles a float plane. The caller must not retain any
-// reference into p.Data.
+// PutFPlane recycles a float plane that owns its samples. The caller
+// must not retain any reference into p.Data; views never go here.
 func PutFPlane(p *FPlane) {
 	if p != nil {
 		fplanePool.Put(p)

@@ -324,14 +324,21 @@ type Decoder struct {
 
 // NewDecoder initializes a decoder over one codeword segment.
 func NewDecoder(data []byte) *Decoder {
-	d := &Decoder{data: data}
+	d := &Decoder{}
+	d.Reset(data)
+	return d
+}
+
+// Reset restarts d over a new codeword segment, as NewDecoder would,
+// so one decoder serves segment after segment without an allocation.
+func (d *Decoder) Reset(data []byte) {
+	*d = Decoder{data: data}
 	d.c = uint32(d.byteAt(0)) << 16
 	d.bp = 0
 	d.byteIn()
 	d.c <<= 7
 	d.ct -= 7
 	d.a = 0x8000
-	return d
 }
 
 // byteAt returns data[i], or 0xFF past the end.

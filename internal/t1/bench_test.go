@@ -91,7 +91,7 @@ func Benchmark_HTDecodeBlock(b *testing.B) {
 				blk := Encode(coef, n, n, n, dwt.HL, mode, 1.0)
 				segLens := make([]int, len(blk.Passes))
 				for i, p := range blk.Passes {
-					segLens[i] = p.SegLen
+					segLens[i] = int(p.SegLen)
 				}
 				out := make([]int32, n*n)
 				name := "ht"

@@ -14,7 +14,7 @@ import (
 // same flag state), keeping the two in lockstep on the bitstream.
 type decoder struct {
 	*coder
-	mq        *mq.Decoder
+	mq        mq.Decoder
 	lastPlane []int8 // lowest plane at which each coefficient was coded
 }
 
@@ -42,7 +42,7 @@ func Decode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS
 		return fmt.Errorf("t1: %d passes but only %d segment lengths", numPasses, len(segLens))
 	}
 	if mode.Base() == ModeSingle {
-		d.mq = mq.NewDecoder(data)
+		d.mq.Reset(data)
 	}
 
 	pass, off := 0, 0
@@ -54,7 +54,7 @@ func Decode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS
 		if off+n > len(data) {
 			n = len(data) - off
 		}
-		d.mq = mq.NewDecoder(data[off : off+n])
+		d.mq.Reset(data[off : off+n])
 		off += n
 	}
 

@@ -2,6 +2,7 @@ package t1
 
 import (
 	"math/bits"
+	"slices"
 
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/mq"
@@ -13,7 +14,7 @@ type encoder struct {
 	*coder
 	mq    mq.Encoder
 	mode  Mode
-	out   []byte  // concatenated segments
+	out   []byte  // concatenated segments, staged across blocks
 	gain2 float64 // squared synthesis gain for distortion weighting
 
 	// stripeOR[s*w+x] is the OR of the magnitudes of the (up to) four
@@ -89,7 +90,10 @@ func Encode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain f
 		return blk
 	}
 
-	e.coder, e.mode, e.gain2, e.out = c, mode, gain*gain, nil
+	// A cleanup pass on every plane and a significance and refinement
+	// pass below the top one: the pass list has its exact length.
+	blk.Passes = make([]Pass, 0, 3*numBPS-2)
+	e.coder, e.mode, e.gain2, e.out = c, mode, gain*gain, e.out[:0]
 	e.mq.Reset()
 
 	for p := numBPS - 1; p >= 0; p-- {
@@ -104,9 +108,11 @@ func Encode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain f
 		for i := range blk.Passes {
 			blk.Passes[i].CumLen = len(e.out) // only the whole thing is decodable
 		}
-		blk.Passes[len(blk.Passes)-1].SegLen = len(e.out)
+		blk.Passes[len(blk.Passes)-1].SegLen = int32(len(e.out))
 	}
-	blk.Data = e.out
+	// The segments were staged in the pooled encoder's buffer; the block
+	// keeps one copy at its exact size.
+	blk.Data = slices.Clone(e.out)
 	// Drained for every coded block, so the pooled MQ encoder never
 	// carries a count into the next one.
 	blk.Renorms = e.mq.TakeRenorms()
@@ -133,11 +139,11 @@ func (e *encoder) runPass(blk *Block, t PassType, plane int) {
 		}
 	}
 	e.mq.EncodeBatch(e.ops, e.cx[:])
-	ps := Pass{Type: t, Plane: plane, DistDelta: e.distDelta, Scanned: e.scanned, Coded: len(e.ops)}
+	ps := Pass{Type: t, Plane: int8(plane), DistDelta: e.distDelta, Scanned: int32(e.scanned), Coded: int32(len(e.ops))}
 	if e.mode.Base() == ModeTermAll {
 		seg := e.mq.Flush()
 		e.out = append(e.out, seg...)
-		ps.SegLen = len(seg)
+		ps.SegLen = int32(len(seg))
 		ps.CumLen = len(e.out)
 		e.mq.Reset()
 		// TERMALL restarts only the MQ codeword, not the contexts.

@@ -36,7 +36,7 @@ func FuzzT1RoundTrip(f *testing.F) {
 		blk := Encode(coef, w, h, w, orient, mode, 1.0)
 		segLens := make([]int, len(blk.Passes))
 		for i, p := range blk.Passes {
-			segLens[i] = p.SegLen
+			segLens[i] = int(p.SegLen)
 		}
 		got := make([]int32, w*h)
 		if err := Decode(got, w, h, w, orient, mode, blk.NumBPS, len(blk.Passes), blk.Data, segLens); err != nil {

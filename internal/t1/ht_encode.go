@@ -87,6 +87,7 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 	if mode == ModeHTRefine && numBPS >= 2 {
 		pCup = 1
 	}
+	blk.Passes = make([]Pass, 0, 1+2*pCup) // cleanup, then SigProp and MagRef
 	nw := (w + 63) >> 6
 	// No clear: the kernel writes every word of each row's sets.
 	e.nz = slices.Grow(e.nz[:0], h*nw)[:h*nw]
@@ -112,8 +113,8 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 		byte(lenVLC), byte(lenVLC>>8), byte(lenVLC>>16),
 		byte(pCup))
 	blk.Passes = append(blk.Passes, Pass{
-		Type: PassCln, Plane: pCup, CumLen: len(out), SegLen: len(out),
-		DistDelta: dd, Scanned: w * h, Coded: nSig,
+		Type: PassCln, Plane: int8(pCup), CumLen: len(out), SegLen: int32(len(out)),
+		DistDelta: dd, Scanned: int32(w * h), Coded: int32(nSig),
 	})
 
 	if pCup == 1 {
@@ -126,8 +127,8 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 		seg := len(e.refine.buf)
 		out = append(out, e.refine.buf...)
 		blk.Passes = append(blk.Passes, Pass{
-			Type: PassSig, Plane: 0, CumLen: len(out), SegLen: seg,
-			DistDelta: dd, Scanned: w * h, Coded: coded,
+			Type: PassSig, Plane: 0, CumLen: len(out), SegLen: int32(seg),
+			DistDelta: dd, Scanned: int32(w * h), Coded: int32(coded),
 		})
 		e.refine.reset()
 		dd, coded = e.magRef(h*nw, gain2)
@@ -135,8 +136,8 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 		seg = len(e.refine.buf)
 		out = append(out, e.refine.buf...)
 		blk.Passes = append(blk.Passes, Pass{
-			Type: PassRef, Plane: 0, CumLen: len(out), SegLen: seg,
-			DistDelta: dd, Scanned: w * h, Coded: coded,
+			Type: PassRef, Plane: 0, CumLen: len(out), SegLen: int32(seg),
+			DistDelta: dd, Scanned: int32(w * h), Coded: int32(coded),
 		})
 	}
 	blk.Data = out

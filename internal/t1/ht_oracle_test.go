@@ -211,8 +211,8 @@ func oracleEncodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode
 		byte(lenVLC), byte(lenVLC>>8), byte(lenVLC>>16),
 		byte(pCup))
 	blk.Passes = append(blk.Passes, Pass{
-		Type: PassCln, Plane: pCup, CumLen: len(out), SegLen: len(out),
-		DistDelta: dd, Scanned: w * h, Coded: nSig,
+		Type: PassCln, Plane: int8(pCup), CumLen: len(out), SegLen: int32(len(out)),
+		DistDelta: dd, Scanned: int32(w * h), Coded: int32(nSig),
 	})
 
 	if pCup == 1 {
@@ -221,8 +221,8 @@ func oracleEncodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode
 		seg := len(e.refine.buf)
 		out = append(out, e.refine.buf...)
 		blk.Passes = append(blk.Passes, Pass{
-			Type: PassSig, Plane: 0, CumLen: len(out), SegLen: seg,
-			DistDelta: dd, Scanned: w * h, Coded: coded,
+			Type: PassSig, Plane: 0, CumLen: len(out), SegLen: int32(seg),
+			DistDelta: dd, Scanned: int32(w * h), Coded: int32(coded),
 		})
 		e.refine = oracleWriter{}
 		dd, coded = e.magRef(c, w, h, gain2)
@@ -230,8 +230,8 @@ func oracleEncodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode
 		seg = len(e.refine.buf)
 		out = append(out, e.refine.buf...)
 		blk.Passes = append(blk.Passes, Pass{
-			Type: PassRef, Plane: 0, CumLen: len(out), SegLen: seg,
-			DistDelta: dd, Scanned: w * h, Coded: coded,
+			Type: PassRef, Plane: 0, CumLen: len(out), SegLen: int32(seg),
+			DistDelta: dd, Scanned: int32(w * h), Coded: int32(coded),
 		})
 	}
 	blk.Data = out
@@ -920,7 +920,7 @@ func TestHTDecodeMatchesOracle(t *testing.T) {
 					blk := Encode(coef, w, h, w, o, mode, 1)
 					segLens := make([]int, len(blk.Passes))
 					for i, p := range blk.Passes {
-						segLens[i] = p.SegLen
+						segLens[i] = int(p.SegLen)
 					}
 					short := make([]int, len(segLens))
 					for i, n := range segLens {

@@ -149,7 +149,7 @@ func roundTripHT(t *testing.T, coef []int32, w, h int, orient dwt.Orient, mode M
 	}
 	segLens := make([]int, len(blk.Passes))
 	for i, p := range blk.Passes {
-		segLens[i] = p.SegLen
+		segLens[i] = int(p.SegLen)
 	}
 	got := make([]int32, w*h)
 	if err := Decode(got, w, h, w, orient, mode, blk.NumBPS, passes, blk.Data, segLens); err != nil {
@@ -328,7 +328,7 @@ func TestHTPropRoundTrip(t *testing.T) {
 		blk := Encode(coef, w, h, w, orient, mode, 1.0)
 		segLens := make([]int, len(blk.Passes))
 		for i, p := range blk.Passes {
-			segLens[i] = p.SegLen
+			segLens[i] = int(p.SegLen)
 		}
 		got := make([]int32, w*h)
 		if err := Decode(got, w, h, w, orient, mode, blk.NumBPS, len(blk.Passes), blk.Data, segLens); err != nil {
@@ -379,7 +379,7 @@ func FuzzHTRoundTrip(f *testing.F) {
 		blk := Encode(coef, w, h, w, orient, mode, 1.0)
 		segLens := make([]int, len(blk.Passes))
 		for i, p := range blk.Passes {
-			segLens[i] = p.SegLen
+			segLens[i] = int(p.SegLen)
 		}
 		got := make([]int32, w*h)
 		if err := Decode(got, w, h, w, orient, mode, blk.NumBPS, len(blk.Passes), blk.Data, segLens); err != nil {

@@ -31,11 +31,11 @@ func getEncoder() *encoder {
 	return e
 }
 
-// putEncoder recycles an encoder after detaching everything the caller
-// keeps (the output slice) or that the coder pool owns separately.
+// putEncoder recycles an encoder after detaching the coder, which the
+// coder pool owns separately. The segment staging buffer stays: each
+// block's Data is a copy of it.
 func putEncoder(e *encoder) {
 	e.coder = nil
-	e.out = nil
 	encoderPool.Put(e)
 }
 

@@ -77,7 +77,7 @@ func (m Mode) Base() Mode { return m &^ segSymFlag }
 func (m Mode) IsHT() bool { b := m.Base(); return b == ModeHT || b == ModeHTRefine }
 
 // PassType identifies one of the three coding passes.
-type PassType int
+type PassType uint8
 
 // Pass types in coding order within a bit plane.
 const (
@@ -98,15 +98,17 @@ func (p PassType) String() string {
 	return fmt.Sprintf("PassType(%d)", int(p))
 }
 
-// Pass describes one coding pass of an encoded block.
+// Pass describes one coding pass of an encoded block. Every coded
+// block keeps one per pass (3·NumBPS−2 on the MQ path), so the fields
+// are as narrow as a 64×64 block allows: 32 bytes a pass.
 type Pass struct {
-	Type      PassType
-	Plane     int     // bit plane index (0 = LSB)
-	CumLen    int     // cumulative segment bytes through this pass
-	SegLen    int     // this pass's own segment length (ModeTermAll)
-	DistDelta float64 // weighted distortion reduction of this pass
-	Scanned   int     // coefficients examined
-	Coded     int     // MQ decisions coded
+	CumLen    int      // cumulative segment bytes through this pass
+	DistDelta float64  // weighted distortion reduction of this pass
+	SegLen    int32    // this pass's own segment length (ModeTermAll)
+	Scanned   int32    // coefficients examined
+	Coded     int32    // MQ decisions coded
+	Plane     int8     // bit plane index (0 = LSB)
+	Type      PassType // coding pass
 }
 
 // Block is the Tier-1 encoding of one code block.
@@ -127,7 +129,7 @@ type Block struct {
 func (b *Block) TotalScanned() int {
 	n := 0
 	for _, p := range b.Passes {
-		n += p.Scanned
+		n += int(p.Scanned)
 	}
 	return n
 }
@@ -136,7 +138,7 @@ func (b *Block) TotalScanned() int {
 func (b *Block) TotalCoded() int {
 	n := 0
 	for _, p := range b.Passes {
-		n += p.Coded
+		n += int(p.Coded)
 	}
 	return n
 }

@@ -40,7 +40,7 @@ func roundTripBlock(t *testing.T, coef []int32, w, h int, orient dwt.Orient, mod
 	got := make([]int32, w*h)
 	segLens := make([]int, len(blk.Passes))
 	for i, p := range blk.Passes {
-		segLens[i] = p.SegLen
+		segLens[i] = int(p.SegLen)
 	}
 	if err := Decode(got, w, h, w, orient, mode, blk.NumBPS, len(blk.Passes), blk.Data, segLens); err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestPropRoundTrip(t *testing.T) {
 		got := make([]int32, w*h)
 		segLens := make([]int, len(blk.Passes))
 		for i, p := range blk.Passes {
-			segLens[i] = p.SegLen
+			segLens[i] = int(p.SegLen)
 		}
 		if err := Decode(got, w, h, w, orient, mode, blk.NumBPS, len(blk.Passes), blk.Data, segLens); err != nil {
 			return false
@@ -208,7 +208,7 @@ func TestTruncatedDecodeImprovesWithPasses(t *testing.T) {
 	blk := Encode(coef, 64, 64, 64, dwt.HL, ModeTermAll, 1.0)
 	segLens := make([]int, len(blk.Passes))
 	for i, p := range blk.Passes {
-		segLens[i] = p.SegLen
+		segLens[i] = int(p.SegLen)
 	}
 	mse := func(n int) float64 {
 		got := make([]int32, 64*64)

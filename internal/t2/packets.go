@@ -10,6 +10,7 @@ package t2
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Segment is one terminated codeword segment of a block's contribution:
@@ -58,22 +59,34 @@ const NeverIncluded = int32(1) << 28
 // w or h may be zero for empty bands.
 func NewPrecinct(w, h int) *Precinct {
 	p := &Precinct{W: w, H: h}
-	if w > 0 && h > 0 {
-		p.Blocks = make([]*BlockContrib, w*h)
-		p.FirstIncl = make([]int32, w*h)
-		p.ZeroBPs = make([]int32, w*h)
-		for i := range p.FirstIncl {
-			p.FirstIncl[i] = NeverIncluded
-		}
+	if n := w * h; n > 0 {
+		p.Blocks = make([]*BlockContrib, n)
+		// The three per-block registers share one array.
+		regs := make([]int32, 3*n)
+		p.FirstIncl, p.ZeroBPs, p.lblock = regs[:n:n], regs[n:2*n:2*n], regs[2*n:]
 		p.incl = NewTagTree(w, h)
 		p.zbp = NewTagTree(w, h)
-		p.lblock = make([]int32, w*h)
-		p.included = make([]bool, w*h)
-		for i := range p.lblock {
-			p.lblock[i] = 3
-		}
+		p.included = make([]bool, n)
+		p.Reset()
 	}
 	return p
+}
+
+// Reset returns p to the state NewPrecinct left it in, so one precinct
+// can code tile after tile of the same block grid: no contributions,
+// every block never included, Lblock 3, tag trees reloaded on the
+// next packet.
+func (p *Precinct) Reset() {
+	clear(p.Blocks)
+	for i := range p.FirstIncl {
+		p.FirstIncl[i] = NeverIncluded
+	}
+	clear(p.ZeroBPs)
+	for i := range p.lblock {
+		p.lblock[i] = 3
+	}
+	clear(p.included)
+	p.prepared = false
 }
 
 const tagUnknown = 1 << 29
@@ -198,15 +211,19 @@ func writeLengths(w *BitWriter, lb *int32, segs []Segment) {
 	}
 }
 
-// EncodePacketEPH writes the packet for one resolution at the given
-// layer: the header coding every band's block grid, then the
-// concatenated block bodies. Precinct state (tag trees, Lblock,
-// inclusion) persists across calls with increasing layer. With eph an
-// EPH (end of packet header, FF92) marker goes between the header and
-// the body — the error-resilience aid that lets a decoder confirm the
-// header/body boundary.
-func EncodePacketEPH(precincts []*Precinct, layer int, eph bool) []byte {
-	var w BitWriter
+// EncodePacketEPH appends the packet for one resolution at the given
+// layer to dst and returns the extended slice: the header coding every
+// band's block grid, then the concatenated block bodies. The header
+// bits are written straight into dst, so a caller that sizes dst for
+// the whole codestream gets every packet byte written exactly once.
+// Precinct state (tag trees, Lblock, inclusion) persists across calls
+// with increasing layer. With eph an EPH (end of packet header, FF92)
+// marker goes between the header and the body — the error-resilience
+// aid that lets a decoder confirm the header/body boundary.
+func EncodePacketEPH(dst []byte, precincts []*Precinct, layer int, eph bool) []byte {
+	// Bit stuffing restarts with the packet: the writer's last-byte
+	// state is its own, whatever dst ends with.
+	w := BitWriter{buf: dst}
 	nonEmpty := false
 	for _, p := range precincts {
 		for _, b := range p.Blocks {
@@ -316,7 +333,6 @@ func DecodePacketEPH(data []byte, precincts []*Precinct, layer int, style SegSty
 		}
 		return n, nil
 	}
-	var order []*BlockContrib
 	for _, p := range precincts {
 		p.prepareDecode()
 		for y := 0; y < p.H; y++ {
@@ -367,12 +383,17 @@ func DecodePacketEPH(data []byte, precincts []*Precinct, layer int, style SegSty
 					}
 					*lb++
 				}
-				segs := []Segment{{Passes: b.NumPasses}}
+				// The segment list reuses the block's array from earlier
+				// layers: a contribution is only valid until the next
+				// packet of its precinct.
+				segs := b.Segments[:0]
 				if style == SegTermAll {
-					segs = segs[:0]
+					segs = slices.Grow(segs, b.NumPasses)
 					for j := 0; j < b.NumPasses; j++ {
 						segs = append(segs, Segment{Passes: 1})
 					}
+				} else {
+					segs = append(segs, Segment{Passes: b.NumPasses})
 				}
 				for j := range segs {
 					v, err := r.ReadBits(int(*lb) + floorLog2(segs[j].Passes))
@@ -382,7 +403,6 @@ func DecodePacketEPH(data []byte, precincts []*Precinct, layer int, style SegSty
 					segs[j].Len = int(v)
 				}
 				b.Segments = segs
-				order = append(order, b)
 			}
 		}
 	}
@@ -394,16 +414,23 @@ func DecodePacketEPH(data []byte, precincts []*Precinct, layer int, style SegSty
 		}
 		off += 2
 	}
-	for _, b := range order {
-		n := 0
-		for _, s := range b.Segments {
-			n += s.Len
+	// The bodies follow in header order: every contributing block of
+	// every precinct, raster order within each.
+	for _, p := range precincts {
+		for _, b := range p.Blocks {
+			if b == nil || b.NumPasses == 0 {
+				continue
+			}
+			n := 0
+			for _, s := range b.Segments {
+				n += s.Len
+			}
+			if off+n > len(data) {
+				return 0, fmt.Errorf("t2: packet body truncated: need %d bytes at %d of %d", n, off, len(data))
+			}
+			b.Data = data[off : off+n]
+			off += n
 		}
-		if off+n > len(data) {
-			return 0, fmt.Errorf("t2: packet body truncated: need %d bytes at %d of %d", n, off, len(data))
-		}
-		b.Data = data[off : off+n]
-		off += n
 	}
 	return off, nil
 }

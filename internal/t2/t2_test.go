@@ -1,6 +1,8 @@
 package t2
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -239,7 +241,7 @@ func TestPacketRoundTrip(t *testing.T) {
 			buildPrecinct(rng, 1, 4, style),
 			buildPrecinct(rng, 2, 2, style),
 		}
-		pkt := EncodePacketEPH(encP, 0, false)
+		pkt := EncodePacketEPH(nil, encP, 0, false)
 
 		decP := []*Precinct{NewPrecinct(3, 2), NewPrecinct(1, 4), NewPrecinct(2, 2)}
 		n, err := DecodePacketEPH(pkt, decP, 0, style, false)
@@ -280,7 +282,7 @@ func TestPacketRoundTrip(t *testing.T) {
 
 func TestEmptyPacket(t *testing.T) {
 	p := NewPrecinct(2, 2)
-	pkt := EncodePacketEPH([]*Precinct{p}, 0, false)
+	pkt := EncodePacketEPH(nil, []*Precinct{p}, 0, false)
 	if len(pkt) != 1 || pkt[0] != 0 {
 		t.Fatalf("empty packet: % X", pkt)
 	}
@@ -301,7 +303,7 @@ func TestEmptyBandPrecinct(t *testing.T) {
 	p := NewPrecinct(0, 0)
 	rng := workload.NewRNG(1)
 	q := buildPrecinct(rng, 2, 1, SegSingle)
-	pkt := EncodePacketEPH([]*Precinct{p, q}, 0, false)
+	pkt := EncodePacketEPH(nil, []*Precinct{p, q}, 0, false)
 	dp, dq := NewPrecinct(0, 0), NewPrecinct(2, 1)
 	if _, err := DecodePacketEPH(pkt, []*Precinct{dp, dq}, 0, SegSingle, false); err != nil {
 		t.Fatal(err)
@@ -311,7 +313,7 @@ func TestEmptyBandPrecinct(t *testing.T) {
 func TestDecodeTruncatedPacketErrors(t *testing.T) {
 	rng := workload.NewRNG(9)
 	p := buildPrecinct(rng, 2, 2, SegSingle)
-	pkt := EncodePacketEPH([]*Precinct{p}, 0, false)
+	pkt := EncodePacketEPH(nil, []*Precinct{p}, 0, false)
 	dp := NewPrecinct(2, 2)
 	if _, err := DecodePacketEPH(pkt[:len(pkt)/2], []*Precinct{dp}, 0, SegSingle, false); err == nil {
 		t.Fatal("truncated packet accepted")
@@ -324,7 +326,7 @@ func TestPropPacketRoundTrip(t *testing.T) {
 		rng := workload.NewRNG(seed)
 		w, h := rng.Intn(4)+1, rng.Intn(4)+1
 		enc := buildPrecinct(rng, w, h, style)
-		pkt := EncodePacketEPH([]*Precinct{enc}, 0, false)
+		pkt := EncodePacketEPH(nil, []*Precinct{enc}, 0, false)
 		dec := NewPrecinct(w, h)
 		n, err := DecodePacketEPH(pkt, []*Precinct{dec}, 0, style, false)
 		if err != nil || n != len(pkt) {
@@ -378,7 +380,7 @@ func TestMultiLayerPacketRoundTrip(t *testing.T) {
 	var pkts [][]byte
 	for l := 0; l < layers; l++ {
 		copy(enc.Blocks, layerContribs[l])
-		pkts = append(pkts, EncodePacketEPH([]*Precinct{enc}, l, false))
+		pkts = append(pkts, EncodePacketEPH(nil, []*Precinct{enc}, l, false))
 	}
 
 	dec := NewPrecinct(3, 1)
@@ -423,7 +425,7 @@ func TestMultiLayerPacketRoundTrip(t *testing.T) {
 func TestEPHPacketRoundTrip(t *testing.T) {
 	rng := workload.NewRNG(55)
 	enc := buildPrecinct(rng, 2, 2, SegTermAll)
-	pkt := EncodePacketEPH([]*Precinct{enc}, 0, true)
+	pkt := EncodePacketEPH(nil, []*Precinct{enc}, 0, true)
 	dec := NewPrecinct(2, 2)
 	n, err := DecodePacketEPH(pkt, []*Precinct{dec}, 0, SegTermAll, true)
 	if err != nil {
@@ -433,12 +435,12 @@ func TestEPHPacketRoundTrip(t *testing.T) {
 		t.Fatalf("consumed %d of %d", n, len(pkt))
 	}
 	// A stream without EPH must be rejected by an EPH-expecting decoder.
-	plain := EncodePacketEPH([]*Precinct{buildPrecinct(workload.NewRNG(55), 2, 2, SegTermAll)}, 0, false)
+	plain := EncodePacketEPH(nil, []*Precinct{buildPrecinct(workload.NewRNG(55), 2, 2, SegTermAll)}, 0, false)
 	if _, err := DecodePacketEPH(plain, []*Precinct{NewPrecinct(2, 2)}, 0, SegTermAll, true); err == nil {
 		t.Fatal("missing EPH accepted")
 	}
 	// Empty packets carry EPH too.
-	empty := EncodePacketEPH([]*Precinct{NewPrecinct(1, 1)}, 0, true)
+	empty := EncodePacketEPH(nil, []*Precinct{NewPrecinct(1, 1)}, 0, true)
 	if len(empty) != 3 {
 		t.Fatalf("empty EPH packet: % X", empty)
 	}
@@ -456,14 +458,14 @@ func TestEPHPacketRoundTrip(t *testing.T) {
 func TestEmptyPacketClearsStaleContribs(t *testing.T) {
 	rng := workload.NewRNG(99)
 	encP := []*Precinct{buildPrecinct(rng, 2, 2, SegTermAll)}
-	pkt0 := EncodePacketEPH(encP, 0, false)
+	pkt0 := EncodePacketEPH(nil, encP, 0, false)
 	// Layer 1: no block contributes anything further.
 	for _, b := range encP[0].Blocks {
 		if b != nil {
 			b.NumPasses = 0
 		}
 	}
-	pkt1 := EncodePacketEPH(encP, 1, false)
+	pkt1 := EncodePacketEPH(nil, encP, 1, false)
 
 	dp := []*Precinct{NewPrecinct(2, 2)}
 	if _, err := DecodePacketEPH(pkt0, dp, 0, SegTermAll, false); err != nil {
@@ -485,6 +487,45 @@ func TestEmptyPacketClearsStaleContribs(t *testing.T) {
 		if b != nil && (b.NumPasses != 0 || len(b.Data) != 0) {
 			t.Fatalf("block %d: stale layer-0 contribution (passes=%d, %d bytes) survived an empty layer-1 packet",
 				i, b.NumPasses, len(b.Data))
+		}
+	}
+}
+
+// TestEncodePacketAppends pins the append contract the codestream
+// writer relies on: the packet lands after dst's bytes, unchanged by
+// them — bit stuffing restarts with the packet even when dst ends in
+// 0xFF — and dst's prefix is kept.
+func TestEncodePacketAppends(t *testing.T) {
+	for _, eph := range []bool{false, true} {
+		want := EncodePacketEPH(nil, []*Precinct{buildPrecinct(workload.NewRNG(7), 3, 2, SegTermAll)}, 0, eph)
+		prefix := []byte{0x12, 0xFF}
+		dst := append(make([]byte, 0, 4096), prefix...)
+		got := EncodePacketEPH(dst, []*Precinct{buildPrecinct(workload.NewRNG(7), 3, 2, SegTermAll)}, 0, eph)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("eph=%v: appended packet differs from the packet alone", eph)
+		}
+		if &got[0] != &dst[:1][0] {
+			t.Fatalf("eph=%v: packet did not write into dst's spare capacity", eph)
+		}
+	}
+}
+
+// TestPrecinctResetCodesLikeNew pins Reset: a precinct that has coded
+// a packet and is reset codes the next tile's packets byte for byte as
+// a new precinct does.
+func TestPrecinctResetCodesLikeNew(t *testing.T) {
+	used := buildPrecinct(workload.NewRNG(3), 3, 2, SegTermAll)
+	EncodePacketEPH(nil, []*Precinct{used}, 0, false)
+	fresh := buildPrecinct(workload.NewRNG(4), 3, 2, SegTermAll)
+	blocks, first, zbps := slices.Clone(fresh.Blocks), slices.Clone(fresh.FirstIncl), slices.Clone(fresh.ZeroBPs)
+	used.Reset()
+	copy(used.Blocks, blocks)
+	copy(used.FirstIncl, first)
+	copy(used.ZeroBPs, zbps)
+	for l := 0; l < 2; l++ {
+		want := EncodePacketEPH(nil, []*Precinct{fresh}, l, false)
+		if got := EncodePacketEPH(nil, []*Precinct{used}, l, false); !bytes.Equal(got, want) {
+			t.Fatalf("layer %d: reset precinct codes % X, new one % X", l, got, want)
 		}
 	}
 }

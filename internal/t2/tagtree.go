@@ -13,11 +13,15 @@ type TagTree struct {
 }
 
 type tagNode struct {
-	parent int // -1 at root
+	parent int32 // -1 at root
 	value  int32
 	low    int32
 	known  bool
 }
+
+// maxTagLevels bounds a tree's depth: a grid of at most 2^31 leaves per
+// side halves to the 1×1 root in at most 32 steps.
+const maxTagLevels = 33
 
 // NewTagTree builds a tree over a w×h grid of leaves.
 func NewTagTree(w, h int) *TagTree {
@@ -29,7 +33,8 @@ func NewTagTree(w, h int) *TagTree {
 	t := &TagTree{w: w, h: h}
 	// Build level sizes from leaves up to the 1x1 root.
 	type lvl struct{ w, h, base int }
-	var lv []lvl
+	var lvs [maxTagLevels]lvl
+	lv := lvs[:0]
 	lw, lh, base := w, h, 0
 	for {
 		lv = append(lv, lvl{lw, lh, base})
@@ -51,7 +56,7 @@ func NewTagTree(w, h int) *TagTree {
 					t.nodes[idx].parent = -1
 				} else {
 					up := lv[li+1]
-					t.nodes[idx].parent = up.base + (y/2)*up.w + (x / 2)
+					t.nodes[idx].parent = int32(up.base + (y/2)*up.w + (x / 2))
 				}
 			}
 		}
@@ -93,18 +98,16 @@ func (t *TagTree) Finish() {
 	}
 }
 
-// path returns the node indices from root down to leaf (x, y).
-func (t *TagTree) path(x, y int) []int {
-	var rev []int
-	i := y*t.w + x
-	for i != -1 {
-		rev = append(rev, i)
+// path writes the node indices from root down to leaf (x, y) into buf
+// and returns them; the caller's array keeps the walk off the heap.
+func (t *TagTree) path(x, y int, buf *[maxTagLevels]int32) []int32 {
+	n := t.levels
+	i := int32(y*t.w + x)
+	for l := n - 1; l >= 0; l-- {
+		buf[l] = i
 		i = t.nodes[i].parent
 	}
-	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-		rev[l], rev[r] = rev[r], rev[l]
-	}
-	return rev
+	return buf[:n]
 }
 
 // Encode emits the bits that let a decoder determine whether the leaf's
@@ -112,7 +115,8 @@ func (t *TagTree) path(x, y int) []int {
 // exact value).
 func (t *TagTree) Encode(w *BitWriter, x, y int, threshold int32) {
 	low := int32(0)
-	for _, ni := range t.path(x, y) {
+	var buf [maxTagLevels]int32
+	for _, ni := range t.path(x, y, &buf) {
 		n := &t.nodes[ni]
 		if low > n.low {
 			n.low = low
@@ -139,7 +143,8 @@ func (t *TagTree) Encode(w *BitWriter, x, y int, threshold int32) {
 func (t *TagTree) Decode(r *BitReader, x, y int, threshold int32) (bool, error) {
 	low := int32(0)
 	var leaf *tagNode
-	for _, ni := range t.path(x, y) {
+	var buf [maxTagLevels]int32
+	for _, ni := range t.path(x, y, &buf) {
 		n := &t.nodes[ni]
 		if low > n.low {
 			n.low = low
