@@ -26,7 +26,6 @@ import (
 	"j2kcell/internal/cli"
 	"j2kcell/internal/obs"
 	"j2kcell/internal/pnm"
-	"j2kcell/internal/simd"
 )
 
 func main() {
@@ -104,30 +103,7 @@ func main() {
 		float64(raw)/float64(len(data)), elapsed.Round(time.Millisecond),
 		stats.Blocks, stats.TotalPasses)
 
-	if rec != nil {
-		rec.Finish()
-		spans := rec.TSpans()
-		if *report {
-			fmt.Printf("trace %s: simd kernels: %s (available: %s)\n",
-				rec.TraceID(), simd.Kernel(), strings.Join(simd.Available(), ", "))
-			fmt.Print(obs.BuildReport(spans, *workers).Table())
-			fmt.Printf("operation: %v\n", rec.Outcome())
-		}
-		if *metrics {
-			fmt.Print(rec.MetricsTable())
-		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			check(err)
-			err = obs.WriteChromeTrace(f, obs.OpTrace{
-				TraceID: rec.TraceID(), Kind: rec.Kind(), Spans: spans, Counters: rec.Counters(),
-			})
-			check(f.Close())
-			check(err)
-			fmt.Printf("trace: %s (%d spans; open in chrome://tracing or ui.perfetto.dev)\n",
-				*traceOut, len(spans))
-		}
-	}
+	check(cli.Epilogue(rec, *workers, *report, *metrics, *traceOut))
 }
 
 func check(err error) {

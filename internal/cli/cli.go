@@ -1,14 +1,20 @@
 // Package cli holds the plumbing shared by the j2k* commands: the
 // exit-code convention that lets scripts distinguish the codec's
-// failure classes, and flag helpers for timeouts and decoder limits.
+// failure classes, flag helpers for timeouts and decoder limits, and
+// the observed-operation epilogue (-report, -metrics, -trace).
 package cli
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"strings"
 	"time"
 
 	"j2kcell"
+	"j2kcell/internal/obs"
+	"j2kcell/internal/simd"
 )
 
 // Exit codes of the j2k* commands. Scripts can branch on the class of
@@ -63,4 +69,45 @@ func Limits(maxPixels int64, maxDim int) *j2kcell.Limits {
 		lim.MaxWidth, lim.MaxHeight = maxDim, maxDim
 	}
 	return &lim
+}
+
+// Epilogue finishes rec, the recorder of a command's one observed
+// operation, and prints what the observability flags ask for: with
+// report the kernel set, the per-stage wall-time table for workers
+// executors and the outcome; with metrics the counter and latency
+// table; with a non-empty traceOut a Chrome trace JSON timeline
+// written to that file. A nil rec (no flag set) does nothing.
+func Epilogue(rec *obs.Recorder, workers int, report, metrics bool, traceOut string) error {
+	if rec == nil {
+		return nil
+	}
+	rec.Finish()
+	spans := rec.TSpans()
+	if report {
+		fmt.Printf("trace %s: simd kernels: %s (available: %s)\n",
+			rec.TraceID(), simd.Kernel(), strings.Join(simd.Available(), ", "))
+		fmt.Print(obs.BuildReport(spans, workers).Table())
+		fmt.Printf("operation: %v\n", rec.Outcome())
+	}
+	if metrics {
+		fmt.Print(rec.MetricsTable())
+	}
+	if traceOut == "" {
+		return nil
+	}
+	f, err := os.Create(traceOut)
+	if err != nil {
+		return err
+	}
+	err = obs.WriteChromeTrace(f, obs.OpTrace{
+		TraceID: rec.TraceID(), Kind: rec.Kind(), Spans: spans, Counters: rec.Counters(),
+	})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("trace: %s (%d spans; open in chrome://tracing or ui.perfetto.dev)\n", traceOut, len(spans))
+	return nil
 }

@@ -232,7 +232,7 @@ func TestEncodeRejectsBadImages(t *testing.T) {
 		t.Fatal("image without components accepted")
 	}
 	img := imgmodel.NewImage(4, 4, 2, 8)
-	img.Comps[1] = imgmodel.NewPlane(3, 4)
+	img.Comps[1] = imgmodel.New[int32](3, 4)
 	img.Comps[1].W = 3
 	if _, err := Encode(context.Background(), img, Options{}, 1); err == nil {
 		t.Fatal("mismatched component accepted")
@@ -1072,7 +1072,7 @@ func TestResilienceSurvivesPacketCorruption(t *testing.T) {
 	if _, err := Decode(context.Background(), data, DecodeOptions{}); !errors.As(err, &fe) {
 		t.Fatalf("strict decode of a damaged stream: got %v, want *FormatError", err)
 	}
-	got, err := Decode(context.Background(), data, DecodeOptions{BestEffort: true})
+	got, _, err := DecodeResilient(context.Background(), data, DecodeOptions{})
 	if err != nil {
 		t.Fatalf("resilient decode failed outright: %v", err)
 	}

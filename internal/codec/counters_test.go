@@ -113,7 +113,12 @@ func TestDecodeStageCoverage(t *testing.T) {
 					name := fmt.Sprintf("lossless=%v/ht=%v/tiled=%v/besteffort=%v", lossless, ht, tiled, bestEffort)
 					t.Run(name, func(t *testing.T) {
 						ctx, rec := obs.WithOperation(context.Background(), "coverage")
-						_, err := Decode(ctx, res.Data, DecodeOptions{Workers: 2, BestEffort: bestEffort})
+						var err error
+						if bestEffort {
+							_, _, err = DecodeResilient(ctx, res.Data, DecodeOptions{Workers: 2})
+						} else {
+							_, err = Decode(ctx, res.Data, DecodeOptions{Workers: 2})
+						}
 						rec.Finish()
 						if err != nil {
 							t.Fatal(err)
@@ -139,6 +144,93 @@ func TestDecodeStageCoverage(t *testing.T) {
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// dwtTraffic is the closed form of the dwt_bytes_moved counter for a
+// walk over levels [from, levels) of every tile of grid: each level a
+// tile's planes reach moves 8 bytes (one read, one write of a 4-byte
+// sample) per sample of its lw×lh region per active phase — vertical
+// when lh > 1, horizontal when lw > 1 — per component.
+func dwtTraffic(grid []Rect, ncomp, levels, from int) int64 {
+	var n int64
+	for _, r := range grid {
+		for l := from; l < levels; l++ {
+			lw, lh := r.W, r.H
+			for i := 0; i < l; i++ {
+				lw, lh = (lw+1)/2, (lh+1)/2
+			}
+			phases := 0
+			if lh > 1 {
+				phases++
+			}
+			if lw > 1 {
+				phases++
+			}
+			n += int64(ncomp) * 8 * int64(lw) * int64(lh) * int64(phases)
+		}
+	}
+	return n
+}
+
+// TestDWTTrafficClosedForm pins the level walks' structure through the
+// dwt_bytes_moved counter: an encode moves exactly the closed form of
+// every level of every tile, a full decode the same, a DiscardLevels: 2
+// decode the closed form of the levels it synthesizes, and a Region
+// decode no more than the full decode — at 1 and 2 workers, lossless
+// and lossy, untiled and tiled.
+func TestDWTTrafficClosedForm(t *testing.T) {
+	img := workload.Dial(80, 64, 905, 4)
+	traffic := func(t *testing.T, run func(ctx context.Context) error) int64 {
+		t.Helper()
+		ctx, rec := obs.WithOperation(context.Background(), "traffic")
+		err := run(ctx)
+		rec.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Counter(obs.CtrDWTBytesMoved)
+	}
+	for _, lossless := range []bool{true, false} {
+		for _, tiled := range []bool{false, true} {
+			opt := Options{Lossless: lossless}
+			if tiled {
+				opt.TileW, opt.TileH = 32, 32
+			}
+			grid := TileGrid(img.W, img.H, opt.TileW, opt.TileH)
+			levels := opt.WithDefaults(img.W, img.H).Levels
+			full := dwtTraffic(grid, len(img.Comps), levels, 0)
+			for _, w := range []int{1, 2} {
+				t.Run(fmt.Sprintf("lossless=%v/tiled=%v/workers=%d", lossless, tiled, w), func(t *testing.T) {
+					var data []byte
+					if got := traffic(t, func(ctx context.Context) error {
+						res, err := Encode(ctx, img, opt, w)
+						if err == nil {
+							data = res.Data
+						}
+						return err
+					}); got != full {
+						t.Errorf("encode moved %d DWT bytes, closed form %d", got, full)
+					}
+					decode := func(dopt DecodeOptions) int64 {
+						dopt.Workers = w
+						return traffic(t, func(ctx context.Context) error {
+							_, err := Decode(ctx, data, dopt)
+							return err
+						})
+					}
+					if got := decode(DecodeOptions{}); got != full {
+						t.Errorf("full decode moved %d DWT bytes, closed form %d", got, full)
+					}
+					if got, want := decode(DecodeOptions{DiscardLevels: 2}), dwtTraffic(grid, len(img.Comps), levels, 2); got != want {
+						t.Errorf("DiscardLevels: 2 decode moved %d DWT bytes, closed form %d", got, want)
+					}
+					if got := decode(DecodeOptions{Region: Rect{X0: 20, Y0: 10, W: 24, H: 20}}); got <= 0 || got > full {
+						t.Errorf("Region decode moved %d DWT bytes, want (0, %d]", got, full)
+					}
+				})
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -46,15 +45,6 @@ type DecodeOptions struct {
 	// any plane or tile table is allocated. Nil applies DefaultLimits;
 	// point at a zero Limits{} to disable limiting.
 	Limits *Limits
-	// BestEffort makes Decode return whatever DecodeResilient recovers
-	// instead of failing on damage: every decode already discards only
-	// the affected code block, packet, or tile-part (concealed as zero
-	// coefficients) and resynchronizes on SOP/SOT markers, and a strict
-	// one then fails unless nothing was lost. With BestEffort, Decode
-	// never reports stream damage or an option the stream cannot honour
-	// as an error; use DecodeResilient to also receive the DamageReport
-	// saying what was lost.
-	BestEffort bool
 }
 
 // limits resolves the effective header limits.
@@ -140,12 +130,6 @@ type blockAcc struct {
 // job of the shared work queue, each tile's stages inline, into the
 // output image.
 func Decode(ctx context.Context, data []byte, dopt DecodeOptions) (img *imgmodel.Image, err error) {
-	if dopt.BestEffort {
-		// The resilient entry point carries its own envelope (SLO class,
-		// admission, fault containment); its report is dropped here.
-		img, _, err := DecodeResilient(ctx, data, dopt)
-		return img, err
-	}
 	ctx, op := beginOp(ctx, "decode")
 	defer op.end(&err)
 	img, rep, cause, err := decodeStream(ctx, &op, data, dopt)
@@ -393,27 +377,21 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 		return err
 	}
 
-	// Tier-1 writes every coefficient the inverse transforms will read
-	// exactly once, in final form, straight into pooled planes that
-	// arrive dirty: a block with data decodes into them (through
-	// per-job scratch and dequantization on the irreversible path), and
-	// a hole — no data in the decoded layers, or outside a requested
-	// region — is zero-filled by the same stage. Bands of discarded
-	// levels are never read by the inverse DWT, so they get neither.
-	co := getTileCoefs(h, mode, tw, th)
 	tasks, ndata := tileTasks(h, bands[:1+3*keepRes], accs)
 	dmg.totalBlocks = ndata
-	if err := decodeBlocksBestEffort(p, tier1Stage(mode), h, bands, tw, th, co, tasks, dmg); err != nil {
-		co.release()
-		return err
-	}
 	var win Rect // the part of the reconstruction dst takes
 	if dopt.regionSet() {
 		win = dopt.Region
 	} else {
 		win.W, win.H = dwt.LevelDims(tw, th, dopt.DiscardLevels)
 	}
-	return reconstruct(p, h, co, dopt.DiscardLevels, win, dst)
+	st := tier1Stage(mode)
+	if h.Lossless {
+		co := getTileCoefs[int32](h, mode, tw, th)
+		return co.decode(p, st, h, bands, tasks, dmg, dwt.Lifting53, p.InverseMCTInt, dopt.DiscardLevels, win, dst)
+	}
+	co := getTileCoefs[float32](h, mode, tw, th)
+	return co.decode(p, st, h, bands, tasks, dmg, dwt.Lifting97, p.InverseMCTFloat, dopt.DiscardLevels, win, dst)
 }
 
 // decodeBlocksBestEffort drains the Tier-1 tasks through the same
@@ -426,18 +404,16 @@ func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []by
 //     inconsistency, malformed segments): the block's write returns an
 //     error, and the worker conceals that block as zero coefficients
 //     and records the loss.
-//   - Worker faults (a panic inside Tier-1, or an injected fault): the
-//     pipeline's first-error latch holds a *FaultError whose Job is
-//     the faulted task; the coordinator conceals that task, clears the
-//     latch, and reruns — done tasks exit immediately, so only
-//     remaining work repeats.
+//   - Worker faults (a panic inside Tier-1, or an injected fault):
+//     runDemoting conceals the faulted task and reruns the stage.
 //
 // Concealing a hole re-runs its zero fill and records no loss: it had
 // no data to lose. The cause recorded in dmg is the lowest-indexed
 // task's, whichever worker met it. Context cancellation and non-fault
 // pipeline errors still fail the tile.
-func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, bands []dwt.Band, tw, th int,
-	co *tileCoefs, tasks []blockTask, dmg *tileDamage) error {
+func decodeBlocksBestEffort[T imgmodel.Sample](p *Pipeline, st obs.Stage, h *codestream.Header, bands []dwt.Band,
+	co *tileCoefs[T], tasks []blockTask, dmg *tileDamage) error {
+	tw, th := co.planes[0].W, co.planes[0].H
 	// done[t] marks task t written or concealed. Within one run only the
 	// worker holding job t sets it, and run's completion orders every
 	// access across reruns.
@@ -464,33 +440,17 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 		})
 	}
 	var mu sync.Mutex // serializes loss recording across workers
-	var fe *FaultError
-	// Each rerun either finishes or handles one fault, and a fault
-	// demotes at most one task, so the task count bounds any
-	// terminating sequence; the slack absorbs faults that land on done
-	// tasks.
-	for attempt := 0; attempt <= len(tasks)+4; attempt++ {
-		p.run(st, 0, len(tasks), func(t int) {
-			if done[t] {
-				return
-			}
-			scratch := getI32(co.scratch)
-			err := co.write(&tasks[t], scratch)
-			putI32(scratch)
-			if err != nil {
-				mu.Lock()
-				conceal(t, err, err.Error())
-				mu.Unlock()
-			}
-			done[t] = true
-		})
-		perr := p.Err()
-		if perr == nil {
-			return nil
+	storm, err := p.runDemoting(st, len(tasks), func(t int) {
+		if done[t] {
+			return
 		}
-		if !errors.As(perr, &fe) || p.Context().Err() != nil {
-			return perr // cancellation or a non-fault pipeline error
+		if err := co.write(&tasks[t]); err != nil {
+			mu.Lock()
+			conceal(t, err, err.Error())
+			mu.Unlock()
 		}
+		done[t] = true
+	}, func(fe *FaultError) {
 		// An injected fault fires before the job body and a panic fires
 		// inside it; either way the victim is the faulted job's task.
 		if j := fe.Job; j >= 0 && j < len(tasks) && !done[j] {
@@ -499,16 +459,16 @@ func decodeBlocksBestEffort(p *Pipeline, st obs.Stage, h *codestream.Header, ban
 			record(j, fe)
 		}
 		dmg.faults = append(dmg.faults, FaultRef{Stage: fe.Stage, Lane: fe.Lane, Job: fe.Job})
-		p.clearFault()
-	}
-	// A fault storm outlasted the demotion budget: abandon the rest.
-	for t := range tasks {
-		if !done[t] {
-			conceal(t, fe, "abandoned after repeated faults")
+	})
+	if storm != nil {
+		// A fault storm outlasted the demotion budget: abandon the rest.
+		for t := range tasks {
+			if !done[t] {
+				conceal(t, storm, "abandoned after repeated faults")
+			}
 		}
 	}
-	p.clearFault()
-	return nil
+	return err
 }
 
 // blockTask is one Tier-1 decode task: an accumulated code block
@@ -594,36 +554,26 @@ func tileTasks(h *codestream.Header, bands []dwt.Band, accs [][]*blockAcc) ([]bl
 	return append(tasks, holes...), len(tasks)
 }
 
-// putPlanes recycles pooled integer planes.
-func putPlanes(planes []*imgmodel.Plane) {
+// putPlanes recycles pooled planes.
+func putPlanes[T imgmodel.Sample](planes []*imgmodel.Samples[T]) {
 	for _, pl := range planes {
-		imgmodel.PutPlane(pl)
+		imgmodel.Put(pl)
 	}
 }
 
-// tileCoefs holds one tile's pooled coefficient planes, in the form
-// the inverse DWT reads: integer planes on the reversible path, float
-// planes on the irreversible one (exactly one of the two is set), and
-// writes Tier-1 tasks into them.
-type tileCoefs struct {
-	ints    []*imgmodel.Plane
-	floats  []*imgmodel.FPlane
+// tileCoefs holds one tile's pooled coefficient planes in the form the
+// inverse DWT reads — integers on the reversible path, floats on the
+// irreversible one — and writes Tier-1 tasks into them.
+type tileCoefs[T imgmodel.Sample] struct {
+	planes  []*imgmodel.Samples[T]
 	mode    t1.Mode
-	scratch int // samples of a job's index scratch (irreversible path)
+	scratch int // samples of a block's index scratch (irreversible path)
 }
 
-func getTileCoefs(h *codestream.Header, mode t1.Mode, tw, th int) *tileCoefs {
-	co := &tileCoefs{mode: mode, scratch: h.CBW * h.CBH}
-	if h.Lossless {
-		co.ints = make([]*imgmodel.Plane, h.NComp)
-		for c := range co.ints {
-			co.ints[c] = imgmodel.GetPlane(tw, th)
-		}
-	} else {
-		co.floats = make([]*imgmodel.FPlane, h.NComp)
-		for c := range co.floats {
-			co.floats[c] = imgmodel.GetFPlane(tw, th)
-		}
+func getTileCoefs[T imgmodel.Sample](h *codestream.Header, mode t1.Mode, tw, th int) *tileCoefs[T] {
+	co := &tileCoefs[T]{planes: make([]*imgmodel.Samples[T], h.NComp), mode: mode, scratch: h.CBW * h.CBH}
+	for c := range co.planes {
+		co.planes[c] = imgmodel.Get[T](tw, th)
 	}
 	return co
 }
@@ -633,24 +583,27 @@ func getTileCoefs(h *codestream.Header, mode t1.Mode, tw, th int) *tileCoefs {
 // and dequantized into its float plane on the irreversible one. A
 // block that fails to decode leaves its region unwritten and returns
 // the error.
-func (co *tileCoefs) write(tk *blockTask, scratch *[]int32) error {
+func (co *tileCoefs[T]) write(tk *blockTask) error {
 	if tk.acc == nil {
 		co.zero(tk)
 		return nil
 	}
 	var err error
-	if co.ints != nil {
-		pl := co.ints[tk.c]
+	switch pl := any(co.planes[tk.c]).(type) {
+	case *imgmodel.Plane:
 		err = t1.Decode(pl.Data[tk.y0*pl.Stride+tk.x0:], tk.bw, tk.bh, pl.Stride,
 			tk.orient, co.mode, tk.numBPS, tk.acc.passes, tk.acc.data, tk.acc.segLens)
-	} else {
+	case *imgmodel.FPlane:
+		// Every block takes a whole block's scratch, so the pooled
+		// buffers all fit the next block.
+		scratch := getScratch[int32](co.scratch)
 		buf := (*scratch)[:tk.bw*tk.bh]
 		err = t1.Decode(buf, tk.bw, tk.bh, tk.bw,
 			tk.orient, co.mode, tk.numBPS, tk.acc.passes, tk.acc.data, tk.acc.segLens)
 		if err == nil {
-			fp := co.floats[tk.c]
-			quant.DequantizeBlock(fp.Data[tk.y0*fp.Stride+tk.x0:], fp.Stride, buf, tk.bw, tk.bh, tk.delta)
+			quant.DequantizeBlock(pl.Data[tk.y0*pl.Stride+tk.x0:], pl.Stride, buf, tk.bw, tk.bh, tk.delta)
 		}
+		putScratch(scratch)
 	}
 	if err != nil {
 		return formatErrf(err, "block c=%d band=%d (%d,%d)", tk.c, tk.bi, tk.gx, tk.gy)
@@ -659,63 +612,45 @@ func (co *tileCoefs) write(tk *blockTask, scratch *[]int32) error {
 }
 
 // zero clears task tk's region of its plane.
-func (co *tileCoefs) zero(tk *blockTask) {
-	if co.ints != nil {
-		pl := co.ints[tk.c]
-		clearRect(pl.Data, pl.Stride, tk.x0, tk.y0, tk.bw, tk.bh)
-	} else {
-		fp := co.floats[tk.c]
-		clearRect(fp.Data, fp.Stride, tk.x0, tk.y0, tk.bw, tk.bh)
+func (co *tileCoefs[T]) zero(tk *blockTask) {
+	pl := co.planes[tk.c]
+	for y := tk.y0; y < tk.y0+tk.bh; y++ {
+		clear(pl.Data[y*pl.Stride+tk.x0:][:tk.bw])
 	}
 }
 
-// clearRect zeroes the w×h rectangle at (x0, y0) of a plane's samples.
-func clearRect[T int32 | float32](data []T, stride, x0, y0, w, h int) {
-	for y := y0; y < y0+h; y++ {
-		clear(data[y*stride+x0:][:w])
+// decode runs the tile's decode from the Tier-1 tasks on. Tier-1
+// writes every coefficient the inverse transforms will read exactly
+// once, in final form, straight into the pooled planes, which arrive
+// dirty: a block with data decodes into them, and a hole — no data in
+// the decoded layers, or outside a requested region — is zero-filled
+// by the same stage. Bands of discarded levels are never read by the
+// inverse DWT, so they get neither. Then the multi-level inverse DWT
+// with k's kernels down to level discard and imct, the fused inverse
+// MCT + clamp, drain the same work queue, and the planes go back to
+// the pool once the last stage is done with them. With discard > 0
+// the finest discard levels stay transformed, and the top-left
+// LevelDims(tw, th, discard) corner of the planes is the tile at
+// reduced resolution. imct reads plane views at win's origin — win
+// lies in that corner — and writes dst, win.W × win.H, so each output
+// pixel is written once and only the window is colour-converted.
+// Bit-identical to running dwt.InverseLevels53/97 and the serial MCT
+// helpers per plane, then cropping.
+func (co *tileCoefs[T]) decode(p *Pipeline, st obs.Stage, h *codestream.Header, bands []dwt.Band, tasks []blockTask, dmg *tileDamage,
+	k dwt.Lifting[T], imct func(*imgmodel.Image, []*imgmodel.Samples[T], *codestream.Header), discard int, win Rect, dst *imgmodel.Image) error {
+	// The planes are released after the pipeline's run calls have
+	// returned, so no worker still references them; the views die here
+	// and never go to the pool.
+	defer putPlanes(co.planes)
+	if err := decodeBlocksBestEffort(p, st, h, bands, co, tasks, dmg); err != nil {
+		return err
 	}
-}
-
-// release recycles the planes. Callers only release after the
-// pipeline's run calls have returned, so no worker still references
-// the backing arrays.
-func (co *tileCoefs) release() {
-	putPlanes(co.ints)
-	for _, fp := range co.floats {
-		imgmodel.PutFPlane(fp)
+	inverseDWT(p, k, co.planes, h.Levels, discard)
+	views := make([]*imgmodel.Samples[T], len(co.planes))
+	for c, pl := range co.planes {
+		views[c] = pl.View(win.X0, win.Y0, win.W, win.H)
 	}
-}
-
-// reconstruct runs the inverse transforms for one tile through the
-// stage pipeline: the multi-level inverse DWT down to level discard and
-// the fused inverse MCT + clamp drain the same work queue Tier-1 did,
-// and the pooled planes are recycled once the last stage is done with
-// them. With discard > 0 the finest discard levels stay transformed,
-// and the top-left LevelDims(tw, th, discard) corner of the planes is
-// the tile at reduced resolution. The inverse MCT reads plane views at
-// win's origin — win lies in that corner — and writes dst, win.W ×
-// win.H, so each output pixel is written once and only the window is
-// colour-converted. Bit-identical to running dwt.InverseLevels53/97
-// and the serial MCT helpers per plane, then cropping.
-func reconstruct(p *Pipeline, h *codestream.Header, co *tileCoefs, discard int, win Rect, dst *imgmodel.Image) error {
-	if co.ints != nil {
-		p.IDWT53(co.ints, h.Levels, discard)
-		views := make([]*imgmodel.Plane, len(co.ints))
-		for c, pl := range co.ints {
-			views[c] = pl.View(win.X0, win.Y0, win.W, win.H)
-		}
-		p.InverseMCTInt(dst, views, h)
-	} else {
-		p.IDWT97(co.floats, h.Levels, discard)
-		views := make([]*imgmodel.FPlane, len(co.floats))
-		for c, fp := range co.floats {
-			views[c] = fp.View(win.X0, win.Y0, win.W, win.H)
-		}
-		p.InverseMCTFloat(dst, views, h)
-	}
-	// The views die here; only the planes that own their samples go
-	// back to the pool.
-	co.release()
+	imct(dst, views, h)
 	return p.Err()
 }
 

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"j2kcell/internal/codestream"
-	"j2kcell/internal/decomp"
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/mct"
@@ -23,7 +22,8 @@ import (
 //	multi-level inverse DWT    — horizontal: row stripes; vertical:
 //	                             cache-line column groups; barrier per
 //	                             phase and per level, levels walked
-//	                             finest-last (the reverse of DWT53/97)
+//	                             finest-last (inverseDWT, the reverse
+//	                             of forwardDWT)
 //	inverse MCT + clamp        — row stripes, fused with the plane→image
 //	                             copy on the reversible path
 //
@@ -62,7 +62,7 @@ func (p *Pipeline) Dequantize(h *codestream.Header, bands []dwt.Band, planes []*
 	w, hh := planes[0].W, planes[0].H
 	fplanes := make([]*imgmodel.FPlane, len(planes))
 	for c := range fplanes {
-		fplanes[c] = imgmodel.GetFPlane(w, hh)
+		fplanes[c] = imgmodel.Get[float32](w, hh)
 	}
 	p.run(obs.StageDeq, 0, len(planes)*len(bands), func(i int) {
 		c, b := i/len(bands), bands[i%len(bands)]
@@ -79,76 +79,14 @@ func (p *Pipeline) Dequantize(h *codestream.Header, bands []dwt.Band, planes []*
 }
 
 // IDWT53 undoes reversible decomposition levels levels-1 down to stop
-// over all planes: per level, horizontal inverse rows first, then the
-// vertical inverse over column groups — the exact reverse of DWT53's
-// phase order, with the same barriers. Bit-identical to
-// dwt.InverseLevels53 on each plane.
+// over all planes (inverseDWT with the 5/3 kernels).
 func (p *Pipeline) IDWT53(planes []*imgmodel.Plane, levels, stop int) {
-	w, h := planes[0].W, planes[0].H
-	rec := p.rec
-	for l := levels - 1; l >= stop; l-- {
-		lw, lh := dwt.LevelDims(w, h, l)
-		if lw <= 1 && lh <= 1 {
-			continue
-		}
-		if lw > 1 {
-			ns := stripes(lh)
-			p.run(obs.StageIDWTHorz, int32(l), ns*len(planes), func(i int) {
-				pl := planes[i/ns]
-				y0, y1 := stripeBounds(i%ns, lh)
-				tmp := getI32(lw)
-				dwt.InvHorizontal53Rows(pl.Data, lw, pl.Stride, y0, y1, *tmp)
-				putI32(tmp)
-				rec.Add(obs.CtrDWTBytesMoved, int64(y1-y0)*int64(lw)*8)
-			})
-		}
-		if lh > 1 {
-			chunks := decomp.Partition(lw, decomp.ChunkWidthFor(lw, p.workers), p.workers)
-			nc := len(chunks)
-			p.run(obs.StageIDWTVert, int32(l), nc*len(planes), func(i int) {
-				pl, ch := planes[i/nc], chunks[i%nc]
-				aux := getI32(dwt.AuxLen(ch.W, lh))
-				dwt.InvVertical53Stripe(pl.Data, ch.X0, ch.W, lh, pl.Stride, *aux)
-				putI32(aux)
-				rec.Add(obs.CtrDWTBytesMoved, int64(ch.W)*int64(lh)*8)
-			})
-		}
-	}
+	inverseDWT(p, dwt.Lifting53, planes, levels, stop)
 }
 
-// IDWT97 is the irreversible analogue of IDWT53; bit-identical to
-// dwt.InverseLevels97 on each plane.
+// IDWT97 is the irreversible analogue of IDWT53.
 func (p *Pipeline) IDWT97(fplanes []*imgmodel.FPlane, levels, stop int) {
-	w, h := fplanes[0].W, fplanes[0].H
-	rec := p.rec
-	for l := levels - 1; l >= stop; l-- {
-		lw, lh := dwt.LevelDims(w, h, l)
-		if lw <= 1 && lh <= 1 {
-			continue
-		}
-		if lw > 1 {
-			ns := stripes(lh)
-			p.run(obs.StageIDWTHorz, int32(l), ns*len(fplanes), func(i int) {
-				pl := fplanes[i/ns]
-				y0, y1 := stripeBounds(i%ns, lh)
-				tmp := getF32(lw)
-				dwt.InvHorizontal97Rows(pl.Data, lw, pl.Stride, y0, y1, *tmp)
-				putF32(tmp)
-				rec.Add(obs.CtrDWTBytesMoved, int64(y1-y0)*int64(lw)*8)
-			})
-		}
-		if lh > 1 {
-			chunks := decomp.Partition(lw, decomp.ChunkWidthFor(lw, p.workers), p.workers)
-			nc := len(chunks)
-			p.run(obs.StageIDWTVert, int32(l), nc*len(fplanes), func(i int) {
-				pl, ch := fplanes[i/nc], chunks[i%nc]
-				aux := getF32(dwt.AuxLen(ch.W, lh))
-				dwt.InvVertical97Stripe(pl.Data, ch.X0, ch.W, lh, pl.Stride, *aux)
-				putF32(aux)
-				rec.Add(obs.CtrDWTBytesMoved, int64(ch.W)*int64(lh)*8)
-			})
-		}
-	}
+	inverseDWT(p, dwt.Lifting97, fplanes, levels, stop)
 }
 
 // InverseMCTInt finishes the reversible path stripe-parallel: copy the

@@ -125,9 +125,7 @@ func (p *Pipeline) encodeTile(img *imgmodel.Image, r Rect, jobs []BlockJob, opt 
 		fplanes := p.MCTFloat(img, opt)
 		p.DWT97(fplanes, opt)
 		blocks = p.Tier1Float(fplanes, jobs, opt, rd)
-		for _, fp := range fplanes {
-			imgmodel.PutFPlane(fp)
-		}
+		putPlanes(fplanes)
 	}
 	return tileCoded{rect: r, jobs: jobs, blocks: blocks, rd: rd}
 }

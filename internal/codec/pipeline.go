@@ -2,6 +2,7 @@ package codec
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -135,14 +136,41 @@ func (p *Pipeline) Err() error {
 
 // clearFault resets the first-error latch and the abort flag so a
 // best-effort stage can demote a contained fault to localized damage
-// and resume draining. Callers must only invoke it between run calls
-// (no workers in flight) — the resilient Tier-1 retry loop does, after
-// concealing the faulted block.
+// and resume draining. Only runDemoting calls it, between run calls
+// (no workers in flight).
 func (p *Pipeline) clearFault() {
 	p.mu.Lock()
 	p.err = nil
 	p.mu.Unlock()
 	p.aborted.Store(false)
+}
+
+// runDemoting is the one fault-demotion policy of the best-effort
+// decode, shared by the Tier-1 stage and the tile stage. It drains
+// stage st's n jobs; when a contained fault (*FaultError) stops the
+// drain, demote conceals the faulted job's work — marking it done, so
+// the job returns at once when rerun — the latch is cleared and the
+// stage reruns. Each rerun either finishes or demotes one fault, and a
+// fault demotes at most one job, so n reruns bound any terminating
+// sequence; four more absorb faults that land on done jobs. storm is
+// the last fault when that budget runs out, and the caller abandons
+// whatever is left. err is the pipeline's error for cancellation or a
+// non-fault failure, which are not demoted.
+func (p *Pipeline) runDemoting(st obs.Stage, n int, job func(i int), demote func(fe *FaultError)) (storm *FaultError, err error) {
+	var fe *FaultError
+	for attempt := 0; attempt <= n+4; attempt++ {
+		p.run(st, 0, n, job)
+		perr := p.Err()
+		if perr == nil {
+			return nil, nil
+		}
+		if !errors.As(perr, &fe) || p.ctx.Err() != nil {
+			return nil, perr
+		}
+		demote(fe)
+		p.clearFault()
+	}
+	return fe, nil
 }
 
 // stopped reports whether workers should stop claiming jobs: a stage
@@ -230,44 +258,39 @@ func (p *Pipeline) run(st obs.Stage, arg int32, n int, fn func(i int)) error {
 }
 
 // Scratch pools for stripe-sized transients (DWT aux rows, horizontal
-// line buffers, per-block quantizer output). Contents are unspecified;
-// every user writes before reading.
+// line buffers, per-block quantizer output), one per sample type.
+// Contents are unspecified; every user writes before reading.
 var (
 	i32Pool sync.Pool // *[]int32
 	f32Pool sync.Pool // *[]float32
 )
 
-func getI32(n int) *[]int32 {
-	p, _ := i32Pool.Get().(*[]int32)
+// scratchPool returns the pool of T's scratch slices.
+func scratchPool[T imgmodel.Sample]() *sync.Pool {
+	var zero T
+	if _, ok := any(zero).(int32); ok {
+		return &i32Pool
+	}
+	return &f32Pool
+}
+
+// getScratch returns an n-sample scratch slice from T's pool.
+func getScratch[T imgmodel.Sample](n int) *[]T {
+	p, _ := scratchPool[T]().Get().(*[]T)
 	if p == nil {
-		s := make([]int32, n)
+		s := make([]T, n)
 		return &s
 	}
 	if cap(*p) < n {
-		*p = make([]int32, n)
+		*p = make([]T, n)
 	} else {
 		*p = (*p)[:n]
 	}
 	return p
 }
 
-func putI32(p *[]int32) { i32Pool.Put(p) }
-
-func getF32(n int) *[]float32 {
-	p, _ := f32Pool.Get().(*[]float32)
-	if p == nil {
-		s := make([]float32, n)
-		return &s
-	}
-	if cap(*p) < n {
-		*p = make([]float32, n)
-	} else {
-		*p = (*p)[:n]
-	}
-	return p
-}
-
-func putF32(p *[]float32) { f32Pool.Put(p) }
+// putScratch recycles a slice from getScratch.
+func putScratch[T imgmodel.Sample](p *[]T) { scratchPool[T]().Put(p) }
 
 // stripes returns the number of stripeRows-high row stripes covering h.
 func stripes(h int) int { return (h + stripeRows - 1) / stripeRows }
@@ -288,12 +311,12 @@ func stripeBounds(s, h int) (int, int) {
 // larger image) whose stride differs from the working planes', so the
 // copy goes row by row, img.W samples each. The returned planes come
 // from the imgmodel plane pool; the caller releases them with
-// imgmodel.PutPlane once Tier-1 has consumed them.
+// imgmodel.Put once Tier-1 has consumed them.
 func (p *Pipeline) MCTInt(img *imgmodel.Image, opt Options) []*imgmodel.Plane {
 	w, h := img.W, img.H
 	planes := make([]*imgmodel.Plane, len(img.Comps))
 	for c := range planes {
-		planes[c] = imgmodel.GetPlane(w, h)
+		planes[c] = imgmodel.Get[int32](w, h)
 	}
 	useMCT := len(planes) == 3
 	p.run(obs.StageMCT, 0, stripes(h), func(s int) {
@@ -318,12 +341,12 @@ func (p *Pipeline) MCTInt(img *imgmodel.Image, opt Options) []*imgmodel.Plane {
 
 // MCTFloat is the irreversible first stage: merged level shift + ICT
 // (or shift-to-float) into pooled float planes, stripe-parallel. The
-// caller releases the planes with imgmodel.PutFPlane.
+// caller releases the planes with imgmodel.Put.
 func (p *Pipeline) MCTFloat(img *imgmodel.Image, opt Options) []*imgmodel.FPlane {
 	w, h := img.W, img.H
 	fplanes := make([]*imgmodel.FPlane, len(img.Comps))
 	for c := range fplanes {
-		fplanes[c] = imgmodel.GetFPlane(w, h)
+		fplanes[c] = imgmodel.Get[float32](w, h)
 	}
 	useMCT := len(fplanes) == 3
 	p.run(obs.StageMCT, 0, stripes(h), func(s int) {
@@ -353,9 +376,10 @@ type dwtLevel struct {
 	chunks []decomp.Chunk
 }
 
-// levelPlan computes the per-level geometry once per encode. Column
-// groups follow the paper's tuning: cache-line multiples sized so each
-// worker gets roughly one group per component per level.
+// levelPlan computes the per-level geometry of a w×h plane, finest
+// level first; both walks read it, the inverse from the coarsest level
+// down. Column groups follow the paper's tuning: cache-line multiples
+// sized so each worker gets roughly one group per component per level.
 func (p *Pipeline) levelPlan(w, h, levels int) []dwtLevel {
 	var plan []dwtLevel
 	for l := 0; l < levels; l++ {
@@ -372,65 +396,74 @@ func (p *Pipeline) levelPlan(w, h, levels int) []dwtLevel {
 	return plan
 }
 
-// DWT53 runs the reversible multi-level transform over all components,
-// column-group-parallel vertically and stripe-parallel horizontally.
-// Bit-identical to dwt.Forward53 on each plane.
-func (p *Pipeline) DWT53(planes []*imgmodel.Plane, opt Options) {
-	w, h := planes[0].W, planes[0].H
-	rec := p.rec
-	for li, lv := range p.levelPlan(w, h, opt.Levels) {
-		if lv.lh > 1 {
-			nc := len(lv.chunks)
-			p.run(obs.StageDWTVert, int32(li), nc*len(planes), func(i int) {
-				pl, ch := planes[i/nc], lv.chunks[i%nc]
-				aux := getI32(dwt.AuxLen(ch.W, lv.lh))
-				dwt.Vertical53Stripe(pl.Data, ch.X0, ch.W, lv.lh, pl.Stride, *aux)
-				putI32(aux)
-				rec.Add(obs.CtrDWTBytesMoved, int64(ch.W)*int64(lv.lh)*8)
-			})
-		}
-		if lv.lw > 1 {
-			ns := stripes(lv.lh)
-			p.run(obs.StageDWTHorz, int32(li), ns*len(planes), func(i int) {
-				pl := planes[i/ns]
-				y0, y1 := stripeBounds(i%ns, lv.lh)
-				tmp := getI32(lv.lw)
-				dwt.Horizontal53Rows(pl.Data, lv.lw, pl.Stride, y0, y1, *tmp)
-				putI32(tmp)
-				rec.Add(obs.CtrDWTBytesMoved, int64(y1-y0)*int64(lv.lw)*8)
-			})
-		}
+// forwardDWT runs k's multi-level analysis over all planes: per level,
+// the vertical phase over column groups, then the horizontal phase
+// over row stripes — vertical first, as in the paper's pipeline.
+// Bit-identical to dwt.Forward53/97 on each plane.
+func forwardDWT[T imgmodel.Sample](p *Pipeline, k dwt.Lifting[T], planes []*imgmodel.Samples[T], levels int) {
+	for l, lv := range p.levelPlan(planes[0].W, planes[0].H, levels) {
+		verticalPhase(p, obs.StageDWTVert, l, lv, planes, k.Vertical)
+		horizontalPhase(p, obs.StageDWTHorz, l, lv, planes, k.Rows)
 	}
 }
 
-// DWT97 is the irreversible analogue of DWT53; bit-identical to
-// dwt.Forward97 on each plane.
-func (p *Pipeline) DWT97(fplanes []*imgmodel.FPlane, opt Options) {
-	w, h := fplanes[0].W, fplanes[0].H
-	rec := p.rec
-	for li, lv := range p.levelPlan(w, h, opt.Levels) {
-		if lv.lh > 1 {
-			nc := len(lv.chunks)
-			p.run(obs.StageDWTVert, int32(li), nc*len(fplanes), func(i int) {
-				pl, ch := fplanes[i/nc], lv.chunks[i%nc]
-				aux := getF32(dwt.AuxLen(ch.W, lv.lh))
-				dwt.Vertical97Stripe(pl.Data, ch.X0, ch.W, lv.lh, pl.Stride, *aux)
-				putF32(aux)
-				rec.Add(obs.CtrDWTBytesMoved, int64(ch.W)*int64(lv.lh)*8)
-			})
-		}
-		if lv.lw > 1 {
-			ns := stripes(lv.lh)
-			p.run(obs.StageDWTHorz, int32(li), ns*len(fplanes), func(i int) {
-				pl := fplanes[i/ns]
-				y0, y1 := stripeBounds(i%ns, lv.lh)
-				tmp := getF32(lv.lw)
-				dwt.Horizontal97Rows(pl.Data, lv.lw, pl.Stride, y0, y1, *tmp)
-				putF32(tmp)
-				rec.Add(obs.CtrDWTBytesMoved, int64(y1-y0)*int64(lv.lw)*8)
-			})
-		}
+// inverseDWT undoes levels levels-1 down to stop of k's transform over
+// all planes: per level, the horizontal synthesis first, then the
+// vertical — the exact reverse of forwardDWT's phase order, with the
+// same barriers. With stop > 0 the finest stop levels stay
+// transformed. Bit-identical to dwt.InverseLevels53/97 on each plane.
+func inverseDWT[T imgmodel.Sample](p *Pipeline, k dwt.Lifting[T], planes []*imgmodel.Samples[T], levels, stop int) {
+	plan := p.levelPlan(planes[0].W, planes[0].H, levels)
+	for l := len(plan) - 1; l >= stop; l-- {
+		horizontalPhase(p, obs.StageIDWTHorz, l, plan[l], planes, k.InvRows)
+		verticalPhase(p, obs.StageIDWTVert, l, plan[l], planes, k.InvVertical)
 	}
+}
+
+// verticalPhase runs one level's vertical filter as one job per
+// (plane, column group); a level one row high has none.
+func verticalPhase[T imgmodel.Sample](p *Pipeline, st obs.Stage, l int, lv dwtLevel, planes []*imgmodel.Samples[T],
+	filter func(data []T, x0, cw, lh, stride int, aux []T)) {
+	if lv.lh <= 1 {
+		return
+	}
+	nc := len(lv.chunks)
+	p.run(st, int32(l), nc*len(planes), func(i int) {
+		pl, ch := planes[i/nc], lv.chunks[i%nc]
+		aux := getScratch[T](dwt.AuxLen(ch.W, lv.lh))
+		filter(pl.Data, ch.X0, ch.W, lv.lh, pl.Stride, *aux)
+		putScratch(aux)
+		p.rec.Add(obs.CtrDWTBytesMoved, int64(ch.W)*int64(lv.lh)*8)
+	})
+}
+
+// horizontalPhase runs one level's horizontal filter as one job per
+// (plane, row stripe); a level one column wide has none.
+func horizontalPhase[T imgmodel.Sample](p *Pipeline, st obs.Stage, l int, lv dwtLevel, planes []*imgmodel.Samples[T],
+	filter func(data []T, lw, stride, y0, y1 int, tmp []T)) {
+	if lv.lw <= 1 {
+		return
+	}
+	ns := stripes(lv.lh)
+	p.run(st, int32(l), ns*len(planes), func(i int) {
+		pl := planes[i/ns]
+		y0, y1 := stripeBounds(i%ns, lv.lh)
+		tmp := getScratch[T](lv.lw)
+		filter(pl.Data, lv.lw, pl.Stride, y0, y1, *tmp)
+		putScratch(tmp)
+		p.rec.Add(obs.CtrDWTBytesMoved, int64(y1-y0)*int64(lv.lw)*8)
+	})
+}
+
+// DWT53 runs the reversible multi-level transform over all components
+// (forwardDWT with the 5/3 kernels).
+func (p *Pipeline) DWT53(planes []*imgmodel.Plane, opt Options) {
+	forwardDWT(p, dwt.Lifting53, planes, opt.Levels)
+}
+
+// DWT97 is the irreversible analogue of DWT53.
+func (p *Pipeline) DWT97(fplanes []*imgmodel.FPlane, opt Options) {
+	forwardDWT(p, dwt.Lifting97, fplanes, opt.Levels)
 }
 
 // tier1Stage selects the observability stage for a Tier-1 mode: the HT
@@ -504,10 +537,10 @@ func (p *Pipeline) Tier1Float(fplanes []*imgmodel.FPlane, jobs []BlockJob, opt O
 		j := jobs[i]
 		fp := fplanes[j.Comp]
 		delta := float32(quant.StepFor(opt.BaseDelta, opt.Levels, j.Band.Orient, j.Band.Level))
-		buf := getI32(j.W * j.H)
+		buf := getScratch[int32](j.W * j.H)
 		quant.QuantizeBlock(*buf, j.W, fp.Data[j.Y0*fp.Stride+j.X0:], fp.Stride, j.W, j.H, delta)
 		blocks[i] = p.codeBlock(*buf, j.W, j, mode, rd, i)
-		putI32(buf)
+		putScratch(buf)
 	})
 	return blocks
 }
@@ -521,7 +554,7 @@ func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*im
 	bands := dwt.Layout(w, h, opt.Levels)
 	planes := make([]*imgmodel.Plane, len(fplanes))
 	for c := range planes {
-		planes[c] = imgmodel.GetPlane(w, h)
+		planes[c] = imgmodel.Get[int32](w, h)
 	}
 	// One job per (component, band); the subbands tile the plane, so
 	// every live sample is written.

@@ -53,7 +53,7 @@ func serialReduced(planes []*imgmodel.Plane, opt Options, depth, discard int) *i
 	}
 	red := make([]*imgmodel.FPlane, len(planes))
 	for c, p := range planes {
-		fp := imgmodel.NewFPlane(tw, th)
+		fp := imgmodel.New[float32](tw, th)
 		for _, b := range dwt.Layout(tw, th, opt.Levels) {
 			delta := float32(quant.StepFor(opt.BaseDelta, opt.Levels, b.Orient, b.Level))
 			for y := b.Y0; y < b.Y0+b.H; y++ {
@@ -61,7 +61,7 @@ func serialReduced(planes []*imgmodel.Plane, opt Options, depth, discard int) *i
 			}
 		}
 		dwt.InverseLevels97(fp.Data, tw, th, fp.Stride, opt.Levels, discard)
-		red[c] = imgmodel.NewFPlane(rw, rh)
+		red[c] = imgmodel.New[float32](rw, rh)
 		for y := 0; y < rh; y++ {
 			copy(red[c].Row(y), fp.Row(y)[:rw])
 		}

@@ -146,41 +146,35 @@ func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOption
 		defer p.Close()
 		td := dopt
 		td.Workers = 1 // tiles are the parallel unit; inner stages run inline
-		// Tiles write disjoint windows of the output image. The retry
-		// loop demotes tile-stage faults the same way the Tier-1 loop
-		// inside decodeTile demotes block-stage faults.
+		// Tiles write disjoint windows of the output image. A fault
+		// that escapes a tile's own containment (or is injected at the
+		// tile stage) is demoted to whole-tile loss, by the policy that
+		// demotes Tier-1 faults to block loss inside decodeTile.
 		done := make([]bool, len(grid))
-		for attempt := 0; attempt <= len(grid)+4; attempt++ {
-			p.run(obs.StageTile, 0, len(grid), func(i int) {
-				if done[i] {
-					return
-				}
-				done[i] = true
-				if terr := decodeAt(p.Context(), i, td); terr != nil {
-					if p.Context().Err() != nil {
-						p.Fail(terr)
-					} else {
-						terrs[i] = terr
-					}
-				}
-			})
-			perr := p.Err()
-			if perr == nil {
-				break
+		// A contained panic hits a tile that is not yet done and is
+		// demoted with it, so faults cannot outlast the budget here.
+		_, err := p.runDemoting(obs.StageTile, len(grid), func(i int) {
+			if done[i] {
+				return
 			}
-			var fe *FaultError
-			if !errors.As(perr, &fe) || p.Context().Err() != nil {
-				return nil, nil, nil, perr
+			done[i] = true
+			if terr := decodeAt(p.Context(), i, td); terr != nil {
+				if p.Context().Err() != nil {
+					p.Fail(terr)
+				} else {
+					terrs[i] = terr
+				}
 			}
-			// A fault escaped a tile's own containment (or was injected
-			// at the tile stage): demote it to whole-tile loss and resume.
+		}, func(fe *FaultError) {
 			if fe.Job >= 0 && fe.Job < len(grid) && terrs[fe.Job] == nil {
-				terrs[fe.Job] = perr
+				terrs[fe.Job] = fe
 				done[fe.Job] = true
 			} else {
-				note(perr)
+				note(fe)
 			}
-			p.clearFault()
+		})
+		if err != nil {
+			return nil, nil, nil, err
 		}
 	}
 

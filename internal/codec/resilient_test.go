@@ -88,14 +88,6 @@ func TestResilientUndamagedIdentity(t *testing.T) {
 		if !imagesEqual(img, ref) {
 			t.Fatalf("%s: best-effort decode differs from plain decode on intact stream", tc.name)
 		}
-		// BestEffort through the standard options path must agree too.
-		img2, err := Decode(context.Background(), res.Data, DecodeOptions{BestEffort: true})
-		if err != nil {
-			t.Fatalf("%s: DecodeWith(BestEffort): %v", tc.name, err)
-		}
-		if !imagesEqual(img2, ref) {
-			t.Fatalf("%s: BestEffort option path differs from plain decode", tc.name)
-		}
 	}
 }
 

@@ -224,46 +224,25 @@ func DecodeTiles(data []byte) (*Header, [][]byte, error) {
 
 // DecodeTilesLimits is DecodeTiles with caller-supplied header limits,
 // enforced as each marker segment is parsed — a hostile SIZ or COD is
-// rejected before the header tables it implies are allocated. Any
-// marker segment it does not know, and any tile-part out of index
-// order, rejects the stream.
+// rejected before the header tables it implies are allocated. It is the
+// strict policy over DecodeTilesSalvage: any framing damage the
+// salvaging parse records (an unknown marker segment, a repeated or
+// truncated tile-part, a missing EOC) and any tile that never arrived
+// rejects the stream. Tile-parts may arrive in any tile order.
 func DecodeTilesLimits(data []byte, lim Limits) (*Header, [][]byte, error) {
-	rd := &reader{data: data}
-	h, err := mainHeader(rd, lim, func(m int) error {
-		return fmt.Errorf("codestream: unexpected marker %#x", m)
-	})
+	h, bodies, info, err := DecodeTilesSalvage(data, lim)
 	if err != nil {
 		return nil, nil, err
 	}
-	var bodies [][]byte
-	for {
-		m, err := rd.marker()
-		if err != nil {
-			return nil, nil, err
-		}
-		switch m {
-		case SOT:
-			isot, bodyLen, err := rd.tilePart()
-			if err != nil {
-				return nil, nil, err
-			}
-			if isot != len(bodies) {
-				return nil, nil, fmt.Errorf("codestream: tile parts out of order")
-			}
-			if rd.pos+bodyLen > len(data) {
-				return nil, nil, fmt.Errorf("codestream: tile length %d out of range", bodyLen+14)
-			}
-			bodies = append(bodies, data[rd.pos:rd.pos+bodyLen])
-			rd.pos += bodyLen
-		case EOC:
-			if len(bodies) == 0 {
-				return nil, nil, fmt.Errorf("codestream: EOC before any tile-part")
-			}
-			return h, bodies, nil
-		default:
-			return nil, nil, fmt.Errorf("codestream: unexpected marker %#x", m)
+	if info.Err != nil {
+		return nil, nil, info.Err
+	}
+	for i, b := range bodies {
+		if b == nil {
+			return nil, nil, fmt.Errorf("codestream: tile-part %d missing", i)
 		}
 	}
+	return h, bodies, nil
 }
 
 // mainHeader reads SOC and the main header's marker segments up to the

@@ -35,16 +35,16 @@ func GridTiles(h *Header) int {
 	return ((h.W + h.TileW - 1) / h.TileW) * ((h.H + h.TileH - 1) / h.TileH)
 }
 
-// DecodeTilesSalvage is the best-effort counterpart of
-// DecodeTilesLimits. The main header (SOC/SIZ/COD/QCD) is parsed by
-// the same loop — without it there is no geometry to decode into —
-// except that well-formed marker segments it does not know are
-// skipped. The tile-part framing is forgiving: unknown-but-well-formed
-// marker segments are skipped, a damaged SOT/SOD wrapper triggers a
-// forward scan for the next plausible SOT, truncated tile-parts are
-// clamped to the bytes present, tile-parts may arrive in any tile
-// order, a repeated tile-part is dropped, and a missing EOC ends the
-// stream instead of failing it. Each of these except the tile order is
+// DecodeTilesSalvage is the one tile-part parse; DecodeTilesLimits is
+// its strict policy. The main header (SOC/SIZ/COD/QCD) must be usable
+// — without it there is no geometry to decode into — but well-formed
+// marker segments it does not know are skipped. The tile-part framing
+// is forgiving: unknown-but-well-formed marker segments are skipped,
+// a damaged SOT/SOD wrapper triggers a forward scan for the next
+// plausible SOT, truncated tile-parts are clamped to the bytes
+// present, tile-parts may arrive in any tile order, a repeated
+// tile-part is dropped, and a missing EOC ends the stream instead of
+// failing it. Each of these except the tile order is
 // damage, and info.Err holds the first. Bodies are returned indexed by
 // Isot over the full SIZ tile grid; a nil body means that tile never
 // arrived. The error is non-nil only when the main header itself is
@@ -63,6 +63,10 @@ func DecodeTilesSalvage(data []byte, lim Limits) (*Header, [][]byte, *SalvageInf
 	}
 	h, err := mainHeader(rd, lim, skip)
 	if err != nil {
+		if info.Err != nil {
+			// A segment skipped on the way was likely the header's own.
+			err = fmt.Errorf("%w, after %v", err, info.Err)
+		}
 		return nil, nil, nil, err
 	}
 

@@ -4,6 +4,7 @@ import (
 	"j2kcell/internal/cell"
 	"j2kcell/internal/decomp"
 	"j2kcell/internal/dwt"
+	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/sim"
 )
 
@@ -182,7 +183,7 @@ func (e *encoder) extraSweeps(p *sim.Proc, spe *cell.SPE, ea int64, stride int, 
 }
 
 // horizontalSPE streams rows [r0, r1) through the 1-D filter.
-func horizontalSPE[T cell.Word](p *sim.Proc, spe *cell.SPE, e *encoder, arr *decomp.Array[T], r0, r1, lw int, cost float64, line func(x, tmp []T)) {
+func horizontalSPE[T imgmodel.Sample](p *sim.Proc, spe *cell.SPE, e *encoder, arr *decomp.Array[T], r0, r1, lw int, cost float64, line func(x, tmp []T)) {
 	if lw <= 1 || r0 >= r1 {
 		return
 	}
@@ -309,7 +310,7 @@ func (e *encoder) verticalPPE97(p *sim.Proc, pe *cell.PPE, arr *decomp.Array[flo
 }
 
 // horizontalPPE filters rows [r0, r1) directly.
-func horizontalPPE[T cell.Word](p *sim.Proc, pe *cell.PPE, arr *decomp.Array[T], r0, r1, lw int, cost float64, line func(x, tmp []T)) {
+func horizontalPPE[T imgmodel.Sample](p *sim.Proc, pe *cell.PPE, arr *decomp.Array[T], r0, r1, lw int, cost float64, line func(x, tmp []T)) {
 	if lw <= 1 || r0 >= r1 {
 		return
 	}

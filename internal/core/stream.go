@@ -3,6 +3,7 @@ package core
 import (
 	"j2kcell/internal/cell"
 	"j2kcell/internal/decomp"
+	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/sim"
 )
 
@@ -10,7 +11,7 @@ import (
 func roundUp4(w int) int { return (w + 3) &^ 3 }
 
 // seg returns the live row segment [x0, x0+w) of row r and its EA.
-func seg[T cell.Word](a *decomp.Array[T], r, x0, w int) ([]T, int64) {
+func seg[T imgmodel.Sample](a *decomp.Array[T], r, x0, w int) ([]T, int64) {
 	off := r*a.Stride + x0
 	return a.Data[off : off+w], a.EA + int64(4*off)
 }
@@ -18,7 +19,7 @@ func seg[T cell.Word](a *decomp.Array[T], r, x0, w int) ([]T, int64) {
 // rowRing streams rows of one column range of an array through a small
 // ring of Local Store buffers with asynchronous prefetch — the
 // constant-footprint access pattern the decomposition scheme enables.
-type rowRing[T cell.Word] struct {
+type rowRing[T imgmodel.Sample] struct {
 	spe   *cell.SPE
 	arr   *decomp.Array[T]
 	x0, w int
@@ -28,7 +29,7 @@ type rowRing[T cell.Word] struct {
 	comps []*sim.Completion
 }
 
-func newRowRing[T cell.Word](spe *cell.SPE, arr *decomp.Array[T], x0, w, slots int) *rowRing[T] {
+func newRowRing[T imgmodel.Sample](spe *cell.SPE, arr *decomp.Array[T], x0, w, slots int) *rowRing[T] {
 	r := &rowRing[T]{spe: spe, arr: arr, x0: x0, w: w}
 	for i := 0; i < slots; i++ {
 		buf, lsa := cell.AllocLS[T](spe.LS, w)
@@ -66,14 +67,14 @@ func (r *rowRing[T]) get(p *sim.Proc, row int) []T {
 }
 
 // putRing manages output buffers whose puts must complete before reuse.
-type putRing[T cell.Word] struct {
+type putRing[T imgmodel.Sample] struct {
 	spe   *cell.SPE
 	bufs  [][]T
 	lsas  []int64
 	comps []*sim.Completion
 }
 
-func newPutRing[T cell.Word](spe *cell.SPE, w, slots int) *putRing[T] {
+func newPutRing[T imgmodel.Sample](spe *cell.SPE, w, slots int) *putRing[T] {
 	r := &putRing[T]{spe: spe}
 	for i := 0; i < slots; i++ {
 		buf, lsa := cell.AllocLS[T](spe.LS, w)
@@ -108,7 +109,7 @@ func (r *putRing[T]) peek(k int) []T { return r.bufs[k%len(r.bufs)] }
 // streamCopy moves rows [0, n) of src columns [x0, x0+w) to rows
 // [dstRow0, ...) of dst, optionally transforming each buffer — the
 // auxiliary-buffer copy-back pass of the fused vertical DWT.
-func streamCopy[T cell.Word](p *sim.Proc, spe *cell.SPE, src, dst *decomp.Array[T], x0, w, n, dstRow0 int, depth int, perElem float64, fn func([]T)) {
+func streamCopy[T imgmodel.Sample](p *sim.Proc, spe *cell.SPE, src, dst *decomp.Array[T], x0, w, n, dstRow0 int, depth int, perElem float64, fn func([]T)) {
 	if n <= 0 {
 		return
 	}
@@ -140,7 +141,7 @@ func streamCopy[T cell.Word](p *sim.Proc, spe *cell.SPE, src, dst *decomp.Array[
 // (possibly misaligned) row window by transferring its 16-byte-aligned
 // superset, the way real SPE code must. Returns nothing; the data is
 // used directly from main memory by the caller's computation.
-func alignedFetchCost[T cell.Word](p *sim.Proc, spe *cell.SPE, a *decomp.Array[T], row, x0, w int, scratch []T, scratchLSA int64) {
+func alignedFetchCost[T imgmodel.Sample](p *sim.Proc, spe *cell.SPE, a *decomp.Array[T], row, x0, w int, scratch []T, scratchLSA int64) {
 	off := row*a.Stride + x0
 	ea := a.EA + int64(4*off)
 	ea0 := ea &^ 15

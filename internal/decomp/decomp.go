@@ -13,71 +13,42 @@
 package decomp
 
 import (
-	"fmt"
-
 	"j2kcell/internal/cell"
+	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/sim"
 )
 
-// Keep the machine-free WordsPerLine (geometry.go) in lock step with
-// the simulated cache line: both array bounds are zero-length exactly
-// when WordsPerLine == cell.CacheLine/4.
+// The planes' row padding (imgmodel.StrideAlign, WordsPerLine here)
+// is the simulated cache line: both array bounds are zero-length
+// exactly when WordsPerLine == cell.CacheLine/4.
 var (
 	_ [WordsPerLine - cell.CacheLine/4]struct{}
 	_ [cell.CacheLine/4 - WordsPerLine]struct{}
 )
 
-// Array is a height×width array of words stored row-major with a
-// stride padded to a whole number of cache lines, at a line-aligned
-// effective address when allocated on a Machine.
-type Array[T cell.Word] struct {
-	Data   []T
-	W, H   int
-	Stride int   // words per row including padding; multiple of 32
-	EA     int64 // effective address of Data[0]; 128-byte aligned
+// Array is the codec's padded sample plane (imgmodel.Samples: rows
+// padded to whole cache lines) placed at a line-aligned effective
+// address in the simulated main memory.
+type Array[T imgmodel.Sample] struct {
+	imgmodel.Samples[T]
+	EA int64 // effective address of Data[0]; 128-byte aligned
 }
 
 // NewArray allocates a w×h array in m's simulated main memory with
 // padded rows, implementing the row-padding step of the scheme.
-func NewArray[T cell.Word](m *cell.Machine, w, h int) *Array[T] {
-	// invariant: array geometry comes from validated image dimensions.
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("decomp: invalid array size %dx%d", w, h))
-	}
-	stride := PadStride(w)
-	return &Array[T]{
-		Data:   make([]T, stride*h),
-		W:      w,
-		H:      h,
-		Stride: stride,
-		EA:     m.AllocEA(int64(4*stride*h), cell.CacheLine),
-	}
+func NewArray[T imgmodel.Sample](m *cell.Machine, w, h int) *Array[T] {
+	// invariant: array geometry comes from validated image dimensions;
+	// imgmodel.New panics on anything else.
+	a := &Array[T]{Samples: *imgmodel.New[T](w, h)}
+	a.EA = m.AllocEA(int64(4*len(a.Data)), cell.CacheLine)
+	return a
 }
-
-// NewLocalArray allocates an array with padded rows but no simulated
-// address, for use by the sequential reference codec.
-func NewLocalArray[T cell.Word](w, h int) *Array[T] {
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("decomp: invalid array size %dx%d", w, h))
-	}
-	stride := PadStride(w)
-	return &Array[T]{Data: make([]T, stride*h), W: w, H: h, Stride: stride}
-}
-
-// Row returns the live row r restricted to the array's width.
-func (a *Array[T]) Row(r int) []T { return a.Data[r*a.Stride : r*a.Stride+a.W] }
 
 // PaddedRow returns the live row r including its padding words.
 func (a *Array[T]) PaddedRow(r int) []T { return a.Data[r*a.Stride : (r+1)*a.Stride] }
 
 // RowEA returns the effective address of row r — always line-aligned.
 func (a *Array[T]) RowEA(r int) int64 { return a.EA + int64(4*r*a.Stride) }
-
-// At returns the element at row r, column c.
-func (a *Array[T]) At(r, c int) T { return a.Data[r*a.Stride+c] }
-
-// Set stores v at row r, column c.
-func (a *Array[T]) Set(r, c int, v T) { a.Data[r*a.Stride+c] = v }
 
 // StreamRows runs a pixel-wise kernel over every row of chunk ch of src,
 // writing results to the same rows/columns of dst, as an SPE would: one
@@ -89,7 +60,7 @@ func (a *Array[T]) Set(r, c int, v T) { a.Data[r*a.Stride+c] = v }
 //
 // src and dst must have identical geometry (in-place streaming, with
 // dst == src, is allowed).
-func StreamRows[T cell.Word](p *sim.Proc, spe *cell.SPE, src, dst *Array[T], ch Chunk, depth int, cyclesPerElem float64, fn func(row int, buf []T)) {
+func StreamRows[T imgmodel.Sample](p *sim.Proc, spe *cell.SPE, src, dst *Array[T], ch Chunk, depth int, cyclesPerElem float64, fn func(row int, buf []T)) {
 	// invariant: both arrays were allocated by NewArray from the same
 	// plan; mismatches are simulation-kernel bugs.
 	if src.W != dst.W || src.H != dst.H || src.Stride != dst.Stride {
@@ -153,7 +124,7 @@ func StreamRows[T cell.Word](p *sim.Proc, spe *cell.SPE, src, dst *Array[T], ch 
 // PPERows runs the same pixel-wise kernel over a (remainder) chunk on
 // the PPE: direct cached access, cost charged per element, traffic
 // streamed through the shared memory interface.
-func PPERows[T cell.Word](p *sim.Proc, ppe *cell.PPE, src, dst *Array[T], ch Chunk, cyclesPerElem float64, fn func(row int, buf []T)) {
+func PPERows[T imgmodel.Sample](p *sim.Proc, ppe *cell.PPE, src, dst *Array[T], ch Chunk, cyclesPerElem float64, fn func(row int, buf []T)) {
 	// invariant: same shared-plan geometry contract as StreamRows.
 	if src.W != dst.W || src.H != dst.H || src.Stride != dst.Stride {
 		panic("decomp: PPERows geometry mismatch")

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"j2kcell/internal/cell"
+	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/sim"
 )
 
@@ -13,7 +14,7 @@ func TestPadStride(t *testing.T) {
 		{1, 32}, {31, 32}, {32, 32}, {33, 64}, {100, 128}, {3072, 3072},
 	}
 	for _, c := range cases {
-		if got := PadStride(c.w); got != c.want {
+		if got := imgmodel.PadStride(c.w); got != c.want {
 			t.Errorf("PadStride(%d)=%d, want %d", c.w, got, c.want)
 		}
 	}
@@ -45,7 +46,7 @@ func TestNewArrayPanicsOnBadSize(t *testing.T) {
 			t.Error("no panic for zero-size array")
 		}
 	}()
-	NewLocalArray[int32](0, 5)
+	NewArray[int32](cell.MustMachine(cell.DefaultConfig(1)), 0, 5)
 }
 
 func TestPartitionBasic(t *testing.T) {
@@ -110,7 +111,7 @@ func TestChunkWidthFor(t *testing.T) {
 	if w := ChunkWidthFor(100, 8); w != 32 {
 		t.Errorf("tiny width must still give one line: got %d", w)
 	}
-	if w := ChunkWidthFor(100, 0); w != PadStride(100) {
+	if w := ChunkWidthFor(100, 0); w != imgmodel.PadStride(100) {
 		t.Errorf("no SPEs: got %d", w)
 	}
 }

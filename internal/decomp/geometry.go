@@ -1,23 +1,24 @@
 package decomp
 
-import "fmt"
+import (
+	"fmt"
+
+	"j2kcell/internal/imgmodel"
+)
 
 // This file holds the pure geometry of the paper's decomposition scheme
-// (Section 2): row padding and constant-width column chunking. It has no
-// dependency on the simulated machine, so the native Go encoder
+// (Section 2): constant-width column chunking over rows padded by the
+// one padding rule, imgmodel.PadStride. It has no dependency on the
+// simulated machine, so the native Go encoder
 // (internal/codec) shares the exact same chunk geometry the SPE kernels
 // stream — the cache-line column groups of §3.2 — without touching the
 // simulator. decomp.go layers the simulated-memory Array and the DMA row
 // streamer on top.
 
-// WordsPerLine is the number of 4-byte words in one 128-byte cache line.
-// (decomp.go statically asserts this equals cell.CacheLine/4.)
-const WordsPerLine = 32
-
-// PadStride rounds a width in words up to a whole number of cache lines.
-func PadStride(w int) int {
-	return (w + WordsPerLine - 1) / WordsPerLine * WordsPerLine
-}
+// WordsPerLine is the number of 4-byte words in one 128-byte cache
+// line: the planes' row padding granule. (decomp.go statically asserts
+// it equals cell.CacheLine/4.)
+const WordsPerLine = imgmodel.StrideAlign
 
 // PPEChunk marks a chunk assigned to the PPE.
 const PPEChunk = -1
@@ -70,7 +71,7 @@ func Partition(width, chunkW, nSPE int) []Chunk {
 // returns less than one cache line.
 func ChunkWidthFor(width, nSPE int) int {
 	if nSPE <= 0 {
-		return PadStride(width)
+		return imgmodel.PadStride(width)
 	}
 	per := width / nSPE
 	cw := per / WordsPerLine * WordsPerLine

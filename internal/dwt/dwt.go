@@ -145,71 +145,64 @@ func MaxLevels(w, h int) int {
 	return l
 }
 
-// Forward53 applies `levels` reversible 5/3 decompositions in place to
+// forward applies `levels` decompositions with k's kernels in place to
 // the w×h region of data (row stride given), producing the standard
 // deinterleaved layout with LL at the top-left. Vertical filtering
 // runs first, matching the paper's pipeline.
-func Forward53(data []int32, w, h, stride, levels int) {
-	aux := make([]int32, ((h+1)/2)*w)
+func (k Lifting[T]) forward(data []T, w, h, stride, levels int) {
+	aux, tmp := make([]T, AuxLen(w, h)), make([]T, w)
 	for l := 0; l < levels; l++ {
-		lw, lh := levelDim(w, l), levelDim(h, l)
+		lw, lh := LevelDims(w, h, l)
 		if lw <= 1 && lh <= 1 {
 			break
 		}
-		Vertical53Fused(data, lw, lh, stride, aux)
-		horizontal53(data, lw, lh, stride, false)
+		k.Vertical(data, 0, lw, lh, stride, aux)
+		k.Rows(data, lw, stride, 0, lh, tmp)
 	}
 }
 
-// Inverse53 exactly reverses Forward53.
-func Inverse53(data []int32, w, h, stride, levels int) {
-	InverseLevels53(data, w, h, stride, levels, 0)
-}
-
-// InverseLevels53 undoes only the coarsest decomposition levels,
-// levels-1 down to stop. With stop > 0 the finest `stop` levels stay
-// transformed, so the top-left levelDim(w, stop) × levelDim(h, stop)
-// region afterwards holds the image at reduced resolution — the basis
-// of resolution-progressive decoding.
-func InverseLevels53(data []int32, w, h, stride, levels, stop int) {
-	aux := make([]int32, ((h+1)/2)*w)
+// inverse undoes only the coarsest decomposition levels, levels-1 down
+// to stop. With stop > 0 the finest `stop` levels stay transformed, so
+// the top-left levelDim(w, stop) × levelDim(h, stop) region afterwards
+// holds the image at reduced resolution — the basis of
+// resolution-progressive decoding.
+func (k Lifting[T]) inverse(data []T, w, h, stride, levels, stop int) {
+	aux, tmp := make([]T, AuxLen(w, h)), make([]T, w)
 	for l := levels - 1; l >= stop; l-- {
-		lw, lh := levelDim(w, l), levelDim(h, l)
+		lw, lh := LevelDims(w, h, l)
 		if lw <= 1 && lh <= 1 {
 			continue
 		}
-		horizontal53(data, lw, lh, stride, true)
-		inverseVertical53(data, lw, lh, stride, aux)
+		k.InvRows(data, lw, stride, 0, lh, tmp)
+		k.InvVertical(data, 0, lw, lh, stride, aux)
 	}
+}
+
+// Forward53 applies `levels` reversible 5/3 decompositions in place
+// (Lifting53's forward walk).
+func Forward53(data []int32, w, h, stride, levels int) { Lifting53.forward(data, w, h, stride, levels) }
+
+// Inverse53 exactly reverses Forward53.
+func Inverse53(data []int32, w, h, stride, levels int) {
+	Lifting53.inverse(data, w, h, stride, levels, 0)
+}
+
+// InverseLevels53 undoes the reversible levels levels-1 down to stop.
+func InverseLevels53(data []int32, w, h, stride, levels, stop int) {
+	Lifting53.inverse(data, w, h, stride, levels, stop)
 }
 
 // Forward97 applies `levels` irreversible 9/7 decompositions in place.
 func Forward97(data []float32, w, h, stride, levels int) {
-	aux := make([]float32, ((h+1)/2)*w)
-	for l := 0; l < levels; l++ {
-		lw, lh := levelDim(w, l), levelDim(h, l)
-		if lw <= 1 && lh <= 1 {
-			break
-		}
-		Vertical97Fused(data, lw, lh, stride, aux)
-		horizontal97(data, lw, lh, stride, false)
-	}
+	Lifting97.forward(data, w, h, stride, levels)
 }
 
 // Inverse97 reverses Forward97 (to floating-point rounding).
 func Inverse97(data []float32, w, h, stride, levels int) {
-	InverseLevels97(data, w, h, stride, levels, 0)
+	Lifting97.inverse(data, w, h, stride, levels, 0)
 }
 
 // InverseLevels97 is the irreversible analogue of InverseLevels53.
 func InverseLevels97(data []float32, w, h, stride, levels, stop int) {
-	aux := make([]float32, ((h+1)/2)*w)
-	for l := levels - 1; l >= stop; l-- {
-		lw, lh := levelDim(w, l), levelDim(h, l)
-		if lw <= 1 && lh <= 1 {
-			continue
-		}
-		horizontal97(data, lw, lh, stride, true)
-		inverseVertical97(data, lw, lh, stride, aux)
-	}
+	Lifting97.inverse(data, w, h, stride, levels, stop)
 }

@@ -197,20 +197,3 @@ var (
 	invLow53  = liftStep[int32]{simd.SubShr2Row, func(a, b, c int32) int32 { return a - ((b + c + 2) >> 2) }}
 	invHigh53 = liftStep[int32]{simd.AddShr1Row, func(a, b, c int32) int32 { return a + ((b + c) >> 1) }}
 )
-
-// horizontal53 runs the 1-D 5/3 filter (or its inverse) over every row
-// of the region.
-func horizontal53(data []int32, w, h, stride int, inverse bool) {
-	if w <= 1 {
-		return
-	}
-	tmp := make([]int32, w)
-	for r := 0; r < h; r++ {
-		row := data[r*stride : r*stride+w]
-		if inverse {
-			Inv53Line(row, tmp)
-		} else {
-			Fwd53Line(row, tmp)
-		}
-	}
-}

@@ -307,19 +307,3 @@ func lift97(c float32) liftStep[float32] {
 		one: func(a, b, d float32) float32 { return a + float32(c*(b+d)) },
 	}
 }
-
-// horizontal97 runs the 1-D 9/7 filter (or its inverse) over every row.
-func horizontal97(data []float32, w, h, stride int, inverse bool) {
-	if w <= 1 {
-		return
-	}
-	tmp := make([]float32, w)
-	for r := 0; r < h; r++ {
-		row := data[r*stride : r*stride+w]
-		if inverse {
-			Inv97Line(row, tmp)
-		} else {
-			Fwd97Line(row, tmp)
-		}
-	}
-}

@@ -1,7 +1,8 @@
 package dwt
 
-// Stripe-safe entry points for the stage-based native pipeline
-// (internal/codec.Pipeline). The vertical lifting recurrences never mix
+// The kernel tables the level walks run: the serial Forward/Inverse
+// walks below and the stage-based native pipeline's
+// (internal/codec.Pipeline). Every entry point is stripe-safe. The vertical lifting recurrences never mix
 // columns — every operation is a row-vector op applied elementwise — so
 // a vertical analysis restricted to a column group [x0, x0+cw) is
 // bit-identical to the same columns of a full-width sweep. That is the
@@ -17,75 +18,56 @@ func LevelDims(w, h, l int) (int, int) { return levelDim(w, l), levelDim(h, l) }
 // vertical analyses need for a cw-wide, lh-high region: half the rows.
 func AuxLen(cw, lh int) int { return ((lh + 1) / 2) * cw }
 
-// Vertical53Stripe runs the fused vertical 5/3 analysis over the column
-// group [x0, x0+cw) of an lh-high region. aux needs AuxLen(cw, lh)
-// words; its prior contents are irrelevant (write-before-read).
-// Bit-identical to the corresponding columns of Vertical53Fused.
-func Vertical53Stripe(data []int32, x0, cw, lh, stride int, aux []int32) {
-	Vertical53Fused(data[x0:], cw, lh, stride, aux)
+// Lifting is one filter's kernel table: the fused vertical analysis
+// and synthesis the column-group phases run, and the 1-D line analysis
+// and synthesis the row-stripe phases apply row by row. Lifting53 and
+// Lifting97 are the two filters; each level walk — serial here, staged
+// in the codec pipeline — is written once over them.
+type Lifting[T int32 | float32] struct {
+	vertical, invVertical func(data []T, w, h, stride int, aux []T)
+	line, invLine         func(x, tmp []T)
 }
 
-// Vertical97Stripe is the irreversible analogue of Vertical53Stripe.
-func Vertical97Stripe(data []float32, x0, cw, lh, stride int, aux []float32) {
-	Vertical97Fused(data[x0:], cw, lh, stride, aux)
+// The reversible 5/3 and irreversible 9/7 kernel tables.
+var (
+	Lifting53 = Lifting[int32]{Vertical53Fused, inverseVertical53, Fwd53Line, Inv53Line}
+	Lifting97 = Lifting[float32]{Vertical97Fused, inverseVertical97, Fwd97Line, Inv97Line}
+)
+
+// Vertical runs the fused vertical analysis over the column group
+// [x0, x0+cw) of an lh-high region. aux needs AuxLen(cw, lh) words;
+// its prior contents are irrelevant (write-before-read). Bit-identical
+// to the corresponding columns of a full-width sweep.
+func (k Lifting[T]) Vertical(data []T, x0, cw, lh, stride int, aux []T) {
+	k.vertical(data[x0:], cw, lh, stride, aux)
 }
 
-// Horizontal53Rows applies the 1-D 5/3 analysis to rows [y0, y1) of the
-// lw-wide region. tmp needs lw words. Rows are independent, so disjoint
-// row ranges may run concurrently.
-func Horizontal53Rows(data []int32, lw, stride, y0, y1 int, tmp []int32) {
+// InvVertical runs the vertical synthesis over the column group
+// [x0, x0+cw) of an lh-high region, under Vertical's rules.
+func (k Lifting[T]) InvVertical(data []T, x0, cw, lh, stride int, aux []T) {
+	k.invVertical(data[x0:], cw, lh, stride, aux)
+}
+
+// Rows applies the 1-D analysis to rows [y0, y1) of the lw-wide
+// region. tmp needs lw words. Rows are independent, so disjoint row
+// ranges may run concurrently.
+func (k Lifting[T]) Rows(data []T, lw, stride, y0, y1 int, tmp []T) {
+	eachRow(k.line, data, lw, stride, y0, y1, tmp)
+}
+
+// InvRows applies the 1-D synthesis to rows [y0, y1) of the lw-wide
+// region, under Rows' rules.
+func (k Lifting[T]) InvRows(data []T, lw, stride, y0, y1 int, tmp []T) {
+	eachRow(k.invLine, data, lw, stride, y0, y1, tmp)
+}
+
+// eachRow applies line to rows [y0, y1) of the lw-wide region; a
+// one-sample line is its own transform.
+func eachRow[T int32 | float32](line func(x, tmp []T), data []T, lw, stride, y0, y1 int, tmp []T) {
 	if lw <= 1 {
 		return
 	}
 	for r := y0; r < y1; r++ {
-		Fwd53Line(data[r*stride:r*stride+lw], tmp)
-	}
-}
-
-// Horizontal97Rows is the irreversible analogue of Horizontal53Rows.
-func Horizontal97Rows(data []float32, lw, stride, y0, y1 int, tmp []float32) {
-	if lw <= 1 {
-		return
-	}
-	for r := y0; r < y1; r++ {
-		Fwd97Line(data[r*stride:r*stride+lw], tmp)
-	}
-}
-
-// InvVertical53Stripe runs the vertical 5/3 synthesis over the column
-// group [x0, x0+cw) of an lh-high region. aux needs AuxLen(cw, lh)
-// words. Like its forward counterpart, the recurrence never mixes
-// columns, so disjoint column groups may run concurrently and the
-// result is bit-identical to the corresponding columns of a full-width
-// inverse sweep.
-func InvVertical53Stripe(data []int32, x0, cw, lh, stride int, aux []int32) {
-	inverseVertical53(data[x0:], cw, lh, stride, aux)
-}
-
-// InvVertical97Stripe is the irreversible analogue of
-// InvVertical53Stripe.
-func InvVertical97Stripe(data []float32, x0, cw, lh, stride int, aux []float32) {
-	inverseVertical97(data[x0:], cw, lh, stride, aux)
-}
-
-// InvHorizontal53Rows applies the 1-D 5/3 synthesis to rows [y0, y1) of
-// the lw-wide region. tmp needs lw words.
-func InvHorizontal53Rows(data []int32, lw, stride, y0, y1 int, tmp []int32) {
-	if lw <= 1 {
-		return
-	}
-	for r := y0; r < y1; r++ {
-		Inv53Line(data[r*stride:r*stride+lw], tmp)
-	}
-}
-
-// InvHorizontal97Rows is the irreversible analogue of
-// InvHorizontal53Rows.
-func InvHorizontal97Rows(data []float32, lw, stride, y0, y1 int, tmp []float32) {
-	if lw <= 1 {
-		return
-	}
-	for r := y0; r < y1; r++ {
-		Inv97Line(data[r*stride:r*stride+lw], tmp)
+		line(data[r*stride:r*stride+lw], tmp)
 	}
 }

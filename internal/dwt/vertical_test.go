@@ -11,8 +11,8 @@ import (
 
 // Multi-pass reference forms of the vertical synthesis: a scale pass,
 // one pass per lifting step over the deinterleaved rows, then three
-// copy loops that interleave through aux. InvVertical97Stripe and
-// InvVertical53Stripe must match these bit for bit.
+// copy loops that interleave through aux. Lifting97.InvVertical and
+// Lifting53.InvVertical must match these bit for bit.
 
 func oracleInverseVertical97(data []float32, w, h, stride int, aux []float32) {
 	if h <= 1 {
@@ -99,7 +99,7 @@ func TestInvVerticalMatchesOracle(t *testing.T) {
 					xf[i] = float32(xi[i]) / 64
 				}
 				gotF, wantF := append([]float32(nil), xf...), append([]float32(nil), xf...)
-				InvVertical97Stripe(gotF, x0, w, h, stride, make([]float32, AuxLen(w, h)))
+				Lifting97.InvVertical(gotF, x0, w, h, stride, make([]float32, AuxLen(w, h)))
 				oracleInverseVertical97(wantF[x0:], w, h, stride, make([]float32, AuxLen(w, h)))
 				for i := range gotF {
 					if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) {
@@ -107,7 +107,7 @@ func TestInvVerticalMatchesOracle(t *testing.T) {
 					}
 				}
 				gotI, wantI := append([]int32(nil), xi...), append([]int32(nil), xi...)
-				InvVertical53Stripe(gotI, x0, w, h, stride, make([]int32, AuxLen(w, h)))
+				Lifting53.InvVertical(gotI, x0, w, h, stride, make([]int32, AuxLen(w, h)))
 				oracleInverseVertical53(wantI[x0:], w, h, stride, make([]int32, AuxLen(w, h)))
 				for i := range gotI {
 					if gotI[i] != wantI[i] {
@@ -139,8 +139,8 @@ func BenchmarkInvVertical(b *testing.B) {
 			name string
 			run  func()
 		}{
-			{"97", func() { InvVertical97Stripe(xf, 0, w, h, w, auxF) }},
-			{"53", func() { InvVertical53Stripe(xi, 0, w, h, w, auxI) }},
+			{"97", func() { Lifting97.InvVertical(xf, 0, w, h, w, auxF) }},
+			{"53", func() { Lifting53.InvVertical(xi, 0, w, h, w, auxI) }},
 		} {
 			b.Run(fmt.Sprintf("%s/%d", f.name, w), func(b *testing.B) {
 				b.SetBytes(int64(4 * w * h))

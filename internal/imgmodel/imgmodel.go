@@ -8,93 +8,89 @@ package imgmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // StrideAlign is the row padding granule in 4-byte words (one 128-byte
-// cache line).
+// cache line). It is the one padding rule: the codec's planes and the
+// Cell model's arrays (decomp.Array) both pad with PadStride.
 const StrideAlign = 32
 
-// padStride rounds w up to a multiple of StrideAlign.
-func padStride(w int) int { return (w + StrideAlign - 1) / StrideAlign * StrideAlign }
+// PadStride rounds a width in words up to a whole number of cache
+// lines.
+func PadStride(w int) int { return (w + StrideAlign - 1) / StrideAlign * StrideAlign }
 
-// Plane is one image component: H rows of W int32 samples with a padded
-// Stride.
-type Plane struct {
-	Data   []int32
+// Sample is the set of sample types a plane holds: integers on the
+// reversible path, floats mid-pipeline on the irreversible one.
+type Sample interface{ int32 | float32 }
+
+// Samples is one padded sample plane: H rows of W samples, row r at
+// Data[r*Stride:], with Stride a multiple of StrideAlign.
+type Samples[T Sample] struct {
+	Data   []T
 	W, H   int
 	Stride int
 }
 
-// NewPlane allocates a zeroed W×H plane with padded rows.
-func NewPlane(w, h int) *Plane {
+// Plane is one image component of integer samples.
+type Plane = Samples[int32]
+
+// FPlane is a float component used mid-pipeline in the irreversible
+// (lossy) path between the ICT and quantization.
+type FPlane = Samples[float32]
+
+// New allocates a zeroed W×H plane with padded rows.
+func New[T Sample](w, h int) *Samples[T] {
 	// invariant: callers derive w,h from geometry already validated at the
 	// API boundary (validateImage, codestream SIZ checks); 0 here is a bug.
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("imgmodel: invalid plane size %dx%d", w, h))
 	}
-	s := padStride(w)
-	return &Plane{Data: make([]int32, s*h), W: w, H: h, Stride: s}
+	s := PadStride(w)
+	return &Samples[T]{Data: make([]T, s*h), W: w, H: h, Stride: s}
 }
 
 // Row returns row r restricted to the plane width.
-func (p *Plane) Row(r int) []int32 { return p.Data[r*p.Stride : r*p.Stride+p.W] }
+func (p *Samples[T]) Row(r int) []T { return p.Data[r*p.Stride : r*p.Stride+p.W] }
 
 // At returns the sample at row r, column c.
-func (p *Plane) At(r, c int) int32 { return p.Data[r*p.Stride+c] }
+func (p *Samples[T]) At(r, c int) T { return p.Data[r*p.Stride+c] }
 
 // Set stores v at row r, column c.
-func (p *Plane) Set(r, c int, v int32) { p.Data[r*p.Stride+c] = v }
+func (p *Samples[T]) Set(r, c int, v T) { p.Data[r*p.Stride+c] = v }
 
 // Clone returns a deep copy of the plane.
-func (p *Plane) Clone() *Plane {
-	q := &Plane{Data: make([]int32, len(p.Data)), W: p.W, H: p.H, Stride: p.Stride}
-	copy(q.Data, p.Data)
-	return q
+func (p *Samples[T]) Clone() *Samples[T] {
+	q := *p
+	q.Data = append([]T(nil), p.Data...)
+	return &q
 }
 
 // Equal reports whether two planes have identical geometry and samples
 // (padding words are ignored).
-func (p *Plane) Equal(q *Plane) bool {
+func (p *Samples[T]) Equal(q *Samples[T]) bool {
 	if p.W != q.W || p.H != q.H {
 		return false
 	}
 	for r := 0; r < p.H; r++ {
-		pr, qr := p.Row(r), q.Row(r)
-		for c := range pr {
-			if pr[c] != qr[c] {
-				return false
-			}
+		if !slices.Equal(p.Row(r), q.Row(r)) {
+			return false
 		}
 	}
 	return true
 }
 
-// FPlane is a float32 component used mid-pipeline in the irreversible
-// (lossy) path between the ICT and quantization.
-type FPlane struct {
-	Data   []float32
-	W, H   int
-	Stride int
+// View returns the w×h rectangle at (x0, y0) of p without copying:
+// its Data starts at sample (x0, y0) and keeps p's Stride, so row r of
+// the view is row y0+r of p from column x0. A view's rows are not
+// contiguous in general — copy it row by row, never as one block —
+// and a view must never go to Put: the pool would hand p's samples to
+// another user.
+func (p *Samples[T]) View(x0, y0, w, h int) *Samples[T] {
+	off := y0*p.Stride + x0
+	end := off + (h-1)*p.Stride + w
+	return &Samples[T]{Data: p.Data[off:end:end], W: w, H: h, Stride: p.Stride}
 }
-
-// NewFPlane allocates a zeroed W×H float plane with padded rows.
-func NewFPlane(w, h int) *FPlane {
-	// invariant: same validated-geometry contract as NewPlane.
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("imgmodel: invalid plane size %dx%d", w, h))
-	}
-	s := padStride(w)
-	return &FPlane{Data: make([]float32, s*h), W: w, H: h, Stride: s}
-}
-
-// Row returns row r restricted to the plane width.
-func (p *FPlane) Row(r int) []float32 { return p.Data[r*p.Stride : r*p.Stride+p.W] }
-
-// At returns the sample at row r, column c.
-func (p *FPlane) At(r, c int) float32 { return p.Data[r*p.Stride+c] }
-
-// Set stores v at row r, column c.
-func (p *FPlane) Set(r, c int, v float32) { p.Data[r*p.Stride+c] = v }
 
 // Image is a planar image: all components have full resolution (no
 // chroma subsampling, as in the paper's RGB BMP workload).
@@ -108,7 +104,7 @@ type Image struct {
 func NewImage(w, h, n, depth int) *Image {
 	img := &Image{W: w, H: h, Depth: depth}
 	for i := 0; i < n; i++ {
-		img.Comps = append(img.Comps, NewPlane(w, h))
+		img.Comps = append(img.Comps, New[int32](w, h))
 	}
 	return img
 }
@@ -177,7 +173,7 @@ func (img *Image) SubImage(x0, y0, w, h int) *Image {
 }
 
 // View returns the w×h rectangle at (x0, y0) of img without copying:
-// every component of the view is a Plane view (Plane.View) sharing
+// every component of the view is a plane view (Samples.View) sharing
 // img's samples, so writes through the view land in img. The codec
 // reads tiles through views and writes decoded tiles and windows into
 // their place in the output through them.
@@ -187,23 +183,4 @@ func (img *Image) View(x0, y0, w, h int) *Image {
 		out.Comps[c] = p.View(x0, y0, w, h)
 	}
 	return out
-}
-
-// View returns the w×h rectangle at (x0, y0) of p without copying:
-// its Data starts at sample (x0, y0) and keeps p's Stride, so row r of
-// the view is row y0+r of p from column x0. A view's rows are not
-// contiguous in general — copy it row by row, never as one block —
-// and a view must never go to PutPlane: the pool would hand p's
-// samples to another user.
-func (p *Plane) View(x0, y0, w, h int) *Plane {
-	off := y0*p.Stride + x0
-	end := off + (h-1)*p.Stride + w
-	return &Plane{Data: p.Data[off:end:end], W: w, H: h, Stride: p.Stride}
-}
-
-// View is the float analogue of Plane.View, under the same rules.
-func (p *FPlane) View(x0, y0, w, h int) *FPlane {
-	off := y0*p.Stride + x0
-	end := off + (h-1)*p.Stride + w
-	return &FPlane{Data: p.Data[off:end:end], W: w, H: h, Stride: p.Stride}
 }

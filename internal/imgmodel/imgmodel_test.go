@@ -6,7 +6,7 @@ import (
 )
 
 func TestPlaneStridePadded(t *testing.T) {
-	p := NewPlane(33, 2)
+	p := New[int32](33, 2)
 	if p.Stride != 64 {
 		t.Fatalf("stride %d, want 64", p.Stride)
 	}
@@ -16,7 +16,7 @@ func TestPlaneStridePadded(t *testing.T) {
 }
 
 func TestPlaneAtSetCloneEqual(t *testing.T) {
-	p := NewPlane(10, 5)
+	p := New[int32](10, 5)
 	p.Set(4, 9, -7)
 	if p.At(4, 9) != -7 {
 		t.Fatal("At/Set broken")
@@ -29,13 +29,13 @@ func TestPlaneAtSetCloneEqual(t *testing.T) {
 	if p.Equal(q) {
 		t.Fatal("Equal missed a difference")
 	}
-	if p.Equal(NewPlane(10, 4)) {
+	if p.Equal(New[int32](10, 4)) {
 		t.Fatal("Equal ignored geometry")
 	}
 }
 
 func TestEqualIgnoresPadding(t *testing.T) {
-	p, q := NewPlane(10, 2), NewPlane(10, 2)
+	p, q := New[int32](10, 2), New[int32](10, 2)
 	p.Data[20] = 99 // padding word of row 0 (stride is 32)
 	if !p.Equal(q) {
 		t.Fatal("Equal compared padding")
@@ -48,11 +48,11 @@ func TestNewPlanePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewPlane(-1, 3)
+	New[int32](-1, 3)
 }
 
 func TestFPlane(t *testing.T) {
-	p := NewFPlane(40, 3)
+	p := New[float32](40, 3)
 	if p.Stride != 64 {
 		t.Fatalf("stride %d", p.Stride)
 	}
@@ -137,7 +137,7 @@ func TestSubImageAndView(t *testing.T) {
 	if sub.Comps[0].At(0, 0) != 3*40+5 {
 		t.Fatal("writing the view changed the SubImage copy")
 	}
-	fp := NewFPlane(40, 15)
+	fp := New[float32](40, 15)
 	fp.Set(4, 7, 2.5)
 	if fv := fp.View(6, 4, 3, 2); fv.At(0, 1) != 2.5 || fv.Stride != fp.Stride {
 		t.Fatal("FPlane view misplaced")

@@ -61,18 +61,3 @@ func DequantizeBlock(dst []float32, dstStride int, src []int32, w, h int, delta 
 		DequantizeRow(dst[y*dstStride:y*dstStride+w], src[y*w:y*w+w], delta)
 	}
 }
-
-// MaxBitplanes bounds the number of magnitude bit planes a band's
-// quantizer indices can occupy for samples of the given bit depth
-// (post level shift), used as M_b when signaling zero bit planes.
-func MaxBitplanes(depth int, baseDelta float64, levels int, o dwt.Orient, level int) int {
-	amp := float64(int32(1) << (depth - 1)) // |v| bound after level shift
-	// Chroma transforms and filter overshoot can roughly double it.
-	amp *= 2.5
-	q := amp / StepFor(baseDelta, levels, o, level)
-	n := 0
-	for v := int64(q); v > 0; v >>= 1 {
-		n++
-	}
-	return n + 1 // one guard bit
-}

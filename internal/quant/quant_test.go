@@ -83,21 +83,6 @@ func TestStepForTracksGain(t *testing.T) {
 	}
 }
 
-func TestMaxBitplanesCoversRealCoefficients(t *testing.T) {
-	for _, lv := range []int{1, 3, 5} {
-		for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {
-			level := lv
-			if o != dwt.LL {
-				level = 1
-			}
-			mb := MaxBitplanes(8, DefaultBaseDelta, lv, o, level)
-			if mb < 8 || mb > 24 {
-				t.Errorf("MaxBitplanes(%v,l%d)=%d outside sane range", o, level, mb)
-			}
-		}
-	}
-}
-
 // TestDequantizeBlockMatchesRows pins DequantizeBlock, under every
 // kernel set, bit for bit to the scalar DequantizeRow applied row by
 // row, at odd widths and destination strides, and checks it leaves

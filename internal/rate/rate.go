@@ -232,19 +232,3 @@ func TotalDistortion(blocks []BlockRD, dist0 []float64, sel []int) float64 {
 	}
 	return d
 }
-
-// PassesConsidered reports the total number of R-D points examined —
-// the workload driver for the sequential PPE rate-control stage in the
-// Cell cost model.
-func PassesConsidered(blocks []BlockRD) int {
-	n := 0
-	for _, b := range blocks {
-		n += len(b.Rates)
-	}
-	return n
-}
-
-// Lagrangian returns D + λR for diagnostics and tests.
-func Lagrangian(blocks []BlockRD, dist0 []float64, sel []int, lambda float64) float64 {
-	return TotalDistortion(blocks, dist0, sel) + float64(lambda*float64(TotalBytes(blocks, sel)))
-}

@@ -178,18 +178,6 @@ func TestEmptyAndDegenerateBlocks(t *testing.T) {
 	if sel[0] != 0 || sel[1] != 1 {
 		t.Fatalf("degenerate allocation: %v", sel)
 	}
-	if PassesConsidered(blocks) != 1 {
-		t.Fatal("PassesConsidered wrong")
-	}
-}
-
-func TestLagrangianDecreasingInLambdaSelection(t *testing.T) {
-	blocks := []BlockRD{diminishing(8, 4)}
-	dist0 := []float64{blocks[0].Dists[7] * 1.2}
-	full := Allocate(nil, blocks, 1<<20)
-	if got := Lagrangian(blocks, dist0, full, 0); got <= 0 {
-		t.Fatalf("Lagrangian %v", got)
-	}
 }
 
 func TestAllocateIgnoresHullProvenance(t *testing.T) {
