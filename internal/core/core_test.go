@@ -10,9 +10,8 @@ import (
 	"j2kcell/internal/workload"
 )
 
-func encodeBoth(t *testing.T, w, h int, opt codec.Options, cfg Config) (*Result, *codec.Result) {
+func encodeBoth(t *testing.T, img *imgmodel.Image, opt codec.Options, cfg Config) (*Result, *codec.Result) {
 	t.Helper()
-	img := workload.Dial(w, h, 7, 4)
 	cfg.Codec = opt
 	par, err := Encode(img, cfg)
 	if err != nil {
@@ -25,23 +24,36 @@ func encodeBoth(t *testing.T, w, h int, opt codec.Options, cfg Config) (*Result,
 	return par, seq
 }
 
+// parityImages are the byte-identity inputs: an RGB image, which runs
+// the component transform, and a one-component image, which runs the
+// plain level shift.
+func parityImages() map[string]*imgmodel.Image {
+	gray := workload.Dial(97, 61, 7, 4)
+	gray.Comps = gray.Comps[:1]
+	return map[string]*imgmodel.Image{"rgb": workload.Dial(160, 120, 7, 4), "gray": gray}
+}
+
 func TestParallelMatchesSequentialLossless(t *testing.T) {
-	for _, nspe := range []int{0, 1, 2, 8} {
-		cfg := DefaultConfig(nspe, codec.Options{})
-		par, seq := encodeBoth(t, 160, 120, codec.Options{Lossless: true}, cfg)
-		if string(par.Data) != string(seq.Data) {
-			t.Fatalf("nSPE=%d: parallel lossless output differs from sequential (%d vs %d bytes)",
-				nspe, len(par.Data), len(seq.Data))
+	for name, img := range parityImages() {
+		for _, nspe := range []int{0, 1, 2, 8} {
+			cfg := DefaultConfig(nspe, codec.Options{})
+			par, seq := encodeBoth(t, img, codec.Options{Lossless: true}, cfg)
+			if string(par.Data) != string(seq.Data) {
+				t.Fatalf("%s nSPE=%d: parallel lossless output differs from sequential (%d vs %d bytes)",
+					name, nspe, len(par.Data), len(seq.Data))
+			}
 		}
 	}
 }
 
 func TestParallelMatchesSequentialLossy(t *testing.T) {
-	for _, nspe := range []int{0, 1, 3, 8} {
-		cfg := DefaultConfig(nspe, codec.Options{})
-		par, seq := encodeBoth(t, 160, 120, codec.Options{Lossless: false, Rate: 0.1}, cfg)
-		if string(par.Data) != string(seq.Data) {
-			t.Fatalf("nSPE=%d: parallel lossy output differs from sequential", nspe)
+	for name, img := range parityImages() {
+		for _, nspe := range []int{0, 1, 3, 8} {
+			cfg := DefaultConfig(nspe, codec.Options{})
+			par, seq := encodeBoth(t, img, codec.Options{Lossless: false, Rate: 0.1}, cfg)
+			if string(par.Data) != string(seq.Data) {
+				t.Fatalf("%s nSPE=%d: parallel lossy output differs from sequential", name, nspe)
+			}
 		}
 	}
 }
