@@ -35,7 +35,8 @@ type Config struct {
 
 	// BufferDepth is the multi-buffering level for streamed stages
 	// (1 = no overlap; the default 3 exploits the constant Local Store
-	// footprint the decomposition scheme guarantees).
+	// footprint the decomposition scheme guarantees). 0 selects the
+	// default; negative values act as 1.
 	BufferDepth int
 	// ChunkWidth is the column-chunk width in words for pixel-wise
 	// stages and DWT column groups. 0 picks a balanced multiple of the
@@ -78,6 +79,7 @@ func (c Config) withDefaults() Config {
 	if c.BufferDepth == 0 {
 		c.BufferDepth = 3
 	}
+	c.BufferDepth = max(c.BufferDepth, 1)
 	if c.Cell.PPEThreads == 0 {
 		c.Cell.PPEThreads = 1
 	}

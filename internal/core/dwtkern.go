@@ -17,8 +17,9 @@ import (
 // Every arithmetic step is the same exported dwt row primitive the
 // sequential reference uses, so outputs are bit-identical.
 
-// vertical53SPE runs the fused 5/3 vertical sweep over one column group.
-func (e *encoder) vertical53SPE(p *sim.Proc, spe *cell.SPE, arr *decomp.Array[int32], ch decomp.Chunk, lh int) {
+// vertical53SPE runs the fused 5/3 vertical sweep over one column
+// group, charging cost cycles per sample.
+func (e *encoder) vertical53SPE(p *sim.Proc, spe *cell.SPE, arr *decomp.Array[int32], ch decomp.Chunk, lh int, cost float64) {
 	if lh <= 1 {
 		return
 	}
@@ -51,7 +52,7 @@ func (e *encoder) vertical53SPE(p *sim.Proc, spe *cell.SPE, arr *decomp.Array[in
 		}
 		s := sOut.acquire(p, k)
 		dwt.Fused53Step(d, s, e0, o, e1, dPrev)
-		spe.Compute(p, cell.Cycles(cell.SPECosts.DWT53, 2*ch.W))
+		spe.Compute(p, cell.Cycles(cost, 2*ch.W))
 		sOut.put(p, k, arr, k, ch.X0)
 		dOut.put(p, k, e.iaux, k, ch.X0)
 	}
@@ -59,7 +60,7 @@ func (e *encoder) vertical53SPE(p *sim.Proc, spe *cell.SPE, arr *decomp.Array[in
 		e0 := in.get(p, lh-1)
 		s := sOut.acquire(p, nl-1)
 		dwt.Fused53Tail(s, e0, dOut.peek(nh-1))
-		spe.Compute(p, cell.Cycles(cell.SPECosts.DWT53, ch.W))
+		spe.Compute(p, cell.Cycles(cost, ch.W))
 		sOut.put(p, nl-1, arr, nl-1, ch.X0)
 	}
 	spe.WaitAll(p)
@@ -72,8 +73,9 @@ func (e *encoder) vertical53SPE(p *sim.Proc, spe *cell.SPE, arr *decomp.Array[in
 }
 
 // vertical97SPE runs the fused single-loop 9/7 sweep (Kutil-style: six
-// passes fused to one) over one column group.
-func (e *encoder) vertical97SPE(p *sim.Proc, spe *cell.SPE, arr *decomp.Array[float32], ch decomp.Chunk, lh int) {
+// passes fused to one) over one column group, charging cost cycles per
+// sample.
+func (e *encoder) vertical97SPE(p *sim.Proc, spe *cell.SPE, arr *decomp.Array[float32], ch decomp.Chunk, lh int, cost float64) {
 	if lh <= 1 {
 		return
 	}
@@ -81,11 +83,6 @@ func (e *encoder) vertical97SPE(p *sim.Proc, spe *cell.SPE, arr *decomp.Array[fl
 	in := newRowRing[float32](spe, arr, ch.X0, ch.W, 5)
 	dd := newPutRing[float32](spe, ch.W, 4) // d1/d2 values; puts go to aux
 	ee := newPutRing[float32](spe, ch.W, 3) // e1/e2 values; puts go to arr
-
-	dwtCost := cell.SPECosts.DWT97
-	if e.cfg.FixedPoint97 {
-		dwtCost = cell.SPECosts.DWT97Fix
-	}
 
 	in.prefetch(p, 0)
 	if lh > 1 {
@@ -137,12 +134,12 @@ func (e *encoder) vertical97SPE(p *sim.Proc, spe *cell.SPE, arr *decomp.Array[fl
 		if k > 1 {
 			step4(k - 2)
 		}
-		spe.Compute(p, cell.Cycles(dwtCost, 2*ch.W))
+		spe.Compute(p, cell.Cycles(cost, 2*ch.W))
 	}
 	if nl > nh {
 		s := ee.acquire(p, nl-1)
 		dwt.Fused97Step2Tail(s, in.get(p, lh-1), dd.peek(nh-1))
-		spe.Compute(p, cell.Cycles(dwtCost, ch.W))
+		spe.Compute(p, cell.Cycles(cost, ch.W))
 	}
 	step3(nh - 1)
 	if nh >= 2 {
@@ -182,16 +179,13 @@ func (e *encoder) extraSweeps(p *sim.Proc, spe *cell.SPE, ea int64, stride int, 
 	}
 }
 
-// horizontalSPE streams rows [r0, r1) through the 1-D filter.
-func horizontalSPE[T imgmodel.Sample](p *sim.Proc, spe *cell.SPE, e *encoder, arr *decomp.Array[T], r0, r1, lw int, cost float64, line func(x, tmp []T)) {
+// horizontalSPE streams rows [r0, r1) through k's 1-D analysis.
+func horizontalSPE[T imgmodel.Sample](p *sim.Proc, spe *cell.SPE, e *encoder, k dwt.Lifting[T], arr *decomp.Array[T], r0, r1, lw int, cost float64) {
 	if lw <= 1 || r0 >= r1 {
 		return
 	}
 	w := roundUp4(lw)
 	depth := e.cfg.BufferDepth
-	if depth < 1 {
-		depth = 1
-	}
 	in := newRowRing[T](spe, arr, 0, w, depth+1)
 	out := newPutRing[T](spe, w, depth)
 	tmp, _ := cell.AllocLS[T](spe.LS, lw)
@@ -205,7 +199,7 @@ func horizontalSPE[T imgmodel.Sample](p *sim.Proc, spe *cell.SPE, e *encoder, ar
 		}
 		ob := out.acquire(p, r)
 		copy(ob, buf)
-		line(ob[:lw], tmp)
+		k.Rows(ob, lw, w, 0, 1, tmp)
 		spe.Compute(p, cell.Cycles(cost, lw))
 		out.put(p, r, arr, r, 0)
 	}
@@ -215,110 +209,22 @@ func horizontalSPE[T imgmodel.Sample](p *sim.Proc, spe *cell.SPE, e *encoder, ar
 // --- PPE fallbacks: the remainder column group and remainder rows run
 // directly on the PPE with the same arithmetic. ---
 
-// verticalPPE53 processes columns [x0, x0+w) of the fused 5/3 sweep.
-func (e *encoder) verticalPPE53(p *sim.Proc, pe *cell.PPE, arr *decomp.Array[int32], x0, w, lh int) {
+// verticalPPE runs k's fused vertical sweep over columns [x0, x0+w).
+func verticalPPE[T imgmodel.Sample](p *sim.Proc, pe *cell.PPE, k dwt.Lifting[T], arr *decomp.Array[T], x0, w, lh int, cost float64) {
 	if lh <= 1 || w <= 0 {
 		return
 	}
-	nl, nh := (lh+1)/2, lh/2
-	row := func(r int) []int32 { s, _ := seg(arr, r, x0, w); return s }
-	auxRow := func(k int) []int32 { s, _ := seg(e.iaux, k, x0, w); return s }
-	for k := 0; k < nh; k++ {
-		e0 := row(2 * k)
-		o := row(2*k + 1)
-		e1 := e0
-		if 2*k+2 < lh {
-			e1 = row(2*k + 2)
-		}
-		dPrev := auxRow(k)
-		if k > 0 {
-			dPrev = auxRow(k - 1)
-		}
-		dwt.Fused53Step(auxRow(k), row(k), e0, o, e1, dPrev)
-	}
-	if nl > nh {
-		dwt.Fused53Tail(row(nl-1), row(lh-1), auxRow(nh-1))
-	}
-	for k := 0; k < nh; k++ {
-		copy(row(nl+k), auxRow(k))
-	}
-	pe.Compute(p, cell.Cycles(cell.PPECosts.DWT53, w*lh))
+	k.Vertical(arr.Data, x0, w, lh, arr.Stride, make([]T, dwt.AuxLen(w, lh)))
+	pe.Compute(p, cell.Cycles(cost, w*lh))
 	pe.Touch(p, int64(4*w*lh*3)) // read + write + aux traffic
 }
 
-// verticalPPE97 processes columns [x0, x0+w) of the fused 9/7 sweep.
-func (e *encoder) verticalPPE97(p *sim.Proc, pe *cell.PPE, arr *decomp.Array[float32], x0, w, lh int) {
-	if lh <= 1 || w <= 0 {
-		return
-	}
-	nl, nh := (lh+1)/2, lh/2
-	row := func(r int) []float32 { s, _ := seg(arr, r, x0, w); return s }
-	auxRow := func(k int) []float32 { s, _ := seg(e.faux, k, x0, w); return s }
-	step3 := func(k int) {
-		eNext := k + 1
-		if eNext > nl-1 {
-			eNext = nl - 1
-		}
-		dwt.Lift97(auxRow(k), row(k), row(eNext), float32(dwt.Gamma97))
-	}
-	step4 := func(k int) {
-		dPrev := k - 1
-		if dPrev < 0 {
-			dPrev = 0
-		}
-		dwt.Fused97Step4(row(k), auxRow(dPrev), auxRow(k))
-	}
-	for k := 0; k < nh; k++ {
-		e0 := row(2 * k)
-		e1 := e0
-		if 2*k+2 < lh {
-			e1 = row(2*k + 2)
-		}
-		dwt.Fused97Step1(auxRow(k), e0, row(2*k+1), e1)
-		dPrev := k - 1
-		if dPrev < 0 {
-			dPrev = 0
-		}
-		dwt.Fused97Step2(row(k), e0, auxRow(dPrev), auxRow(k))
-		if k > 0 {
-			step3(k - 1)
-		}
-		if k > 1 {
-			step4(k - 2)
-		}
-	}
-	if nl > nh {
-		dwt.Fused97Step2Tail(row(nl-1), row(lh-1), auxRow(nh-1))
-	}
-	step3(nh - 1)
-	if nh >= 2 {
-		step4(nh - 2)
-	}
-	step4(nh - 1)
-	if nl > nh {
-		dwt.Fused97Step4Tail(row(nl-1), auxRow(nh-1))
-	}
-	for k := 0; k < nh; k++ {
-		dwt.Fused97ScaleHigh(row(nl+k), auxRow(k))
-	}
-	cost := cell.PPECosts.DWT97
-	if e.cfg.FixedPoint97 {
-		cost = cell.PPECosts.DWT97Fix
-	}
-	pe.Compute(p, cell.Cycles(cost, w*lh))
-	pe.Touch(p, int64(4*w*lh*3))
-}
-
 // horizontalPPE filters rows [r0, r1) directly.
-func horizontalPPE[T imgmodel.Sample](p *sim.Proc, pe *cell.PPE, arr *decomp.Array[T], r0, r1, lw int, cost float64, line func(x, tmp []T)) {
+func horizontalPPE[T imgmodel.Sample](p *sim.Proc, pe *cell.PPE, k dwt.Lifting[T], arr *decomp.Array[T], r0, r1, lw int, cost float64) {
 	if lw <= 1 || r0 >= r1 {
 		return
 	}
-	tmp := make([]T, lw)
-	for r := r0; r < r1; r++ {
-		s, _ := seg(arr, r, 0, lw)
-		line(s, tmp)
-	}
+	k.Rows(arr.Data, lw, arr.Stride, r0, r1, make([]T, lw))
 	pe.Compute(p, cell.Cycles(cost, lw*(r1-r0)))
 	pe.Touch(p, int64(8*lw*(r1-r0)))
 }

@@ -4,6 +4,7 @@ import (
 	"j2kcell/internal/cell"
 	"j2kcell/internal/decomp"
 	"j2kcell/internal/dwt"
+	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/mct"
 	"j2kcell/internal/quant"
 	"j2kcell/internal/sim"
@@ -91,64 +92,58 @@ func (e *encoder) readStage() stage {
 
 // shiftMCTStage merges the DC level shift with the inter-component
 // transform into one pass over the pixels (Section 3.2), chunked with
-// the decomposition scheme.
+// the decomposition scheme. Lossless output replaces the integer
+// planes (RCT, or the plain shift); lossy output widens into the float
+// planes (ICT, or the shift to float).
 func (e *encoder) shiftMCTStage() stage {
-	img, opt := e.img, e.cfg.Codec
+	depth := e.img.Depth
+	if e.cfg.Codec.Lossless {
+		return shiftMCTStageOf(e, e.iplanes, func(in, out [][]int32) {
+			for c := range out {
+				copy(out[c], in[c])
+			}
+			if len(out) == 3 {
+				mct.ForwardRCTRow(out[0], out[1], out[2], depth)
+				return
+			}
+			for _, row := range out {
+				mct.LevelShiftRow(row, depth)
+			}
+		})
+	}
+	return shiftMCTStageOf(e, e.fplanes, func(in [][]int32, out [][]float32) {
+		if len(out) == 3 {
+			mct.ForwardICTRow(in[0], in[1], in[2], out[0], out[1], out[2], depth)
+			return
+		}
+		for c, row := range out {
+			mct.ShiftToFloatRows(in[c], row, len(row), 0, 0, 0, 1, depth)
+		}
+	})
+}
+
+// shiftMCTStageOf streams the integer planes through color, one row of
+// every component at a time, into the planes dst. color reads the
+// component rows in and writes the component rows out; in and out may
+// be the same rows.
+func shiftMCTStageOf[T imgmodel.Sample](e *encoder, dst []*decomp.Array[T], color func(in [][]int32, out [][]T)) stage {
+	img := e.img
 	ncomp := len(img.Comps)
-	useMCT := ncomp == 3
 	chunks := decomp.Partition(img.W, e.chunkWidth(img.W), e.pixelStageSPEs())
-	depth := img.Depth
 
 	speChunk := func(p *sim.Proc, s *cell.SPE, ch decomp.Chunk) {
 		s.LS.Reset()
-		w := ch.W
 		nbuf := e.cfg.BufferDepth
-		if nbuf < 1 {
-			nbuf = 1
-		}
 		in := make([]*rowRing[int32], ncomp)
 		for c := range in {
-			in[c] = newRowRing[int32](s, e.iplanes[c], ch.X0, w, nbuf+1)
+			in[c] = newRowRing[int32](s, e.iplanes[c], ch.X0, ch.W, nbuf+1)
 		}
-		if opt.Lossless {
-			out := make([]*putRing[int32], ncomp)
-			for c := range out {
-				out[c] = newPutRing[int32](s, w, nbuf)
-			}
-			for y := 0; y < img.H; y++ {
-				rows := make([][]int32, ncomp)
-				obs := make([][]int32, ncomp)
-				for c := range rows {
-					rows[c] = in[c].get(p, y)
-					if y+nbuf < img.H {
-						in[c].prefetch(p, y+nbuf)
-					}
-					obs[c] = out[c].acquire(p, y)
-					copy(obs[c], rows[c])
-				}
-				if useMCT {
-					mct.ForwardRCTRow(obs[0], obs[1], obs[2], depth)
-				} else {
-					for c := range obs {
-						mct.LevelShiftRow(obs[c], depth)
-					}
-				}
-				s.Compute(p, cell.Cycles(cell.SPECosts.ShiftMCT, ncomp*w))
-				for c := range obs {
-					out[c].put(p, y, e.iplanes[c], y, ch.X0)
-				}
-			}
-			s.WaitAll(p)
-			return
-		}
-		out := make([]*putRing[float32], ncomp)
+		out := make([]*putRing[T], ncomp)
 		for c := range out {
-			out[c] = newPutRing[float32](s, w, nbuf)
+			out[c] = newPutRing[T](s, ch.W, nbuf)
 		}
-		off := float32(int32(1) << (depth - 1))
+		rows, obs := make([][]int32, ncomp), make([][]T, ncomp)
 		for y := 0; y < img.H; y++ {
-			rows := make([][]int32, ncomp)
-			obs := make([][]float32, ncomp)
 			for c := range rows {
 				rows[c] = in[c].get(p, y)
 				if y+nbuf < img.H {
@@ -156,57 +151,26 @@ func (e *encoder) shiftMCTStage() stage {
 				}
 				obs[c] = out[c].acquire(p, y)
 			}
-			if useMCT {
-				mct.ForwardICTRow(rows[0], rows[1], rows[2], obs[0], obs[1], obs[2], depth)
-			} else {
-				for c := range obs {
-					for i, v := range rows[c] {
-						obs[c][i] = float32(v) - off
-					}
-				}
-			}
-			s.Compute(p, cell.Cycles(cell.SPECosts.ShiftMCT, ncomp*w))
+			color(rows, obs)
+			s.Compute(p, cell.Cycles(cell.SPECosts.ShiftMCT, ncomp*ch.W))
 			for c := range obs {
-				out[c].put(p, y, e.fplanes[c], y, ch.X0)
+				out[c].put(p, y, dst[c], y, ch.X0)
 			}
 		}
 		s.WaitAll(p)
 	}
 
 	ppeChunk := func(p *sim.Proc, pe *cell.PPE, ch decomp.Chunk) {
-		w := ch.W
-		off := float32(int32(1) << (depth - 1))
+		rows, obs := make([][]int32, ncomp), make([][]T, ncomp)
 		for y := 0; y < img.H; y++ {
-			rows := make([][]int32, ncomp)
 			for c := range rows {
-				rows[c], _ = seg(e.iplanes[c], y, ch.X0, w)
+				rows[c], _ = seg(e.iplanes[c], y, ch.X0, ch.W)
+				obs[c], _ = seg(dst[c], y, ch.X0, ch.W)
 			}
-			if opt.Lossless {
-				if useMCT {
-					mct.ForwardRCTRow(rows[0], rows[1], rows[2], depth)
-				} else {
-					for c := range rows {
-						mct.LevelShiftRow(rows[c], depth)
-					}
-				}
-				continue
-			}
-			fr := make([][]float32, ncomp)
-			for c := range fr {
-				fr[c], _ = seg(e.fplanes[c], y, ch.X0, w)
-			}
-			if useMCT {
-				mct.ForwardICTRow(rows[0], rows[1], rows[2], fr[0], fr[1], fr[2], depth)
-			} else {
-				for c := range fr {
-					for i, v := range rows[c] {
-						fr[c][i] = float32(v) - off
-					}
-				}
-			}
+			color(rows, obs)
 		}
-		pe.Compute(p, cell.Cycles(cell.PPECosts.ShiftMCT, ncomp*w*img.H))
-		pe.Touch(p, int64(8*ncomp*w*img.H))
+		pe.Compute(p, cell.Cycles(cell.PPECosts.ShiftMCT, ncomp*ch.W*img.H))
+		pe.Touch(p, int64(8*ncomp*ch.W*img.H))
 	}
 
 	return stage{
@@ -227,14 +191,38 @@ func (e *encoder) shiftMCTStage() stage {
 	}
 }
 
-// dwtStage runs all decomposition levels: per level, vertical filtering
-// over column groups, an internal barrier, then horizontal filtering
-// over row ranges, and another barrier.
+// dwtCost picks the DWT kernel's per-sample cost from a cost table: the
+// 5/3 when lossless, else the 9/7 in the arithmetic FixedPoint97
+// selects.
+func (e *encoder) dwtCost(c cell.KernelCosts) float64 {
+	switch {
+	case e.cfg.Codec.Lossless:
+		return c.DWT53
+	case e.cfg.FixedPoint97:
+		return c.DWT97Fix
+	}
+	return c.DWT97
+}
+
+// dwtStage runs all decomposition levels with the codec mode's filter.
 func (e *encoder) dwtStage() stage {
-	img, opt := e.img, e.cfg.Codec
+	speCost, ppeCost := e.dwtCost(cell.SPECosts), e.dwtCost(cell.PPECosts)
+	if e.cfg.Codec.Lossless {
+		return dwtStageOf(e, e.iplanes, dwt.Lifting53, e.vertical53SPE, speCost, ppeCost)
+	}
+	return dwtStageOf(e, e.fplanes, dwt.Lifting97, e.vertical97SPE, speCost, ppeCost)
+}
+
+// dwtStageOf runs all decomposition levels over planes: per level,
+// vertical filtering over column groups (vertSPE on the SPEs, k's fused
+// sweep for the PPE's remainder group), an internal barrier, then
+// horizontal filtering over row ranges, and another barrier.
+func dwtStageOf[T imgmodel.Sample](e *encoder, planes []*decomp.Array[T], k dwt.Lifting[T],
+	vertSPE func(p *sim.Proc, s *cell.SPE, arr *decomp.Array[T], ch decomp.Chunk, lh int, cost float64),
+	speCost, ppeCost float64) stage {
+	img := e.img
 	nSPE := e.cfg.Cell.SPEs
-	nPE := nSPE + e.cfg.Cell.PPEThreads
-	bar := &sim.Barrier{N: nPE}
+	bar := &sim.Barrier{N: nSPE + e.cfg.Cell.PPEThreads}
 
 	type level struct {
 		lw, lh    int
@@ -242,18 +230,14 @@ func (e *encoder) dwtStage() stage {
 		rowsPerPE int
 	}
 	var levels []level
-	for l := 0; l < opt.Levels; l++ {
-		lw, lh := img.W, img.H
-		for i := 0; i < l; i++ {
-			lw, lh = (lw+1)/2, (lh+1)/2
-		}
+	for l := 0; l < e.cfg.Codec.Levels; l++ {
+		lw, lh := dwt.LevelDims(img.W, img.H, l)
 		if lw <= 1 && lh <= 1 {
 			break
 		}
 		lv := level{lw: lw, lh: lh}
-		cw := e.chunkWidth(lw)
 		if lw >= decomp.WordsPerLine {
-			lv.chunks = decomp.Partition(lw, cw, nSPE)
+			lv.chunks = decomp.Partition(lw, e.chunkWidth(lw), nSPE)
 		} else {
 			lv.chunks = []decomp.Chunk{{X0: 0, W: lw, PE: decomp.PPEChunk}}
 		}
@@ -267,36 +251,18 @@ func (e *encoder) dwtStage() stage {
 		for _, lv := range levels {
 			s.LS.Reset()
 			for _, ch := range decomp.ForPE(lv.chunks, idx) {
-				if opt.Lossless {
-					for _, arr := range e.iplanes {
-						e.vertical53SPE(p, s, arr, ch, lv.lh)
-						s.LS.Reset()
-					}
-				} else {
-					for _, arr := range e.fplanes {
-						e.vertical97SPE(p, s, arr, ch, lv.lh)
-						s.LS.Reset()
-					}
+				for _, arr := range planes {
+					vertSPE(p, s, arr, ch, lv.lh, speCost)
+					s.LS.Reset()
 				}
 			}
 			s.WaitAll(p)
 			p.Arrive(bar)
 			s.LS.Reset()
 			r0, r1 := idx*lv.rowsPerPE, (idx+1)*lv.rowsPerPE
-			if opt.Lossless {
-				for _, arr := range e.iplanes {
-					horizontalSPE(p, s, e, arr, r0, r1, lv.lw, cell.SPECosts.DWT53, dwt.Fwd53Line)
-					s.LS.Reset()
-				}
-			} else {
-				cost := cell.SPECosts.DWT97
-				if e.cfg.FixedPoint97 {
-					cost = cell.SPECosts.DWT97Fix
-				}
-				for _, arr := range e.fplanes {
-					horizontalSPE(p, s, e, arr, r0, r1, lv.lw, cost, dwt.Fwd97Line)
-					s.LS.Reset()
-				}
+			for _, arr := range planes {
+				horizontalSPE(p, s, e, k, arr, r0, r1, lv.lw, speCost)
+				s.LS.Reset()
 			}
 			s.WaitAll(p)
 			p.Arrive(bar)
@@ -307,32 +273,16 @@ func (e *encoder) dwtStage() stage {
 		for _, lv := range levels {
 			if idx == 0 {
 				for _, ch := range decomp.ForPE(lv.chunks, decomp.PPEChunk) {
-					if opt.Lossless {
-						for _, arr := range e.iplanes {
-							e.verticalPPE53(p, pe, arr, ch.X0, ch.W, lv.lh)
-						}
-					} else {
-						for _, arr := range e.fplanes {
-							e.verticalPPE97(p, pe, arr, ch.X0, ch.W, lv.lh)
-						}
+					for _, arr := range planes {
+						verticalPPE(p, pe, k, arr, ch.X0, ch.W, lv.lh, ppeCost)
 					}
 				}
 			}
 			p.Arrive(bar)
 			if idx == 0 {
 				r0 := nSPE * lv.rowsPerPE // remainder rows
-				if opt.Lossless {
-					for _, arr := range e.iplanes {
-						horizontalPPE(p, pe, arr, r0, lv.lh, lv.lw, cell.PPECosts.DWT53, dwt.Fwd53Line)
-					}
-				} else {
-					cost := cell.PPECosts.DWT97
-					if e.cfg.FixedPoint97 {
-						cost = cell.PPECosts.DWT97Fix
-					}
-					for _, arr := range e.fplanes {
-						horizontalPPE(p, pe, arr, r0, lv.lh, lv.lw, cost, dwt.Fwd97Line)
-					}
+				for _, arr := range planes {
+					horizontalPPE(p, pe, k, arr, r0, lv.lh, lv.lw, ppeCost)
 				}
 			}
 			p.Arrive(bar)
@@ -392,9 +342,6 @@ func (e *encoder) quantStage() stage {
 				for _, ch := range decomp.ForPE(chunks, idx) {
 					s.LS.Reset()
 					nbuf := e.cfg.BufferDepth
-					if nbuf < 1 {
-						nbuf = 1
-					}
 					in := newRowRing[float32](s, e.fplanes[c], ch.X0, ch.W, nbuf+1)
 					out := newPutRing[int32](s, ch.W, nbuf)
 					for y := 0; y < nbuf && y < img.H; y++ {
@@ -479,7 +426,7 @@ func (e *encoder) tier1Stage() stage {
 		name: "tier1",
 		spe: func(p *sim.Proc, s *cell.SPE, idx int) {
 			if e.cfg.StaticT1 {
-				for i := idx; i < len(e.jobs); i += maxInt(nSPE, 1) {
+				for i := idx; i < len(e.jobs); i += max(nSPE, 1) {
 					s.LS.Reset()
 					speJob(p, s, i)
 				}
@@ -515,11 +462,4 @@ func (e *encoder) tier1Stage() stage {
 			}
 		},
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

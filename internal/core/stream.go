@@ -113,9 +113,6 @@ func streamCopy[T imgmodel.Sample](p *sim.Proc, spe *cell.SPE, src, dst *decomp.
 	if n <= 0 {
 		return
 	}
-	if depth < 1 {
-		depth = 1
-	}
 	in := newRowRing[T](spe, src, x0, w, depth+1)
 	out := newPutRing[T](spe, w, depth)
 	for k := 0; k < depth && k < n; k++ {

@@ -1,8 +1,8 @@
 // Package dwt implements the JPEG2000 discrete wavelet transforms:
-// the reversible 5/3 integer lifting transform (lossless path), the
-// irreversible 9/7 floating-point lifting transform (lossy path), a
-// JasPer-style fixed-point 9/7 variant, and a convolution-based 9/7
-// baseline (used by the Muta et al. comparison encoder).
+// the reversible 5/3 integer lifting transform (lossless path) and the
+// irreversible 9/7 floating-point lifting transform (lossy path), plus
+// the JasPer-style Q13 fixed-point 9/7 lifting step that Table 1 prices
+// against the float one.
 //
 // Vertical filtering is formulated row-wise, exactly as in the paper's
 // Algorithms 1 and 2: a "sample" in the lifting recurrence is an entire

@@ -226,120 +226,33 @@ func TestDWT97DCandNyquistGains(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestFixed97ApproximatesFloat(t *testing.T) {
-	const w, h, lv = 32, 24, 3
-	src := randPlane(w, h, 77, 120)
-	ffix := make([]int32, len(src))
-	for i, v := range src {
-		ffix[i] = ToFixed(v)
-	}
-	fl := toF32(src)
-	Forward97Fixed(ffix, w, h, w, lv)
-	Forward97(fl, w, h, w, lv)
-	for i := range src {
-		got := float64(ffix[i]) / (1 << FixShift)
-		if math.Abs(got-float64(fl[i])) > 0.15 {
-			t.Fatalf("fixed/float diverge at %d: %v vs %v", i, got, fl[i])
+	// Impulse response of the 1-D analysis line: the lifting
+	// factorization must implement the T.800 Table F.4 analysis bank —
+	// a symmetric 9-tap low-pass with DC gain 1 and a symmetric 7-tap
+	// high-pass with Nyquist gain 2, zero beyond their supports.
+	lowTaps := []float64{0.026748757410810, -0.016864118442875, -0.078223266528990, 0.266864118442875,
+		0.602949018236360, 0.266864118442875, -0.078223266528990, -0.016864118442875, 0.026748757410810}
+	highTaps := []float64{0.091271763114250, -0.057543526228500, -0.591271763114250, 1.115087052457000,
+		-0.591271763114250, -0.057543526228500, 0.091271763114250}
+	const line, k = 64, 16 // probe low[k] (input 2k) and high[k] (input 2k+1)
+	x, tmp := make([]float32, line), make([]float32, line)
+	for m := -6; m <= 6; m++ {
+		clear(x)
+		x[2*k+m] = 1
+		Fwd97Line(x, tmp)
+		var wantL, wantH float64
+		if m >= -4 && m <= 4 {
+			wantL = lowTaps[m+4]
 		}
-	}
-}
-
-func TestFixed97RoundTrip(t *testing.T) {
-	const w, h, lv = 33, 17, 2
-	src := randPlane(w, h, 5, 120)
-	data := make([]int32, len(src))
-	for i, v := range src {
-		data[i] = ToFixed(v)
-	}
-	Forward97Fixed(data, w, h, w, lv)
-	Inverse97Fixed(data, w, h, w, lv)
-	for i := range src {
-		if got := FromFixed(data[i]); got < src[i]-1 || got > src[i]+1 {
-			t.Fatalf("fixed 9/7 round trip error at %d: %d vs %d", i, got, src[i])
+		if m >= -2 && m <= 4 {
+			wantH = highTaps[m+2]
 		}
-	}
-}
-
-func TestConvTapsAre97(t *testing.T) {
-	low, high := ConvTaps()
-	// Symmetry.
-	for m := 0; m < 4; m++ {
-		if low[m] != low[8-m] {
-			t.Fatalf("low taps asymmetric: %v", low)
+		if gotL := float64(x[k]); math.Abs(gotL-wantL) > 1e-5 {
+			t.Errorf("low tap %+d: got %v, want %v", m, gotL, wantL)
 		}
-	}
-	for m := 0; m < 3; m++ {
-		if high[m] != high[6-m] {
-			t.Fatalf("high taps asymmetric: %v", high)
+		if gotH := float64(x[line/2+k]); math.Abs(gotH-wantH) > 1e-5 {
+			t.Errorf("high tap %+d: got %v, want %v", m-1, gotH, wantH)
 		}
-	}
-	// DC gain 1 on low, 0 on high; Nyquist 0 on low, 2 on high.
-	var dcL, dcH, nyL, nyH float64
-	for m, v := range low {
-		dcL += float64(v)
-		if m%2 == 0 {
-			nyL += float64(v)
-		} else {
-			nyL -= float64(v)
-		}
-	}
-	for m, v := range high {
-		dcH += float64(v)
-		if m%2 == 0 {
-			nyH -= float64(v) // odd-centered filter
-		} else {
-			nyH += float64(v)
-		}
-	}
-	if math.Abs(dcL-1) > 1e-4 || math.Abs(dcH) > 1e-4 {
-		t.Fatalf("DC gains: low %v high %v", dcL, dcH)
-	}
-	if math.Abs(nyL) > 1e-4 || math.Abs(math.Abs(nyH)-2) > 1e-3 {
-		t.Fatalf("Nyquist gains: low %v high %v", nyL, nyH)
-	}
-}
-
-func TestConvMatchesLiftingInterior(t *testing.T) {
-	const n = 64
-	src := randPlane(n, 1, 3, 200)
-	a, b := toF32(src), toF32(src)
-	tmp := make([]float32, n)
-	Fwd97Line(a, tmp)
-	Fwd97ConvLine(b, tmp)
-	for i := 0; i < n; i++ {
-		if math.Abs(float64(a[i]-b[i])) > 2e-2 {
-			t.Fatalf("conv vs lifting at %d: %v vs %v", i, b[i], a[i])
-		}
-	}
-}
-
-func TestForward97ConvEnergyCompaction(t *testing.T) {
-	const n = 64
-	img := workload.Dial(n, n, 2, 2)
-	data := make([]float32, n*n)
-	for r := 0; r < n; r++ {
-		for c := 0; c < n; c++ {
-			data[r*n+c] = float32(img.Comps[1].At(r, c) - 128)
-		}
-	}
-	Forward97Conv(data, n, n, n, 3)
-	var llE, totE float64
-	for _, b := range Layout(n, n, 3) {
-		g := BandGain(W97, 3, b.Orient, b.Level)
-		for y := b.Y0; y < b.Y0+b.H; y++ {
-			for x := b.X0; x < b.X0+b.W; x++ {
-				v := float64(data[y*n+x]) * g
-				if b.Orient == LL {
-					llE += v * v
-				}
-				totE += v * v
-			}
-		}
-	}
-	if llE/totE < 0.5 {
-		t.Fatalf("conv DWT energy compaction broken: %.1f%%", 100*llE/totE)
 	}
 }
 

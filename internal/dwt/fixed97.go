@@ -2,13 +2,14 @@ package dwt
 
 import "j2kcell/internal/simd"
 
-// JasPer-style fixed-point 9/7 transform. JasPer represents the lossy
-// pipeline's real numbers as 32-bit fixed point (Q13) on the assumption
-// that integer multiplies beat floats; Section 4 of the paper shows the
-// assumption fails on the SPE, whose 32-bit integer multiply must be
-// emulated from 16-bit halves (Table 1) while float multiplies are
-// single fast instructions. This variant exists so the benchmarks can
-// price both representations on both machines.
+// JasPer-style fixed-point 9/7 lifting step. JasPer represents the
+// lossy pipeline's real numbers as 32-bit fixed point (Q13) on the
+// assumption that integer multiplies beat floats; Section 4 of the
+// paper shows the assumption fails on the SPE, whose 32-bit integer
+// multiply must be emulated from 16-bit halves (Table 1) while float
+// multiplies are single fast instructions. The Q13 lifting step below
+// is the fixed-point counterpart of Lift97 that Table 1's host rows
+// time against it.
 
 // FixShift is the number of fractional bits (JasPer's jpc fix format).
 const FixShift = 13
@@ -16,245 +17,9 @@ const FixShift = 13
 // ToFixed converts an integer sample to Q13.
 func ToFixed(v int32) int32 { return v << FixShift }
 
-// FromFixed rounds a Q13 value to the nearest integer.
-func FromFixed(v int32) int32 {
-	return (v + (1 << (FixShift - 1))) >> FixShift
-}
-
-// fixMul multiplies two Q13 values with rounding.
-func fixMul(a, b int32) int32 {
-	return int32((int64(a)*int64(b) + (1 << (FixShift - 1))) >> FixShift)
-}
-
-// Lifting constants in Q13.
-var (
-	fixAlpha = toFix(Alpha97)
-	fixBeta  = toFix(Beta97)
-	fixGamma = toFix(Gamma97)
-	fixDelta = toFix(Delta97)
-	fixK     = toFix(K97)
-	fixInvK  = toFix(InvK97)
-)
-
-func toFix(v float64) int32 { return int32(v * (1 << FixShift)) }
-
 // Lift97Fixed applies d[i] += c*(e0[i]+e1[i]) in Q13, dispatched
 // through the simd kernel layer (the vector forms decompose the 64-bit
 // product exactly, see simd.FixAddMulRow).
 func Lift97Fixed(d, e0, e1 []int32, c int32) {
 	simd.FixAddMulRow(d, e0, e1, c)
-}
-
-// fwd97FixedLine is the Q13 counterpart of Fwd97Line.
-func fwd97FixedLine(x []int32, tmp []int32) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	nl, nh := (n+1)/2, n/2
-	low, high := tmp[:nl], tmp[nl:n]
-	for k := 0; k < nh; k++ {
-		e2 := 2*k + 2
-		if e2 > n-1 {
-			e2 = n - 2
-		}
-		high[k] = x[2*k+1] + fixMul(fixAlpha, x[2*k]+x[e2])
-	}
-	cd := func(k int) int32 {
-		if k < 0 {
-			k = 0
-		}
-		if k > nh-1 {
-			k = nh - 1
-		}
-		return high[k]
-	}
-	for k := 0; k < nl; k++ {
-		low[k] = x[2*k] + fixMul(fixBeta, cd(k-1)+cd(k))
-	}
-	ce := func(k int) int32 {
-		if k > nl-1 {
-			k = nl - 1
-		}
-		return low[k]
-	}
-	for k := 0; k < nh; k++ {
-		high[k] += fixMul(fixGamma, ce(k)+ce(k+1))
-	}
-	for k := 0; k < nl; k++ {
-		low[k] = fixMul(low[k]+fixMul(fixDelta, cd(k-1)+cd(k)), fixInvK)
-	}
-	simd.FixScaleRow(high, fixK)
-	copy(x, tmp[:n])
-}
-
-// inv97FixedLine reverses fwd97FixedLine to fixed-point rounding error.
-func inv97FixedLine(x []int32, tmp []int32) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	nl, nh := (n+1)/2, n/2
-	low, high := tmp[:nl], tmp[nl:n]
-	copy(low, x[:nl])
-	copy(high, x[nl:n])
-	simd.FixScaleRow(low, fixK)
-	simd.FixScaleRow(high, fixInvK)
-	cd := func(k int) int32 {
-		if k < 0 {
-			k = 0
-		}
-		if k > nh-1 {
-			k = nh - 1
-		}
-		return high[k]
-	}
-	for k := 0; k < nl; k++ {
-		low[k] -= fixMul(fixDelta, cd(k-1)+cd(k))
-	}
-	ce := func(k int) int32 {
-		if k > nl-1 {
-			k = nl - 1
-		}
-		return low[k]
-	}
-	for k := 0; k < nh; k++ {
-		high[k] -= fixMul(fixGamma, ce(k)+ce(k+1))
-	}
-	for k := 0; k < nl; k++ {
-		low[k] -= fixMul(fixBeta, cd(k-1)+cd(k))
-	}
-	for k := 0; k < nh; k++ {
-		high[k] -= fixMul(fixAlpha, ce(k)+ce(k+1))
-	}
-	for k := 0; k < nl; k++ {
-		x[2*k] = low[k]
-	}
-	for k := 0; k < nh; k++ {
-		x[2*k+1] = high[k]
-	}
-}
-
-// vertical97Fixed applies the Q13 vertical analysis (or inverse) using
-// the naive split+lift structure; the fixed path exists for the
-// representation benchmarks, not the DMA ablations.
-func vertical97Fixed(data []int32, w, h, stride int, aux []int32, inverse bool) {
-	if h <= 1 {
-		return
-	}
-	nl, nh := (h+1)/2, h/2
-	row := func(i int) []int32 { return data[i*stride : i*stride+w] }
-	auxRow := func(k int) []int32 { return aux[k*w : (k+1)*w] }
-	clampD := func(k int) []int32 {
-		if k < 0 {
-			k = 0
-		}
-		if k > nh-1 {
-			k = nh - 1
-		}
-		return row(nl + k)
-	}
-	clampE := func(k int) []int32 {
-		if k > nl-1 {
-			k = nl - 1
-		}
-		return row(k)
-	}
-	scaleRow := func(r []int32, c int32) {
-		simd.FixScaleRow(r, c)
-	}
-	if !inverse {
-		for k := 0; k < nh; k++ {
-			copy(auxRow(k), row(2*k+1))
-		}
-		for k := 1; k < nl; k++ {
-			copy(row(k), row(2*k))
-		}
-		for k := 0; k < nh; k++ {
-			copy(row(nl+k), auxRow(k))
-		}
-		for k := 0; k < nh; k++ {
-			Lift97Fixed(row(nl+k), row(k), clampE(k+1), fixAlpha)
-		}
-		for k := 0; k < nl; k++ {
-			Lift97Fixed(row(k), clampD(k-1), clampD(k), fixBeta)
-		}
-		for k := 0; k < nh; k++ {
-			Lift97Fixed(row(nl+k), row(k), clampE(k+1), fixGamma)
-		}
-		for k := 0; k < nl; k++ {
-			Lift97Fixed(row(k), clampD(k-1), clampD(k), fixDelta)
-		}
-		for k := 0; k < nl; k++ {
-			scaleRow(row(k), fixInvK)
-		}
-		for k := 0; k < nh; k++ {
-			scaleRow(row(nl+k), fixK)
-		}
-		return
-	}
-	for k := 0; k < nl; k++ {
-		scaleRow(row(k), fixK)
-	}
-	for k := 0; k < nh; k++ {
-		scaleRow(row(nl+k), fixInvK)
-	}
-	for k := 0; k < nl; k++ {
-		Lift97Fixed(row(k), clampD(k-1), clampD(k), -fixDelta)
-	}
-	for k := 0; k < nh; k++ {
-		Lift97Fixed(row(nl+k), row(k), clampE(k+1), -fixGamma)
-	}
-	for k := 0; k < nl; k++ {
-		Lift97Fixed(row(k), clampD(k-1), clampD(k), -fixBeta)
-	}
-	for k := 0; k < nh; k++ {
-		Lift97Fixed(row(nl+k), row(k), clampE(k+1), -fixAlpha)
-	}
-	for k := 0; k < nh; k++ {
-		copy(auxRow(k), row(nl+k))
-	}
-	for k := nl - 1; k >= 1; k-- {
-		copy(row(2*k), row(k))
-	}
-	for k := 0; k < nh; k++ {
-		copy(row(2*k+1), auxRow(k))
-	}
-}
-
-// Forward97Fixed applies `levels` Q13 9/7 decompositions in place; the
-// input plane must already hold Q13 values (see ToFixed).
-func Forward97Fixed(data []int32, w, h, stride, levels int) {
-	aux := make([]int32, ((h+1)/2)*w)
-	tmp := make([]int32, w)
-	for l := 0; l < levels; l++ {
-		lw, lh := levelDim(w, l), levelDim(h, l)
-		if lw <= 1 && lh <= 1 {
-			break
-		}
-		vertical97Fixed(data, lw, lh, stride, aux, false)
-		if lw > 1 {
-			for r := 0; r < lh; r++ {
-				fwd97FixedLine(data[r*stride:r*stride+lw], tmp)
-			}
-		}
-	}
-}
-
-// Inverse97Fixed reverses Forward97Fixed (to Q13 rounding error).
-func Inverse97Fixed(data []int32, w, h, stride, levels int) {
-	aux := make([]int32, ((h+1)/2)*w)
-	tmp := make([]int32, w)
-	for l := levels - 1; l >= 0; l-- {
-		lw, lh := levelDim(w, l), levelDim(h, l)
-		if lw <= 1 && lh <= 1 {
-			continue
-		}
-		if lw > 1 {
-			for r := 0; r < lh; r++ {
-				inv97FixedLine(data[r*stride:r*stride+lw], tmp)
-			}
-		}
-		vertical97Fixed(data, lw, lh, stride, aux, true)
-	}
 }

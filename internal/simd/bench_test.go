@@ -150,16 +150,6 @@ func Benchmark_Kernel_FixAddMulRow(b *testing.B) {
 	})
 }
 
-func Benchmark_Kernel_FixScaleRow(b *testing.B) {
-	d := benchI32(benchRow)
-	perSet(b, func(b *testing.B) {
-		b.SetBytes(benchRow * 4)
-		for i := 0; i < b.N; i++ {
-			FixScaleRow(d, 7233)
-		}
-	})
-}
-
 func Benchmark_Kernel_AbsOrRow(b *testing.B) {
 	m, c := make([]uint32, benchRow), benchI32(benchRow)
 	perSet(b, func(b *testing.B) {

@@ -48,7 +48,6 @@ var sse2Set = kernels{
 	rctInv:         rctInvSSE2,
 	clampI32:       clampI32SSE2,
 	fixAddMul:      fixAddMulSSE2,
-	fixScale:       fixScaleSSE2,
 	il2I32:         il2I32SSE2,
 	il2F32:         il2F32SSE2,
 	dl2I32:         dl2I32SSE2,
@@ -78,7 +77,6 @@ var avx2Set = kernels{
 	rctInv:         rctInvAVX2,
 	clampI32:       clampI32AVX2,
 	fixAddMul:      fixAddMulAVX2,
-	fixScale:       fixScaleAVX2,
 	il2I32:         il2I32AVX2,
 	il2F32:         il2F32AVX2,
 	dl2I32:         dl2I32AVX2,

@@ -760,7 +760,6 @@ done:
 // and k*sLo fits int32 for the lifting constants (|k| < 2^18). The
 // final sum wraps mod 2^32 exactly like the scalar int32 truncation.
 //   fixAddMul: d[i] += fixMul(k, b[i]+c[i])
-//   fixScale:  dst[i] = fixMul(dst[i], k)
 // ---------------------------------------------------------------------
 
 // func fixAddMulAVX2(d, b, c []int32, k int32) (n int)
@@ -857,89 +856,6 @@ loop:
 	JMP  loop
 done:
 	MOVQ AX, n+80(FP)
-	RET
-
-// func fixScaleAVX2(dst []int32, k int32) (n int)
-TEXT ·fixScaleAVX2(SB), NOSPLIT, $0-40
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), DX
-	MOVL k+24(FP), AX
-	MOVQ AX, X12
-	VPBROADCASTD X12, Y12
-	VPCMPEQD Y13, Y13, Y13
-	VPSRLD   $19, Y13, Y13   // 8191
-	VPCMPEQD Y14, Y14, Y14
-	VPSRLD   $31, Y14, Y14
-	VPSLLD   $12, Y14, Y14   // 4096
-	MOVQ DX, AX
-	ANDQ $-8, AX
-	XORQ CX, CX
-loop:
-	CMPQ CX, AX
-	JGE  done
-	VMOVDQU (DI)(CX*4), Y1   // s
-	VPSRAD  $13, Y1, Y2      // sHi
-	VPAND   Y13, Y1, Y3      // sLo
-	VPMULLD Y12, Y2, Y2
-	VPMULLD Y12, Y3, Y3
-	VPADDD  Y14, Y3, Y3
-	VPSRAD  $13, Y3, Y3
-	VPADDD  Y3, Y2, Y2
-	VMOVDQU Y2, (DI)(CX*4)
-	ADDQ $8, CX
-	JMP  loop
-done:
-	VZEROUPPER
-	MOVQ AX, n+32(FP)
-	RET
-
-// func fixScaleSSE2(dst []int32, k int32) (n int)
-TEXT ·fixScaleSSE2(SB), NOSPLIT, $0-40
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), DX
-	MOVL   k+24(FP), AX
-	MOVQ   AX, X12
-	PSHUFL $0x00, X12, X12
-	PCMPEQL X13, X13
-	PSRLL   $19, X13         // 8191
-	PCMPEQL X14, X14
-	PSRLL   $31, X14
-	PSLLL   $12, X14         // 4096
-	MOVQ DX, AX
-	ANDQ $-4, AX
-	XORQ CX, CX
-loop:
-	CMPQ CX, AX
-	JGE  done
-	MOVOU (DI)(CX*4), X1     // s
-	MOVOU X1, X4
-	PSRAL $13, X4            // sHi
-	PAND  X13, X1            // sLo
-
-	MOVOU   X4, X2
-	PSRLQ   $32, X2
-	PMULULQ X12, X4
-	PMULULQ X12, X2
-	PSHUFL  $0x08, X4, X4
-	PSHUFL  $0x08, X2, X2
-	PUNPCKLLQ X2, X4         // k*sHi
-
-	MOVOU   X1, X2
-	PSRLQ   $32, X2
-	PMULULQ X12, X1
-	PMULULQ X12, X2
-	PSHUFL  $0x08, X1, X1
-	PSHUFL  $0x08, X2, X2
-	PUNPCKLLQ X2, X1         // k*sLo
-
-	PADDL X14, X1
-	PSRAL $13, X1
-	PADDL X1, X4
-	MOVOU X4, (DI)(CX*4)
-	ADDQ $4, CX
-	JMP  loop
-done:
-	MOVQ AX, n+32(FP)
 	RET
 
 // ---------------------------------------------------------------------

@@ -176,8 +176,7 @@ func scalarDeinterleave2F32(even, odd, src []float32) {
 	}
 }
 
-// fixMul13 is JasPer's Q13 multiply with rounding, identical to
-// dwt.fixMul.
+// fixMul13 is JasPer's Q13 multiply with rounding.
 func fixMul13(a, b int32) int32 {
 	return int32((int64(a)*int64(b) + (1 << (FixShift - 1))) >> FixShift)
 }
@@ -185,12 +184,6 @@ func fixMul13(a, b int32) int32 {
 func scalarFixAddMul(d, b, c []int32, k int32) {
 	for i := range d {
 		d[i] += fixMul13(k, b[i]+c[i])
-	}
-}
-
-func scalarFixScale(dst []int32, k int32) {
-	for i := range dst {
-		dst[i] = fixMul13(dst[i], k)
 	}
 }
 

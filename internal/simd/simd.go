@@ -68,7 +68,6 @@ type kernels struct {
 	rctInv      func(y, cb, cr []int32, off int32) int
 	clampI32    func(dst []int32, max int32) int
 	fixAddMul   func(d, b, c []int32, k int32) int
-	fixScale    func(dst []int32, k int32) int
 	il2I32      func(dst, even, odd []int32) int
 	il2F32      func(dst, even, odd []float32) int
 	dl2I32      func(even, odd, src []int32) int
@@ -380,16 +379,6 @@ func FixAddMulRow(d, b, c []int32, k int32) {
 		i = f(d, b, c, k)
 	}
 	scalarFixAddMul(d[i:], b[i:], c[i:], k)
-}
-
-// FixScaleRow computes dst[i] = fixmul(dst[i], k) in Q13, with the same
-// |dst[i]| ≤ 2^30 domain as FixAddMulRow.
-func FixScaleRow(dst []int32, k int32) {
-	i := 0
-	if f := active.Load().fixScale; f != nil {
-		i = f(dst, k)
-	}
-	scalarFixScale(dst[i:], k)
 }
 
 // --- Tier-1 stripe-mask kernels ---

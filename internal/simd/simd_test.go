@@ -256,8 +256,8 @@ func TestRCTFwd(t *testing.T) {
 	}
 }
 
-// fixKs are the Q13 lifting/scaling constants actually used by the
-// fixed-point 9/7 path, plus sign variants. All satisfy |k| < 2^18,
+// fixKs are JasPer's Q13 9/7 lifting and scaling constants, plus sign
+// variants. All satisfy |k| < 2^18,
 // the precondition of the vector fixMul decomposition.
 var fixKs = []int32{-12994, -434, 7233, 3633, 13318, 5038, 8192, -8192, 1, -1}
 
@@ -273,23 +273,6 @@ func TestFixAddMul(t *testing.T) {
 				got := offI32(append([]int32(nil), d0...))
 				m := ks.fixAddMul(got, b, c, k)
 				scalarFixAddMul(got[m:], b[m:], c[m:], k)
-				eqI32(t, fmt.Sprintf("%s/k=%d/n=%d", ks.name, k, n), got, want)
-			}
-		}
-	}
-}
-
-func TestFixScale(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, ks := range vectorSets() {
-		for _, k := range fixKs {
-			for _, n := range testLengths {
-				d0 := randI32(rng, n, 1<<28)
-				want := append([]int32(nil), d0...)
-				scalarFixScale(want, k)
-				got := offI32(append([]int32(nil), d0...))
-				m := ks.fixScale(got, k)
-				scalarFixScale(got[m:], k)
 				eqI32(t, fmt.Sprintf("%s/k=%d/n=%d", ks.name, k, n), got, want)
 			}
 		}
@@ -445,12 +428,12 @@ func TestExportedWrappersUseActive(t *testing.T) {
 		AddMulRow(got, a, b, c, 0.25)
 		eqF32(t, "AddMulRow/"+name, got, want)
 
-		d := randI32(rng, n, 1<<26)
+		d, e0, e1 := randI32(rng, n, 1<<26), randI32(rng, n, 1<<26), randI32(rng, n, 1<<26)
 		wantI := append([]int32(nil), d...)
-		scalarFixScale(wantI, -12994)
+		scalarFixAddMul(wantI, e0, e1, -12994)
 		gotI := append([]int32(nil), d...)
-		FixScaleRow(gotI, -12994)
-		eqI32(t, "FixScaleRow/"+name, gotI, wantI)
+		FixAddMulRow(gotI, e0, e1, -12994)
+		eqI32(t, "FixAddMulRow/"+name, gotI, wantI)
 	}
 }
 

@@ -135,12 +135,6 @@ func fixAddMulAVX2(d, b, c []int32, k int32) (n int)
 func fixAddMulSSE2(d, b, c []int32, k int32) (n int)
 
 //go:noescape
-func fixScaleAVX2(dst []int32, k int32) (n int)
-
-//go:noescape
-func fixScaleSSE2(dst []int32, k int32) (n int)
-
-//go:noescape
 func absOrAVX2(mag []uint32, coef []int32) (n int, or uint32)
 
 //go:noescape
