@@ -574,7 +574,7 @@ func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*im
 
 // countKernel records which simd kernel set serves an encode; the
 // counter shows up in MetricsTable/expvar so a perf report can tell
-// scalar, SSE2, and AVX2 runs apart.
+// scalar and SSE2 runs apart.
 func countKernel(rec *obs.Recorder) {
 	if ctr, ok := obs.KernelCounter(simd.Kernel()); ok {
 		rec.Add(ctr, 1)

@@ -100,7 +100,6 @@ const (
 	CtrHulls                          // convex hulls computed
 	CtrKernelScalar                   // encodes run with the scalar kernel set
 	CtrKernelSSE2                     // encodes run with the SSE2 kernel set
-	CtrKernelAVX2                     // encodes run with the AVX2 kernel set
 	CtrFaultPanics                    // worker panics contained into typed FaultErrors
 	CtrHTBlocks                       // code blocks coded by the HT (Part 15) coder
 	CtrHTBytes                        // bytes emitted by the HT coder (all streams + trailers)
@@ -117,14 +116,14 @@ var counterNames = [numCounters]string{
 	"t1_blocks", "t1_scanned", "t1_coded", "mq_renorm_chunks",
 	"dwt_bytes_moved",
 	"rate_probes", "hulls",
-	"kernel_scalar_encodes", "kernel_sse2_encodes", "kernel_avx2_encodes",
+	"kernel_scalar_encodes", "kernel_sse2_encodes",
 	"fault_contained_panics",
 	"ht_blocks", "ht_bytes",
 	"sched_self_claims", "sched_pool_claims", "sched_admit_waits",
 	"resync", "concealed_blocks",
 }
 
-// KernelCounter maps a simd kernel-set name ("scalar", "sse2", "avx2")
+// KernelCounter maps a simd kernel-set name ("scalar", "sse2")
 // to its per-encode counter, so the codec can record which
 // implementation served each encode without obs importing simd.
 func KernelCounter(name string) (Counter, bool) {
@@ -133,8 +132,6 @@ func KernelCounter(name string) (Counter, bool) {
 		return CtrKernelScalar, true
 	case "sse2":
 		return CtrKernelSSE2, true
-	case "avx2":
-		return CtrKernelAVX2, true
 	}
 	return 0, false
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Per-kernel microbenchmarks, one sub-benchmark per selectable kernel
-// set, so a single run prices scalar vs SSE2 vs AVX2 on the same
-// machine (the PR's ≥1.5x acceptance bar reads straight off these).
+// set, so a single run prices the scalar oracle against SSE2 on the
+// same machine.
 // Row length 1024 ≈ the 9/7 row width of a 1024-wide tile component,
 // long enough that dispatch overhead is in the noise.
 

@@ -3,8 +3,7 @@
 package simd
 
 // detect on platforms without assembly kernels (or with the noasm tag)
-// installs the scalar oracle as the only set. J2K_NOSIMD is a no-op
-// here — scalar is already everything there is.
+// installs the scalar oracle as the only set.
 func detect() {
 	available = []*kernels{&scalarSet}
 	active.Store(&scalarSet)

@@ -2,15 +2,16 @@
 // elementwise row kernels of the pipeline (9/7 and 5/3 lifting steps,
 // Q13 fixed-point lifting, the merged level-shift + color transforms,
 // dead-zone quantization, the Tier-1 stripe-mask build and the HT
-// encoder's plane bit sets) behind a dispatch table selected once at
-// init from the CPU's vector features.
+// encoder's plane bit sets) behind a dispatch table installed once at
+// init.
 //
 // This is the Go analogue of the paper's Section 4 argument: kernel
 // cost is ISA-specific (the SPE's vector float multiply is one fast
 // instruction while JasPer's Q13 integer multiply must be emulated), so
 // the encoder prices each kernel against the actual vector hardware.
-// On amd64 the package ships hand-written AVX2 and SSE2 assembly; every
-// kernel keeps the original pure-Go loop as oracle and fallback, and
+// On amd64 the package ships hand-written SSE2 assembly: SSE2 is the
+// amd64 baseline and has the SPE's shape, 4 lanes of 32 bits with no
+// packed 32-bit integer multiply. Every kernel keeps the original pure-Go loop as oracle and fallback, and
 // every assembly path is bit-identical to it:
 //
 //   - Float kernels use only per-element add/mul (no FMA), so each
@@ -21,12 +22,11 @@
 //     matches gc's scalar CVTTSS2SL on amd64, including the 0x80000000
 //     out-of-range result.
 //
-// Dispatch: init probes CPUID (AVX2 needs OS-enabled YMM state; SSE2 is
-// amd64 baseline) and installs the widest kernel set. The `noasm` build
-// tag compiles the package with no assembly at all, and the J2K_NOSIMD
-// environment variable (set to anything but "0") forces the scalar set
-// at startup without rebuilding. Use/Kernel/Available exist so tests
-// and tools can pin or report the active set.
+// Dispatch: one vector set per build, with no CPU probe. On amd64 the
+// SSE2 set is active; the `noasm` build tag (and every other GOARCH)
+// compiles the package with no assembly at all, and the scalar set is
+// the only one. Use/Kernel/Available exist so tests and tools can pin
+// the scalar oracle against the vector set or report the active set.
 //
 // Convention: an assembly kernel processes a whole-vector prefix of the
 // row and returns how many elements it handled; the exported wrapper
@@ -87,14 +87,14 @@ var scalarSet = kernels{name: "scalar"}
 // test/startup hook and must not race with in-flight encodes.
 var active atomic.Pointer[kernels]
 
-// available lists the selectable kernel sets, narrowest first
-// ("scalar" always; then "sse2", "avx2" as detected). detect()
-// (per-platform) fills it and installs the widest allowed set.
+// available lists the selectable kernel sets, scalar first, then
+// "sse2" on amd64 builds with assembly. detect() (per-platform) fills
+// it and installs the last one.
 var available []*kernels
 
 func init() { detect() }
 
-// Kernel reports the name of the active kernel set: "avx2", "sse2" or
+// Kernel reports the name of the active kernel set: "sse2" or
 // "scalar".
 func Kernel() string { return active.Load().name }
 

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // Differential tests: every vector kernel set must match the scalar
 // oracle bit for bit on every length (including 0, 1, and odd tails)
-// and at unaligned slice offsets. Lengths cross the 4- and 8-lane
+// and at unaligned slice offsets. Lengths cross several 4-lane
 // boundaries so both the vector body and the scalar tail are exercised.
 
 var testLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100, 257, 1024}
@@ -51,7 +52,7 @@ func randI32(rng *rand.Rand, n int, max int32) []int32 {
 }
 
 // off slices a buffer at a deliberately unaligned element offset so
-// vector loads hit addresses that are not 16- or 32-byte aligned.
+// vector loads hit addresses that are not 16-byte aligned.
 func offF32(s []float32) []float32 { return append(make([]float32, 3), s...)[3:] }
 func offI32(s []int32) []int32     { return append(make([]int32, 3), s...)[3:] }
 func offU32(s []uint32) []uint32   { return append(make([]uint32, 3), s...)[3:] }
@@ -443,23 +444,15 @@ func TestUseRejectsUnknown(t *testing.T) {
 	}
 }
 
+// TestKernelReportsName pins the dispatch: on amd64 without noasm the
+// sets are scalar and sse2 with sse2 active; everywhere else scalar is
+// the only set.
 func TestKernelReportsName(t *testing.T) {
-	names := Available()
-	if len(names) == 0 {
-		t.Fatal("no kernel sets available")
+	if got := Available(); !slices.Equal(got, wantSets) {
+		t.Fatalf("Available() = %v, want %v", got, wantSets)
 	}
-	if names[0] != "scalar" {
-		t.Fatalf("first available set = %q, want scalar", names[0])
-	}
-	cur := Kernel()
-	found := false
-	for _, n := range names {
-		if n == cur {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("active kernel %q not in available set %v", cur, names)
+	if got, want := Kernel(), wantSets[len(wantSets)-1]; got != want {
+		t.Fatalf("Kernel() = %q, want %q", got, want)
 	}
 }
 

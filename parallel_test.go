@@ -59,11 +59,11 @@ func TestEncodeParallelDeterminism(t *testing.T) {
 }
 
 // TestEncodeKernelSetsDeterminism extends the matrix along the ISA
-// axis: every selectable simd kernel set (scalar, and sse2/avx2 where
-// the CPU has them) must produce the byte-identical codestream at
+// axis: every selectable simd kernel set (scalar, and sse2 on amd64
+// builds with assembly) must produce the byte-identical codestream at
 // every worker count. This is the executable form of the kernels'
 // bit-identity contract — forcing scalar here is equivalent to running
-// with J2K_NOSIMD=1 or the noasm build tag.
+// a noasm build.
 func TestEncodeKernelSetsDeterminism(t *testing.T) {
 	prev := simd.Kernel()
 	defer simd.Use(prev)
@@ -131,7 +131,7 @@ func TestDecodeParallelDeterminism(t *testing.T) {
 // inverse lifting, dequantization, inverse MCT and clamp kernels all
 // carry the same bit-identity contract as the forward ones), every
 // worker count, coding mode, and tiling. Forcing scalar here is
-// equivalent to running with J2K_NOSIMD=1 or the noasm build tag.
+// equivalent to running a noasm build.
 func TestDecodeKernelSetsDeterminism(t *testing.T) {
 	prev := simd.Kernel()
 	defer simd.Use(prev)
