@@ -572,20 +572,19 @@ func BenchmarkTier1Block(b *testing.B) {
 
 func BenchmarkMQCoder(b *testing.B) {
 	rng := workload.NewRNG(4)
-	bits := make([]int, 1<<16)
-	for i := range bits {
+	ops := make([]uint8, 1<<16) // context 0, decision in bit 0
+	for i := range ops {
 		if rng.Intn(8) == 0 {
-			bits[i] = 1
+			ops[i] = 1
 		}
 	}
-	b.SetBytes(int64(len(bits)) / 8)
+	b.SetBytes(int64(len(ops)) / 8)
 	var e mq.Encoder
+	cxs := make([]mq.Context, 1)
 	for i := 0; i < b.N; i++ {
 		e.Reset()
-		cx := mq.NewContext(0)
-		for _, bit := range bits {
-			e.Encode(bit, &cx)
-		}
+		cxs[0] = mq.NewContext(0)
+		e.EncodeBatch(ops, cxs)
 		e.Flush()
 	}
 }

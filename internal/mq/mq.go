@@ -141,61 +141,14 @@ func (e *Encoder) Reset() {
 	e.buf = e.buf[:0]
 }
 
-// Encode codes decision d (0 or 1) in context cx. The common path — a
-// most-probable symbol with no renormalization — returns after one
-// compare and two adds; the renormalization loop is unrolled inline so
-// the interval registers stay out of memory between shifts.
-func (e *Encoder) Encode(d int, cx *Context) {
-	s := cx.s
-	qe := s.qe
-	a := e.a - qe
-	if uint8(d) == s.mps {
-		// CODEMPS
-		if a&0x8000 != 0 {
-			e.a = a
-			e.c += qe
-			return
-		}
-		if a < qe {
-			a = qe
-		} else {
-			e.c += qe
-		}
-		cx.s = qeTable94[s.nmps]
-	} else {
-		// CODELPS (the MPS switch is folded into the nlps row)
-		if a < qe {
-			e.c += qe
-		} else {
-			a = qe
-		}
-		cx.s = qeTable94[s.nlps]
-	}
-	// RENORME
-	c, ct := e.c, e.ct
-	for {
-		a <<= 1
-		c <<= 1
-		ct--
-		if ct == 0 {
-			e.c = c
-			e.byteOut()
-			c, ct = e.c, e.ct
-		}
-		if a&0x8000 != 0 {
-			break
-		}
-	}
-	e.a, e.c, e.ct = a, c, ct
-}
-
 // EncodeBatch codes a run of packed decisions — each op is ctx<<1 | d,
-// an index into cxs plus the decision bit — in order. It is exactly
-// equivalent to calling Encode for each op; batching exists so the
-// interval registers a, c and the shift counter stay in locals across
-// the whole run instead of round-tripping through the struct per bit.
-// Tier-1 can defer coding this way because its decision sequence never
-// depends on the encoder's interval state.
+// an index into cxs plus the decision bit — in order. Consecutive calls
+// code the concatenation of their runs: where a sequence is cut into
+// batches does not change the segment. Batching keeps the interval
+// registers a, c and the shift counter in locals across the whole run
+// instead of round-tripping through the struct per bit. Tier-1 can
+// defer coding this way because its decision sequence never depends on
+// the encoder's interval state.
 func (e *Encoder) EncodeBatch(ops []uint8, cxs []Context) {
 	a, c, ct := e.a, e.c, e.ct
 	nren := int64(0)
