@@ -2,7 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"testing"
+	"slices"
+	"time"
 
 	"j2kcell/internal/baseline"
 	"j2kcell/internal/cell"
@@ -46,24 +47,57 @@ func Table1() *Table {
 	t.AddRow("9/7 kernel, fixed vs float (cost model)", f2(cell.SPECosts.DWT97Fix/cell.SPECosts.DWT97),
 		"calibrated cycles/sample ratio used by the encoder model")
 	fNs, xNs := hostLiftNs()
+	ratio := make([]float64, hostRepeats)
+	for i := range ratio {
+		ratio[i] = xNs[i] / fNs[i]
+	}
 	kern := simd.Kernel()
 	t.AddRow(fmt.Sprintf("host 9/7 lift row, float (simd:%s)", kern),
-		fmt.Sprintf("%s ns/sample", f2(fNs)), "measured on this machine via dwt.Lift97")
+		medianSpread(fNs, " ns/sample"), "measured on this machine via dwt.Lift97")
 	t.AddRow(fmt.Sprintf("host 9/7 lift row, Q13 fixed (simd:%s)", kern),
-		fmt.Sprintf("%s ns/sample", f2(xNs)), "measured on this machine via dwt.Lift97Fixed")
-	t.AddRow("host 9/7 lifting, fixed vs float", f2(xNs/fNs),
-		"this machine's counterpart of the SPE ratio above")
+		medianSpread(xNs, " ns/sample"), "measured on this machine via dwt.Lift97Fixed")
+	t.AddRow("host 9/7 lifting, fixed vs float", medianSpread(ratio, ""),
+		"median of per-repeat ratios; this machine's counterpart of the SPE ratio above")
 	return t
+}
+
+// hostRepeats is how many alternating float/fixed timings the host rows
+// of Table 1 take. Each row prints the median with its interquartile
+// range, so one timing disturbed by the rest of the machine cannot move
+// it, and the spread says how far the row can be trusted.
+const hostRepeats = 15
+
+// hostCalls is how many lifting-row calls one timing spans: a few
+// milliseconds for the 4096-sample row on an amd64 core.
+const hostCalls = 4096
+
+// medianSpread formats the median of xs with its interquartile range
+// and the number of repeats, e.g. "0.21 ns/sample (IQR 0.02, 15 runs)".
+func medianSpread(xs []float64, unit string) string {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	q := func(p float64) float64 {
+		x := p * float64(len(s)-1)
+		i := int(x)
+		if i+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[i] + (x-float64(i))*(s[i+1]-s[i])
+	}
+	return fmt.Sprintf("%s%s (IQR %s, %d runs)", f2(q(0.5)), unit, f2(q(0.75)-q(0.25)), len(s))
 }
 
 // hostLiftNs wall-clocks one 9/7 lifting row step on the host in both
 // representations (float32 and JasPer's Q13 fixed point), through
-// whatever simd kernel set is active. It is the x86 counterpart of the
-// paper's Section 4 measurement: on the SPE the emulated 32-bit
-// integer multiply makes fixed point lose; here both go through native
-// vector units, so the ratio shows what the SPE argument looks like on
-// a machine without the mpyh penalty.
-func hostLiftNs() (floatNs, fixedNs float64) {
+// whatever simd kernel set is active, and returns the ns/sample of each
+// of hostRepeats repeats. The two representations alternate, and swap
+// which goes first every repeat, so drift in the machine's speed lands
+// on both. It is the x86 counterpart of the paper's Section 4
+// measurement: on the SPE the emulated 32-bit integer multiply makes
+// fixed point lose. SSE2 has no packed 32-bit multiply either, so its
+// Q13 step emulates one from PMULUDQ halves, and the ratio shows how
+// that penalty reads on the host.
+func hostLiftNs() (floatNs, fixedNs []float64) {
 	const n = 4096
 	df := make([]float32, n)
 	ef0 := make([]float32, n)
@@ -76,17 +110,29 @@ func hostLiftNs() (floatNs, fixedNs float64) {
 		df[i], ef0[i], ef1[i] = v, v+1, v-1
 		dx[i], ex0[i], ex1[i] = dwt.ToFixed(int32(i%255)-127), int32(i%511), -int32(i%257)
 	}
-	rf := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dwt.Lift97(df, ef0, ef1, float32(dwt.Alpha97))
+	liftF := func() { dwt.Lift97(df, ef0, ef1, float32(dwt.Alpha97)) }
+	liftX := func() { dwt.Lift97Fixed(dx, ex0, ex1, -12994) }
+	nsPerSample := func(lift func()) float64 {
+		start := time.Now()
+		for range hostCalls {
+			lift()
 		}
-	})
-	rx := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dwt.Lift97Fixed(dx, ex0, ex1, -12994)
+		return float64(time.Since(start).Nanoseconds()) / (hostCalls * n)
+	}
+	liftF() // warm both rows' caches before the first timing
+	liftX()
+	floatNs = make([]float64, hostRepeats)
+	fixedNs = make([]float64, hostRepeats)
+	for r := range hostRepeats {
+		if r%2 == 0 {
+			floatNs[r] = nsPerSample(liftF)
+			fixedNs[r] = nsPerSample(liftX)
+		} else {
+			fixedNs[r] = nsPerSample(liftX)
+			floatNs[r] = nsPerSample(liftF)
 		}
-	})
-	return float64(rf.NsPerOp()) / n, float64(rx.NsPerOp()) / n
+	}
+	return floatNs, fixedNs
 }
 
 // sweepConfig describes one bar of Figures 4/5.
