@@ -193,8 +193,8 @@ func main() {
 	}
 	fmt.Printf("goroutines: high-water %d (baseline %d)\n", atomic.LoadInt64(&gHWM), gBase)
 	st := j2kcell.SchedulerStats()
-	fmt.Printf("scheduler: %d-wide pool, %d lanes opened, %d pool claims, %d lane switches, %d admit waits, %d rejects\n",
-		st.Workers, st.LanesOpened, st.PoolClaims, st.LaneSwitches, st.AdmitWaits, st.AdmitRejects)
+	fmt.Printf("scheduler: %d-wide, %d lanes opened, %d pool claims, %d admit waits, %d rejects\n",
+		st.Workers, st.LanesOpened, st.PoolClaims, st.AdmitWaits, st.AdmitRejects)
 	fmt.Println()
 	fmt.Print(obs.Aggregate().SLOTable())
 
@@ -229,10 +229,10 @@ func main() {
 // text exposition with the library's minimal scraper, and verifies
 // the run left a coherent trail: some operations completed
 // (j2k_operations_total > 0) and the SLO histograms observed them.
-// When the run had multi-worker operations (requireSched), the
-// scheduler gauges must be exported and its lanes-opened counter
-// nonzero. When
-// the mix included the corrupt scenario (requireResilient), the
+// When the run had multi-worker operations (requireSched), the three
+// scheduler gauges (workers, active ops, queue depth) must be exported
+// and its lanes-opened counter nonzero. When the mix included the
+// corrupt scenario (requireResilient), the
 // resilience counters must show that damage was actually encountered
 // and contained: j2k_resync_total and j2k_concealed_blocks_total > 0.
 func runSelfcheck(addr string, requireSched, requireResilient bool) error {
@@ -265,8 +265,7 @@ func runSelfcheck(addr string, requireSched, requireResilient bool) error {
 			resyncs += s.Value
 		case "j2k_concealed_blocks_total":
 			concealed += s.Value
-		case "j2k_scheduler_workers", "j2k_scheduler_lanes_open",
-			"j2k_scheduler_active_ops", "j2k_scheduler_queue_depth":
+		case "j2k_scheduler_workers", "j2k_scheduler_active_ops", "j2k_scheduler_queue_depth":
 			schedGauges++
 		}
 	}
@@ -277,8 +276,8 @@ func runSelfcheck(addr string, requireSched, requireResilient bool) error {
 		return fmt.Errorf("selfcheck: j2k_op_duration_seconds observed no operations")
 	}
 	if requireSched {
-		if schedGauges < 4 {
-			return fmt.Errorf("selfcheck: scheduler gauges missing from exposition (%d/4 present)", schedGauges)
+		if schedGauges < 3 {
+			return fmt.Errorf("selfcheck: scheduler gauges missing from exposition (%d/3 present)", schedGauges)
 		}
 		if lanesOpened <= 0 {
 			return fmt.Errorf("selfcheck: j2k_scheduler_lanes_opened_total is %v after a multi-worker run, want > 0", lanesOpened)

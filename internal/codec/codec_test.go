@@ -226,6 +226,35 @@ func TestRateControlKeepsFewerPasses(t *testing.T) {
 	}
 }
 
+// TestHeaderModeMatchesEncoder pins the one coding-style decision on
+// both sides: over the encoder's option matrix, the Tier-1 mode a
+// decoder reads from the written COD flags agrees with the mode the
+// encoder coded on whether every pass is its own segment and on
+// segmentation symbols.
+func TestHeaderModeMatchesEncoder(t *testing.T) {
+	img := workload.Dial(64, 64, 5, 4)
+	for _, ht := range []bool{false, true} {
+		for _, rate := range []float64{0, 0.3} {
+			for _, res := range []bool{false, true} {
+				opt := Options{HT: ht, Lossless: rate == 0, Rate: rate, Resilience: res}
+				enc, err := Encode(context.Background(), img, opt, 1)
+				if err != nil {
+					t.Fatalf("%+v: %v", opt, err)
+				}
+				h, _, _, err := parseStream(enc.Data, DecodeOptions{}.limits())
+				if err != nil {
+					t.Fatalf("%+v: %v", opt, err)
+				}
+				got, want := headerMode(h), opt.Mode()
+				if got.PerPass() != want.PerPass() || got.SegSym() != want.SegSym() {
+					t.Errorf("%+v: header mode %v (per-pass %v, segsym %v), encoder mode %v (per-pass %v, segsym %v)",
+						opt, got, got.PerPass(), got.SegSym(), want, want.PerPass(), want.SegSym())
+				}
+			}
+		}
+	}
+}
+
 func TestEncodeRejectsBadImages(t *testing.T) {
 	bad := &imgmodel.Image{W: 4, H: 4, Depth: 8}
 	if _, err := Encode(context.Background(), bad, Options{}, 1); err == nil {

@@ -171,9 +171,7 @@ func parseStream(data []byte, lim Limits) (*codestream.Header, [][]byte, *codest
 // band's blocks, nil where a block received nothing.
 func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte, maxLayers, keepRes int, region Rect, dmg *tileDamage) ([][]*blockAcc, []PacketInfo, error) {
 	style := t2.SegSingle
-	if h.HT || h.TermAll {
-		// Both HT variants parse like TermAll: per-pass segment lengths
-		// in the packet header.
+	if headerMode(h).PerPass() {
 		style = t2.SegTermAll
 	}
 	// Precinct coding state persists across layers per (comp, band).
@@ -337,6 +335,25 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 	return accs, packets, nil
 }
 
+// headerMode is the Tier-1 mode a decoder reads from the COD flags of
+// h. Both HT variants map to ModeHT; t1.Decode dispatches between
+// them. With SegSym the encoder closed every cleanup pass with the
+// 1010 sentinel, which the MQ decoder must consume (and verify) to
+// stay in sync.
+func headerMode(h *codestream.Header) t1.Mode {
+	mode := t1.ModeSingle
+	switch {
+	case h.HT:
+		mode = t1.ModeHT
+	case h.TermAll:
+		mode = t1.ModeTermAll
+	}
+	if h.SegSym {
+		mode = mode.WithSegSym()
+	}
+	return mode
+}
+
 // decodeTile reconstructs one tile of tw×th samples from its packet
 // body into dst, best effort: packet parse failures, Tier-1 detection
 // failures and contained Tier-1 faults are demoted to localized
@@ -350,22 +367,8 @@ func parseTile(p *Pipeline, h *codestream.Header, bands []dwt.Band, body []byte,
 // written.
 func decodeTile(ctx context.Context, h *codestream.Header, tw, th int, body []byte, dopt DecodeOptions, dmg *tileDamage, dst *imgmodel.Image) error {
 	p := NewPipelineContext(ctx, dopt.Workers)
-	defer p.Close()
 	bands := dwt.Layout(tw, th, h.Levels)
-	mode := t1.ModeSingle
-	switch {
-	case h.HT:
-		// Both HT variants share one mode; t1.Decode dispatches
-		// between them.
-		mode = t1.ModeHT
-	case h.TermAll:
-		mode = t1.ModeTermAll
-	}
-	if h.SegSym {
-		// The encoder closed every cleanup pass with the 1010 sentinel;
-		// the MQ decoder must consume (and verify) it to stay in sync.
-		mode = mode.WithSegSym()
-	}
+	mode := headerMode(h)
 	maxLayers := h.Layers
 	if dopt.MaxLayers > 0 && dopt.MaxLayers < maxLayers {
 		maxLayers = dopt.MaxLayers

@@ -157,7 +157,6 @@ func untiledTasks(t *testing.T, data []byte, dopt DecodeOptions) ([]blockTask, i
 		t.Fatalf("%d tile parts, want an untiled stream", len(bodies))
 	}
 	p := NewPipelineContext(context.Background(), 1)
-	defer p.Close()
 	bands := dwt.Layout(h.W, h.H, h.Levels)
 	var region Rect
 	if dopt.regionSet() {

@@ -55,7 +55,6 @@ func Encode(ctx context.Context, img *imgmodel.Image, opt Options, workers int) 
 	// hull inside its Tier-1 job, leaving only the λ search sequential.
 	constrained := opt.layerRates() != nil
 	p := NewPipelineContext(ctx, workers)
-	defer p.Close()
 	tiles := make([]tileCoded, len(grid))
 	plans := planTiles(grid, len(img.Comps), opt)
 	if len(grid) == 1 {
@@ -448,11 +447,8 @@ func appendPackets(dst []byte, precincts []*t2.Precinct, w, h, ncomp int, opt Op
 	}
 	bandJobs := func(c, bi int) []int32 { k := c*nb + bi; return byBand[first[k]:first[k+1]] }
 
-	// HT blocks also carry per-pass segment lengths in the packet
-	// headers: the cleanup/SigProp/MagRef byte streams are separately
-	// terminated by construction, exactly like TermAll MQ segments.
 	style := t2.SegSingle
-	if m := opt.Mode(); m.Base() == t1.ModeTermAll || m.IsHT() {
+	if opt.Mode().PerPass() {
 		style = t2.SegTermAll
 	}
 
@@ -565,7 +561,7 @@ func streamBound(head *codestream.Header, ntiles int, opt Options, blocks []*t1.
 		perPkt += 6 + 2
 	}
 	n := codestream.HeaderLen(head) + ntiles*codestream.TilePartHeaderLen + codestream.EOCLen + npkt*perPkt
-	perPass := opt.Mode().Base() == t1.ModeTermAll || opt.Mode().IsHT()
+	perPass := opt.Mode().PerPass()
 	final := keeps[nlayers-1]
 	hdr := 0 // packet-header bits
 	for i, b := range blocks {

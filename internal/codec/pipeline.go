@@ -3,6 +3,7 @@ package codec
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -18,8 +19,8 @@ import (
 	"j2kcell/internal/t1"
 )
 
-// Pipeline runs the native encode path as explicit stages over the
-// shared scheduler's worker pool, the Go analogue of the paper's
+// Pipeline runs the native encode path as explicit stages, with
+// helpers from the shared scheduler, the Go analogue of the paper's
 // whole-pipeline parallelization (Section 3):
 //
 //	merged level shift + MCT   — row stripes
@@ -43,8 +44,8 @@ import (
 // cancellation state of one encode or decode: a context checked
 // between job claims, and a first-error latch filled by the per-job
 // recover wrapper. Create one Pipeline per encode/decode; it is safe
-// for the pool workers draining its stages but not for reuse across
-// operations.
+// for the helpers draining its stages, but its stages are run from one
+// goroutine, and it is not reused across operations.
 type Pipeline struct {
 	workers int
 	ctx     context.Context
@@ -52,11 +53,11 @@ type Pipeline struct {
 	rec     *obs.Recorder   // the context's operation recorder, resolved once (nil: none)
 
 	// Scheduler binding (DESIGN.md §12), nil for single-worker
-	// pipelines: multi-worker stages are submitted to the pool on this
-	// operation's lane. lane is opened lazily by the first such stage
-	// and closed by Close.
-	sched *Scheduler
-	lane  *schedLane
+	// pipelines: multi-worker stages take helper tokens from it. helped
+	// records that a stage was eligible for helpers, so the scheduler
+	// counts each pipeline once (its lanes-opened counter).
+	sched  *Scheduler
+	helped bool
 
 	aborted atomic.Bool // fast stop flag checked between job claims
 	mu      sync.Mutex
@@ -65,16 +66,16 @@ type Pipeline struct {
 
 // NewPipeline returns a pipeline that runs its stages on up to
 // `workers` executors (minimum 1; 1 means run inline), without
-// cancellation (context.Background). Multi-worker stages drain on the
-// process-default scheduler.
+// cancellation (context.Background). Multi-worker stages take their
+// helpers from the process-default scheduler.
 func NewPipeline(workers int) *Pipeline {
 	return NewPipelineContext(context.Background(), workers)
 }
 
-// NewPipelineContext is NewPipeline bound to a context: the work-queue
-// drain loops check ctx between jobs, so cancellation or a deadline
-// stops the encode/decode within a bounded number of outstanding jobs
-// (at most one per worker) and the operation returns ctx.Err(). The
+// NewPipelineContext is NewPipeline bound to a context: the drain loop
+// checks ctx between jobs, so cancellation or a deadline stops the
+// encode/decode within a bounded number of outstanding jobs (at most
+// one per worker) and the operation returns ctx.Err(). The
 // scheduler comes from ctx (WithScheduler), else the process default.
 func NewPipelineContext(ctx context.Context, workers int) *Pipeline {
 	if workers < 1 {
@@ -88,18 +89,6 @@ func NewPipelineContext(ctx context.Context, workers int) *Pipeline {
 	return &Pipeline{
 		workers: workers, ctx: ctx, done: ctx.Done(), rec: obs.FromContext(ctx),
 		sched: schedulerFor(ctx, workers),
-	}
-}
-
-// Close releases the pipeline's scheduler lane, if one was opened.
-// Every function that creates a multi-worker pipeline defers it; a
-// pipeline whose stages all ran inline closes as a no-op. Pool workers
-// exit once the last lane in the process closes, so idle processes
-// hold no scheduler goroutines.
-func (p *Pipeline) Close() {
-	if p.lane != nil {
-		p.sched.closeLane(p.lane)
-		p.lane = nil
 	}
 }
 
@@ -217,10 +206,10 @@ const stripeRows = 64
 // run drains n jobs through the shared work queue: one atomic cursor
 // claimed by up to p.workers executors — the paper's load-balancing
 // work queue, with the atomic increment standing in for the MFC atomic
-// unit. With a single worker (or a single job) it runs inline;
-// otherwise the stage is published on this operation's scheduler lane
-// (DESIGN.md §12) and the calling goroutine drains it alongside the
-// pool, so the stage completes even when the pool is busy elsewhere.
+// unit. The calling goroutine always drains; on a multi-worker
+// pipeline with more than one job it also starts helpers with tokens
+// from the scheduler (DESIGN.md §12), so the stage completes even when
+// every helper is busy elsewhere.
 //
 // Every job is bracketed by an observability span (stage st, stage
 // argument arg — e.g. the DWT level — and the job index) on the claiming
@@ -229,32 +218,111 @@ const stripeRows = 64
 //
 // Each claim first checks the pipeline's stop state (contained fault or
 // context cancellation), so an aborting drain completes within one
-// outstanding job per worker, and every job body runs under the
-// containment wrapper (Pipeline.job). run returns the pipeline's error
-// so stages can short-circuit; a stopped pipeline drains subsequent
-// run calls immediately.
+// outstanding job per executor, and every job body runs under the
+// containment wrapper (Pipeline.job). run returns after every helper
+// has finished — the stage barrier — with the pipeline's error so
+// stages can short-circuit; a stopped pipeline drains subsequent run
+// calls immediately.
 func (p *Pipeline) run(st obs.Stage, arg int32, n int, fn func(i int)) error {
 	if n <= 0 || p.stopped() {
 		return p.Err()
 	}
-	rec := p.rec
-	rec.Add(obs.CtrQueueRuns, 1)
-	rec.Add(obs.CtrQueueJobs, int64(n))
-	if p.sched == nil || n == 1 {
-		ln := rec.Acquire()
-		for i := 0; i < n && !p.stopped(); i++ {
-			ln.Claim()
-			sp := ln.Begin(st, arg, int32(i))
-			p.job(st, arg, 0, i, fn)
-			sp.End()
+	p.rec.Add(obs.CtrQueueRuns, 1)
+	p.rec.Add(obs.CtrQueueJobs, int64(n))
+	s := &stage{p: p, st: st, arg: arg, n: int64(n), fn: fn}
+	if p.sched != nil && n > 1 {
+		s.maxHelpers = min(p.workers, n) - 1
+		if !p.helped {
+			p.helped = true
+			p.sched.lanesOpened.Add(1)
 		}
-		ln.Release()
-		return p.Err()
 	}
-	if p.lane == nil {
-		p.lane = p.sched.openLane()
+	s.drain(false)
+	s.wg.Wait()
+	return p.Err()
+}
+
+// stage is one run call's work queue: the cursor every executor claims
+// jobs from, and the helpers the owner started on it.
+type stage struct {
+	p    *Pipeline
+	st   obs.Stage
+	arg  int32
+	n    int64
+	fn   func(int)
+	next atomic.Int64 // next job index to claim
+
+	maxHelpers int // 0: the stage runs inline
+	helpers    int // helpers started; the owner alone touches it
+	wg         sync.WaitGroup
+}
+
+// drain claims and runs jobs until the cursor is exhausted or the
+// pipeline stops. It is the one drain loop: the owner (helper false)
+// runs it inline and tops its helpers up before each of its claims;
+// each helper runs it on a goroutine of its own and returns its token
+// when it ends. Spans and counters go to the operation's own
+// recorder whichever goroutine claims.
+func (s *stage) drain(helper bool) {
+	p, rec := s.p, s.p.rec
+	ln := rec.Acquire()
+	lane := 0
+	if s.maxHelpers > 0 {
+		lane = execLane(ln)
 	}
-	return p.runShared(st, arg, n, fn)
+	for !p.stopped() {
+		if !helper {
+			s.topUp()
+		}
+		i := s.next.Add(1) - 1
+		if i >= s.n {
+			break
+		}
+		switch {
+		case helper:
+			p.sched.poolClaims.Add(1)
+			rec.Add(obs.CtrSchedPoolClaims, 1)
+		case s.maxHelpers > 0:
+			rec.Add(obs.CtrSchedSelfClaims, 1)
+		}
+		ln.Claim()
+		sp := ln.Begin(s.st, s.arg, int32(i))
+		p.job(s.st, s.arg, lane, int(i), s.fn)
+		sp.End()
+	}
+	ln.Release()
+}
+
+// topUp starts one helper per free helper token while the stage has
+// fewer than maxHelpers and at least two jobs remain unclaimed.
+func (s *stage) topUp() {
+	started := s.helpers
+fill:
+	for s.helpers < s.maxHelpers && s.n-s.next.Load() >= 2 {
+		select {
+		case s.p.sched.helpers <- struct{}{}:
+		default:
+			break fill
+		}
+		s.helpers++
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.drain(true)
+			<-s.p.sched.helpers
+		}()
+	}
+	if s.helpers > started && len(s.p.sched.slots) <= 1 {
+		// The newest helper waits in this P's next-to-run slot, which
+		// an idle P steals only after a sleep of some 50 µs on Linux.
+		// When this is the only admitted operation, other Ps are likely
+		// idle: yielding runs the helper here at once and puts the
+		// owner on the global run queue, where the P woken for the new
+		// goroutine takes it without that sleep. With other operations
+		// running, the Ps are busy and a yield would only cede this
+		// one to them.
+		runtime.Gosched()
+	}
 }
 
 // Scratch pools for stripe-sized transients (DWT aux rows, horizontal

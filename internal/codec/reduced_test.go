@@ -124,7 +124,6 @@ func TestReducedDecodeMatchesSerial(t *testing.T) {
 						t.Fatal(err)
 					}
 					p := NewPipeline(1)
-					defer p.Close()
 					var planes []*imgmodel.Plane
 					if opt.Lossless {
 						planes = p.MCTInt(img, opt)

@@ -143,7 +143,6 @@ func decodeStream(ctx context.Context, op *apiOp, data []byte, dopt DecodeOption
 		}
 	} else {
 		p := NewPipelineContext(ctx, dopt.Workers)
-		defer p.Close()
 		td := dopt
 		td.Workers = 1 // tiles are the parallel unit; inner stages run inline
 		// Tiles write disjoint windows of the output image. A fault

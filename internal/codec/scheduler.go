@@ -1,30 +1,30 @@
-// Shared process-wide worker pool with per-operation lanes, fair
-// scheduling, and admission control (DESIGN.md §12).
+// Shared process-wide scheduler: admission control and a bounded set
+// of stage helpers, as two counting semaphores (DESIGN.md §12).
 //
 // The paper keeps a fixed set of hardware workers (the SPEs) saturated
-// by one global work queue. The Scheduler is that shape process-wide:
-// one pool of ~GOMAXPROCS workers multiplexes the job streams (lanes)
-// of all in-flight operations, rotating round-robin over the lanes. It
-// is the only way a codec stage gets more than one executor; a
-// single-worker pipeline runs its stages inline.
+// by one global work queue. The Scheduler bounds the same two things
+// process-wide: how many operations run at once (admission tokens) and
+// how many helper goroutines may join the stages of those operations
+// (helper tokens). It is the only way a codec stage gets more than one
+// executor; a single-worker pipeline runs its stages inline.
 //
 // Key invariants:
 //
-//   - Byte identity: a lane's stage is one atomically-claimed job
-//     queue; only the identity of the goroutines draining it varies.
-//     Stage barriers and job bodies do not depend on the pool, so
-//     per-operation output is byte-identical to the inline path at
-//     every pool width (DESIGN.md §5, extended pool-wide in §12).
-//   - No cross-op stalls: pool workers never block on a lane. A
-//     canceled or faulted operation flips its own pipeline's stop latch;
-//     its remaining claims drain to no-ops and its stage closes, while
-//     sibling lanes keep being served.
-//   - Liveness without the pool: the goroutine that submits a stage
-//     also drains it, so every operation always has at least one
-//     dedicated executor even when pool workers are busy elsewhere, and
-//     the pool can never deadlock an operation.
-//   - Bounded goroutines: pool workers spawn when the first lane opens
-//     and exit when the last lane closes, so an idle process holds zero
+//   - Byte identity: a stage is one atomically-claimed job queue; only
+//     the identity of the goroutines draining it varies. Stage barriers
+//     and job bodies do not depend on the helpers, so per-operation
+//     output is byte-identical to the inline path at every scheduler
+//     width (DESIGN.md §5, extended process-wide in §12).
+//   - No cross-op stalls: a helper drains one stage of one operation
+//     and returns its token when that stage's cursor is exhausted or
+//     the operation stops, so a canceled or faulted operation gives its
+//     helpers back within one outstanding job each.
+//   - Liveness without helpers: the goroutine that runs a stage always
+//     drains it, so every operation has one executor even when every
+//     helper token is held elsewhere, and helpers can never deadlock an
+//     operation.
+//   - Bounded goroutines: at most Workers helpers exist process-wide,
+//     and each one lives for one stage, so an idle process holds zero
 //     scheduler goroutines (the fault-matrix leak pins stay valid).
 package codec
 
@@ -75,42 +75,35 @@ func schedulerFor(ctx context.Context, workers int) *Scheduler {
 // Workers = GOMAXPROCS, MaxActive = 8×Workers (min 8), MaxQueue =
 // 4×MaxActive.
 type SchedConfig struct {
-	Workers   int // pool width (goroutines when any lane is open)
+	Workers   int // helper goroutines shared by all running stages
 	MaxActive int // operations admitted concurrently
 	MaxQueue  int // operations waiting for admission before ErrOverloaded
 }
 
-// Scheduler is a process-wide pool of workers multiplexing the job
-// streams of many concurrent operations. Operations enter through
-// Admit (bounded queue, backpressure), open a lane per pipeline, and
-// submit each stage to the pool; the submitting goroutine always helps
-// drain its own stage, so the pool is shared extra capacity, never a
-// dependency.
+// Scheduler bounds the concurrency of many operations with two
+// counting semaphores. Operations enter through Admit, which takes one
+// of MaxActive admission tokens (bounded queue, backpressure); each
+// stage of a multi-worker operation may take up to workers−1 of the
+// Workers helper tokens, one per helper goroutine that joins its
+// drain. The goroutine running the stage always drains it too, so
+// helpers are shared extra capacity, never a dependency.
 type Scheduler struct {
-	width     int
-	maxActive int
-	maxQueue  int
+	maxQueue int64
 
-	mu      sync.Mutex
-	cond    *sync.Cond // pool workers wait here for runnable lanes
-	lanes   []*schedLane
-	rr      int // round-robin cursor over lanes
-	spawned int // live pool workers
+	slots   chan struct{} // admission tokens, one per running operation
+	queued  atomic.Int64  // operations waiting for an admission token
+	helpers chan struct{} // helper tokens, one per live helper goroutine
 
-	active int            // admitted operations
-	queue  []*admitWaiter // FIFO admission queue
-
-	// Monotone counters and gauges for /metrics and Stats.
+	// Monotone counters for /metrics and Stats.
 	lanesOpened  atomic.Int64
-	laneSwitches atomic.Int64 // pool worker moved to a different lane
 	poolClaims   atomic.Int64
 	admitWaits   atomic.Int64
 	admitRejects atomic.Int64
 }
 
 // NewScheduler builds a Scheduler from cfg (zero fields take the
-// documented defaults). The pool spawns no goroutines until a lane
-// opens.
+// documented defaults). It starts no goroutines: helpers start inside
+// the stages that take them.
 func NewScheduler(cfg SchedConfig) *Scheduler {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -124,13 +117,11 @@ func NewScheduler(cfg SchedConfig) *Scheduler {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 4 * cfg.MaxActive
 	}
-	s := &Scheduler{
-		width:     cfg.Workers,
-		maxActive: cfg.MaxActive,
-		maxQueue:  cfg.MaxQueue,
+	return &Scheduler{
+		maxQueue: int64(cfg.MaxQueue),
+		slots:    make(chan struct{}, cfg.MaxActive),
+		helpers:  make(chan struct{}, cfg.Workers),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
 }
 
 var (
@@ -153,19 +144,15 @@ func DefaultScheduler() *Scheduler {
 // first scheduler to register — the process default — is exported).
 func (s *Scheduler) registerMetrics() {
 	obs.RegisterMetrics(
-		obs.ExternalMetric{Name: "j2k_scheduler_workers", Help: "Live shared-pool worker goroutines.", Type: "gauge",
-			Read: func() int64 { s.mu.Lock(); defer s.mu.Unlock(); return int64(s.spawned) }},
-		obs.ExternalMetric{Name: "j2k_scheduler_lanes_open", Help: "Operation lanes currently open on the shared pool.", Type: "gauge",
-			Read: func() int64 { s.mu.Lock(); defer s.mu.Unlock(); return int64(len(s.lanes)) }},
+		obs.ExternalMetric{Name: "j2k_scheduler_workers", Help: "Live stage helper goroutines.", Type: "gauge",
+			Read: func() int64 { return int64(len(s.helpers)) }},
 		obs.ExternalMetric{Name: "j2k_scheduler_active_ops", Help: "Operations admitted and running.", Type: "gauge",
-			Read: func() int64 { s.mu.Lock(); defer s.mu.Unlock(); return int64(s.active) }},
+			Read: func() int64 { return int64(len(s.slots)) }},
 		obs.ExternalMetric{Name: "j2k_scheduler_queue_depth", Help: "Operations waiting in the admission queue.", Type: "gauge",
-			Read: func() int64 { s.mu.Lock(); defer s.mu.Unlock(); return int64(len(s.queue)) }},
-		obs.ExternalMetric{Name: "j2k_scheduler_lanes_opened_total", Help: "Lanes opened on the shared pool.", Type: "counter",
+			Read: s.queued.Load},
+		obs.ExternalMetric{Name: "j2k_scheduler_lanes_opened_total", Help: "Pipelines that ran a stage eligible for helpers.", Type: "counter",
 			Read: s.lanesOpened.Load},
-		obs.ExternalMetric{Name: "j2k_scheduler_lane_switches_total", Help: "Pool worker moves between lanes (fairness rotations).", Type: "counter",
-			Read: s.laneSwitches.Load},
-		obs.ExternalMetric{Name: "j2k_scheduler_pool_claims_total", Help: "Jobs claimed by shared-pool workers across all lanes.", Type: "counter",
+		obs.ExternalMetric{Name: "j2k_scheduler_pool_claims_total", Help: "Jobs claimed by stage helpers.", Type: "counter",
 			Read: s.poolClaims.Load},
 		obs.ExternalMetric{Name: "j2k_scheduler_admit_waits_total", Help: "Operations that waited in the admission queue.", Type: "counter",
 			Read: s.admitWaits.Load},
@@ -177,109 +164,72 @@ func (s *Scheduler) registerMetrics() {
 // SchedStats is a snapshot of scheduler state for tests, the Amdahl
 // report, and the j2kload summary line.
 type SchedStats struct {
-	Workers      int // configured pool width
-	WorkersLive  int // pool goroutines currently running
-	LanesOpen    int
-	ActiveOps    int
-	QueueDepth   int
-	LanesOpened  int64
+	Workers     int // configured helper width
+	WorkersLive int // helper tokens currently held
+	ActiveOps   int
+	QueueDepth  int
+	LanesOpened int64 // pipelines that ran a stage eligible for helpers
+	// LaneSwitches is always 0: helpers serve one stage each and never
+	// move between operations. It stays for the benchmark harness,
+	// which still reads it.
 	LaneSwitches int64
 	PoolClaims   int64
 	AdmitWaits   int64
 	AdmitRejects int64
 }
 
-// Stats returns a consistent snapshot of the scheduler's state.
+// Stats returns a snapshot of the scheduler's state. Each field is
+// read atomically on its own.
 func (s *Scheduler) Stats() SchedStats {
-	s.mu.Lock()
-	st := SchedStats{
-		Workers:     s.width,
-		WorkersLive: s.spawned,
-		LanesOpen:   len(s.lanes),
-		ActiveOps:   s.active,
-		QueueDepth:  len(s.queue),
+	return SchedStats{
+		Workers:      cap(s.helpers),
+		WorkersLive:  len(s.helpers),
+		ActiveOps:    len(s.slots),
+		QueueDepth:   int(s.queued.Load()),
+		LanesOpened:  s.lanesOpened.Load(),
+		PoolClaims:   s.poolClaims.Load(),
+		AdmitWaits:   s.admitWaits.Load(),
+		AdmitRejects: s.admitRejects.Load(),
 	}
-	s.mu.Unlock()
-	st.LanesOpened = s.lanesOpened.Load()
-	st.LaneSwitches = s.laneSwitches.Load()
-	st.PoolClaims = s.poolClaims.Load()
-	st.AdmitWaits = s.admitWaits.Load()
-	st.AdmitRejects = s.admitRejects.Load()
-	return st
 }
 
-// ---------------------------------------------------------------------------
-// Admission control
-
-// admitWaiter is one operation parked in the admission queue. granted
-// and canceled are guarded by the scheduler mutex and resolve the race
-// between a slot handoff and a context cancellation: whichever side
-// commits first under the lock wins, and a slot granted to an already-
-// canceled waiter is passed on to the next one.
-type admitWaiter struct {
-	ch       chan struct{}
-	granted  bool
-	canceled bool
-}
-
-// Admit reserves an operation slot, blocking in a bounded FIFO queue
-// when MaxActive operations are already running. It returns a release
-// func the operation must call exactly once when it finishes (the
-// entry points defer it). When the queue is full it fails fast with
-// ErrOverloaded; when ctx is canceled while queued it returns ctx.Err().
-// Queue wait is recorded as an "admit" stage span on the operation's
-// recorder, so it lands in the per-op SLO histograms and the Amdahl
-// report's serial window.
+// Admit reserves an operation slot, blocking in a bounded queue when
+// MaxActive operations are already running. It returns a release func
+// the operation must call exactly once when it finishes (the entry
+// points defer it). When the queue is full it fails fast with
+// ErrOverloaded; when ctx is canceled while queued it returns
+// ctx.Err(). Queued operations are admitted in arrival order: they
+// block sending on the token channel, and a release hands its token to
+// the first blocked sender. Queue wait is recorded as an "admit" stage
+// span on the operation's recorder, so it lands in the per-op SLO
+// histograms and the Amdahl report's serial window.
 func (s *Scheduler) Admit(ctx context.Context, rec *obs.Recorder) (release func(), err error) {
-	s.mu.Lock()
-	if s.active < s.maxActive {
-		s.active++
-		s.mu.Unlock()
+	select {
+	case s.slots <- struct{}{}:
 		return s.release, nil
+	default:
 	}
-	if len(s.queue) >= s.maxQueue {
-		s.mu.Unlock()
+	if s.queued.Add(1) > s.maxQueue {
+		s.queued.Add(-1)
 		s.admitRejects.Add(1)
 		return nil, ErrOverloaded
 	}
-	w := &admitWaiter{ch: make(chan struct{})}
-	s.queue = append(s.queue, w)
-	s.mu.Unlock()
+	defer s.queued.Add(-1)
 
 	s.admitWaits.Add(1)
 	rec.Add(obs.CtrSchedAdmitWaits, 1)
 	ln := rec.Acquire()
 	sp := ln.Begin(obs.StageAdmit, 0, 0)
+	defer ln.Release()
+	defer sp.End()
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
 	select {
-	case <-w.ch:
-		sp.End()
-		ln.Release()
+	case s.slots <- struct{}{}:
 		return s.release, nil
 	case <-done:
-		sp.End()
-		ln.Release()
-		s.mu.Lock()
-		if w.granted {
-			// The slot was handed over concurrently with cancellation;
-			// give it back so the count stays balanced.
-			s.mu.Unlock()
-			s.release()
-		} else {
-			w.canceled = true
-			// Splice the entry out eagerly so it stops holding queue
-			// capacity against later arrivals.
-			for i, q := range s.queue {
-				if q == w {
-					s.queue = append(s.queue[:i], s.queue[i+1:]...)
-					break
-				}
-			}
-			s.mu.Unlock()
-		}
 		return nil, ctx.Err()
 	}
 }
@@ -296,258 +246,9 @@ func admitOp(ctx context.Context, workers int, rec *obs.Recorder) (release func(
 	return s.Admit(ctx, rec)
 }
 
-// release returns an operation slot, handing it to the first
-// still-waiting queued operation if any.
-func (s *Scheduler) release() {
-	s.mu.Lock()
-	for len(s.queue) > 0 {
-		w := s.queue[0]
-		s.queue = s.queue[1:]
-		if w.canceled {
-			continue
-		}
-		w.granted = true
-		close(w.ch)
-		s.mu.Unlock()
-		return
-	}
-	s.active--
-	s.mu.Unlock()
-}
-
-// ---------------------------------------------------------------------------
-// Lanes and stage runs
-
-// schedLane is one operation's job stream on the pool. cur points at
-// the stage currently submitted (nil between stages).
-type schedLane struct {
-	sch *Scheduler
-	cur *stageRun // guarded by sch.mu
-}
-
-// openLane registers a new lane and makes sure the pool is at width
-// (workers spawn lazily and exit when the last lane closes).
-func (s *Scheduler) openLane() *schedLane {
-	ln := &schedLane{sch: s}
-	s.mu.Lock()
-	s.lanes = append(s.lanes, ln)
-	for s.spawned < s.width {
-		s.spawned++
-		go s.worker()
-	}
-	s.mu.Unlock()
-	s.lanesOpened.Add(1)
-	return ln
-}
-
-// closeLane removes the lane; when it was the last one the pool
-// workers observe zero lanes and exit.
-func (s *Scheduler) closeLane(ln *schedLane) {
-	s.mu.Lock()
-	for i, l := range s.lanes {
-		if l == ln {
-			s.lanes = append(s.lanes[:i], s.lanes[i+1:]...)
-			break
-		}
-	}
-	if s.rr >= len(s.lanes) {
-		s.rr = 0
-	}
-	s.mu.Unlock()
-	s.cond.Broadcast() // wake workers so they can exit or rebalance
-}
-
-// submit publishes sr as the lane's current stage and wakes the pool.
-func (ln *schedLane) submit(sr *stageRun) {
-	ln.sch.mu.Lock()
-	ln.cur = sr
-	ln.sch.mu.Unlock()
-	ln.sch.cond.Broadcast()
-}
-
-// retire clears the lane's current stage if it is still sr (a pool
-// worker may have observed exhaustion and cleared it already).
-func (ln *schedLane) retire(sr *stageRun) {
-	ln.sch.mu.Lock()
-	if ln.cur == sr {
-		ln.cur = nil
-	}
-	ln.sch.mu.Unlock()
-}
-
-// stageRun is one submitted stage: an atomically-claimed job queue
-// that the submitting goroutine and pool workers drain together. All claim/finish/close accounting lives in one
-// packed atomic word so that "stage drained" (fin closes) can never
-// race a late claim:
-//
-//	bits 0..30  claimed — jobs handed out
-//	bit  31     closed  — pipeline stopped; no further claims succeed
-//	bits 32..62 finished — jobs whose bodies returned
-//
-// fin closes exactly when no more claims can succeed AND every claimed
-// job has finished; the submitter blocks on fin, preserving the stage
-// barrier (and the safety of recycling pooled buffers after run).
-type stageRun struct {
-	p   *Pipeline
-	st  obs.Stage
-	arg int32
-	n   int64 // total jobs
-	fn  func(int)
-
-	state   atomic.Int64
-	running atomic.Int32 // pool executors inside fn (capped at p.workers-1)
-	cap     int32
-	finOnce sync.Once
-	fin     chan struct{}
-}
-
-const (
-	srClaimedMask = int64(1)<<31 - 1
-	srClosedBit   = int64(1) << 31
-	srFinShift    = 32
-)
-
-func newStageRun(p *Pipeline, st obs.Stage, arg int32, n int, fn func(int)) *stageRun {
-	poolCap := int32(p.workers - 1)
-	if int64(poolCap) > int64(n) {
-		poolCap = int32(n)
-	}
-	return &stageRun{
-		p: p, st: st, arg: arg, n: int64(n), fn: fn,
-		cap: poolCap, fin: make(chan struct{}),
-	}
-}
-
-// tryClaim hands out the next job index, or fails permanently when the
-// stage is exhausted (all jobs claimed) or the pipeline stopped (the
-// closed bit is set under the same CAS word, so no claim can succeed
-// after a drain-completion was signaled).
-func (sr *stageRun) tryClaim() (int, bool) {
-	for {
-		s := sr.state.Load()
-		claimed := s & srClaimedMask
-		if s&srClosedBit != 0 || claimed >= sr.n {
-			return 0, false
-		}
-		if sr.p.stopped() {
-			if sr.state.CompareAndSwap(s, s|srClosedBit) {
-				sr.checkDrained()
-				return 0, false
-			}
-			continue
-		}
-		if sr.state.CompareAndSwap(s, s+1) {
-			return int(claimed), true
-		}
-	}
-}
-
-// finishJob marks one claimed job complete and closes fin when the
-// stage has fully drained.
-func (sr *stageRun) finishJob() {
-	s := sr.state.Add(1 << srFinShift)
-	sr.maybeClose(s)
-}
-
-// checkDrained re-evaluates drain completion from the current state —
-// needed when the closed bit is set with zero jobs in flight, where no
-// finishJob will run afterwards.
-func (sr *stageRun) checkDrained() { sr.maybeClose(sr.state.Load()) }
-
-func (sr *stageRun) maybeClose(s int64) {
-	claimed := s & srClaimedMask
-	if (s&srClosedBit != 0 || claimed >= sr.n) && s>>srFinShift == claimed {
-		sr.finOnce.Do(func() { close(sr.fin) })
-	}
-}
-
-// exhausted reports that no future claim on sr can succeed.
-func (sr *stageRun) exhausted() bool {
-	s := sr.state.Load()
-	return s&srClosedBit != 0 || s&srClaimedMask >= sr.n
-}
-
-// poolClaim is tryClaim under the pool-concurrency cap (workers-1 pool
-// executors, so an operation never exceeds its configured width even
-// counting its own submitting goroutine).
-func (sr *stageRun) poolClaim() (int, bool) {
-	for {
-		r := sr.running.Load()
-		if r >= sr.cap {
-			return 0, false
-		}
-		if sr.running.CompareAndSwap(r, r+1) {
-			break
-		}
-	}
-	i, ok := sr.tryClaim()
-	if !ok {
-		sr.running.Add(-1)
-	}
-	return i, ok
-}
-
-// ---------------------------------------------------------------------------
-// Pool workers
-
-// worker is one pool goroutine: pick the next runnable lane, execute
-// one job from it, repeat; sleep when nothing is runnable, exit
-// when no lanes are open. Workers never block on a lane's jobs — a
-// stopped pipeline drains by failed claims — so one operation's fault
-// or cancellation cannot wedge the pool.
-func (s *Scheduler) worker() {
-	var last *schedLane
-	for {
-		s.mu.Lock()
-		for {
-			if len(s.lanes) == 0 {
-				s.spawned--
-				s.mu.Unlock()
-				return
-			}
-			ln, sr := s.pick()
-			if sr != nil {
-				s.mu.Unlock()
-				if ln != last {
-					if last != nil {
-						s.laneSwitches.Add(1)
-					}
-					last = ln
-				}
-				s.exec(sr)
-				break
-			}
-			s.cond.Wait()
-		}
-	}
-}
-
-// pick selects the next runnable (lane, stage) round-robin: it resumes
-// after the last served lane, so pool capacity rotates over all
-// runnable lanes regardless of their size. Called with s.mu held. Lanes
-// whose stage is exhausted are cleaned up in passing. Returns
-// (nil, nil) when nothing is runnable.
-func (s *Scheduler) pick() (*schedLane, *stageRun) {
-	n := len(s.lanes)
-	for k := 0; k < n; k++ {
-		idx := (s.rr + k) % n
-		ln := s.lanes[idx]
-		sr := ln.cur
-		if sr == nil {
-			continue
-		}
-		if sr.exhausted() {
-			ln.cur = nil
-			continue
-		}
-		if sr.running.Load() >= sr.cap {
-			continue
-		}
-		s.rr = (idx + 1) % n
-		return ln, sr
-	}
-	return nil, nil
-}
+// release returns an operation slot; the channel passes it to the
+// first queued operation, if any.
+func (s *Scheduler) release() { <-s.slots }
 
 // execLane maps an observability lane to the worker-lane coordinate
 // carried by FaultError: the obs lane id when a recorder is attached,
@@ -557,59 +258,4 @@ func execLane(l *obs.Lane) int {
 		return id
 	}
 	return 0
-}
-
-// exec claims and runs one job from sr on behalf of its operation.
-// Spans and counters go to the operation's own recorder (sr.p.rec), so
-// per-op attribution survives cross-lane execution.
-func (s *Scheduler) exec(sr *stageRun) {
-	i, ok := sr.poolClaim()
-	if !ok {
-		return
-	}
-	s.poolClaims.Add(1)
-	rec := sr.p.rec
-	rec.Add(obs.CtrSchedPoolClaims, 1)
-	ol := rec.Acquire()
-	ol.Claim()
-	sp := ol.Begin(sr.st, sr.arg, int32(i))
-	sr.p.job(sr.st, sr.arg, execLane(ol), i, sr.fn)
-	sp.End()
-	ol.Release()
-	sr.running.Add(-1)
-	sr.finishJob()
-	// Freeing the concurrency slot may make this stage runnable for a
-	// sleeping sibling worker.
-	if !sr.exhausted() {
-		s.cond.Signal()
-	}
-}
-
-// runShared drains one stage through the shared pool: publish it on the
-// operation's lane, then have the submitting goroutine claim jobs like
-// any worker until the queue is empty, and finally wait for in-flight
-// pool jobs to finish (the stage barrier). The job wrapper and stop
-// semantics are identical to the inline path.
-func (p *Pipeline) runShared(st obs.Stage, arg int32, n int, fn func(int)) error {
-	sr := newStageRun(p, st, arg, n, fn)
-	p.lane.submit(sr)
-	rec := p.rec
-	ln := rec.Acquire()
-	for {
-		i, ok := sr.tryClaim()
-		if !ok {
-			break
-		}
-		rec.Add(obs.CtrSchedSelfClaims, 1)
-		ln.Claim()
-		sp := ln.Begin(st, arg, int32(i))
-		p.job(st, arg, execLane(ln), i, fn)
-		sp.End()
-		sr.finishJob()
-	}
-	ln.Release()
-	sr.checkDrained()
-	<-sr.fin
-	p.lane.retire(sr)
-	return p.Err()
 }

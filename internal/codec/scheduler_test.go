@@ -17,10 +17,10 @@ import (
 	"j2kcell/internal/workload"
 )
 
-// waitGoroutinesBelow waits for exiting goroutines (pool workers after
-// the last lane closes, canceled op workers) to drain, failing if the
-// count stays above limit. Unlike goroutineCount it waits for a
-// decrease, since scheduler workers exit asynchronously after Close.
+// waitGoroutinesBelow waits for exiting goroutines (stage helpers,
+// canceled op workers) to drain, failing if the count stays above
+// limit. Unlike goroutineCount it waits for a decrease, since a helper
+// goroutine exits just after its stage's barrier releases.
 func waitGoroutinesBelow(t *testing.T, limit int, what string) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -77,9 +77,9 @@ func TestSchedulerByteIdentityAcrossPoolWidths(t *testing.T) {
 }
 
 // TestSchedulerConcurrentOpsByteIdentity runs many concurrent encodes
-// and decodes on one narrow shared pool and requires every operation's
-// output to match its solo reference — cross-lane execution by pool
-// workers must never leak state between operations.
+// and decodes on one narrow shared scheduler and requires every
+// operation's output to match its solo reference — helpers joining
+// stages of many operations must never leak state between them.
 func TestSchedulerConcurrentOpsByteIdentity(t *testing.T) {
 	s := NewScheduler(SchedConfig{Workers: 2})
 	ctx := WithScheduler(context.Background(), s)
@@ -121,8 +121,8 @@ func TestSchedulerConcurrentOpsByteIdentity(t *testing.T) {
 	}
 }
 
-// TestSchedulerTwoOpFaultIsolation is the PR 5 fault matrix made
-// pool-wide: op A is canceled or hits an injected fault/panic while op
+// TestSchedulerTwoOpFaultIsolation is the fault matrix made
+// scheduler-wide: op A is canceled or hits an injected fault/panic while op
 // B shares the same scheduler; B must complete byte-identical, A must
 // fail with its own error, and no goroutines may leak (the concurrent
 // two-op variant the CI race job runs).
@@ -207,10 +207,10 @@ func TestSchedulerTwoOpFaultIsolation(t *testing.T) {
 			} else if !v.want(errA) {
 				t.Fatalf("op A failed with %v, want variant-typed error", errA)
 			}
-			// All lanes closed => pool workers exit; nothing may leak.
+			// Every stage barrier waited for its helpers; nothing may leak.
 			waitGoroutinesBelow(t, before+2, "after two-op "+v.name)
 
-			// The pool must still serve new operations cleanly.
+			// The scheduler must still serve new operations cleanly.
 			resB2, err := Encode(base, imgB, optB, 4)
 			if err != nil || !bytes.Equal(resB2.Data, refB.Data) {
 				t.Fatalf("pool wedged after %s: err=%v", v.name, err)
@@ -221,25 +221,24 @@ func TestSchedulerTwoOpFaultIsolation(t *testing.T) {
 
 // TestSchedulerFairnessUnderLoad pins the starvation bound
 // structurally: an archival operation holds its stage open on a 2-wide
-// pool — its submitter and both pool workers parked inside jobs that
-// wait on a gate — and thumbnail encodes sharing that pool must still
-// complete before the gate opens. A thumbnail that waited for the
-// archival lane to close would never finish. Each thumbnail's own
-// recorder must count exactly its own operation. No assert compares
-// durations.
+// scheduler — its own goroutine and both helpers parked inside jobs
+// that wait on a gate — and thumbnail encodes sharing that scheduler
+// must still complete before the gate opens, drained by their own
+// goroutines with no helper token free. A thumbnail that waited for a
+// helper would never finish. Each thumbnail's own recorder must count
+// exactly its own operation. No assert compares durations.
 func TestSchedulerFairnessUnderLoad(t *testing.T) {
 	s := NewScheduler(SchedConfig{Workers: 2})
 	base := WithScheduler(context.Background(), s)
 
-	// 4 workers and 8 jobs: the submitter plus up to 3 pool executors
-	// may enter the stage, so the 2-wide pool is fully occupied.
+	// 4 workers and 8 jobs: the owner plus up to 3 helpers may enter
+	// the stage, so both helper tokens of the 2-wide scheduler are held.
 	const held = 3
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 8)
 	arch := NewPipelineContext(base, 4)
 	archDone := make(chan error, 1)
 	go func() {
-		defer arch.Close()
 		archDone <- arch.run(obs.StageT1, 0, 8, func(int) {
 			entered <- struct{}{}
 			<-gate
@@ -287,10 +286,64 @@ func TestSchedulerFairnessUnderLoad(t *testing.T) {
 	}
 }
 
+// TestSchedulerWidthCap pins both width caps by count: concurrent
+// operations at 3 workers on a 2-wide scheduler never have more than 3
+// executors inside one operation's stage at once, and never more than
+// 2 helpers live process-wide. Jobs hold briefly so executors overlap;
+// the test reads counters only and measures no time.
+func TestSchedulerWidthCap(t *testing.T) {
+	const (
+		ops       = 4
+		opWorkers = 3
+		width     = 2
+		stages    = 4
+		jobs      = 16
+	)
+	s := NewScheduler(SchedConfig{Workers: width})
+	ctx := WithScheduler(context.Background(), s)
+	raise := func(hwm *atomic.Int64, v int64) {
+		for o := hwm.Load(); v > o && !hwm.CompareAndSwap(o, v); o = hwm.Load() {
+		}
+	}
+	var liveHWM atomic.Int64
+	execHWM := make([]atomic.Int64, ops)
+	var wg sync.WaitGroup
+	for k := 0; k < ops; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			p := NewPipelineContext(ctx, opWorkers)
+			var inside atomic.Int64
+			for st := 0; st < stages; st++ {
+				if err := p.run(obs.StageT1, int32(st), jobs, func(int) {
+					raise(&execHWM[k], inside.Add(1))
+					raise(&liveHWM, int64(s.Stats().WorkersLive))
+					time.Sleep(100 * time.Microsecond)
+					inside.Add(-1)
+				}); err != nil {
+					t.Error(err)
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	for k := range execHWM {
+		if got := execHWM[k].Load(); got > opWorkers {
+			t.Errorf("op %d: %d executors inside one stage, want <= %d", k, got, opWorkers)
+		}
+	}
+	if got := liveHWM.Load(); got > width {
+		t.Errorf("%d helpers live, want <= %d", got, width)
+	}
+	if s.Stats().PoolClaims == 0 {
+		t.Error("no job was claimed by a helper; the caps were not exercised")
+	}
+}
+
 // TestSchedulerNilContextAdmits pins that a nil context resolves to the
 // process-default scheduler at every entry point — admission included.
 // With every default slot held, a nil-ctx multi-worker operation must
-// queue for admission rather than run on the pool unadmitted.
+// queue for admission rather than run unadmitted.
 func TestSchedulerNilContextAdmits(t *testing.T) {
 	s := DefaultScheduler()
 	if schedulerFor(nil, 4) != s || schedulerFor(WithScheduler(context.Background(), nil), 4) != s {
@@ -306,7 +359,7 @@ func TestSchedulerNilContextAdmits(t *testing.T) {
 			r()
 		}
 	}()
-	for s.Stats().ActiveOps < s.maxActive {
+	for s.Stats().ActiveOps < cap(s.slots) {
 		r, err := s.Admit(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -467,11 +520,11 @@ func TestSchedulerAdmissionBackpressure(t *testing.T) {
 	}
 }
 
-// TestSchedulerGoroutineBound pins the whole point of the shared pool:
-// c concurrent operations at `workers` width hold the process at
-// O(GOMAXPROCS + c) goroutines, not O(c×workers). The op mix covers
-// every multi-worker path: lossless encode, rate-constrained lossy
-// encode (rate control included), and decode.
+// TestSchedulerGoroutineBound pins the whole point of the shared
+// scheduler: c concurrent operations at `workers` width hold the
+// process at O(GOMAXPROCS + c) goroutines, not O(c×workers). The op
+// mix covers every multi-worker path: lossless encode,
+// rate-constrained lossy encode (rate control included), and decode.
 func TestSchedulerGoroutineBound(t *testing.T) {
 	const (
 		concOps   = 8
@@ -525,10 +578,10 @@ func TestSchedulerGoroutineBound(t *testing.T) {
 	wg.Wait()
 	close(stop)
 
-	// Budget: baseline + one driver per op + the pool + sampler slack.
+	// Budget: baseline + one driver per op + the helpers + sampler slack.
 	limit := int64(before + concOps + poolWidth + 6)
 	if got := hwm.Load(); got > limit {
-		t.Errorf("goroutine high-water %d exceeds shared-pool bound %d (per-op pools would be ~%d)",
+		t.Errorf("goroutine high-water %d exceeds shared-scheduler bound %d (per-op pools would be ~%d)",
 			got, limit, before+concOps*opWorkers)
 	}
 	waitGoroutinesBelow(t, before+2, "after bounded run")

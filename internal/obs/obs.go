@@ -104,7 +104,7 @@ const (
 	CtrHTBlocks                       // code blocks coded by the HT (Part 15) coder
 	CtrHTBytes                        // bytes emitted by the HT coder (all streams + trailers)
 	CtrSchedSelfClaims                // shared-scheduler jobs claimed by the operation's own goroutine
-	CtrSchedPoolClaims                // shared-scheduler jobs claimed by pool workers (cross-lane capacity)
+	CtrSchedPoolClaims                // shared-scheduler jobs claimed by stage helpers (shared capacity)
 	CtrSchedAdmitWaits                // operations that waited in the scheduler admission queue
 	CtrResyncs                        // SOP/SOT resyncs performed by best-effort decodes
 	CtrConcealedBlocks                // code blocks concealed as zeros by best-effort decodes

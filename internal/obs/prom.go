@@ -103,7 +103,7 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 // should export alongside the registry. Read is called on every
 // scrape and must be safe for concurrent use.
 type ExternalMetric struct {
-	Name string // full metric name, e.g. "j2k_scheduler_lanes_open"
+	Name string // full metric name, e.g. "j2k_scheduler_active_ops"
 	Help string
 	Type string // "gauge" or "counter"
 	Read func() int64

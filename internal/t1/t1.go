@@ -76,6 +76,12 @@ func (m Mode) Base() Mode { return m &^ segSymFlag }
 // rather than the MQ coder.
 func (m Mode) IsHT() bool { b := m.Base(); return b == ModeHT || b == ModeHTRefine }
 
+// PerPass reports whether every coding pass is its own codeword
+// segment, with its own length in the packet header: true for
+// ModeTermAll and both HT modes, whose passes are separately
+// terminated byte streams.
+func (m Mode) PerPass() bool { return m.Base() == ModeTermAll || m.IsHT() }
+
 // PassType identifies one of the three coding passes.
 type PassType uint8
 

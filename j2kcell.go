@@ -180,21 +180,22 @@ func DecodeResilientContext(ctx context.Context, data []byte, opt DecodeOptions)
 	return codec.DecodeResilient(ctx, data, opt)
 }
 
-// Scheduler is the worker pool that multiplexes the job streams of
-// concurrent encodes and decodes onto a fixed set of goroutines,
-// rotating round-robin over the operations (DESIGN.md §12). It is the
-// only way an operation runs on more than one goroutine: multi-worker
-// operations use the process-default scheduler automatically; bind an
-// explicit one with WithScheduler to isolate a tenant or shrink the
-// pool. Single-worker operations run inline and never touch it.
+// Scheduler bounds concurrent encodes and decodes with two counting
+// semaphores (DESIGN.md §12): admission tokens for running operations,
+// and a fixed number of helper tokens for the goroutines that help
+// drain their stages. It is the only way an operation runs on more
+// than one goroutine: multi-worker operations use the process-default
+// scheduler automatically; bind an explicit one with WithScheduler to
+// isolate a tenant or narrow the helpers. Single-worker operations run
+// inline and never touch it.
 type Scheduler = codec.Scheduler
 
-// SchedConfig configures a Scheduler: pool width and admission bounds
-// (MaxActive running + MaxQueue waiting before ErrOverloaded).
+// SchedConfig configures a Scheduler: helper width and admission
+// bounds (MaxActive running + MaxQueue waiting before ErrOverloaded).
 type SchedConfig = codec.SchedConfig
 
-// SchedStats is a snapshot of a scheduler's lanes, queue, and
-// fairness counters.
+// SchedStats is a snapshot of a scheduler's helpers, admission queue,
+// and claim counters.
 type SchedStats = codec.SchedStats
 
 // ErrOverloaded is returned by the parallel encode/decode entry points
