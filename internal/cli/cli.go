@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"j2kcell"
@@ -84,8 +83,7 @@ func Epilogue(rec *obs.Recorder, workers int, report, metrics bool, traceOut str
 	rec.Finish()
 	spans := rec.TSpans()
 	if report {
-		fmt.Printf("trace %s: simd kernels: %s (available: %s)\n",
-			rec.TraceID(), simd.Kernel(), strings.Join(simd.Available(), ", "))
+		fmt.Printf("trace %s: simd kernels: %s\n", rec.TraceID(), simd.Kernel())
 		fmt.Print(obs.BuildReport(spans, workers).Table())
 		fmt.Printf("operation: %v\n", rec.Outcome())
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"j2kcell/internal/codestream"
+	"j2kcell/internal/obs"
 	"j2kcell/internal/workload"
 )
 
@@ -27,6 +28,21 @@ func allocBytesPerOp(t *testing.T, op func() error) int64 {
 		t.Fatal(err)
 	}
 	return res.AllocedBytesPerOp()
+}
+
+// TestRunReusesStage pins that run drains into the pipeline's one
+// reused stage: on a one-worker pipeline a run of a preallocated job
+// function allocates nothing.
+func TestRunReusesStage(t *testing.T) {
+	p := NewPipeline(1)
+	sum := 0
+	job := func(i int) { sum += i }
+	if got := testing.AllocsPerRun(100, func() { p.run(obs.StageMCT, 0, 8, job) }); got != 0 {
+		t.Fatalf("run allocates %v times a call, want 0", got)
+	}
+	if sum != 101*28 {
+		t.Fatalf("jobs summed to %d, want %d", sum, 101*28)
+	}
 }
 
 // TestTiledEncodeCopiesNoTiles pins the tiled encode's data movement:

@@ -65,50 +65,6 @@ type Options struct {
 	// small rate cost versus MQ. The choice is recorded in the
 	// codestream capability bits, so decoding is automatic.
 	HT bool
-	// VisualWeighting applies contrast-sensitivity (CSF) weights to the
-	// PCRD distortion estimates on the lossy path: the allocator then
-	// spends bytes where the eye is most sensitive (low spatial
-	// frequencies, luma) instead of minimizing plain MSE. The emitted
-	// block bitstreams are unchanged; only truncation points move.
-	VisualWeighting bool
-}
-
-// csfWeight returns the visual weight for a subband: 1.0 at the
-// coarsest frequencies, falling for fine detail bands (values follow
-// the widely used Daly-style table for ~1.7 screen heights viewing,
-// as shipped in JasPer and Kakadu), with chroma discounted further.
-func csfWeight(o dwt.Orient, level int, chroma bool) float64 {
-	if o == dwt.LL {
-		return 1.0
-	}
-	// Index by depth from the finest level (1 = finest).
-	var w float64
-	switch {
-	case level <= 1:
-		if o == dwt.HH {
-			w = 0.30
-		} else {
-			w = 0.56
-		}
-	case level == 2:
-		if o == dwt.HH {
-			w = 0.59
-		} else {
-			w = 0.73
-		}
-	case level == 3:
-		if o == dwt.HH {
-			w = 0.82
-		} else {
-			w = 0.92
-		}
-	default:
-		w = 1.0
-	}
-	if chroma {
-		w *= 0.7
-	}
-	return w
 }
 
 // Progression is a packet ordering (T.800 progression order).
@@ -212,8 +168,6 @@ func PlanBlocks(w, h, ncomp int, opt Options) ([]dwt.Band, []BlockJob) {
 			gain := 1.0 // lossy: Δ_b = Δ0/g_b makes q-domain errors uniform
 			if opt.Lossless {
 				gain = dwt.BandGain(dwt.W53, opt.Levels, b.Orient, b.Level)
-			} else if opt.VisualWeighting {
-				gain = csfWeight(b.Orient, b.Level, c > 0)
 			}
 			for gy := 0; gy*opt.CBH < b.H; gy++ {
 				for gx := 0; gx*opt.CBW < b.W; gx++ {

@@ -998,61 +998,6 @@ func TestPropRandomImagesAndOptions(t *testing.T) {
 	}
 }
 
-func TestVisualWeightingShiftsBytes(t *testing.T) {
-	img := workload.Dial(256, 256, 17, 6)
-	plain, err := Encode(context.Background(), img, Options{Rate: 0.05}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vis, err := Encode(context.Background(), img, Options{Rate: 0.05, VisualWeighting: true}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Count kept passes in the finest HH band vs the coarse bands.
-	passesIn := func(res *Result, fine bool) int {
-		n := 0
-		for i, j := range res.Jobs {
-			isFine := j.Band.Orient != 0 && j.Band.Level == 1
-			if isFine == fine {
-				n += res.Keep[i]
-			}
-		}
-		return n
-	}
-	if passesIn(vis, true) >= passesIn(plain, true) {
-		t.Fatalf("visual weighting kept %d fine-band passes vs %d plain",
-			passesIn(vis, true), passesIn(plain, true))
-	}
-	if passesIn(vis, false) <= passesIn(plain, false) {
-		t.Fatal("visual weighting should reinvest bytes in coarse bands")
-	}
-	// Both decode; weighted stream has (slightly) lower plain PSNR by
-	// construction — it optimizes a different metric.
-	gv, err := Decode(context.Background(), vis.Data, DecodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp, err := Decode(context.Background(), plain.Data, DecodeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if img.PSNR(gv) > img.PSNR(gp)+0.1 {
-		t.Fatal("weighted stream should not beat MSE-optimal on PSNR")
-	}
-	if img.PSNR(gv) < img.PSNR(gp)-6 {
-		t.Fatalf("weighted PSNR collapsed: %.1f vs %.1f", img.PSNR(gv), img.PSNR(gp))
-	}
-}
-
-func TestVisualWeightingLosslessUnaffected(t *testing.T) {
-	img := workload.Dial(96, 96, 4, 3)
-	a, _ := Encode(context.Background(), img, Options{Lossless: true}, 1)
-	b, _ := Encode(context.Background(), img, Options{Lossless: true, VisualWeighting: true}, 1)
-	if string(a.Data) != string(b.Data) {
-		t.Fatal("visual weighting must not touch the lossless path")
-	}
-}
-
 func TestResilienceRoundTripClean(t *testing.T) {
 	img := workload.Dial(160, 120, 19, 4)
 	res, err := Encode(context.Background(), img, Options{Lossless: true, Resilience: true}, 1)

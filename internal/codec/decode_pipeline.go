@@ -29,8 +29,7 @@ import (
 //
 // Every split is elementwise-independent, so the reconstructed pixels
 // are bit-identical to the sequential decoder for every worker count,
-// kernel set, and tiling — the decode half of the DESIGN.md §5
-// invariant.
+// build, and tiling — the decode half of the DESIGN.md §5 invariant.
 
 // ZeroPlanes clears pooled coefficient planes stripe-parallel, the
 // full padded stride included. Decode never calls it — its Tier-1

@@ -8,6 +8,7 @@ import (
 
 	"j2kcell/internal/codestream"
 	"j2kcell/internal/dwt"
+	"j2kcell/internal/faults"
 	"j2kcell/internal/imgmodel"
 	"j2kcell/internal/obs"
 	"j2kcell/internal/rate"
@@ -44,7 +45,6 @@ func Encode(ctx context.Context, img *imgmodel.Image, opt Options, workers int) 
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
-	countKernel(op.rec)
 	opt = opt.WithDefaults(img.W, img.H)
 	// One admission slot, held across the tile stages and the
 	// sequential finish; the coordinator lane carries the finish spans.
@@ -338,7 +338,22 @@ func AllocateLayers(blocks []*t1.Block, jobs []BlockJob, img *imgmodel.Image, op
 // ladders' hulls are computed on first use (possibly already cached by
 // the Tier-1 jobs) and reused across layers and overhead retries.
 // Selections are identical for every hull provenance.
+//
+// PCRD runs on the coordinator, outside any Pipeline.job, and has no
+// error return: rate.Allocate panics with the *faults.InjectedError of
+// an injected "rate" fault. Such a panic, like any other from PCRD,
+// leaves here as a *FaultError{Stage: "rate"} panic, the injected error
+// in its Err as Pipeline.job puts it, and the API envelope reports it
+// as it stands.
 func allocateLayersRD(rec *obs.Recorder, rd []rate.BlockRD, img *imgmodel.Image, opt Options, cumRates []float64, extraOverhead int) [][]int {
+	defer func() {
+		if r := recover(); r != nil {
+			if err, ok := r.(*faults.InjectedError); ok {
+				panic(&FaultError{Stage: "rate", Lane: -1, Job: -1, Err: err})
+			}
+			panic(asFault(r, "rate", -1, -1, 0))
+		}
+	}()
 	raw := img.W * img.H * len(img.Comps) * img.Depth / 8
 	final := cumRates[len(cumRates)-1]
 	keeps := make([][]int, len(cumRates))

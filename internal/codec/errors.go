@@ -20,7 +20,6 @@ import (
 	"runtime/debug"
 
 	"j2kcell/internal/codestream"
-	"j2kcell/internal/faults"
 )
 
 // Limits bounds what the decoder accepts from an untrusted stream's
@@ -62,16 +61,12 @@ func (e *FaultError) Error() string {
 // Unwrap exposes the underlying injected error (nil for panics).
 func (e *FaultError) Unwrap() error { return e.Err }
 
-// asFault converts a recovered panic value into a *FaultError. Values
-// that already carry fault context (*FaultError from a nested
-// pipeline, *faults.Contained tagged by PCRD rate control) keep their
-// original stage and stack.
+// asFault converts a recovered panic value into a *FaultError. A
+// *FaultError (from a nested pipeline or PCRD rate control) already
+// carries its fault context and keeps its original stage and stack.
 func asFault(r any, stage string, lane, job, arg int) *FaultError {
-	switch v := r.(type) {
-	case *FaultError:
-		return v
-	case *faults.Contained:
-		return &FaultError{Stage: v.Stage, Lane: lane, Job: job, Arg: arg, Panic: v.Value, Stack: v.Stack}
+	if fe, ok := r.(*FaultError); ok {
+		return fe
 	}
 	return &FaultError{Stage: stage, Lane: lane, Job: job, Arg: arg, Panic: r, Stack: debug.Stack()}
 }

@@ -455,6 +455,30 @@ func TestFaultErrorCarriesCoordinates(t *testing.T) {
 	}
 }
 
+// TestRateFaultIsLocated checks that both fault flavors raised in PCRD
+// rate control, outside any pipeline job, reach the API as the same
+// *FaultError a pipeline stage produces: an injected error in Err, a
+// panic with its value and stack.
+func TestRateFaultIsLocated(t *testing.T) {
+	img := workload.Dial(96, 96, 3, 4)
+	for _, mode := range []faults.Mode{faults.Error, faults.Panic} {
+		faults.Arm("rate", 1, mode)
+		_, err := Encode(context.Background(), img, Options{Rate: 0.2}, 2)
+		faults.Disarm()
+		var fe *FaultError
+		if !errors.As(err, &fe) || fe.Stage != "rate" {
+			t.Fatalf("mode %d: got %v, want a rate *FaultError", mode, err)
+		}
+		var inj *faults.InjectedError
+		if got, want := errors.As(err, &inj), mode == faults.Error; got != want {
+			t.Errorf("mode %d: injected error reachable via Unwrap = %v, want %v", mode, got, want)
+		}
+		if got, want := fe.Panic != nil && len(fe.Stack) > 0, mode == faults.Panic; got != want {
+			t.Errorf("mode %d: panic value and stack present = %v, want %v: %+v", mode, got, want, fe)
+		}
+	}
+}
+
 // TestSequentialEncodeContainsFaults pins the workers=1 inline path:
 // containment does not depend on goroutines existing.
 func TestSequentialEncodeContainsFaults(t *testing.T) {

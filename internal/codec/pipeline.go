@@ -15,7 +15,6 @@ import (
 	"j2kcell/internal/obs"
 	"j2kcell/internal/quant"
 	"j2kcell/internal/rate"
-	"j2kcell/internal/simd"
 	"j2kcell/internal/t1"
 )
 
@@ -62,6 +61,8 @@ type Pipeline struct {
 	aborted atomic.Bool // fast stop flag checked between job claims
 	mu      sync.Mutex
 	err     error // first stage fault or injected error
+
+	stage stage // the work queue each run call resets and drains
 }
 
 // NewPipeline returns a pipeline that runs its stages on up to
@@ -223,13 +224,20 @@ const stripeRows = 64
 // has finished — the stage barrier — with the pipeline's error so
 // stages can short-circuit; a stopped pipeline drains subsequent run
 // calls immediately.
+//
+// Every run call reuses the pipeline's one stage, so a job must never
+// call run on the pipeline it belongs to: a job that needs stages of
+// its own (a tile) builds its own pipeline. The stage is free again
+// when run returns, since its helpers have all finished by then and a
+// pipeline's stages run one after another from one goroutine.
 func (p *Pipeline) run(st obs.Stage, arg int32, n int, fn func(i int)) error {
 	if n <= 0 || p.stopped() {
 		return p.Err()
 	}
 	p.rec.Add(obs.CtrQueueRuns, 1)
 	p.rec.Add(obs.CtrQueueJobs, int64(n))
-	s := &stage{p: p, st: st, arg: arg, n: int64(n), fn: fn}
+	p.stage = stage{p: p, st: st, arg: arg, n: int64(n), fn: fn}
+	s := &p.stage
 	if p.sched != nil && n > 1 {
 		s.maxHelpers = min(p.workers, n) - 1
 		if !p.helped {
@@ -239,6 +247,7 @@ func (p *Pipeline) run(st obs.Stage, arg int32, n int, fn func(i int)) error {
 	}
 	s.drain(false)
 	s.wg.Wait()
+	s.fn = nil // drop the job closure and what it holds
 	return p.Err()
 }
 
@@ -638,13 +647,4 @@ func (p *Pipeline) QuantizePlanes(fplanes []*imgmodel.FPlane, opt Options) []*im
 		}
 	})
 	return planes
-}
-
-// countKernel records which simd kernel set serves an encode; the
-// counter shows up in MetricsTable/expvar so a perf report can tell
-// scalar and SSE2 runs apart.
-func countKernel(rec *obs.Recorder) {
-	if ctr, ok := obs.KernelCounter(simd.Kernel()); ok {
-		rec.Add(ctr, 1)
-	}
 }

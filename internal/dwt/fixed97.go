@@ -17,9 +17,9 @@ const FixShift = 13
 // ToFixed converts an integer sample to Q13.
 func ToFixed(v int32) int32 { return v << FixShift }
 
-// Lift97Fixed applies d[i] += c*(e0[i]+e1[i]) in Q13, dispatched
-// through the simd kernel layer (the vector forms decompose the 64-bit
-// product exactly, see simd.FixAddMulRow).
+// Lift97Fixed applies d[i] += c*(e0[i]+e1[i]) in Q13 through the simd
+// kernel layer (the vector forms decompose the 64-bit product exactly,
+// see simd.FixAddMulRow).
 func Lift97Fixed(d, e0, e1 []int32, c int32) {
 	simd.FixAddMulRow(d, e0, e1, c)
 }

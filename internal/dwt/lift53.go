@@ -6,7 +6,7 @@ import "j2kcell/internal/simd"
 // treats whole rows as the "samples" of the lifting recurrence; the SPE
 // kernels in internal/core reuse these on Local Store buffers so the
 // parallel encoder is arithmetic-identical to this reference. The row
-// bodies dispatch through the simd kernel layer; the vector forms use
+// bodies run through the simd kernel layer; the vector forms use
 // the same wrapping adds and arithmetic shifts, so they are exact.
 
 // Lift53High applies d[i] -= (e0[i] + e1[i]) >> 1 (first lifting step).

@@ -17,7 +17,7 @@ const (
 )
 
 // Lift97 applies d[i] += c * (e0[i] + e1[i]) — one lifting step over
-// row vectors. Dispatched through the simd kernel layer; the vector
+// row vectors. Runs through the simd kernel layer; the vector
 // forms perform the identical add/mul/add rounding chain (no FMA), so
 // results are bit-identical to the scalar loop.
 func Lift97(d, e0, e1 []float32, c float32) {

@@ -134,49 +134,43 @@ func lineLengths() []int {
 }
 
 // TestLinesMatchOracles pins the exported horizontal lines to the
-// plain-loop forms above, bit for bit, under every kernel set.
+// plain-loop forms above, bit for bit, under the build's kernel set.
 func TestLinesMatchOracles(t *testing.T) {
-	prev := simd.Kernel()
-	defer simd.Use(prev)
-	for _, kern := range simd.Available() {
-		if err := simd.Use(kern); err != nil {
-			t.Fatal(err)
+	kern := simd.Kernel()
+	for _, n := range lineLengths() {
+		rng := workload.NewRNG(uint32(n)*7919 + 1)
+		xi := make([]int32, n)
+		xf := make([]float32, n)
+		for i := range xi {
+			xi[i] = int32(rng.Uint32()) >> 8
+			xf[i] = float32(xi[i]) / 64
 		}
-		for _, n := range lineLengths() {
-			rng := workload.NewRNG(uint32(n)*7919 + 1)
-			xi := make([]int32, n)
-			xf := make([]float32, n)
-			for i := range xi {
-				xi[i] = int32(rng.Uint32()) >> 8
-				xf[i] = float32(xi[i]) / 64
-			}
-			tmpI, tmpF := make([]int32, n), make([]float32, n)
+		tmpI, tmpF := make([]int32, n), make([]float32, n)
 
-			checkF := func(name string, line func(x, tmp []float32), oracle func([]float32)) {
-				got, want := append([]float32(nil), xf...), append([]float32(nil), xf...)
-				line(got, tmpF)
-				oracle(want)
-				for i := range got {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("%s/%s n=%d: x[%d] = %v, oracle %v", kern, name, n, i, got[i], want[i])
-					}
+		checkF := func(name string, line func(x, tmp []float32), oracle func([]float32)) {
+			got, want := append([]float32(nil), xf...), append([]float32(nil), xf...)
+			line(got, tmpF)
+			oracle(want)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s/%s n=%d: x[%d] = %v, oracle %v", kern, name, n, i, got[i], want[i])
 				}
 			}
-			checkI := func(name string, line func(x, tmp []int32), oracle func([]int32)) {
-				got, want := append([]int32(nil), xi...), append([]int32(nil), xi...)
-				line(got, tmpI)
-				oracle(want)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s/%s n=%d: x[%d] = %d, oracle %d", kern, name, n, i, got[i], want[i])
-					}
-				}
-			}
-			checkF("fwd97", Fwd97Line, oracleFwd97Line)
-			checkF("inv97", Inv97Line, oracleInv97Line)
-			checkI("fwd53", Fwd53Line, oracleFwd53Line)
-			checkI("inv53", Inv53Line, oracleInv53Line)
 		}
+		checkI := func(name string, line func(x, tmp []int32), oracle func([]int32)) {
+			got, want := append([]int32(nil), xi...), append([]int32(nil), xi...)
+			line(got, tmpI)
+			oracle(want)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s/%s n=%d: x[%d] = %d, oracle %d", kern, name, n, i, got[i], want[i])
+				}
+			}
+		}
+		checkF("fwd97", Fwd97Line, oracleFwd97Line)
+		checkF("inv97", Inv97Line, oracleInv97Line)
+		checkI("fwd53", Fwd53Line, oracleFwd53Line)
+		checkI("inv53", Inv53Line, oracleInv53Line)
 	}
 }
 

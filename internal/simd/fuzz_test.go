@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// Fuzz harnesses: feed arbitrary bytes as row contents and check every
-// available vector kernel set against the scalar oracle bit for bit.
+// Fuzz harnesses: feed arbitrary bytes as row contents and check each
+// …Vec body, finished by the scalar loop, against the scalar oracle bit
+// for bit.
 // The byte stream is split into float32/int32 lanes, so the fuzzer can
 // reach NaNs, infinities, denormals, and both int32 extremes.
 
@@ -45,12 +46,11 @@ func FuzzAddMulF32(f *testing.F) {
 		a, b, c := row[:n], row[n:2*n], row[2*n:3*n]
 		want := make([]float32, n)
 		scalarAddMulF32(want, a, b, c, k)
-		for _, ks := range vectorSets() {
-			got := offF32(make([]float32, n))
-			m := ks.addMulF32(got, a, b, c, k)
-			scalarAddMulF32(got[m:], a[m:], b[m:], c[m:], k)
-			eqF32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
-		}
+		got := offF32(make([]float32, n))
+		m := addMulF32Vec(got, a, b, c, k)
+		checkHandled(t, m, n)
+		scalarAddMulF32(got[m:], a[m:], b[m:], c[m:], k)
+		eqF32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	})
 }
 
@@ -60,12 +60,11 @@ func FuzzQuantF32(f *testing.F) {
 		src := bytesToF32(data)
 		want := make([]int32, len(src))
 		scalarQuantF32(want, src, inv)
-		for _, ks := range vectorSets() {
-			got := offI32(make([]int32, len(src)))
-			m := ks.quantF32(got, src, inv)
-			scalarQuantF32(got[m:], src[m:], inv)
-			eqI32(t, fmt.Sprintf("%s/n=%d", ks.name, len(src)), got, want)
-		}
+		got := offI32(make([]int32, len(src)))
+		m := quantF32Vec(got, src, inv)
+		checkHandled(t, m, len(src))
+		scalarQuantF32(got[m:], src[m:], inv)
+		eqI32(t, fmt.Sprintf("%s/n=%d", Kernel(), len(src)), got, want)
 	})
 }
 
@@ -80,12 +79,11 @@ func FuzzFixAddMul(f *testing.F) {
 		d0, b, c := row[:n], row[n:2*n], row[2*n:3*n]
 		want := append([]int32(nil), d0...)
 		scalarFixAddMul(want, b, c, k)
-		for _, ks := range vectorSets() {
-			got := offI32(append([]int32(nil), d0...))
-			m := ks.fixAddMul(got, b, c, k)
-			scalarFixAddMul(got[m:], b[m:], c[m:], k)
-			eqI32(t, fmt.Sprintf("%s/k=%d/n=%d", ks.name, k, n), got, want)
-		}
+		got := offI32(append([]int32(nil), d0...))
+		m := fixAddMulVec(got, b, c, k)
+		checkHandled(t, m, n)
+		scalarFixAddMul(got[m:], b[m:], c[m:], k)
+		eqI32(t, fmt.Sprintf("%s/k=%d/n=%d", Kernel(), k, n), got, want)
 	})
 }
 
@@ -98,22 +96,21 @@ func FuzzLift53Rows(f *testing.F) {
 		type kc struct {
 			name   string
 			scalar func(dst, a, b, c []int32)
-			vec    func(ks *kernels) func(dst, a, b, c []int32) int
+			vec    func(dst, a, b, c []int32) int
 		}
 		for _, tc := range []kc{
-			{"addShr1", scalarAddShr1I32, func(ks *kernels) func(dst, a, b, c []int32) int { return ks.addShr1I32 }},
-			{"subShr1", scalarSubShr1I32, func(ks *kernels) func(dst, a, b, c []int32) int { return ks.subShr1I32 }},
-			{"addShr2", scalarAddShr2I32, func(ks *kernels) func(dst, a, b, c []int32) int { return ks.addShr2I32 }},
-			{"subShr2", scalarSubShr2I32, func(ks *kernels) func(dst, a, b, c []int32) int { return ks.subShr2I32 }},
+			{"addShr1", scalarAddShr1I32, addShr1I32Vec},
+			{"subShr1", scalarSubShr1I32, subShr1I32Vec},
+			{"addShr2", scalarAddShr2I32, addShr2I32Vec},
+			{"subShr2", scalarSubShr2I32, subShr2I32Vec},
 		} {
 			want := make([]int32, n)
 			tc.scalar(want, a, b, c)
-			for _, ks := range vectorSets() {
-				got := offI32(make([]int32, n))
-				m := tc.vec(ks)(got, a, b, c)
-				tc.scalar(got[m:], a[m:], b[m:], c[m:])
-				eqI32(t, fmt.Sprintf("%s/%s/n=%d", tc.name, ks.name, n), got, want)
-			}
+			got := offI32(make([]int32, n))
+			m := tc.vec(got, a, b, c)
+			checkHandled(t, m, n)
+			tc.scalar(got[m:], a[m:], b[m:], c[m:])
+			eqI32(t, fmt.Sprintf("%s/%s/n=%d", tc.name, Kernel(), n), got, want)
 		}
 	})
 }
@@ -127,37 +124,29 @@ func FuzzT1Masks(f *testing.F) {
 		wantOr := scalarAbsOr(wantMag, coef)
 		wantFlags := make([]uint32, n)
 		scalarSignOr(wantFlags, coef, bit)
-		for _, ks := range vectorSets() {
-			gotMag := offU32(make([]uint32, n))
-			m, or := ks.absOr(gotMag, coef)
-			or |= scalarAbsOr(gotMag[m:], coef[m:])
-			eqU32(t, fmt.Sprintf("absOr/%s/n=%d", ks.name, n), gotMag, wantMag)
-			if or != wantOr {
-				t.Fatalf("absOr/%s/n=%d: or = %#x, want %#x", ks.name, n, or, wantOr)
-			}
-			gotFlags := offU32(make([]uint32, n))
-			m = ks.signOr(gotFlags, coef, bit)
-			scalarSignOr(gotFlags[m:], coef[m:], bit)
-			eqU32(t, fmt.Sprintf("signOr/%s/n=%d", ks.name, n), gotFlags, wantFlags)
+		gotMag := offU32(make([]uint32, n))
+		m, or := absOrVec(gotMag, coef)
+		checkHandled(t, m, n)
+		or |= scalarAbsOr(gotMag[m:], coef[m:])
+		eqU32(t, fmt.Sprintf("absOr/%s/n=%d", Kernel(), n), gotMag, wantMag)
+		if or != wantOr {
+			t.Fatalf("absOr/%s/n=%d: or = %#x, want %#x", Kernel(), n, or, wantOr)
 		}
+		gotFlags := offU32(make([]uint32, n))
+		m = signOrVec(gotFlags, coef, bit)
+		checkHandled(t, m, n)
+		scalarSignOr(gotFlags[m:], coef[m:], bit)
+		eqU32(t, fmt.Sprintf("signOr/%s/n=%d", Kernel(), n), gotFlags, wantFlags)
 	})
 }
 
 // FuzzPlaneMaskRow drives PlaneMaskRow with raw magnitude lanes and a
-// fuzzer-chosen plane under every kernel set.
+// fuzzer-chosen plane.
 func FuzzPlaneMaskRow(f *testing.F) {
 	f.Add([]byte("ht-plane-mask-fuzz-seed-row-0123456789abcdef-ht-plane-mask"), uint8(1))
 	f.Add([]byte{0, 0, 0, 0x80, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, p8 uint8) {
-		prev := Kernel()
-		defer Use(prev)
-		mag := bytesToU32(data)
-		for _, name := range Available() {
-			if err := Use(name); err != nil {
-				t.Fatal(err)
-			}
-			checkPlaneMask(t, name, mag, uint(p8%32))
-		}
+		checkPlaneMask(t, Kernel(), bytesToU32(data), uint(p8%32))
 	})
 }
 
@@ -173,17 +162,17 @@ func FuzzInterleave2(f *testing.F) {
 		scalarDeinterleave2F32(wantE, wantO, src)
 		want := make([]float32, 2*n)
 		scalarInterleave2F32(want, wantE, wantO)
-		for _, ks := range vectorSets() {
-			name := fmt.Sprintf("%s/n=%d", ks.name, n)
-			gotE, gotO := offF32(make([]float32, n)), offF32(make([]float32, n))
-			m := ks.dl2F32(gotE, gotO, src)
-			scalarDeinterleave2F32(gotE[m:], gotO[m:], src[2*m:])
-			eqF32(t, "dl2/even/"+name, gotE, wantE)
-			eqF32(t, "dl2/odd/"+name, gotO, wantO)
-			got := offF32(make([]float32, 2*n))
-			m = ks.il2F32(got, gotE, gotO)
-			scalarInterleave2F32(got[2*m:], gotE[m:], gotO[m:])
-			eqF32(t, "il2/"+name, got, want)
-		}
+		name := fmt.Sprintf("%s/n=%d", Kernel(), n)
+		gotE, gotO := offF32(make([]float32, n)), offF32(make([]float32, n))
+		m := dl2F32Vec(gotE, gotO, src)
+		checkHandled(t, m, n)
+		scalarDeinterleave2F32(gotE[m:], gotO[m:], src[2*m:])
+		eqF32(t, "dl2/even/"+name, gotE, wantE)
+		eqF32(t, "dl2/odd/"+name, gotO, wantO)
+		got := offF32(make([]float32, 2*n))
+		m = il2F32Vec(got, gotE, gotO)
+		checkHandled(t, m, n)
+		scalarInterleave2F32(got[2*m:], gotE[m:], gotO[m:])
+		eqF32(t, "il2/"+name, got, want)
 	})
 }

@@ -23,8 +23,8 @@
 // addMulF32: dst[i] = a[i] + k*(b[i]+c[i])
 // ---------------------------------------------------------------------
 
-// func addMulF32SSE2(dst, a, b, c []float32, k float32) (n int)
-TEXT ·addMulF32SSE2(SB), NOSPLIT, $0-112
+// func addMulF32Vec(dst, a, b, c []float32, k float32) (n int)
+TEXT ·addMulF32Vec(SB), NOSPLIT, $0-112
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVQ a_base+24(FP), SI
@@ -55,8 +55,8 @@ done:
 // addMulScaleF32: s[i] = (s[i] + k*(b[i]+c[i])) * scale
 // ---------------------------------------------------------------------
 
-// func addMulScaleF32SSE2(s, b, c []float32, k, scale float32) (n int)
-TEXT ·addMulScaleF32SSE2(SB), NOSPLIT, $0-88
+// func addMulScaleF32Vec(s, b, c []float32, k, scale float32) (n int)
+TEXT ·addMulScaleF32Vec(SB), NOSPLIT, $0-88
 	MOVQ s_base+0(FP), DI
 	MOVQ s_len+8(FP), DX
 	MOVQ b_base+24(FP), R8
@@ -89,8 +89,8 @@ done:
 // mulConstF32: dst[i] = src[i] * k
 // ---------------------------------------------------------------------
 
-// func mulConstF32SSE2(dst, src []float32, k float32) (n int)
-TEXT ·mulConstF32SSE2(SB), NOSPLIT, $0-64
+// func mulConstF32Vec(dst, src []float32, k float32) (n int)
+TEXT ·mulConstF32Vec(SB), NOSPLIT, $0-64
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVQ src_base+24(FP), SI
@@ -118,8 +118,8 @@ done:
 // sign split in the Go loop)
 // ---------------------------------------------------------------------
 
-// func quantF32SSE2(dst []int32, src []float32, inv float32) (n int)
-TEXT ·quantF32SSE2(SB), NOSPLIT, $0-64
+// func quantF32Vec(dst []int32, src []float32, inv float32) (n int)
+TEXT ·quantF32Vec(SB), NOSPLIT, $0-64
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ src_len+32(FP), DX
@@ -151,8 +151,8 @@ done:
 // CrR=28 CrG=32 CrB=36.
 // ---------------------------------------------------------------------
 
-// func ictFwdSSE2(r, g, b []int32, y, cb, cr []float32, p *ICTParams) (n int)
-TEXT ·ictFwdSSE2(SB), NOSPLIT, $0-160
+// func ictFwdVec(r, g, b []int32, y, cb, cr []float32, p *ICTParams) (n int)
+TEXT ·ictFwdVec(SB), NOSPLIT, $0-160
 	MOVQ r_base+0(FP), SI
 	MOVQ r_len+8(FP), DX
 	MOVQ g_base+24(FP), R8
@@ -242,8 +242,8 @@ done:
 //   subShr2: dst[i] = a[i] - ((b[i]+c[i]+2) >> 2)
 // ---------------------------------------------------------------------
 
-// func addShr1I32SSE2(dst, a, b, c []int32) (n int)
-TEXT ·addShr1I32SSE2(SB), NOSPLIT, $0-104
+// func addShr1I32Vec(dst, a, b, c []int32) (n int)
+TEXT ·addShr1I32Vec(SB), NOSPLIT, $0-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVQ a_base+24(FP), SI
@@ -268,8 +268,8 @@ done:
 	MOVQ AX, n+96(FP)
 	RET
 
-// func subShr1I32SSE2(dst, a, b, c []int32) (n int)
-TEXT ·subShr1I32SSE2(SB), NOSPLIT, $0-104
+// func subShr1I32Vec(dst, a, b, c []int32) (n int)
+TEXT ·subShr1I32Vec(SB), NOSPLIT, $0-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVQ a_base+24(FP), SI
@@ -294,8 +294,8 @@ done:
 	MOVQ AX, n+96(FP)
 	RET
 
-// func addShr2I32SSE2(dst, a, b, c []int32) (n int)
-TEXT ·addShr2I32SSE2(SB), NOSPLIT, $0-104
+// func addShr2I32Vec(dst, a, b, c []int32) (n int)
+TEXT ·addShr2I32Vec(SB), NOSPLIT, $0-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVQ a_base+24(FP), SI
@@ -324,8 +324,8 @@ done:
 	MOVQ AX, n+96(FP)
 	RET
 
-// func subShr2I32SSE2(dst, a, b, c []int32) (n int)
-TEXT ·subShr2I32SSE2(SB), NOSPLIT, $0-104
+// func subShr2I32Vec(dst, a, b, c []int32) (n int)
+TEXT ·subShr2I32Vec(SB), NOSPLIT, $0-104
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVQ a_base+24(FP), SI
@@ -358,8 +358,8 @@ done:
 // addConstI32: dst[i] += k  (DC level shift)
 // ---------------------------------------------------------------------
 
-// func addConstI32SSE2(dst []int32, k int32) (n int)
-TEXT ·addConstI32SSE2(SB), NOSPLIT, $0-40
+// func addConstI32Vec(dst []int32, k int32) (n int)
+TEXT ·addConstI32Vec(SB), NOSPLIT, $0-40
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVL   k+24(FP), AX
@@ -386,8 +386,8 @@ done:
 //   r = (rr + 2*gg + bb) >> 2;  g = bb - gg;  b = rr - gg
 // ---------------------------------------------------------------------
 
-// func rctFwdSSE2(r, g, b []int32, off int32) (n int)
-TEXT ·rctFwdSSE2(SB), NOSPLIT, $0-88
+// func rctFwdVec(r, g, b []int32, off int32) (n int)
+TEXT ·rctFwdVec(SB), NOSPLIT, $0-88
 	MOVQ r_base+0(FP), SI
 	MOVQ r_len+8(FP), DX
 	MOVQ g_base+24(FP), R8
@@ -434,11 +434,11 @@ done:
 //   fixAddMul: d[i] += fixMul(k, b[i]+c[i])
 // ---------------------------------------------------------------------
 
-// func fixAddMulSSE2(d, b, c []int32, k int32) (n int)
+// func fixAddMulVec(d, b, c []int32, k int32) (n int)
 // SSE2 has no packed 32-bit mullo; emulate with PMULULQ (pmuludq) on
 // even/odd lanes and repack the low dwords — low 32 bits of an
 // unsigned product equal the signed mullo.
-TEXT ·fixAddMulSSE2(SB), NOSPLIT, $0-88
+TEXT ·fixAddMulVec(SB), NOSPLIT, $0-88
 	MOVQ d_base+0(FP), DI
 	MOVQ d_len+8(FP), DX
 	MOVQ b_base+24(FP), R8
@@ -497,8 +497,8 @@ done:
 // magnitudes (bitLen(OR) == bitLen(max), which is all Tier-1 needs).
 // ---------------------------------------------------------------------
 
-// func absOrSSE2(mag []uint32, coef []int32) (n int, or uint32)
-TEXT ·absOrSSE2(SB), NOSPLIT, $0-60
+// func absOrVec(mag []uint32, coef []int32) (n int, or uint32)
+TEXT ·absOrVec(SB), NOSPLIT, $0-60
 	MOVQ mag_base+0(FP), DI
 	MOVQ mag_len+8(FP), DX
 	MOVQ coef_base+24(FP), SI
@@ -532,8 +532,8 @@ done:
 // orU32: dst[i] |= src[i]  (stripe OR accumulation)
 // ---------------------------------------------------------------------
 
-// func orU32SSE2(dst, src []uint32) (n int)
-TEXT ·orU32SSE2(SB), NOSPLIT, $0-56
+// func orU32Vec(dst, src []uint32) (n int)
+TEXT ·orU32Vec(SB), NOSPLIT, $0-56
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVQ src_base+24(FP), SI
@@ -557,8 +557,8 @@ done:
 // signOr: flags[i] |= bit where coef[i] < 0
 // ---------------------------------------------------------------------
 
-// func signOrSSE2(flags []uint32, coef []int32, bit uint32) (n int)
-TEXT ·signOrSSE2(SB), NOSPLIT, $0-64
+// func signOrVec(flags []uint32, coef []int32, bit uint32) (n int)
+TEXT ·signOrVec(SB), NOSPLIT, $0-64
 	MOVQ flags_base+0(FP), DI
 	MOVQ flags_len+8(FP), DX
 	MOVQ coef_base+24(FP), SI
@@ -593,8 +593,8 @@ done:
 // every lane, as the scalar shift does.
 // ---------------------------------------------------------------------
 
-// func planeMaskSSE2(nz, bit []uint64, mag []uint32, p uint) (n int)
-TEXT ·planeMaskSSE2(SB), NOSPLIT, $0-88
+// func planeMaskVec(nz, bit []uint64, mag []uint32, p uint) (n int)
+TEXT ·planeMaskVec(SB), NOSPLIT, $0-88
 	MOVQ nz_base+0(FP), DI
 	MOVQ bit_base+24(FP), SI
 	MOVQ mag_base+48(FP), BX
@@ -653,8 +653,8 @@ done:
 // scalar CVTSI2SS.
 // ---------------------------------------------------------------------
 
-// func dequantF32SSE2(dst []float32, src []int32, delta float32) (n int)
-TEXT ·dequantF32SSE2(SB), NOSPLIT, $0-64
+// func dequantF32Vec(dst []float32, src []int32, delta float32) (n int)
+TEXT ·dequantF32Vec(SB), NOSPLIT, $0-64
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ src_len+32(FP), DX
@@ -697,8 +697,8 @@ done:
 //   y,cb,cr = r+off, g+off, b+off
 // ---------------------------------------------------------------------
 
-// func rctInvSSE2(y, cb, cr []int32, off int32) (n int)
-TEXT ·rctInvSSE2(SB), NOSPLIT, $0-88
+// func rctInvVec(y, cb, cr []int32, off int32) (n int)
+TEXT ·rctInvVec(SB), NOSPLIT, $0-88
 	MOVQ y_base+0(FP), SI
 	MOVQ y_len+8(FP), DX
 	MOVQ cb_base+24(FP), R8
@@ -748,8 +748,8 @@ done:
 // ICTInvParams field offsets: Off=0 RCr=4 GCb=8 GCr=12 BCb=16.
 // ---------------------------------------------------------------------
 
-// func ictInvSSE2(y, cb, cr []float32, r, g, b []int32, p *ICTInvParams) (n int)
-TEXT ·ictInvSSE2(SB), NOSPLIT, $0-160
+// func ictInvVec(y, cb, cr []float32, r, g, b []int32, p *ICTInvParams) (n int)
+TEXT ·ictInvVec(SB), NOSPLIT, $0-160
 	MOVQ y_base+0(FP), SI
 	MOVQ y_len+8(FP), DX
 	MOVQ cb_base+24(FP), R8
@@ -839,8 +839,8 @@ done:
 // rounding sequence as ictInv.
 // ---------------------------------------------------------------------
 
-// func roundAddF32SSE2(dst []int32, src []float32, off float32) (n int)
-TEXT ·roundAddF32SSE2(SB), NOSPLIT, $0-64
+// func roundAddF32Vec(dst []int32, src []float32, off float32) (n int)
+TEXT ·roundAddF32Vec(SB), NOSPLIT, $0-64
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ src_len+32(FP), DX
@@ -878,10 +878,10 @@ done:
 // clampI32: dst[i] = min(max(dst[i], 0), max), in place.
 // ---------------------------------------------------------------------
 
-// func clampI32SSE2(dst []int32, max int32) (n int)
+// func clampI32Vec(dst []int32, max int32) (n int)
 // SSE2 has no packed signed 32-bit min/max; build them from PCMPGTL
 // select masks.
-TEXT ·clampI32SSE2(SB), NOSPLIT, $0-40
+TEXT ·clampI32Vec(SB), NOSPLIT, $0-40
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), DX
 	MOVL   max+24(FP), AX
@@ -917,8 +917,8 @@ done:
 // the float variants jump to the int bodies (identical frame layout).
 // ---------------------------------------------------------------------
 
-// func il2I32SSE2(dst, even, odd []int32) (n int)
-TEXT ·il2I32SSE2(SB), NOSPLIT, $0-80
+// func il2I32Vec(dst, even, odd []int32) (n int)
+TEXT ·il2I32Vec(SB), NOSPLIT, $0-80
 	MOVQ dst_base+0(FP), DI
 	MOVQ even_base+24(FP), SI
 	MOVQ odd_base+48(FP), R8
@@ -944,9 +944,9 @@ done:
 	MOVQ AX, n+72(FP)
 	RET
 
-// func il2F32SSE2(dst, even, odd []float32) (n int)
-TEXT ·il2F32SSE2(SB), NOSPLIT, $0-80
-	JMP ·il2I32SSE2(SB)
+// func il2F32Vec(dst, even, odd []float32) (n int)
+TEXT ·il2F32Vec(SB), NOSPLIT, $0-80
+	JMP ·il2I32Vec(SB)
 
 // ---------------------------------------------------------------------
 // dl2: even[i] = src[2i], odd[i] = src[2i+1] for i < len(odd) — the
@@ -955,8 +955,8 @@ TEXT ·il2F32SSE2(SB), NOSPLIT, $0-80
 // so the float variants jump to the int bodies like il2.
 // ---------------------------------------------------------------------
 
-// func dl2I32SSE2(even, odd, src []int32) (n int)
-TEXT ·dl2I32SSE2(SB), NOSPLIT, $0-80
+// func dl2I32Vec(even, odd, src []int32) (n int)
+TEXT ·dl2I32Vec(SB), NOSPLIT, $0-80
 	MOVQ even_base+0(FP), DI
 	MOVQ odd_base+24(FP), R8
 	MOVQ src_base+48(FP), SI
@@ -982,6 +982,6 @@ done:
 	MOVQ AX, n+72(FP)
 	RET
 
-// func dl2F32SSE2(even, odd, src []float32) (n int)
-TEXT ·dl2F32SSE2(SB), NOSPLIT, $0-80
-	JMP ·dl2I32SSE2(SB)
+// func dl2F32Vec(even, odd, src []float32) (n int)
+TEXT ·dl2F32Vec(SB), NOSPLIT, $0-80
+	JMP ·dl2I32Vec(SB)

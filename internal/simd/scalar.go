@@ -3,7 +3,7 @@ package simd
 // Pure-Go reference loops: the oracle every vector kernel must match
 // bit for bit, and the fallback for tails, the noasm build and
 // non-amd64 targets. These bodies are the original hot loops of the
-// dwt, mct, quant, and t1 packages, moved here verbatim so the dispatch
+// dwt, mct, quant, and t1 packages, moved here verbatim so the exported
 // wrappers can finish rows the vector kernels leave unprocessed.
 //
 // Every float product that feeds an add is wrapped in float32(...). The

@@ -2,8 +2,8 @@
 // elementwise row kernels of the pipeline (9/7 and 5/3 lifting steps,
 // Q13 fixed-point lifting, the merged level-shift + color transforms,
 // dead-zone quantization, the Tier-1 stripe-mask build and the HT
-// encoder's plane bit sets) behind a dispatch table installed once at
-// init.
+// encoder's plane bit sets), each calling the vector body this build
+// compiles.
 //
 // This is the Go analogue of the paper's Section 4 argument: kernel
 // cost is ISA-specific (the SPE's vector float multiply is one fast
@@ -22,103 +22,27 @@
 //     matches gc's scalar CVTTSS2SL on amd64, including the 0x80000000
 //     out-of-range result.
 //
-// Dispatch: one vector set per build, with no CPU probe. On amd64 the
-// SSE2 set is active; the `noasm` build tag (and every other GOARCH)
-// compiles the package with no assembly at all, and the scalar set is
-// the only one. Use/Kernel/Available exist so tests and tools can pin
-// the scalar oracle against the vector set or report the active set.
+// One kernel set per build, chosen by the build: there is no CPU probe
+// and no runtime switch. On amd64 each row kernel's …Vec body is SSE2
+// assembly; the `noasm` build tag (and every other GOARCH) compiles
+// the package with no assembly at all, and each …Vec body is a stub
+// that handles 0 elements. Kernel reports which set the build has.
 //
-// Convention: an assembly kernel processes a whole-vector prefix of the
-// row and returns how many elements it handled; the exported wrapper
+// Convention: a …Vec body processes a whole-vector prefix of the row
+// and returns how many elements it handled; the exported wrapper
 // finishes the tail with the scalar loop. Rows need no alignment or
 // length restrictions (unaligned slice offsets and lengths 0 and 1 are
 // all valid), and in-place calls may alias only at identical indices
 // (dst == a style), which every call site in this codebase satisfies.
 package simd
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
 // FixShift is the Q13 fixed-point fraction width of the fixed kernels;
 // it must equal dwt.FixShift (pinned by a test there).
 const FixShift = 13
 
-// kernels is one dispatchable implementation set. A nil entry means
-// "no vector form; use the scalar loop".
-type kernels struct {
-	name string
-
-	addMulF32      func(dst, a, b, c []float32, k float32) int
-	addMulScaleF32 func(s, b, c []float32, k, scale float32) int
-	mulConstF32    func(dst, src []float32, k float32) int
-	quantF32       func(dst []int32, src []float32, inv float32) int
-	dequantF32     func(dst []float32, src []int32, delta float32) int
-	ictFwd         func(r, g, b []int32, y, cb, cr []float32, p *ICTParams) int
-	ictInv         func(y, cb, cr []float32, r, g, b []int32, p *ICTInvParams) int
-	roundAddF32    func(dst []int32, src []float32, off float32) int
-
-	addShr1I32  func(dst, a, b, c []int32) int
-	subShr1I32  func(dst, a, b, c []int32) int
-	addShr2I32  func(dst, a, b, c []int32) int
-	subShr2I32  func(dst, a, b, c []int32) int
-	addConstI32 func(dst []int32, k int32) int
-	rctFwd      func(r, g, b []int32, off int32) int
-	rctInv      func(y, cb, cr []int32, off int32) int
-	clampI32    func(dst []int32, max int32) int
-	fixAddMul   func(d, b, c []int32, k int32) int
-	il2I32      func(dst, even, odd []int32) int
-	il2F32      func(dst, even, odd []float32) int
-	dl2I32      func(even, odd, src []int32) int
-	dl2F32      func(even, odd, src []float32) int
-
-	absOr     func(mag []uint32, coef []int32) (int, uint32)
-	orU32     func(dst, src []uint32) int
-	signOr    func(flags []uint32, coef []int32, bit uint32) int
-	planeMask func(nz, bit []uint64, mag []uint32, p uint) int
-}
-
-// scalarSet has every vector entry nil: the pure-Go oracle.
-var scalarSet = kernels{name: "scalar"}
-
-// active is the installed kernel set. Reads are one atomic load (a
-// plain MOV on amd64); writes happen at init and from Use, which is a
-// test/startup hook and must not race with in-flight encodes.
-var active atomic.Pointer[kernels]
-
-// available lists the selectable kernel sets, scalar first, then
-// "sse2" on amd64 builds with assembly. detect() (per-platform) fills
-// it and installs the last one.
-var available []*kernels
-
-func init() { detect() }
-
-// Kernel reports the name of the active kernel set: "sse2" or
-// "scalar".
-func Kernel() string { return active.Load().name }
-
-// Available lists the kernel set names selectable on this machine.
-func Available() []string {
-	out := make([]string, len(available))
-	for i, k := range available {
-		out[i] = k.name
-	}
-	return out
-}
-
-// Use installs the named kernel set. It exists for tests and tools
-// (differential runs, the determinism matrix); do not call it while an
-// encode is in flight.
-func Use(name string) error {
-	for _, k := range available {
-		if k.name == name {
-			active.Store(k)
-			return nil
-		}
-	}
-	return fmt.Errorf("simd: kernel set %q not available (have %v)", name, Available())
-}
+// Kernel reports the name of the build's kernel set: "sse2" on amd64,
+// "scalar" under the noasm tag and on every other GOARCH.
+func Kernel() string { return kernelName }
 
 // --- float32 kernels ---
 
@@ -128,8 +52,8 @@ func Use(name string) error {
 func AddMulRow(dst, a, b, c []float32, k float32) {
 	i := 0
 	n := len(dst)
-	if f := active.Load().addMulF32; f != nil && len(a) >= n && len(b) >= n && len(c) >= n {
-		i = f(dst, a, b, c, k)
+	if len(a) >= n && len(b) >= n && len(c) >= n {
+		i = addMulF32Vec(dst, a, b, c, k)
 	}
 	scalarAddMulF32(dst[i:], a[i:], b[i:], c[i:], k)
 }
@@ -139,8 +63,8 @@ func AddMulRow(dst, a, b, c []float32, k float32) {
 func AddMulScaleRow(s, b, c []float32, k, scale float32) {
 	i := 0
 	n := len(s)
-	if f := active.Load().addMulScaleF32; f != nil && len(b) >= n && len(c) >= n {
-		i = f(s, b, c, k, scale)
+	if len(b) >= n && len(c) >= n {
+		i = addMulScaleF32Vec(s, b, c, k, scale)
 	}
 	scalarAddMulScaleF32(s[i:], b[i:], c[i:], k, scale)
 }
@@ -148,8 +72,8 @@ func AddMulScaleRow(s, b, c []float32, k, scale float32) {
 // MulConstRow computes dst[i] = src[i] * k (dst may equal src).
 func MulConstRow(dst, src []float32, k float32) {
 	i := 0
-	if f := active.Load().mulConstF32; f != nil && len(src) >= len(dst) {
-		i = f(dst, src, k)
+	if len(src) >= len(dst) {
+		i = mulConstF32Vec(dst, src, k)
 	}
 	scalarMulConstF32(dst[i:], src[i:], k)
 }
@@ -159,8 +83,8 @@ func MulConstRow(dst, src []float32, k float32) {
 // len(dst) must be at least len(src).
 func QuantizeRow(dst []int32, src []float32, inv float32) {
 	i := 0
-	if f := active.Load().quantF32; f != nil && len(dst) >= len(src) {
-		i = f(dst, src, inv)
+	if len(dst) >= len(src) {
+		i = quantF32Vec(dst, src, inv)
 	}
 	scalarQuantF32(dst[i:], src[i:], inv)
 }
@@ -170,8 +94,8 @@ func QuantizeRow(dst []int32, src []float32, inv float32) {
 // 0 where src[i] is 0. len(dst) must be at least len(src).
 func DequantRow(dst []float32, src []int32, delta float32) {
 	i := 0
-	if f := active.Load().dequantF32; f != nil && len(dst) >= len(src) {
-		i = f(dst, src, delta)
+	if len(dst) >= len(src) {
+		i = dequantF32Vec(dst, src, delta)
 	}
 	scalarDequantF32(dst[i:], src[i:], delta)
 }
@@ -181,8 +105,8 @@ func DequantRow(dst []float32, src []int32, delta float32) {
 // without the color transform. len(dst) must be at least len(src).
 func RoundAddRow(dst []int32, src []float32, off float32) {
 	i := 0
-	if f := active.Load().roundAddF32; f != nil && len(dst) >= len(src) {
-		i = f(dst, src, off)
+	if len(dst) >= len(src) {
+		i = roundAddF32Vec(dst, src, off)
 	}
 	scalarRoundAddF32(dst[i:], src[i:], off)
 }
@@ -201,9 +125,8 @@ type ICTParams struct {
 func ForwardICTRow(r, g, b []int32, y, cb, cr []float32, p *ICTParams) {
 	i := 0
 	n := len(r)
-	if f := active.Load().ictFwd; f != nil &&
-		len(g) >= n && len(b) >= n && len(y) >= n && len(cb) >= n && len(cr) >= n {
-		i = f(r, g, b, y, cb, cr, p)
+	if len(g) >= n && len(b) >= n && len(y) >= n && len(cb) >= n && len(cr) >= n {
+		i = ictFwdVec(r, g, b, y, cb, cr, p)
 	}
 	scalarICTFwd(r[i:], g[i:], b[i:], y[i:], cb[i:], cr[i:], p)
 }
@@ -224,9 +147,8 @@ type ICTInvParams struct {
 func InverseICTRow(y, cb, cr []float32, r, g, b []int32, p *ICTInvParams) {
 	i := 0
 	n := len(y)
-	if f := active.Load().ictInv; f != nil &&
-		len(cb) >= n && len(cr) >= n && len(r) >= n && len(g) >= n && len(b) >= n {
-		i = f(y, cb, cr, r, g, b, p)
+	if len(cb) >= n && len(cr) >= n && len(r) >= n && len(g) >= n && len(b) >= n {
+		i = ictInvVec(y, cb, cr, r, g, b, p)
 	}
 	scalarICTInv(y[i:], cb[i:], cr[i:], r[i:], g[i:], b[i:], p)
 }
@@ -238,8 +160,8 @@ func InverseICTRow(y, cb, cr []float32, r, g, b []int32, p *ICTInvParams) {
 func AddShr1Row(dst, a, b, c []int32) {
 	i := 0
 	n := len(dst)
-	if f := active.Load().addShr1I32; f != nil && len(a) >= n && len(b) >= n && len(c) >= n {
-		i = f(dst, a, b, c)
+	if len(a) >= n && len(b) >= n && len(c) >= n {
+		i = addShr1I32Vec(dst, a, b, c)
 	}
 	scalarAddShr1I32(dst[i:], a[i:], b[i:], c[i:])
 }
@@ -249,8 +171,8 @@ func AddShr1Row(dst, a, b, c []int32) {
 func SubShr1Row(dst, a, b, c []int32) {
 	i := 0
 	n := len(dst)
-	if f := active.Load().subShr1I32; f != nil && len(a) >= n && len(b) >= n && len(c) >= n {
-		i = f(dst, a, b, c)
+	if len(a) >= n && len(b) >= n && len(c) >= n {
+		i = subShr1I32Vec(dst, a, b, c)
 	}
 	scalarSubShr1I32(dst[i:], a[i:], b[i:], c[i:])
 }
@@ -260,8 +182,8 @@ func SubShr1Row(dst, a, b, c []int32) {
 func AddShr2Row(dst, a, b, c []int32) {
 	i := 0
 	n := len(dst)
-	if f := active.Load().addShr2I32; f != nil && len(a) >= n && len(b) >= n && len(c) >= n {
-		i = f(dst, a, b, c)
+	if len(a) >= n && len(b) >= n && len(c) >= n {
+		i = addShr2I32Vec(dst, a, b, c)
 	}
 	scalarAddShr2I32(dst[i:], a[i:], b[i:], c[i:])
 }
@@ -271,18 +193,15 @@ func AddShr2Row(dst, a, b, c []int32) {
 func SubShr2Row(dst, a, b, c []int32) {
 	i := 0
 	n := len(dst)
-	if f := active.Load().subShr2I32; f != nil && len(a) >= n && len(b) >= n && len(c) >= n {
-		i = f(dst, a, b, c)
+	if len(a) >= n && len(b) >= n && len(c) >= n {
+		i = subShr2I32Vec(dst, a, b, c)
 	}
 	scalarSubShr2I32(dst[i:], a[i:], b[i:], c[i:])
 }
 
 // AddConstRow computes dst[i] += k (the DC level shift with k = ±2^(d-1)).
 func AddConstRow(dst []int32, k int32) {
-	i := 0
-	if f := active.Load().addConstI32; f != nil {
-		i = f(dst, k)
-	}
+	i := addConstI32Vec(dst, k)
 	scalarAddConstI32(dst[i:], k)
 }
 
@@ -291,8 +210,8 @@ func AddConstRow(dst []int32, k int32) {
 func ForwardRCTRow(r, g, b []int32, off int32) {
 	i := 0
 	n := len(r)
-	if f := active.Load().rctFwd; f != nil && len(g) >= n && len(b) >= n {
-		i = f(r, g, b, off)
+	if len(g) >= n && len(b) >= n {
+		i = rctFwdVec(r, g, b, off)
 	}
 	scalarRCTFwd(r[i:], g[i:], b[i:], off)
 }
@@ -302,8 +221,8 @@ func ForwardRCTRow(r, g, b []int32, off int32) {
 func InverseRCTRow(y, cb, cr []int32, off int32) {
 	i := 0
 	n := len(y)
-	if f := active.Load().rctInv; f != nil && len(cb) >= n && len(cr) >= n {
-		i = f(y, cb, cr, off)
+	if len(cb) >= n && len(cr) >= n {
+		i = rctInvVec(y, cb, cr, off)
 	}
 	scalarRCTInv(y[i:], cb[i:], cr[i:], off)
 }
@@ -311,10 +230,7 @@ func InverseRCTRow(y, cb, cr []int32, off int32) {
 // ClampRow clamps dst[i] into [0, max] in place — the final sample
 // range clamp after the inverse color transform.
 func ClampRow(dst []int32, max int32) {
-	i := 0
-	if f := active.Load().clampI32; f != nil {
-		i = f(dst, max)
-	}
+	i := clampI32Vec(dst, max)
 	scalarClampI32(dst[i:], max)
 }
 
@@ -327,8 +243,8 @@ func ClampRow(dst []int32, max int32) {
 func Interleave2Row(dst, even, odd []int32) {
 	i := 0
 	n := len(odd)
-	if f := active.Load().il2I32; f != nil && len(even) >= n && len(dst) >= 2*n {
-		i = f(dst, even, odd)
+	if len(even) >= n && len(dst) >= 2*n {
+		i = il2I32Vec(dst, even, odd)
 	}
 	scalarInterleave2I32(dst[2*i:], even[i:], odd[i:])
 }
@@ -337,8 +253,8 @@ func Interleave2Row(dst, even, odd []int32) {
 func Interleave2FRow(dst, even, odd []float32) {
 	i := 0
 	n := len(odd)
-	if f := active.Load().il2F32; f != nil && len(even) >= n && len(dst) >= 2*n {
-		i = f(dst, even, odd)
+	if len(even) >= n && len(dst) >= 2*n {
+		i = il2F32Vec(dst, even, odd)
 	}
 	scalarInterleave2F32(dst[2*i:], even[i:], odd[i:])
 }
@@ -351,8 +267,8 @@ func Interleave2FRow(dst, even, odd []float32) {
 func Deinterleave2Row(even, odd, src []int32) {
 	i := 0
 	n := len(odd)
-	if f := active.Load().dl2I32; f != nil && len(even) >= n && len(src) >= 2*n {
-		i = f(even, odd, src)
+	if len(even) >= n && len(src) >= 2*n {
+		i = dl2I32Vec(even, odd, src)
 	}
 	scalarDeinterleave2I32(even[i:], odd[i:], src[2*i:])
 }
@@ -361,8 +277,8 @@ func Deinterleave2Row(even, odd, src []int32) {
 func Deinterleave2FRow(even, odd, src []float32) {
 	i := 0
 	n := len(odd)
-	if f := active.Load().dl2F32; f != nil && len(even) >= n && len(src) >= 2*n {
-		i = f(even, odd, src)
+	if len(even) >= n && len(src) >= 2*n {
+		i = dl2F32Vec(even, odd, src)
 	}
 	scalarDeinterleave2F32(even[i:], odd[i:], src[2*i:])
 }
@@ -375,8 +291,8 @@ func Deinterleave2FRow(even, odd, src []float32) {
 func FixAddMulRow(d, b, c []int32, k int32) {
 	i := 0
 	n := len(d)
-	if f := active.Load().fixAddMul; f != nil && len(b) >= n && len(c) >= n {
-		i = f(d, b, c, k)
+	if len(b) >= n && len(c) >= n {
+		i = fixAddMulVec(d, b, c, k)
 	}
 	scalarFixAddMul(d[i:], b[i:], c[i:], k)
 }
@@ -390,8 +306,8 @@ func FixAddMulRow(d, b, c []int32, k int32) {
 func AbsOrRow(mag []uint32, coef []int32) uint32 {
 	i := 0
 	var or uint32
-	if f := active.Load().absOr; f != nil && len(coef) >= len(mag) {
-		i, or = f(mag, coef)
+	if len(coef) >= len(mag) {
+		i, or = absOrVec(mag, coef)
 	}
 	return or | scalarAbsOr(mag[i:], coef[i:])
 }
@@ -400,8 +316,8 @@ func AbsOrRow(mag []uint32, coef []int32) uint32 {
 // Tier-1 stripe-column OR masks.
 func OrRow(dst, src []uint32) {
 	i := 0
-	if f := active.Load().orU32; f != nil && len(src) >= len(dst) {
-		i = f(dst, src)
+	if len(src) >= len(dst) {
+		i = orU32Vec(dst, src)
 	}
 	scalarOrU32(dst[i:], src[i:])
 }
@@ -411,8 +327,8 @@ func OrRow(dst, src []uint32) {
 // be at least len(flags).
 func SignOrRow(flags []uint32, coef []int32, bit uint32) {
 	i := 0
-	if f := active.Load().signOr; f != nil && len(coef) >= len(flags) {
-		i = f(flags, coef, bit)
+	if len(coef) >= len(flags) {
+		i = signOrVec(flags, coef, bit)
 	}
 	scalarSignOr(flags[i:], coef[i:], bit)
 }
@@ -427,9 +343,7 @@ func SignOrRow(flags []uint32, coef []int32, bit uint32) {
 func PlaneMaskRow(nz, bit []uint64, mag []uint32, p uint) {
 	i := 0
 	if nw := (len(mag) + 63) >> 6; len(nz) >= nw && len(bit) >= nw {
-		if f := active.Load().planeMask; f != nil {
-			i = f(nz, bit, mag, p)
-		}
+		i = planeMaskVec(nz, bit, mag, p)
 	}
 	if i < len(mag) {
 		scalarPlaneMask(nz, bit, mag, p, i)

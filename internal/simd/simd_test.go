@@ -4,28 +4,25 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
-// Differential tests: every vector kernel set must match the scalar
-// oracle bit for bit on every length (including 0, 1, and odd tails)
-// and at unaligned slice offsets. Lengths cross several 4-lane
-// boundaries so both the vector body and the scalar tail are exercised.
+// Differential tests: each …Vec body, finished by the scalar loop the
+// way its exported wrapper finishes it, must match the scalar oracle
+// bit for bit on every length (including 0, 1, and odd tails) and at
+// unaligned slice offsets, and must handle exactly the whole-vector
+// prefix its build promises. Lengths cross several 4-lane boundaries so
+// both the vector body and the scalar tail are exercised.
 
 var testLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100, 257, 1024}
 
-// vectorSets returns every non-scalar kernel set available on this
-// host. Empty on noasm builds or non-amd64 — the tests then pass
-// trivially, which is correct: there is nothing to differ.
-func vectorSets() []*kernels {
-	var out []*kernels
-	for _, ks := range available {
-		if ks != &scalarSet {
-			out = append(out, ks)
-		}
+// checkHandled requires a …Vec body to have handled the whole-vector
+// prefix of an n-element row that this build's set covers (vecPrefix).
+func checkHandled(t *testing.T, m, n int) {
+	t.Helper()
+	if want := vecPrefix(n); m != want {
+		t.Fatalf("%s body handled %d of %d elements, want %d", Kernel(), m, n, want)
 	}
-	return out
 }
 
 func randF32(rng *rand.Rand, n int) []float32 {
@@ -87,17 +84,15 @@ func eqU32(t *testing.T, name string, got, want []uint32) {
 
 func TestAddMulF32(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			a, b, c := randF32(rng, n), randF32(rng, n), randF32(rng, n)
-			want := make([]float32, n)
-			scalarAddMulF32(want, a, b, c, float32(-1.586134342))
-			got := offF32(make([]float32, n))
-			if m := ks.addMulF32(got, a, b, c, float32(-1.586134342)); m >= 0 {
-				scalarAddMulF32(got[m:], a[m:], b[m:], c[m:], float32(-1.586134342))
-			}
-			eqF32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
-		}
+	for _, n := range testLengths {
+		a, b, c := randF32(rng, n), randF32(rng, n), randF32(rng, n)
+		want := make([]float32, n)
+		scalarAddMulF32(want, a, b, c, float32(-1.586134342))
+		got := offF32(make([]float32, n))
+		m := addMulF32Vec(got, a, b, c, float32(-1.586134342))
+		checkHandled(t, m, n)
+		scalarAddMulF32(got[m:], a[m:], b[m:], c[m:], float32(-1.586134342))
+		eqF32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	}
 }
 
@@ -105,66 +100,62 @@ func TestAddMulF32Aliased(t *testing.T) {
 	// The dwt call sites alias dst with a and b with c (the lifting
 	// tail steps); verify the kernels tolerate full aliasing.
 	rng := rand.New(rand.NewSource(2))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			d0, e0 := randF32(rng, n), randF32(rng, n)
-			want := append([]float32(nil), d0...)
-			scalarAddMulF32(want, want, e0, e0, 0.25)
-			got := append([]float32(nil), d0...)
-			m := ks.addMulF32(got, got, e0, e0, 0.25)
-			scalarAddMulF32(got[m:], got[m:], e0[m:], e0[m:], 0.25)
-			eqF32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
-		}
+	for _, n := range testLengths {
+		d0, e0 := randF32(rng, n), randF32(rng, n)
+		want := append([]float32(nil), d0...)
+		scalarAddMulF32(want, want, e0, e0, 0.25)
+		got := append([]float32(nil), d0...)
+		m := addMulF32Vec(got, got, e0, e0, 0.25)
+		checkHandled(t, m, n)
+		scalarAddMulF32(got[m:], got[m:], e0[m:], e0[m:], 0.25)
+		eqF32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	}
 }
 
 func TestAddMulScaleF32(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			s0, b, c := randF32(rng, n), randF32(rng, n), randF32(rng, n)
-			want := append([]float32(nil), s0...)
-			scalarAddMulScaleF32(want, b, c, 0.4435068522, 1.2301741)
-			got := offF32(append([]float32(nil), s0...))
-			m := ks.addMulScaleF32(got, b, c, 0.4435068522, 1.2301741)
-			scalarAddMulScaleF32(got[m:], b[m:], c[m:], 0.4435068522, 1.2301741)
-			eqF32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
-		}
+	for _, n := range testLengths {
+		s0, b, c := randF32(rng, n), randF32(rng, n), randF32(rng, n)
+		want := append([]float32(nil), s0...)
+		scalarAddMulScaleF32(want, b, c, 0.4435068522, 1.2301741)
+		got := offF32(append([]float32(nil), s0...))
+		m := addMulScaleF32Vec(got, b, c, 0.4435068522, 1.2301741)
+		checkHandled(t, m, n)
+		scalarAddMulScaleF32(got[m:], b[m:], c[m:], 0.4435068522, 1.2301741)
+		eqF32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	}
 }
 
 func TestMulConstF32(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			src := randF32(rng, n)
-			want := make([]float32, n)
-			scalarMulConstF32(want, src, 0.8128930655)
-			got := offF32(make([]float32, n))
-			m := ks.mulConstF32(got, src, 0.8128930655)
-			scalarMulConstF32(got[m:], src[m:], 0.8128930655)
-			eqF32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
-		}
+	for _, n := range testLengths {
+		src := randF32(rng, n)
+		want := make([]float32, n)
+		scalarMulConstF32(want, src, 0.8128930655)
+		got := offF32(make([]float32, n))
+		m := mulConstF32Vec(got, src, 0.8128930655)
+		checkHandled(t, m, n)
+		scalarMulConstF32(got[m:], src[m:], 0.8128930655)
+		eqF32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	}
 }
 
 func TestQuantF32(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			src := randF32(rng, n)
-			if n > 2 {
-				src[0] = float32(math.Inf(1))  // overflow lane
-				src[1] = float32(math.Inf(-1)) // negative overflow
-				src[2] = float32(math.NaN())
-			}
-			want := make([]int32, n)
-			scalarQuantF32(want, src, 1.0/0.0009765625)
-			got := offI32(make([]int32, n))
-			m := ks.quantF32(got, src, 1.0/0.0009765625)
-			scalarQuantF32(got[m:], src[m:], 1.0/0.0009765625)
-			eqI32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
+	for _, n := range testLengths {
+		src := randF32(rng, n)
+		if n > 2 {
+			src[0] = float32(math.Inf(1))  // overflow lane
+			src[1] = float32(math.Inf(-1)) // negative overflow
+			src[2] = float32(math.NaN())
 		}
+		want := make([]int32, n)
+		scalarQuantF32(want, src, 1.0/0.0009765625)
+		got := offI32(make([]int32, n))
+		m := quantF32Vec(got, src, 1.0/0.0009765625)
+		checkHandled(t, m, n)
+		scalarQuantF32(got[m:], src[m:], 1.0/0.0009765625)
+		eqI32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	}
 }
 
@@ -176,18 +167,17 @@ func TestICTFwd(t *testing.T) {
 		CbR: -0.168736, CbG: -0.331264, CbB: 0.5,
 		CrR: 0.5, CrG: -0.418688, CrB: -0.081312,
 	}
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			r, g, b := randI32(rng, n, 255), randI32(rng, n, 255), randI32(rng, n, 255)
-			wy, wcb, wcr := make([]float32, n), make([]float32, n), make([]float32, n)
-			scalarICTFwd(r, g, b, wy, wcb, wcr, p)
-			gy, gcb, gcr := offF32(make([]float32, n)), offF32(make([]float32, n)), offF32(make([]float32, n))
-			m := ks.ictFwd(r, g, b, gy, gcb, gcr, p)
-			scalarICTFwd(r[m:], g[m:], b[m:], gy[m:], gcb[m:], gcr[m:], p)
-			eqF32(t, fmt.Sprintf("%s/y/n=%d", ks.name, n), gy, wy)
-			eqF32(t, fmt.Sprintf("%s/cb/n=%d", ks.name, n), gcb, wcb)
-			eqF32(t, fmt.Sprintf("%s/cr/n=%d", ks.name, n), gcr, wcr)
-		}
+	for _, n := range testLengths {
+		r, g, b := randI32(rng, n, 255), randI32(rng, n, 255), randI32(rng, n, 255)
+		wy, wcb, wcr := make([]float32, n), make([]float32, n), make([]float32, n)
+		scalarICTFwd(r, g, b, wy, wcb, wcr, p)
+		gy, gcb, gcr := offF32(make([]float32, n)), offF32(make([]float32, n)), offF32(make([]float32, n))
+		m := ictFwdVec(r, g, b, gy, gcb, gcr, p)
+		checkHandled(t, m, n)
+		scalarICTFwd(r[m:], g[m:], b[m:], gy[m:], gcb[m:], gcr[m:], p)
+		eqF32(t, fmt.Sprintf("%s/y/n=%d", Kernel(), n), gy, wy)
+		eqF32(t, fmt.Sprintf("%s/cb/n=%d", Kernel(), n), gcb, wcb)
+		eqF32(t, fmt.Sprintf("%s/cr/n=%d", Kernel(), n), gcr, wcr)
 	}
 }
 
@@ -195,65 +185,62 @@ func TestShr12Kernels(t *testing.T) {
 	type kcase struct {
 		name   string
 		scalar func(dst, a, b, c []int32)
-		vec    func(ks *kernels) func(dst, a, b, c []int32) int
+		vec    func(dst, a, b, c []int32) int
 	}
 	cases := []kcase{
-		{"addShr1", scalarAddShr1I32, func(ks *kernels) func(dst, a, b, c []int32) int { return ks.addShr1I32 }},
-		{"subShr1", scalarSubShr1I32, func(ks *kernels) func(dst, a, b, c []int32) int { return ks.subShr1I32 }},
-		{"addShr2", scalarAddShr2I32, func(ks *kernels) func(dst, a, b, c []int32) int { return ks.addShr2I32 }},
-		{"subShr2", scalarSubShr2I32, func(ks *kernels) func(dst, a, b, c []int32) int { return ks.subShr2I32 }},
+		{"addShr1", scalarAddShr1I32, addShr1I32Vec},
+		{"subShr1", scalarSubShr1I32, subShr1I32Vec},
+		{"addShr2", scalarAddShr2I32, addShr2I32Vec},
+		{"subShr2", scalarSubShr2I32, subShr2I32Vec},
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range cases {
-		for _, ks := range vectorSets() {
-			for _, n := range testLengths {
-				// Include values near the int32 extremes to pin wrap
-				// behavior, matching Go's signed overflow semantics.
-				a, b, c := randI32(rng, n, 1<<20), randI32(rng, n, 1<<20), randI32(rng, n, 1<<20)
-				if n > 1 {
-					b[0], c[0] = math.MaxInt32, math.MaxInt32
-					b[1], c[1] = math.MinInt32, math.MinInt32
-				}
-				want := make([]int32, n)
-				tc.scalar(want, a, b, c)
-				got := offI32(make([]int32, n))
-				m := tc.vec(ks)(got, a, b, c)
-				tc.scalar(got[m:], a[m:], b[m:], c[m:])
-				eqI32(t, fmt.Sprintf("%s/%s/n=%d", tc.name, ks.name, n), got, want)
+		for _, n := range testLengths {
+			// Include values near the int32 extremes to pin wrap
+			// behavior, matching Go's signed overflow semantics.
+			a, b, c := randI32(rng, n, 1<<20), randI32(rng, n, 1<<20), randI32(rng, n, 1<<20)
+			if n > 1 {
+				b[0], c[0] = math.MaxInt32, math.MaxInt32
+				b[1], c[1] = math.MinInt32, math.MinInt32
 			}
+			want := make([]int32, n)
+			tc.scalar(want, a, b, c)
+			got := offI32(make([]int32, n))
+			m := tc.vec(got, a, b, c)
+			checkHandled(t, m, n)
+			tc.scalar(got[m:], a[m:], b[m:], c[m:])
+			eqI32(t, fmt.Sprintf("%s/%s/n=%d", tc.name, Kernel(), n), got, want)
 		}
 	}
 }
 
 func TestAddConstI32(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			base := randI32(rng, n, 1<<24)
-			want := append([]int32(nil), base...)
-			scalarAddConstI32(want, -128)
-			got := offI32(append([]int32(nil), base...))
-			m := ks.addConstI32(got, -128)
-			scalarAddConstI32(got[m:], -128)
-			eqI32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
-		}
+	for _, n := range testLengths {
+		base := randI32(rng, n, 1<<24)
+		want := append([]int32(nil), base...)
+		scalarAddConstI32(want, -128)
+		got := offI32(append([]int32(nil), base...))
+		m := addConstI32Vec(got, -128)
+		checkHandled(t, m, n)
+		scalarAddConstI32(got[m:], -128)
+		eqI32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	}
 }
 
 func TestRCTFwd(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			r0, g0, b0 := randI32(rng, n, 255), randI32(rng, n, 255), randI32(rng, n, 255)
-			wr, wg, wb := append([]int32(nil), r0...), append([]int32(nil), g0...), append([]int32(nil), b0...)
-			scalarRCTFwd(wr, wg, wb, 128)
-			gr, gg, gb := offI32(append([]int32(nil), r0...)), offI32(append([]int32(nil), g0...)), offI32(append([]int32(nil), b0...))
-			m := ks.rctFwd(gr, gg, gb, 128)
-			scalarRCTFwd(gr[m:], gg[m:], gb[m:], 128)
-			eqI32(t, fmt.Sprintf("%s/r/n=%d", ks.name, n), gr, wr)
-			eqI32(t, fmt.Sprintf("%s/g/n=%d", ks.name, n), gg, wg)
-			eqI32(t, fmt.Sprintf("%s/b/n=%d", ks.name, n), gb, wb)
-		}
+	for _, n := range testLengths {
+		r0, g0, b0 := randI32(rng, n, 255), randI32(rng, n, 255), randI32(rng, n, 255)
+		wr, wg, wb := append([]int32(nil), r0...), append([]int32(nil), g0...), append([]int32(nil), b0...)
+		scalarRCTFwd(wr, wg, wb, 128)
+		gr, gg, gb := offI32(append([]int32(nil), r0...)), offI32(append([]int32(nil), g0...)), offI32(append([]int32(nil), b0...))
+		m := rctFwdVec(gr, gg, gb, 128)
+		checkHandled(t, m, n)
+		scalarRCTFwd(gr[m:], gg[m:], gb[m:], 128)
+		eqI32(t, fmt.Sprintf("%s/r/n=%d", Kernel(), n), gr, wr)
+		eqI32(t, fmt.Sprintf("%s/g/n=%d", Kernel(), n), gg, wg)
+		eqI32(t, fmt.Sprintf("%s/b/n=%d", Kernel(), n), gb, wb)
 	}
 }
 
@@ -264,79 +251,75 @@ var fixKs = []int32{-12994, -434, 7233, 3633, 13318, 5038, 8192, -8192, 1, -1}
 
 func TestFixAddMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for _, ks := range vectorSets() {
-		for _, k := range fixKs {
-			for _, n := range testLengths {
-				d0 := randI32(rng, n, 1<<26)
-				b, c := randI32(rng, n, 1<<26), randI32(rng, n, 1<<26)
-				want := append([]int32(nil), d0...)
-				scalarFixAddMul(want, b, c, k)
-				got := offI32(append([]int32(nil), d0...))
-				m := ks.fixAddMul(got, b, c, k)
-				scalarFixAddMul(got[m:], b[m:], c[m:], k)
-				eqI32(t, fmt.Sprintf("%s/k=%d/n=%d", ks.name, k, n), got, want)
-			}
+	for _, k := range fixKs {
+		for _, n := range testLengths {
+			d0 := randI32(rng, n, 1<<26)
+			b, c := randI32(rng, n, 1<<26), randI32(rng, n, 1<<26)
+			want := append([]int32(nil), d0...)
+			scalarFixAddMul(want, b, c, k)
+			got := offI32(append([]int32(nil), d0...))
+			m := fixAddMulVec(got, b, c, k)
+			checkHandled(t, m, n)
+			scalarFixAddMul(got[m:], b[m:], c[m:], k)
+			eqI32(t, fmt.Sprintf("%s/k=%d/n=%d", Kernel(), k, n), got, want)
 		}
 	}
 }
 
 func TestAbsOr(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			coef := randI32(rng, n, 1<<30)
-			if n > 0 {
-				coef[0] = math.MinInt32 // |MinInt32| wraps to 0x80000000, same both ways
-			}
-			want := make([]uint32, n)
-			wantOr := scalarAbsOr(want, coef)
-			got := offU32(make([]uint32, n))
-			m, or := ks.absOr(got, coef)
-			or |= scalarAbsOr(got[m:], coef[m:])
-			eqU32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
-			if or != wantOr {
-				t.Fatalf("%s/n=%d: or = %#x, want %#x", ks.name, n, or, wantOr)
-			}
+	for _, n := range testLengths {
+		coef := randI32(rng, n, 1<<30)
+		if n > 0 {
+			coef[0] = math.MinInt32 // |MinInt32| wraps to 0x80000000, same both ways
+		}
+		want := make([]uint32, n)
+		wantOr := scalarAbsOr(want, coef)
+		got := offU32(make([]uint32, n))
+		m, or := absOrVec(got, coef)
+		checkHandled(t, m, n)
+		or |= scalarAbsOr(got[m:], coef[m:])
+		eqU32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
+		if or != wantOr {
+			t.Fatalf("%s/n=%d: or = %#x, want %#x", Kernel(), n, or, wantOr)
 		}
 	}
 }
 
 func TestOrU32(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			d0 := make([]uint32, n)
-			src := make([]uint32, n)
-			for i := range d0 {
-				d0[i], src[i] = rng.Uint32(), rng.Uint32()
-			}
-			want := append([]uint32(nil), d0...)
-			scalarOrU32(want, src)
-			got := offU32(append([]uint32(nil), d0...))
-			m := ks.orU32(got, src)
-			scalarOrU32(got[m:], src[m:])
-			eqU32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
+	for _, n := range testLengths {
+		d0 := make([]uint32, n)
+		src := make([]uint32, n)
+		for i := range d0 {
+			d0[i], src[i] = rng.Uint32(), rng.Uint32()
 		}
+		want := append([]uint32(nil), d0...)
+		scalarOrU32(want, src)
+		got := offU32(append([]uint32(nil), d0...))
+		m := orU32Vec(got, src)
+		checkHandled(t, m, n)
+		scalarOrU32(got[m:], src[m:])
+		eqU32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	}
 }
 
 func TestSignOr(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const bit = 1 << 6
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			coef := randI32(rng, n, 1<<30)
-			f0 := make([]uint32, n)
-			for i := range f0 {
-				f0[i] = rng.Uint32() &^ uint32(bit)
-			}
-			want := append([]uint32(nil), f0...)
-			scalarSignOr(want, coef, bit)
-			got := offU32(append([]uint32(nil), f0...))
-			m := ks.signOr(got, coef, bit)
-			scalarSignOr(got[m:], coef[m:], bit)
-			eqU32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
+	for _, n := range testLengths {
+		coef := randI32(rng, n, 1<<30)
+		f0 := make([]uint32, n)
+		for i := range f0 {
+			f0[i] = rng.Uint32() &^ uint32(bit)
 		}
+		want := append([]uint32(nil), f0...)
+		scalarSignOr(want, coef, bit)
+		got := offU32(append([]uint32(nil), f0...))
+		m := signOrVec(got, coef, bit)
+		checkHandled(t, m, n)
+		scalarSignOr(got[m:], coef[m:], bit)
+		eqU32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	}
 }
 
@@ -356,10 +339,11 @@ func refPlaneMask(mag []uint32, p uint) (nz, bit []uint64) {
 	return nz, bit
 }
 
-// checkPlaneMask runs PlaneMaskRow under the active kernel set on words
-// pre-filled with ones, one word longer than needed, and requires the
-// reference bits in every covering word (so bits at or past len(mag)
-// are zero) and the extra word untouched.
+// checkPlaneMask runs PlaneMaskRow on words pre-filled with ones, one
+// word longer than needed, and requires the reference bits in every
+// covering word (so bits at or past len(mag) are zero) and the extra
+// word untouched. The …Vec body runs first on the same words, so a
+// store past the row by it shows in the extra word too.
 func checkPlaneMask(t *testing.T, name string, mag []uint32, p uint) {
 	t.Helper()
 	wantNZ, wantBit := refPlaneMask(mag, p)
@@ -368,6 +352,7 @@ func checkPlaneMask(t *testing.T, name string, mag []uint32, p uint) {
 	for i := range nz {
 		nz[i], bit[i] = ^uint64(0), ^uint64(0)
 	}
+	checkHandled(t, planeMaskVec(nz, bit, mag, p), len(mag))
 	PlaneMaskRow(nz, bit, mag, p)
 	for i := 0; i < nw; i++ {
 		if nz[i] != wantNZ[i] || bit[i] != wantBit[i] {
@@ -379,101 +364,54 @@ func checkPlaneMask(t *testing.T, name string, mag []uint32, p uint) {
 	}
 }
 
-// TestPlaneMaskRow pins PlaneMaskRow under every kernel set to its
-// bit-by-bit definition at every length 0–130 (partial words, vector
+// TestPlaneMaskRow pins PlaneMaskRow to its bit-by-bit definition at every length 0–130 (partial words, vector
 // tails and word boundaries), every plane 0–31 and an unaligned row,
 // over magnitudes that include 0, 1, 2, 3 and 2^31.
 func TestPlaneMaskRow(t *testing.T) {
-	prev := Kernel()
-	defer Use(prev)
 	rng := rand.New(rand.NewSource(16))
-	for _, name := range Available() {
-		if err := Use(name); err != nil {
-			t.Fatal(err)
-		}
-		for n := 0; n <= 130; n++ {
-			mag := offU32(make([]uint32, n))
-			for i := range mag {
-				switch k := rng.Intn(8); k {
-				case 0, 1, 2, 3:
-					mag[i] = uint32(k)
-				case 4:
-					mag[i] = 1 << 31
-				default:
-					mag[i] = rng.Uint32() >> rng.Intn(32)
-				}
-			}
-			for p := uint(0); p < 32; p++ {
-				checkPlaneMask(t, name, mag, p)
+	for n := 0; n <= 130; n++ {
+		mag := offU32(make([]uint32, n))
+		for i := range mag {
+			switch k := rng.Intn(8); k {
+			case 0, 1, 2, 3:
+				mag[i] = uint32(k)
+			case 4:
+				mag[i] = 1 << 31
+			default:
+				mag[i] = rng.Uint32() >> rng.Intn(32)
 			}
 		}
-	}
-}
-
-// TestExportedWrappersUseActive pins that the exported row functions
-// agree with the scalar oracle under every selectable kernel set,
-// driving the same dispatch path production code uses.
-func TestExportedWrappersUseActive(t *testing.T) {
-	prev := Kernel()
-	defer Use(prev)
-	rng := rand.New(rand.NewSource(15))
-	for _, name := range Available() {
-		if err := Use(name); err != nil {
-			t.Fatal(err)
+		for p := uint(0); p < 32; p++ {
+			checkPlaneMask(t, Kernel(), mag, p)
 		}
-		n := 53 // odd: vector body + tail
-		a, b, c := randF32(rng, n), randF32(rng, n), randF32(rng, n)
-		want := make([]float32, n)
-		scalarAddMulF32(want, a, b, c, 0.25)
-		got := make([]float32, n)
-		AddMulRow(got, a, b, c, 0.25)
-		eqF32(t, "AddMulRow/"+name, got, want)
-
-		d, e0, e1 := randI32(rng, n, 1<<26), randI32(rng, n, 1<<26), randI32(rng, n, 1<<26)
-		wantI := append([]int32(nil), d...)
-		scalarFixAddMul(wantI, e0, e1, -12994)
-		gotI := append([]int32(nil), d...)
-		FixAddMulRow(gotI, e0, e1, -12994)
-		eqI32(t, "FixAddMulRow/"+name, gotI, wantI)
 	}
 }
 
-func TestUseRejectsUnknown(t *testing.T) {
-	if err := Use("altivec"); err == nil {
-		t.Fatal("Use(altivec) should fail")
-	}
-}
-
-// TestKernelReportsName pins the dispatch: on amd64 without noasm the
-// sets are scalar and sse2 with sse2 active; everywhere else scalar is
-// the only set.
+// TestKernelReportsName pins the build's kernel set: sse2 on amd64
+// without noasm, scalar everywhere else.
 func TestKernelReportsName(t *testing.T) {
-	if got := Available(); !slices.Equal(got, wantSets) {
-		t.Fatalf("Available() = %v, want %v", got, wantSets)
-	}
-	if got, want := Kernel(), wantSets[len(wantSets)-1]; got != want {
-		t.Fatalf("Kernel() = %q, want %q", got, want)
+	if got := Kernel(); got != wantKernel {
+		t.Fatalf("Kernel() = %q, want %q", got, wantKernel)
 	}
 }
 
 func TestDequantF32(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const delta = 0.0009765625
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			src := randI32(rng, n, 1<<20)
-			if n > 2 {
-				src[0] = 0 // the dead-zone lane must come out exactly 0
-				src[1] = math.MaxInt32
-				src[2] = math.MinInt32
-			}
-			want := make([]float32, n)
-			scalarDequantF32(want, src, delta)
-			got := offF32(make([]float32, n))
-			m := ks.dequantF32(got, src, delta)
-			scalarDequantF32(got[m:], src[m:], delta)
-			eqF32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
+	for _, n := range testLengths {
+		src := randI32(rng, n, 1<<20)
+		if n > 2 {
+			src[0] = 0 // the dead-zone lane must come out exactly 0
+			src[1] = math.MaxInt32
+			src[2] = math.MinInt32
 		}
+		want := make([]float32, n)
+		scalarDequantF32(want, src, delta)
+		got := offF32(make([]float32, n))
+		m := dequantF32Vec(got, src, delta)
+		checkHandled(t, m, n)
+		scalarDequantF32(got[m:], src[m:], delta)
+		eqF32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	}
 }
 
@@ -485,131 +423,127 @@ func TestICTInv(t *testing.T) {
 		GCb: 0.344136, GCr: 0.714136,
 		BCb: 1.772,
 	}
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			y, cb, cr := randF32(rng, n), randF32(rng, n), randF32(rng, n)
-			if n > 1 {
-				y[0] = float32(math.NaN()) // truncation overflow lane
-				y[1] = float32(math.Inf(-1))
-			}
-			wr, wg, wb := make([]int32, n), make([]int32, n), make([]int32, n)
-			scalarICTInv(y, cb, cr, wr, wg, wb, p)
-			gr, gg, gb := offI32(make([]int32, n)), offI32(make([]int32, n)), offI32(make([]int32, n))
-			m := ks.ictInv(y, cb, cr, gr, gg, gb, p)
-			scalarICTInv(y[m:], cb[m:], cr[m:], gr[m:], gg[m:], gb[m:], p)
-			eqI32(t, fmt.Sprintf("%s/r/n=%d", ks.name, n), gr, wr)
-			eqI32(t, fmt.Sprintf("%s/g/n=%d", ks.name, n), gg, wg)
-			eqI32(t, fmt.Sprintf("%s/b/n=%d", ks.name, n), gb, wb)
+	for _, n := range testLengths {
+		y, cb, cr := randF32(rng, n), randF32(rng, n), randF32(rng, n)
+		if n > 1 {
+			y[0] = float32(math.NaN()) // truncation overflow lane
+			y[1] = float32(math.Inf(-1))
 		}
+		wr, wg, wb := make([]int32, n), make([]int32, n), make([]int32, n)
+		scalarICTInv(y, cb, cr, wr, wg, wb, p)
+		gr, gg, gb := offI32(make([]int32, n)), offI32(make([]int32, n)), offI32(make([]int32, n))
+		m := ictInvVec(y, cb, cr, gr, gg, gb, p)
+		checkHandled(t, m, n)
+		scalarICTInv(y[m:], cb[m:], cr[m:], gr[m:], gg[m:], gb[m:], p)
+		eqI32(t, fmt.Sprintf("%s/r/n=%d", Kernel(), n), gr, wr)
+		eqI32(t, fmt.Sprintf("%s/g/n=%d", Kernel(), n), gg, wg)
+		eqI32(t, fmt.Sprintf("%s/b/n=%d", Kernel(), n), gb, wb)
 	}
 }
 
 func TestRoundAddF32(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			src := randF32(rng, n)
-			if n > 2 {
-				src[0] = float32(math.Inf(1))
-				src[1] = float32(math.Inf(-1))
-				src[2] = float32(math.NaN())
-			}
-			want := make([]int32, n)
-			scalarRoundAddF32(want, src, 128)
-			got := offI32(make([]int32, n))
-			m := ks.roundAddF32(got, src, 128)
-			scalarRoundAddF32(got[m:], src[m:], 128)
-			eqI32(t, fmt.Sprintf("%s/n=%d", ks.name, n), got, want)
+	for _, n := range testLengths {
+		src := randF32(rng, n)
+		if n > 2 {
+			src[0] = float32(math.Inf(1))
+			src[1] = float32(math.Inf(-1))
+			src[2] = float32(math.NaN())
 		}
+		want := make([]int32, n)
+		scalarRoundAddF32(want, src, 128)
+		got := offI32(make([]int32, n))
+		m := roundAddF32Vec(got, src, 128)
+		checkHandled(t, m, n)
+		scalarRoundAddF32(got[m:], src[m:], 128)
+		eqI32(t, fmt.Sprintf("%s/n=%d", Kernel(), n), got, want)
 	}
 }
 
 func TestRCTInv(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			y0, cb0, cr0 := randI32(rng, n, 1<<12), randI32(rng, n, 1<<12), randI32(rng, n, 1<<12)
-			wy, wcb, wcr := append([]int32(nil), y0...), append([]int32(nil), cb0...), append([]int32(nil), cr0...)
-			scalarRCTInv(wy, wcb, wcr, 128)
-			gy, gcb, gcr := offI32(append([]int32(nil), y0...)), offI32(append([]int32(nil), cb0...)), offI32(append([]int32(nil), cr0...))
-			m := ks.rctInv(gy, gcb, gcr, 128)
-			scalarRCTInv(gy[m:], gcb[m:], gcr[m:], 128)
-			eqI32(t, fmt.Sprintf("%s/r/n=%d", ks.name, n), gy, wy)
-			eqI32(t, fmt.Sprintf("%s/g/n=%d", ks.name, n), gcb, wcb)
-			eqI32(t, fmt.Sprintf("%s/b/n=%d", ks.name, n), gcr, wcr)
-		}
+	for _, n := range testLengths {
+		y0, cb0, cr0 := randI32(rng, n, 1<<12), randI32(rng, n, 1<<12), randI32(rng, n, 1<<12)
+		wy, wcb, wcr := append([]int32(nil), y0...), append([]int32(nil), cb0...), append([]int32(nil), cr0...)
+		scalarRCTInv(wy, wcb, wcr, 128)
+		gy, gcb, gcr := offI32(append([]int32(nil), y0...)), offI32(append([]int32(nil), cb0...)), offI32(append([]int32(nil), cr0...))
+		m := rctInvVec(gy, gcb, gcr, 128)
+		checkHandled(t, m, n)
+		scalarRCTInv(gy[m:], gcb[m:], gcr[m:], 128)
+		eqI32(t, fmt.Sprintf("%s/r/n=%d", Kernel(), n), gy, wy)
+		eqI32(t, fmt.Sprintf("%s/g/n=%d", Kernel(), n), gcb, wcb)
+		eqI32(t, fmt.Sprintf("%s/b/n=%d", Kernel(), n), gcr, wcr)
 	}
 }
 
 func TestClampI32(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, max := range []int32{255, 4095, 65535} {
-		for _, ks := range vectorSets() {
-			for _, n := range testLengths {
-				d0 := randI32(rng, n, 1<<17)
-				if n > 1 {
-					d0[0] = math.MinInt32
-					d0[1] = math.MaxInt32
-				}
-				want := append([]int32(nil), d0...)
-				scalarClampI32(want, max)
-				got := offI32(append([]int32(nil), d0...))
-				m := ks.clampI32(got, max)
-				scalarClampI32(got[m:], max)
-				eqI32(t, fmt.Sprintf("%s/max=%d/n=%d", ks.name, max, n), got, want)
+		for _, n := range testLengths {
+			d0 := randI32(rng, n, 1<<17)
+			if n > 1 {
+				d0[0] = math.MinInt32
+				d0[1] = math.MaxInt32
 			}
+			want := append([]int32(nil), d0...)
+			scalarClampI32(want, max)
+			got := offI32(append([]int32(nil), d0...))
+			m := clampI32Vec(got, max)
+			checkHandled(t, m, n)
+			scalarClampI32(got[m:], max)
+			eqI32(t, fmt.Sprintf("%s/max=%d/n=%d", Kernel(), max, n), got, want)
 		}
 	}
 }
 
 func TestInterleave2(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			// n is the pair count; even gets one extra element so the
-			// odd-total-length layout of the lifting lines is covered.
-			even, odd := randI32(rng, n+1, 1<<30), randI32(rng, n, 1<<30)
-			want := make([]int32, 2*n)
-			scalarInterleave2I32(want, even, odd)
-			got := offI32(make([]int32, 2*n))
-			m := ks.il2I32(got, even, odd)
-			scalarInterleave2I32(got[2*m:], even[m:], odd[m:])
-			eqI32(t, fmt.Sprintf("%s/i32/n=%d", ks.name, n), got, want)
+	for _, n := range testLengths {
+		// n is the pair count; even gets one extra element so the
+		// odd-total-length layout of the lifting lines is covered.
+		even, odd := randI32(rng, n+1, 1<<30), randI32(rng, n, 1<<30)
+		want := make([]int32, 2*n)
+		scalarInterleave2I32(want, even, odd)
+		got := offI32(make([]int32, 2*n))
+		m := il2I32Vec(got, even, odd)
+		checkHandled(t, m, n)
+		scalarInterleave2I32(got[2*m:], even[m:], odd[m:])
+		eqI32(t, fmt.Sprintf("%s/i32/n=%d", Kernel(), n), got, want)
 
-			ef, of := randF32(rng, n+1), randF32(rng, n)
-			wantF := make([]float32, 2*n)
-			scalarInterleave2F32(wantF, ef, of)
-			gotF := offF32(make([]float32, 2*n))
-			mf := ks.il2F32(gotF, ef, of)
-			scalarInterleave2F32(gotF[2*mf:], ef[mf:], of[mf:])
-			eqF32(t, fmt.Sprintf("%s/f32/n=%d", ks.name, n), gotF, wantF)
-		}
+		ef, of := randF32(rng, n+1), randF32(rng, n)
+		wantF := make([]float32, 2*n)
+		scalarInterleave2F32(wantF, ef, of)
+		gotF := offF32(make([]float32, 2*n))
+		mf := il2F32Vec(gotF, ef, of)
+		checkHandled(t, mf, n)
+		scalarInterleave2F32(gotF[2*mf:], ef[mf:], of[mf:])
+		eqF32(t, fmt.Sprintf("%s/f32/n=%d", Kernel(), n), gotF, wantF)
 	}
 }
 
 func TestDeinterleave2(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, ks := range vectorSets() {
-		for _, n := range testLengths {
-			// n is the pair count; src carries one extra sample so the
-			// odd-total-length layout of the lifting lines is covered.
-			src := randI32(rng, 2*n+1, 1<<30)
-			wantE, wantO := make([]int32, n+1), make([]int32, n)
-			scalarDeinterleave2I32(wantE, wantO, src)
-			gotE, gotO := offI32(make([]int32, n+1)), offI32(make([]int32, n))
-			m := ks.dl2I32(gotE, gotO, src)
-			scalarDeinterleave2I32(gotE[m:], gotO[m:], src[2*m:])
-			eqI32(t, fmt.Sprintf("%s/i32/even/n=%d", ks.name, n), gotE, wantE)
-			eqI32(t, fmt.Sprintf("%s/i32/odd/n=%d", ks.name, n), gotO, wantO)
+	for _, n := range testLengths {
+		// n is the pair count; src carries one extra sample so the
+		// odd-total-length layout of the lifting lines is covered.
+		src := randI32(rng, 2*n+1, 1<<30)
+		wantE, wantO := make([]int32, n+1), make([]int32, n)
+		scalarDeinterleave2I32(wantE, wantO, src)
+		gotE, gotO := offI32(make([]int32, n+1)), offI32(make([]int32, n))
+		m := dl2I32Vec(gotE, gotO, src)
+		checkHandled(t, m, n)
+		scalarDeinterleave2I32(gotE[m:], gotO[m:], src[2*m:])
+		eqI32(t, fmt.Sprintf("%s/i32/even/n=%d", Kernel(), n), gotE, wantE)
+		eqI32(t, fmt.Sprintf("%s/i32/odd/n=%d", Kernel(), n), gotO, wantO)
 
-			srcF := randF32(rng, 2*n+1)
-			wantEF, wantOF := make([]float32, n+1), make([]float32, n)
-			scalarDeinterleave2F32(wantEF, wantOF, srcF)
-			gotEF, gotOF := offF32(make([]float32, n+1)), offF32(make([]float32, n))
-			mf := ks.dl2F32(gotEF, gotOF, srcF)
-			scalarDeinterleave2F32(gotEF[mf:], gotOF[mf:], srcF[2*mf:])
-			eqF32(t, fmt.Sprintf("%s/f32/even/n=%d", ks.name, n), gotEF, wantEF)
-			eqF32(t, fmt.Sprintf("%s/f32/odd/n=%d", ks.name, n), gotOF, wantOF)
-		}
+		srcF := randF32(rng, 2*n+1)
+		wantEF, wantOF := make([]float32, n+1), make([]float32, n)
+		scalarDeinterleave2F32(wantEF, wantOF, srcF)
+		gotEF, gotOF := offF32(make([]float32, n+1)), offF32(make([]float32, n))
+		mf := dl2F32Vec(gotEF, gotOF, srcF)
+		checkHandled(t, mf, n)
+		scalarDeinterleave2F32(gotEF[mf:], gotOF[mf:], srcF[2*mf:])
+		eqF32(t, fmt.Sprintf("%s/f32/even/n=%d", Kernel(), n), gotEF, wantEF)
+		eqF32(t, fmt.Sprintf("%s/f32/odd/n=%d", Kernel(), n), gotOF, wantOF)
 	}
 }

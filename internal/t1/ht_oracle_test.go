@@ -460,12 +460,10 @@ func clusteredBlock(w, h int, seed uint32) []int32 {
 }
 
 // TestHTEncodeMatchesOracle pins the packed HT encoder to the per-bit
-// oracle under every kernel set, across orientation, geometry
+// oracle under the build's kernel set, across orientation, geometry
 // (including blocks wider or taller than 64 and odd sizes), content
 // statistics and both HT modes.
 func TestHTEncodeMatchesOracle(t *testing.T) {
-	prev := simd.Kernel()
-	defer simd.Use(prev)
 	sizes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {33, 17}, {64, 37}, {64, 64}, {65, 9}, {97, 71}, {128, 32}, {255, 6}, {256, 16}}
 	contents := map[string]func(w, h int, seed uint32) []int32{
 		"dense":     func(w, h int, seed uint32) []int32 { return randBlock(w, h, seed, 400) },
@@ -490,23 +488,19 @@ func TestHTEncodeMatchesOracle(t *testing.T) {
 			return out
 		},
 	}
-	for _, ks := range simd.Available() {
-		if err := simd.Use(ks); err != nil {
-			t.Fatal(err)
-		}
-		seed := uint32(1)
-		for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {
-			for _, sz := range sizes {
-				w, h := sz[0], sz[1]
-				for name, gen := range contents {
-					seed++
-					coef := gen(w, h, seed)
-					for _, mode := range []Mode{ModeHT, ModeHTRefine} {
-						got := Encode(coef, w, h, w, o, mode, 1.37)
-						want := oracleEncodeHT(coef, w, h, w, o, mode, 1.37)
-						if d := sameBlock(got, want); d != "" {
-							t.Fatalf("%s: %v %dx%d %s mode %d: %s", ks, o, w, h, name, mode, d)
-						}
+	ks := simd.Kernel()
+	seed := uint32(1)
+	for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {
+		for _, sz := range sizes {
+			w, h := sz[0], sz[1]
+			for name, gen := range contents {
+				seed++
+				coef := gen(w, h, seed)
+				for _, mode := range []Mode{ModeHT, ModeHTRefine} {
+					got := Encode(coef, w, h, w, o, mode, 1.37)
+					want := oracleEncodeHT(coef, w, h, w, o, mode, 1.37)
+					if d := sameBlock(got, want); d != "" {
+						t.Fatalf("%s: %v %dx%d %s mode %d: %s", ks, o, w, h, name, mode, d)
 					}
 				}
 			}
