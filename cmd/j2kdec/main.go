@@ -23,8 +23,8 @@
 // Amdahl serial fraction, -trace writes a chrome://tracing timeline
 // with one track per worker, -metrics dumps the counter set (queue
 // claims, resyncs and concealed blocks, DWT bytes moved, pool
-// hit rates), and -pprof serves net/http/pprof plus /debug/vars and
-// /metrics while decoding.
+// hit rates), and -pprof serves net/http/pprof plus /metrics while
+// decoding.
 package main
 
 import (
@@ -52,7 +52,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace JSON timeline to this file")
 	report := flag.Bool("report", false, "print the per-stage wall-time / serial-fraction table")
 	metrics := flag.Bool("metrics", false, "print the counter and stage-latency table after decoding")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, /debug/vars and /metrics on this address (e.g. :6060)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. :6060)")
 	bestEffort := flag.Bool("best-effort", false, "decode a damaged stream as far as possible; exit 6 if anything was lost")
 	damageReport := flag.Bool("damage-report", false, "print the per-tile damage report (implies -best-effort)")
 	flag.Parse()
@@ -67,7 +67,7 @@ func main() {
 	if *pprofAddr != "" {
 		addr, err := cli.ServeObservability(*pprofAddr)
 		check(err)
-		fmt.Fprintf(os.Stderr, "j2kdec: serving /metrics, /debug/vars, /debug/pprof on %s\n", addr)
+		fmt.Fprintf(os.Stderr, "j2kdec: serving /metrics, /debug/pprof on %s\n", addr)
 	}
 
 	ctx, cancel := cli.Context(*timeout)

@@ -9,7 +9,7 @@
 // -trace writes a chrome://tracing timeline with one track per
 // worker, -metrics dumps the counter set (queue claims, MQ renorm
 // chunks, DWT bytes moved, pool hit rates), and -pprof serves
-// net/http/pprof plus /debug/vars and /metrics while encoding.
+// net/http/pprof plus /metrics while encoding.
 package main
 
 import (
@@ -42,7 +42,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace JSON timeline to this file")
 	report := flag.Bool("report", false, "print the per-stage wall-time / serial-fraction table")
 	metrics := flag.Bool("metrics", false, "print the counter and stage-latency table after encoding")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, /debug/vars and /metrics on this address (e.g. :6060)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. :6060)")
 	timeout := flag.Duration("timeout", 0, "abort the encode after this long (0 = no limit; exit code 5 on expiry)")
 	flag.Parse()
 
@@ -76,7 +76,7 @@ func main() {
 	if *pprofAddr != "" {
 		addr, err := cli.ServeObservability(*pprofAddr)
 		check(err)
-		fmt.Fprintf(os.Stderr, "j2kenc: serving /metrics, /debug/vars, /debug/pprof on %s\n", addr)
+		fmt.Fprintf(os.Stderr, "j2kenc: serving /metrics, /debug/pprof on %s\n", addr)
 	}
 
 	ctx, cancel := cli.Context(*timeout)

@@ -62,7 +62,7 @@ func main() {
 	size := flag.Int("size", 384, "base image edge in pixels")
 	opworkers := flag.Int("opworkers", runtime.GOMAXPROCS(0), "pipeline workers inside each operation")
 	names := flag.String("scenarios", "thumbnail,archival,window,ht", "comma-separated scenario mix (thumbnail, archival, window, ht, corrupt)")
-	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :0)")
+	metricsAddr := flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (e.g. :0)")
 	hold := flag.Duration("hold", 0, "keep serving -metrics this long after the run")
 	traceOut := flag.String("trace", "", "write a Chrome trace interleaving the first operations as separate processes")
 	traceMax := flag.Int("trace-max", 32, "cap on operations captured for -trace")

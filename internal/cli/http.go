@@ -1,22 +1,23 @@
 package cli
 
 import (
-	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 
+	"j2kcell"
 	"j2kcell/internal/obs"
 )
 
 // Shared observability HTTP endpoint of the j2k* commands. One mux
-// serves the three debug surfaces DESIGN.md §6 documents:
+// serves the two debug surfaces DESIGN.md §6 documents:
 //
 //	/metrics      — the process-wide aggregate registry in Prometheus
 //	                text exposition format (counters, per-class
-//	                operation totals, stage and SLO latency histograms)
-//	/debug/vars   — the same aggregate snapshot as expvar JSON
+//	                operation totals, stage and SLO latency histograms),
+//	                followed by the shared scheduler's series
 //	/debug/pprof/ — net/http/pprof profiles
 //
 // The commands build this mux explicitly instead of touching
@@ -24,24 +25,44 @@ import (
 // handlers can never widen what the flag exposes.
 
 // MetricsHandler serves the aggregate observability registry in
-// Prometheus text exposition format (version 0.0.4).
+// Prometheus text exposition format (version 0.0.4), then the
+// process-default scheduler's series, read from its Stats at scrape
+// time.
 func MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := obs.Aggregate().WritePrometheus(w); err != nil {
-			// Headers are already out; nothing useful to do but log-free
-			// best effort — the scraper sees a truncated body and retries.
-			_ = err
+		// Headers are already out, so a write error is not reported:
+		// the scraper sees a truncated body and retries.
+		if obs.Aggregate().WritePrometheus(w) == nil {
+			writeSchedulerMetrics(w, j2kcell.SchedulerStats())
 		}
 	})
 }
 
-// ObsMux returns the shared observability mux.
+// writeSchedulerMetrics writes the shared scheduler's gauges and
+// counters, sorted by name.
+func writeSchedulerMetrics(w io.Writer, st j2kcell.SchedStats) {
+	for _, m := range []struct {
+		name, help, typ string
+		v               int64
+	}{
+		{"j2k_scheduler_active_ops", "Operations admitted and running.", "gauge", int64(st.ActiveOps)},
+		{"j2k_scheduler_admit_rejects_total", "Operations rejected with ErrOverloaded.", "counter", st.AdmitRejects},
+		{"j2k_scheduler_admit_waits_total", "Operations that waited in the admission queue.", "counter", st.AdmitWaits},
+		{"j2k_scheduler_lanes_opened_total", "Pipelines that ran a stage eligible for helpers.", "counter", st.LanesOpened},
+		{"j2k_scheduler_pool_claims_total", "Jobs claimed by stage helpers.", "counter", st.PoolClaims},
+		{"j2k_scheduler_queue_depth", "Operations waiting in the admission queue.", "gauge", int64(st.QueueDepth)},
+		{"j2k_scheduler_workers", "Live stage helper goroutines.", "gauge", int64(st.WorkersLive)},
+	} {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", m.name, m.help, m.name, m.typ, m.name, m.v)
+	}
+}
+
+// ObsMux returns the shared observability mux: /metrics and the
+// /debug/pprof/ profiles, nothing else.
 func ObsMux() *http.ServeMux {
-	obs.PublishExpvar()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

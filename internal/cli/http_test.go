@@ -1,12 +1,16 @@
 package cli
 
 import (
-	"encoding/json"
+	"bytes"
+	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"j2kcell"
 	"j2kcell/internal/obs"
 )
 
@@ -49,33 +53,74 @@ func TestObsMuxMetrics(t *testing.T) {
 	}
 }
 
-// TestObsMuxExpvar checks /debug/vars returns JSON that includes the
-// j2kcell aggregate snapshot PublishExpvar registers.
-func TestObsMuxExpvar(t *testing.T) {
+// TestObsMuxSchedulerSeries runs one 2-worker encode, which goes
+// through the process-default scheduler, and scrapes /metrics: the
+// exposition must parse and carry the scheduler's seven series with
+// their types, sorted by name after the registry families. The mux
+// serves /metrics and /debug/pprof/ only, so /debug/vars is 404.
+func TestObsMuxSchedulerSeries(t *testing.T) {
+	img := j2kcell.TestImage(96, 64, 3)
+	if _, _, err := j2kcell.EncodeParallelContext(context.Background(), img, j2kcell.Options{Lossless: true}, 2); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(ObsMux())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/debug/vars")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var doc map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap, ok := doc["j2kcell"]
-	if !ok {
-		t.Fatal("/debug/vars missing j2kcell snapshot")
+	samples, err := obs.ParsePrometheus(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
 	}
-	var fields map[string]any
-	if err := json.Unmarshal(snap, &fields); err != nil {
-		t.Fatalf("j2kcell snapshot not an object: %v", err)
+	values := map[string]float64{}
+	for _, s := range samples {
+		values[s.Name] = s.Value
 	}
-	for _, k := range []string{"counters", "ops_total", "ops_active", "op_errors"} {
-		if _, ok := fields[k]; !ok {
-			t.Fatalf("snapshot missing %q: %v", k, fields)
+	var types []string // "name type" of every family, in exposition order
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			types = append(types, name)
 		}
+	}
+	want := []string{
+		"j2k_scheduler_active_ops gauge",
+		"j2k_scheduler_admit_rejects_total counter",
+		"j2k_scheduler_admit_waits_total counter",
+		"j2k_scheduler_lanes_opened_total counter",
+		"j2k_scheduler_pool_claims_total counter",
+		"j2k_scheduler_queue_depth gauge",
+		"j2k_scheduler_workers gauge",
+	}
+	if len(types) <= len(want) || !slices.Equal(types[len(types)-len(want):], want) {
+		t.Fatalf("exposition does not end with the scheduler families\n got  %q\n want %q", types, want)
+	}
+	if types[len(types)-len(want)-1] != "j2k_spans_dropped_total counter" {
+		t.Fatalf("scheduler families follow %q, want the registry's last family", types[len(types)-len(want)-1])
+	}
+	for _, w := range want {
+		name, _, _ := strings.Cut(w, " ")
+		if _, ok := values[name]; !ok {
+			t.Fatalf("%s has a TYPE line but no sample", name)
+		}
+	}
+	if values["j2k_scheduler_lanes_opened_total"] < 1 {
+		t.Fatalf("j2k_scheduler_lanes_opened_total is %v after a 2-worker encode, want >= 1", values["j2k_scheduler_lanes_opened_total"])
+	}
+
+	resp, err = http.Get(srv.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/vars status %s, want 404", resp.Status)
 	}
 }
 

@@ -283,8 +283,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	img := workload.Dial(32, 32, 1, 0)
 	res, _ := Encode(context.Background(), img, Options{Lossless: true}, 1)
-	if _, err := Decode(context.Background(), res.Data[:len(res.Data)/2], DecodeOptions{}); err == nil {
-		t.Fatal("truncated codestream accepted")
+	n := len(res.Data)
+	for _, cut := range []int{0, 2, n / 3, n / 2, n - 3} {
+		if _, err := Decode(context.Background(), res.Data[:cut], DecodeOptions{}); err == nil {
+			t.Fatalf("codestream truncated to %d of %d bytes accepted", cut, n)
+		}
 	}
 }
 

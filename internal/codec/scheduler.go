@@ -130,39 +130,15 @@ var (
 )
 
 // DefaultScheduler returns the process-wide shared scheduler,
-// constructing it (and registering its /metrics gauges) on first use.
+// constructing it on first use. The /metrics handler reads its Stats
+// on every scrape.
 func DefaultScheduler() *Scheduler {
-	defaultSchedOnce.Do(func() {
-		defaultSched = NewScheduler(SchedConfig{})
-		defaultSched.registerMetrics()
-	})
+	defaultSchedOnce.Do(func() { defaultSched = NewScheduler(SchedConfig{}) })
 	return defaultSched
 }
 
-// registerMetrics exposes the scheduler's gauges and counters through
-// the obs exposition (obs.RegisterMetrics dedupes by name, so only the
-// first scheduler to register — the process default — is exported).
-func (s *Scheduler) registerMetrics() {
-	obs.RegisterMetrics(
-		obs.ExternalMetric{Name: "j2k_scheduler_workers", Help: "Live stage helper goroutines.", Type: "gauge",
-			Read: func() int64 { return int64(len(s.helpers)) }},
-		obs.ExternalMetric{Name: "j2k_scheduler_active_ops", Help: "Operations admitted and running.", Type: "gauge",
-			Read: func() int64 { return int64(len(s.slots)) }},
-		obs.ExternalMetric{Name: "j2k_scheduler_queue_depth", Help: "Operations waiting in the admission queue.", Type: "gauge",
-			Read: s.queued.Load},
-		obs.ExternalMetric{Name: "j2k_scheduler_lanes_opened_total", Help: "Pipelines that ran a stage eligible for helpers.", Type: "counter",
-			Read: s.lanesOpened.Load},
-		obs.ExternalMetric{Name: "j2k_scheduler_pool_claims_total", Help: "Jobs claimed by stage helpers.", Type: "counter",
-			Read: s.poolClaims.Load},
-		obs.ExternalMetric{Name: "j2k_scheduler_admit_waits_total", Help: "Operations that waited in the admission queue.", Type: "counter",
-			Read: s.admitWaits.Load},
-		obs.ExternalMetric{Name: "j2k_scheduler_admit_rejects_total", Help: "Operations rejected with ErrOverloaded.", Type: "counter",
-			Read: s.admitRejects.Load},
-	)
-}
-
 // SchedStats is a snapshot of scheduler state for tests, the Amdahl
-// report, and the j2kload summary line.
+// report, the j2kload summary line and the /metrics scheduler series.
 type SchedStats struct {
 	Workers     int // configured helper width
 	WorkersLive int // helper tokens currently held

@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Prometheus text exposition (format version 0.0.4) of the aggregate
@@ -81,57 +79,7 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 	fmt.Fprint(bw, "# TYPE j2k_spans_dropped_total counter\n")
 	fmt.Fprintf(bw, "j2k_spans_dropped_total %d\n", g.Dropped())
 
-	// Registered external metrics (scheduler gauges and the like),
-	// sorted by name so the exposition stays deterministic regardless
-	// of registration order.
-	extMu.Lock()
-	exts := make([]ExternalMetric, len(externals))
-	copy(exts, externals)
-	extMu.Unlock()
-	sort.Slice(exts, func(i, j int) bool { return exts[i].Name < exts[j].Name })
-	for _, m := range exts {
-		fmt.Fprintf(bw, "# HELP %s %s\n", m.Name, m.Help)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", m.Name, m.Type)
-		fmt.Fprintf(bw, "%s %d\n", m.Name, m.Read())
-	}
-
 	return bw.Flush()
-}
-
-// ExternalMetric is a single-series metric owned by another package
-// (e.g. the codec scheduler's lane and queue gauges) that /metrics
-// should export alongside the registry. Read is called on every
-// scrape and must be safe for concurrent use.
-type ExternalMetric struct {
-	Name string // full metric name, e.g. "j2k_scheduler_active_ops"
-	Help string
-	Type string // "gauge" or "counter"
-	Read func() int64
-}
-
-var (
-	extMu     sync.Mutex
-	externals []ExternalMetric
-)
-
-// RegisterMetrics adds external metrics to every subsequent
-// WritePrometheus exposition. Metrics with a name already registered
-// are ignored, so a process-wide singleton can register idempotently.
-func RegisterMetrics(ms ...ExternalMetric) {
-	extMu.Lock()
-	defer extMu.Unlock()
-	for _, m := range ms {
-		dup := false
-		for _, e := range externals {
-			if e.Name == m.Name {
-				dup = true
-				break
-			}
-		}
-		if !dup && m.Read != nil {
-			externals = append(externals, m)
-		}
-	}
 }
 
 // writeHistogram emits one labeled histogram series: cumulative

@@ -83,7 +83,8 @@ func (c OpClass) String() string {
 // for the life of the process — exactly the semantics Prometheus
 // counters and cumulative histograms require. Spans themselves stay in
 // each recorder's lanes; the registry is the scrape-able summary that
-// /metrics, /debug/vars, and the j2kload SLO table read.
+// /metrics and the j2kload SLO table read. The aggregate registry is
+// the package's one process global; nothing else registers beside it.
 type Registry struct {
 	start    time.Time
 	counters [numCounters]atomic.Int64
@@ -185,19 +186,6 @@ func (g *Registry) Ops(c OpClass) int64 {
 		return 0
 	}
 	return g.ops[c].Load()
-}
-
-// OpsTotal returns the number of completed operations across all
-// classes.
-func (g *Registry) OpsTotal() int64 {
-	if g == nil {
-		return 0
-	}
-	var n int64
-	for c := range g.ops {
-		n += g.ops[c].Load()
-	}
-	return n
 }
 
 // OpsActive returns the number of operations currently in flight.

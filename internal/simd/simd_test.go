@@ -450,6 +450,12 @@ func TestRoundAddF32(t *testing.T) {
 			src[1] = float32(math.Inf(-1))
 			src[2] = float32(math.NaN())
 		}
+		// Exact halves once the offset is added, of both signs: the tie
+		// rule is all that tells rounding modes apart, and random floats
+		// almost never land on one.
+		for i := 3; i < n; i += 5 {
+			src[i] = float32(i%17) - 136.5
+		}
 		want := make([]int32, n)
 		scalarRoundAddF32(want, src, 128)
 		got := offI32(make([]int32, n))

@@ -206,9 +206,13 @@ func TestEncodeObsConcurrentAttribution(t *testing.T) {
 	}
 
 	reg := obs.Aggregate()
-	if reg.Ops(encClass) != per || reg.Ops(decClass) != per || reg.OpsTotal() != 2*per {
+	var total int64
+	for c := obs.OpClass(0); c < obs.NumOpClasses; c++ {
+		total += reg.Ops(c)
+	}
+	if reg.Ops(encClass) != per || reg.Ops(decClass) != per || total != 2*per {
 		t.Fatalf("aggregate ops: enc=%d dec=%d total=%d, want %d/%d/%d",
-			reg.Ops(encClass), reg.Ops(decClass), reg.OpsTotal(), per, per, 2*per)
+			reg.Ops(encClass), reg.Ops(decClass), total, per, per, 2*per)
 	}
 	if reg.OpsActive() != 0 {
 		t.Fatalf("operations still active after all Finish: %d", reg.OpsActive())

@@ -22,9 +22,18 @@ import (
 	"j2kcell/internal/simd"
 )
 
+// The determinism inputs share odd dimensions, so stripe and column
+// boundaries exercise the edge paths: an RGB image, which runs the
+// component transform, and its first component alone, which decodes
+// without one.
+var (
+	rgbInput  = TestImage(97, 61, 7)
+	grayInput = &Image{W: rgbInput.W, H: rgbInput.H, Depth: rgbInput.Depth, Comps: rgbInput.Comps[:1]}
+)
+
 // parallelCases is the determinism matrix: {lossless, lossy} ×
-// {untiled, tiled}, with odd image dimensions so stripe and column
-// boundaries exercise the edge paths. Each case pins the SHA-256 of its
+// {untiled, tiled} with the MQ coder and three of those with HT on the
+// RGB input, and {lossless, lossy} on the one-component input. Each case pins the SHA-256 of its
 // sequential stream and of that stream's sequential decode. The
 // digests are the same under every build's kernel set (SSE2 on amd64,
 // scalar under -tags noasm and on other GOARCHes), so running these
@@ -33,30 +42,37 @@ import (
 // run the tests with -v: they log the new digests to paste in here.
 var parallelCases = []struct {
 	name           string
+	img            *Image
 	opt            Options
 	stream, pixels string
 }{
-	{"lossless", Options{Lossless: true},
+	{"lossless", rgbInput, Options{Lossless: true},
 		"6c85bb55880b092f82865107f8f45a5d4e2b639a896558f8bf48fce57bcf3b4d",
 		"596eeb43d38512c7065c171fd5436d1c413bec0eaada4b8a308ae7b489ceb681"},
-	{"lossy", Options{Rate: 0.2},
+	{"lossy", rgbInput, Options{Rate: 0.2},
 		"19117a6180d548193ac33e1b8da558dc9e11eac1ecb67a958dd9d8240677537e",
 		"847834c8c2d9c5178b8d5cbc51db9a3b90337fcf5723d565982a8db5976b5289"},
-	{"lossless-tiled", Options{Lossless: true, TileW: 48, TileH: 32},
+	{"lossless-tiled", rgbInput, Options{Lossless: true, TileW: 48, TileH: 32},
 		"c25ce3123776b750bb2ec0ff716b6f244cec4d49263c009d6a8359d5597678dd",
 		"596eeb43d38512c7065c171fd5436d1c413bec0eaada4b8a308ae7b489ceb681"},
-	{"lossy-tiled", Options{Rate: 0.2, TileW: 48, TileH: 32},
+	{"lossy-tiled", rgbInput, Options{Rate: 0.2, TileW: 48, TileH: 32},
 		"d60aa6396759d3b86832e5dc08a2fb5a0630208840794c55c1d603124027480e",
 		"c2bfc883c2795c3a6f0039ac6aca04c0948c22a8faeeef587f66cdeb3f46879c"},
-	{"lossless-ht", Options{Lossless: true, HT: true},
+	{"lossless-ht", rgbInput, Options{Lossless: true, HT: true},
 		"733e58cbd0e6893861ccff4a42adf0373179018d6de147a36f7b67d6653a425e",
 		"596eeb43d38512c7065c171fd5436d1c413bec0eaada4b8a308ae7b489ceb681"},
-	{"lossy-ht", Options{Rate: 0.2, HT: true},
+	{"lossy-ht", rgbInput, Options{Rate: 0.2, HT: true},
 		"c0948a5baaf657b0af6e7e98ab70b44d3a675e6a155c567d165312478b7c6c5d",
 		"3dce53a5a24356c0f991b758868198f7fbade3cf260ac21cc2646cbe31ade58d"},
-	{"lossless-ht-tiled", Options{Lossless: true, HT: true, TileW: 48, TileH: 32},
+	{"lossless-ht-tiled", rgbInput, Options{Lossless: true, HT: true, TileW: 48, TileH: 32},
 		"4319e97308d2132002f20d8fd85ea6920fab5307f6d4679656a6ea0bbdf7ea15",
 		"596eeb43d38512c7065c171fd5436d1c413bec0eaada4b8a308ae7b489ceb681"},
+	{"gray-lossless", grayInput, Options{Lossless: true},
+		"71d5771a6642c6bfef6a5d04ec293846d526ee4259956c64273c6df3eafcfd6e",
+		"cd24ebf288efa811defb5b23b43b4f01c4b2b8560ede6df4fdd3403d250c8179"},
+	{"gray-lossy", grayInput, Options{Rate: 0.2},
+		"7112057264aa957061f8110da9bb7779b04b6165e057ea9878f9447fd6ccf74b",
+		"dfaeb7c77534a5eca1bff4543c375cc55d0a799285922af2a904fa9809734b1e"},
 }
 
 func workerCounts() []int {
@@ -85,10 +101,9 @@ func pixelDigest(img *Image) string {
 }
 
 func TestEncodeParallelDeterminism(t *testing.T) {
-	img := TestImage(97, 61, 7)
 	for _, tc := range parallelCases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq, _, err := Encode(img, tc.opt)
+			seq, _, err := Encode(tc.img, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +111,7 @@ func TestEncodeParallelDeterminism(t *testing.T) {
 			checkDigest(t, "stream", hex.EncodeToString(sum[:]), tc.stream)
 			for _, w := range workerCounts() {
 				t.Run(fmt.Sprintf("workers-%d", w), func(t *testing.T) {
-					par, _, err := EncodeParallelContext(context.Background(), img, tc.opt, w)
+					par, _, err := EncodeParallelContext(context.Background(), tc.img, tc.opt, w)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -111,10 +126,9 @@ func TestEncodeParallelDeterminism(t *testing.T) {
 }
 
 func TestDecodeParallelDeterminism(t *testing.T) {
-	img := TestImage(97, 61, 7)
 	for _, tc := range parallelCases {
 		t.Run(tc.name, func(t *testing.T) {
-			data, _, err := Encode(img, tc.opt)
+			data, _, err := Encode(tc.img, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,10 +171,9 @@ func TestDecodeKernelSetsDeterminism(t *testing.T) {
 			decoders[kern] = buildDecoder(t, kern)
 		}
 	}
-	img := TestImage(97, 61, 7)
 	for _, tc := range parallelCases {
 		t.Run(tc.name, func(t *testing.T) {
-			data, _, err := Encode(img, tc.opt)
+			data, _, err := Encode(tc.img, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +221,7 @@ func buildDecoder(t *testing.T, kern string) string {
 func decodeWithBinary(t *testing.T, bin, kern string, data []byte, w int) *Image {
 	t.Helper()
 	dir := t.TempDir()
-	in, out := filepath.Join(dir, "in.j2c"), filepath.Join(dir, "out.ppm")
+	in, out := filepath.Join(dir, "in.j2c"), filepath.Join(dir, "out.pnm")
 	if err := os.WriteFile(in, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
