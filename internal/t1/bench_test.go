@@ -18,24 +18,50 @@ func benchContent(kind string, w, h int, seed uint32) []int32 {
 	return sparseBlock(w, h, seed)
 }
 
-// benchEncodeGrid encodes the canonical block grid in one mode:
+// forEachGridBlock calls f for every block of the canonical grid:
 // orientation (context table) × content statistics × block size, with
-// the same seeds in every mode so the tables divide row by row.
-func benchEncodeGrid(b *testing.B, mode Mode) {
+// fixed seeds so that encode and decode tables divide row by row.
+func forEachGridBlock(f func(name string, coef []int32, n int, o dwt.Orient)) {
 	for _, o := range []dwt.Orient{dwt.LL, dwt.HL, dwt.LH, dwt.HH} {
 		for _, kind := range []string{"sparse", "dense"} {
 			for _, n := range []int{32, 64} {
 				coef := benchContent(kind, n, n, uint32(n)+uint32(o)*17+3)
-				b.Run(fmt.Sprintf("%v/%s/%dx%d", o, kind, n, n), func(b *testing.B) {
-					b.SetBytes(int64(4 * n * n))
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						Encode(coef, n, n, n, o, mode, 1.0)
-					}
-				})
+				f(fmt.Sprintf("%v/%s/%dx%d", o, kind, n, n), coef, n, o)
 			}
 		}
 	}
+}
+
+// benchEncodeGrid encodes the canonical block grid in one mode.
+func benchEncodeGrid(b *testing.B, mode Mode) {
+	forEachGridBlock(func(name string, coef []int32, n int, o dwt.Orient) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(4 * n * n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Encode(coef, n, n, n, o, mode, 1.0)
+			}
+		})
+	})
+}
+
+// benchDecode times decoding every pass of one encoded n×n block.
+func benchDecode(b *testing.B, name string, coef []int32, n int, o dwt.Orient, mode Mode) {
+	blk := Encode(coef, n, n, n, o, mode, 1.0)
+	segLens := make([]int, len(blk.Passes))
+	for i, p := range blk.Passes {
+		segLens[i] = int(p.SegLen)
+	}
+	out := make([]int32, n*n)
+	b.Run(name, func(b *testing.B) {
+		b.SetBytes(int64(4 * n * n))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := Decode(out, n, n, n, o, mode, blk.NumBPS, len(blk.Passes), blk.Data, segLens); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // Benchmark_T1EncodeBlock prices the Tier-1 block coder itself across
@@ -54,18 +80,15 @@ func Benchmark_T1EncodeBlockTermAll(b *testing.B) {
 	}
 }
 
-// Benchmark_T1DecodeBlock prices the mirrored decoder path.
+// Benchmark_T1DecodeBlock prices the mirrored decoder on the
+// Benchmark_T1EncodeBlock grid (same blocks, ModeSingle), so each row
+// divides against its encode twin, plus the
+// Benchmark_T1EncodeBlockTermAll block decoded in ModeTermAll.
 func Benchmark_T1DecodeBlock(b *testing.B) {
-	coef := benchContent("dense", 64, 64, 11)
-	blk := Encode(coef, 64, 64, 64, dwt.HL, ModeSingle, 1.0)
-	out := make([]int32, 64*64)
-	b.SetBytes(int64(4 * 64 * 64))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := Decode(out, 64, 64, 64, dwt.HL, ModeSingle, blk.NumBPS, len(blk.Passes), blk.Data, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	forEachGridBlock(func(name string, coef []int32, n int, o dwt.Orient) {
+		benchDecode(b, name, coef, n, o, ModeSingle)
+	})
+	benchDecode(b, "termall/HL/dense/64x64", benchContent("dense", 64, 64, 9), 64, dwt.HL, ModeTermAll)
 }
 
 // Benchmark_HTEncodeBlock prices the HT cleanup coder on the exact
