@@ -34,6 +34,8 @@ type encoder struct {
 	// and the MQ registers stay in locals for the entire pass.
 	ops []uint8
 
+	trace func(t PassType, plane int, ops []uint8) // see encodeMQ
+
 	// Per-pass accumulators.
 	scanned   int
 	distDelta float64
@@ -49,6 +51,14 @@ func Encode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain f
 	if mode.IsHT() {
 		return encodeHT(coef, w, h, stride, orient, mode, gain)
 	}
+	return encodeMQ(coef, w, h, stride, orient, mode, gain, nil)
+}
+
+// encodeMQ is Encode's MQ block coder. trace, when non-nil, is shown
+// each pass's decisions (ctx<<1 | bit, the ops buffer) before they are
+// arithmetic coded; the decision oracle in oracle_test.go compares
+// them with its own pass walk.
+func encodeMQ(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain float64, trace func(t PassType, plane int, ops []uint8)) *Block {
 	// invariant: block geometry comes from PlanBlocks, which never emits
 	// empty blocks; encode-side only (decode sizes are clamped to the band).
 	if w <= 0 || h <= 0 {
@@ -94,6 +104,7 @@ func Encode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain f
 	// pass below the top one: the pass list has its exact length.
 	blk.Passes = make([]Pass, 0, 3*numBPS-2)
 	e.coder, e.mode, e.gain2, e.out = c, mode, gain*gain, e.out[:0]
+	e.trace = trace
 	e.mq.Reset()
 
 	for p := numBPS - 1; p >= 0; p-- {
@@ -137,6 +148,9 @@ func (e *encoder) runPass(blk *Block, t PassType, plane int) {
 			// desynchronization caused by damage earlier in the segment.
 			e.ops = append(e.ops, ctxUNI<<1|1, ctxUNI<<1|0, ctxUNI<<1|1, ctxUNI<<1|0)
 		}
+	}
+	if e.trace != nil {
+		e.trace(t, plane, e.ops)
 	}
 	e.mq.EncodeBatch(e.ops, e.cx[:])
 	ps := Pass{Type: t, Plane: int8(plane), DistDelta: e.distDelta, Scanned: int32(e.scanned), Coded: int32(len(e.ops))}

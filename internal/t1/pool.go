@@ -35,7 +35,7 @@ func getEncoder() *encoder {
 // coder pool owns separately. The segment staging buffer stays: each
 // block's Data is a copy of it.
 func putEncoder(e *encoder) {
-	e.coder = nil
+	e.coder, e.trace = nil, nil
 	encoderPool.Put(e)
 }
 
