@@ -466,6 +466,69 @@ func TestRoundAddF32(t *testing.T) {
 	}
 }
 
+// roundTies is the decoder's tie rule written out: exact halves of
+// both signs round away from zero, and values 1/64 off a half or on an
+// integer round to the nearest. Every entry stays exact when the
+// level-shift offset 128 is taken off and put back. The differential
+// tests compare each build's vector body with the scalar loop, which
+// under -tags noasm is the scalar loop against itself; this table is
+// the expectation that holds in every build.
+var roundTies = []struct {
+	in   float32
+	want int32
+}{
+	{0.5, 1}, {-0.5, -1}, {1.5, 2}, {-1.5, -2}, {2.5, 3}, {-2.5, -3},
+	{127.5, 128}, {-127.5, -128}, {254.5, 255}, {-254.5, -255},
+	{4095.5, 4096}, {-4095.5, -4096}, {65535.5, 65536}, {-65535.5, -65536},
+	{4194303.5, 4194304}, {-4194303.5, -4194304},
+	{2.484375, 2}, {-2.484375, -2}, {2.515625, 3}, {-2.515625, -3},
+	{0, 0}, {1, 1}, {-1, -1}, {255, 255}, {-256, -256},
+}
+
+// TestRoundTieTable checks the exported rounding kernels against
+// roundTies, each entry alone (the scalar tail) and all in one row
+// (the vector body, where the build has one): RoundAddRow with and
+// without a level-shift offset, and InverseICTRow with zero chroma,
+// where each output is round(Y + Off).
+func TestRoundTieTable(t *testing.T) {
+	n := len(roundTies)
+	// The whole table in one row, then every entry alone.
+	spans := [][2]int{{0, n}}
+	for i := 0; i < n; i++ {
+		spans = append(spans, [2]int{i, i + 1})
+	}
+	zero := make([]float32, n)
+	for _, off := range []float32{0, 128} {
+		src := make([]float32, n)
+		for i, c := range roundTies {
+			src[i] = c.in - off
+			if src[i]+off != c.in {
+				t.Fatalf("table entry %v is not exact at offset %v", c.in, off)
+			}
+		}
+		p := &ICTInvParams{Off: off, RCr: 1.402, GCb: 0.344136, GCr: 0.714136, BCb: 1.772}
+		check := func(what string, got []int32, lo int) {
+			t.Helper()
+			for i, g := range got {
+				if c := roundTies[lo+i]; g != c.want {
+					t.Errorf("%s %s off %v: round(%v) = %d, want %d", Kernel(), what, off, c.in, g, c.want)
+				}
+			}
+		}
+		for _, sp := range spans {
+			lo, hi := sp[0], sp[1]
+			got := make([]int32, hi-lo)
+			RoundAddRow(got, src[lo:hi], off)
+			check("RoundAddRow", got, lo)
+			r, g, b := make([]int32, hi-lo), make([]int32, hi-lo), make([]int32, hi-lo)
+			InverseICTRow(src[lo:hi], zero[lo:hi], zero[lo:hi], r, g, b, p)
+			check("InverseICTRow/R", r, lo)
+			check("InverseICTRow/G", g, lo)
+			check("InverseICTRow/B", b, lo)
+		}
+	}
+}
+
 func TestRCTInv(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, n := range testLengths {
