@@ -2,20 +2,20 @@ package t1
 
 import (
 	"fmt"
+	"math/bits"
 
 	"j2kcell/internal/dwt"
 	"j2kcell/internal/mq"
 )
 
-// decoder mirrors the encoder pass for pass. It shares the flag-word
-// scheme and context LUTs with the encoder, so its context sequence is
+// decoder mirrors the encoder pass for pass. It shares the column
+// words and context LUTs with the encoder, so its context sequence is
 // identical by construction; the column-skip fast paths fire exactly
 // where the encoder emitted nothing (they are pure functions of the
-// same flag state), keeping the two in lockstep on the bitstream.
+// same column state), keeping the two in lockstep on the bitstream.
 type decoder struct {
 	*coder
-	mq        mq.Decoder
-	lastPlane []int8 // lowest plane at which each coefficient was coded
+	mq mq.Decoder
 }
 
 // Decode reconstructs a w×h code block from its Tier-1 bitstream into
@@ -34,9 +34,7 @@ func Decode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS
 	}
 	c := newCoder(w, h, orient)
 	defer c.release()
-	lp := getInt8(w * h)
-	defer putInt8(lp)
-	d := &decoder{coder: c, lastPlane: *lp}
+	d := &decoder{coder: c}
 
 	if mode.Base() == ModeTermAll && len(segLens) < numPasses {
 		return fmt.Errorf("t1: %d passes but only %d segment lengths", numPasses, len(segLens))
@@ -58,17 +56,22 @@ func Decode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS
 		off += n
 	}
 
+	// The plane and type of the last pass decoded.
+	lastP, lastT := 0, PassCln
 	for p := numBPS - 1; p >= 0 && pass < numPasses; p-- {
+		lastP = p
 		if p != numBPS-1 {
 			if pass < numPasses {
 				nextSeg()
 				d.sigPass(p)
 				pass++
+				lastT = PassSig
 			}
 			if pass < numPasses {
 				nextSeg()
 				d.refPass(p)
 				pass++
+				lastT = PassRef
 			}
 		}
 		if pass < numPasses {
@@ -85,22 +88,33 @@ func Decode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS
 				}
 			}
 			pass++
+			lastT = PassCln
 		}
 	}
 
-	// Midpoint reconstruction at each coefficient's reached precision.
+	// Midpoint reconstruction at each coefficient's reached precision,
+	// with the sign from the χ bit of its column word. A significant
+	// coefficient was last coded at the plane of the last pass, except
+	// when that pass is a significance pass: then the coefficients it
+	// did not visit (π clear) were last refined a plane above.
 	for y := 0; y < h; y++ {
+		j0 := (y/4+1)*c.sw + 1
+		ks := 3 * uint(y%4)
 		for x := 0; x < w; x++ {
-			i := y*w + x
-			m := c.mag[i]
+			m := c.mag[y*w+x]
 			if m == 0 {
 				continue
 			}
-			if lp := d.lastPlane[i]; lp > 0 {
+			win := c.state[j0+x] >> ks
+			lp := lastP
+			if lastT == PassSig && win&cwPi == 0 {
+				lp++
+			}
+			if lp > 0 {
 				m += 1 << uint(lp-1)
 			}
 			v := int32(m)
-			if c.flags[c.fidx(x, y)]&fwNeg != 0 {
+			if win&cwChi != 0 {
 				v = -v
 			}
 			coef[y*stride+x] = v
@@ -111,147 +125,113 @@ func Decode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS
 
 func (d *decoder) decodeBit(ctx int) int { return d.mq.Decode(&d.cx[ctx]) }
 
-// decodeSignificance reads the sign of a newly significant coefficient,
-// propagates its significance into the neighbor flag words, and sets
-// its magnitude bit.
-func (d *decoder) decodeSignificance(fi, mi, p int) {
-	fv := d.flags[fi]
-	sc := lutSC[scIndex(fv)]
-	bit := d.decodeBit(ctxSC + int(sc&7))
-	neg := uint8(bit)^(sc>>3) == 1
-	if neg {
-		d.flags[fi] |= fwNeg
-	}
-	d.setSig(fi, neg)
+// decodeSignificance reads the sign of the sample at row k of column
+// word j (magnitude index mi), newly significant at plane p, sets its
+// magnitude bit, mirrors its significance into the neighboring words
+// and returns the bits for word j. fv is word j as the pass holds it.
+func (d *decoder) decodeSignificance(fv uint32, j int, k uint, mi, p int) uint32 {
+	st := d.state
+	sc := lutSC[scIndex(fv, st[j-1], st[j+1], k)]
+	neg := uint32(d.mq.Decode(&d.cx[ctxSC+sc&7])) ^ uint32(sc>>3)
 	d.mag[mi] |= 1 << uint(p)
-	d.lastPlane[mi] = int8(p)
+	return d.setSig(j, k, neg)
 }
 
 func (d *decoder) sigPass(p int) {
-	w, h, fw := d.w, d.h, d.fw
-	f := d.flags
+	w, h, sw := d.w, d.h, d.sw
+	st := d.state
 	zc := &lutZC[d.zcTab]
-	vp := visitStamp(p)
-	for y0 := 0; y0 < h; y0 += 4 {
-		sh := h - y0
-		if sh > 4 {
-			sh = 4
-		}
-		fi0 := (y0+1)*fw + 1
+	dec, cx := &d.mq, &d.cx
+	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
+		rows := stripeRows(min(4, h-y0))
+		j0 := (s+1)*sw + 1
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
-			fi := fi0 + x
-			or, and := f[fi], f[fi]
-			for k := 1; k < sh; k++ {
-				v := f[fi+k*fw]
-				or |= v
-				and &= v
-			}
-			// Mirrors the encoder: no significant neighbor anywhere or
-			// every coefficient already significant ⇒ nothing was coded.
-			if or&fwSigNbr == 0 || and&fwSig != 0 {
+			j := j0 + x
+			fv := st[j]
+			// The encoder's member set: rows with a non-zero context.
+			members := sigMembers(fv, rows)
+			if members == 0 {
 				continue
 			}
-			mi := mi0 + x
-			for k := 0; k < sh; k++ {
-				fv := f[fi]
-				if fv&fwSig == 0 {
-					if c := zc[fv>>4&0xFF]; c != 0 {
-						if d.decodeBit(ctxZC+int(c)) == 1 {
-							d.decodeSignificance(fi, mi, p)
-						}
-						f[fi] = f[fi]&^fwVisitMask | vp
-					}
+			for ; members != 0; members &= members - 1 {
+				k3 := uint(bits.TrailingZeros32(members)) - 4 // 3k for row k
+				fv |= cwPi << k3
+				if dec.Decode(&cx[ctxZC+zc[fv>>k3&0x1FF]]) == 1 {
+					fv |= d.decodeSignificance(fv, j, k3/3, mi0+x+int(k3/3)*w, p)
+					members |= cwSelf << 3 << k3 & rows &^ fv // the row below
 				}
-				fi += fw
-				mi += w
 			}
+			st[j] = fv
 		}
 	}
 }
 
 func (d *decoder) refPass(p int) {
-	w, h, fw := d.w, d.h, d.fw
-	f := d.flags
-	vp := visitStamp(p)
+	w, h, sw := d.w, d.h, d.sw
+	st, mag := d.state, d.mag
+	dec, cx := &d.mq, &d.cx
 	up := uint(p)
-	for y0 := 0; y0 < h; y0 += 4 {
-		sh := h - y0
-		if sh > 4 {
-			sh = 4
-		}
-		fi0 := (y0+1)*fw + 1
+	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
+		j0 := (s+1)*sw + 1
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
-			fi := fi0 + x
-			or := f[fi]
-			for k := 1; k < sh; k++ {
-				or |= f[fi+k*fw]
-			}
-			if or&fwSig == 0 {
-				continue // nothing significant in the column
+			j := j0 + x
+			fv := st[j]
+			members := fv & cwSelfAll &^ (fv >> 17) // σ and not π
+			if members == 0 {
+				continue
 			}
 			mi := mi0 + x
-			for k := 0; k < sh; k++ {
-				fv := f[fi]
-				if fv&fwSig != 0 && fv&fwVisitMask != vp {
-					bit := d.decodeBit(mrCtx(fv))
-					d.mag[mi] |= uint32(bit) << up
-					d.lastPlane[mi] = int8(p)
-					f[fi] |= fwRefined
-				}
-				fi += fw
-				mi += w
+			if members == cwSelfAll {
+				// All four rows refine: the common case once a block is
+				// dense, taken without the per-row tests.
+				mag[mi] |= uint32(dec.Decode(&cx[mrCtx(fv)])) << up
+				mag[mi+w] |= uint32(dec.Decode(&cx[mrCtx(fv>>3)])) << up
+				mag[mi+2*w] |= uint32(dec.Decode(&cx[mrCtx(fv>>6)])) << up
+				mag[mi+3*w] |= uint32(dec.Decode(&cx[mrCtx(fv>>9)])) << up
+				st[j] = fv | cwMuAll
+				continue
 			}
+			for ; members != 0; members &= members - 1 {
+				k3 := uint(bits.TrailingZeros32(members)) - 4 // 3k for row k
+				mag[mi+int(k3/3)*w] |= uint32(dec.Decode(&cx[mrCtx(fv>>k3)])) << up
+				fv |= cwMu << k3
+			}
+			st[j] = fv
 		}
 	}
 }
 
 func (d *decoder) clnPass(p int) {
-	w, h, fw := d.w, d.h, d.fw
-	f := d.flags
+	w, h, sw := d.w, d.h, d.sw
+	st := d.state
 	zc := &lutZC[d.zcTab]
-	vp := visitStamp(p)
-	for y0 := 0; y0 < h; y0 += 4 {
-		sh := h - y0
-		if sh > 4 {
-			sh = 4
-		}
-		fi0 := (y0+1)*fw + 1
+	dec, cx := &d.mq, &d.cx
+	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
+		sh := min(4, h-y0)
+		rows := stripeRows(sh)
+		j0 := (s+1)*sw + 1
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
-			fi := fi0 + x
-			mi := mi0 + x
-			start := 0
-			if sh == 4 {
-				f0, f1, f2, f3 := f[fi], f[fi+fw], f[fi+2*fw], f[fi+3*fw]
-				if f0&f1&f2&f3&fwSig != 0 {
-					continue // all four significant: encoder coded nothing
+			j := j0 + x
+			fv := st[j]
+			members := rows &^ (fv | fv>>17) // σ and π clear
+			if sh == 4 && fv&cwSigma == 0 {
+				if dec.Decode(&cx[ctxRL]) == 0 {
+					continue
 				}
-				or := f0 | f1 | f2 | f3
-				if or&(fwSig|fwSigNbr) == 0 {
-					if d.decodeBit(ctxRL) == 0 {
-						continue
-					}
-					runLen := d.decodeBit(ctxUNI)<<1 | d.decodeBit(ctxUNI)
-					fi += runLen * fw
-					mi += runLen * w
-					d.decodeSignificance(fi, mi, p)
-					fi += fw
-					mi += w
-					start = runLen + 1
+				k := uint(dec.Decode(&cx[ctxUNI])<<1 | dec.Decode(&cx[ctxUNI]))
+				fv |= d.decodeSignificance(fv, j, k, mi0+x+int(k)*w, p)
+				members &= ^uint32(0) << (3*k + 7)
+			}
+			for ; members != 0; members &= members - 1 {
+				k3 := uint(bits.TrailingZeros32(members)) - 4 // 3k for row k
+				if dec.Decode(&cx[ctxZC+zc[fv>>k3&0x1FF]]) == 1 {
+					fv |= d.decodeSignificance(fv, j, k3/3, mi0+x+int(k3/3)*w, p)
 				}
 			}
-			for k := start; k < sh; k++ {
-				fv := f[fi]
-				if fv&fwSig == 0 && fv&fwVisitMask != vp {
-					if d.decodeBit(ctxZC+int(zc[fv>>4&0xFF])) == 1 {
-						d.decodeSignificance(fi, mi, p)
-					}
-				}
-				fi += fw
-				mi += w
-			}
+			st[j] = fv &^ cwPiAll
 		}
 	}
 }

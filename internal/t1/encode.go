@@ -20,12 +20,15 @@ type encoder struct {
 	// stripeOR[s*w+x] is the OR of the magnitudes of the (up to) four
 	// coefficients of stripe s, column x — computed once when the block
 	// is loaded. (stripeOR>>p)&1 answers "does any coefficient of this
-	// stripe column carry bit p" in one load, which lets the refinement
-	// pass skip columns with nothing significant yet and the cleanup
+	// stripe column carry bit p" in one load, which lets the cleanup
 	// pass emit the run-length bit for an all-quiet column without
-	// scanning its coefficients. Planes above a stripe's local numBPS
-	// are thereby never scanned at all.
+	// scanning its coefficients.
 	stripeOR []uint32
+
+	// chi holds the block's signs in the χ bits of column words laid out
+	// like the coder's state: the bits a sample's column word receives
+	// when it becomes significant.
+	chi []uint32
 
 	// ops is the deferred MQ decision buffer for the current pass: each
 	// entry packs ctx<<1 | d. The passes only decide what to code — the
@@ -69,13 +72,8 @@ func encodeMQ(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 
 	e := getEncoder()
 	defer putEncoder(e)
-	ns := (h + 3) / 4
-	if n := ns * w; cap(e.stripeOR) < n {
-		e.stripeOR = make([]uint32, n)
-	} else {
-		e.stripeOR = e.stripeOR[:n]
-		clear(e.stripeOR)
-	}
+	e.stripeOR = zeroed(e.stripeOR, (h+3)/4*w)
+	e.chi = zeroed(e.chi, len(c.state))
 	// A cleanup pass codes at most 10 bits per 4-high stripe column
 	// (RL + two UNI + sign, then up to two bits for each remaining
 	// coefficient), so 3·w·h bounds any pass's op count.
@@ -85,14 +83,15 @@ func encodeMQ(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 
 	// The load traversal runs row-kernels from the simd layer: magnitudes
 	// plus a running OR (bits.Len32(OR) == bits.Len32(max), which is all numBPS
-	// needs), the stripe OR masks, and the sign flags.
+	// needs), the stripe OR masks and the signs.
 	orAll := uint32(0)
 	for y := 0; y < h; y++ {
 		coefRow := coef[y*stride : y*stride+w]
 		magRow := c.mag[y*w : y*w+w]
 		orAll |= simd.AbsOrRow(magRow, coefRow)
 		simd.OrRow(e.stripeOR[(y/4)*w:(y/4)*w+w], magRow)
-		simd.SignOrRow(c.flags[c.fidx(0, y):c.fidx(0, y)+w], coefRow, fwNeg)
+		j, k := c.col(0, y)
+		simd.SignOrRow(e.chi[j:j+w], coefRow, cwChi<<(3*k))
 	}
 	numBPS := bits.Len32(orAll)
 	blk := &Block{W: w, H: h, Orient: orient, NumBPS: numBPS, Mode: mode}
@@ -185,73 +184,59 @@ func (e *encoder) sigDistDelta(m uint32, p int) float64 {
 	return float64((float64(before*before) - float64(after*after)) * e.gain2)
 }
 
-// codeSignificance codes the sign of a coefficient that just became
-// significant, propagates its significance into the neighbor flag
-// words, and returns the distortion reduction. The caller accounts for
-// the sign bit in its coded counter.
-func (e *encoder) codeSignificance(ops []uint8, fi, mi, p int) ([]uint8, float64) {
-	fv := e.flags[fi]
-	sc := lutSC[scIndex(fv)]
-	sign := uint8(0)
-	if fv&fwNeg != 0 {
-		sign = 1
-	}
-	ops = append(ops, (uint8(ctxSC)+sc&7)<<1|(sign^sc>>3))
-	e.setSig(fi, fv&fwNeg != 0)
-	return ops, e.sigDistDelta(e.mag[mi], p)
+// codeSignificance codes the sign of the sample at row k of column
+// word j, with magnitude m, which just became significant at plane p.
+// fv is word j as the pass holds it. It mirrors the significance into
+// the neighboring words and returns the bits for word j and the
+// distortion reduction. The caller accounts for the sign bit in its
+// coded counter.
+func (e *encoder) codeSignificance(ops []uint8, fv uint32, j int, k uint, m uint32, p int) ([]uint8, uint32, float64) {
+	st := e.state
+	sc := lutSC[scIndex(fv, st[j-1], st[j+1], k)]
+	neg := e.chi[j] >> (3*k + 19) & 1
+	ops = append(ops, (uint8(ctxSC)+sc&7)<<1|(uint8(neg)^sc>>3))
+	return ops, e.setSig(j, k, neg), e.sigDistDelta(m, p)
 }
 
 // sigPass is the significance propagation pass: insignificant
-// coefficients with a preferred (non-zero-context) neighborhood. A
-// stripe column whose words carry no neighbor-significance bits has
-// zero-coding context 0 everywhere and is skipped in one OR.
+// coefficients with a preferred (non-zero-context) neighborhood. The
+// column word gives the set of such rows in a few shifts; a column
+// without one is skipped on its word alone. A row that becomes
+// significant can only add the row below it to the set.
 func (e *encoder) sigPass(p int) {
-	w, h, fw := e.w, e.h, e.fw
-	f, mag := e.flags, e.mag
+	w, h, sw := e.w, e.h, e.sw
+	st, mag := e.state, e.mag
 	zc := &lutZC[e.zcTab]
-	vp := visitStamp(p)
 	up := uint(p)
 	dd := e.distDelta
 	ops := e.ops
-	for y0 := 0; y0 < h; y0 += 4 {
-		sh := h - y0
-		if sh > 4 {
-			sh = 4
-		}
-		fi0 := (y0+1)*fw + 1
+	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
+		rows := stripeRows(min(4, h-y0))
+		j0 := (s+1)*sw + 1
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
-			fi := fi0 + x
-			or, and := f[fi], f[fi]
-			for k := 1; k < sh; k++ {
-				v := f[fi+k*fw]
-				or |= v
-				and &= v
-			}
-			// Nothing to code when no coefficient has a significant
-			// neighbor (all contexts zero) or when every coefficient is
-			// already significant (the pass only codes insignificant ones).
-			if or&fwSigNbr == 0 || and&fwSig != 0 {
+			j := j0 + x
+			fv := st[j]
+			members := sigMembers(fv, rows)
+			if members == 0 {
 				continue
 			}
-			mi := mi0 + x
-			for k := 0; k < sh; k++ {
-				fv := f[fi]
-				if fv&fwSig == 0 {
-					if c := zc[fv>>4&0xFF]; c != 0 {
-						bit := uint8(mag[mi] >> up & 1)
-						ops = append(ops, (uint8(ctxZC)+c)<<1|bit)
-						if bit == 1 {
-							var d float64
-							ops, d = e.codeSignificance(ops, fi, mi, p)
-							dd += d
-						}
-						f[fi] = f[fi]&^fwVisitMask | vp
-					}
+			for ; members != 0; members &= members - 1 {
+				k3 := uint(bits.TrailingZeros32(members)) - 4 // 3k for row k
+				m := mag[mi0+x+int(k3/3)*w]
+				bit := m >> up & 1
+				ops = append(ops, (uint8(ctxZC)+zc[fv>>k3&0x1FF])<<1|uint8(bit))
+				fv |= cwPi << k3
+				if bit != 0 {
+					var own uint32
+					var d float64
+					ops, own, d = e.codeSignificance(ops, fv, j, k3/3, m, p)
+					fv |= own
+					dd += d
+					members |= cwSelf << 3 << k3 & rows &^ fv // the row below
 				}
-				fi += fw
-				mi += w
 			}
+			st[j] = fv
 		}
 	}
 	// Each column contributes its stripe height whether skipped or not.
@@ -261,59 +246,71 @@ func (e *encoder) sigPass(p int) {
 }
 
 // refPass is the magnitude refinement pass: coefficients significant
-// before this plane — exactly those whose magnitude has a bit above
-// plane p, so the stripe OR masks skip entire columns (and all planes
-// above a stripe's local numBPS) without touching the flag words.
+// before this plane, which are those significant and not visited by
+// this plane's significance pass — one test on the column word finds
+// whether a column has any.
 func (e *encoder) refPass(p int) {
-	w, h, fw := e.w, e.h, e.fw
-	f, mag := e.flags, e.mag
+	w, h, sw := e.w, e.h, e.sw
+	st, mag := e.state, e.mag
 	gain2 := e.gain2
 	up := uint(p)
 	// The distortion deltas compare the reconstructions before and after
 	// this bit: errB = m - (trunc_{p+1}(m) + 2^p) and errA = m -
 	// (trunc_p(m) + half_p). Every term is an integer (or ±0.5 at p = 0)
 	// far below 2^53, so the seed's float chain computed these errors
-	// exactly; one masked subtraction yields the identical float64.
+	// exactly; one masked subtraction yields the identical float64. At
+	// p = 0 the masked term is 0 and half0 makes errA the half step
+	// (trunc_0(m) = m).
 	mask1 := (uint32(1) << (up + 1)) - 1
 	mask0 := (uint32(1) << up) - 1
 	hb1 := int32(1) << up
 	hb0 := int32(mask0+1) >> 1
+	half0 := 0.0
+	if p == 0 {
+		half0 = 0.5
+	}
+	delta := func(m uint32) float64 {
+		db := float64(int32(m&mask1) - hb1)
+		da := float64(int32(m&mask0)-hb0) - half0
+		return float64((float64(db*db) - float64(da*da)) * gain2)
+	}
 	dd := e.distDelta
 	ops := e.ops
 	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
-		sh := h - y0
-		if sh > 4 {
-			sh = 4
-		}
-		row := s * w
-		fi0 := (y0+1)*fw + 1
+		j0 := (s+1)*sw + 1
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
-			if e.stripeOR[row+x]>>(up+1) == 0 {
-				continue // nothing significant before this plane
+			j := j0 + x
+			fv := st[j]
+			members := fv & cwSelfAll &^ (fv >> 17) // σ and not π
+			if members == 0 {
+				continue
 			}
-			fi := fi0 + x
 			mi := mi0 + x
-			for k := 0; k < sh; k++ {
-				m := mag[mi]
-				if m>>(up+1) != 0 { // significant before this plane
-					fv := f[fi]
-					ops = append(ops, uint8(mrCtx(fv))<<1|uint8(m>>up&1))
-					db := float64(int32(m&mask1) - hb1)
-					var da float64
-					if up == 0 {
-						da = -0.5 // trunc_0(m) = m: the error is half a step
-					} else {
-						da = float64(int32(m&mask0) - hb0)
-					}
-					dd += float64((float64(db*db) - float64(da*da)) * gain2)
-					if fv&fwRefined == 0 {
-						f[fi] = fv | fwRefined
-					}
-				}
-				fi += fw
-				mi += w
+			if members == cwSelfAll {
+				// All four rows refine: the common case once a block is
+				// dense, taken without the per-row tests.
+				m0, m1, m2, m3 := mag[mi], mag[mi+w], mag[mi+2*w], mag[mi+3*w]
+				ops = append(ops,
+					uint8(mrCtx(fv))<<1|uint8(m0>>up&1),
+					uint8(mrCtx(fv>>3))<<1|uint8(m1>>up&1),
+					uint8(mrCtx(fv>>6))<<1|uint8(m2>>up&1),
+					uint8(mrCtx(fv>>9))<<1|uint8(m3>>up&1))
+				dd += delta(m0)
+				dd += delta(m1)
+				dd += delta(m2)
+				dd += delta(m3)
+				st[j] = fv | cwMuAll
+				continue
 			}
+			for ; members != 0; members &= members - 1 {
+				k3 := uint(bits.TrailingZeros32(members)) - 4 // 3k for row k
+				m := mag[mi+int(k3/3)*w]
+				ops = append(ops, uint8(mrCtx(fv>>k3))<<1|uint8(m>>up&1))
+				dd += delta(m)
+				fv |= cwMu << k3
+			}
+			st[j] = fv
 		}
 	}
 	// Each column contributes its stripe height whether skipped or not.
@@ -323,82 +320,73 @@ func (e *encoder) refPass(p int) {
 }
 
 // clnPass is the cleanup pass with run-length coding of all-quiet
-// stripe columns. A column whose words carry no significance, no
-// neighbor significance (hence no visit this plane — a visited
-// coefficient always has a significant neighbor) is run-length
-// eligible in one OR, and its run-length bit comes straight off the
-// stripe magnitude mask without scanning the coefficients.
+// stripe columns. A full column whose window holds no significance
+// (hence no visit this plane — a visited coefficient always has a
+// significant neighbor) is run-length eligible, and its run-length bit
+// comes straight off the stripe magnitude mask without scanning the
+// coefficients. Otherwise the pass codes the rows neither significant
+// nor visited (σ and π clear), found from the column word alone. It
+// clears every column's π for the next plane.
 func (e *encoder) clnPass(p int) {
-	w, h, fw := e.w, e.h, e.fw
-	f, mag := e.flags, e.mag
+	w, h, sw := e.w, e.h, e.sw
+	st, mag, stripeOR := e.state, e.mag, e.stripeOR
 	zc := &lutZC[e.zcTab]
-	vp := visitStamp(p)
 	bitp := uint32(1) << uint(p)
 	up := uint(p)
 	dd := e.distDelta
 	ops := e.ops
 	scanned := 0
 	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
-		sh := h - y0
-		if sh > 4 {
-			sh = 4
-		}
+		sh := min(4, h-y0)
+		rows := stripeRows(sh)
 		row := s * w
-		fi0 := (y0+1)*fw + 1
+		j0 := (s+1)*sw + 1
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
-			fi := fi0 + x
-			mi := mi0 + x
-			start := 0
-			if sh == 4 {
-				f0, f1, f2, f3 := f[fi], f[fi+fw], f[fi+2*fw], f[fi+3*fw]
-				if f0&f1&f2&f3&fwSig != 0 {
-					// All four already significant: cleanup codes nothing.
-					scanned += 4
+			j := j0 + x
+			fv := st[j]
+			members := rows &^ (fv | fv>>17) // σ and π clear
+			if sh == 4 && fv&cwSigma == 0 {
+				// Run-length mode: all four insignificant, unvisited,
+				// context-free.
+				scanned += 4
+				if stripeOR[row+x]&bitp == 0 {
+					ops = append(ops, ctxRL<<1|0)
 					continue
 				}
-				or := f0 | f1 | f2 | f3
-				if or&(fwSig|fwSigNbr) == 0 {
-					// Run-length mode: all four insignificant, unvisited,
-					// context-free.
-					scanned += 4
-					if e.stripeOR[row+x]&bitp == 0 {
-						ops = append(ops, ctxRL<<1|0)
-						continue
-					}
-					runLen := 0
-					for mag[mi]&bitp == 0 {
-						runLen++
-						fi += fw
-						mi += w
-					}
-					ops = append(ops, ctxRL<<1|1,
-						ctxUNI<<1|uint8(runLen>>1&1), ctxUNI<<1|uint8(runLen&1))
-					// The coefficient at y0+runLen is significant; its
-					// significance bit is implied, only the sign is coded.
+				k := uint(0)
+				for mi := mi0 + x; mag[mi]&bitp == 0; mi += w {
+					k++
+				}
+				ops = append(ops, ctxRL<<1|1,
+					ctxUNI<<1|uint8(k>>1&1), ctxUNI<<1|uint8(k&1))
+				// The coefficient at y0+k is significant; its significance
+				// bit is implied, only the sign is coded. The rows after it
+				// are coded as usual.
+				var own uint32
+				var d float64
+				ops, own, d = e.codeSignificance(ops, fv, j, k, mag[mi0+x+int(k)*w], p)
+				fv |= own
+				dd += d
+				members &= ^uint32(0) << (3*k + 7)
+				scanned += 3 - int(k)
+			} else {
+				scanned += sh
+			}
+			for ; members != 0; members &= members - 1 {
+				k3 := uint(bits.TrailingZeros32(members)) - 4 // 3k for row k
+				m := mag[mi0+x+int(k3/3)*w]
+				bit := m >> up & 1
+				ops = append(ops, (uint8(ctxZC)+zc[fv>>k3&0x1FF])<<1|uint8(bit))
+				if bit != 0 {
+					var own uint32
 					var d float64
-					ops, d = e.codeSignificance(ops, fi, mi, p)
+					ops, own, d = e.codeSignificance(ops, fv, j, k3/3, m, p)
+					fv |= own
 					dd += d
-					fi += fw
-					mi += w
-					start = runLen + 1
 				}
 			}
-			scanned += sh - start
-			for k := start; k < sh; k++ {
-				fv := f[fi]
-				if fv&fwSig == 0 && fv&fwVisitMask != vp {
-					bit := uint8(mag[mi] >> up & 1)
-					ops = append(ops, (uint8(ctxZC)+zc[fv>>4&0xFF])<<1|bit)
-					if bit == 1 {
-						var d float64
-						ops, d = e.codeSignificance(ops, fi, mi, p)
-						dd += d
-					}
-				}
-				fi += fw
-				mi += w
-			}
+			st[j] = fv &^ cwPiAll
 		}
 	}
 	e.scanned += scanned

@@ -17,14 +17,17 @@ import (
 // interface the MQ coder uses.
 const htTrailerLen = 7
 
-// htEncoder holds the pooled scratch of one HT block encode: the three
-// cleanup byte streams, the MEL state, the packer reused by the two
-// raw-bit refinement passes, the block's bit sets at the cleanup plane
-// and the passes' per-row working sets.
+// htEncoder holds the pooled scratch of one HT block encode: the
+// block's magnitudes and sign words, the three cleanup byte streams,
+// the MEL state, the packer reused by the two raw-bit refinement
+// passes, the block's bit sets at the cleanup plane and the passes'
+// per-row working sets.
 //
 // The per-bit encoder these emitters replace is kept in
 // ht_oracle_test.go; the tests there require identical blocks.
 type htEncoder struct {
+	mag    []uint32 // w×h magnitudes
+	neg    []uint32 // (w+2)×(h+2) sign words with border, 1 = negative
 	magsgn htWriter
 	vlc    htWriter
 	mel    melEncoder
@@ -40,8 +43,8 @@ type htEncoder struct {
 // upstream chain stays lossless. In ModeHTRefine (rate-constrained
 // encodes) the cleanup pass runs at plane 1 and HT SigProp + MagRef
 // raw-bit passes finish plane 0, giving PCRD three truncation points
-// per block. Shares the pooled coder scratch, the simd load kernels,
-// and the Block/Pass contract with the MQ encoder.
+// per block. Shares the simd load kernels and the Block/Pass contract
+// with the MQ encoder.
 //
 // All three passes read one pair of bit sets, 64 samples to a word,
 // built once per block by simd.PlaneMaskRow at the cleanup plane: nz
@@ -53,14 +56,18 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 	if w <= 0 || h <= 0 {
 		panic("t1: empty code block")
 	}
-	c := newCoder(w, h, orient)
-	defer c.release()
 	e := getHTEncoder()
 	defer putHTEncoder(e)
+	// No clear for the magnitudes: the load writes every one. The sign
+	// words are OR-ed into, so they start at zero; their one-word border
+	// lets the cleanup load the signs of a quad's samples that lie
+	// outside the block (they are empty, so their sign is never used).
+	e.mag = slices.Grow(e.mag[:0], w*h)[:w*h]
+	e.neg = zeroed(e.neg, (w+2)*(h+2))
 
-	// Same load traversal as the MQ encoder: magnitudes plus a running
-	// OR from the simd row kernels (bits.Len32(OR) == bits.Len32(max)),
-	// and sign flags. A ModeHT cleanup reconstructs every sample exactly,
+	// The MQ encoder's load traversal: magnitudes plus a running OR from
+	// the simd row kernels (bits.Len32(OR) == bits.Len32(max)), and the
+	// sign words. A ModeHT cleanup reconstructs every sample exactly,
 	// so its distortion reduction is the block's weighted energy, summed
 	// here in raster order.
 	gain2 := gain * gain
@@ -68,9 +75,9 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 	energy := 0.0
 	for y := 0; y < h; y++ {
 		coefRow := coef[y*stride : y*stride+w]
-		magRow := c.mag[y*w : y*w+w]
+		magRow := e.mag[y*w : y*w+w]
 		orAll |= simd.AbsOrRow(magRow, coefRow)
-		simd.SignOrRow(c.flags[c.fidx(0, y):c.fidx(0, y)+w], coefRow, fwNeg)
+		simd.SignOrRow(e.neg[(y+1)*(w+2)+1:(y+1)*(w+2)+1+w], coefRow, 1)
 		if mode == ModeHT {
 			for _, m := range magRow {
 				energy += float64(float64(m) * float64(m) * gain2)
@@ -93,9 +100,9 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 	e.nz = slices.Grow(e.nz[:0], h*nw)[:h*nw]
 	e.bit = slices.Grow(e.bit[:0], h*nw)[:h*nw]
 	for y := 0; y < h; y++ {
-		simd.PlaneMaskRow(e.nz[y*nw:y*nw+nw], e.bit[y*nw:y*nw+nw], c.mag[y*w:y*w+w], uint(pCup))
+		simd.PlaneMaskRow(e.nz[y*nw:y*nw+nw], e.bit[y*nw:y*nw+nw], e.mag[y*w:y*w+w], uint(pCup))
 	}
-	nSig, dd := e.cleanup(c, w, h, pCup, gain2, mode == ModeHTRefine)
+	nSig, dd := e.cleanup(w, h, pCup, gain2, mode == ModeHTRefine)
 	if mode == ModeHT {
 		dd = energy
 	}
@@ -122,7 +129,7 @@ func encodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain
 		// own byte-aligned segment (every HT pass boundary is an exact
 		// truncation point, like TERMALL on the MQ side).
 		e.refine.reset()
-		dd, coded := e.sigProp(c, w, h, gain2)
+		dd, coded := e.sigProp(w, h, gain2)
 		e.refine.flush()
 		seg := len(e.refine.buf)
 		out = append(out, e.refine.buf...)
@@ -178,7 +185,7 @@ var quadRho = [16]uint8{0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13, 10, 11, 14, 15}
 // (exact because packing is LSB-first). The four fields of a quad are
 // built without branching on significance: an empty sample's field is
 // empty.
-func (e *htEncoder) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool) (nSig int, dd float64) {
+func (e *htEncoder) cleanup(w, h, pCup int, gain2 float64, track bool) (nSig int, dd float64) {
 	e.magsgn.reset()
 	e.vlc.reset()
 	e.mel.reset()
@@ -189,7 +196,7 @@ func (e *htEncoder) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool)
 	// errA, the plane-pCup midpoint's residual error, is 1 exactly when
 	// pCup = 1 and the dropped LSB is 0: errA = ^m & errLSB.
 	errLSB := uint32(pCup)
-	mag, flags, fw, nz := c.mag, c.flags, c.fw, e.nz
+	mag, neg, fw, nz := e.mag, e.neg, w+2, e.nz
 	ms, vlc, mel := &e.magsgn, &e.vlc, &e.mel
 	// Quads of the last word of a row that lie inside the block.
 	lastValid := evenBits & (^uint64(0) >> ((64 - w&63) & 63))
@@ -259,21 +266,21 @@ func (e *htEncoder) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool)
 				// MagSgn fields collect in the local word (acc, n) and go to
 				// the writer 32 bits at a time; every field is at most 32
 				// bits and fewer than 32 are pending before it, so the word
-				// never overflows. The border words absorb the flag loads of
+				// never overflows. The border words absorb the sign loads of
 				// samples outside the block; those samples are empty and
 				// contribute 0 bits.
 				nb := uint32(umax) + 1
 				switch {
 				case nb <= 8:
 					// The quad's four fields fit one 32-bit field.
-					q, qn := magSgn(v0, flags[fi], nb)
-					f, fn := magSgn(v1, flags[fi+fw], nb)
+					q, qn := magSgn(v0, neg[fi], nb)
+					f, fn := magSgn(v1, neg[fi+fw], nb)
 					q |= f << qn
 					qn += fn
-					f, fn = magSgn(v2, flags[fi+1], nb)
+					f, fn = magSgn(v2, neg[fi+1], nb)
 					q |= f << qn
 					qn += fn
-					f, fn = magSgn(v3, flags[fi+fw+1], nb)
+					f, fn = magSgn(v3, neg[fi+fw+1], nb)
 					q |= f << qn
 					qn += fn
 					acc |= uint64(q) << n
@@ -285,7 +292,7 @@ func (e *htEncoder) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool)
 					}
 				case nb <= 32:
 					for i, v := range [4]uint32{v0, v1, v2, v3} {
-						f, fn := magSgn(v, flags[fi+fOff[i]], nb)
+						f, fn := magSgn(v, neg[fi+fOff[i]], nb)
 						acc |= uint64(f) << n
 						n += uint(fn)
 						if n >= 32 {
@@ -300,7 +307,7 @@ func (e *htEncoder) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool)
 					acc, n = 0, 0
 					for i, v := range [4]uint32{v0, v1, v2, v3} {
 						if v != 0 {
-							ms.put(negBit(flags[fi+fOff[i]]), 1)
+							ms.put(negBit(neg[fi+fOff[i]]), 1)
 							ms.put(v-1, 32)
 						}
 					}
@@ -333,10 +340,10 @@ func (e *htEncoder) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool)
 // nonZero is 1 when v != 0 and 0 otherwise, without a branch.
 func nonZero(v uint32) uint32 { return (v | -v) >> 31 }
 
-// negBit is the sign of a flag word's sample: 1 when fwNeg is set.
-func negBit(fv uint32) uint32 { return fv >> 3 & 1 }
+// negBit is the sign of a sign word's sample: 1 when negative.
+func negBit(fv uint32) uint32 { return fv & 1 }
 
-// magSgn returns one sample's MagSgn field, the sign bit of its flag
+// magSgn returns one sample's MagSgn field, the sign bit of its sign
 // word fv under v−1, and its length nb; an empty sample (v = 0) gets
 // the empty field.
 func magSgn(v, fv, nb uint32) (field, n uint32) {
@@ -351,8 +358,8 @@ func magSgn(v, fv, nb uint32) (field, n uint32) {
 // the scan exactly as on the decode side, in raster order.
 //
 // The encoder finds the members a row at a time on the block's bit
-// sets, 64 samples to a word, instead of sample by sample on flag
-// words. After the plane-1 cleanup a sample is significant exactly
+// sets, 64 samples to a word, instead of sample by sample on neighbor
+// flags. After the plane-1 cleanup a sample is significant exactly
 // when its nz bit is set, and an insignificant sample's plane-0 bit is
 // its magnitude (one = bit &^ nz: magnitude exactly 1). In raster order
 // an insignificant sample is a member when a neighbor was significant
@@ -360,14 +367,14 @@ func magSgn(v, fv, nb uint32) (field, n uint32) {
 // arrived in this row. So arrivals run rightward through consecutive
 // one-samples from a member, which one carry-propagating add finds for
 // a whole row.
-func (e *htEncoder) sigProp(c *coder, w, h int, gain2 float64) (dd float64, coded int) {
+func (e *htEncoder) sigProp(w, h int, gain2 float64) (dd float64, coded int) {
 	nw := (w + 63) >> 6
 	e.rows = zeroed(e.rows, 4*nw)
 	sig := e.nz
 	valid := ^uint64(0) >> ((64 - w&63) & 63) // in-block bits of a row's last word
 	near, memb := e.rows[:nw], e.rows[nw:2*nw]
 	prevA, curA := e.rows[2*nw:3*nw], e.rows[3*nw:]
-	flags, fw := c.flags, c.fw
+	neg, fw := e.neg, w+2
 	wr := &e.refine
 	var acc uint64 // pending bits, fewer than 32 between members
 	var n uint
@@ -410,13 +417,13 @@ func (e *htEncoder) sigProp(c *coder, w, h int, gain2 float64) (dd float64, code
 			curA[i], memb[i] = a, m
 			carry, aLo, nLo = cout, a>>63, v>>63
 		}
-		fr := (y+1)*fw + 1 // flags index of (0, y)
+		fr := (y+1)*fw + 1 // sign word index of (0, y)
 		for i, mw := range memb {
 			aw := curA[i]
 			for t := mw; t != 0; t &= t - 1 {
 				b := bits.TrailingZeros64(t)
 				bit := uint32(aw>>b) & 1
-				sgn := negBit(flags[fr+i<<6+b]) & bit
+				sgn := negBit(neg[fr+i<<6+b]) & bit
 				acc |= uint64(bit|sgn<<1) << n
 				n += uint(1 + bit)
 				if n >= 32 {

@@ -19,6 +19,34 @@ import (
 // two to return identical blocks — every byte, every pass field and
 // every distortion value bit for bit.
 
+// oracleHTState is the HT oracles' sample state: the byte flags of
+// the MQ context oracle (oracle_test.go) and the magnitudes.
+type oracleHTState struct {
+	*oracleCoder
+	mag []uint32
+}
+
+func newOracleHTState(w, h int, orient dwt.Orient) *oracleHTState {
+	return &oracleHTState{newOracle(w, h, orient), make([]uint32, w*h)}
+}
+
+// setSig marks the sample at flags index fi significant, with its sign.
+func (c *oracleHTState) setSig(fi int, neg bool) {
+	c.flags[fi] |= oSig
+	if neg {
+		c.flags[fi] |= oNeg
+	}
+}
+
+// sigNbr reports whether any of the 8 neighbors of flags index fi is
+// significant.
+func (c *oracleHTState) sigNbr(fi int) bool {
+	f, fw := c.flags, c.fw
+	any := f[fi-1] | f[fi+1] | f[fi-fw] | f[fi+fw] |
+		f[fi-fw-1] | f[fi-fw+1] | f[fi+fw-1] | f[fi+fw+1]
+	return any&oSig != 0
+}
+
 // oracleWriter is the per-bit htWriter: LSB-first packing, a byte after
 // an emitted 0xFF carries 7 payload bits.
 type oracleWriter struct {
@@ -164,8 +192,7 @@ type oracleHT struct {
 
 // oracleEncodeHT is encodeHT with the per-bit emitters.
 func oracleEncodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, gain float64) *Block {
-	c := newCoder(w, h, orient)
-	defer c.release()
+	c := newOracleHTState(w, h, orient)
 	e := &oracleHT{rowOR: make([]uint32, (h+1)/2)}
 
 	gain2 := gain * gain
@@ -177,7 +204,11 @@ func oracleEncodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode
 		ror := simd.AbsOrRow(magRow, coefRow)
 		orAll |= ror
 		e.rowOR[y>>1] |= ror
-		simd.SignOrRow(c.flags[c.fidx(0, y):c.fidx(0, y)+w], coefRow, fwNeg)
+		for x, v := range coefRow {
+			if v < 0 {
+				c.flags[c.fidx(x, y)] |= oNeg
+			}
+		}
 		for _, m := range magRow {
 			dist0 += float64(float64(m) * float64(m) * gain2)
 		}
@@ -238,7 +269,7 @@ func oracleEncodeHT(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode
 	return blk
 }
 
-func (e *oracleHT) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool) (nSig int, dd float64) {
+func (e *oracleHT) cleanup(c *oracleHTState, w, h, pCup int, gain2 float64, track bool) (nSig int, dd float64) {
 	nqx := (w + 1) / 2
 	nqy := (h + 1) / 2
 	e.prevRho = make([]uint8, nqx)
@@ -315,7 +346,7 @@ func (e *oracleHT) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool) 
 						fj++
 						mj++
 					}
-					neg := flags[fj]&fwNeg != 0
+					neg := flags[fj]&oNeg != 0
 					s := uint32(0)
 					if neg {
 						s = 1
@@ -342,7 +373,7 @@ func (e *oracleHT) cleanup(c *coder, w, h, pCup int, gain2 float64, track bool) 
 	return nSig, dd
 }
 
-func (e *oracleHT) sigProp(c *coder, w, h int, gain2 float64) (dd float64, coded int) {
+func (e *oracleHT) sigProp(c *oracleHTState, w, h int, gain2 float64) (dd float64, coded int) {
 	f, mag, fw := c.flags, c.mag, c.fw
 	wr := &e.refine
 	for y := 0; y < h; y++ {
@@ -350,12 +381,12 @@ func (e *oracleHT) sigProp(c *coder, w, h int, gain2 float64) (dd float64, coded
 		mi := y * w
 		for x := 0; x < w; x++ {
 			fv := f[fi]
-			if fv&fwSig == 0 && fv&fwSigNbr != 0 {
+			if fv&oSig == 0 && c.sigNbr(fi) {
 				bit := mag[mi]
 				wr.put(bit, 1)
 				coded++
 				if bit != 0 {
-					neg := fv&fwNeg != 0
+					neg := fv&oNeg != 0
 					s := uint32(0)
 					if neg {
 						s = 1
@@ -373,7 +404,7 @@ func (e *oracleHT) sigProp(c *coder, w, h int, gain2 float64) (dd float64, coded
 	return dd, coded
 }
 
-func (e *oracleHT) magRef(c *coder, w, h int, gain2 float64) (dd float64, coded int) {
+func (e *oracleHT) magRef(c *oracleHTState, w, h int, gain2 float64) (dd float64, coded int) {
 	mag := c.mag
 	wr := &e.refine
 	for i := 0; i < w*h; i++ {
@@ -572,7 +603,7 @@ func FuzzHTEncodeMatchesOracle(f *testing.F) {
 // The per-bit HT block decoder, kept as a reference oracle: a reader
 // that refills one byte at a time, one get per sign bit, magnitude
 // field, prefix-code fragment and raw refinement bit, and significance
-// tracked in the coder's flag words. The production decoder
+// tracked in byte flags. The production decoder
 // (ht_decode.go, ht_stream.go) refills by words, reads packed fields
 // and tracks significance in per-row bit sets; TestHTDecodeMatchesOracle
 // and FuzzHTDecodeMatchesOracle require the two to write identical
@@ -715,8 +746,7 @@ func oracleDecodeHT(coef []int32, w, h, stride int, orient dwt.Orient, numBPS, n
 	mel.r.data = cup[body-lenMEL-lenVLC : body-lenVLC]
 	vlc.data = cup[body-lenVLC : body]
 
-	c := newCoder(w, h, orient)
-	defer c.release()
+	c := newOracleHTState(w, h, orient)
 	lp := make([]int8, w*h)
 	prevRho := make([]int8, (w+1)/2)
 
@@ -777,7 +807,7 @@ func oracleDecodeHT(coef []int32, w, h, stride int, orient dwt.Orient, numBPS, n
 					mag[mj] = v << up
 					lp[mj] = int8(pCup)
 					if neg {
-						flags[fj] |= fwNeg
+						flags[fj] |= oNeg
 					}
 					c.setSig(fj, neg)
 				}
@@ -800,11 +830,11 @@ func oracleDecodeHT(coef []int32, w, h, stride int, orient dwt.Orient, numBPS, n
 			mi := y * w
 			for x := 0; x < w; x++ {
 				fv := flags[fi]
-				if fv&fwSig == 0 && fv&fwSigNbr != 0 {
+				if fv&oSig == 0 && c.sigNbr(fi) {
 					if r.get(1) == 1 {
 						neg := r.get(1) == 1
 						if neg {
-							flags[fi] |= fwNeg
+							flags[fi] |= oNeg
 						}
 						c.setSig(fi, neg)
 						mag[mi] = 1
@@ -843,7 +873,7 @@ func oracleDecodeHT(coef []int32, w, h, stride int, orient dwt.Orient, numBPS, n
 				m += 1 << uint(l-1)
 			}
 			v := int32(m)
-			if flags[c.fidx(x, y)]&fwNeg != 0 {
+			if flags[c.fidx(x, y)]&oNeg != 0 {
 				v = -v
 			}
 			coef[y*stride+x] = v

@@ -2,95 +2,98 @@ package t1
 
 import "j2kcell/internal/dwt"
 
-// Incremental neighbor-flag words (the OpenJPEG/JasPer T1_SIG_* scheme).
+// Stripe-column state words (OpenJPEG's opj_flag_t, since 2.2).
 //
-// Each coefficient carries one uint32 that caches, alongside its own
-// state, the significance of all 8 neighbors and the sign of the 4
-// horizontal/vertical neighbors. The word is updated once, when a
-// neighbor becomes significant (setSig), instead of being reassembled
-// from eight scattered byte loads every time a context is needed; the
-// zero-coding and sign-coding contexts then collapse into table lookups
-// indexed by the word. Encoder and decoder share the scheme, so their
-// context sequences agree bit for bit by construction.
+// Each stripe column of four samples has one uint32 that holds the
+// significance (σ) of the column and of the samples around it, and the
+// column's sign (χ), refined (μ) and visited (π) bits. σ is a 3×6
+// window: the left column (W), the column itself (C) and the right
+// column (E), over the row above the stripe, its four rows and the row
+// below. Encoder and decoder share the words, so their context
+// sequences agree by construction.
 //
-// Word layout:
+// Word layout (row r = −1..4, stripe row k = 0..3):
 //
-//	bits  0..3   self state: significant, refined, negative (bit 1 spare)
-//	bits  4..11  neighbor significance N,S,W,E,NW,NE,SW,SE
-//	bits 12..15  neighbor sign N,S,W,E (set = negative; only ever set
-//	             together with the matching significance bit)
-//	bits 16..21  visit stamp: 1 + the plane of the last significance-
-//	             pass visit (0 = never visited)
+//	bits 3(r+1) .. 3(r+1)+2   σ of row r: W, C, E
+//	bit  18                   χ of row −1 (the last row of the stripe above)
+//	bits 19+3k, 20+3k, 21+3k  χ, μ, π of row k
+//	bit  31                   χ of row 4 (the first row of the stripe below)
 //
-// The visit stamp replaces the old per-plane fVisit bit: "visited in
-// this plane" becomes a comparison against the current plane's stamp,
-// so no pass ever sweeps the flags array to clear visit bits (the old
-// clearVisit walked (w+2)*(h+2) bytes per bit plane).
+// Shifting a word right by 3k puts row k's 3×3 neighborhood in bits
+// 0..8 (NW, N, NE, W, self, E, SW, S, SE) and its own χ, μ and π in
+// bits 19, 20 and 21, so one window serves the zero-coding and
+// refinement contexts and most of the sign context. The W and E signs
+// are read from the neighboring words.
+//
+// π marks the samples the significance pass visited in the current
+// plane; the cleanup pass, which ends every plane and walks every
+// column, clears it.
 const (
-	fwSig     uint32 = 1 << 0 // coefficient is significant
-	fwRefined uint32 = 1 << 2 // has been refined at least once
-	fwNeg     uint32 = 1 << 3 // coefficient sign (set = negative)
+	cwSelf uint32 = 1 << 4  // σ of the window's own sample
+	cwNbr  uint32 = 0x1EF   // σ of its 8 neighbors
+	cwChi  uint32 = 1 << 19 // χ: the window's own sample is negative
+	cwMu   uint32 = 1 << 20 // μ: refined at least once
+	cwPi   uint32 = 1 << 21 // π: visited in this plane's significance pass
 
-	fwSigN  uint32 = 1 << 4
-	fwSigS  uint32 = 1 << 5
-	fwSigW  uint32 = 1 << 6
-	fwSigE  uint32 = 1 << 7
-	fwSigNW uint32 = 1 << 8
-	fwSigNE uint32 = 1 << 9
-	fwSigSW uint32 = 1 << 10
-	fwSigSE uint32 = 1 << 11
-
-	fwNegN uint32 = 1 << 12
-	fwNegS uint32 = 1 << 13
-	fwNegW uint32 = 1 << 14
-	fwNegE uint32 = 1 << 15
-
-	fwSigNbr = fwSigN | fwSigS | fwSigW | fwSigE |
-		fwSigNW | fwSigNE | fwSigSW | fwSigSE
-
-	fwVisitShift        = 16
-	fwVisitMask  uint32 = 0x3F << fwVisitShift
+	cwSigma   uint32 = 0x3FFFF                                    // σ of the whole 3×6 window
+	cwSelfAll        = cwSelf | cwSelf<<3 | cwSelf<<6 | cwSelf<<9 // σ of the four rows
+	cwMuAll          = cwMu | cwMu<<3 | cwMu<<6 | cwMu<<9         // μ of the four rows
+	cwPiAll          = cwPi | cwPi<<3 | cwPi<<6 | cwPi<<9         // π of the four rows
 )
 
-// visitStamp is the flag-word visit field value for plane p. Planes are
-// coded in strictly decreasing order, so stale stamps from earlier
-// (higher) planes can never collide with the current plane's stamp.
-func visitStamp(p int) uint32 { return uint32(p+1) << fwVisitShift }
+// stripeRows is the σ mask of a stripe's first sh rows (cwSelfAll for
+// a full stripe).
+func stripeRows(sh int) uint32 { return cwSelfAll & (1<<(3*uint(sh)+4) - 1) }
 
-// setSig marks the coefficient at flags index fi significant and pushes
-// its significance (and sign, for the 4 H/V directions the sign-coding
-// context reads) into the neighbor bits of the 8 surrounding words.
-// The one-pixel border absorbs edge writes, so no bounds checks are
-// needed and border garbage is never read: border cells are never coded.
-func (c *coder) setSig(fi int, neg bool) {
-	f := c.flags
-	fw := c.fw
-	f[fi] |= fwSig
-	f[fi-fw-1] |= fwSigSE // this coefficient is its NW neighbor's SE
-	f[fi-fw+1] |= fwSigSW
-	f[fi+fw-1] |= fwSigNE
-	f[fi+fw+1] |= fwSigNW
-	if neg {
-		f[fi-fw] |= fwSigS | fwNegS
-		f[fi+fw] |= fwSigN | fwNegN
-		f[fi-1] |= fwSigE | fwNegE
-		f[fi+1] |= fwSigW | fwNegW
-	} else {
-		f[fi-fw] |= fwSigS
-		f[fi+fw] |= fwSigN
-		f[fi-1] |= fwSigE
-		f[fi+1] |= fwSigW
+// Row sets. A set of a column's rows is a word with row k's bit at its
+// σ position, 3k+4, so that bits.TrailingZeros32(set)−4 is 3k, the
+// shift of row k's window.
+
+// sigMembers is the set of rows among rows (a stripeRows mask) that
+// the significance pass codes, given column word fv: insignificant
+// rows with a significant neighbor — a non-zero zero-coding context.
+// g has, at bit 3r, whether any of window row r−1's three samples is
+// significant; shifted to σ positions it gives the rows above and
+// below, and fv shifted by one gives the left and right neighbors.
+func sigMembers(fv, rows uint32) uint32 {
+	g := fv | fv>>1 | fv>>2
+	return (g<<4 | g>>2 | fv<<1 | fv>>1) &^ fv & rows
+}
+
+// setSig marks row k of column word j significant with sign neg (0 or
+// 1). It mirrors the significance into the left and right words of the
+// stripe and, for rows 0 and 3, into the three words of the stripe
+// above or below (with the sign into the middle one, for its N or S
+// sign context). It returns the bits to OR into word j itself, which
+// the passes hold in a register while they walk its column. The border
+// words absorb writes from the block's edges.
+func (c *coder) setSig(j int, k uint, neg uint32) uint32 {
+	st := c.state
+	st[j-1] |= cwSelf << 1 << (3 * k) // E of the left column
+	st[j+1] |= cwSelf >> 1 << (3 * k) // W of the right column
+	switch k {
+	case 0: // row 4 of the stripe above
+		sw := c.sw
+		st[j-sw-1] |= 1 << 17
+		st[j-sw] |= 1<<16 | neg<<31
+		st[j-sw+1] |= 1 << 15
+	case 3: // row −1 of the stripe below
+		sw := c.sw
+		st[j+sw-1] |= 1 << 2
+		st[j+sw] |= 1<<1 | neg<<18
+		st[j+sw+1] |= 1 << 0
 	}
+	return (cwSelf | neg*cwChi) << (3 * k)
 }
 
 // Context lookup tables, built once at init from the reference context
-// functions below (the pre-LUT Table D.1/D.3 logic, kept as the oracle
-// for the differential tests).
+// functions below (the Table D.1/D.3 logic, kept as the oracle for the
+// differential tests).
 //
-//	lutZC[tab][(word>>4)&0xFF]   zero-coding context 0..8
-//	lutSC[scIndex(word)]         sign context offset (bits 0..2) | XOR<<3
+//	lutZC[tab][win&0x1FF]      zero-coding context 0..8 of window win
+//	lutSC[scIndex(f, l, r, k)] sign context offset (bits 0..2) | XOR<<3
 var (
-	lutZC [3][256]uint8
+	lutZC [3][512]uint8
 	lutSC [256]uint8
 )
 
@@ -108,17 +111,26 @@ func zcTabFor(o dwt.Orient) int {
 	}
 }
 
-// scIndex maps a flag word to the sign-coding table index: bits 0..3
-// are the N,S,W,E significance bits, bits 4..7 the N,S,W,E sign bits.
-func scIndex(f uint32) uint32 { return (f >> 4 & 0x0F) | (f >> 8 & 0xF0) }
+// scIndex gathers the sign-coding table index of row k of column word
+// f, whose left and right neighbors are l and r. Index bits: 0 χW,
+// 1 σN, 2 χE, 3 σW, 4 χN, 5 σE, 6 χS, 7 σS — the σ bits sit where the
+// window has them.
+func scIndex(f, l, r uint32, k uint) uint32 {
+	win := f >> (3 * k)
+	chiN := win >> 16 // χ of row k−1 for k ≥ 1
+	if k == 0 {
+		chiN = f >> 18
+	}
+	return win&0xAA | l>>(3*k+19)&1 | r>>(3*k+19)&1<<2 | chiN&1<<4 | win>>22&1<<6
+}
 
-// mrCtx is the magnitude-refinement context (Table D.4) straight off
-// the flag word: two bit tests instead of eight neighbor loads.
-func mrCtx(f uint32) int {
-	if f&fwRefined != 0 {
+// mrCtx is the magnitude-refinement context (Table D.4) of a window:
+// two bit tests instead of eight neighbor loads.
+func mrCtx(win uint32) int {
+	if win&cwMu != 0 {
 		return ctxMR + 2
 	}
-	if f&fwSigNbr != 0 {
+	if win&cwNbr != 0 {
 		return ctxMR + 1
 	}
 	return ctxMR
@@ -235,21 +247,23 @@ func clampPM1(x int) int {
 func bit(idx, b int) int { return (idx >> uint(b)) & 1 }
 
 func init() {
-	// Zero-coding: enumerate the 256 neighbor-significance patterns in
-	// flag-word bit order (N,S,W,E,NW,NE,SW,SE).
-	for idx := 0; idx < 256; idx++ {
-		hN, hS := bit(idx, 0), bit(idx, 1)
-		hW, hE := bit(idx, 2), bit(idx, 3)
-		d := bit(idx, 4) + bit(idx, 5) + bit(idx, 6) + bit(idx, 7)
-		h := hW + hE
-		v := hN + hS
+	// Zero-coding: enumerate the 512 windows (NW,N,NE,W,self,E,SW,S,SE
+	// in bits 0..8). A significant sample is coded by no zero-coding
+	// decision, so its windows keep context 0: a significance pass
+	// member is exactly a window with a non-zero entry.
+	for idx := 0; idx < 512; idx++ {
+		if bit(idx, 4) != 0 {
+			continue
+		}
+		h := bit(idx, 3) + bit(idx, 5)
+		v := bit(idx, 1) + bit(idx, 7)
+		d := bit(idx, 0) + bit(idx, 2) + bit(idx, 6) + bit(idx, 8)
 		lutZC[0][idx] = uint8(refZC(dwt.LL, h, v, d))
 		lutZC[1][idx] = uint8(refZC(dwt.LL, v, h, d)) // HL: swapped roles
 		lutZC[2][idx] = uint8(refZC(dwt.HH, h, v, d))
 	}
-	// Sign-coding: bits 0..3 significance of N,S,W,E; bits 4..7 their
-	// signs. A sign bit without its significance bit contributes 0,
-	// exactly like the old scContribution.
+	// Sign-coding, in scIndex's bit order. A sign bit without its
+	// significance bit contributes 0.
 	for idx := 0; idx < 256; idx++ {
 		contrib := func(sigBit, negBit int) int {
 			if bit(idx, sigBit) == 0 {
@@ -260,8 +274,8 @@ func init() {
 			}
 			return 1
 		}
-		h := clampPM1(contrib(2, 6) + contrib(3, 7)) // W + E
-		v := clampPM1(contrib(0, 4) + contrib(1, 5)) // N + S
+		h := clampPM1(contrib(3, 0) + contrib(5, 2)) // W + E
+		v := clampPM1(contrib(1, 4) + contrib(7, 6)) // N + S
 		ctx, xor := refSC(h, v)
 		lutSC[idx] = uint8(ctx-ctxSC) | xor<<3
 	}

@@ -2,9 +2,9 @@ package t1
 
 import "sync"
 
-// Scratch arenas for Tier-1. A 64×64 block costs ~34 KB of coder
-// scratch (bordered flag words + magnitudes), ~1 KB of stripe OR masks,
-// and the MQ encoder's segment buffer; a 3072×3072×3 encode codes ~7k
+// Scratch arenas for Tier-1. A 64×64 block costs ~21 KB of MQ coder
+// scratch (bordered column words + magnitudes), ~1 KB of stripe OR
+// masks, and the MQ encoder's segment buffer; a 3072×3072×3 encode codes ~7k
 // blocks, so recycling this state through sync.Pool keeps steady-state
 // Tier-1 allocations limited to the returned Block itself. Pools are
 // safe for the concurrent block workers of the parallel encode/decode
@@ -15,7 +15,6 @@ var (
 	encoderPool   sync.Pool // *encoder
 	htEncoderPool sync.Pool // *htEncoder
 	htDecoderPool sync.Pool // *htDecoder
-	int8Pool      sync.Pool // *[]int8 (decoder lastPlane scratch)
 )
 
 // release returns the coder's scratch to the pool.
@@ -62,21 +61,3 @@ func getHTDecoder() *htDecoder {
 }
 
 func putHTDecoder(d *htDecoder) { htDecoderPool.Put(d) }
-
-// getInt8 returns a zeroed length-n int8 scratch slice.
-func getInt8(n int) *[]int8 {
-	p, _ := int8Pool.Get().(*[]int8)
-	if p == nil {
-		s := make([]int8, n)
-		return &s
-	}
-	if cap(*p) < n {
-		*p = make([]int8, n)
-		return p
-	}
-	*p = (*p)[:n]
-	clear(*p)
-	return p
-}
-
-func putInt8(p *[]int8) { int8Pool.Put(p) }

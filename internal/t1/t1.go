@@ -4,15 +4,18 @@
 // per bit plane — significance propagation, magnitude refinement, and
 // cleanup — over a stripe-oriented scan with 19 adaptive MQ contexts.
 //
-// The hot path is built around incrementally maintained per-coefficient
-// flag words (luts.go): each coefficient's word caches the significance
-// and sign of its 8 neighbors, updated once when a neighbor becomes
-// significant, so the zero-coding and sign-coding contexts are single
-// table lookups and entire all-quiet stripe columns are skipped from
-// one OR over the column's words. The emitted bitstream is identical to
-// the original eight-load context computation — the flag words and LUTs
-// are a pure refactor of the Table D.1–D.4 functions, verified by the
-// differential tests against the pre-LUT reference (oracle_test.go).
+// The MQ encoder and decoder share one state representation (luts.go):
+// a 32-bit word per stripe column of four samples, holding the
+// samples' significance together with that of the neighbors around
+// them, and the samples' sign, refined and visited bits. A sample that
+// becomes significant updates the three words of its stripe, and the
+// three of the stripe above or below when it sits on the stripe's top
+// or bottom row. The zero-coding, sign and refinement contexts are
+// table lookups on shifted windows of the word, and whether a column
+// has anything to code in a pass is one test on one load. The contexts
+// are those of the Table D.1–D.4 functions, and the decisions those of
+// the standard's pass definitions, checked against a byte-flag oracle
+// that recomputes everything from neighbor loads (oracle_test.go).
 //
 // The encoder records, for every coding pass, its cumulative byte cost
 // and the weighted distortion reduction it buys; rate control (package
@@ -174,20 +177,25 @@ func newContexts() [nctx]mq.Context {
 	return cx
 }
 
-// coder holds the shared geometry and state of an encode or decode.
+// coder holds the shared geometry and state of an MQ encode or decode.
 type coder struct {
 	w, h   int
 	orient dwt.Orient
 	zcTab  int      // lutZC table for orient
-	flags  []uint32 // (w+2) x (h+2) flag words, row-major with border
-	fw     int      // flags row stride = w+2
+	state  []uint32 // column words (luts.go), (w+2) × (stripes+2) with border
+	sw     int      // state row stride = w+2
 	mag    []uint32
 	cx     [nctx]mq.Context
 }
 
 // newCoder draws scratch from the coder pool (pool.go); callers release
-// it when the block is done. Flags and magnitudes are zeroed, contexts
-// reset to their standard initial states.
+// it when the block is done. Column words and magnitudes are zeroed,
+// contexts reset to their standard initial states.
+//
+// The column words carry a one-word border on every side: a column
+// left or right of the block, and a stripe row above and below it.
+// Significance mirrored out of the block lands there and is never
+// read, so setSig needs no bounds tests.
 func newCoder(w, h int, orient dwt.Orient) *coder {
 	c, _ := coderPool.Get().(*coder)
 	if c == nil {
@@ -195,38 +203,13 @@ func newCoder(w, h int, orient dwt.Orient) *coder {
 	}
 	c.w, c.h, c.orient = w, h, orient
 	c.zcTab = zcTabFor(orient)
-	c.fw = w + 2
-	if n := (w + 2) * (h + 2); cap(c.flags) < n {
-		c.flags = make([]uint32, n)
-	} else {
-		c.flags = c.flags[:n]
-		clear(c.flags)
-	}
-	if n := w * h; cap(c.mag) < n {
-		c.mag = make([]uint32, n)
-	} else {
-		c.mag = c.mag[:n]
-		clear(c.mag)
-	}
+	c.sw = w + 2
+	c.state = zeroed(c.state, (w+2)*((h+3)/4+2))
+	c.mag = zeroed(c.mag, w*h)
 	c.cx = newContexts()
 	return c
 }
 
-// fidx maps block coordinates to the bordered flags array.
-func (c *coder) fidx(x, y int) int { return (y+1)*c.fw + (x + 1) }
-
-// zcContext computes the zero-coding context from the cached neighbor
-// significance bits of the flag word (Table D.1).
-func (c *coder) zcContext(fi int) int {
-	return int(lutZC[c.zcTab][c.flags[fi]>>4&0xFF])
-}
-
-// scContext computes the sign-coding context and XOR bit (Table D.3)
-// from the cached neighbor significance and sign bits.
-func (c *coder) scContext(fi int) (ctx int, xor uint8) {
-	v := lutSC[scIndex(c.flags[fi])]
-	return ctxSC + int(v&7), v >> 3
-}
-
-// mrContext computes the magnitude-refinement context (Table D.4).
-func (c *coder) mrContext(fi int) int { return mrCtx(c.flags[fi]) }
+// col maps a sample to its column word's index in state and its row
+// within the stripe.
+func (c *coder) col(x, y int) (j int, k uint) { return (y/4+1)*c.sw + x + 1, uint(y % 4) }
