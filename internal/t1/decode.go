@@ -98,14 +98,13 @@ func Decode(coef []int32, w, h, stride int, orient dwt.Orient, mode Mode, numBPS
 	// when that pass is a significance pass: then the coefficients it
 	// did not visit (π clear) were last refined a plane above.
 	for y := 0; y < h; y++ {
-		j0 := (y/4+1)*c.sw + 1
-		ks := 3 * uint(y%4)
+		j0, k := c.col(0, y)
 		for x := 0; x < w; x++ {
 			m := c.mag[y*w+x]
 			if m == 0 {
 				continue
 			}
-			win := c.state[j0+x] >> ks
+			win := c.state[j0+x] >> (3 * k)
 			lp := lastP
 			if lastT == PassSig && win&cwPi == 0 {
 				lp++
@@ -138,13 +137,13 @@ func (d *decoder) decodeSignificance(fv uint32, j int, k uint, mi, p int) uint32
 }
 
 func (d *decoder) sigPass(p int) {
-	w, h, sw := d.w, d.h, d.sw
+	w, h := d.w, d.h
 	st := d.state
 	zc := &lutZC[d.zcTab]
 	dec, cx := &d.mq, &d.cx
-	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
+	for y0 := 0; y0 < h; y0 += 4 {
 		rows := stripeRows(min(4, h-y0))
-		j0 := (s+1)*sw + 1
+		j0, _ := d.col(0, y0)
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
 			j := j0 + x
@@ -168,12 +167,12 @@ func (d *decoder) sigPass(p int) {
 }
 
 func (d *decoder) refPass(p int) {
-	w, h, sw := d.w, d.h, d.sw
+	w, h := d.w, d.h
 	st, mag := d.state, d.mag
 	dec, cx := &d.mq, &d.cx
 	up := uint(p)
-	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
-		j0 := (s+1)*sw + 1
+	for y0 := 0; y0 < h; y0 += 4 {
+		j0, _ := d.col(0, y0)
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
 			j := j0 + x
@@ -204,14 +203,14 @@ func (d *decoder) refPass(p int) {
 }
 
 func (d *decoder) clnPass(p int) {
-	w, h, sw := d.w, d.h, d.sw
+	w, h := d.w, d.h
 	st := d.state
 	zc := &lutZC[d.zcTab]
 	dec, cx := &d.mq, &d.cx
-	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
+	for y0 := 0; y0 < h; y0 += 4 {
 		sh := min(4, h-y0)
 		rows := stripeRows(sh)
-		j0 := (s+1)*sw + 1
+		j0, _ := d.col(0, y0)
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
 			j := j0 + x

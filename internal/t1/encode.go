@@ -204,15 +204,15 @@ func (e *encoder) codeSignificance(ops []uint8, fv uint32, j int, k uint, m uint
 // without one is skipped on its word alone. A row that becomes
 // significant can only add the row below it to the set.
 func (e *encoder) sigPass(p int) {
-	w, h, sw := e.w, e.h, e.sw
+	w, h := e.w, e.h
 	st, mag := e.state, e.mag
 	zc := &lutZC[e.zcTab]
 	up := uint(p)
 	dd := e.distDelta
 	ops := e.ops
-	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
+	for y0 := 0; y0 < h; y0 += 4 {
 		rows := stripeRows(min(4, h-y0))
-		j0 := (s+1)*sw + 1
+		j0, _ := e.col(0, y0)
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
 			j := j0 + x
@@ -250,7 +250,7 @@ func (e *encoder) sigPass(p int) {
 // this plane's significance pass — one test on the column word finds
 // whether a column has any.
 func (e *encoder) refPass(p int) {
-	w, h, sw := e.w, e.h, e.sw
+	w, h := e.w, e.h
 	st, mag := e.state, e.mag
 	gain2 := e.gain2
 	up := uint(p)
@@ -276,8 +276,8 @@ func (e *encoder) refPass(p int) {
 	}
 	dd := e.distDelta
 	ops := e.ops
-	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
-		j0 := (s+1)*sw + 1
+	for y0 := 0; y0 < h; y0 += 4 {
+		j0, _ := e.col(0, y0)
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
 			j := j0 + x
@@ -328,7 +328,7 @@ func (e *encoder) refPass(p int) {
 // nor visited (σ and π clear), found from the column word alone. It
 // clears every column's π for the next plane.
 func (e *encoder) clnPass(p int) {
-	w, h, sw := e.w, e.h, e.sw
+	w, h := e.w, e.h
 	st, mag, stripeOR := e.state, e.mag, e.stripeOR
 	zc := &lutZC[e.zcTab]
 	bitp := uint32(1) << uint(p)
@@ -336,11 +336,11 @@ func (e *encoder) clnPass(p int) {
 	dd := e.distDelta
 	ops := e.ops
 	scanned := 0
-	for s, y0 := 0, 0; y0 < h; s, y0 = s+1, y0+4 {
+	for y0 := 0; y0 < h; y0 += 4 {
 		sh := min(4, h-y0)
 		rows := stripeRows(sh)
-		row := s * w
-		j0 := (s+1)*sw + 1
+		row := y0 / 4 * w
+		j0, _ := e.col(0, y0)
 		mi0 := y0 * w
 		for x := 0; x < w; x++ {
 			j := j0 + x
